@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-robust vet lint lint-build lint-fix lint-facts-clean fmt-check ci bench bench-obs bench-perf bench-perf-json bench-compare mem-ceiling telemetry-smoke chaos clean
+.PHONY: all build test bench-test race race-robust vet lint lint-build lint-fix lint-facts-clean fmt-check ci bench bench-obs bench-perf bench-perf-json bench-compare mem-ceiling telemetry-smoke chaos clean
 
 # benchstat-friendly repetition count for bench-perf.
 BENCH_COUNT ?= 6
@@ -55,6 +55,11 @@ lint-facts-clean: lint-build
 	diff -r bin/facts-a bin/facts-b
 	@echo "fact files byte-stable across runs"
 
+# bench-test runs the benchmark module's own vet and tests. bench/ is a
+# Go module of its own, so the root `go test ./...` never reaches it.
+bench-test:
+	$(GO) -C bench vet ./... && $(GO) -C bench test ./...
+
 # race-robust is the focused race gate for the crash-safety layer: the
 # unit scheduler, checkpoint, and fault injector do real concurrent
 # mutation, so they get their own fast gate ahead of the full race run.
@@ -70,7 +75,8 @@ fmt-check:
 
 # ci is the full local gate: formatting, vet (stdlib copylocks/atomic
 # back up the custom analyzers), the project linters, the fact-encoding
-# determinism check, build, the focused robustness race gate, the
+# determinism check, build, the benchmark module's vet and tests, the
+# focused robustness race gate, the
 # race-enabled test suite (probes attached under -race is an explicit
 # acceptance criterion of the observability layer), and the
 # distributed-execution chaos suite — promoted to fatal per its
@@ -84,7 +90,7 @@ fmt-check:
 # kernel throughput on a shared box is too noisy to hard-gate. Promotion
 # path to fatal: once each has a clean week in CI logs, drop its `||
 # echo` fallback so the recipe's exit status gates the build.
-ci: fmt-check vet lint lint-facts-clean build race-robust race chaos
+ci: fmt-check vet lint lint-facts-clean build bench-test race-robust race chaos
 	@$(MAKE) telemetry-smoke || echo "[telemetry-smoke] WARNING: live telemetry smoke failed (non-fatal; see above)"
 	@$(MAKE) bench-compare || echo "[bench-regression] WARNING: kernel throughput regressed >15% vs BENCH_perf.json (non-fatal; rerun 'make bench-compare' on a quiet box)"
 	@$(MAKE) mem-ceiling || echo "[mem-ceiling] WARNING: suite resident trace-cache peak in BENCH_perf.json exceeds the 256 MiB budget (non-fatal; see above)"

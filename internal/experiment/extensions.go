@@ -413,64 +413,83 @@ func runXPrefetch(opts Opts) ([]*Table, error) {
 			"benchmark", "dm", "dm+sb", "bc", "bc+sb", "sb-hit-rate",
 		},
 	}
-	for _, name := range []string{"art", "swim", "equake", "crafty", "mcf"} {
+	profiles, err := profilesByName("art", "swim", "equake", "crafty", "mcf")
+	if err != nil {
+		return nil, err
+	}
+	// Config c: bit 1 selects the B-Cache L1s, bit 0 the stream buffer.
+	type run struct{ ipc, sbRate float64 }
+	runs, err := profileUnits(opts, "xprefetch", profiles, []string{"dm", "dm+sb", "bc", "bc+sb"},
+		func(p *workload.Profile, c int) (run, error) {
+			cfg := hier.Defaults()
+			if c&1 != 0 {
+				cfg.StreamBuffer = 8
+			}
+			h, err := newL1Hierarchy(opts, c&2 != 0, cfg)
+			if err != nil {
+				return run{}, err
+			}
+			res, err := runRecords(opts, p, h, cpu.Defaults())
+			if err != nil {
+				return run{}, err
+			}
+			r := run{ipc: res.IPC()}
+			if h.Prefetches > 0 {
+				r.sbRate = float64(h.StreamHits) / float64(h.Prefetches)
+			}
+			return r, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	for pi, p := range profiles {
+		r := runs[pi]
+		t.AddRow(p.Name, f3(r[0].ipc), f3(r[1].ipc), f3(r[2].ipc), f3(r[3].ipc), pct(r[1].sbRate))
+	}
+	return []*Table{t}, nil
+}
+
+// profilesByName resolves benchmark names in order.
+func profilesByName(names ...string) ([]*workload.Profile, error) {
+	out := make([]*workload.Profile, len(names))
+	for i, name := range names {
 		p, err := workload.ByName(name)
 		if err != nil {
 			return nil, err
 		}
-		run := func(useBC, useSB bool) (cpu.Result, *hier.Hierarchy, error) {
-			mk := func() (cache.Cache, error) {
-				if useBC {
-					return core.New(core.Config{SizeBytes: opts.L1Size, LineBytes: opts.LineBytes, MF: 8, BAS: 8, Policy: cache.LRU})
-				}
-				return cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
-			}
-			ic, err := mk()
-			if err != nil {
-				return cpu.Result{}, nil, err
-			}
-			dc, err := mk()
-			if err != nil {
-				return cpu.Result{}, nil, err
-			}
-			cfg := hier.Defaults()
-			if useSB {
-				cfg.StreamBuffer = 8
-			}
-			h, err := hier.New(ic, dc, cfg)
-			if err != nil {
-				return cpu.Result{}, nil, err
-			}
-			rt, err := cachedRecords(opts, p)
-			if err != nil {
-				return cpu.Result{}, nil, err
-			}
-			res, err := cpu.Run(trace.NewSliceStream(rt.recs), h, cpu.Defaults(), opts.Instructions)
-			return res, h, err
-		}
-		dm, _, err := run(false, false)
-		if err != nil {
-			return nil, err
-		}
-		dmSB, hSB, err := run(false, true)
-		if err != nil {
-			return nil, err
-		}
-		bc, _, err := run(true, false)
-		if err != nil {
-			return nil, err
-		}
-		bcSB, _, err := run(true, true)
-		if err != nil {
-			return nil, err
-		}
-		sbRate := 0.0
-		if hSB.Prefetches > 0 {
-			sbRate = float64(hSB.StreamHits) / float64(hSB.Prefetches)
-		}
-		t.AddRow(name, f3(dm.IPC()), f3(dmSB.IPC()), f3(bc.IPC()), f3(bcSB.IPC()), pct(sbRate))
+		out[i] = p
 	}
-	return []*Table{t}, nil
+	return out, nil
+}
+
+// newL1Hierarchy builds cfg's hierarchy behind a pair of level-one
+// caches: direct-mapped, or the B-Cache at MF=8, BAS=8 when useBC.
+func newL1Hierarchy(opts Opts, useBC bool, cfg hier.Config) (*hier.Hierarchy, error) {
+	mk := func() (cache.Cache, error) {
+		if useBC {
+			return core.New(core.Config{SizeBytes: opts.L1Size, LineBytes: opts.LineBytes, MF: 8, BAS: 8, Policy: cache.LRU})
+		}
+		return cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
+	}
+	ic, err := mk()
+	if err != nil {
+		return nil, err
+	}
+	dc, err := mk()
+	if err != nil {
+		return nil, err
+	}
+	return hier.New(ic, dc, cfg)
+}
+
+// runRecords runs p's cached record trace through the CPU model on h.
+func runRecords(opts Opts, p *workload.Profile, h *hier.Hierarchy, cfg cpu.Config) (cpu.Result, error) {
+	rt, release, err := cachedRecords(opts, p)
+	if err != nil {
+		return cpu.Result{}, err
+	}
+	defer release()
+	return cpu.Run(trace.NewSliceStream(rt.recs), h, cfg, opts.Instructions)
 }
 
 func init() {
@@ -497,12 +516,23 @@ func runXL2(opts Opts) ([]*Table, error) {
 		},
 	}
 	cfg := hier.Defaults()
-	for _, name := range []string{"mcf", "gcc", "equake", "ammp"} {
-		p, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		run := func(mk func() (cache.Cache, error)) (float64, error) {
+	l2s := []func() (cache.Cache, error){
+		func() (cache.Cache, error) {
+			return cache.NewDirectMapped(cfg.L2Size, cfg.L2Line)
+		},
+		func() (cache.Cache, error) {
+			return core.New(core.Config{SizeBytes: cfg.L2Size, LineBytes: cfg.L2Line, MF: 8, BAS: 8, Policy: cache.LRU})
+		},
+		func() (cache.Cache, error) {
+			return cache.NewSetAssoc(cfg.L2Size, cfg.L2Line, cfg.L2Ways, cache.LRU, nil)
+		},
+	}
+	profiles, err := profilesByName("mcf", "gcc", "equake", "ammp")
+	if err != nil {
+		return nil, err
+	}
+	runs, err := profileUnits(opts, "xl2", profiles, t.Headers[1:],
+		func(p *workload.Profile, c int) (float64, error) {
 			ic, err := cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
 			if err != nil {
 				return 0, err
@@ -511,7 +541,7 @@ func runXL2(opts Opts) ([]*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			l2, err := mk()
+			l2, err := l2s[c]()
 			if err != nil {
 				return 0, err
 			}
@@ -519,34 +549,17 @@ func runXL2(opts Opts) ([]*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			rt, err := cachedRecords(opts, p)
-			if err != nil {
-				return 0, err
-			}
-			if _, err := cpu.Run(trace.NewSliceStream(rt.recs), h, cpu.Defaults(), opts.Instructions); err != nil {
+			if _, err := runRecords(opts, p, h, cpu.Defaults()); err != nil {
 				return 0, err
 			}
 			return l2.Stats().MissRate(), nil
-		}
-		dm, err := run(func() (cache.Cache, error) {
-			return cache.NewDirectMapped(cfg.L2Size, cfg.L2Line)
 		})
-		if err != nil {
-			return nil, err
-		}
-		bc, err := run(func() (cache.Cache, error) {
-			return core.New(core.Config{SizeBytes: cfg.L2Size, LineBytes: cfg.L2Line, MF: 8, BAS: 8, Policy: cache.LRU})
-		})
-		if err != nil {
-			return nil, err
-		}
-		w4, err := run(func() (cache.Cache, error) {
-			return cache.NewSetAssoc(cfg.L2Size, cfg.L2Line, cfg.L2Ways, cache.LRU, nil)
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(name, pct(dm), pct(bc), pct(w4))
+	if err != nil {
+		return nil, err
+	}
+	for pi, p := range profiles {
+		r := runs[pi]
+		t.AddRow(p.Name, pct(r[0]), pct(r[1]), pct(r[2]))
 	}
 	return []*Table{t}, nil
 }
@@ -629,50 +642,36 @@ func runXWindow(opts Opts) ([]*Table, error) {
 			"window", "dm-IPC", "bc-IPC", "bc-gain",
 		},
 	}
-	p, err := workload.ByName("equake")
+	profiles, err := profilesByName("equake")
 	if err != nil {
 		return nil, err
 	}
-	for _, window := range []int{8, 16, 32, 64} {
-		run := func(useBC bool) (float64, error) {
-			mk := func() (cache.Cache, error) {
-				if useBC {
-					return core.New(core.Config{SizeBytes: opts.L1Size, LineBytes: opts.LineBytes, MF: 8, BAS: 8, Policy: cache.LRU})
-				}
-				return cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
-			}
-			ic, err := mk()
-			if err != nil {
-				return 0, err
-			}
-			dc, err := mk()
-			if err != nil {
-				return 0, err
-			}
-			h, err := hier.New(ic, dc, hier.Defaults())
-			if err != nil {
-				return 0, err
-			}
-			rt, err := cachedRecords(opts, p)
+	// Config 2w+b runs windows[w] on the direct-mapped (b=0) or B-Cache
+	// (b=1) L1s.
+	windows := []int{8, 16, 32, 64}
+	var configs []string
+	for _, w := range windows {
+		configs = append(configs, fmt.Sprintf("w%d/dm", w), fmt.Sprintf("w%d/bc", w))
+	}
+	runs, err := profileUnits(opts, "xwindow", profiles, configs,
+		func(p *workload.Profile, c int) (float64, error) {
+			h, err := newL1Hierarchy(opts, c%2 == 1, hier.Defaults())
 			if err != nil {
 				return 0, err
 			}
 			cfg := cpu.Defaults()
-			cfg.Window = window
-			res, err := cpu.Run(trace.NewSliceStream(rt.recs), h, cfg, opts.Instructions)
+			cfg.Window = windows[c/2]
+			res, err := runRecords(opts, p, h, cfg)
 			if err != nil {
 				return 0, err
 			}
 			return res.IPC(), nil
-		}
-		dm, err := run(false)
-		if err != nil {
-			return nil, err
-		}
-		bc, err := run(true)
-		if err != nil {
-			return nil, err
-		}
+		})
+	if err != nil {
+		return nil, err
+	}
+	for w, window := range windows {
+		dm, bc := runs[0][2*w], runs[0][2*w+1]
 		t.AddRow(fmt.Sprintf("%d", window), f3(dm), f3(bc), pct(bc/dm-1))
 	}
 	return []*Table{t}, nil

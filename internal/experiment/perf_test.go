@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"bcache/internal/workload"
 )
@@ -44,10 +46,10 @@ func TestTraceCacheSingleflight(t *testing.T) {
 		}
 	}
 	c := TraceCacheStats()
-	// One data-trace build plus the record trace it extracts from (the
-	// fetch byproduct is published, not missed).
-	if c.Misses != 2 || c.Hits != callers-1 || c.Generations != 1 {
-		t.Fatalf("counters = %+v, want 2 misses, %d hits, 1 generation", c, callers-1)
+	// One data-trace build straight from the generator (the fetch
+	// byproduct is published, not missed).
+	if c.Misses != 1 || c.Hits != callers-1 || c.Generations != 1 {
+		t.Fatalf("counters = %+v, want 1 miss, %d hits, 1 generation", c, callers-1)
 	}
 	if c.Bytes < traces[0].sizeBytes() {
 		t.Fatalf("accounted %d bytes, access trace alone holds %d", c.Bytes, traces[0].sizeBytes())
@@ -80,9 +82,9 @@ func TestTraceCacheKeying(t *testing.T) {
 		t.Fatal("different instruction count shared the trace")
 	}
 	c := TraceCacheStats()
-	// Three distinct data keys, each over its own record trace.
-	if c.Misses != 6 || c.Hits != 1 || c.Generations != 3 {
-		t.Fatalf("counters = %+v, want 6 misses, 1 hit, 3 generations", c)
+	// Three distinct data keys, each generated once.
+	if c.Misses != 3 || c.Hits != 1 || c.Generations != 3 {
+		t.Fatalf("counters = %+v, want 3 misses, 1 hit, 3 generations", c)
 	}
 }
 
@@ -102,7 +104,7 @@ func TestTraceCacheEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.TraceBytes = a1.sizeBytes() + a1.sizeBytes()/2 // below the record trace's size
+	opts.TraceBytes = a1.sizeBytes() + a1.sizeBytes()/2 // below two data streams
 	if _, err := cachedData(opts, withSeed(p, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +185,11 @@ func TestSuiteZeroDuplicateGeneration(t *testing.T) {
 	if c.Generations != want {
 		t.Fatalf("generated %d streams, want %d (duplicate generation)", c.Generations, want)
 	}
-	// One data build and one record build per distinct key, nothing
-	// more: the iSide round's fetch streams were published as byproducts
-	// of the dSide builds, so they hit instead of missing.
-	if c.Misses != 2*want {
-		t.Fatalf("built %d entries, want %d (duplicate builds)", c.Misses, 2*want)
+	// One data build per distinct key, nothing more: no record trace is
+	// built, and the iSide round's fetch streams were published as
+	// byproducts of the dSide builds, so they hit instead of missing.
+	if c.Misses != want {
+		t.Fatalf("built %d entries, want %d (duplicate builds)", c.Misses, want)
 	}
 	if c.Hits == 0 {
 		t.Fatal("cache recorded no hits across repeated suite runs")
@@ -223,19 +225,49 @@ func TestTimedMemoShared(t *testing.T) {
 	}
 }
 
-// TestRunUnitsCoversAll: every index is executed exactly once.
-func TestRunUnitsCoversAll(t *testing.T) {
-	const n = 1000
-	var seen [n]atomic.Int32
-	if err := runUnits(n, 8, func(i int) error {
-		seen[i].Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+// TestTimedResultsHonorUnitTimeout: the timed sweep's units run under
+// Opts.UnitTimeout like every other scheduled unit.
+func TestTimedResultsHonorUnitTimeout(t *testing.T) {
+	ResetTraceCache()
+	defer ResetTraceCache()
+	opts := tinyOpts()
+	opts.Instructions = 2_000 // abandoned units finish in the background
+	opts.UnitTimeout = time.Nanosecond
+	before := runtime.NumGoroutine()
+	_, err := runTimedResults(opts, timedSpecs())
+	// Let the abandoned units finish, so they cannot move the shared
+	// trace-cache counters under a later test.
+	for i := 0; runtime.NumGoroutine() > before && i < 1000; i++ {
+		time.Sleep(10 * time.Millisecond)
 	}
-	for i := range seen {
-		if got := seen[i].Load(); got != 1 {
-			t.Fatalf("unit %d ran %d times", i, got)
+	if !errors.Is(err, ErrUnitTimeout) {
+		t.Fatalf("want ErrUnitTimeout, got %v", err)
+	}
+}
+
+// TestRunUnitsCoversAll: every index is executed exactly once, with
+// grouping off (Group 0 and 1), with a ragged last group, and with more
+// workers than groups.
+func TestRunUnitsCoversAll(t *testing.T) {
+	for _, tc := range []struct{ n, workers, group int }{
+		{1000, 8, 0},
+		{50, 4, 1},
+		{23, 3, 5}, // last group holds 3 units
+		{10, 8, 4}, // 8 workers, 3 groups
+		{1, 4, 6},  // one group, shorter than its size
+	} {
+		seen := make([]atomic.Int32, tc.n)
+		err := runUnitsCtl(tc.n, tc.workers, unitOpts{Group: tc.group}, func(i int) (func(), error) {
+			seen[i].Add(1)
+			return nil, nil
+		})
+		if err != nil {
+			t.Fatalf("%+v: %v", tc, err)
+		}
+		for i := range seen {
+			if got := seen[i].Load(); got != 1 {
+				t.Fatalf("%+v: unit %d ran %d times", tc, i, got)
+			}
 		}
 	}
 }

@@ -538,6 +538,8 @@ func missRates(opts Opts, profiles []*workload.Profile, specs []Spec, s side) (m
 	uo := unitOpts{
 		Timeout: opts.UnitTimeout,
 		Retries: opts.UnitRetries,
+		// The jobs of one (profile, seed) replay one trace.
+		Group: jobsPerSeed,
 		Label: func(i int) string {
 			j := jobs[i]
 			if j.specIdx >= 0 {

@@ -24,7 +24,7 @@ import (
 //     results are committed only via a closure the worker itself invokes
 //     on receipt) and retried with exponential backoff, as are units
 //     failing with ErrTransient.
-//   - No cancel-on-first-error: workers keep draining the unit counter
+//   - No cancel-on-first-error: workers keep draining the unit queue
 //     after a failure, so one bad (benchmark, spec) pair costs one cell,
 //     not the whole table. All errors come back via errors.Join alongside
 //     whatever results completed.
@@ -83,6 +83,11 @@ type unitOpts struct {
 	// digest. Only called when a telemetry hub is installed, so label
 	// formatting costs nothing on unobserved runs.
 	Label func(i int) string
+	// Group is the length of the runs of consecutive units that share
+	// one trace (the last run may be shorter); ≤ 1 means no grouping.
+	// It is derived from the caller's job layout, never from user input:
+	// see groupQueue for how it changes the claim order.
+	Group int
 }
 
 func (o unitOpts) backoff() time.Duration {
@@ -106,11 +111,76 @@ func (o unitOpts) label(i int) string {
 	return o.Label(i)
 }
 
+// groupQueue hands out unit indices to workers. Units come in groups of
+// size consecutive indices that share one trace. A worker keeps
+// claiming from its current group, then starts the next unstarted
+// group, and joins an already-started group only once no unstarted
+// group remains. So two workers build two different traces at the same
+// time instead of one waiting in the other's trace build, and the tail
+// still spreads over every worker. With size 1 every group is one unit
+// and the order is that of a single shared counter.
+type groupQueue struct {
+	n, size, groups int
+	started         atomic.Int64   // groups handed to a first worker
+	taken           []atomic.Int64 // per group: claim attempts made
+	claimed         atomic.Int64   // units handed out in total
+}
+
+func newGroupQueue(n, size int) *groupQueue {
+	if size < 1 {
+		size = 1
+	}
+	groups := (n + size - 1) / size
+	return &groupQueue{n: n, size: size, groups: groups, taken: make([]atomic.Int64, groups)}
+}
+
+// claim returns the next unit for a worker whose current group is *g
+// (-1 before its first claim), updating *g to the unit's group.
+func (q *groupQueue) claim(g *int) (int, bool) {
+	if *g >= 0 {
+		if i, ok := q.take(*g); ok {
+			return i, true
+		}
+	}
+	for {
+		ng := int(q.started.Add(1)) - 1
+		if ng >= q.groups {
+			break
+		}
+		if i, ok := q.take(ng); ok {
+			*g = ng
+			return i, true
+		}
+	}
+	for j := 0; j < q.groups; j++ {
+		if i, ok := q.take(j); ok {
+			*g = j
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// take claims the next unit of group g, if any is left.
+func (q *groupQueue) take(g int) (int, bool) {
+	lo := g * q.size
+	size := min(q.size, q.n-lo)
+	if q.taken[g].Load() >= int64(size) {
+		return 0, false
+	}
+	k := int(q.taken[g].Add(1)) - 1
+	if k >= size {
+		return 0, false
+	}
+	q.claimed.Add(1)
+	return lo + k, true
+}
+
 // runUnitsCtl executes fn(i) for every i in [0, n) on up to workers
-// goroutines pulling from a shared atomic counter. Work units should be
-// the finest independent grain available — (profile × spec × seed)
-// rather than whole profiles — so a run with fewer benchmarks than cores
-// still saturates the machine.
+// goroutines claiming from a shared groupQueue (grouped by o.Group).
+// Work units should be the finest independent grain available —
+// (profile × spec × seed) rather than whole profiles — so a run with
+// fewer benchmarks than cores still saturates the machine.
 //
 // fn returns (commit, error). On success the worker invokes commit (if
 // non-nil) from its own goroutine — that is the only path results may
@@ -130,8 +200,8 @@ func runUnitsCtl(n, workers int, o unitOpts, fn func(int) (func(), error)) error
 	}
 	tel := CurrentTelemetry()
 	tel.runQueued(n)
+	q := newGroupQueue(n, o.Group)
 	var (
-		next        atomic.Int64
 		interrupted atomic.Bool
 		mu          sync.Mutex
 		errs        []error
@@ -142,13 +212,14 @@ func runUnitsCtl(n, workers int, o unitOpts, fn func(int) (func(), error)) error
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
+			g := -1
 			for {
 				if stopRequested.Load() {
 					interrupted.Store(true)
 					return
 				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
+				i, ok := q.claim(&g)
+				if !ok {
 					return
 				}
 				tel.unitClaimed()
@@ -169,8 +240,8 @@ func runUnitsCtl(n, workers int, o unitOpts, fn func(int) (func(), error)) error
 	}
 	wg.Wait()
 	// A stop request leaves units unclaimed; take them back out of the
-	// queue-depth gauge. next counts claim attempts, so cap it at n.
-	if claimed := int(next.Load()); claimed < n {
+	// queue-depth gauge.
+	if claimed := int(q.claimed.Load()); claimed < n {
 		tel.runDrained(n - claimed)
 	}
 	if dropped > 0 {
@@ -275,6 +346,36 @@ func runUnitsLabeled(n, workers int, label func(i int) string, fn func(int) erro
 	return runUnitsCtl(n, workers, unitOpts{Label: label}, func(i int) (func(), error) {
 		return nil, fn(i)
 	})
+}
+
+// profileUnits runs fn for every (profile, config) pair as its own work
+// unit under opts' deadline and retry bounds, grouped by profile so a
+// profile's configs share one trace, and returns the results indexed
+// [profile][config]. Unit labels read "<id>/<profile>/<config>".
+func profileUnits[R any](opts Opts, id string, profiles []*workload.Profile, configs []string,
+	fn func(p *workload.Profile, c int) (R, error)) ([][]R, error) {
+	nc := len(configs)
+	out := make([][]R, len(profiles))
+	for pi := range out {
+		out[pi] = make([]R, nc)
+	}
+	uo := unitOpts{
+		Timeout: opts.UnitTimeout,
+		Retries: opts.UnitRetries,
+		Group:   nc,
+		Label: func(i int) string {
+			return fmt.Sprintf("%s/%s/%s", id, profiles[i/nc].Name, configs[i%nc])
+		},
+	}
+	err := runUnitsCtl(len(profiles)*nc, opts.workers(), uo, func(i int) (func(), error) {
+		pi, c := i/nc, i%nc
+		r, err := fn(profiles[pi], c)
+		if err != nil {
+			return nil, fmt.Errorf("%s/%s: %w", profiles[pi].Name, configs[c], err)
+		}
+		return func() { out[pi][c] = r }, nil
+	})
+	return out, err
 }
 
 // forEachProfile runs fn over profiles with bounded parallelism.

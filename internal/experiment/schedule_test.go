@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -121,22 +122,35 @@ func TestRunUnitsTimeout(t *testing.T) {
 	}
 }
 
+// TestRunUnitsStopRequest: a stop request ends claiming, grouped or not,
+// and every unit left unclaimed is drained from the queue-depth gauge —
+// no more, no fewer.
 func TestRunUnitsStopRequest(t *testing.T) {
 	defer ResetStop()
 	const n = 64
-	var done atomic.Int32
-	err := runUnitsCtl(n, 2, unitOpts{}, func(i int) (func(), error) {
-		if done.Add(1) == 4 {
-			RequestStop()
+	for _, group := range []int{0, 8} {
+		ResetStop()
+		tel, _ := withTelemetry(t)
+		var done atomic.Int32
+		err := runUnitsCtl(n, 2, unitOpts{Group: group}, func(i int) (func(), error) {
+			if done.Add(1) == 4 {
+				RequestStop()
+			}
+			time.Sleep(time.Millisecond)
+			return nil, nil
+		})
+		if !errors.Is(err, ErrInterrupted) {
+			t.Fatalf("group %d: want ErrInterrupted, got %v", group, err)
 		}
-		time.Sleep(time.Millisecond)
-		return nil, nil
-	})
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("want ErrInterrupted, got %v", err)
-	}
-	if got := done.Load(); got >= n {
-		t.Errorf("all %d units ran despite stop request", got)
+		if got := done.Load(); got >= n {
+			t.Errorf("group %d: all %d units ran despite stop request", group, got)
+		}
+		if depth := tel.queueDepth.Value(); depth != 0 {
+			t.Errorf("group %d: queue depth %v after the run, want 0", group, depth)
+		}
+		if p := tel.ProgressSnapshot(); p.DoneUnits != uint64(done.Load()) {
+			t.Errorf("group %d: %d units done, %d ran", group, p.DoneUnits, done.Load())
+		}
 	}
 	if !Stopped() {
 		t.Error("Stopped() false after RequestStop")
@@ -144,6 +158,39 @@ func TestRunUnitsStopRequest(t *testing.T) {
 	ResetStop()
 	if Stopped() {
 		t.Error("Stopped() true after ResetStop")
+	}
+}
+
+// TestRunUnitsGroupsSpreadWorkers: two free workers start two different
+// groups instead of both claiming units of the first one.
+func TestRunUnitsGroupsSpreadWorkers(t *testing.T) {
+	const group = 4
+	var (
+		mu      sync.Mutex
+		first   []int
+		barrier sync.WaitGroup
+	)
+	barrier.Add(2)
+	err := runUnitsCtl(4*group, 2, unitOpts{Group: group}, func(i int) (func(), error) {
+		mu.Lock()
+		hold := len(first) < 2
+		if hold {
+			first = append(first, i)
+		}
+		mu.Unlock()
+		if hold {
+			// Neither worker claims again until both hold a unit, so
+			// these are the first two claims.
+			barrier.Done()
+			barrier.Wait()
+		}
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first[0]/group == first[1]/group {
+		t.Fatalf("first two claims %v share group %d", first, first[0]/group)
 	}
 }
 

@@ -8,14 +8,14 @@ import (
 	"bcache/internal/workload"
 )
 
-// Differential coverage for the sibling-warming path (PR 9): a
-// cachedData miss extracts the fetch stream as a byproduct of the
-// resident record trace and publishes it with putIfAbsent, and the
-// byproduct must be bit-identical to what the generator-driven
-// materialize oracle produces — whether it was extracted from a
-// freshly generated record trace or from one reloaded off a spill
-// file. The concurrency half runs the publication against racing gets
-// under the race-robust gate (-race over ./internal/experiment/...).
+// Differential coverage for the sibling-warming path: a cachedData miss
+// builds the fetch stream as a byproduct and publishes it with
+// putIfAbsent, and the byproduct must be bit-identical to what the
+// generator-driven materialize oracle produces — whether it came
+// straight from the generator or was extracted from a record trace
+// reloaded off a spill file. The concurrency half runs the publication
+// against racing gets under the race-robust gate (-race over
+// ./internal/experiment/...).
 
 func siblingOpts() Opts {
 	o := DefaultOpts()
@@ -77,12 +77,13 @@ func TestSiblingWarmingMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestSiblingFromSpilledRecords: under a starvation budget the record
-// trace is spilled while the fetch entry is being built; a later fetch
-// at a new line size reloads the record trace from its spill file and
-// extracts from the decoded copy. The extracted stream must still match
-// the oracle, and the byproduct for an already-spilled sibling must be
-// dropped, not double-published.
+// TestSiblingFromSpilledRecords: under a starvation budget, publishing
+// the data sibling of a fetch build evicts and spills the record trace
+// both streams were extracted from. Once the CPU model's request has
+// reloaded the record trace, a fetch at a new line size extracts from
+// the decoded copy. The extracted stream must still match the oracle,
+// and the byproduct for an already-spilled sibling must be dropped,
+// not double-published.
 func TestSiblingFromSpilledRecords(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
@@ -90,17 +91,22 @@ func TestSiblingFromSpilledRecords(t *testing.T) {
 	opts.TraceBytes = 1 // evict-everything pressure; > 0 keeps the cache on
 	p := mustProfile(t, "equake")
 
+	mustRecords(t, opts, p)
 	if _, err := cachedFetch(opts, p); err != nil {
 		t.Fatal(err)
 	}
-	c := TraceCacheStats()
-	if c.Evictions == 0 {
-		t.Fatalf("starvation budget evicted nothing: %+v", c)
+	sharedTraces.mu.Lock()
+	recordsSpilled := sharedTraces.spilled[recordTraceKey(opts, p)] != nil
+	sharedTraces.mu.Unlock()
+	if !recordsSpilled {
+		t.Fatalf("starvation budget did not spill the record trace: %+v", TraceCacheStats())
 	}
+	mustRecords(t, opts, p)
 
 	wide := opts
 	wide.LineBytes = 64
 	wantData, wantFetch := oracleStreams(t, p, wide)
+	before := TraceCacheStats()
 	ft, err := cachedFetch(wide, p)
 	if err != nil {
 		t.Fatal(err)
@@ -108,12 +114,17 @@ func TestSiblingFromSpilledRecords(t *testing.T) {
 	if !reflect.DeepEqual(ft.pcs, wantFetch.pcs) {
 		t.Fatal("fetch stream extracted from spilled records diverges from materialize")
 	}
-	c = TraceCacheStats()
+	c := TraceCacheStats()
 	if c.Reloads == 0 {
-		t.Fatalf("second line size never reloaded the spilled record trace: %+v", c)
+		t.Fatalf("the record trace was never reloaded from its spill file: %+v", c)
 	}
 	if c.Generations != 1 {
-		t.Fatalf("generator ran %d times; the spill file should have fed the rebuild", c.Generations)
+		t.Fatalf("generator ran %d times; the spill file should have fed the extraction", c.Generations)
+	}
+	// Only the record trace makes room for the new fetch entry; a
+	// published data sibling would have been evicted too.
+	if got := c.Evictions - before.Evictions; got != 1 {
+		t.Fatalf("%d evictions; the spilled data sibling was published again", got)
 	}
 
 	dt, err := cachedData(wide, p)
@@ -178,9 +189,11 @@ func TestSiblingWarmingConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
+	// A data and a fetch miss of one profile may race each other, but
+	// each stream key builds once.
 	c := TraceCacheStats()
-	if c.Generations != uint64(len(profiles)) {
-		t.Fatalf("generator ran %d times for %d profiles; record traces must build once each",
+	if c.Generations < uint64(len(profiles)) || c.Generations > uint64(2*len(profiles)) {
+		t.Fatalf("generator ran %d times for %d profiles; want one or two runs each",
 			c.Generations, len(profiles))
 	}
 }

@@ -271,10 +271,10 @@ func TestTraceCacheSpans(t *testing.T) {
 	}
 	builds := spansOfKind(tel.Journal(), tracespan.KindTraceBuild)
 	hits := spansOfKind(tel.Journal(), tracespan.KindTraceHit)
-	// Two builds: the record trace plus the data trace extracted
-	// from it; the second cachedData call is a single in-memory hit.
-	if len(builds) != 2 || len(hits) != 1 {
-		t.Fatalf("builds=%d hits=%d, want 2 and 1", len(builds), len(hits))
+	// One build: the data trace, straight from the generator; the
+	// second cachedData call is a single in-memory hit.
+	if len(builds) != 1 || len(hits) != 1 {
+		t.Fatalf("builds=%d hits=%d, want 1 and 1", len(builds), len(hits))
 	}
 	if builds[0].Name != p.Name {
 		t.Fatalf("build span name = %q, want %q", builds[0].Name, p.Name)

@@ -9,7 +9,6 @@ import (
 	"bcache/internal/cpu"
 	"bcache/internal/energy"
 	"bcache/internal/hier"
-	"bcache/internal/trace"
 	"bcache/internal/victim"
 	"bcache/internal/workload"
 )
@@ -71,11 +70,7 @@ func runTimed(p *workload.Profile, spec Spec, opts Opts) (timedRun, error) {
 	if err != nil {
 		return timedRun{}, err
 	}
-	rt, err := cachedRecords(opts, p)
-	if err != nil {
-		return timedRun{}, err
-	}
-	res, err := cpu.Run(trace.NewSliceStream(rt.recs), h, cpu.Defaults(), opts.Instructions)
+	res, err := runRecords(opts, p, h, cpu.Defaults())
 	if err != nil {
 		return timedRun{}, err
 	}
@@ -165,18 +160,10 @@ func runTimedResults(opts Opts, specs []Spec) (map[string]map[string]timedRun, e
 	}
 	all := append([]Spec{baselineSpec()}, specs...)
 	profiles := workload.All()
-	runs := make([]timedRun, len(profiles)*len(all))
-	err := runUnitsLabeled(len(runs), opts.workers(), func(i int) string {
-		return fmt.Sprintf("timed/%s/%s", profiles[i/len(all)].Name, all[i%len(all)].Name)
-	}, func(i int) error {
-		p, spec := profiles[i/len(all)], all[i%len(all)]
-		r, err := runTimed(p, spec, opts)
-		if err != nil {
-			return fmt.Errorf("%s/%s: %w", p.Name, spec.Name, err)
-		}
-		runs[i] = r
-		return nil
-	})
+	runs, err := profileUnits(opts, "timed", profiles, specNames(all),
+		func(p *workload.Profile, si int) (timedRun, error) {
+			return runTimed(p, all[si], opts)
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +171,7 @@ func runTimedResults(opts Opts, specs []Spec) (map[string]map[string]timedRun, e
 	for pi, p := range profiles {
 		row := make(map[string]timedRun, len(all))
 		for si, spec := range all {
-			row[spec.Name] = runs[pi*len(all)+si]
+			row[spec.Name] = runs[pi][si]
 		}
 		out[p.Name] = row
 	}

@@ -23,8 +23,8 @@ import (
 // everything the payload depends on:
 //
 //   - record traces: the raw generator output for (profile name, seed,
-//     instructions) — fed to the timed CPU model and extracted into
-//     address streams, so the workload generator runs once per stream;
+//     instructions) — built only for the timed CPU model, which needs
+//     every field of every instruction;
 //   - data traces: the D-cache byte-address stream for (profile name,
 //     seed, instructions), packed 8 bytes per access. Set and tag
 //     derivation happen inside the caches, so the stream does not
@@ -34,11 +34,13 @@ import (
 //     instructions, line bytes) — consecutive same-line PCs collapse,
 //     so this is the one stream a line-size sweep re-derives.
 //
-// A stream build extracts BOTH sides from the record trace while it is
-// resident and publishes the sibling as a byproduct (putIfAbsent), so
-// the record trace — 48 MB at DefaultOpts, and nearly as expensive to
-// decode from a spill file as to regenerate — never has to come back
-// just to derive the second stream.
+// A stream miss builds BOTH sides and publishes the sibling as a
+// byproduct (putIfAbsent). If the record trace is resident it extracts
+// the streams from it; otherwise the generator runs straight into the
+// two streams. So a record trace — 48 MB at DefaultOpts, 24 bytes per
+// instruction against the streams' ~4.7, and nearly as expensive to
+// decode from a spill file as to regenerate — is never built, spilled
+// or reloaded just to derive streams.
 //
 // Entries are built once under a singleflight channel — duplicate
 // requesters block on the first builder — and when the byte budget is
@@ -54,17 +56,21 @@ import (
 //
 // The budget bounds cache-RESIDENT bytes, and eviction makes room
 // BEFORE a new entry is accounted, so the resident high-water mark
-// (PeakBytes) stays at or below the budget whenever enough completed
-// entries exist to evict. Units currently replaying a stream pin their
-// own pointer for the duration, so transient process RSS can still
-// exceed the budget by the working set of in-flight units.
+// (PeakBytes) stays at or below the budget whenever enough completed,
+// unpinned entries exist to evict. A record trace is pinned while a
+// CPU-model unit runs on it (cachedRecords), because concurrent trace
+// groups each hold one and evicting it mid-group only forces a rebuild.
+// Units replaying a stream hold their own pointer for the duration, so
+// transient process RSS can still exceed the budget by the working set
+// of in-flight units.
 
 // defaultTraceBytes bounds the shared cache when Opts does not say
 // otherwise. At DefaultOpts the full suite's steady working set is
 // every profile's data stream (~4.4 MB each) plus its 32-byte-line
 // fetch stream (~2.5 MB each) plus one resident record trace (~48 MB);
-// 232 MiB holds all of that with a little headroom, so the suite spills
-// only record traces as it cycles between benchmarks.
+// 232 MiB holds all of that with a little headroom. Each further worker
+// running a CPU-model trace group pins one more record trace, which
+// pushes the least recently used streams out to spill files.
 const defaultTraceBytes = 232 << 20
 
 // payloadKind discriminates the three cached stream representations.
@@ -114,6 +120,10 @@ type traceEntry struct {
 	err     error
 	size    int64
 	lastUse uint64
+	// pins counts callers holding the payload across a long computation
+	// (see cachedRecords). A pinned entry is not evicted: that would free
+	// nothing, and the next request would rebuild or reload a second copy.
+	pins int
 }
 
 // spillSlot is one on-disk entry of the spill index. verified is set
@@ -137,9 +147,9 @@ type TraceCacheCounters struct {
 	Hits    uint64
 	Misses  uint64
 	Reloads uint64
-	// Generations counts workload-generator runs — the expensive part a
-	// miss may or may not imply (a stream miss extracts from a cached
-	// record trace without regenerating).
+	// Generations counts workload-generator runs: every record-trace
+	// build and every stream miss that found no resident record trace
+	// to extract from.
 	Generations uint64
 	// Evictions counts entries dropped from memory under budget
 	// pressure; Spills counts the subset persisted to disk (an entry
@@ -400,8 +410,8 @@ func generateRecords(p *workload.Profile, n uint64) (*recordTrace, error) {
 }
 
 // extractData derives the D-cache stream from a record trace. This is
-// materialize's data loop verbatim — materialize stays as the
-// generator-driven oracle the differential tests compare against.
+// materialize's data loop verbatim, and TestExtractMatchesMaterialize
+// holds the two stream sources equal.
 func extractData(rt *recordTrace) *dataTrace {
 	dt := &dataTrace{name: rt.name}
 	dt.accs = make([]memAcc, 0, len(rt.recs)/3)
@@ -435,7 +445,8 @@ func extractFetch(rt *recordTrace, lineBytes int) *fetchTrace {
 // Lookup order: memory (free), spill file (decode, plus a checksum
 // verify on the slot's first reload), build. A corrupt spill file is
 // deleted, counted under Rebuilds, and the entry rebuilt from scratch.
-func (tc *traceCache) get(key traceKey, budget int64,
+// With pin set, a successful get pins the entry until unpin.
+func (tc *traceCache) get(key traceKey, budget int64, pin bool,
 	build func() (payload, error),
 	load func(*trace.CompressedReader) (payload, error)) (payload, error) {
 	tel := CurrentTelemetry()
@@ -444,6 +455,9 @@ func (tc *traceCache) get(key traceKey, budget int64,
 		tc.ticks++
 		e.lastUse = tc.ticks
 		tc.c.Hits++
+		if pin {
+			e.pins++
+		}
 		used := tc.used
 		tc.mu.Unlock()
 		<-e.ready
@@ -451,6 +465,9 @@ func (tc *traceCache) get(key traceKey, budget int64,
 		return e.val, e.err
 	}
 	e := &traceEntry{ready: make(chan struct{})}
+	if pin {
+		e.pins = 1
+	}
 	tc.ticks++
 	e.lastUse = tc.ticks
 	tc.entries[key] = e
@@ -525,8 +542,45 @@ func (tc *traceCache) get(key traceKey, budget int64,
 	return val, err
 }
 
-// putIfAbsent publishes a byproduct payload — the sibling stream
-// extracted while another entry was being built from the same resident
+// unpin releases a pin that get took on key's entry holding val. An
+// entry dropped or replaced since (ResetTraceCache) is left alone.
+func (tc *traceCache) unpin(key traceKey, val payload) {
+	tc.mu.Lock()
+	if e := tc.entries[key]; e != nil && e.val == val && e.pins > 0 {
+		e.pins--
+	}
+	tc.mu.Unlock()
+}
+
+// resident returns key's payload when it is built and in memory,
+// counting a hit. It never waits for an in-flight build, reloads a
+// spill file or builds, so it returns false in every other case.
+func (tc *traceCache) resident(key traceKey) (payload, bool) {
+	tc.mu.Lock()
+	e, ok := tc.entries[key]
+	if ok {
+		select {
+		case <-e.ready:
+			ok = e.err == nil
+		default:
+			ok = false
+		}
+	}
+	if !ok {
+		tc.mu.Unlock()
+		return nil, false
+	}
+	tc.ticks++
+	e.lastUse = tc.ticks
+	tc.c.Hits++
+	used := tc.used
+	tc.mu.Unlock()
+	CurrentTelemetry().traceCacheEvent(tracespan.KindTraceHit, key.name, time.Time{}, 0, used)
+	return e.val, true
+}
+
+// putIfAbsent publishes a byproduct payload — the sibling stream built
+// alongside another entry from the same generator run or resident
 // record trace. No singleflight: if the key is already present in
 // memory, in flight, or on disk, the byproduct is simply dropped. No
 // counter moves; the publication is an accident of build order, not a
@@ -562,8 +616,8 @@ type spillJob struct {
 }
 
 // evictLocked drops completed entries (never keep, never ones still
-// building) until used fits budget, returning the ones that need a
-// spill file written. Record traces are chosen before stream payloads
+// building or pinned) until used fits budget, returning the ones that
+// need a spill file written. Record traces are chosen before stream payloads
 // regardless of recency: decoding a spilled record trace costs about as
 // much as regenerating it, so it is the cheapest tier to lose, and the
 // much smaller extracted streams — the entries the replay loops
@@ -577,7 +631,7 @@ func (tc *traceCache) evictLocked(keep traceKey, budget int64) []spillJob {
 		var oldest uint64
 		found, foundRecords := false, false
 		for k, e := range tc.entries {
-			if k == keep {
+			if k == keep || e.pins > 0 {
 				continue
 			}
 			select {
@@ -733,32 +787,49 @@ func (o Opts) traceBudget() int64 {
 	return o.TraceBytes
 }
 
+// countGeneration records one workload-generator run.
+func (tc *traceCache) countGeneration() {
+	tc.mu.Lock()
+	tc.c.Generations++
+	tc.mu.Unlock()
+}
+
 // cachedRecords returns the generator output for (p, seed, n), running
-// the generator at most once per key across the whole process.
-func cachedRecords(opts Opts, p *workload.Profile) (*recordTrace, error) {
+// the generator at most once per key across the whole process. Only the
+// timed CPU model needs whole records; stream consumers go through
+// cachedData/cachedFetch, which never build one.
+//
+// The entry stays pinned until the caller runs release: concurrent
+// trace groups each replay their own record trace, and evicting one
+// mid-group would only make its next unit rebuild it.
+func cachedRecords(opts Opts, p *workload.Profile) (rt *recordTrace, release func(), err error) {
 	budget := opts.traceBudget()
 	if budget <= 0 {
-		return generateRecords(p, opts.Instructions)
+		sharedTraces.countGeneration()
+		rt, err = generateRecords(p, opts.Instructions)
+		return rt, func() {}, err
 	}
-	key := traceKey{kind: kindRecords, name: p.Name, seed: p.Seed, instructions: opts.Instructions}
-	val, err := sharedTraces.get(key, budget,
+	key := recordTraceKey(opts, p)
+	val, err := sharedTraces.get(key, budget, true,
 		func() (payload, error) {
-			sharedTraces.mu.Lock()
-			sharedTraces.c.Generations++
-			sharedTraces.mu.Unlock()
+			sharedTraces.countGeneration()
 			return generateRecords(p, opts.Instructions)
 		},
 		func(r *trace.CompressedReader) (payload, error) {
 			return loadRecordTrace(r, p.Name)
 		})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return val.(*recordTrace), nil
+	return val.(*recordTrace), func() { sharedTraces.unpin(key, val) }, nil
 }
 
-// dataTraceKey/fetchTraceKey name the two stream payloads of one
-// (profile, seed, n) — the data key deliberately omits the line size.
+// recordTraceKey/dataTraceKey/fetchTraceKey name the three payloads of
+// one (profile, seed, n) — only the fetch key carries the line size.
+func recordTraceKey(opts Opts, p *workload.Profile) traceKey {
+	return traceKey{kind: kindRecords, name: p.Name, seed: p.Seed, instructions: opts.Instructions}
+}
+
 func dataTraceKey(opts Opts, p *workload.Profile) traceKey {
 	return traceKey{kind: kindData, name: p.Name, seed: p.Seed, instructions: opts.Instructions}
 }
@@ -768,29 +839,48 @@ func fetchTraceKey(opts Opts, p *workload.Profile) traceKey {
 		instructions: opts.Instructions, lineBytes: opts.LineBytes}
 }
 
+// buildStreams produces both address streams of (p, seed, n) at
+// opts.LineBytes for a stream miss. A resident record trace is
+// extracted from; otherwise the generator runs straight into the two
+// streams, so a campaign that only replays streams never allocates or
+// spills a record trace.
+func buildStreams(opts Opts, p *workload.Profile) (*dataTrace, *fetchTrace, error) {
+	if val, ok := sharedTraces.resident(recordTraceKey(opts, p)); ok {
+		rt := val.(*recordTrace)
+		return extractData(rt), extractFetch(rt, opts.LineBytes), nil
+	}
+	return generateStreams(opts, p)
+}
+
+// generateStreams runs the generator straight into both streams.
+func generateStreams(opts Opts, p *workload.Profile) (*dataTrace, *fetchTrace, error) {
+	sharedTraces.countGeneration()
+	at, err := materialize(p, opts.Instructions, opts.LineBytes)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &dataTrace{name: at.name, accs: at.data}, &fetchTrace{name: at.name, pcs: at.fetch}, nil
+}
+
 // cachedData is the D-side call-site helper: every data-cache
 // experiment obtains its stream here instead of calling materialize
-// directly. A miss extracts from the cached record trace — and, while
-// that trace is resident, also extracts the opts.LineBytes fetch stream
-// and publishes it as a byproduct, so a later I-side experiment at the
-// same line size hits without reloading the record trace.
+// directly. A miss builds both streams (buildStreams) and publishes the
+// opts.LineBytes fetch stream as a byproduct, so a later I-side
+// experiment at the same line size hits without another generator run.
 func cachedData(opts Opts, p *workload.Profile) (*dataTrace, error) {
 	budget := opts.traceBudget()
 	if budget <= 0 {
-		at, err := materialize(p, opts.Instructions, opts.LineBytes)
-		if err != nil {
-			return nil, err
-		}
-		return &dataTrace{name: at.name, accs: at.data}, nil
+		dt, _, err := generateStreams(opts, p)
+		return dt, err
 	}
-	val, err := sharedTraces.get(dataTraceKey(opts, p), budget,
+	val, err := sharedTraces.get(dataTraceKey(opts, p), budget, false,
 		func() (payload, error) {
-			rt, err := cachedRecords(opts, p)
+			dt, ft, err := buildStreams(opts, p)
 			if err != nil {
 				return nil, err
 			}
-			sharedTraces.putIfAbsent(fetchTraceKey(opts, p), extractFetch(rt, opts.LineBytes), budget)
-			return extractData(rt), nil
+			sharedTraces.putIfAbsent(fetchTraceKey(opts, p), ft, budget)
+			return dt, nil
 		},
 		func(r *trace.CompressedReader) (payload, error) {
 			return loadDataTrace(r, p.Name)
@@ -806,20 +896,17 @@ func cachedData(opts Opts, p *workload.Profile) (*dataTrace, error) {
 func cachedFetch(opts Opts, p *workload.Profile) (*fetchTrace, error) {
 	budget := opts.traceBudget()
 	if budget <= 0 {
-		at, err := materialize(p, opts.Instructions, opts.LineBytes)
-		if err != nil {
-			return nil, err
-		}
-		return &fetchTrace{name: at.name, pcs: at.fetch}, nil
+		_, ft, err := generateStreams(opts, p)
+		return ft, err
 	}
-	val, err := sharedTraces.get(fetchTraceKey(opts, p), budget,
+	val, err := sharedTraces.get(fetchTraceKey(opts, p), budget, false,
 		func() (payload, error) {
-			rt, err := cachedRecords(opts, p)
+			dt, ft, err := buildStreams(opts, p)
 			if err != nil {
 				return nil, err
 			}
-			sharedTraces.putIfAbsent(dataTraceKey(opts, p), extractData(rt), budget)
-			return extractFetch(rt, opts.LineBytes), nil
+			sharedTraces.putIfAbsent(dataTraceKey(opts, p), dt, budget)
+			return ft, nil
 		},
 		func(r *trace.CompressedReader) (payload, error) {
 			return loadFetchTrace(r, p.Name)

@@ -181,21 +181,27 @@ func TestPeakStaysWithinBudget(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
 	opts := tinyOpts()
-	rt, err := cachedRecords(opts, mustProfile(t, "gcc"))
-	if err != nil {
-		t.Fatal(err)
+	names := []string{"gcc", "equake", "crafty"}
+	// A budget that fits the largest benchmark's stream pair plus
+	// change, but not two pairs.
+	var largest int64
+	for _, name := range names {
+		ResetTraceCache()
+		if _, err := cachedData(opts, mustProfile(t, name)); err != nil {
+			t.Fatal(err)
+		}
+		largest = max(largest, TraceCacheStats().Bytes)
 	}
 	ResetTraceCache()
-	// A budget that fits one record trace plus change, but not two.
-	opts.TraceBytes = rt.sizeBytes() + rt.sizeBytes()/2
-	for _, name := range []string{"gcc", "equake", "crafty"} {
+	opts.TraceBytes = largest + largest/2
+	for _, name := range names {
 		if _, err := cachedData(opts, mustProfile(t, name)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c := TraceCacheStats()
 	if c.Evictions == 0 {
-		t.Fatalf("three benchmarks under a two-trace budget evicted nothing: %+v", c)
+		t.Fatalf("three benchmarks under a budget for one and a half evicted nothing: %+v", c)
 	}
 	if c.PeakBytes > opts.TraceBytes {
 		t.Fatalf("resident peak %d exceeded budget %d", c.PeakBytes, opts.TraceBytes)
@@ -209,19 +215,18 @@ func TestRecordsEvictedBeforeStreams(t *testing.T) {
 	defer ResetTraceCache()
 	opts := tinyOpts()
 	p := mustProfile(t, "gcc")
-	dt, err := cachedData(opts, p) // builds records, data, and the fetch byproduct
-	if err != nil {
+	mustRecords(t, opts, p)
+	// Extracted from the resident record trace, which this use makes
+	// more recent than the data entry.
+	if _, err := cachedData(opts, p); err != nil {
 		t.Fatal(err)
 	}
 	// Pin the budget at the current working set: the next record-trace
 	// build must make room for exactly one record trace.
 	opts.TraceBytes = TraceCacheStats().Bytes
-	if _, err := cachedData(opts, withSeed(p, 1)); err != nil {
-		t.Fatal(err)
-	}
-	rKey := traceKey{kind: kindRecords, name: p.Name, seed: p.Seed, instructions: opts.Instructions}
+	mustRecords(t, opts, withSeed(p, 1))
 	sharedTraces.mu.Lock()
-	_, recordsResident := sharedTraces.entries[rKey]
+	_, recordsResident := sharedTraces.entries[recordTraceKey(opts, p)]
 	_, dataResident := sharedTraces.entries[dataTraceKey(opts, p)]
 	sharedTraces.mu.Unlock()
 	if recordsResident {
@@ -230,7 +235,88 @@ func TestRecordsEvictedBeforeStreams(t *testing.T) {
 	if !dataResident {
 		t.Fatal("data stream was evicted while a record trace was resident")
 	}
-	_ = dt
+}
+
+// TestPinnedRecordsSurviveEviction: a record trace held by a running
+// unit is not evicted, however tight the budget; once released it is
+// the first victim again.
+func TestPinnedRecordsSurviveEviction(t *testing.T) {
+	ResetTraceCache()
+	defer ResetTraceCache()
+	opts := tinyOpts()
+	p := mustProfile(t, "gcc")
+	_, release, err := cachedRecords(opts, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resident := func() bool {
+		sharedTraces.mu.Lock()
+		defer sharedTraces.mu.Unlock()
+		_, ok := sharedTraces.entries[recordTraceKey(opts, p)]
+		return ok
+	}
+	opts.TraceBytes = 1
+	mustRecords(t, opts, withSeed(p, 1))
+	if !resident() {
+		t.Fatal("a pinned record trace was evicted")
+	}
+	release()
+	mustRecords(t, opts, withSeed(p, 2))
+	if resident() {
+		t.Fatal("a released record trace survived a 1-byte budget")
+	}
+}
+
+// TestResidentExtractMatchesDirect: a stream miss extracts both streams
+// from a resident record trace, or runs the generator straight into
+// them; either source yields the same streams, at 32- and 64-byte
+// lines.
+func TestResidentExtractMatchesDirect(t *testing.T) {
+	defer ResetTraceCache()
+	p := mustProfile(t, "gcc")
+	for _, lb := range []int{32, 64} {
+		opts := tinyOpts()
+		opts.LineBytes = lb
+		ResetTraceCache()
+		directData, err := cachedData(opts, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		directFetch, err := cachedFetch(opts, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ResetTraceCache()
+		mustRecords(t, opts, p)
+		data, err := cachedData(opts, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fetch, err := cachedFetch(opts, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := TraceCacheStats(); c.Generations != 1 {
+			t.Fatalf("line=%d: %d generator runs; the streams should come from the resident record trace", lb, c.Generations)
+		}
+		if !reflect.DeepEqual(data.accs, directData.accs) {
+			t.Fatalf("line=%d: data stream extracted from records diverges from the direct build", lb)
+		}
+		if !reflect.DeepEqual(fetch.pcs, directFetch.pcs) {
+			t.Fatalf("line=%d: fetch stream extracted from records diverges from the direct build", lb)
+		}
+	}
+}
+
+// mustRecords builds or fetches p's record trace and drops the pin
+// cachedRecords takes, so the entry stays evictable.
+func mustRecords(t *testing.T, opts Opts, p *workload.Profile) {
+	t.Helper()
+	_, release, err := cachedRecords(opts, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
 }
 
 func mustProfile(t *testing.T, name string) *workload.Profile {
