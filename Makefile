@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test bench-test race race-robust vet lint lint-build lint-fix lint-facts-clean fmt-check ci bench bench-obs bench-perf bench-perf-json bench-compare mem-ceiling telemetry-smoke chaos clean
+.PHONY: all build test test-times bench-test race race-robust vet lint lint-build lint-fix lint-facts-clean fmt-check ci bench bench-obs bench-perf bench-perf-json bench-compare mem-ceiling telemetry-smoke chaos clean
 
 # benchstat-friendly repetition count for bench-perf.
 BENCH_COUNT ?= 6
@@ -12,6 +12,16 @@ build:
 
 test:
 	$(GO) test ./...
+
+# test-times reports the tier-1 `go test ./...` wall clock per package,
+# slowest first, with caching off. Packages run concurrently (go test's
+# default -p), so each time is measured under that load. A report, not
+# part of ci: failing packages are listed too, and the target fails
+# when go test does.
+test-times:
+	@out=$$($(GO) test -count=1 ./... 2>&1); status=$$?; \
+	echo "$$out" | awk '($$1 == "ok" || $$1 == "FAIL") && $$3 ~ /^[0-9.]+s$$/ { printf "%9s  %-4s %s\n", $$3, $$1, $$2 }' | sort -rn; \
+	exit $$status
 
 race:
 	$(GO) test -race ./...

@@ -13,7 +13,6 @@ import (
 	"bcache/internal/energy"
 	"bcache/internal/rng"
 	"bcache/internal/stackdist"
-	"bcache/internal/trace"
 	"bcache/internal/victim"
 	"bcache/internal/workload"
 )
@@ -115,43 +114,6 @@ func withSeed(p *workload.Profile, k int) *workload.Profile {
 // stream element, so set-sharded replay (cache.ReplayShards) can consume
 // a materialized trace without conversion.
 type memAcc = cache.MemAccess
-
-// accessTrace is a benchmark's address streams, materialized once and
-// replayed against every cache configuration.
-type accessTrace struct {
-	name  string
-	suite string
-	// data holds the D-cache accesses in program order.
-	data []memAcc
-	// fetch holds the I-cache accesses: one per executed basic-block
-	// line (consecutive same-line PCs collapse, matching the CPU model).
-	fetch []addr.Addr
-}
-
-// materialize runs the generator for n instructions and extracts the
-// cache-visible address streams.
-func materialize(p *workload.Profile, n uint64, lineBytes int) (*accessTrace, error) {
-	g, err := workload.New(p)
-	if err != nil {
-		return nil, err
-	}
-	at := &accessTrace{name: p.Name, suite: p.Suite}
-	at.data = make([]memAcc, 0, n/3)
-	at.fetch = make([]addr.Addr, 0, n/4)
-	lineMask := ^addr.Addr(uint64(lineBytes) - 1)
-	curLine := ^addr.Addr(0)
-	for i := uint64(0); i < n; i++ {
-		rec, _ := g.Next()
-		if line := rec.PC & lineMask; line != curLine {
-			curLine = line
-			at.fetch = append(at.fetch, rec.PC)
-		}
-		if rec.Kind.IsMem() {
-			at.data = append(at.data, cache.NewMemAccess(rec.Mem, rec.Kind == trace.Store))
-		}
-	}
-	return at, nil
-}
 
 // Spec is a buildable L1 cache configuration.
 type Spec struct {

@@ -27,11 +27,11 @@ func siblingOpts() Opts {
 // oracleStreams runs materialize once and hands back both streams.
 func oracleStreams(t *testing.T, p *workload.Profile, o Opts) (*dataTrace, *fetchTrace) {
 	t.Helper()
-	at, err := materialize(p, o.Instructions, o.LineBytes)
+	dt, ft, err := materialize(p, o.Instructions, o.LineBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &dataTrace{name: at.name, accs: at.data}, &fetchTrace{name: at.name, pcs: at.fetch}
+	return dt, ft
 }
 
 // TestSiblingWarmingMatchesOracle: the fetch stream published as a

@@ -265,7 +265,7 @@ type dataTrace struct {
 	accs []memAcc
 }
 
-func (dt *dataTrace) sizeBytes() int64 { return int64(len(dt.accs)) * 8 }
+func (dt *dataTrace) sizeBytes() int64 { return int64(cap(dt.accs)) * 8 }
 
 // checksum folds the stream through FNV-1a. memAcc already packs
 // addr<<1|write into one word, so the fold consumes it directly.
@@ -313,7 +313,7 @@ type fetchTrace struct {
 	pcs  []addr.Addr
 }
 
-func (ft *fetchTrace) sizeBytes() int64 { return int64(len(ft.pcs)) * 8 }
+func (ft *fetchTrace) sizeBytes() int64 { return int64(cap(ft.pcs)) * 8 }
 
 func (ft *fetchTrace) checksum() uint64 {
 	h := uint64(fnvOffset)
@@ -359,7 +359,7 @@ type recordTrace struct {
 // addresses plus five bytes, padded).
 const recordBytes = 24
 
-func (rt *recordTrace) sizeBytes() int64 { return int64(len(rt.recs)) * recordBytes }
+func (rt *recordTrace) sizeBytes() int64 { return int64(cap(rt.recs)) * recordBytes }
 
 func (rt *recordTrace) checksum() uint64 {
 	h := uint64(fnvOffset)
@@ -403,40 +403,128 @@ func generateRecords(p *workload.Profile, n uint64) (*recordTrace, error) {
 		return nil, err
 	}
 	rt := &recordTrace{name: p.Name, recs: make([]trace.Record, n)}
-	for i := range rt.recs {
-		rt.recs[i], _ = g.Next()
-	}
+	g.Fill(rt.recs)
 	return rt, nil
 }
 
-// extractData derives the D-cache stream from a record trace. This is
-// materialize's data loop verbatim, and TestExtractMatchesMaterialize
-// holds the two stream sources equal.
-func extractData(rt *recordTrace) *dataTrace {
-	dt := &dataTrace{name: rt.name}
-	dt.accs = make([]memAcc, 0, len(rt.recs)/3)
-	for _, rec := range rt.recs {
-		if rec.Kind.IsMem() {
-			dt.accs = append(dt.accs, cache.NewMemAccess(rec.Mem, rec.Kind == trace.Store))
+// materializeChunk is how many records materialize generates at a time:
+// 96 KiB of records, small enough to stay in cache between the
+// generator writing them and the two extractions reading them.
+const materializeChunk = 4096
+
+// materialize runs the generator for n instructions straight into both
+// address streams, a chunk of records at a time, without keeping the
+// records. It is the oracle extractData/extractFetch are held to.
+func materialize(p *workload.Profile, n uint64, lineBytes int) (*dataTrace, *fetchTrace, error) {
+	g, err := workload.New(p)
+	if err != nil {
+		return nil, nil, err
+	}
+	var (
+		accs  = make([]memAcc, 0, dataCapHint(n))
+		pcs   = make([]addr.Addr, 0, fetchCapHint(n))
+		lines = newFetchLines(lineBytes)
+		buf   = make([]trace.Record, min(n, materializeChunk))
+	)
+	for left := n; left > 0; {
+		chunk := buf[:min(left, uint64(len(buf)))]
+		g.Fill(chunk)
+		accs = appendData(accs, chunk)
+		pcs = lines.appendPCs(pcs, chunk)
+		left -= uint64(len(chunk))
+	}
+	return &dataTrace{name: p.Name, accs: clip(accs)}, &fetchTrace{name: p.Name, pcs: clip(pcs)}, nil
+}
+
+// dataCapHint and fetchCapHint size materialize's streams before they
+// are built: 2/5 of the instructions covers the most memory-heavy
+// profile's data stream (0.34–0.40 for mcf, art, equake, lucas, mgrid,
+// swim), and 1/6 covers every profile's fetch stream at 32-byte lines
+// (0.136–0.158). They only avoid regrowth; clip makes the published
+// size exact.
+func dataCapHint(n uint64) uint64  { return n * 2 / 5 }
+func fetchCapHint(n uint64) uint64 { return n / 6 }
+
+// clip returns s with len == cap, copying it when it has spare
+// capacity: a published stream holds exactly the heap sizeBytes
+// charges to the trace-cache budget.
+func clip[T any](s []T) []T {
+	if len(s) == cap(s) {
+		return s
+	}
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
+}
+
+// appendData appends the D-cache accesses among recs to accs.
+func appendData(accs []memAcc, recs []trace.Record) []memAcc {
+	for i := range recs {
+		if rec := &recs[i]; rec.Kind.IsMem() {
+			accs = append(accs, cache.NewMemAccess(rec.Mem, rec.Kind == trace.Store))
 		}
 	}
-	return dt
+	return accs
+}
+
+// fetchLines collapses consecutive same-line PCs into one I-cache
+// access, matching the CPU model's fetch. It carries the current line
+// across calls, so a stream may be extracted chunk by chunk.
+type fetchLines struct {
+	mask, cur addr.Addr
+}
+
+func newFetchLines(lineBytes int) fetchLines {
+	return fetchLines{mask: ^addr.Addr(uint64(lineBytes) - 1), cur: ^addr.Addr(0)}
+}
+
+// enters reports whether pc starts a new fetch line, and moves to it.
+func (f *fetchLines) enters(pc addr.Addr) bool {
+	line := pc & f.mask
+	if line == f.cur {
+		return false
+	}
+	f.cur = line
+	return true
+}
+
+// appendPCs appends the line-entering PCs among recs to pcs.
+func (f *fetchLines) appendPCs(pcs []addr.Addr, recs []trace.Record) []addr.Addr {
+	for i := range recs {
+		if pc := recs[i].PC; f.enters(pc) {
+			pcs = append(pcs, pc)
+		}
+	}
+	return pcs
+}
+
+// extractData derives the D-cache stream from a record trace with
+// materialize's own extraction, and TestExtractMatchesMaterialize holds
+// the two stream sources equal. The records are resident, so a counting
+// pass sizes the stream exactly and the build leaves no garbage.
+func extractData(rt *recordTrace) *dataTrace {
+	n := 0
+	for i := range rt.recs {
+		if rt.recs[i].Kind.IsMem() {
+			n++
+		}
+	}
+	return &dataTrace{name: rt.name, accs: appendData(make([]memAcc, 0, n), rt.recs)}
 }
 
 // extractFetch derives the I-cache stream from a record trace at one
-// line size — materialize's fetch-collapse loop verbatim.
+// line size — materialize's fetch collapse, sized by a counting pass
+// like extractData.
 func extractFetch(rt *recordTrace, lineBytes int) *fetchTrace {
-	ft := &fetchTrace{name: rt.name}
-	ft.pcs = make([]addr.Addr, 0, len(rt.recs)/4)
-	lineMask := ^addr.Addr(uint64(lineBytes) - 1)
-	curLine := ^addr.Addr(0)
-	for _, rec := range rt.recs {
-		if line := rec.PC & lineMask; line != curLine {
-			curLine = line
-			ft.pcs = append(ft.pcs, rec.PC)
+	count := newFetchLines(lineBytes)
+	n := 0
+	for i := range rt.recs {
+		if count.enters(rt.recs[i].PC) {
+			n++
 		}
 	}
-	return ft
+	lines := newFetchLines(lineBytes)
+	return &fetchTrace{name: rt.name, pcs: lines.appendPCs(make([]addr.Addr, 0, n), rt.recs)}
 }
 
 // ---- the cache ----
@@ -855,11 +943,7 @@ func buildStreams(opts Opts, p *workload.Profile) (*dataTrace, *fetchTrace, erro
 // generateStreams runs the generator straight into both streams.
 func generateStreams(opts Opts, p *workload.Profile) (*dataTrace, *fetchTrace, error) {
 	sharedTraces.countGeneration()
-	at, err := materialize(p, opts.Instructions, opts.LineBytes)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &dataTrace{name: at.name, accs: at.data}, &fetchTrace{name: at.name, pcs: at.fetch}, nil
+	return materialize(p, opts.Instructions, opts.LineBytes)
 }
 
 // cachedData is the D-side call-site helper: every data-cache

@@ -25,17 +25,51 @@ func TestExtractMatchesMaterialize(t *testing.T) {
 		}
 		data := extractData(rt)
 		for _, lb := range []int{16, 32, 64} {
-			want, err := materialize(p, n, lb)
+			wantData, wantFetch, err := materialize(p, n, lb)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(data.accs, want.data) {
+			if !reflect.DeepEqual(data.accs, wantData.accs) {
 				t.Fatalf("%s line=%d: extracted data stream diverges from materialize", p.Name, lb)
 			}
 			fetch := extractFetch(rt, lb)
-			if !reflect.DeepEqual(fetch.pcs, want.fetch) {
+			if !reflect.DeepEqual(fetch.pcs, wantFetch.pcs) {
 				t.Fatalf("%s line=%d: extracted fetch stream diverges from materialize", p.Name, lb)
 			}
+		}
+	}
+}
+
+// TestStreamsExactlySized: every published address stream has
+// len == cap, so sizeBytes — what the trace-cache budget charges — is
+// the heap the stream holds. All 26 profiles, at 32- and 64-byte lines,
+// from both the direct (materialize) and the extract (record trace)
+// paths.
+func TestStreamsExactlySized(t *testing.T) {
+	const n = 40_000
+	check := func(p *workload.Profile, path string, lb int, dt *dataTrace, ft *fetchTrace) {
+		t.Helper()
+		if len(dt.accs) != cap(dt.accs) || dt.sizeBytes() != int64(len(dt.accs))*8 {
+			t.Errorf("%s %s line=%d: data stream len %d cap %d sizeBytes %d",
+				p.Name, path, lb, len(dt.accs), cap(dt.accs), dt.sizeBytes())
+		}
+		if len(ft.pcs) != cap(ft.pcs) || ft.sizeBytes() != int64(len(ft.pcs))*8 {
+			t.Errorf("%s %s line=%d: fetch stream len %d cap %d sizeBytes %d",
+				p.Name, path, lb, len(ft.pcs), cap(ft.pcs), ft.sizeBytes())
+		}
+	}
+	for _, p := range workload.All() {
+		rt, err := generateRecords(p, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lb := range []int{32, 64} {
+			dt, ft, err := materialize(p, n, lb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(p, "direct", lb, dt, ft)
+			check(p, "extract", lb, extractData(rt), extractFetch(rt, lb))
 		}
 	}
 }
@@ -340,4 +374,19 @@ func TestSpillNamesDistinct(t *testing.T) {
 	if spillName(a) == spillName(b) || spillName(a) == spillName(c) || spillName(b) == spillName(c) {
 		t.Fatal("distinct keys share a spill file name")
 	}
+}
+
+// BenchmarkMaterialize times the generation layer on its own: one op
+// runs the generator straight into both address streams for all 26
+// profiles at 500k instructions and 32-byte lines.
+func BenchmarkMaterialize(b *testing.B) {
+	const n = 500_000
+	for i := 0; i < b.N; i++ {
+		for _, p := range workload.All() {
+			if _, _, err := materialize(p, n, 32); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*26*n), "ns/instr")
 }

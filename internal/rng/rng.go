@@ -7,6 +7,8 @@
 // seeding and xoshiro256** for the stream, per Blackman & Vigna.
 package rng
 
+import "math"
+
 // Source is a deterministic xoshiro256** generator.
 // The zero value is not valid; use New.
 type Source struct {
@@ -68,10 +70,10 @@ func (r *Source) Intn(n int) int {
 	if n <= 0 {
 		panic("rng: Intn with non-positive n")
 	}
-	// Lemire's multiply-shift rejection-free-in-expectation reduction is
-	// overkill here; plain modulo bias is negligible for simulation n
-	// (always ≪ 2^32), but use the multiply method anyway — it is cheap
-	// and exact enough.
+	// Lemire's multiply-shift reduction without its rejection step: the
+	// bias is below n/2^32, negligible for simulation n (always ≪ 2^32),
+	// and it costs one multiply instead of a division. Every workload
+	// stream depends on this exact mapping, so it stays as it is.
 	return int((uint64(r.Uint32()) * uint64(n)) >> 32)
 }
 
@@ -80,18 +82,81 @@ func (r *Source) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Geometric returns a sample from a geometric distribution with the given
-// mean (>= 1): the number of trials until first success with p = 1/mean.
-// Used for run lengths in workload generators.
-func (r *Source) Geometric(mean float64) int {
+// Threshold returns the integer form of the test Float64() < p:
+// r.Below(Threshold(p)) draws the same value and gives the same answer
+// for every state of r. Float64 is k/2^53 for the integer k =
+// Uint64()>>11, and p·2^53 is exact in float64 (scaling by a power of
+// two), so k/2^53 < p holds exactly when k < ceil(p·2^53). The result
+// lies in [0, 2^53]: 0 never passes (p ≤ 0 or NaN), 2^53 always does.
+func Threshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// Below draws one value and reports whether it falls under the
+// threshold t: r.Below(Threshold(p)) is r.Float64() < p.
+func (r *Source) Below(t uint64) bool { return r.Uint64()>>11 < t }
+
+// geometricOne is the GeometricT threshold of a mean ≤ 1: the sample is
+// 1 and nothing is drawn. Real thresholds never exceed 2^53.
+const geometricOne = math.MaxUint64
+
+// geometricCap bounds a geometric sample, so a huge mean cannot stall
+// a generator.
+const geometricCap = 1 << 20
+
+// GeometricThreshold returns the GeometricT threshold for a geometric
+// distribution with the given mean: the number of trials until the
+// first success with p = 1/mean.
+func GeometricThreshold(mean float64) uint64 {
 	if mean <= 1 {
-		return 1
+		return geometricOne
 	}
 	p := 1 / mean
+	if p != p {
+		// A NaN mean: Float64() >= NaN is false, so the first trial
+		// succeeds.
+		return 1 << 53
+	}
+	return Threshold(p)
+}
+
+// Geometric returns a sample from a geometric distribution with the given
+// mean (>= 1), capped at 2^20: GeometricT for a mean given directly.
+func (r *Source) Geometric(mean float64) int {
+	return r.GeometricT(GeometricThreshold(mean))
+}
+
+// GeometricT is Geometric with the mean's threshold precomputed by
+// GeometricThreshold: each trial is one draw and one integer compare,
+// with the generator state held in locals across the trials.
+func (r *Source) GeometricT(t uint64) int {
+	if t == geometricOne {
+		return 1
+	}
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	n := 1
-	for r.Float64() >= p && n < 1<<20 {
+	for {
+		// One Uint64 step, inlined.
+		result := rotl(s1*5, 7) * 9
+		u := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= u
+		s3 = rotl(s3, 45)
+		if result>>11 < t || n >= geometricCap {
+			break
+		}
 		n++
 	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 	return n
 }
 

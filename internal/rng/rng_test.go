@@ -186,3 +186,114 @@ func TestSplitStreamsDistinct(t *testing.T) {
 		t.Fatalf("parent's own stream collides with a child's first draw %#x", v)
 	}
 }
+
+// floatGeometric is the float-loop sampler Geometric replaced: one
+// Float64 per trial against p = 1/mean. GeometricT must reproduce it
+// draw for draw.
+func floatGeometric(r *Source, mean float64) int {
+	if mean <= 1 {
+		return 1
+	}
+	p := 1 / mean
+	n := 1
+	for r.Float64() >= p && n < 1<<20 {
+		n++
+	}
+	return n
+}
+
+// TestThresholdExact: k < Threshold(p) must equal k/2^53 < p — the
+// value Float64 returns for the draw k<<11 — at p = 0 and 1 and on
+// either side of k/2^53 boundaries, for draws at and next to k.
+func TestThresholdExact(t *testing.T) {
+	const two53 = 1 << 53
+	ks := []uint64{0, 1, 2, 3, 1 << 20, 1<<52 - 1, 1 << 52, 1<<52 + 1, two53 - 2, two53 - 1}
+	r := New(3)
+	for i := 0; i < 200; i++ {
+		ks = append(ks, r.Uint64()>>11)
+	}
+	ps := []float64{0, 1, math.Copysign(0, -1), -1, 2, math.Inf(1), math.NaN(), 5e-324, 1e-300}
+	for _, k := range ks {
+		b := float64(k) / two53
+		ps = append(ps, b, math.Nextafter(b, 0), math.Nextafter(b, 1), math.Nextafter(b, -1))
+	}
+	for _, p := range ps {
+		th := Threshold(p)
+		if th > two53 {
+			t.Fatalf("Threshold(%g) = %d > 2^53", p, th)
+		}
+		for _, k := range ks {
+			for _, d := range []uint64{k - 1, k, k + 1} {
+				if d >= two53 {
+					continue
+				}
+				if want, got := float64(d)/two53 < p, d < th; got != want {
+					t.Fatalf("p=%v (%#x) draw k=%d: threshold compare %v, Float64 compare %v",
+						p, math.Float64bits(p), d, got, want)
+				}
+			}
+		}
+	}
+	// Below against Float64 on live streams: same answers, same state.
+	for _, p := range []float64{0, 1, 0.5, 1.0 / 3, 0.999999} {
+		a, b := New(21), New(21)
+		th := Threshold(p)
+		for i := 0; i < 10000; i++ {
+			if got, want := a.Below(th), b.Float64() < p; got != want {
+				t.Fatalf("p=%g draw %d: Below %v, Float64 %v", p, i, got, want)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("p=%g: states diverged", p)
+		}
+	}
+}
+
+// TestGeometricTMatchesFloatLoop: GeometricT (and Geometric, its
+// wrapper) returns the float loop's sample and leaves the source in the
+// same state, checked through the next Uint64 — at the no-draw means
+// ≤ 1, at means whose 1/mean rounds near 1, at large means, and at the
+// 2^20 cap (mean 1e12 and +Inf).
+func TestGeometricTMatchesFloatLoop(t *testing.T) {
+	means := []float64{-1, 0, 1, math.Nextafter(1, 2), 1.0001, 1.5, 2.5, 3, 8, 64, 1e6, math.NaN()}
+	for _, mean := range means {
+		a, b, c := New(5), New(5), New(5)
+		th := GeometricThreshold(mean)
+		draws := 2000
+		if mean > 100 {
+			draws = 20 // each sample is ~mean trials
+		}
+		for i := 0; i < draws; i++ {
+			want := floatGeometric(b, mean)
+			if got := a.GeometricT(th); got != want {
+				t.Fatalf("mean=%g draw %d: GeometricT %d, float loop %d", mean, i, got, want)
+			}
+			if got := c.Geometric(mean); got != want {
+				t.Fatalf("mean=%g draw %d: Geometric %d, float loop %d", mean, i, got, want)
+			}
+		}
+		if x, y := a.Uint64(), b.Uint64(); x != y {
+			t.Fatalf("mean=%g: next Uint64 %#x vs %#x — states diverged", mean, x, y)
+		}
+	}
+	for _, mean := range []float64{1e12, math.Inf(1)} {
+		a, b := New(6), New(6)
+		for i := 0; i < 3; i++ {
+			want := floatGeometric(b, mean)
+			if got := a.GeometricT(GeometricThreshold(mean)); got != want || got != 1<<20 {
+				t.Fatalf("mean=%g: GeometricT %d, float loop %d, want the 2^20 cap", mean, got, want)
+			}
+		}
+		if x, y := a.Uint64(), b.Uint64(); x != y {
+			t.Fatalf("mean=%g: next Uint64 %#x vs %#x — states diverged at the cap", mean, x, y)
+		}
+	}
+}
+
+func BenchmarkGeometric(b *testing.B) {
+	r := New(1)
+	th := GeometricThreshold(3)
+	for i := 0; i < b.N; i++ {
+		_ = r.GeometricT(th)
+	}
+}

@@ -26,9 +26,26 @@ const (
 // Generator turns a Profile into an endless instruction stream.
 // It implements trace.Stream (Next never returns false; wrap with
 // trace.Limit to bound a run).
+//
+// Every probability and geometric mean of the profile is turned into an
+// integer threshold once, in New (rng.Threshold, rng.GeometricThreshold),
+// so a draw is one integer compare; the stream is the one the plain
+// float comparisons would give, draw for draw (see referenceGenerator
+// in the tests).
 type Generator struct {
 	p   *Profile
 	src *rng.Source
+
+	// thresholds precomputed from p
+	segLenT   uint64 // Code.SegLen (geometric)
+	depT      uint64 // DepDist (geometric)
+	fallT     uint64 // Code.FallThrough
+	hotT      uint64 // Code.HotFrac
+	memT      uint64 // Mix.Mem
+	fpT       uint64 // Mix.FP
+	cumT      []uint64
+	fpLat     uint8
+	bodyLines int
 
 	// code walk
 	segBase []addr.Addr
@@ -37,19 +54,33 @@ type Generator struct {
 	blkLeft int // instructions left in current basic block
 
 	// data walk
-	walkers   []regionWalker
-	cumWeight []float64
+	regions   []region
 	curRegion int
 	runLeft   int
 
-	// register dependence model
-	hist    [64]uint8 // ring of recent destination registers
+	// register dependence model: destinations cycle through
+	// 1..NumRegs-1, so the d-th most recent one is a function of nextDst
+	// alone (see source); histLen counts them up to histDepth.
 	histLen int
-	histPos int
 	nextDst uint8
 }
 
 var _ trace.Stream = (*Generator)(nil)
+
+// histDepth is how far back a source operand may reach: the producer
+// history the dependence model draws from.
+const histDepth = 64
+
+// entryThreshold is the geometric threshold of the mean 2.5-line entry
+// offset into a branch target's body.
+var entryThreshold = rng.GeometricThreshold(2.5)
+
+// region is one data region's walker plus its per-reference thresholds.
+type region struct {
+	walker regionWalker
+	runT   uint64 // RunLen (geometric; default mean 4)
+	writeT uint64 // WriteFrac; 0 means no store draw at all
+}
 
 // New validates p and returns a deterministic generator for it.
 // Two generators built from equal profiles produce identical streams.
@@ -57,7 +88,24 @@ func New(p *Profile) (*Generator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	g := &Generator{p: p, src: rng.New(p.Seed)}
+	g := &Generator{
+		p:         p,
+		src:       rng.New(p.Seed),
+		segLenT:   rng.GeometricThreshold(p.Code.SegLen),
+		depT:      rng.GeometricThreshold(p.DepDist),
+		fallT:     rng.Threshold(p.Code.FallThrough),
+		hotT:      rng.Threshold(p.Code.HotFrac),
+		memT:      rng.Threshold(p.Mix.Mem),
+		fpT:       rng.Threshold(p.Mix.FP),
+		fpLat:     p.FPLat,
+		bodyLines: p.Code.BodyLines,
+	}
+	if g.fpLat == 0 {
+		g.fpLat = 4
+	}
+	if g.bodyLines <= 0 {
+		g.bodyLines = 1
+	}
 
 	// Scatter the segments across the code footprint at line granularity,
 	// like functions in a real text segment. (A regular spacing would
@@ -78,47 +126,45 @@ func New(p *Profile) (*Generator, error) {
 		g.segBase[i] = CodeBase + addr.Addr(slots[i]*lineBytes)
 	}
 
-	g.walkers = make([]regionWalker, len(p.Regions))
-	g.cumWeight = make([]float64, len(p.Regions))
+	g.regions = make([]region, len(p.Regions))
+	cum := make([]float64, len(p.Regions))
 	var sum float64
 	for i := range p.Regions {
-		w, err := newRegionWalker(&p.Regions[i], g.src)
+		r := &p.Regions[i]
+		w, err := newRegionWalker(r, g.src)
 		if err != nil {
 			return nil, fmt.Errorf("workload %s: region %d: %w", p.Name, i, err)
 		}
-		g.walkers[i] = w
-		sum += p.Regions[i].Weight
-		g.cumWeight[i] = sum
+		mean := r.RunLen
+		if mean < 1 {
+			mean = 4
+		}
+		g.regions[i] = region{walker: w, runT: rng.GeometricThreshold(mean), writeT: rng.Threshold(r.WriteFrac)}
+		sum += r.Weight
+		cum[i] = sum
 	}
-	for i := range g.cumWeight {
-		g.cumWeight[i] /= sum
+	g.cumT = make([]uint64, len(cum))
+	for i := range cum {
+		g.cumT[i] = rng.Threshold(cum[i] / sum)
 	}
 
-	g.blkLeft = g.src.Geometric(p.Code.SegLen)
-	g.runLeft = g.runLength(0)
+	g.blkLeft = g.src.GeometricT(g.segLenT)
+	g.runLeft = g.src.GeometricT(g.regions[0].runT)
 	return g, nil
 }
 
 // Profile returns the profile this generator was built from.
 func (g *Generator) Profile() *Profile { return g.p }
 
-func (g *Generator) runLength(region int) int {
-	mean := g.p.Regions[region].RunLen
-	if mean < 1 {
-		mean = 4
-	}
-	return g.src.Geometric(mean)
-}
-
 // pickRegion draws a region index by weight.
 func (g *Generator) pickRegion() int {
-	x := g.src.Float64()
-	for i, c := range g.cumWeight {
-		if x < c {
+	x := g.src.Uint64() >> 11
+	for i, t := range g.cumT {
+		if x < t {
 			return i
 		}
 	}
-	return len(g.cumWeight) - 1
+	return len(g.cumT) - 1
 }
 
 // nextPC advances the code walk and reports whether the *previous*
@@ -135,47 +181,45 @@ func (g *Generator) nextPC() (pc addr.Addr, isBranch bool) {
 	// another segment — hot subset with probability HotFrac, anywhere
 	// otherwise — entering at a random line of its body (functions have
 	// many branch targets, not just their entry).
-	c := g.p.Code
-	if g.src.Float64() < c.FallThrough {
+	if g.src.Below(g.fallT) {
 		g.segOff++
-		g.blkLeft = g.src.Geometric(c.SegLen)
+		g.blkLeft = g.src.GeometricT(g.segLenT)
 		return pc, true
 	}
-	if c.HotSegs > 0 && g.src.Float64() < c.HotFrac {
+	c := &g.p.Code
+	if c.HotSegs > 0 && g.src.Below(g.hotT) {
 		g.curSeg = g.src.Intn(c.HotSegs)
 	} else {
 		g.curSeg = g.src.Intn(c.Segments)
 	}
-	body := c.BodyLines
-	if body <= 0 {
-		body = 1
-	}
 	// Branch targets concentrate near the segment entry (loop heads and
 	// call sites early in a function); deep-body lines are reached
 	// rarely, giving the footprint a long cold tail.
-	entry := g.src.Geometric(2.5) - 1
-	if entry >= body {
-		entry = body - 1
+	entry := g.src.GeometricT(entryThreshold) - 1
+	if entry >= g.bodyLines {
+		entry = g.bodyLines - 1
 	}
 	const instrPerLine = 32 / instrBytes
 	g.segOff = entry * instrPerLine
-	g.blkLeft = g.src.Geometric(c.SegLen)
+	g.blkLeft = g.src.GeometricT(g.segLenT)
 	return pc, true
 }
 
 // source returns a source register drawn from the recent-destination
 // history at a distance distributed around DepDist, or 0 (no operand)
-// when history is empty.
+// when history is empty. Destinations are handed out cyclically, so the
+// d-th most recent one (d ≤ histLen ≤ histDepth) is nextDst stepped back
+// d-1 places in the cycle 1..NumRegs-1.
 func (g *Generator) source() uint8 {
 	if g.histLen == 0 {
 		return 0
 	}
-	d := g.src.Geometric(g.p.DepDist)
+	d := g.src.GeometricT(g.depT)
 	if d > g.histLen {
 		d = g.histLen
 	}
-	idx := (g.histPos - d + len(g.hist)*2) % len(g.hist)
-	return g.hist[idx]
+	const period = trace.NumRegs - 1
+	return uint8((int(g.nextDst)-d+3*period)%period + 1)
 }
 
 func (g *Generator) destination() uint8 {
@@ -183,61 +227,73 @@ func (g *Generator) destination() uint8 {
 	if g.nextDst >= trace.NumRegs {
 		g.nextDst = 1
 	}
-	d := g.nextDst
-	g.hist[g.histPos] = d
-	g.histPos = (g.histPos + 1) % len(g.hist)
-	if g.histLen < len(g.hist) {
+	if g.histLen < histDepth {
 		g.histLen++
 	}
-	return d
+	return g.nextDst
 }
 
 // Next implements trace.Stream; the stream is infinite.
 func (g *Generator) Next() (trace.Record, bool) {
+	var rec trace.Record
+	g.step(&rec)
+	return rec, true
+}
+
+// Fill writes the next len(dst) records of the stream into dst — the
+// records len(dst) calls to Next would return — overwriting every field.
+func (g *Generator) Fill(dst []trace.Record) {
+	for i := range dst {
+		g.step(&dst[i])
+	}
+}
+
+// step generates one record into rec.
+func (g *Generator) step(rec *trace.Record) {
 	pc, isBranch := g.nextPC()
-	rec := trace.Record{PC: pc, Lat: 1}
+	r := trace.Record{PC: pc, Lat: 1}
 
 	switch {
 	case isBranch:
-		rec.Kind = trace.Branch
-		rec.Src1 = g.source()
-	case g.src.Float64() < g.p.Mix.Mem:
+		r.Kind = trace.Branch
+		r.Src1 = g.source()
+	case g.src.Below(g.memT):
 		if g.runLeft <= 0 {
 			g.curRegion = g.pickRegion()
-			g.runLeft = g.runLength(g.curRegion)
+			g.runLeft = g.src.GeometricT(g.regions[g.curRegion].runT)
 		}
 		g.runLeft--
-		a, write := g.walkers[g.curRegion].next(g.src)
-		rec.Mem = a
-		rec.Src1 = g.source() // address base register
+		reg := &g.regions[g.curRegion]
+		r.Mem = reg.walker.next(g.src)
+		// The store draw precedes the operand draws: the draw order is
+		// part of the stream (DESIGN §5).
+		write := reg.writeT != 0 && g.src.Below(reg.writeT)
+		r.Src1 = g.source() // address base register
 		if write {
-			rec.Kind = trace.Store
-			rec.Src2 = g.source() // value being stored
+			r.Kind = trace.Store
+			r.Src2 = g.source() // value being stored
 		} else {
-			rec.Kind = trace.Load
-			rec.Dst = g.destination()
+			r.Kind = trace.Load
+			r.Dst = g.destination()
 		}
-	case g.src.Float64() < g.p.Mix.FP:
-		rec.Kind = trace.FP
-		rec.Lat = g.p.FPLat
-		if rec.Lat == 0 {
-			rec.Lat = 4
-		}
-		rec.Src1 = g.source()
-		rec.Src2 = g.source()
-		rec.Dst = g.destination()
+	case g.src.Below(g.fpT):
+		r.Kind = trace.FP
+		r.Lat = g.fpLat
+		r.Src1 = g.source()
+		r.Src2 = g.source()
+		r.Dst = g.destination()
 	default:
-		rec.Kind = trace.Int
-		rec.Src1 = g.source()
-		rec.Src2 = g.source()
-		rec.Dst = g.destination()
+		r.Kind = trace.Int
+		r.Src1 = g.source()
+		r.Src2 = g.source()
+		r.Dst = g.destination()
 	}
-	return rec, true
+	*rec = r
 }
 
 // regionWalker produces the address stream of one data region.
 type regionWalker interface {
-	next(src *rng.Source) (a addr.Addr, write bool)
+	next(src *rng.Source) addr.Addr
 }
 
 func newRegionWalker(r *Region, src *rng.Source) (regionWalker, error) {
@@ -280,22 +336,18 @@ func newRegionWalker(r *Region, src *rng.Source) (regionWalker, error) {
 	}
 }
 
-func isWrite(r *Region, src *rng.Source) bool {
-	return r.WriteFrac > 0 && src.Float64() < r.WriteFrac
-}
-
 type seqWalker struct {
 	r   *Region
 	pos int
 }
 
-func (w *seqWalker) next(src *rng.Source) (addr.Addr, bool) {
+func (w *seqWalker) next(src *rng.Source) addr.Addr {
 	a := w.r.Base + addr.Addr(w.pos)
 	w.pos += streamGrain
 	if w.pos >= w.r.Size {
 		w.pos = 0
 	}
-	return a, isWrite(w.r, src)
+	return a
 }
 
 type strideWalker struct {
@@ -303,13 +355,13 @@ type strideWalker struct {
 	pos int
 }
 
-func (w *strideWalker) next(src *rng.Source) (addr.Addr, bool) {
+func (w *strideWalker) next(src *rng.Source) addr.Addr {
 	a := w.r.Base + addr.Addr(w.pos)
 	w.pos += w.r.Stride
 	if w.pos >= w.r.Size {
 		w.pos %= w.r.Size
 	}
-	return a, isWrite(w.r, src)
+	return a
 }
 
 type chaseWalker struct {
@@ -318,16 +370,16 @@ type chaseWalker struct {
 	cur  int
 }
 
-func (w *chaseWalker) next(src *rng.Source) (addr.Addr, bool) {
+func (w *chaseWalker) next(src *rng.Source) addr.Addr {
 	w.cur = w.perm[w.cur]
-	return w.r.Base + addr.Addr(w.cur*chaseGrain), isWrite(w.r, src)
+	return w.r.Base + addr.Addr(w.cur*chaseGrain)
 }
 
 type hotWalker struct {
 	r *Region
 }
 
-func (w *hotWalker) next(src *rng.Source) (addr.Addr, bool) {
+func (w *hotWalker) next(src *rng.Source) addr.Addr {
 	// Quadratic skew: line i is drawn with density ∝ 1/sqrt(i), giving a
 	// stack-frame-like concentration on the lowest lines.
 	x := src.Float64()
@@ -335,7 +387,7 @@ func (w *hotWalker) next(src *rng.Source) (addr.Addr, bool) {
 	if i >= w.r.Hot {
 		i = w.r.Hot - 1
 	}
-	return w.r.Base + addr.Addr(i*hotGrain), isWrite(w.r, src)
+	return w.r.Base + addr.Addr(i*hotGrain)
 }
 
 type aliasWalker struct {
@@ -346,7 +398,7 @@ type aliasWalker struct {
 	line  int
 }
 
-func (w *aliasWalker) next(src *rng.Source) (addr.Addr, bool) {
+func (w *aliasWalker) next(src *rng.Source) addr.Addr {
 	slot := w.block
 	if w.slots != nil {
 		slot = w.slots[w.block]
@@ -364,5 +416,5 @@ func (w *aliasWalker) next(src *rng.Source) (addr.Addr, bool) {
 			}
 		}
 	}
-	return a, isWrite(w.r, src)
+	return a
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"sync"
 	"testing"
 
 	"bcache/internal/cache"
@@ -15,9 +16,22 @@ import (
 
 const calInstr = 400_000
 
-// dcacheMisses runs the benchmark's data stream through c.
-func dcacheMisses(t testing.TB, name string, c cache.Cache) (misses, accesses uint64) {
+// calStreams memoizes each benchmark's data accesses over its first
+// calInstr instructions: the calibration tests replay one stream
+// against several caches, so each stream is generated once per test
+// binary instead of once per cache.
+var calStreams struct {
+	mu sync.Mutex
+	m  map[string][]cache.MemAccess // guarded by mu
+}
+
+func calStream(t testing.TB, name string) []cache.MemAccess {
 	t.Helper()
+	calStreams.mu.Lock()
+	defer calStreams.mu.Unlock()
+	if accs, ok := calStreams.m[name]; ok {
+		return accs
+	}
 	p, err := ByName(name)
 	if err != nil {
 		t.Fatal(err)
@@ -26,11 +40,26 @@ func dcacheMisses(t testing.TB, name string, c cache.Cache) (misses, accesses ui
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < calInstr; i++ {
-		r, _ := g.Next()
+	recs := make([]trace.Record, calInstr)
+	g.Fill(recs)
+	var accs []cache.MemAccess
+	for _, r := range recs {
 		if r.Kind.IsMem() {
-			c.Access(r.Mem, r.Kind == trace.Store)
+			accs = append(accs, cache.NewMemAccess(r.Mem, r.Kind == trace.Store))
 		}
+	}
+	if calStreams.m == nil {
+		calStreams.m = map[string][]cache.MemAccess{}
+	}
+	calStreams.m[name] = accs
+	return accs
+}
+
+// dcacheMisses runs the benchmark's data stream through c.
+func dcacheMisses(t testing.TB, name string, c cache.Cache) (misses, accesses uint64) {
+	t.Helper()
+	for _, m := range calStream(t, name) {
+		c.Access(m.Addr(), m.Write())
 	}
 	return c.Stats().Misses, c.Stats().Accesses
 }

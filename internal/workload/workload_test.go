@@ -226,7 +226,7 @@ func TestWalkerPatterns(t *testing.T) {
 		}
 		var got []addr.Addr
 		for i := 0; i < 10; i++ {
-			a, _ := w.next(newTestSrc())
+			a := w.next(newTestSrc())
 			got = append(got, a)
 		}
 		// 64-byte region, 8-byte grain: wraps after 8 accesses.
@@ -237,9 +237,9 @@ func TestWalkerPatterns(t *testing.T) {
 	t.Run("strided", func(t *testing.T) {
 		r := &Region{Kind: Strided, Base: 0x2000, Size: 300, Stride: 100, Weight: 1}
 		w, _ := newRegionWalker(r, newTestSrc())
-		a0, _ := w.next(newTestSrc())
-		a1, _ := w.next(newTestSrc())
-		a3, _ := func() (addr.Addr, bool) { w.next(newTestSrc()); return w.next(newTestSrc()) }()
+		a0 := w.next(newTestSrc())
+		a1 := w.next(newTestSrc())
+		a3 := func() addr.Addr { w.next(newTestSrc()); return w.next(newTestSrc()) }()
 		if a0 != 0x2000 || a1 != 0x2064 || a3 != 0x2000 {
 			t.Fatalf("strided walk = %#x %#x %#x", a0, a1, a3)
 		}
@@ -249,7 +249,7 @@ func TestWalkerPatterns(t *testing.T) {
 		w, _ := newRegionWalker(r, newTestSrc())
 		seen := map[addr.Addr]bool{}
 		for i := 0; i < 16*4; i++ {
-			a, _ := w.next(newTestSrc())
+			a := w.next(newTestSrc())
 			seen[a] = true
 		}
 		// A permutation cycle visits many distinct lines.
@@ -261,9 +261,9 @@ func TestWalkerPatterns(t *testing.T) {
 		r := &Region{Kind: ConflictAlias, Base: 0x100000, AliasStride: 32 * kB, Degree: 4, Weight: 1}
 		w, _ := newRegionWalker(r, newTestSrc())
 		const setMask = (16*kB - 1) &^ 31
-		first, _ := w.next(newTestSrc())
+		first := w.next(newTestSrc())
 		for i := 1; i < 8; i++ {
-			a, _ := w.next(newTestSrc())
+			a := w.next(newTestSrc())
 			if a&setMask != first&setMask {
 				t.Fatalf("alias blocks land in different 16kB sets: %#x vs %#x", a, first)
 			}
@@ -274,7 +274,7 @@ func TestWalkerPatterns(t *testing.T) {
 		w, _ := newRegionWalker(r, newTestSrc())
 		src := newTestSrc()
 		for i := 0; i < 1000; i++ {
-			a, _ := w.next(src)
+			a := w.next(src)
 			if a < 0x4000 || a >= 0x4000+10*hotGrain {
 				t.Fatalf("hot access %#x out of range", a)
 			}
@@ -302,14 +302,32 @@ func TestScatterBlocksDistinct(t *testing.T) {
 	}
 }
 
+// BenchmarkGenerator times one generated record (ns/op = ns per
+// instruction) on the bench probe's profiles, through Next and through
+// Fill into a reused chunk.
 func BenchmarkGenerator(b *testing.B) {
-	g, err := New(mustProfile(b, "gcc"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Next()
+	for _, name := range []string{"gcc", "equake"} {
+		b.Run(name+"/next", func(b *testing.B) {
+			g, err := New(mustProfile(b, name))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.Next()
+			}
+		})
+		b.Run(name+"/fill", func(b *testing.B) {
+			g, err := New(mustProfile(b, name))
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf := make([]trace.Record, 4096)
+			b.ResetTimer()
+			for i := 0; i < b.N; i += len(buf) {
+				g.Fill(buf[:min(len(buf), b.N-i)])
+			}
+		})
 	}
 }
 
