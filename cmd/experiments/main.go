@@ -254,11 +254,12 @@ func main() {
 		}
 	}
 
-	// Distribution phase: farm every plannable work unit out to worker
-	// subprocesses first, merging their results into the checkpoint.
-	// The normal in-process loop below then finds each distributed unit
-	// already checkpointed, so the rendered tables are bit-identical to
-	// a single-process run; experiments without a Plan simply run
+	// Distribution phase: lease every job of the miss-rate experiments'
+	// declared sweeps to worker subprocesses first, merging their
+	// results into the checkpoint. The normal in-process loop below then
+	// runs those same jobs and finds each one already checkpointed, so
+	// the rendered tables are bit-identical to a single-process run;
+	// experiments without sweeps (timed, fault, analytic) simply run
 	// in-process as always.
 	if *workersProcs > 0 {
 		if ckpt == nil {

@@ -109,7 +109,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	defer ResetStop()
 	opts, profiles, specs := resumeFixture(t)
 
-	ref, err := missRates(opts, profiles, specs, dSide)
+	ref, err := missRates(sweep{opts, profiles, specs, dSide})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	})
 	o1 := opts
 	o1.Checkpoint = cp
-	partial, err := missRates(o1, profiles, specs, dSide)
+	partial, err := missRates(sweep{o1, profiles, specs, dSide})
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("want ErrInterrupted, got %v", err)
 	}
@@ -157,7 +157,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}
 	o2 := opts
 	o2.Checkpoint = cp2
-	res, err := missRates(o2, profiles, specs, dSide)
+	res, err := missRates(sweep{o2, profiles, specs, dSide})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,13 @@ import (
 )
 
 // Experiment reproduces one paper artifact.
+//
+// The miss-rate experiments (fig4, fig5, fig12, table5, table6, xline)
+// declare their work once, as sweeps, and are built by sweepExperiment:
+// Run executes exactly those sweeps and renders the results, and
+// PlanCampaign leases the same sweeps' jobs to worker subprocesses, so
+// the in-process and distributed runs cannot disagree. Every other
+// experiment has only a Run and executes in-process.
 type Experiment struct {
 	// ID is the short name used by cmd/experiments -run and bench_test.go.
 	ID string
@@ -22,10 +29,39 @@ type Experiment struct {
 	Title string
 	// Run executes the experiment at the given scale.
 	Run func(Opts) ([]*Table, error)
-	// Plan, when non-nil, enumerates the experiment's distributable
-	// miss-rate work units (see plan.go). Experiments without a Plan run
-	// only in-process; their Run is unaffected either way.
-	Plan func(Opts) ([]PlannedUnit, error)
+	// sweeps, when non-nil, declares the experiment's miss-rate sweeps.
+	sweeps func(Opts) []sweep
+}
+
+// sweepExperiment builds a miss-rate experiment from its declared sweeps
+// and a render step. Run validates opts, runs the sweeps in order, and
+// stops at the first failing one. With partial set, a failure that
+// still completed some profiles renders them (the tables carry a
+// [partial] note) and returns the error alongside; otherwise a failure
+// returns no tables. Sweeps not run are nil in the results render gets.
+func sweepExperiment(id, title string, sweeps func(Opts) []sweep,
+	render func([]sweep, []missResults) []*Table, partial bool) Experiment {
+
+	run := func(opts Opts) ([]*Table, error) {
+		if err := opts.validate(); err != nil {
+			return nil, err
+		}
+		sws := sweeps(opts)
+		results := make([]missResults, len(sws))
+		for i, sw := range sws {
+			res, err := missRates(sw)
+			if err != nil {
+				if partial && len(res) > 0 {
+					results[i] = res
+					return render(sws, results), err
+				}
+				return nil, err
+			}
+			results[i] = res
+		}
+		return render(sws, results), nil
+	}
+	return Experiment{ID: id, Title: title, Run: run, sweeps: sweeps}
 }
 
 var registry = map[string]Experiment{}

@@ -137,7 +137,7 @@ func TestMissRateOrdering(t *testing.T) {
 		}
 		profiles = append(profiles, p)
 	}
-	res, err := missRates(tinyOpts(), profiles, figureSpecs(), dSide)
+	res, err := missRates(sweep{tinyOpts(), profiles, figureSpecs(), dSide})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestMultiSeedRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() map[string]map[string]missRun {
-		res, err := missRates(opts, []*workload.Profile{p}, figureSpecs(), dSide)
+		res, err := missRates(sweep{opts, []*workload.Profile{p}, figureSpecs(), dSide})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,7 +380,7 @@ func TestMultiSeedRuns(t *testing.T) {
 	// 3 seeds triple the access volume vs a single-seed run.
 	opts1 := opts
 	opts1.Seeds = 1
-	res1, err := missRates(opts1, []*workload.Profile{p}, nil, dSide)
+	res1, err := missRates(sweep{opts1, []*workload.Profile{p}, nil, dSide})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -565,15 +565,12 @@ func runXL2(opts Opts) ([]*Table, error) {
 }
 
 func init() {
-	register(Experiment{
-		ID:    "xline",
-		Title: "Line-size sensitivity: B-Cache reductions at 16/32/64-byte lines",
-		Run:   runXLine,
-		Plan:  planXLine,
-	})
+	register(sweepExperiment("xline",
+		"Line-size sensitivity: B-Cache reductions at 16/32/64-byte lines",
+		xLineSweeps, renderXLine, false))
 }
 
-// xLineSpecs returns the three configurations runXLine compares.
+// xLineSpecs returns the three configurations xline compares.
 func xLineSpecs() []Spec {
 	return []Spec{
 		setAssocSpec(4, energy.Way4),
@@ -582,14 +579,21 @@ func xLineSpecs() []Spec {
 	}
 }
 
-// runXLine re-runs the Figure 4 averages with different line sizes: the
-// paper evaluates only 32-byte lines, but the balancing mechanism should
-// be insensitive to the line size (conflicts are a set-indexing property).
-func runXLine(opts Opts) ([]*Table, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
+// xLineSweeps re-runs the Figure 4 sweep of xLineSpecs at 16-, 32- and
+// 64-byte lines: the paper evaluates only 32-byte lines, but the
+// balancing mechanism should be insensitive to the line size (conflicts
+// are a set-indexing property).
+func xLineSweeps(opts Opts) []sweep {
+	var sws []sweep
+	for _, line := range []int{16, 32, 64} {
+		o := opts
+		o.LineBytes = line
+		sws = append(sws, sweep{o, workload.All(), xLineSpecs(), dSide})
 	}
-	specs := xLineSpecs()
+	return sws
+}
+
+func renderXLine(sws []sweep, res []missResults) []*Table {
 	t := &Table{
 		ID:    "xline",
 		Title: "Average D$ miss-rate reduction vs line size (16kB)",
@@ -598,23 +602,11 @@ func runXLine(opts Opts) ([]*Table, error) {
 			"line", "4way", "8way", "MF8",
 		},
 	}
-	for _, line := range []int{16, 32, 64} {
-		o := opts
-		o.LineBytes = line
-		res, err := missRates(o, workload.All(), specs, dSide)
-		if err != nil {
-			return nil, err
-		}
-		avg := func(name string) float64 {
-			var sum float64
-			for _, p := range workload.All() {
-				sum += reduction(res[p.Name]["baseline"], res[p.Name][name])
-			}
-			return sum / float64(len(workload.All()))
-		}
-		t.AddRow(fmt.Sprintf("%dB", line), pct(avg("4way")), pct(avg("8way")), pct(avg("MF8")))
+	for i, sw := range sws {
+		avg := func(name string) float64 { return averageReduction(sw, res[i], name) }
+		t.AddRow(fmt.Sprintf("%dB", sw.opts.LineBytes), pct(avg("4way")), pct(avg("8way")), pct(avg("MF8")))
 	}
-	return []*Table{t}, nil
+	return []*Table{t}
 }
 
 func init() {

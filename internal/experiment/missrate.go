@@ -12,24 +12,36 @@ import (
 // baseline.
 
 func init() {
-	register(Experiment{
-		ID:    "fig4",
-		Title: "Data cache miss rate reductions, 16kB (2/4/8/32-way, victim16, B-Cache MF=2..16 BAS=8)",
-		Run:   runFig4,
-		Plan:  planFig4,
-	})
-	register(Experiment{
-		ID:    "fig5",
-		Title: "Instruction cache miss rate reductions, 16kB (reported benchmarks)",
-		Run:   runFig5,
-		Plan:  planFig5,
-	})
-	register(Experiment{
-		ID:    "fig12",
-		Title: "Miss rate reductions at 8kB and 32kB (12 configurations)",
-		Run:   runFig12,
-		Plan:  planFig12,
-	})
+	register(sweepExperiment("fig4",
+		"Data cache miss rate reductions, 16kB (2/4/8/32-way, victim16, B-Cache MF=2..16 BAS=8)",
+		func(opts Opts) []sweep { return []sweep{fig4Sweep(opts)} }, renderFig4, true))
+	register(sweepExperiment("fig5",
+		"Instruction cache miss rate reductions, 16kB (reported benchmarks)",
+		func(opts Opts) []sweep { return []sweep{fig5Sweep(opts)} }, renderFig5, true))
+	register(sweepExperiment("fig12",
+		"Miss rate reductions at 8kB and 32kB (12 configurations)",
+		fig12Sweeps, renderFig12, false))
+}
+
+// reportedICacheProfiles returns the benchmarks Figure 5 reports.
+func reportedICacheProfiles() []*workload.Profile {
+	var reported []*workload.Profile
+	for _, p := range workload.All() {
+		if workload.IsReportedICache(p.Name) {
+			reported = append(reported, p)
+		}
+	}
+	return reported
+}
+
+// fig4Sweep is Figure 4's D-side sweep over every benchmark.
+func fig4Sweep(opts Opts) sweep {
+	return sweep{opts, workload.All(), figureSpecs(), dSide}
+}
+
+// fig5Sweep is Figure 5's I-side sweep over the reported benchmarks.
+func fig5Sweep(opts Opts) sweep {
+	return sweep{opts, reportedICacheProfiles(), figureSpecs(), iSide}
 }
 
 // reductionTable renders one figure panel: rows = benchmarks (+Ave),
@@ -80,34 +92,23 @@ func specNames(specs []Spec) []string {
 	return out
 }
 
-func runFig4(opts Opts) ([]*Table, error) {
-	specs := figureSpecs()
-	all := workload.All()
-	res, err := missRates(opts, all, specs, dSide)
-	if err != nil && len(res) == 0 {
-		return nil, err
-	}
-	note := fmt.Sprintf("synthetic SPEC2K surrogates, %d instructions, LRU", opts.Instructions)
+func renderFig4(sws []sweep, res []missResults) []*Table {
+	sw := sws[0]
+	note := fmt.Sprintf("synthetic SPEC2K surrogates, %d instructions, LRU", sw.opts.Instructions)
 	var tables []*Table
 	for _, suite := range []string{"CFP2K", "CINT2K"} { // paper order: FP panel first
 		tables = append(tables, reductionTable(
 			"fig4", fmt.Sprintf("D$ miss rate reductions over 16kB direct-mapped baseline (%s)", suite),
-			note, workload.Suite(suite), specs, res))
+			note, workload.Suite(suite), sw.specs, res[0]))
 	}
-	return tables, err
+	return tables
 }
 
-func runFig5(opts Opts) ([]*Table, error) {
-	specs := figureSpecs()
-	reported := reportedICacheProfiles()
-	res, err := missRates(opts, reported, specs, iSide)
-	if err != nil && len(res) == 0 {
-		return nil, err
-	}
-	note := fmt.Sprintf("benchmarks with I$ miss rate ≥ 0.01%%; %d instructions", opts.Instructions)
-	t := reductionTable("fig5", "I$ miss rate reductions over 16kB direct-mapped baseline",
-		note, reported, specs, res)
-	return []*Table{t}, err
+func renderFig5(sws []sweep, res []missResults) []*Table {
+	sw := sws[0]
+	note := fmt.Sprintf("benchmarks with I$ miss rate ≥ 0.01%%; %d instructions", sw.opts.Instructions)
+	return []*Table{reductionTable("fig5", "I$ miss rate reductions over 16kB direct-mapped baseline",
+		note, sw.profiles, sw.specs, res[0])}
 }
 
 // fig12Specs: the twelve configurations of Figure 12 — conventional
@@ -132,55 +133,58 @@ func fig12Specs() []Spec {
 	return specs
 }
 
-func runFig12(opts Opts) ([]*Table, error) {
+// fig12Sweeps is Figure 12's size × side sweep, in paper panel order:
+// 32kB then 8kB, each D$ (every benchmark) then I$ (the reported ones).
+func fig12Sweeps(opts Opts) []sweep {
 	specs := fig12Specs()
-	all := workload.All()
-	var tables []*Table
-	for _, size := range []int{32 * 1024, 8 * 1024} { // paper panel order
+	var sws []sweep
+	for _, size := range []int{32 * 1024, 8 * 1024} {
 		o := opts
 		o.L1Size = size
-		for _, s := range []struct {
-			side side
-			tag  string
-		}{{dSide, "D$"}, {iSide, "I$"}} {
-			profiles := all
-			if s.side == iSide {
-				profiles = reportedICacheProfiles()
-			}
-			res, err := missRates(o, profiles, specs, s.side)
-			if err != nil {
-				return nil, err
-			}
-			// Figure 12 plots suite averages only.
-			t := &Table{
-				ID:    "fig12",
-				Title: fmt.Sprintf("Average miss rate reductions, %dkB %s", size/1024, s.tag),
-				Note:  "averaged over the benchmarks Figures 4/5 report for this side",
-			}
-			t.Headers = append([]string{"group"}, specNames(specs)...)
-			sums := make([]float64, len(specs))
-			included := 0
-			for _, p := range profiles {
-				row, ok := res[p.Name]
-				if !ok {
-					continue
-				}
-				included++
-				base := row["baseline"]
-				for i, sp := range specs {
-					sums[i] += reduction(base, row[sp.Name])
-				}
-			}
-			if included == 0 {
-				included = 1
-			}
-			cells := []string{fmt.Sprintf("%dK %s", size/1024, s.tag)}
-			for _, v := range sums {
-				cells = append(cells, pct(v/float64(included)))
-			}
-			t.AddRow(cells...)
-			tables = append(tables, t)
-		}
+		sws = append(sws,
+			sweep{o, workload.All(), specs, dSide},
+			sweep{o, reportedICacheProfiles(), specs, iSide})
 	}
-	return tables, nil
+	return sws
+}
+
+// renderFig12 plots suite averages only, one table per sweep.
+func renderFig12(sws []sweep, res []missResults) []*Table {
+	var tables []*Table
+	for i, sw := range sws {
+		size := sw.opts.L1Size
+		tag := "D$"
+		if sw.side == iSide {
+			tag = "I$"
+		}
+		t := &Table{
+			ID:    "fig12",
+			Title: fmt.Sprintf("Average miss rate reductions, %dkB %s", size/1024, tag),
+			Note:  "averaged over the benchmarks Figures 4/5 report for this side",
+		}
+		t.Headers = append([]string{"group"}, specNames(sw.specs)...)
+		sums := make([]float64, len(sw.specs))
+		included := 0
+		for _, p := range sw.profiles {
+			row, ok := res[i][p.Name]
+			if !ok {
+				continue
+			}
+			included++
+			base := row["baseline"]
+			for x, sp := range sw.specs {
+				sums[x] += reduction(base, row[sp.Name])
+			}
+		}
+		if included == 0 {
+			included = 1
+		}
+		cells := []string{fmt.Sprintf("%dK %s", size/1024, tag)}
+		for _, v := range sums {
+			cells = append(cells, pct(v/float64(included)))
+		}
+		t.AddRow(cells...)
+		tables = append(tables, t)
+	}
+	return tables
 }

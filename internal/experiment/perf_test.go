@@ -175,7 +175,7 @@ func TestSuiteZeroDuplicateGeneration(t *testing.T) {
 	profiles := workload.All()
 	for round := 0; round < 2; round++ {
 		for _, s := range []side{dSide, iSide} {
-			if _, err := missRates(opts, profiles, figureSpecs(), s); err != nil {
+			if _, err := missRates(sweep{opts, profiles, figureSpecs(), s}); err != nil {
 				t.Fatal(err)
 			}
 		}

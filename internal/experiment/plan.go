@@ -1,20 +1,20 @@
 package experiment
 
 import (
-	"fmt"
-
-	"bcache/internal/workload"
+	"hash/fnv"
+	"strings"
 )
 
 // A Plan is the distributable view of a campaign: the deterministic,
 // enumerable list of miss-rate work units that a coordinator can lease
-// out to worker subprocesses. Each planned unit is one job of the
-// in-process scheduler — a single (profile, seed, spec) replay, or one
-// (profile, seed) stack-distance pass answering every LRU spec at once —
-// and executing it yields the same checkpoint records, under the same
-// keys, that missRates would commit. That identity is what makes the
-// coordinator's merged checkpoint bit-identical to a single-process run:
-// distribution changes where a unit runs, never what it computes.
+// out to worker subprocesses. Each planned unit is a job of an
+// experiment's declared sweep (sweep.jobs) — a single (profile, seed,
+// spec) replay, or one (profile, seed) stack-distance pass answering
+// every LRU spec at once — the very job missRates schedules in-process,
+// so executing it yields the same checkpoint records under the same
+// keys. That identity is what makes the coordinator's merged checkpoint
+// bit-identical to a single-process run: distribution changes where a
+// unit runs, never what it computes.
 //
 // Planning is cheap (no traces are materialized) and deterministic: the
 // same Opts and experiment IDs produce the same unit list in the same
@@ -33,73 +33,84 @@ type KeyedResult struct {
 	Result UnitResult `json:"result"`
 }
 
-// PlannedUnit is one distributable work unit.
-type PlannedUnit struct {
-	// Key names the unit: for replay units the checkpoint unit key, for
-	// profiling units the same key shape under the lru-profile pseudo
-	// spec.
-	Key string
-	// keys lists every checkpoint key the unit commits (one per covered
-	// spec); run executes the unit.
-	keys []string
-	run  func() ([]KeyedResult, error)
+// plannedUnit is one distributable work unit: a sweep job under its
+// plan-unique key.
+type plannedUnit struct {
+	key string
+	sw  sweep
+	all []Spec
+	job sweepJob
+}
+
+// unitKey names job j in a plan: a replay job by its checkpoint key, a
+// stack-distance job by the same key shape under the lru-profile
+// pseudo spec.
+func (sw sweep) unitKey(j sweepJob) string {
+	if j.profile {
+		return unitKey(sw.opts, sw.side, profileSpecName, j.k, sw.profiles[j.pi].Name)
+	}
+	return j.keys[0]
 }
 
 // Plan is an ordered, deduplicated list of planned units.
 type Plan struct {
-	units []PlannedUnit
+	units []plannedUnit
 }
 
 // Len returns the number of planned units.
 func (p *Plan) Len() int { return len(p.units) }
 
 // Key returns the unit key of unit i.
-func (p *Plan) Key(i int) string { return p.units[i].Key }
+func (p *Plan) Key(i int) string { return p.units[i].key }
 
 // UnitKeys returns the checkpoint keys unit i commits.
-func (p *Plan) UnitKeys(i int) []string { return p.units[i].keys }
+func (p *Plan) UnitKeys(i int) []string { return p.units[i].job.keys }
 
 // Execute runs unit i and returns its checkpoint records.
 func (p *Plan) Execute(i int) ([]KeyedResult, error) {
-	return p.units[i].run()
+	u := p.units[i]
+	res, err := u.sw.exec(u.all, u.job)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]KeyedResult, len(res))
+	for x := range res {
+		out[x] = KeyedResult{Key: u.job.keys[x], Result: res[x]}
+	}
+	return out, nil
 }
 
-// Fingerprint folds every unit key through FNV-1a so a coordinator and a
-// worker built from different flags (or different binaries) cannot
-// silently disagree about what unit i means.
+// Fingerprint folds every unit key, each followed by a 0xFF separator,
+// through FNV-1a so a coordinator and a worker built from different
+// flags (or different binaries) cannot silently disagree about what
+// unit i means.
 func (p *Plan) Fingerprint() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
+	h := fnv.New64a()
 	for _, u := range p.units {
-		for i := 0; i < len(u.Key); i++ {
-			h = (h ^ uint64(u.Key[i])) * prime
-		}
-		h = (h ^ 0xFF) * prime // key separator
+		h.Write([]byte(u.key))
+		h.Write([]byte{0xFF})
 	}
-	return h
+	return h.Sum64()
 }
 
 // Done reports whether every checkpoint key of unit i is already present
 // in cp (a nil checkpoint marks nothing done).
 func (p *Plan) Done(i int, cp *Checkpoint) bool {
-	for _, k := range p.units[i].keys {
-		if _, ok := cp.Lookup(k); !ok {
-			return false
-		}
-	}
-	return true
+	_, ok := lookupAll(p.units[i].job.keys, cp.Lookup)
+	return ok
 }
 
-// PlanCampaign enumerates the distributable units of the experiments
-// named by ids (nil or empty = all registered experiments), in registry
-// order, deduplicated by unit key: experiments share units — the
-// baseline column appears in every figure — and a shared unit is planned
-// once, where it first appears. Experiments without a Plan hook (the
-// analytic tables, the timed IPC runs) contribute nothing and simply run
-// in-process after the merge.
+// PlanCampaign enumerates the jobs of every sweep the experiments named
+// by ids declare (nil or empty = all registered experiments), in
+// registry order. Experiments share work — the baseline column appears
+// in every figure — so a job is planned only if it commits a checkpoint
+// key no earlier job does. A stack-distance job can overlap an earlier
+// one partly (xline's 4/8-way profile and fig4's 2/4/8/32-way profile
+// of the same trace share a unit key); it is planned whole, under its
+// unit key extended with the spec keys it answers, so unit keys stay
+// unique. Experiments without sweeps (the analytic tables, the timed
+// IPC runs) contribute nothing and simply run in-process after the
+// merge.
 func PlanCampaign(opts Opts, ids []string) (*Plan, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -117,127 +128,35 @@ func PlanCampaign(opts Opts, ids []string) (*Plan, error) {
 		}
 	}
 	plan := &Plan{}
-	seen := map[string]bool{}
+	unitKeys := map[string]bool{}
+	ckptKeys := map[string]bool{}
 	for _, e := range exps {
-		if e.Plan == nil {
+		if e.sweeps == nil {
 			continue
 		}
-		units, err := e.Plan(opts)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: planning %s: %w", e.ID, err)
-		}
-		for _, u := range units {
-			if seen[u.Key] {
-				continue
+		for _, sw := range e.sweeps(opts) {
+			all, jobs, _ := sw.jobs()
+			for _, j := range jobs {
+				planned := true
+				for _, k := range j.keys {
+					planned = planned && ckptKeys[k]
+					ckptKeys[k] = true
+				}
+				if planned {
+					continue
+				}
+				key := sw.unitKey(j)
+				if unitKeys[key] {
+					specs := make([]string, len(j.specs))
+					for x, si := range j.specs {
+						specs[x] = all[si].key()
+					}
+					key += "|specs=" + strings.Join(specs, "+")
+				}
+				unitKeys[key] = true
+				plan.units = append(plan.units, plannedUnit{key: key, sw: sw, all: all, job: j})
 			}
-			seen[u.Key] = true
-			plan.units = append(plan.units, u)
 		}
 	}
 	return plan, nil
-}
-
-// planMissRates enumerates the units missRates would schedule for one
-// (profiles, specs, side) call: the job construction below mirrors
-// missRates exactly — one profiling job per (profile, seed) when any
-// pure-LRU spec is profileable, plus one replay job per remaining spec —
-// so the distributed unit space is the in-process unit space.
-func planMissRates(opts Opts, profiles []*workload.Profile, specs []Spec, s side) []PlannedUnit {
-	all := append([]Spec{baselineSpec()}, specs...)
-	seeds := opts.seeds()
-	lru, replayed := lruSpecIndices(opts, all)
-	var units []PlannedUnit
-	for _, p := range profiles {
-		p := p
-		for k := 0; k < seeds; k++ {
-			k := k
-			if len(lru) > 0 {
-				keys := make([]string, len(lru))
-				for x, si := range lru {
-					keys[x] = unitKey(opts, s, all[si].key(), k, p.Name)
-				}
-				units = append(units, PlannedUnit{
-					Key:  unitKey(opts, s, profileSpecName, k, p.Name),
-					keys: keys,
-					run: func() ([]KeyedResult, error) {
-						res, err := execProfileUnit(opts, s, p, all, lru, k)
-						if err != nil {
-							return nil, err
-						}
-						out := make([]KeyedResult, len(res))
-						for x := range res {
-							out[x] = KeyedResult{Key: keys[x], Result: res[x]}
-						}
-						return out, nil
-					},
-				})
-			}
-			for _, si := range replayed {
-				spec := all[si]
-				key := unitKey(opts, s, spec.key(), k, p.Name)
-				units = append(units, PlannedUnit{
-					Key:  key,
-					keys: []string{key},
-					run: func() ([]KeyedResult, error) {
-						u, err := execReplayUnit(opts, s, p, spec, k)
-						if err != nil {
-							return nil, err
-						}
-						return []KeyedResult{{Key: key, Result: u}}, nil
-					},
-				})
-			}
-		}
-	}
-	return units
-}
-
-// reportedICacheProfiles returns the benchmarks Figure 5 reports.
-func reportedICacheProfiles() []*workload.Profile {
-	var reported []*workload.Profile
-	for _, p := range workload.All() {
-		if workload.IsReportedICache(p.Name) {
-			reported = append(reported, p)
-		}
-	}
-	return reported
-}
-
-// planFig4 mirrors runFig4's missRates call.
-func planFig4(opts Opts) ([]PlannedUnit, error) {
-	return planMissRates(opts, workload.All(), figureSpecs(), dSide), nil
-}
-
-// planFig5 mirrors runFig5's missRates call.
-func planFig5(opts Opts) ([]PlannedUnit, error) {
-	return planMissRates(opts, reportedICacheProfiles(), figureSpecs(), iSide), nil
-}
-
-// planFig12 mirrors runFig12's size × side sweep.
-func planFig12(opts Opts) ([]PlannedUnit, error) {
-	specs := fig12Specs()
-	var units []PlannedUnit
-	for _, size := range []int{32 * 1024, 8 * 1024} {
-		o := opts
-		o.L1Size = size
-		units = append(units, planMissRates(o, workload.All(), specs, dSide)...)
-		units = append(units, planMissRates(o, reportedICacheProfiles(), specs, iSide)...)
-	}
-	return units, nil
-}
-
-// planDesignSpace mirrors designSpace's missRates call (Tables 5 and 6).
-func planDesignSpace(opts Opts) ([]PlannedUnit, error) {
-	return planMissRates(opts, workload.All(), designSpecs(), dSide), nil
-}
-
-// planXLine mirrors runXLine's per-line-size missRates calls.
-func planXLine(opts Opts) ([]PlannedUnit, error) {
-	var units []PlannedUnit
-	for _, line := range []int{16, 32, 64} {
-		o := opts
-		o.LineBytes = line
-		units = append(units, planMissRates(o, workload.All(), xLineSpecs(), dSide)...)
-	}
-	return units, nil
 }

@@ -358,9 +358,9 @@ func profileLRU(feed func(*stackdist.Profile), opts Opts, all []Spec, lru []int)
 
 // execReplayUnit runs one (profile, seed, spec) replay: materialize (or
 // fetch) the trace, build the cache, replay the side, and return the raw
-// counters. It is the single execution path behind both the in-process
-// scheduler (missRates) and the distributed plan (plan.go), so a unit
-// computed in a worker subprocess is bit-identical to one computed here.
+// counters. Through sweep.exec it runs every replay job, whether the
+// in-process scheduler (missRates) or a worker subprocess (plan.go)
+// executes it, so both compute bit-identical units.
 func execReplayUnit(opts Opts, s side, p *workload.Profile, spec Spec, k int) (UnitResult, error) {
 	c, err := spec.New(opts.L1Size, opts.LineBytes)
 	if err != nil {
@@ -392,8 +392,8 @@ func execReplayUnit(opts Opts, s side, p *workload.Profile, spec Spec, k int) (U
 }
 
 // execProfileUnit runs one (profile, seed) stack-distance pass answering
-// every LRU spec in lru (indices into all) at once. Like execReplayUnit
-// it is shared between the in-process scheduler and the distributed plan.
+// every LRU spec in lru (indices into all) at once: sweep.exec's
+// stack-distance counterpart of execReplayUnit.
 func execProfileUnit(opts Opts, s side, p *workload.Profile, all []Spec, lru []int, k int) ([]UnitResult, error) {
 	var feed func(*stackdist.Profile)
 	switch s {
@@ -440,171 +440,196 @@ func lruSpecIndices(opts Opts, all []Spec) (lru, replayed []int) {
 	return lru, replayed
 }
 
-// missRates runs all profiles × (baseline + specs) on one cache side and
-// returns results[profile][specName] plus the baseline under "baseline".
-//
-// Pure-LRU set-associative specs (Spec.LRUWays > 0) are not replayed
-// one cache at a time: each (profile, seed) trace feeds one profiling
-// unit whose single stack-distance pass answers all of them at once
-// (profileLRU). Every other spec — B-Cache, victim, random/FIFO, the
-// related-work designs — replays as its own (profile, seed, spec) unit,
-// and Opts.DisableStackDist forces the LRU specs down that replay path
-// too, which is the differential oracle the profiler is tested against.
-// Units still saturate the machine: the grain is never coarser than one
-// (profile, seed) trace.
-//
-// Failed or interrupted units do not void the run: the returned map
-// holds every profile whose units all completed, alongside the joined
-// error, so callers can render partial results. Units found in
-// opts.Checkpoint are restored instead of re-simulated (bit-identically:
-// the checkpoint stores the raw counters, and profiled counts equal
-// replayed counts), and completed units are recorded there as they
-// finish under the same per-spec keys either way.
-func missRates(opts Opts, profiles []*workload.Profile, specs []Spec, s side) (map[string]map[string]missRun, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	all := append([]Spec{baselineSpec()}, specs...)
-	seeds := opts.seeds()
-	cp := opts.Checkpoint
-	lru, replayed := lruSpecIndices(opts, all)
+// A sweep is one miss-rate sweep: every profile × (baseline + specs) on
+// one L1 side at one scale. It is exactly one missRates call, and the
+// unit of what an experiment declares (Experiment.sweeps): its jobs are
+// what the in-process scheduler runs and what PlanCampaign leases to
+// worker subprocesses, so the two execution paths cannot disagree.
+type sweep struct {
+	opts     Opts
+	profiles []*workload.Profile
+	specs    []Spec
+	side     side
+}
 
-	// jobs: per (profile, seed), one profiling job covering every LRU
-	// spec (specIdx < 0) plus one replay job per remaining spec.
-	type job struct {
-		pi, k   int
-		specIdx int
-	}
-	jobsPerSeed := len(replayed)
+// missResults is one sweep's outcome: results[profile][specName], with
+// the baseline under "baseline".
+type missResults = map[string]map[string]missRun
+
+// sweepJob is one scheduler work unit of a sweep, on the trace of one
+// (profile, seed): either one stack-distance pass answering every
+// profileable LRU spec, or the replay of one other spec.
+type sweepJob struct {
+	pi, k int
+	// specs indexes the sweep's baseline-first spec list; keys holds the
+	// checkpoint key the job commits for each of them.
+	specs []int
+	keys  []string
+	// profile marks a stack-distance pass (a replay job has one spec).
+	profile bool
+}
+
+// jobs enumerates the sweep's work units; it is the only enumerator.
+// Per (profile, seed) it yields one stack-distance job covering every
+// profileable LRU spec, then one replay job per remaining spec (all of
+// them under Opts.DisableStackDist, the profiler's differential oracle).
+// It returns the baseline-first spec list the jobs index and perSeed,
+// the number of consecutive jobs that share one trace.
+func (sw sweep) jobs() (all []Spec, jobs []sweepJob, perSeed int) {
+	all = append([]Spec{baselineSpec()}, sw.specs...)
+	lru, replayed := lruSpecIndices(sw.opts, all)
+	perSeed = len(replayed)
 	if len(lru) > 0 {
-		jobsPerSeed++
+		perSeed++
 	}
-	jobs := make([]job, 0, len(profiles)*seeds*jobsPerSeed)
-	for pi := range profiles {
+	seeds := sw.opts.seeds()
+	jobs = make([]sweepJob, 0, len(sw.profiles)*seeds*perSeed)
+	job := func(pi, k int, specs []int, profile bool) sweepJob {
+		keys := make([]string, len(specs))
+		for x, si := range specs {
+			keys[x] = unitKey(sw.opts, sw.side, all[si].key(), k, sw.profiles[pi].Name)
+		}
+		return sweepJob{pi: pi, k: k, specs: specs, keys: keys, profile: profile}
+	}
+	for pi := range sw.profiles {
 		for k := 0; k < seeds; k++ {
 			if len(lru) > 0 {
-				jobs = append(jobs, job{pi, k, -1})
+				jobs = append(jobs, job(pi, k, lru, true))
 			}
-			for _, si := range replayed {
-				jobs = append(jobs, job{pi, k, si})
+			for x := range replayed {
+				jobs = append(jobs, job(pi, k, replayed[x:x+1], false))
 			}
 		}
 	}
+	return all, jobs, perSeed
+}
+
+// label names job j for telemetry spans and the slowest-unit digest.
+func (sw sweep) label(all []Spec, j sweepJob) string {
+	spec := profileSpecName
+	if !j.profile {
+		spec = all[j.specs[0]].Name
+	}
+	return fmt.Sprintf("%s/%s/seed%d", sw.profiles[j.pi].Name, spec, j.k)
+}
+
+// exec simulates job j and returns one result per checkpoint key.
+func (sw sweep) exec(all []Spec, j sweepJob) ([]UnitResult, error) {
+	p := sw.profiles[j.pi]
+	if j.profile {
+		return execProfileUnit(sw.opts, sw.side, p, all, j.specs, j.k)
+	}
+	u, err := execReplayUnit(sw.opts, sw.side, p, all[j.specs[0]], j.k)
+	if err != nil {
+		return nil, err
+	}
+	return []UnitResult{u}, nil
+}
+
+// lookupAll returns the results stored under every key, or false if any
+// is missing.
+func lookupAll(keys []string, get func(string) (UnitResult, bool)) ([]UnitResult, bool) {
+	out := make([]UnitResult, len(keys))
+	for x, key := range keys {
+		u, ok := get(key)
+		if !ok {
+			return nil, false
+		}
+		out[x] = u
+	}
+	return out, true
+}
+
+// missRates runs a sweep and returns results[profile][specName] plus
+// the baseline under "baseline".
+//
+// Pure-LRU set-associative specs (Spec.LRUWays > 0) are not replayed
+// one cache at a time: each (profile, seed) trace feeds one profiling
+// job whose single stack-distance pass answers all of them at once
+// (profileLRU). Every other spec — B-Cache, victim, random/FIFO, the
+// related-work designs — replays as its own (profile, seed, spec) job
+// (see sweep.jobs). Jobs still saturate the machine: the grain is never
+// coarser than one (profile, seed) trace.
+//
+// Each job looks its checkpoint keys up in opts.Checkpoint first
+// (resume: restored bit-identically, since the checkpoint stores the
+// raw counters and profiled counts equal replayed counts), then in the
+// cross-experiment unit memo, and simulates only when neither holds all
+// of them; completed jobs are recorded in both under the same per-spec
+// keys whichever way they ran.
+//
+// Failed or interrupted jobs do not void the run: the returned map
+// holds every profile whose jobs all completed, alongside the joined
+// error, so callers can render partial results.
+func missRates(sw sweep) (missResults, error) {
+	opts := sw.opts
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	all, jobs, perSeed := sw.jobs()
+	seeds := opts.seeds()
+	cp := opts.Checkpoint
 
 	// One slot per (profile, seed, spec) result, written only by its
 	// owner job's commit closure on the worker goroutine; reduced below.
-	perSeed := seeds * len(all)
-	units := make([]UnitResult, len(profiles)*perSeed)
+	perProfile := seeds * len(all)
+	units := make([]UnitResult, len(sw.profiles)*perProfile)
 	done := make([]bool, len(units))
-	slot := func(pi, k, si int) int { return pi*perSeed + k*len(all) + si }
 	uo := unitOpts{
 		Timeout: opts.UnitTimeout,
 		Retries: opts.UnitRetries,
-		// The jobs of one (profile, seed) replay one trace.
-		Group: jobsPerSeed,
-		Label: func(i int) string {
-			j := jobs[i]
-			if j.specIdx >= 0 {
-				return fmt.Sprintf("%s/%s/seed%d", profiles[j.pi].Name, all[j.specIdx].Name, j.k)
-			}
-			return fmt.Sprintf("%s/lru-profile/seed%d", profiles[j.pi].Name, j.k)
-		},
+		Group:   perSeed,
+		Label:   func(i int) string { return sw.label(all, jobs[i]) },
 	}
 	tel := CurrentTelemetry()
 	err := runUnitsCtl(len(jobs), opts.workers(), uo, func(i int) (func(), error) {
 		j := jobs[i]
-		p := profiles[j.pi]
-		if j.specIdx >= 0 {
-			// Replay job: one cache, one spec.
-			spec := all[j.specIdx]
-			key := unitKey(opts, s, spec.key(), j.k, p.Name)
-			idx := slot(j.pi, j.k, j.specIdx)
-			if u, ok := cp.Lookup(key); ok {
-				return func() {
-					units[idx], done[idx] = u, true
-					unitMemo.Store(key, u)
-				}, nil
+		fill := func(res []UnitResult) {
+			for x, si := range j.specs {
+				idx := j.pi*perProfile + j.k*len(all) + si
+				units[idx], done[idx] = res[x], true
 			}
-			if u, ok := memoLookup(key); ok {
-				// Another experiment already simulated this exact unit.
-				return func() {
-					units[idx], done[idx] = u, true
-					cp.Record(key, u)
-				}, nil
-			}
-			u, err := execReplayUnit(opts, s, p, spec, j.k)
-			if err != nil {
-				return nil, err
-			}
+		}
+		if res, ok := lookupAll(j.keys, cp.Lookup); ok {
 			return func() {
-				units[idx], done[idx] = u, true
-				cp.Record(key, u)
-				unitMemo.Store(key, u)
-				tel.addAccesses(u.Accesses)
-			}, nil
-		}
-
-		// Profiling job: one stack-distance pass, every LRU spec.
-		keys := make([]string, len(lru))
-		for x, si := range lru {
-			keys[x] = unitKey(opts, s, all[si].key(), j.k, p.Name)
-		}
-		restored := make([]UnitResult, len(lru))
-		lookup := func(get func(string) (UnitResult, bool)) bool {
-			for x := range keys {
-				u, ok := get(keys[x])
-				if !ok {
-					return false
-				}
-				restored[x] = u
-			}
-			return true
-		}
-		if lookup(cp.Lookup) {
-			return func() {
-				for x, si := range lru {
-					idx := slot(j.pi, j.k, si)
-					units[idx], done[idx] = restored[x], true
-					unitMemo.Store(keys[x], restored[x])
+				fill(res)
+				for x, key := range j.keys {
+					unitMemo.Store(key, res[x])
 				}
 			}, nil
 		}
-		if lookup(memoLookup) {
+		if res, ok := lookupAll(j.keys, memoLookup); ok {
+			// Another experiment already simulated this exact job.
 			return func() {
-				for x, si := range lru {
-					idx := slot(j.pi, j.k, si)
-					units[idx], done[idx] = restored[x], true
-					cp.Record(keys[x], restored[x])
+				fill(res)
+				for x, key := range j.keys {
+					cp.Record(key, res[x])
 				}
 			}, nil
 		}
-		res, err := execProfileUnit(opts, s, p, all, lru, j.k)
+		res, err := sw.exec(all, j)
 		if err != nil {
 			return nil, err
 		}
 		return func() {
-			for x, si := range lru {
-				idx := slot(j.pi, j.k, si)
-				units[idx], done[idx] = res[x], true
-				cp.Record(keys[x], res[x])
-				unitMemo.Store(keys[x], res[x])
+			fill(res)
+			for x, key := range j.keys {
+				cp.Record(key, res[x])
+				unitMemo.Store(key, res[x])
 			}
-			if len(res) > 0 {
-				// One profiling pass replays the trace once, however many
-				// specs it answers.
-				tel.addAccesses(res[0].Accesses)
-			}
+			// A job replays its trace once, however many specs it answers.
+			tel.addAccesses(res[0].Accesses)
 		}, nil
 	})
 
-	results := make(map[string]map[string]missRun, len(profiles))
-	for pi, p := range profiles {
+	results := make(missResults, len(sw.profiles))
+	for pi, p := range sw.profiles {
 		row := make(map[string]missRun, len(all))
 		complete := true
 		for si, spec := range all {
 			var r missRun
 			for k := 0; k < seeds; k++ {
-				idx := pi*perSeed + k*len(all) + si
+				idx := pi*perProfile + k*len(all) + si
 				if !done[idx] {
 					complete = false
 					break
@@ -627,10 +652,7 @@ func missRates(opts Opts, profiles []*workload.Profile, specs []Spec, s side) (m
 			results[p.Name] = row
 		}
 	}
-	if err != nil {
-		return results, err
-	}
-	return results, nil
+	return results, err
 }
 
 // reduction converts a (baseline, config) miss pair into the paper's
@@ -640,4 +662,14 @@ func reduction(baseline, config missRun) float64 {
 		return 0
 	}
 	return 1 - float64(config.misses)/float64(baseline.misses)
+}
+
+// averageReduction is spec name's reduction averaged over every profile
+// of a completed sweep.
+func averageReduction(sw sweep, res missResults, name string) float64 {
+	var sum float64
+	for _, p := range sw.profiles {
+		sum += reduction(res[p.Name]["baseline"], res[p.Name][name])
+	}
+	return sum / float64(len(sw.profiles))
 }

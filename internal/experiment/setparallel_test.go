@@ -31,14 +31,14 @@ func TestSetWorkersBitIdentical(t *testing.T) {
 	for _, s := range []side{dSide, iSide} {
 		seq := opts
 		ResetUnitMemo() // force real simulations on both runs
-		res1, err := missRates(seq, profiles, specs, s)
+		res1, err := missRates(sweep{seq, profiles, specs, s})
 		if err != nil {
 			t.Fatal(err)
 		}
 		par := opts
 		par.SetWorkers = 8
 		ResetUnitMemo()
-		res2, err := missRates(par, profiles, specs, s)
+		res2, err := missRates(sweep{par, profiles, specs, s})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,13 +44,13 @@ func TestStackDistMatchesReplay(t *testing.T) {
 				opts.L1Size = size
 
 				ResetUnitMemo() // force real simulations on both runs
-				fast, err := missRates(opts, profiles, specs, s)
+				fast, err := missRates(sweep{opts, profiles, specs, s})
 				if err != nil {
 					t.Fatal(err)
 				}
 				opts.DisableStackDist = true
 				ResetUnitMemo()
-				oracle, err := missRates(opts, profiles, specs, s)
+				oracle, err := missRates(sweep{opts, profiles, specs, s})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -200,7 +200,7 @@ func TestStackDistCheckpointInterop(t *testing.T) {
 	opts := tinyOpts()
 	opts.DisableStackDist = true
 	opts.Checkpoint = NewCheckpoint(dir + "/cp.json")
-	oracle, err := missRates(opts, profiles, specs, dSide)
+	oracle, err := missRates(sweep{opts, profiles, specs, dSide})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestStackDistCheckpointInterop(t *testing.T) {
 	opts.DisableStackDist = false
 	hits := 0
 	opts.Checkpoint.SetAfterRecord(func(int) { hits++ })
-	fast, err := missRates(opts, profiles, specs, dSide)
+	fast, err := missRates(sweep{opts, profiles, specs, dSide})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,18 +15,12 @@ import (
 // once the PD reaches 6 bits.
 
 func init() {
-	register(Experiment{
-		ID:    "table5",
-		Title: "Average D$ miss rate reduction at varied MF, BAS (and PD length)",
-		Run:   runTable5,
-		Plan:  planDesignSpace,
-	})
-	register(Experiment{
-		ID:    "table6",
-		Title: "PD hit rate during cache misses at varied MF, BAS (and PD length)",
-		Run:   runTable6,
-		Plan:  planDesignSpace,
-	})
+	register(sweepExperiment("table5",
+		"Average D$ miss rate reduction at varied MF, BAS (and PD length)",
+		designSweeps, renderTable5, false))
+	register(sweepExperiment("table6",
+		"PD hit rate during cache misses at varied MF, BAS (and PD length)",
+		designSweeps, renderTable6, false))
 }
 
 // designSpecs returns the MF × BAS sweep configurations of Tables 5/6.
@@ -42,32 +36,40 @@ func designSpecs() []Spec {
 	return specs
 }
 
+// designSweeps is the one MF × BAS sweep behind Tables 5 and 6.
+func designSweeps(opts Opts) []sweep {
+	return []sweep{{opts, workload.All(), designSpecs(), dSide}}
+}
+
 // designSpace runs the MF × BAS sweep once and returns, per BAS, the
 // averaged reduction and PD hit rate per MF.
 func designSpace(opts Opts) (reductions, pdHits map[int]map[int]float64, err error) {
-	specs := designSpecs()
-	all := workload.All()
-	res, err := missRates(opts, all, specs, dSide)
+	sws := designSweeps(opts)
+	res, err := missRates(sws[0])
 	if err != nil {
 		return nil, nil, err
 	}
+	reductions, pdHits = designAverages(sws[0], res)
+	return reductions, pdHits, nil
+}
+
+// designAverages reduces the design sweep's results to, per BAS, the
+// suite-average reduction and PD hit rate per MF.
+func designAverages(sw sweep, res missResults) (reductions, pdHits map[int]map[int]float64) {
 	reductions = map[int]map[int]float64{4: {}, 8: {}}
 	pdHits = map[int]map[int]float64{4: {}, 8: {}}
 	for _, bas := range []int{4, 8} {
 		for _, mf := range []int{2, 4, 8, 16} {
 			name := fmt.Sprintf("mf%d-bas%d", mf, bas)
-			var red, pd float64
-			for _, p := range all {
-				base := res[p.Name]["baseline"]
-				r := res[p.Name][name]
-				red += reduction(base, r)
-				pd += r.pdHitDuringMiss
+			var pd float64
+			for _, p := range sw.profiles {
+				pd += res[p.Name][name].pdHitDuringMiss
 			}
-			reductions[bas][mf] = red / float64(len(all))
-			pdHits[bas][mf] = pd / float64(len(all))
+			reductions[bas][mf] = averageReduction(sw, res, name)
+			pdHits[bas][mf] = pd / float64(len(sw.profiles))
 		}
 	}
-	return reductions, pdHits, nil
+	return reductions, pdHits
 }
 
 func designTable(id, title string, vals map[int]map[int]float64) *Table {
@@ -98,20 +100,14 @@ func designTable(id, title string, vals map[int]map[int]float64) *Table {
 	return t
 }
 
-func runTable5(opts Opts) ([]*Table, error) {
-	red, _, err := designSpace(opts)
-	if err != nil {
-		return nil, err
-	}
-	return []*Table{designTable("table5", "Miss rate reductions of the B-Cache vs MF, BAS, PD", red)}, nil
+func renderTable5(sws []sweep, res []missResults) []*Table {
+	red, _ := designAverages(sws[0], res[0])
+	return []*Table{designTable("table5", "Miss rate reductions of the B-Cache vs MF, BAS, PD", red)}
 }
 
-func runTable6(opts Opts) ([]*Table, error) {
-	_, pd, err := designSpace(opts)
-	if err != nil {
-		return nil, err
-	}
-	return []*Table{designTable("table6", "PD hit rate during cache misses vs MF, BAS, PD", pd)}, nil
+func renderTable6(sws []sweep, res []missResults) []*Table {
+	_, pd := designAverages(sws[0], res[0])
+	return []*Table{designTable("table6", "PD hit rate during cache misses vs MF, BAS, PD", pd)}
 }
 
 func log2i(v int) int {

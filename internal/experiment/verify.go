@@ -163,19 +163,15 @@ func checkFig3Cliff(opts Opts) (string, bool, error) {
 
 // fig4Averages runs the Figure 4 sweep once and returns suite-average
 // reductions per spec name.
-func fig4Averages(opts Opts) (map[string]float64, map[string]map[string]missRun, error) {
-	specs := figureSpecs()
-	res, err := missRates(opts, workload.All(), specs, dSide)
+func fig4Averages(opts Opts) (map[string]float64, missResults, error) {
+	sw := fig4Sweep(opts)
+	res, err := missRates(sw)
 	if err != nil {
 		return nil, nil, err
 	}
 	avg := map[string]float64{}
-	for _, s := range specs {
-		var sum float64
-		for _, p := range workload.All() {
-			sum += reduction(res[p.Name]["baseline"], res[p.Name][s.Name])
-		}
-		avg[s.Name] = sum / float64(len(workload.All()))
+	for _, s := range sw.specs {
+		avg[s.Name] = averageReduction(sw, res, s.Name)
 	}
 	return avg, res, nil
 }
@@ -241,24 +237,12 @@ func checkWupwise(opts Opts) (string, bool, error) {
 }
 
 func checkFig5(opts Opts) (string, bool, error) {
-	var reported []*workload.Profile
-	for _, p := range workload.All() {
-		if workload.IsReportedICache(p.Name) {
-			reported = append(reported, p)
-		}
-	}
-	specs := figureSpecs()
-	res, err := missRates(opts, reported, specs, iSide)
+	sw := fig5Sweep(opts)
+	res, err := missRates(sw)
 	if err != nil {
 		return "", false, err
 	}
-	avg := func(name string) float64 {
-		var sum float64
-		for _, p := range reported {
-			sum += reduction(res[p.Name]["baseline"], res[p.Name][name])
-		}
-		return sum / float64(len(reported))
-	}
+	avg := func(name string) float64 { return averageReduction(sw, res, name) }
 	bc, v, w8 := avg("MF8"), avg("victim16"), avg("8way")
 	msg := fmt.Sprintf("B-Cache %.1f%%, 8way %.1f%%, victim16 %.1f%%", 100*bc, 100*w8, 100*v)
 	return msg, bc >= w8*0.95 && bc-v > 0.20, nil
