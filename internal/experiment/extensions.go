@@ -5,7 +5,6 @@ import (
 
 	"bcache/internal/altcache"
 	"bcache/internal/cache"
-	"bcache/internal/core"
 	"bcache/internal/cpu"
 	"bcache/internal/energy"
 	"bcache/internal/hier"
@@ -76,45 +75,33 @@ func runXRelated(opts Opts) ([]*Table, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	specs := relatedSpecs()
-	all := workload.All()
-
-	type agg struct {
-		baseMisses, misses uint64
-		hits, extra        uint64
-	}
-	sums := make(map[string]*agg, len(specs))
-	for _, s := range specs {
-		sums[s.Name] = &agg{}
-	}
-
-	for _, p := range all {
-		at, err := cachedData(opts, p)
-		if err != nil {
-			return nil, err
-		}
-		base, err := baselineSpec().New(opts.L1Size, opts.LineBytes)
-		if err != nil {
-			return nil, err
-		}
-		replayData(at.accs, base)
-		baseMisses := base.Stats().Misses
-		for _, s := range specs {
-			c, err := s.New(opts.L1Size, opts.LineBytes)
+	// Config 0 is the baseline every design's reduction is measured
+	// against; config j+1 is specs[j].
+	specs := append([]Spec{baselineSpec()}, relatedSpecs()...)
+	type run struct{ misses, hits, extra uint64 }
+	runs, err := profileUnits(opts, "xrelated", workload.All(), specNames(specs),
+		func(p *workload.Profile, c int) (run, error) {
+			at, err := cachedData(opts, p)
 			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", p.Name, s.Name, err)
+				return run{}, err
 			}
-			a := sums[s.Name]
+			cc, err := specs[c].New(opts.L1Size, opts.LineBytes)
+			if err != nil {
+				return run{}, err
+			}
+			var r run
 			for _, m := range at.accs {
-				r := c.Access(m.Addr(), m.Write())
-				if r.Hit {
-					a.hits++
-					a.extra += uint64(r.ExtraLatency)
+				res := cc.Access(m.Addr(), m.Write())
+				if res.Hit {
+					r.hits++
+					r.extra += uint64(res.ExtraLatency)
 				}
 			}
-			a.baseMisses += baseMisses
-			a.misses += c.Stats().Misses
-		}
+			r.misses = cc.Stats().Misses
+			return r, nil
+		})
+	if err != nil {
+		return nil, err
 	}
 
 	t := &Table{
@@ -125,19 +112,34 @@ func runXRelated(opts Opts) ([]*Table, error) {
 			"design", "miss-reduction", "mean-hit-latency",
 		},
 	}
-	for _, s := range specs {
-		a := sums[s.Name]
+	var baseMisses uint64
+	for _, r := range runs {
+		baseMisses += r[0].misses
+	}
+	for j, s := range specs[1:] {
+		var sum run
+		for _, r := range runs {
+			sum.misses += r[j+1].misses
+			sum.hits += r[j+1].hits
+			sum.extra += r[j+1].extra
+		}
 		red := 0.0
-		if a.baseMisses > 0 {
-			red = 1 - float64(a.misses)/float64(a.baseMisses)
+		if baseMisses > 0 {
+			red = 1 - float64(sum.misses)/float64(baseMisses)
 		}
 		lat := 1.0
-		if a.hits > 0 {
-			lat = 1 + float64(a.extra)/float64(a.hits)
+		if sum.hits > 0 {
+			lat = 1 + float64(sum.extra)/float64(sum.hits)
 		}
 		t.AddRow(s.Name, pct(red), fmt.Sprintf("%.3f", lat))
 	}
 	return []*Table{t}, nil
+}
+
+// dmBCSpecs returns the pair most extensions compare: the direct-mapped
+// baseline and the B-Cache at MF=8, BAS=8.
+func dmBCSpecs() []Spec {
+	return []Spec{baselineSpec(), bcacheSpec(8, 8, cache.LRU)}
 }
 
 func runXVIPT(opts Opts) ([]*Table, error) {
@@ -153,63 +155,66 @@ func runXVIPT(opts Opts) ([]*Table, error) {
 			"benchmark", "physical", "vipt-colored", "vipt-arbitrary", "tlb-miss",
 		},
 	}
-	for _, name := range []string{"equake", "crafty", "gcc", "mcf"} {
-		p, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		at, err := cachedData(opts, p)
-		if err != nil {
-			return nil, err
-		}
-		mkBC := func() (*core.BCache, error) {
-			return core.New(core.Config{
-				SizeBytes: opts.L1Size, LineBytes: opts.LineBytes,
-				MF: 8, BAS: 8, Policy: cache.LRU,
-			})
-		}
-		// Physical reference: same frames for both VIPT runs via a
-		// shared colored address space.
-		colored, err := vm.NewAddressSpace(vm.Config{PageBytes: pageBytes, ColorBits: 4, Policy: vm.Colored, Seed: 1})
-		if err != nil {
-			return nil, err
-		}
-		arbitrary, err := vm.NewAddressSpace(vm.Config{PageBytes: pageBytes, Policy: vm.Arbitrary, Seed: 1})
-		if err != nil {
-			return nil, err
-		}
-		pipt, err := mkBC()
-		if err != nil {
-			return nil, err
-		}
-		for _, m := range at.accs {
-			pipt.Access(colored.Translate(m.Addr()), m.Write())
-		}
-
-		var rates []float64
-		var tlbMiss float64
-		for i, as := range []*vm.AddressSpace{colored, arbitrary} {
-			bc, err := mkBC()
+	profiles, err := profilesByName("equake", "crafty", "gcc", "mcf")
+	if err != nil {
+		return nil, err
+	}
+	bcSpec := bcacheSpec(8, 8, cache.LRU)
+	// One unit per benchmark: the colored address space the PIPT run
+	// populates must be the one the VIPT-colored run translates through,
+	// so both see the same frames.
+	runs, err := profileUnits(opts, "xvipt", profiles, []string{bcSpec.Name},
+		func(p *workload.Profile, _ int) ([]float64, error) {
+			at, err := cachedData(opts, p)
 			if err != nil {
 				return nil, err
 			}
-			tlb, err := vm.NewTLB(64)
+			colored, err := vm.NewAddressSpace(vm.Config{PageBytes: pageBytes, ColorBits: 4, Policy: vm.Colored, Seed: 1})
 			if err != nil {
 				return nil, err
 			}
-			vipt, err := vm.NewVIPT(bc, as, tlb, 17)
+			arbitrary, err := vm.NewAddressSpace(vm.Config{PageBytes: pageBytes, Policy: vm.Arbitrary, Seed: 1})
+			if err != nil {
+				return nil, err
+			}
+			pipt, err := bcSpec.New(opts.L1Size, opts.LineBytes)
 			if err != nil {
 				return nil, err
 			}
 			for _, m := range at.accs {
-				vipt.Access(m.Addr(), m.Write())
+				pipt.Access(colored.Translate(m.Addr()), m.Write())
 			}
-			rates = append(rates, bc.Stats().MissRate())
-			if i == 0 {
-				tlbMiss = float64(tlb.Misses) / float64(tlb.Hits+tlb.Misses)
+			rates := []float64{pipt.Stats().MissRate()}
+			var tlbMiss float64
+			for i, as := range []*vm.AddressSpace{colored, arbitrary} {
+				bc, err := bcSpec.New(opts.L1Size, opts.LineBytes)
+				if err != nil {
+					return nil, err
+				}
+				tlb, err := vm.NewTLB(64)
+				if err != nil {
+					return nil, err
+				}
+				vipt, err := vm.NewVIPT(bc, as, tlb, 17)
+				if err != nil {
+					return nil, err
+				}
+				for _, m := range at.accs {
+					vipt.Access(m.Addr(), m.Write())
+				}
+				rates = append(rates, bc.Stats().MissRate())
+				if i == 0 {
+					tlbMiss = float64(tlb.Misses) / float64(tlb.Hits+tlb.Misses)
+				}
 			}
-		}
-		t.AddRow(name, pct(pipt.Stats().MissRate()), pct(rates[0]), pct(rates[1]), pct(tlbMiss))
+			return append(rates, tlbMiss), nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	for pi, p := range profiles {
+		r := runs[pi][0]
+		t.AddRow(p.Name, pct(r[0]), pct(r[1]), pct(r[2]), pct(r[3]))
 	}
 	return []*Table{t}, nil
 }
@@ -227,51 +232,76 @@ func runXRecolor(opts Opts) ([]*Table, error) {
 			"benchmark", "dm", "dm+recolor", "remaps", "2way", "bcache",
 		},
 	}
-	for _, name := range []string{"equake", "crafty", "twolf", "gcc"} {
-		p, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		at, err := cachedData(opts, p)
-		if err != nil {
-			return nil, err
-		}
-
-		// Plain DM and the B-Cache run on physical addresses from the
-		// same arbitrary allocator.
-		as1, _ := vm.NewAddressSpace(vm.Config{PageBytes: pageBytes, Policy: vm.Arbitrary, Seed: 2})
-		dm, _ := cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
-		w2, _ := cache.NewSetAssoc(opts.L1Size, opts.LineBytes, 2, cache.LRU, nil)
-		bc, _ := core.New(core.Config{SizeBytes: opts.L1Size, LineBytes: opts.LineBytes, MF: 8, BAS: 8, Policy: cache.LRU})
-		for _, m := range at.accs {
-			pa := as1.Translate(m.Addr())
-			dm.Access(pa, m.Write())
-			w2.Access(pa, m.Write())
-			bc.Access(pa, m.Write())
-		}
-
-		// DM plus the recoloring policy (fresh, identically-seeded
-		// address space so initial placements match).
-		as2, _ := vm.NewAddressSpace(vm.Config{PageBytes: pageBytes, Policy: vm.Arbitrary, Seed: 2})
-		rc, err := vm.NewRecolorer(as2, opts.L1Size, 24)
-		if err != nil {
-			return nil, err
-		}
-		dmRC, _ := cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
-		for _, m := range at.accs {
-			pa := as2.Translate(m.Addr())
-			rc.Note(m.Addr(), pa)
-			if !dmRC.Access(pa, m.Write()).Hit {
-				rc.OnMiss(pa)
+	profiles, err := profilesByName("equake", "crafty", "twolf", "gcc")
+	if err != nil {
+		return nil, err
+	}
+	// Both configs translate through an identically-seeded arbitrary
+	// allocator, so initial placements match. Config 0 ("phys") runs the
+	// plain DM, 2-way and B-Cache on one shared address space; config 1
+	// ("recolor") runs DM plus the recoloring policy on its own.
+	specs := []Spec{baselineSpec(), setAssocSpec(2, 0), bcacheSpec(8, 8, cache.LRU)}
+	type run struct {
+		rates  []float64 // phys: per spec; recolor: the DM's
+		remaps uint64
+	}
+	runs, err := profileUnits(opts, "xrecolor", profiles, []string{"phys", "recolor"},
+		func(p *workload.Profile, c int) (run, error) {
+			at, err := cachedData(opts, p)
+			if err != nil {
+				return run{}, err
 			}
-		}
-
-		t.AddRow(name,
-			pct(dm.Stats().MissRate()),
-			pct(dmRC.Stats().MissRate()),
-			fmt.Sprintf("%d", rc.Remaps),
-			pct(w2.Stats().MissRate()),
-			pct(bc.Stats().MissRate()))
+			as, err := vm.NewAddressSpace(vm.Config{PageBytes: pageBytes, Policy: vm.Arbitrary, Seed: 2})
+			if err != nil {
+				return run{}, err
+			}
+			if c == 0 {
+				caches := make([]cache.Cache, len(specs))
+				for i, s := range specs {
+					if caches[i], err = s.New(opts.L1Size, opts.LineBytes); err != nil {
+						return run{}, err
+					}
+				}
+				for _, m := range at.accs {
+					pa := as.Translate(m.Addr())
+					for _, cc := range caches {
+						cc.Access(pa, m.Write())
+					}
+				}
+				var r run
+				for _, cc := range caches {
+					r.rates = append(r.rates, cc.Stats().MissRate())
+				}
+				return r, nil
+			}
+			rc, err := vm.NewRecolorer(as, opts.L1Size, 24)
+			if err != nil {
+				return run{}, err
+			}
+			dm, err := specs[0].New(opts.L1Size, opts.LineBytes)
+			if err != nil {
+				return run{}, err
+			}
+			for _, m := range at.accs {
+				pa := as.Translate(m.Addr())
+				rc.Note(m.Addr(), pa)
+				if !dm.Access(pa, m.Write()).Hit {
+					rc.OnMiss(pa)
+				}
+			}
+			return run{rates: []float64{dm.Stats().MissRate()}, remaps: rc.Remaps}, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	for pi, p := range profiles {
+		phys, rc := runs[pi][0], runs[pi][1]
+		t.AddRow(p.Name,
+			pct(phys.rates[0]),
+			pct(rc.rates[0]),
+			fmt.Sprintf("%d", rc.remaps),
+			pct(phys.rates[1]),
+			pct(phys.rates[2]))
 	}
 	return []*Table{t}, nil
 }
@@ -289,37 +319,36 @@ func runXDrowsy(opts Opts) ([]*Table, error) {
 			"benchmark", "dm-drowsy", "bc-drowsy", "dm-static-factor", "bc-static-factor",
 		},
 	}
-	for _, name := range []string{"equake", "crafty", "art", "mcf", "gcc"} {
-		p, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		at, err := cachedData(opts, p)
-		if err != nil {
-			return nil, err
-		}
-		measure := func(c cache.Cache) (float64, error) {
-			d, err := stats.NewDrowsyTracker(c.Geometry().Frames, window)
+	profiles, err := profilesByName("equake", "crafty", "art", "mcf", "gcc")
+	if err != nil {
+		return nil, err
+	}
+	specs := dmBCSpecs()
+	runs, err := profileUnits(opts, "xdrowsy", profiles, specNames(specs),
+		func(p *workload.Profile, c int) (float64, error) {
+			at, err := cachedData(opts, p)
+			if err != nil {
+				return 0, err
+			}
+			cc, err := specs[c].New(opts.L1Size, opts.LineBytes)
+			if err != nil {
+				return 0, err
+			}
+			d, err := stats.NewDrowsyTracker(cc.Geometry().Frames, window)
 			if err != nil {
 				return 0, err
 			}
 			for _, m := range at.accs {
-				r := c.Access(m.Addr(), m.Write())
-				d.Touch(r.Frame)
+				d.Touch(cc.Access(m.Addr(), m.Write()).Frame)
 			}
 			return d.DrowsyFraction(), nil
-		}
-		dm, _ := cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
-		bc, _ := core.New(core.Config{SizeBytes: opts.L1Size, LineBytes: opts.LineBytes, MF: 8, BAS: 8, Policy: cache.LRU})
-		fDM, err := measure(dm)
-		if err != nil {
-			return nil, err
-		}
-		fBC, err := measure(bc)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(name, pct(fDM), pct(fBC),
+		})
+	if err != nil {
+		return nil, err
+	}
+	for pi, p := range profiles {
+		fDM, fBC := runs[pi][0], runs[pi][1]
+		t.AddRow(p.Name, pct(fDM), pct(fBC),
 			f3(energy.DrowsyStaticFactor(fDM)), f3(energy.DrowsyStaticFactor(fBC)))
 	}
 	return []*Table{t}, nil
@@ -345,16 +374,21 @@ func runX3C(opts Opts) ([]*Table, error) {
 			"benchmark", "cfg", "compulsory", "capacity", "conflict", "total-miss",
 		},
 	}
-	for _, name := range []string{"equake", "crafty", "gcc", "art", "mcf", "wupwise"} {
-		p, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		at, err := cachedData(opts, p)
-		if err != nil {
-			return nil, err
-		}
-		decompose := func(under cache.Cache) (threec.Counts, error) {
+	profiles, err := profilesByName("equake", "crafty", "gcc", "art", "mcf", "wupwise")
+	if err != nil {
+		return nil, err
+	}
+	specs := dmBCSpecs()
+	runs, err := profileUnits(opts, "x3c", profiles, specNames(specs),
+		func(p *workload.Profile, c int) (threec.Counts, error) {
+			at, err := cachedData(opts, p)
+			if err != nil {
+				return threec.Counts{}, err
+			}
+			under, err := specs[c].New(opts.L1Size, opts.LineBytes)
+			if err != nil {
+				return threec.Counts{}, err
+			}
 			cl, err := threec.New(under)
 			if err != nil {
 				return threec.Counts{}, err
@@ -363,28 +397,24 @@ func runX3C(opts Opts) ([]*Table, error) {
 				cl.Access(m.Addr(), m.Write())
 			}
 			return cl.Counts(), nil
-		}
-		dm, _ := cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
-		bc, _ := core.New(core.Config{SizeBytes: opts.L1Size, LineBytes: opts.LineBytes, MF: 8, BAS: 8, Policy: cache.LRU})
-		cDM, err := decompose(dm)
-		if err != nil {
-			return nil, err
-		}
-		cBC, err := decompose(bc)
-		if err != nil {
-			return nil, err
-		}
-		row := func(cfg string, c threec.Counts) {
-			n := float64(c.Accesses())
+		})
+	if err != nil {
+		return nil, err
+	}
+	for pi, p := range profiles {
+		for c, cfg := range []string{"dm", "bc"} {
+			counts := runs[pi][c]
+			name := p.Name
+			if c > 0 {
+				name = "" // only label the first row of the pair
+			}
+			n := float64(counts.Accesses())
 			t.AddRow(name, cfg,
-				pct(float64(c.Compulsory)/n),
-				pct(float64(c.Capacity)/n),
-				pct(float64(c.Conflict)/n),
-				pct(float64(c.Misses())/n))
-			name = "" // only label the first row of the pair
+				pct(float64(counts.Compulsory)/n),
+				pct(float64(counts.Capacity)/n),
+				pct(float64(counts.Conflict)/n),
+				pct(float64(counts.Misses())/n))
 		}
-		row("dm", cDM)
-		row("bc", cBC)
 	}
 	return []*Table{t}, nil
 }
@@ -465,17 +495,16 @@ func profilesByName(names ...string) ([]*workload.Profile, error) {
 // newL1Hierarchy builds cfg's hierarchy behind a pair of level-one
 // caches: direct-mapped, or the B-Cache at MF=8, BAS=8 when useBC.
 func newL1Hierarchy(opts Opts, useBC bool, cfg hier.Config) (*hier.Hierarchy, error) {
-	mk := func() (cache.Cache, error) {
-		if useBC {
-			return core.New(core.Config{SizeBytes: opts.L1Size, LineBytes: opts.LineBytes, MF: 8, BAS: 8, Policy: cache.LRU})
-		}
-		return cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
+	specs := dmBCSpecs()
+	spec := specs[0]
+	if useBC {
+		spec = specs[1]
 	}
-	ic, err := mk()
+	ic, err := spec.New(opts.L1Size, opts.LineBytes)
 	if err != nil {
 		return nil, err
 	}
-	dc, err := mk()
+	dc, err := spec.New(opts.L1Size, opts.LineBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -516,17 +545,7 @@ func runXL2(opts Opts) ([]*Table, error) {
 		},
 	}
 	cfg := hier.Defaults()
-	l2s := []func() (cache.Cache, error){
-		func() (cache.Cache, error) {
-			return cache.NewDirectMapped(cfg.L2Size, cfg.L2Line)
-		},
-		func() (cache.Cache, error) {
-			return core.New(core.Config{SizeBytes: cfg.L2Size, LineBytes: cfg.L2Line, MF: 8, BAS: 8, Policy: cache.LRU})
-		},
-		func() (cache.Cache, error) {
-			return cache.NewSetAssoc(cfg.L2Size, cfg.L2Line, cfg.L2Ways, cache.LRU, nil)
-		},
-	}
+	l2s := []Spec{baselineSpec(), bcacheSpec(8, 8, cache.LRU), setAssocSpec(cfg.L2Ways, 0)}
 	profiles, err := profilesByName("mcf", "gcc", "equake", "ammp")
 	if err != nil {
 		return nil, err
@@ -541,7 +560,7 @@ func runXL2(opts Opts) ([]*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			l2, err := l2s[c]()
+			l2, err := l2s[c].New(cfg.L2Size, cfg.L2Line)
 			if err != nil {
 				return 0, err
 			}

@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-
 	"bcache/internal/cache"
 	"bcache/internal/core"
 	"bcache/internal/workload"
@@ -27,11 +25,29 @@ func runFig3(opts Opts) ([]*Table, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
-	p, err := workload.ByName("wupwise")
+	profiles, err := profilesByName("wupwise")
 	if err != nil {
 		return nil, err
 	}
-	at, err := cachedData(opts, p)
+	var specs []Spec
+	for mf := 2; mf <= 512; mf *= 2 {
+		specs = append(specs, bcacheSpec(mf, 8, cache.LRU))
+	}
+	type run struct{ missRate, pdHitRate float64 }
+	runs, err := profileUnits(opts, "fig3", profiles, specNames(specs),
+		func(p *workload.Profile, c int) (run, error) {
+			at, err := cachedData(opts, p)
+			if err != nil {
+				return run{}, err
+			}
+			cc, err := specs[c].New(opts.L1Size, opts.LineBytes)
+			if err != nil {
+				return run{}, err
+			}
+			bc := cc.(*core.BCache)
+			replayData(at.accs, bc)
+			return run{bc.Stats().MissRate(), bc.PDStats().HitRateDuringMiss()}, nil
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -41,18 +57,8 @@ func runFig3(opts Opts) ([]*Table, error) {
 		Note:    "BAS=8, LRU; the sharp PD-hit-rate drop marks where MF exceeds the benchmark's tag-collision stride",
 		Headers: []string{"MF", "miss-rate", "pd-hit-rate"},
 	}
-	for mf := 2; mf <= 512; mf *= 2 {
-		bc, err := core.New(core.Config{
-			SizeBytes: opts.L1Size, LineBytes: opts.LineBytes,
-			MF: mf, BAS: 8, Policy: cache.LRU,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("MF=%d: %w", mf, err)
-		}
-		replayData(at.accs, bc)
-		t.AddRow(fmt.Sprintf("MF%d", mf),
-			pct(bc.Stats().MissRate()),
-			pct(bc.PDStats().HitRateDuringMiss()))
+	for c, s := range specs {
+		t.AddRow(s.Name, pct(runs[0][c].missRate), pct(runs[0][c].pdHitRate))
 	}
 	return []*Table{t}, nil
 }

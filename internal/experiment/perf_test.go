@@ -278,12 +278,12 @@ func TestRunUnitsCoversAll(t *testing.T) {
 func TestRunUnitsSurvivesFailure(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int32
-	err := runUnits(1000, 1, func(i int) error {
+	err := runUnitsCtl(1000, 1, unitOpts{}, func(i int) (func(), error) {
 		ran.Add(1)
 		if i == 3 {
-			return boom
+			return nil, boom
 		}
-		return nil
+		return nil, nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("error = %v, want %v", err, boom)
@@ -298,10 +298,10 @@ func TestRunUnitsSurvivesFailure(t *testing.T) {
 func TestRunUnitsJoinsConcurrentErrors(t *testing.T) {
 	var gate sync.WaitGroup
 	gate.Add(2)
-	err := runUnits(2, 2, func(i int) error {
+	err := runUnitsCtl(2, 2, unitOpts{}, func(i int) (func(), error) {
 		gate.Done()
 		gate.Wait() // both workers fail simultaneously
-		return fmt.Errorf("unit %d failed", i)
+		return nil, fmt.Errorf("unit %d failed", i)
 	})
 	if err == nil {
 		t.Fatal("no error returned")
@@ -328,20 +328,22 @@ func multiUnwrap(err error) []error {
 	return []error{err}
 }
 
-// TestForEachProfileWrapsName: errors carry the failing profile's name.
-func TestForEachProfileWrapsName(t *testing.T) {
-	profiles := workload.All()
+// TestProfileUnitsWrapsName: a failing unit's error names its
+// "<profile>/<config>", and the sibling units' results still arrive.
+func TestProfileUnitsWrapsName(t *testing.T) {
+	profiles := workload.All()[:3]
 	boom := errors.New("boom")
-	err := forEachProfile(profiles, 2, func(p *workload.Profile) error {
-		if p.Name == profiles[0].Name {
-			return boom
-		}
-		return nil
-	})
+	res, err := profileUnits(tinyOpts(), "test", profiles, []string{"a", "b"},
+		func(p *workload.Profile, c int) (int, error) {
+			if p.Name == profiles[1].Name && c == 1 {
+				return 0, boom
+			}
+			return c + 1, nil
+		})
 	if !errors.Is(err, boom) {
 		t.Fatalf("error = %v, want wrapped %v", err, boom)
 	}
-	want := profiles[0].Name + ": boom"
+	want := profiles[1].Name + "/b: boom"
 	found := false
 	for _, e := range multiUnwrap(err) {
 		if strings.Contains(e.Error(), want) {
@@ -349,6 +351,17 @@ func TestForEachProfileWrapsName(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("error %q does not name the failing profile (%q)", err, want)
+		t.Fatalf("error %q does not name the failing unit (%q)", err, want)
+	}
+	for pi := range profiles {
+		for c := 0; c < 2; c++ {
+			want := c + 1
+			if pi == 1 && c == 1 {
+				want = 0
+			}
+			if res[pi][c] != want {
+				t.Errorf("result [%d][%d] = %d, want %d", pi, c, res[pi][c], want)
+			}
+		}
 	}
 }

@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"bcache/internal/cache"
-	"bcache/internal/core"
 	"bcache/internal/stats"
 	"bcache/internal/workload"
 )
@@ -34,68 +32,45 @@ func runTable7(opts Opts) ([]*Table, error) {
 			"benchmark", "cfg", "fhs", "ch", "fms", "cm", "las", "tca",
 		},
 	}
-	type rowPair struct {
-		name   string
-		dm, bc stats.Balance
-	}
-	rows := make([]rowPair, len(all))
-	err := forEachProfile(all, opts.workers(), func(p *workload.Profile) error {
-		at, err := cachedData(opts, p)
-		if err != nil {
-			return err
-		}
-		dm, err := cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
-		if err != nil {
-			return err
-		}
-		bc, err := core.New(core.Config{
-			SizeBytes: opts.L1Size, LineBytes: opts.LineBytes,
-			MF: 8, BAS: 8, Policy: cache.LRU,
-		})
-		if err != nil {
-			return err
-		}
-		replayData(at.accs, dm)
-		replayData(at.accs, bc)
-		bdm, err := stats.Analyze(dm.Stats())
-		if err != nil {
-			return err
-		}
-		bbc, err := stats.Analyze(bc.Stats())
-		if err != nil {
-			return err
-		}
-		for i, q := range all {
-			if q.Name == p.Name {
-				rows[i] = rowPair{p.Name, bdm, bbc}
+	specs := dmBCSpecs()
+	rows, err := profileUnits(opts, "table7", all, specNames(specs),
+		func(p *workload.Profile, c int) (stats.Balance, error) {
+			at, err := cachedData(opts, p)
+			if err != nil {
+				return stats.Balance{}, err
 			}
-		}
-		return nil
-	})
+			cc, err := specs[c].New(opts.L1Size, opts.LineBytes)
+			if err != nil {
+				return stats.Balance{}, err
+			}
+			replayData(at.accs, cc)
+			return stats.Analyze(cc.Stats())
+		})
 	if err != nil {
 		return nil, err
 	}
 
-	var sumDM, sumBC stats.Balance
-	for _, r := range rows {
-		addBalance(&sumDM, r.dm)
-		addBalance(&sumBC, r.bc)
-		t.AddRow(r.name, "dm", pct(r.dm.FreqHitSets), pct(r.dm.HitsInFreqSets),
-			pct(r.dm.FreqMissSets), pct(r.dm.MissesInFreqSets),
-			pct(r.dm.LessAccessedSets), pct(r.dm.AccessesInLessSets))
-		t.AddRow("", "bc", pct(r.bc.FreqHitSets), pct(r.bc.HitsInFreqSets),
-			pct(r.bc.FreqMissSets), pct(r.bc.MissesInFreqSets),
-			pct(r.bc.LessAccessedSets), pct(r.bc.AccessesInLessSets))
+	row := func(name, cfg string, b stats.Balance) {
+		t.AddRow(name, cfg, pct(b.FreqHitSets), pct(b.HitsInFreqSets),
+			pct(b.FreqMissSets), pct(b.MissesInFreqSets),
+			pct(b.LessAccessedSets), pct(b.AccessesInLessSets))
 	}
-	n := float64(len(rows))
-	scaleBalance(&sumDM, 1/n)
-	scaleBalance(&sumBC, 1/n)
-	t.AddRow("Ave", "dm", pct(sumDM.FreqHitSets), pct(sumDM.HitsInFreqSets),
-		pct(sumDM.FreqMissSets), pct(sumDM.MissesInFreqSets),
-		pct(sumDM.LessAccessedSets), pct(sumDM.AccessesInLessSets))
-	t.AddRow("", "bc", pct(sumBC.FreqHitSets), pct(sumBC.HitsInFreqSets),
-		pct(sumBC.FreqMissSets), pct(sumBC.MissesInFreqSets),
-		pct(sumBC.LessAccessedSets), pct(sumBC.AccessesInLessSets))
+	cfgs := []string{"dm", "bc"}
+	sums := make([]stats.Balance, len(cfgs))
+	for pi, p := range all {
+		name := p.Name
+		for c, cfg := range cfgs {
+			addBalance(&sums[c], rows[pi][c])
+			row(name, cfg, rows[pi][c])
+			name = "" // only label the first row of the pair
+		}
+	}
+	name := "Ave"
+	for c, cfg := range cfgs {
+		scaleBalance(&sums[c], 1/float64(len(all)))
+		row(name, cfg, sums[c])
+		name = ""
+	}
 	return []*Table{t}, nil
 }
 

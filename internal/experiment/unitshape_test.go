@@ -1,0 +1,107 @@
+package experiment
+
+import (
+	"bytes"
+	"sort"
+	"testing"
+
+	"bcache/internal/obs/tracespan"
+)
+
+// profileUnitExperiments schedule every simulation through profileUnits.
+var profileUnitExperiments = []string{"fig3", "table7", "x3c", "xdrowsy", "xrecolor", "xrelated", "xvipt"}
+
+// runCSV runs experiment id and returns its tables as CSV.
+func runCSV(t *testing.T, id string, opts Opts) []byte {
+	t.Helper()
+	e, err := ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, err := e.Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	for _, tb := range tables {
+		if err := tb.WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Bytes()
+}
+
+// TestProfileUnitsWorkerInvariant: results are reduced from the
+// [profile][config] grid after the run, so the worker count (and with it
+// the unit completion order) cannot reach the output.
+func TestProfileUnitsWorkerInvariant(t *testing.T) {
+	for _, id := range profileUnitExperiments {
+		t.Run(id, func(t *testing.T) {
+			one, four := tinyOpts(), tinyOpts()
+			one.Workers, four.Workers = 1, 4
+			a, b := runCSV(t, id, one), runCSV(t, id, four)
+			if !bytes.Equal(a, b) {
+				t.Fatalf("CSV differs between 1 and 4 workers\n1: %s\n4: %s", a, b)
+			}
+		})
+	}
+}
+
+// TestNoTraceAccessOutsideUnits: every registered experiment reads its
+// traces from inside scheduled units, so no simulation runs serially
+// outside the scheduler's deadline, retry and timing coverage. Each
+// trace-cache event must start within some unit span. Not parallel: the
+// telemetry hub is process-global.
+func TestNoTraceAccessOutsideUnits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full registry sweep is slow")
+	}
+	ResetTraceCache()
+	defer ResetTraceCache()
+	ResetUnitMemo()
+	tel := NewTelemetry(1<<20, nil)
+	SetTelemetry(tel)
+	defer SetTelemetry(nil)
+
+	opts := tinyOpts()
+	opts.Workers = 2
+	for _, e := range All() {
+		if _, err := e.Run(opts); err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+	}
+	j := tel.Journal()
+	if j.Dropped() > 0 {
+		t.Fatalf("journal dropped %d spans; raise its capacity", j.Dropped())
+	}
+
+	type span struct{ start, end int64 }
+	var units []span
+	var traces []tracespan.Span
+	for _, s := range j.Snapshot() {
+		switch s.Kind {
+		case tracespan.KindUnit:
+			units = append(units, span{s.StartUnixNano, s.StartUnixNano + s.DurNanos})
+		case tracespan.KindTraceBuild, tracespan.KindTraceHit, tracespan.KindTraceReload:
+			traces = append(traces, s)
+		}
+	}
+	if len(traces) == 0 {
+		t.Fatal("no trace-cache spans recorded")
+	}
+	// maxEnd[i] is the latest end among the i+1 earliest-starting units.
+	sort.Slice(units, func(a, b int) bool { return units[a].start < units[b].start })
+	maxEnd := make([]int64, len(units))
+	for i, u := range units {
+		maxEnd[i] = u.end
+		if i > 0 && maxEnd[i-1] > u.end {
+			maxEnd[i] = maxEnd[i-1]
+		}
+	}
+	for _, s := range traces {
+		i := sort.Search(len(units), func(i int) bool { return units[i].start > s.StartUnixNano }) - 1
+		if i < 0 || maxEnd[i] < s.StartUnixNano {
+			t.Errorf("%s %q starts outside every unit span", s.Kind, s.Name)
+		}
+	}
+}
