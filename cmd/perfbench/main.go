@@ -49,11 +49,6 @@ const (
 	// regressLimit is the tolerated fractional accesses/sec loss per
 	// kernel in -compare mode.
 	regressLimit = 0.15
-	// memBudgetBytes is the resident trace-cache budget the full suite
-	// must stay under — the `make mem-ceiling` gate. It matches the
-	// default cache budget plus headroom for one in-flight record trace
-	// (see internal/experiment defaultTraceBytes).
-	memBudgetBytes = 256 << 20
 )
 
 // KernelResult is one kernel's raw replay throughput.
@@ -73,8 +68,7 @@ type SuiteResult struct {
 	TraceHits    uint64  `json:"traceCacheHits"`
 	TraceMisses  uint64  `json:"traceCacheMisses"`
 	// TraceBytes is the resident high-water mark of the in-memory trace
-	// cache across the pass — the number the 256 MB memory ceiling
-	// (`make mem-ceiling`) gates on.
+	// cache across the pass.
 	TraceBytes int64 `json:"traceCacheBytes"`
 	// TraceSpillBytes is what the spill tier held on disk when the pass
 	// finished.
@@ -172,17 +166,8 @@ func main() {
 		kn      = flag.Uint64("kernel-accesses", 50_000_000, "accesses per kernel throughput run")
 		outPath = flag.String("o", "BENCH_perf.json", "output file")
 		cmpPath = flag.String("compare", "", "compare kernel throughput against this baseline instead of writing one")
-		memPath = flag.String("mem-ceiling", "", "check the suite's resident trace-cache peak recorded in this baseline against the memory budget; runs nothing")
 	)
 	flag.Parse()
-
-	if *memPath != "" {
-		if err := checkMemCeiling(*memPath); err != nil {
-			fmt.Fprintln(os.Stderr, "perfbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	doc := Baseline{SchemaVersion: schemaVersion}
 	for _, cfg := range configs {
@@ -230,32 +215,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %s\n", *outPath)
-}
-
-// checkMemCeiling verifies that the committed baseline's suite pass kept
-// the trace cache's resident high-water mark under memBudgetBytes. It
-// reads the document only — the expensive suite pass already ran when
-// the baseline was regenerated, and the recorded peak is deterministic
-// for a given tree, so re-running it in CI would buy nothing.
-func checkMemCeiling(path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base Baseline
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if base.Suite.TraceBytes == 0 {
-		return fmt.Errorf("%s: no suite pass recorded (suite.traceCacheBytes is 0); regenerate with `make bench-perf-json`", path)
-	}
-	if base.Suite.TraceBytes > memBudgetBytes {
-		return fmt.Errorf("suite resident trace-cache peak %d MB exceeds the %d MB budget (%s); retune the eviction tiers or -trace-cache-bytes",
-			base.Suite.TraceBytes>>20, int64(memBudgetBytes)>>20, path)
-	}
-	fmt.Printf("suite resident trace-cache peak %d MB within the %d MB budget (%s)\n",
-		base.Suite.TraceBytes>>20, int64(memBudgetBytes)>>20, path)
-	return nil
 }
 
 // compareKernels checks fresh kernel results against the committed

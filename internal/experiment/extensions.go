@@ -512,12 +512,12 @@ func newL1Hierarchy(opts Opts, useBC bool, cfg hier.Config) (*hier.Hierarchy, er
 }
 
 // runRecords runs p's cached record trace through the CPU model on h.
+// Call it from a profileUnits unit, whose group end retires the trace.
 func runRecords(opts Opts, p *workload.Profile, h *hier.Hierarchy, cfg cpu.Config) (cpu.Result, error) {
-	rt, release, err := cachedRecords(opts, p)
+	rt, err := cachedRecords(opts, p)
 	if err != nil {
 		return cpu.Result{}, err
 	}
-	defer release()
 	return cpu.Run(trace.NewSliceStream(rt.recs), h, cfg, opts.Instructions)
 }
 

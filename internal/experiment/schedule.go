@@ -88,6 +88,12 @@ type unitOpts struct {
 	// It is derived from the caller's job layout, never from user input:
 	// see groupQueue for how it changes the claim order.
 	Group int
+	// GroupDone, if set, runs once per group g after the last of its
+	// units returns — committed, failed, panicked or abandoned past its
+	// deadline — on the worker that ran that unit. A group with a unit
+	// left unclaimed by a stop request never completes, so its hook
+	// never runs.
+	GroupDone func(g int)
 }
 
 func (o unitOpts) backoff() time.Duration {
@@ -123,6 +129,7 @@ type groupQueue struct {
 	n, size, groups int
 	started         atomic.Int64   // groups handed to a first worker
 	taken           []atomic.Int64 // per group: claim attempts made
+	returned        []atomic.Int64 // per group: units returned
 	claimed         atomic.Int64   // units handed out in total
 }
 
@@ -131,8 +138,13 @@ func newGroupQueue(n, size int) *groupQueue {
 		size = 1
 	}
 	groups := (n + size - 1) / size
-	return &groupQueue{n: n, size: size, groups: groups, taken: make([]atomic.Int64, groups)}
+	return &groupQueue{n: n, size: size, groups: groups,
+		taken: make([]atomic.Int64, groups), returned: make([]atomic.Int64, groups)}
 }
+
+// groupSize is the number of units in group g; only the last group may
+// be short.
+func (q *groupQueue) groupSize(g int) int { return min(q.size, q.n-g*q.size) }
 
 // claim returns the next unit for a worker whose current group is *g
 // (-1 before its first claim), updating *g to the unit's group.
@@ -163,8 +175,7 @@ func (q *groupQueue) claim(g *int) (int, bool) {
 
 // take claims the next unit of group g, if any is left.
 func (q *groupQueue) take(g int) (int, bool) {
-	lo := g * q.size
-	size := min(q.size, q.n-lo)
+	lo, size := g*q.size, q.groupSize(g)
 	if q.taken[g].Load() >= int64(size) {
 		return 0, false
 	}
@@ -174,6 +185,13 @@ func (q *groupQueue) take(g int) (int, bool) {
 	}
 	q.claimed.Add(1)
 	return lo + k, true
+}
+
+// done records that unit i returned and reports whether it was the last
+// of its group to do so, and which group that is.
+func (q *groupQueue) done(i int) (g int, last bool) {
+	g = i / q.size
+	return g, q.returned[g].Add(1) == int64(q.groupSize(g))
 }
 
 // runUnitsCtl executes fn(i) for every i in [0, n) on up to workers
@@ -225,6 +243,9 @@ func runUnitsCtl(n, workers int, o unitOpts, fn func(int) (func(), error)) error
 				tel.unitClaimed()
 				err := runOneUnit(w, i, o, tel, fn)
 				tel.unitReleased()
+				if done, last := q.done(i); last && o.GroupDone != nil {
+					o.GroupDone(done)
+				}
 				if err != nil {
 					tel.unitFailed()
 					mu.Lock()
@@ -338,7 +359,9 @@ func protectUnit(i int, fn func(int) (func(), error)) (commit func(), err error)
 // profileUnits runs fn for every (profile, config) pair as its own work
 // unit under opts' deadline and retry bounds, grouped by profile so a
 // profile's configs share one trace, and returns the results indexed
-// [profile][config]. Unit labels read "<id>/<profile>/<config>".
+// [profile][config]. Unit labels read "<id>/<profile>/<config>". When a
+// profile's group finishes, its record trace retires (retireRecords):
+// record traces live only as long as the group that built them.
 func profileUnits[R any](opts Opts, id string, profiles []*workload.Profile, configs []string,
 	fn func(p *workload.Profile, c int) (R, error)) ([][]R, error) {
 	nc := len(configs)
@@ -353,6 +376,7 @@ func profileUnits[R any](opts Opts, id string, profiles []*workload.Profile, con
 		Label: func(i int) string {
 			return fmt.Sprintf("%s/%s/%s", id, profiles[i/nc].Name, configs[i%nc])
 		},
+		GroupDone: func(g int) { retireRecords(opts, profiles[g]) },
 	}
 	err := runUnitsCtl(len(profiles)*nc, opts.workers(), uo, func(i int) (func(), error) {
 		pi, c := i/nc, i%nc

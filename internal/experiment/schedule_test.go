@@ -206,3 +206,140 @@ func TestRunUnitsErrorCapElides(t *testing.T) {
 		t.Errorf("cap note missing from: %v", err)
 	}
 }
+
+// TestRunUnitsGroupDone: the group-completion hook fires exactly once per
+// group, only after every unit of the group has returned, whoever ran
+// those units and however they ended; a group a stop request left
+// unfinished never fires.
+func TestRunUnitsGroupDone(t *testing.T) {
+	defer ResetStop()
+	release := make(chan struct{})
+	defer close(release)
+	once := func(int) int { return 1 }
+	for _, tc := range []struct {
+		name              string
+		n, group, workers int
+		o                 unitOpts
+		// unit runs attempt k (from 0) of unit i; claims counts the
+		// units claimed so far, this one included.
+		unit func(i, k, claims int) error
+		// attempts is how many attempts of unit i run to completion
+		// (an attempt abandoned past its deadline does not).
+		attempts func(i int) int
+	}{
+		{name: "ragged last group", n: 10, group: 4, workers: 2,
+			unit: func(i, k, claims int) error { return nil }, attempts: once},
+		{name: "two workers finish one group", n: 4, group: 4, workers: 2,
+			unit: func() func(i, k, claims int) error {
+				var tail sync.WaitGroup
+				tail.Add(2)
+				return func(i, k, claims int) error {
+					if claims > 2 {
+						// The last two units are in flight at once, so
+						// the two workers each return one of them.
+						tail.Done()
+						tail.Wait()
+					}
+					return nil
+				}
+			}(), attempts: once},
+		{name: "panicking unit", n: 6, group: 3, workers: 2,
+			unit: func(i, k, claims int) error {
+				if i == 1 {
+					panic("boom")
+				}
+				return nil
+			}, attempts: once},
+		{name: "transient retry", n: 6, group: 3, workers: 2,
+			o: unitOpts{Retries: 1, Backoff: time.Millisecond},
+			unit: func(i, k, claims int) error {
+				if i == 4 && k == 0 {
+					return fmt.Errorf("flaky: %w", ErrTransient)
+				}
+				return nil
+			}, attempts: func(i int) int { return 1 + btoi(i == 4) }},
+		{name: "timeout retry", n: 6, group: 3, workers: 2,
+			o: unitOpts{Retries: 1, Backoff: time.Millisecond, Timeout: 20 * time.Millisecond},
+			unit: func(i, k, claims int) error {
+				if i == 2 && k == 0 {
+					<-release // abandoned; the retry completes the group
+				}
+				return nil
+			}, attempts: once},
+		{name: "stop request", n: 32, group: 4, workers: 2,
+			unit: func(i, k, claims int) error {
+				if claims == 3 {
+					RequestStop()
+				}
+				time.Sleep(time.Millisecond)
+				return nil
+			}, attempts: once},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ResetStop()
+			var (
+				mu     sync.Mutex
+				claims int
+				tries  = make([]int, tc.n)
+				ended  = make([]int, tc.n)
+				fired  = make([]int, (tc.n+tc.group-1)/tc.group)
+			)
+			units := func(g int) (lo, hi int) { return g * tc.group, min((g+1)*tc.group, tc.n) }
+			o := tc.o
+			o.Group = tc.group
+			o.GroupDone = func(g int) {
+				mu.Lock()
+				defer mu.Unlock()
+				fired[g]++
+				lo, hi := units(g)
+				for i := lo; i < hi; i++ {
+					if ended[i] != tc.attempts(i) {
+						t.Errorf("group %d fired with unit %d at %d of %d attempts", g, i, ended[i], tc.attempts(i))
+					}
+				}
+			}
+			runUnitsCtl(tc.n, tc.workers, o, func(i int) (func(), error) {
+				mu.Lock()
+				k := tries[i]
+				tries[i]++
+				if k == 0 {
+					claims++
+				}
+				c := claims
+				mu.Unlock()
+				defer func() {
+					mu.Lock()
+					ended[i]++
+					mu.Unlock()
+				}()
+				return nil, tc.unit(i, k, c)
+			})
+			mu.Lock()
+			defer mu.Unlock()
+			unclaimed := 0
+			for g := range fired {
+				lo, hi := units(g)
+				complete := true
+				for i := lo; i < hi; i++ {
+					complete = complete && ended[i] == tc.attempts(i)
+					if tries[i] == 0 && i == lo {
+						unclaimed++
+					}
+				}
+				if want := btoi(complete); fired[g] != want {
+					t.Errorf("group %d fired %d times, want %d", g, fired[g], want)
+				}
+			}
+			if stopped := Stopped(); stopped != (unclaimed > 0) {
+				t.Errorf("stop requested %v, but %d groups left unclaimed", stopped, unclaimed)
+			}
+		})
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}

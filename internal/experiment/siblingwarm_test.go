@@ -77,65 +77,6 @@ func TestSiblingWarmingMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestSiblingFromSpilledRecords: under a starvation budget, publishing
-// the data sibling of a fetch build evicts and spills the record trace
-// both streams were extracted from. Once the CPU model's request has
-// reloaded the record trace, a fetch at a new line size extracts from
-// the decoded copy. The extracted stream must still match the oracle,
-// and the byproduct for an already-spilled sibling must be dropped,
-// not double-published.
-func TestSiblingFromSpilledRecords(t *testing.T) {
-	ResetTraceCache()
-	defer ResetTraceCache()
-	opts := siblingOpts()
-	opts.TraceBytes = 1 // evict-everything pressure; > 0 keeps the cache on
-	p := mustProfile(t, "equake")
-
-	mustRecords(t, opts, p)
-	if _, err := cachedFetch(opts, p); err != nil {
-		t.Fatal(err)
-	}
-	sharedTraces.mu.Lock()
-	recordsSpilled := sharedTraces.spilled[recordTraceKey(opts, p)] != nil
-	sharedTraces.mu.Unlock()
-	if !recordsSpilled {
-		t.Fatalf("starvation budget did not spill the record trace: %+v", TraceCacheStats())
-	}
-	mustRecords(t, opts, p)
-
-	wide := opts
-	wide.LineBytes = 64
-	wantData, wantFetch := oracleStreams(t, p, wide)
-	before := TraceCacheStats()
-	ft, err := cachedFetch(wide, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ft.pcs, wantFetch.pcs) {
-		t.Fatal("fetch stream extracted from spilled records diverges from materialize")
-	}
-	c := TraceCacheStats()
-	if c.Reloads == 0 {
-		t.Fatalf("the record trace was never reloaded from its spill file: %+v", c)
-	}
-	if c.Generations != 1 {
-		t.Fatalf("generator ran %d times; the spill file should have fed the extraction", c.Generations)
-	}
-	// Only the record trace makes room for the new fetch entry; a
-	// published data sibling would have been evicted too.
-	if got := c.Evictions - before.Evictions; got != 1 {
-		t.Fatalf("%d evictions; the spilled data sibling was published again", got)
-	}
-
-	dt, err := cachedData(wide, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(dt.accs, wantData.accs) {
-		t.Fatal("data stream reloaded from spill diverges from materialize")
-	}
-}
-
 // TestSiblingWarmingConcurrent races byproduct publications against
 // in-flight gets: for each profile, data and fetch requests run
 // concurrently from several goroutines, so putIfAbsent lands while the

@@ -34,43 +34,41 @@ import (
 //     instructions, line bytes) — consecutive same-line PCs collapse,
 //     so this is the one stream a line-size sweep re-derives.
 //
+// A record trace — 48 MB at DefaultOpts, 24 bytes per instruction
+// against the streams' ~4.7 — lives only for its profileUnits trace
+// group: built by the group's first unit, shared by the rest, and
+// dropped by retireRecords when the last one returns. It is never
+// evicted or spilled. Streams live until budget pressure evicts them.
+//
 // A stream miss builds BOTH sides and publishes the sibling as a
 // byproduct (putIfAbsent). If the record trace is resident it extracts
 // the streams from it; otherwise the generator runs straight into the
-// two streams. So a record trace — 48 MB at DefaultOpts, 24 bytes per
-// instruction against the streams' ~4.7, and nearly as expensive to
-// decode from a spill file as to regenerate — is never built, spilled
-// or reloaded just to derive streams.
+// two streams. So a record trace is never built just to derive streams.
 //
 // Entries are built once under a singleflight channel — duplicate
 // requesters block on the first builder — and when the byte budget is
-// exceeded, entries are spilled to checksummed on-disk V2 trace files
-// instead of being discarded: a later request decodes the spill file
-// (verifying the build-time FNV checksum; a corrupt file is deleted and
-// the entry rebuilt) rather than re-running the generator. Record
-// traces are evicted before stream payloads regardless of recency —
-// they are the cheapest tier to lose (see evictLocked). Spilled-but-
-// reloaded entries keep their file, so re-evicting them costs nothing.
-// Evicted traces stay usable by anyone already holding the pointer;
-// payloads are immutable after build.
+// exceeded, the least recently used streams are spilled to checksummed
+// on-disk V2 trace files instead of being discarded: a later request
+// decodes the spill file (verifying the build-time FNV checksum; a
+// corrupt file is deleted and the entry rebuilt) rather than re-running
+// the generator. Spilled-but-reloaded entries keep their file, so
+// re-evicting them costs nothing. Evicted traces stay usable by anyone
+// already holding the pointer; payloads are immutable after build.
 //
-// The budget bounds cache-RESIDENT bytes, and eviction makes room
-// BEFORE a new entry is accounted, so the resident high-water mark
-// (PeakBytes) stays at or below the budget whenever enough completed,
-// unpinned entries exist to evict. A record trace is pinned while a
-// CPU-model unit runs on it (cachedRecords), because concurrent trace
-// groups each hold one and evicting it mid-group only forces a rebuild.
-// Units replaying a stream hold their own pointer for the duration, so
-// transient process RSS can still exceed the budget by the working set
-// of in-flight units.
+// The budget bounds cache-RESIDENT bytes, record traces included, and
+// eviction makes room BEFORE a new entry is accounted, so the resident
+// high-water mark (PeakBytes) stays at or below the budget whenever
+// enough completed streams exist to evict. Units replaying a stream
+// hold their own pointer for the duration, so transient process RSS can
+// still exceed the budget by the working set of in-flight units.
 
 // defaultTraceBytes bounds the shared cache when Opts does not say
 // otherwise. At DefaultOpts the full suite's steady working set is
 // every profile's data stream (~4.4 MB each) plus its 32-byte-line
-// fetch stream (~2.5 MB each) plus one resident record trace (~48 MB);
-// 232 MiB holds all of that with a little headroom. Each further worker
-// running a CPU-model trace group pins one more record trace, which
-// pushes the least recently used streams out to spill files.
+// fetch stream (~2.5 MB each), about 180 MB; 232 MiB holds that beside
+// one CPU-model trace group's record trace (~48 MB). Each further
+// concurrent group's record trace pushes the least recently used
+// streams out to spill files.
 const defaultTraceBytes = 232 << 20
 
 // payloadKind discriminates the three cached stream representations.
@@ -104,6 +102,13 @@ func (k traceKey) String() string {
 // Implementations are immutable after build.
 type payload interface {
 	sizeBytes() int64
+}
+
+// spillable is a payload that budget eviction may write to disk: the two
+// address streams. Record traces are group-scoped (retireRecords) and
+// never spill, so they do not implement it.
+type spillable interface {
+	payload
 	checksum() uint64
 	// spillRecords writes the payload as a V2 record stream; the
 	// matching loader reverses it exactly (verified by checksum).
@@ -120,10 +125,16 @@ type traceEntry struct {
 	err     error
 	size    int64
 	lastUse uint64
-	// pins counts callers holding the payload across a long computation
-	// (see cachedRecords). A pinned entry is not evicted: that would free
-	// nothing, and the next request would rebuild or reload a second copy.
-	pins int
+}
+
+// built reports whether the entry's build has finished and succeeded.
+func (e *traceEntry) built() bool {
+	select {
+	case <-e.ready:
+		return e.err == nil
+	default:
+		return false
+	}
 }
 
 // spillSlot is one on-disk entry of the spill index. verified is set
@@ -349,7 +360,8 @@ func loadFetchTrace(r *trace.CompressedReader, name string) (*fetchTrace, error)
 
 // recordTrace is the raw generator output for one (profile, seed, n):
 // the stream the timed CPU model consumes and address streams are
-// extracted from. Immutable after build.
+// extracted from. Immutable after build; resident only while its trace
+// group runs.
 type recordTrace struct {
 	name string
 	recs []trace.Record
@@ -360,39 +372,6 @@ type recordTrace struct {
 const recordBytes = 24
 
 func (rt *recordTrace) sizeBytes() int64 { return int64(cap(rt.recs)) * recordBytes }
-
-func (rt *recordTrace) checksum() uint64 {
-	h := uint64(fnvOffset)
-	h = fnvWord(h, uint64(len(rt.recs)))
-	for _, r := range rt.recs {
-		h = fnvWord(h, uint64(r.PC))
-		h = fnvWord(h, uint64(r.Mem))
-		h = fnvWord(h, uint64(r.Kind)|uint64(r.Src1)<<8|uint64(r.Src2)<<16|
-			uint64(r.Dst)<<24|uint64(r.Lat)<<32)
-	}
-	return h
-}
-
-func (rt *recordTrace) spillRecords(w *trace.CompressedWriter) error {
-	for _, r := range rt.recs {
-		if err := w.Write(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func loadRecordTrace(r *trace.CompressedReader, name string) (*recordTrace, error) {
-	rt := &recordTrace{name: name, recs: make([]trace.Record, 0, r.Remaining())}
-	for {
-		rec, ok := r.Next()
-		if !ok {
-			break
-		}
-		rt.recs = append(rt.recs, rec)
-	}
-	return rt, r.Err()
-}
 
 // generateRecords runs the workload generator for exactly n records —
 // the same count materialize and the timed CPU model consume, so a
@@ -533,19 +512,16 @@ func extractFetch(rt *recordTrace, lineBytes int) *fetchTrace {
 // Lookup order: memory (free), spill file (decode, plus a checksum
 // verify on the slot's first reload), build. A corrupt spill file is
 // deleted, counted under Rebuilds, and the entry rebuilt from scratch.
-// With pin set, a successful get pins the entry until unpin.
-func (tc *traceCache) get(key traceKey, budget int64, pin bool,
+// load is nil for record traces, which never spill.
+func (tc *traceCache) get(key traceKey, budget int64,
 	build func() (payload, error),
-	load func(*trace.CompressedReader) (payload, error)) (payload, error) {
+	load func(*trace.CompressedReader) (spillable, error)) (payload, error) {
 	tel := CurrentTelemetry()
 	tc.mu.Lock()
 	if e, ok := tc.entries[key]; ok {
 		tc.ticks++
 		e.lastUse = tc.ticks
 		tc.c.Hits++
-		if pin {
-			e.pins++
-		}
 		used := tc.used
 		tc.mu.Unlock()
 		<-e.ready
@@ -553,9 +529,6 @@ func (tc *traceCache) get(key traceKey, budget int64, pin bool,
 		return e.val, e.err
 	}
 	e := &traceEntry{ready: make(chan struct{})}
-	if pin {
-		e.pins = 1
-	}
 	tc.ticks++
 	e.lastUse = tc.ticks
 	tc.entries[key] = e
@@ -630,31 +603,13 @@ func (tc *traceCache) get(key traceKey, budget int64, pin bool,
 	return val, err
 }
 
-// unpin releases a pin that get took on key's entry holding val. An
-// entry dropped or replaced since (ResetTraceCache) is left alone.
-func (tc *traceCache) unpin(key traceKey, val payload) {
-	tc.mu.Lock()
-	if e := tc.entries[key]; e != nil && e.val == val && e.pins > 0 {
-		e.pins--
-	}
-	tc.mu.Unlock()
-}
-
 // resident returns key's payload when it is built and in memory,
 // counting a hit. It never waits for an in-flight build, reloads a
 // spill file or builds, so it returns false in every other case.
 func (tc *traceCache) resident(key traceKey) (payload, bool) {
 	tc.mu.Lock()
-	e, ok := tc.entries[key]
-	if ok {
-		select {
-		case <-e.ready:
-			ok = e.err == nil
-		default:
-			ok = false
-		}
-	}
-	if !ok {
+	e := tc.entries[key]
+	if e == nil || !e.built() {
 		tc.mu.Unlock()
 		return nil, false
 	}
@@ -697,56 +652,59 @@ func (tc *traceCache) putIfAbsent(key traceKey, val payload, budget int64) {
 	tc.spill(victims, CurrentTelemetry())
 }
 
+// retire drops key's built entry without spilling it and returns its
+// payload. An entry still building or failed is left alone.
+func (tc *traceCache) retire(key traceKey) (payload, bool) {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	e := tc.entries[key]
+	if e == nil || !e.built() {
+		return nil, false
+	}
+	delete(tc.entries, key)
+	tc.used -= e.size
+	return e.val, true
+}
+
+// has reports whether key is resident, in flight, or spilled.
+func (tc *traceCache) has(key traceKey) bool {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	return tc.entries[key] != nil || tc.spilled[key] != nil
+}
+
 // spillJob carries one evicted entry out of the lock for writing.
 type spillJob struct {
 	key traceKey
-	val payload
+	val spillable
 }
 
-// evictLocked drops completed entries (never keep, never ones still
-// building or pinned) until used fits budget, returning the ones that
-// need a spill file written. Record traces are chosen before stream payloads
-// regardless of recency: decoding a spilled record trace costs about as
-// much as regenerating it, so it is the cheapest tier to lose, and the
-// much smaller extracted streams — the entries the replay loops
-// actually reuse — stay resident. Within a tier the choice is LRU. The
-// entry count is small — a few per (benchmark, seed) — so a linear
-// minimum scan is fine.
+// evictLocked drops the least recently used built streams (never keep)
+// until used fits budget, returning the ones that need a spill file
+// written. Record traces are not spillable, so never chosen: only
+// their group's end retires them. The entry count is small — a few per
+// (benchmark, seed) — so a linear minimum scan is fine.
 func (tc *traceCache) evictLocked(keep traceKey, budget int64) []spillJob {
 	var jobs []spillJob
 	for tc.used > budget {
 		var victim traceKey
-		var oldest uint64
-		found, foundRecords := false, false
+		var ve *traceEntry
 		for k, e := range tc.entries {
-			if k == keep || e.pins > 0 {
+			if k == keep || (ve != nil && e.lastUse >= ve.lastUse) || !e.built() {
 				continue
 			}
-			select {
-			case <-e.ready:
-			default:
-				continue // still building; owner will account for it
+			if _, ok := e.val.(spillable); ok {
+				victim, ve = k, e
 			}
-			isRecords := k.kind == kindRecords
-			switch {
-			case !found, isRecords && !foundRecords:
-				// First candidate, or first record trace seen.
-			case isRecords == foundRecords && e.lastUse < oldest:
-				// Same tier, older.
-			default:
-				continue
-			}
-			victim, oldest, found, foundRecords = k, e.lastUse, true, isRecords
 		}
-		if !found {
+		if ve == nil {
 			return jobs
 		}
-		e := tc.entries[victim]
-		tc.used -= e.size
+		tc.used -= ve.size
 		delete(tc.entries, victim)
 		tc.c.Evictions++
 		if tc.spilled[victim] == nil {
-			jobs = append(jobs, spillJob{key: victim, val: e.val})
+			jobs = append(jobs, spillJob{key: victim, val: ve.val.(spillable)})
 		}
 	}
 	return jobs
@@ -812,7 +770,7 @@ func (tc *traceCache) spill(jobs []spillJob, tel *Telemetry) {
 }
 
 // writeSpill encodes val into a V2 trace file and reports its size.
-func writeSpill(path string, val payload) (int64, error) {
+func writeSpill(path string, val spillable) (int64, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, err
@@ -841,7 +799,7 @@ func writeSpill(path string, val payload) (int64, error) {
 // reloadSpill decodes one spill file; when verify is set it also checks
 // the content against the build-time checksum (the slot's first reload
 // — see spillSlot.verified).
-func reloadSpill(slot *spillSlot, load func(*trace.CompressedReader) (payload, error), verify bool) (payload, error) {
+func reloadSpill(slot *spillSlot, load func(*trace.CompressedReader) (spillable, error), verify bool) (spillable, error) {
 	f, err := os.Open(slot.path)
 	if err != nil {
 		return nil, err
@@ -883,33 +841,48 @@ func (tc *traceCache) countGeneration() {
 }
 
 // cachedRecords returns the generator output for (p, seed, n), running
-// the generator at most once per key across the whole process. Only the
-// timed CPU model needs whole records; stream consumers go through
-// cachedData/cachedFetch, which never build one.
-//
-// The entry stays pinned until the caller runs release: concurrent
-// trace groups each replay their own record trace, and evicting one
-// mid-group would only make its next unit rebuild it.
-func cachedRecords(opts Opts, p *workload.Profile) (rt *recordTrace, release func(), err error) {
+// the generator once per trace group. Only the timed CPU model needs
+// whole records; stream consumers go through cachedData/cachedFetch,
+// which never build one. Call it only from a profileUnits unit, whose
+// group end retires the entry (retireRecords).
+func cachedRecords(opts Opts, p *workload.Profile) (*recordTrace, error) {
 	budget := opts.traceBudget()
 	if budget <= 0 {
 		sharedTraces.countGeneration()
-		rt, err = generateRecords(p, opts.Instructions)
-		return rt, func() {}, err
+		return generateRecords(p, opts.Instructions)
 	}
-	key := recordTraceKey(opts, p)
-	val, err := sharedTraces.get(key, budget, true,
+	val, err := sharedTraces.get(recordTraceKey(opts, p), budget,
 		func() (payload, error) {
 			sharedTraces.countGeneration()
 			return generateRecords(p, opts.Instructions)
-		},
-		func(r *trace.CompressedReader) (payload, error) {
-			return loadRecordTrace(r, p.Name)
-		})
+		}, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return val.(*recordTrace), func() { sharedTraces.unpin(key, val) }, nil
+	return val.(*recordTrace), nil
+}
+
+// retireRecords ends the residency of p's record trace once its trace
+// group is done. Later stream requests for p can no longer extract from
+// it, so its data stream and opts.LineBytes fetch stream are published
+// from it when absent; the record trace itself is dropped, never
+// spilled.
+func retireRecords(opts Opts, p *workload.Profile) {
+	budget := opts.traceBudget()
+	if budget <= 0 {
+		return
+	}
+	val, ok := sharedTraces.retire(recordTraceKey(opts, p))
+	if !ok {
+		return
+	}
+	rt := val.(*recordTrace)
+	if key := dataTraceKey(opts, p); !sharedTraces.has(key) {
+		sharedTraces.putIfAbsent(key, extractData(rt), budget)
+	}
+	if key := fetchTraceKey(opts, p); !sharedTraces.has(key) {
+		sharedTraces.putIfAbsent(key, extractFetch(rt, opts.LineBytes), budget)
+	}
 }
 
 // recordTraceKey/dataTraceKey/fetchTraceKey name the three payloads of
@@ -957,7 +930,7 @@ func cachedData(opts Opts, p *workload.Profile) (*dataTrace, error) {
 		dt, _, err := generateStreams(opts, p)
 		return dt, err
 	}
-	val, err := sharedTraces.get(dataTraceKey(opts, p), budget, false,
+	val, err := sharedTraces.get(dataTraceKey(opts, p), budget,
 		func() (payload, error) {
 			dt, ft, err := buildStreams(opts, p)
 			if err != nil {
@@ -966,7 +939,7 @@ func cachedData(opts Opts, p *workload.Profile) (*dataTrace, error) {
 			sharedTraces.putIfAbsent(fetchTraceKey(opts, p), ft, budget)
 			return dt, nil
 		},
-		func(r *trace.CompressedReader) (payload, error) {
+		func(r *trace.CompressedReader) (spillable, error) {
 			return loadDataTrace(r, p.Name)
 		})
 	if err != nil {
@@ -983,7 +956,7 @@ func cachedFetch(opts Opts, p *workload.Profile) (*fetchTrace, error) {
 		_, ft, err := generateStreams(opts, p)
 		return ft, err
 	}
-	val, err := sharedTraces.get(fetchTraceKey(opts, p), budget, false,
+	val, err := sharedTraces.get(fetchTraceKey(opts, p), budget,
 		func() (payload, error) {
 			dt, ft, err := buildStreams(opts, p)
 			if err != nil {
@@ -992,7 +965,7 @@ func cachedFetch(opts Opts, p *workload.Profile) (*fetchTrace, error) {
 			sharedTraces.putIfAbsent(dataTraceKey(opts, p), dt, budget)
 			return ft, nil
 		},
-		func(r *trace.CompressedReader) (payload, error) {
+		func(r *trace.CompressedReader) (spillable, error) {
 			return loadFetchTrace(r, p.Name)
 		})
 	if err != nil {

@@ -88,16 +88,13 @@ func TestSpillRoundTrip(t *testing.T) {
 
 	for _, tc := range []struct {
 		name string
-		val  payload
-		load func(*trace.CompressedReader) (payload, error)
+		val  spillable
+		load func(*trace.CompressedReader) (spillable, error)
 	}{
-		{"records", rt, func(r *trace.CompressedReader) (payload, error) {
-			return loadRecordTrace(r, p.Name)
-		}},
-		{"data", dt, func(r *trace.CompressedReader) (payload, error) {
+		{"data", dt, func(r *trace.CompressedReader) (spillable, error) {
 			return loadDataTrace(r, p.Name)
 		}},
-		{"fetch", ft, func(r *trace.CompressedReader) (payload, error) {
+		{"fetch", ft, func(r *trace.CompressedReader) (spillable, error) {
 			return loadFetchTrace(r, p.Name)
 		}},
 	} {
@@ -118,24 +115,6 @@ func TestSpillRoundTrip(t *testing.T) {
 				t.Fatal("reloaded payload differs from the original")
 			}
 		})
-	}
-}
-
-// TestSpillCompression: the V2 delta encoding must beat the in-memory
-// footprint by a wide margin — that is the point of spilling.
-func TestSpillCompression(t *testing.T) {
-	p := workload.All()[0]
-	rt, err := generateRecords(p, 30_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "r.bct")
-	size, err := writeSpill(path, rt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if size*2 > rt.sizeBytes() {
-		t.Fatalf("spill file %d bytes vs %d resident: compression lost", size, rt.sizeBytes())
 	}
 }
 
@@ -242,62 +221,104 @@ func TestPeakStaysWithinBudget(t *testing.T) {
 	}
 }
 
-// TestRecordsEvictedBeforeStreams: under budget pressure the record
-// trace is the designated victim even when a stream payload is older.
-func TestRecordsEvictedBeforeStreams(t *testing.T) {
-	ResetTraceCache()
-	defer ResetTraceCache()
-	opts := tinyOpts()
-	p := mustProfile(t, "gcc")
-	mustRecords(t, opts, p)
-	// Extracted from the resident record trace, which this use makes
-	// more recent than the data entry.
-	if _, err := cachedData(opts, p); err != nil {
-		t.Fatal(err)
-	}
-	// Pin the budget at the current working set: the next record-trace
-	// build must make room for exactly one record trace.
-	opts.TraceBytes = TraceCacheStats().Bytes
-	mustRecords(t, opts, withSeed(p, 1))
-	sharedTraces.mu.Lock()
-	_, recordsResident := sharedTraces.entries[recordTraceKey(opts, p)]
-	_, dataResident := sharedTraces.entries[dataTraceKey(opts, p)]
-	sharedTraces.mu.Unlock()
-	if recordsResident {
-		t.Fatal("record trace survived eviction pressure")
-	}
-	if !dataResident {
-		t.Fatal("data stream was evicted while a record trace was resident")
-	}
-}
-
-// TestPinnedRecordsSurviveEviction: a record trace held by a running
-// unit is not evicted, however tight the budget; once released it is
-// the first victim again.
-func TestPinnedRecordsSurviveEviction(t *testing.T) {
-	ResetTraceCache()
-	defer ResetTraceCache()
-	opts := tinyOpts()
-	p := mustProfile(t, "gcc")
-	_, release, err := cachedRecords(opts, p)
+// recordGroups runs a CPU-model-shaped profileUnits campaign: every
+// unit of a profile's group fetches the record trace, and with streams
+// set also asks for the data and fetch streams mid-group, so a tight
+// budget evicts streams while the record trace is in use.
+func recordGroups(t *testing.T, opts Opts, profiles []*workload.Profile, streams bool) {
+	t.Helper()
+	_, err := profileUnits(opts, "records", profiles, []string{"a", "b", "c"},
+		func(p *workload.Profile, c int) (struct{}, error) {
+			if _, err := cachedRecords(opts, p); err != nil {
+				return struct{}{}, err
+			}
+			if streams {
+				if _, err := cachedData(opts, p); err != nil {
+					return struct{}{}, err
+				}
+				if _, err := cachedFetch(opts, p); err != nil {
+					return struct{}{}, err
+				}
+			}
+			return struct{}{}, nil
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resident := func() bool {
-		sharedTraces.mu.Lock()
-		defer sharedTraces.mu.Unlock()
-		_, ok := sharedTraces.entries[recordTraceKey(opts, p)]
-		return ok
+}
+
+// residentRecords counts the record traces the shared cache holds in
+// memory and on disk.
+func residentRecords() (mem, disk int) {
+	sharedTraces.mu.Lock()
+	defer sharedTraces.mu.Unlock()
+	for k := range sharedTraces.entries {
+		mem += btoi(k.kind == kindRecords)
 	}
+	for k := range sharedTraces.spilled {
+		disk += btoi(k.kind == kindRecords)
+	}
+	return mem, disk
+}
+
+// TestRecordsNeverEvictedMidGroup: under a 1-byte budget every stream
+// is evicted and spilled as soon as it is published, but a record trace
+// stays resident until its group ends: each profile's generator runs
+// once, for all the group's units, and no record trace is spilled.
+func TestRecordsNeverEvictedMidGroup(t *testing.T) {
+	ResetTraceCache()
+	defer ResetTraceCache()
+	opts := tinyOpts()
 	opts.TraceBytes = 1
-	mustRecords(t, opts, withSeed(p, 1))
-	if !resident() {
-		t.Fatal("a pinned record trace was evicted")
+	opts.Workers = 2
+	profiles := []*workload.Profile{mustProfile(t, "gcc"), mustProfile(t, "equake"), mustProfile(t, "mcf")}
+	recordGroups(t, opts, profiles, true)
+	c := TraceCacheStats()
+	if c.Generations != uint64(len(profiles)) {
+		t.Fatalf("%d generator runs for %d profiles; a record trace was lost mid-group: %+v",
+			c.Generations, len(profiles), c)
 	}
-	release()
-	mustRecords(t, opts, withSeed(p, 2))
-	if resident() {
-		t.Fatal("a released record trace survived a 1-byte budget")
+	if c.Spills == 0 {
+		t.Fatalf("a 1-byte budget spilled nothing: %+v", c)
+	}
+	if mem, disk := residentRecords(); mem+disk != 0 {
+		t.Fatalf("record traces outlived their groups: %d resident, %d spilled", mem, disk)
+	}
+}
+
+// TestRetiredGroupPublishesStreams: when a record group ends, its record
+// trace leaves the cache and the profile's data and fetch streams take
+// its place, extracted from it and equal to materialize's.
+func TestRetiredGroupPublishesStreams(t *testing.T) {
+	ResetTraceCache()
+	defer ResetTraceCache()
+	opts := tinyOpts()
+	opts.Workers = 2
+	profiles := []*workload.Profile{mustProfile(t, "gcc"), mustProfile(t, "swim")}
+	recordGroups(t, opts, profiles, false)
+	if mem, _ := residentRecords(); mem != 0 {
+		t.Fatalf("%d record traces outlived their groups", mem)
+	}
+	for _, p := range profiles {
+		wantData, wantFetch, err := materialize(p, opts.Instructions, opts.LineBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharedTraces.mu.Lock()
+		de, fe := sharedTraces.entries[dataTraceKey(opts, p)], sharedTraces.entries[fetchTraceKey(opts, p)]
+		sharedTraces.mu.Unlock()
+		if de == nil || fe == nil {
+			t.Fatalf("%s: retiring the record trace left data %v, fetch %v resident", p.Name, de != nil, fe != nil)
+		}
+		if !reflect.DeepEqual(de.val.(*dataTrace).accs, wantData.accs) {
+			t.Fatalf("%s: published data stream diverges from materialize", p.Name)
+		}
+		if !reflect.DeepEqual(fe.val.(*fetchTrace).pcs, wantFetch.pcs) {
+			t.Fatalf("%s: published fetch stream diverges from materialize", p.Name)
+		}
+	}
+	if c := TraceCacheStats(); c.Generations != uint64(len(profiles)) {
+		t.Fatalf("%d generator runs for %d profiles; the streams should come from the record traces", c.Generations, len(profiles))
 	}
 }
 
@@ -342,15 +363,12 @@ func TestResidentExtractMatchesDirect(t *testing.T) {
 	}
 }
 
-// mustRecords builds or fetches p's record trace and drops the pin
-// cachedRecords takes, so the entry stays evictable.
+// mustRecords builds or fetches p's record trace.
 func mustRecords(t *testing.T, opts Opts, p *workload.Profile) {
 	t.Helper()
-	_, release, err := cachedRecords(opts, p)
-	if err != nil {
+	if _, err := cachedRecords(opts, p); err != nil {
 		t.Fatal(err)
 	}
-	release()
 }
 
 func mustProfile(t *testing.T, name string) *workload.Profile {

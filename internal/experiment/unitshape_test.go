@@ -105,3 +105,60 @@ func TestNoTraceAccessOutsideUnits(t *testing.T) {
 		}
 	}
 }
+
+// TestNoRecordTraceOutlivesExperiment: a record trace lives only for
+// its trace group, so once any registered experiment's Run returns the
+// shared cache holds no record trace, in memory or on disk. A future
+// cpu.Run experiment inherits the guarantee by running its units
+// through profileUnits.
+func TestNoRecordTraceOutlivesExperiment(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full registry sweep is slow")
+	}
+	ResetTraceCache()
+	defer ResetTraceCache()
+	ResetUnitMemo()
+	ResetTimedCache()
+	opts := tinyOpts()
+	opts.Workers = 2
+	for _, e := range All() {
+		if _, err := e.Run(opts); err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		if mem, disk := residentRecords(); mem+disk != 0 {
+			t.Errorf("%s left record traces behind: %d resident, %d spilled", e.ID, mem, disk)
+		}
+	}
+}
+
+// TestRecordExperimentsBudgetInvariant: the experiments that run record
+// traces render the same CSV whether the trace cache starves (every
+// stream evicted on arrival), runs at its default budget, or is off.
+// fig9 reuses fig8's timed simulations at each budget, as in a suite.
+func TestRecordExperimentsBudgetInvariant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three budgets of the timed experiments are slow")
+	}
+	defer ResetTraceCache()
+	ids := []string{"fig8", "fig9", "table7", "xl2", "xprefetch", "xwindow"}
+	budgets := []int64{0, 1, -1}
+	csv := make(map[string][][]byte, len(ids))
+	for _, budget := range budgets {
+		ResetTraceCache()
+		ResetTimedCache()
+		opts := tinyOpts()
+		opts.Workers = 2
+		opts.TraceBytes = budget
+		for _, id := range ids {
+			csv[id] = append(csv[id], runCSV(t, id, opts))
+		}
+	}
+	for _, id := range ids {
+		for b := 1; b < len(budgets); b++ {
+			if got, want := csv[id][b], csv[id][0]; !bytes.Equal(got, want) {
+				t.Errorf("%s: TraceBytes=%d CSV differs from the default budget's\ngot:  %s\nwant: %s",
+					id, budgets[b], got, want)
+			}
+		}
+	}
+}
