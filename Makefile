@@ -1,9 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-times bench-test race race-robust vet lint lint-build lint-fix lint-facts-clean fmt-check ci bench bench-obs bench-perf bench-perf-json bench-compare mem-ceiling telemetry-smoke chaos clean
-
-# benchstat-friendly repetition count for bench-perf.
-BENCH_COUNT ?= 6
+.PHONY: all build test test-times bench-test race race-robust vet lint lint-build lint-fix lint-facts-clean fmt-check ci bench bench-compare mem-ceiling telemetry-smoke chaos clean
 
 all: build
 
@@ -94,15 +91,16 @@ fmt-check:
 # lint is fatal: a finding without a justified //bcachelint:allow fails
 # CI.
 #
-# telemetry-smoke and bench-compare run last as non-fatal reports, each
-# surfacing a labeled warning on failure so a scan of the CI log finds
-# them: the smoke binds a TCP listener (sandboxes may forbid that) and
-# kernel throughput on a shared box is too noisy to hard-gate. Promotion
-# path to fatal: once each has a clean week in CI logs, drop its `||
-# echo` fallback so the recipe's exit status gates the build.
+# telemetry-smoke, bench-compare and mem-ceiling run last as non-fatal
+# reports, each surfacing a labeled warning on failure so a scan of the
+# CI log finds them: the smoke binds a TCP listener (sandboxes may
+# forbid that), and three benchmark rounds or one peak RSS on a shared
+# box are too noisy to hard-gate. Promotion path to fatal: once each has
+# a clean week in CI logs, drop its `|| echo` fallback so the recipe's
+# exit status gates the build.
 ci: fmt-check vet lint lint-facts-clean build bench-test race-robust race chaos
 	@$(MAKE) telemetry-smoke || echo "[telemetry-smoke] WARNING: live telemetry smoke failed (non-fatal; see above)"
-	@$(MAKE) bench-compare || echo "[bench-regression] WARNING: kernel throughput regressed >15% vs BENCH_perf.json (non-fatal; rerun 'make bench-compare' on a quiet box)"
+	@$(MAKE) bench-compare || echo "[bench-regression] WARNING: a benchmark run failed, or an end-to-end metric regressed against $(BASE) (non-fatal; rerun 'make bench-compare' on a quiet box)"
 	@$(MAKE) mem-ceiling || echo "[mem-ceiling] WARNING: suite or timed process peak RSS exceeds its ceiling (non-fatal; see above)"
 
 # chaos runs the distributed-execution kill/interrupt suite under -race:
@@ -116,13 +114,51 @@ chaos:
 	$(GO) test -race -count=1 -run 'TestChaos|TestSIGINT|TestMergeShardDir' ./internal/dist/distrun
 	$(GO) test -race -count=1 ./internal/dist
 
-# bench-compare replays the perfbench kernels and fails if any kernel's
-# accesses/sec regressed more than 15% against the committed baseline.
-# Uses a reduced access count: enough to get past warm-up on the slow
-# (scan/profiler) kernels without taking the full baseline-regeneration
-# time.
+# BENCH_RUN defines the shell function bench_run for the recipes below:
+# `bench_run DIR OUT ARGS...` runs `bash bench/run.sh ARGS...` in DIR
+# with its stdout captured in OUT, and fails with its own message when
+# run.sh exits non-zero or its last line does not read "correct":true
+# with "failed":0. OUT is a file, not a pipe into tail, because sh gives
+# a pipeline the exit status of its last command, which would hide a
+# crashed run.
+BENCH_RUN = bench_run() { \
+	dir=$$1 out=$$2; shift 2; mkdir -p "$$(dirname "$$out")" || return 1; \
+	(cd "$$dir" && bash bench/run.sh "$$@") >"$$out" || { \
+		echo "bench/run.sh $$* in $$dir failed (exit $$?); its output is in $$out"; return 1; }; \
+	case "$$(tail -n 1 "$$out")" in \
+	*'"correct":true,'*'"failed":0,'*) ;; \
+	*) echo "bench/run.sh $$* in $$dir: output differs from its golden digests or operations failed; see $$out"; return 1;; \
+	esac; \
+}
+
+# BASE is the commit bench-compare measures the working tree against.
+BASE ?= HEAD~1
+
+# bench-compare runs every benchmark workload for three rounds on BASE
+# (extracted with git archive into .bench_build/base) and then on the
+# working tree, one after the other so the two never share the CPUs,
+# and prints bench/run.sh -compare's verdict per workload and
+# end-to-end metric. It fails when either run fails or reports wrong
+# output, or when any verdict reads regressed. The base tree sits inside
+# this checkout, so it is built with -buildvcs=false: otherwise go would
+# stamp it with the checkout's commit, and its result would name the
+# wrong one.
 bench-compare:
-	$(GO) run ./cmd/perfbench -compare BENCH_perf.json -kernel-accesses 10000000
+	@b=$(CURDIR)/.bench_build; $(BENCH_RUN); \
+	rm -rf "$$b/base" && mkdir -p "$$b/base" && \
+	git archive -o "$$b/base.tar" $(BASE) && tar -x -f "$$b/base.tar" -C "$$b/base" || exit 1; \
+	echo "bench-compare: running $(BASE)"; \
+	(export GOFLAGS="$$GOFLAGS -buildvcs=false"; bench_run "$$b/base" "$$b/bench-compare-base.out" \
+		--workload all --rounds 3 --trace 0 -o "$$b/bench-compare-base.json") || exit 1; \
+	echo "bench-compare: running the working tree"; \
+	bench_run . "$$b/bench-compare-change.out" \
+		--workload all --rounds 3 --trace 0 -o "$$b/bench-compare-change.json" || exit 1; \
+	bash bench/run.sh -compare "$$b/bench-compare-base.json" "$$b/bench-compare-change.json" >"$$b/bench-compare.txt" || { \
+		echo "bench-compare: bench/run.sh -compare failed"; exit 1; }; \
+	cat "$$b/bench-compare.txt"; \
+	if awk '$$NF == "regressed" { r = 1 } END { exit !r }' "$$b/bench-compare.txt"; then \
+		echo "bench-compare: an end-to-end metric regressed against $(BASE)"; exit 1; \
+	fi
 
 # MEM_CEILING_<workload> is the process peak RSS, in MiB, that one
 # benchmark run of the workload may reach: about 25% above its median
@@ -139,10 +175,11 @@ MEM_CEILING_timed = 128
 # promotion path to fatal: once it has a clean week in CI logs, drop
 # the `|| echo` fallback above so its exit status gates the build.
 mem-ceiling:
-	@for w in suite timed; do \
+	@$(BENCH_RUN); for w in suite timed; do \
 		case $$w in suite) ceil=$(MEM_CEILING_suite);; timed) ceil=$(MEM_CEILING_timed);; esac; \
-		line=$$(bash bench/run.sh --workload $$w --rounds 1 --trace 0 | tail -n 1) || exit 1; \
-		case "$$line" in *'"correct":true'*) ;; *) echo "mem-ceiling: $$w output differs from its golden digests"; exit 1;; esac; \
+		out=$(CURDIR)/.bench_build/mem-ceiling-$$w.out; \
+		bench_run . "$$out" --workload $$w --rounds 1 --trace 0 || exit 1; \
+		line=$$(tail -n 1 "$$out"); \
 		rss=$$(echo "$$line" | sed -n 's/.*"peak_rss_mb":{"value":\([0-9.]*\).*/\1/p'); \
 		if [ -z "$$rss" ]; then echo "mem-ceiling: $$w: no peak_rss_mb in: $$line"; exit 1; fi; \
 		if awk -v r="$$rss" -v c="$$ceil" 'BEGIN { exit !(r > c) }'; then \
@@ -162,25 +199,6 @@ telemetry-smoke:
 # for how to read the two levels).
 bench:
 	$(GO) test -bench 'Overhead' -benchmem -run '^$$' ./internal/obs
-
-# bench-obs regenerates the BENCH_obs.json observability baseline
-# (equake/gcc/mcf x dm/8way/bcache).
-bench-obs:
-	$(GO) run ./cmd/obsbench -o BENCH_obs.json
-
-# bench-perf runs the simulation-engine performance benchmarks with
-# -count so the output feeds straight into benchstat (old.txt vs
-# new.txt). Covers the SWAR B-Cache kernel, the scalar reference, the
-# set-associative access path, and the end-to-end experiment suite.
-bench-perf:
-	$(GO) test -run '^$$' -bench 'BenchmarkBCacheAccess|BenchmarkReferenceAccess' -count $(BENCH_COUNT) ./internal/core
-	$(GO) test -run '^$$' -bench 'BenchmarkSetAssocAccess' -count $(BENCH_COUNT) ./internal/cache
-	$(GO) test -run '^$$' -bench 'BenchmarkSuiteEndToEnd' -count 3 .
-
-# bench-perf-json regenerates the committed BENCH_perf.json baseline
-# (kernel accesses/sec per config + full-suite wall-clock).
-bench-perf-json:
-	$(GO) run ./cmd/perfbench -o BENCH_perf.json
 
 clean:
 	$(GO) clean ./...

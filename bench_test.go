@@ -248,30 +248,6 @@ func BenchmarkAblationRelatedWork(b *testing.B) {
 	}
 }
 
-// BenchmarkSuiteEndToEnd runs every registered experiment back to back —
-// what `cmd/experiments` does — at reduced scale. The trace cache is
-// reset each iteration so the number includes one honest generation of
-// every stream plus all cross-experiment reuse.
-func BenchmarkSuiteEndToEnd(b *testing.B) {
-	opts := benchOpts()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		experiment.ResetTraceCache()
-		experiment.ResetTimedCache()
-		rows := 0
-		for _, e := range experiment.All() {
-			tables, err := e.Run(opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, t := range tables {
-				rows += len(t.Rows)
-			}
-		}
-		b.ReportMetric(float64(rows), "rows")
-	}
-}
-
 // BenchmarkAccessPath measures the simulator's raw access throughput for
 // the three main models (engineering metric, not a paper artifact).
 func BenchmarkAccessPath(b *testing.B) {

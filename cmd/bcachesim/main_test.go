@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"bcache/internal/obs"
@@ -114,39 +115,61 @@ func TestOpenStreamJSONProfile(t *testing.T) {
 	}
 }
 
+// TestRunWritesReport covers the three-cache matrix a run report is
+// read on — direct-mapped, 8-way LRU and B-Cache (MF 8, BAS 8) — and
+// checks each report's series, samples, throughput and, for B-Cache
+// alone, its PD totals.
 func TestRunWritesReport(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.json")
-	cfg := runCfg{
-		bench: "equake", kind: "bcache", size: 16 * 1024, line: 32,
-		mf: 8, bas: 8, policy: "lru", entries: 16,
-		n: 400_000, side: "d", reportPath: path, interval: 4096,
-	}
-	if err := run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	r, err := obs.LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Config.Benchmark != "equake" || r.Config.Side != "d" {
-		t.Fatalf("report config = %+v", r.Config)
-	}
-	if len(r.Series) < 2 {
-		t.Fatalf("report has %d series, want >= 2", len(r.Series))
-	}
-	for _, s := range r.Series {
-		if len(s.Points) < 10 {
-			t.Fatalf("series %q has %d points, want >= 10", s.Name, len(s.Points))
-		}
-	}
-	if len(r.Samples) < 10 {
-		t.Fatalf("report has %d samples, want >= 10", len(r.Samples))
-	}
-	if r.PD == nil {
-		t.Fatal("B-Cache report missing PD totals")
-	}
-	if r.Throughput == nil || r.Throughput.AccessesPerSecond <= 0 {
-		t.Fatalf("report throughput = %+v", r.Throughput)
+	for _, tc := range []struct {
+		kind   string
+		ways   int
+		series []string
+		pd     bool
+	}{
+		{"dm", 1, []string{"miss_rate", "evictions_per_kaccess"}, false},
+		{"8way", 8, []string{"miss_rate", "evictions_per_kaccess"}, false},
+		{"bcache", 1, []string{"miss_rate", "evictions_per_kaccess", "pd_miss_rate", "reprograms_per_kaccess"}, true},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.json")
+			cfg := runCfg{
+				bench: "equake", kind: tc.kind, size: 16 * 1024, line: 32,
+				mf: 8, bas: 8, policy: "lru", entries: 16,
+				n: 400_000, side: "d", reportPath: path, interval: 4096,
+			}
+			if err := run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			r, err := obs.LoadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Config.Benchmark != "equake" || r.Config.Side != "d" || r.Config.Ways != tc.ways {
+				t.Fatalf("report config = %+v", r.Config)
+			}
+			if r.Totals.Accesses == 0 {
+				t.Fatalf("report totals = %+v", r.Totals)
+			}
+			var names []string
+			for _, s := range r.Series {
+				names = append(names, s.Name)
+				if len(s.Points) < 10 {
+					t.Fatalf("series %q has %d points, want >= 10", s.Name, len(s.Points))
+				}
+			}
+			if !slices.Equal(names, tc.series) {
+				t.Fatalf("report series = %v, want %v", names, tc.series)
+			}
+			if len(r.Samples) < 10 {
+				t.Fatalf("report has %d samples, want >= 10", len(r.Samples))
+			}
+			if (r.PD != nil) != tc.pd {
+				t.Fatalf("report PD totals = %+v, want present only for B-Cache", r.PD)
+			}
+			if r.Throughput == nil || r.Throughput.AccessesPerSecond <= 0 {
+				t.Fatalf("report throughput = %+v", r.Throughput)
+			}
+		})
 	}
 }
 

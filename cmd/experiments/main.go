@@ -51,7 +51,6 @@ func main() {
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
 		traceCacheBytes = flag.Int64("trace-cache-bytes", 0, "resident byte budget for the shared trace cache; colder streams spill to disk (0 = default, negative = no caching)")
-		setWorkers      = flag.Int("set-workers", 0, "shard each cache replay by set index across this many goroutines (0 = sequential)")
 
 		ckptPath    = flag.String("checkpoint", "", "record completed work units to this JSON file (atomic rewrite)")
 		resume      = flag.Bool("resume", false, "load -checkpoint first and skip units already recorded (bit-identical)")
@@ -124,7 +123,6 @@ func main() {
 	opts.UnitTimeout = *unitTimeout
 	opts.UnitRetries = *unitRetries
 	opts.TraceBytes = *traceCacheBytes
-	opts.SetWorkers = *setWorkers
 	defer experiment.CleanupTraceSpill()
 
 	if *resume && *ckptPath == "" {

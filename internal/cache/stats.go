@@ -60,24 +60,6 @@ func (s *Stats) RecordEviction(dirty bool) {
 	}
 }
 
-// Merge adds o's counters into s; frame arrays must be equally sized.
-// Set-sharded replay folds per-shard counters back through this.
-func (s *Stats) Merge(o *Stats) {
-	s.Accesses += o.Accesses
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Reads += o.Reads
-	s.Writes += o.Writes
-	s.Evictions += o.Evictions
-	s.Writebacks += o.Writebacks
-	for i, v := range o.FrameHits {
-		s.FrameHits[i] += v
-	}
-	for i, v := range o.FrameMisses {
-		s.FrameMisses[i] += v
-	}
-}
-
 // MissRate returns Misses/Accesses, or 0 if the cache was never accessed.
 func (s *Stats) MissRate() float64 {
 	if s.Accesses == 0 {

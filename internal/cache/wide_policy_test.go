@@ -119,8 +119,8 @@ func TestWidePolicyIndexDropsOnFault(t *testing.T) {
 
 // TestRandomPerSetStreamsOrderIndependent: with per-set Split streams,
 // replaying only one set's accesses must reproduce exactly what that set
-// saw in a full interleaved replay — the property set-sharded parallel
-// replay depends on.
+// saw in a full interleaved replay, so Random-policy output does not
+// depend on how sets' accesses interleave.
 func TestRandomPerSetStreamsOrderIndependent(t *testing.T) {
 	const size, line, ways = 8 * 1024, 32, 4
 	full, err := NewSetAssoc(size, line, ways, Random, rng.New(9))

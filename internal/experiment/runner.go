@@ -50,12 +50,6 @@ type Opts struct {
 	// profile. The replay path is the differential oracle the profiler
 	// is tested against; results are bit-identical either way.
 	DisableStackDist bool
-	// SetWorkers, when above 1, shards each set-associative replay unit
-	// by set index across up to that many goroutines
-	// (cache.ReplayShards). Results are bit-identical to sequential
-	// replay; the knob only trades cores for unit latency when there are
-	// fewer runnable units than cores.
-	SetWorkers int
 }
 
 // DefaultOpts returns the scale used for EXPERIMENTS.md.
@@ -110,9 +104,8 @@ func withSeed(p *workload.Profile, k int) *workload.Profile {
 	return &q
 }
 
-// memAcc is one data-cache access — the cache package's replayable
-// stream element, so set-sharded replay (cache.ReplayShards) can consume
-// a materialized trace without conversion.
+// memAcc is one data-cache access: the cache package's packed
+// address+direction word, 8 bytes per materialized access.
 type memAcc = cache.MemAccess
 
 // Spec is a buildable L1 cache configuration.
@@ -249,29 +242,6 @@ func replayFetch(fetch []addr.Addr, c cache.Cache) {
 	}
 }
 
-// replayWorkersData drives a data stream through c, sharding the replay
-// by set index across up to setWorkers goroutines when c supports it
-// (see cache.ReplayShards); results are bit-identical to replayData
-// either way. setWorkers <= 1 always replays sequentially.
-func replayWorkersData(data []memAcc, c cache.Cache, setWorkers int) {
-	if setWorkers > 1 {
-		if sa, ok := c.(*cache.SetAssoc); ok && sa.ReplayShards(data, nil, setWorkers) {
-			return
-		}
-	}
-	replayData(data, c)
-}
-
-// replayWorkersFetch is replayWorkersData for the fetch side.
-func replayWorkersFetch(fetch []addr.Addr, c cache.Cache, setWorkers int) {
-	if setWorkers > 1 {
-		if sa, ok := c.(*cache.SetAssoc); ok && sa.ReplayShards(nil, fetch, setWorkers) {
-			return
-		}
-	}
-	replayFetch(fetch, c)
-}
-
 // missRun is the result of one (benchmark, spec) miss-rate run,
 // aggregated over seeds as raw event counts.
 type missRun struct {
@@ -309,8 +279,8 @@ func unitKey(opts Opts, s side, specKey string, seedIdx int, profile string) str
 // every simulated or checkpoint-restored unit is published here.
 var unitMemo sync.Map // unitKey string -> UnitResult
 
-// ResetUnitMemo drops all cross-experiment unit results (test hook and
-// perfbench cold-start).
+// ResetUnitMemo drops all cross-experiment unit results, so the next
+// run simulates every unit again.
 func ResetUnitMemo() {
 	unitMemo.Range(func(k, _ any) bool {
 		unitMemo.Delete(k)
@@ -374,13 +344,13 @@ func execReplayUnit(opts Opts, s side, p *workload.Profile, spec Spec, k int) (U
 		if err != nil {
 			return UnitResult{}, fmt.Errorf("%s: %w", p.Name, err)
 		}
-		replayWorkersData(dt.accs, c, opts.SetWorkers)
+		replayData(dt.accs, c)
 	case iSide:
 		ft, err := cachedFetch(opts, withSeed(p, k))
 		if err != nil {
 			return UnitResult{}, fmt.Errorf("%s: %w", p.Name, err)
 		}
-		replayWorkersFetch(ft.pcs, c, opts.SetWorkers)
+		replayFetch(ft.pcs, c)
 	}
 	st := c.Stats()
 	u := UnitResult{Misses: st.Misses, Accesses: st.Accesses}

@@ -1,5 +1,5 @@
-// Package e pins the set-parallel replay and trace-spill idioms: every
-// shard of a sharded replay draws from its own deterministically split
+// Package e pins the per-set stream and trace-spill idioms: every set
+// (or shard of sets) draws from its own deterministically split
 // seeded stream (never the global math/rand stream, whose draw order
 // would depend on worker interleaving), and the spill index — a map
 // keyed by trace key — always emits its listing through a sorted slice,
@@ -21,8 +21,8 @@ type splitSource struct{ state uint64 }
 
 func newSplit(seed uint64) *splitSource { return &splitSource{state: seed} }
 
-// split forks the stream for one set shard — the determinism seam the
-// set-parallel replay depends on.
+// split forks the stream for one set shard, so a set's draws never
+// depend on the order sets are replayed in.
 func (s *splitSource) split(shard uint64) *splitSource {
 	return &splitSource{state: s.state ^ (shard+1)*0x9e3779b97f4a7c15}
 }

@@ -21,7 +21,7 @@ const SchemaVersion = 1
 // Report is one simulation run as a machine-readable artifact: what ran,
 // what the totals were, how balanced the sets ended up, how fast the
 // simulator went, and how the run evolved over time. It is the payload
-// of `bcachesim -report` and the per-run entries of BENCH_obs.json.
+// of `bcachesim -report`.
 type Report struct {
 	SchemaVersion int          `json:"schemaVersion"`
 	Config        RunConfig    `json:"config"`
