@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-times bench-test race race-robust vet lint lint-build lint-fix lint-facts-clean fmt-check ci bench bench-compare mem-ceiling telemetry-smoke chaos clean
+.PHONY: all build test test-times bench-test race race-robust vet lint lint-build lint-fix lint-facts-clean fmt-check ci reproduce bench bench-compare mem-ceiling telemetry-smoke chaos clean
 
 all: build
 
@@ -85,9 +85,10 @@ fmt-check:
 # determinism check, build, the benchmark module's vet and tests, the
 # focused robustness race gate, the
 # race-enabled test suite (probes attached under -race is an explicit
-# acceptance criterion of the observability layer), and the
+# acceptance criterion of the observability layer), the
 # distributed-execution chaos suite — promoted to fatal per its
-# documented path after a clean week since PR 7 (see CHANGES.md, PR 10).
+# documented path after a clean week since PR 7 (see CHANGES.md, PR 10)
+# — and the reproduce drift gate.
 # lint is fatal: a finding without a justified //bcachelint:allow fails
 # CI.
 #
@@ -98,7 +99,7 @@ fmt-check:
 # box are too noisy to hard-gate. Promotion path to fatal: once each has
 # a clean week in CI logs, drop its `|| echo` fallback so the recipe's
 # exit status gates the build.
-ci: fmt-check vet lint lint-facts-clean build bench-test race-robust race chaos
+ci: fmt-check vet lint lint-facts-clean build bench-test race-robust race chaos reproduce
 	@$(MAKE) telemetry-smoke || echo "[telemetry-smoke] WARNING: live telemetry smoke failed (non-fatal; see above)"
 	@$(MAKE) bench-compare || echo "[bench-regression] WARNING: a benchmark run failed, or an end-to-end metric regressed against $(BASE) (non-fatal; rerun 'make bench-compare' on a quiet box)"
 	@$(MAKE) mem-ceiling || echo "[mem-ceiling] WARNING: suite or timed process peak RSS exceeds its ceiling (non-fatal; see above)"
@@ -113,6 +114,18 @@ ci: fmt-check vet lint lint-facts-clean build bench-test race-robust race chaos
 chaos:
 	$(GO) test -race -count=1 -run 'TestChaos|TestSIGINT|TestMergeShardDir' ./internal/dist/distrun
 	$(GO) test -race -count=1 ./internal/dist
+
+# reproduce is the output drift gate: it regenerates every table at
+# default scale as CSV (deterministic; the text format's timing footers
+# are not) and diffs it against the committed full_experiments.csv.
+# About 35 s on 2 vCPUs. A deliberate change to the output regenerates
+# the file with the same command:
+#   go run ./cmd/experiments -format csv -workers 2 -o full_experiments.csv
+reproduce:
+	$(GO) build -o bin/experiments ./cmd/experiments
+	bin/experiments -format csv -workers 2 -o bin/reproduce.csv
+	diff -u full_experiments.csv bin/reproduce.csv
+	@echo "reproduce: every table matches full_experiments.csv"
 
 # BENCH_RUN defines the shell function bench_run for the recipes below:
 # `bench_run DIR OUT ARGS...` runs `bash bench/run.sh ARGS...` in DIR

@@ -36,6 +36,16 @@ func benchOpts() experiment.Opts {
 	return o
 }
 
+// coldStart drops the unit memo and the trace cache with the timer
+// stopped, so every iteration simulates from scratch instead of timing
+// the previous iteration's memo hits.
+func coldStart(b *testing.B) {
+	b.StopTimer()
+	experiment.ResetUnitMemo()
+	experiment.ResetTraceCache()
+	b.StartTimer()
+}
+
 // runExperiment executes a registered experiment once per bench iteration
 // and reports rows produced.
 func runExperiment(b *testing.B, id string) {
@@ -45,8 +55,10 @@ func runExperiment(b *testing.B, id string) {
 		b.Fatal(err)
 	}
 	opts := benchOpts()
+	defer experiment.ResetTraceCache()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		coldStart(b)
 		tables, err := e.Run(opts)
 		if err != nil {
 			b.Fatal(err)
@@ -85,8 +97,10 @@ func benchTimed(b *testing.B, wantEnergy bool) {
 	}
 	opts := benchOpts()
 	opts.Instructions = 200_000
+	defer experiment.ResetTraceCache()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		coldStart(b)
 		tables, err := e.Run(opts)
 		if err != nil {
 			b.Fatal(err)

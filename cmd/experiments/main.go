@@ -52,12 +52,12 @@ func main() {
 
 		traceCacheBytes = flag.Int64("trace-cache-bytes", 0, "resident byte budget for the shared trace cache; colder streams spill to disk (0 = default, negative = no caching)")
 
-		ckptPath    = flag.String("checkpoint", "", "record completed work units to this JSON file (atomic rewrite)")
+		ckptPath    = flag.String("checkpoint", "", "record every experiment's completed work units to this JSON file (atomic rewrite)")
 		resume      = flag.Bool("resume", false, "load -checkpoint first and skip units already recorded (bit-identical)")
 		unitTimeout = flag.Duration("unit-timeout", 0, "abandon a single work unit running longer than this (0 = no deadline)")
 		unitRetries = flag.Int("unit-retries", 0, "retries for timed-out or transient work units")
 
-		workersProcs   = flag.Int("workers-procs", 0, "distribute plannable work units across this many worker subprocesses")
+		workersProcs   = flag.Int("workers-procs", 0, "distribute the experiments' work units across this many worker subprocesses")
 		workerMode     = flag.Bool("worker", false, "run as a distribution worker speaking the lease protocol on stdin/stdout (spawned by -workers-procs)")
 		distDir        = flag.String("dist-dir", "", "directory for worker checkpoint shards (default: a temp dir)")
 		leaseTTL       = flag.Duration("lease-ttl", 0, "re-lease a worker's units after this long without a heartbeat (default 30s)")
@@ -252,13 +252,12 @@ func main() {
 		}
 	}
 
-	// Distribution phase: lease every job of the miss-rate experiments'
-	// declared sweeps to worker subprocesses first, merging their
-	// results into the checkpoint. The normal in-process loop below then
-	// runs those same jobs and finds each one already checkpointed, so
-	// the rendered tables are bit-identical to a single-process run;
-	// experiments without sweeps (timed, fault, analytic) simply run
-	// in-process as always.
+	// Distribution phase: lease every declared unit of the selected
+	// experiments to worker subprocesses first, merging their results
+	// into the checkpoint. The normal in-process loop below then runs
+	// those same units and finds each one already checkpointed, so the
+	// rendered tables are bit-identical to a single-process run; the
+	// analytic tables, which have no units, render in-process as always.
 	if *workersProcs > 0 {
 		if ckpt == nil {
 			ckpt = experiment.NewCheckpoint("")

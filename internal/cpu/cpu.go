@@ -54,11 +54,11 @@ func (c Config) Validate() error {
 
 // Result summarizes one simulated run.
 type Result struct {
-	Instructions uint64
-	Cycles       uint64
+	Instructions uint64 `json:"instructions"`
+	Cycles       uint64 `json:"cycles"`
 	// Loads/Stores counts data-cache operations executed.
-	Loads  uint64
-	Stores uint64
+	Loads  uint64 `json:"loads"`
+	Stores uint64 `json:"stores"`
 }
 
 // IPC returns instructions per cycle.

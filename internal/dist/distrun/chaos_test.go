@@ -1,6 +1,7 @@
 package distrun
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -48,9 +49,9 @@ func workerCommand(slot, attempt int) *exec.Cmd {
 	return cmd
 }
 
-// chaosOpts is the campaign scale: fig5 at 60k instructions is 90 units
-// of real simulation — big enough that 4 workers overlap and seeded
-// kills land mid-campaign, small enough for CI.
+// chaosOpts is the campaign scale: at 60k instructions fig5 is 90 units
+// of real simulation and fig8 156 — big enough that 4 workers overlap
+// and seeded kills land mid-campaign, small enough for CI.
 func chaosOpts(ckpt *experiment.Checkpoint) experiment.Opts {
 	opts := experiment.DefaultOpts()
 	opts.Instructions = 60_000
@@ -58,14 +59,16 @@ func chaosOpts(ckpt *experiment.Checkpoint) experiment.Opts {
 	return opts
 }
 
-// runSequentialOracle runs fig5 in-process with a fresh checkpoint and
-// returns the saved checkpoint bytes and the rendered table bytes.
-func runSequentialOracle(t *testing.T, dir string) ([]byte, string, *experiment.Checkpoint) {
+// runSequentialOracle runs experiment id in-process with a fresh
+// checkpoint and memo and returns the saved checkpoint bytes and the
+// rendered tables.
+func runSequentialOracle(t *testing.T, dir, id string) ([]byte, string, *experiment.Checkpoint) {
 	t.Helper()
 	path := filepath.Join(dir, "seq.json")
 	ckpt := experiment.NewCheckpoint(path)
 	opts := chaosOpts(ckpt)
-	e, err := experiment.ByID("fig5")
+	experiment.ResetUnitMemo()
+	e, err := experiment.ByID(id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +86,17 @@ func runSequentialOracle(t *testing.T, dir string) ([]byte, string, *experiment.
 	return data, renderAll(tables), ckpt
 }
 
+// renderAll renders tables as text, then as CSV.
 func renderAll(tables []*experiment.Table) string {
 	var b strings.Builder
 	for _, tb := range tables {
 		b.WriteString(tb.Render())
 		b.WriteString("\n")
+	}
+	for _, tb := range tables {
+		if err := tb.WriteCSV(&b); err != nil {
+			panic(err)
+		}
 	}
 	return b.String()
 }
@@ -147,25 +156,31 @@ func (k *killer) resultCommitted(worker, unit int) {
 }
 
 // TestChaosKilledWorkersBitIdenticalMerge is the acceptance test: a
-// 4-worker campaign with at least two seeded kill -9s mid-run must merge
-// to a checkpoint file and rendered tables byte-identical to the
+// 4-worker fig5 campaign with at least two seeded kill -9s mid-run must
+// merge to a checkpoint file and rendered tables byte-identical to the
 // sequential oracle.
-func TestChaosKilledWorkersBitIdenticalMerge(t *testing.T) {
+func TestChaosKilledWorkersBitIdenticalMerge(t *testing.T) { chaosCampaign(t, "fig5") }
+
+// TestChaosKilledWorkersFig8 runs the same chaos campaign on fig8's
+// timed units, whose workers also retire record traces between groups.
+func TestChaosKilledWorkersFig8(t *testing.T) { chaosCampaign(t, "fig8") }
+
+func chaosCampaign(t *testing.T, id string) {
 	if testing.Short() {
 		t.Skip("chaos suite spawns subprocesses")
 	}
 	dir := t.TempDir()
-	seqBytes, seqRender, seqCkpt := runSequentialOracle(t, dir)
+	seqBytes, seqRender, seqCkpt := runSequentialOracle(t, dir, id)
 
 	// The plan seam identity check rides along: every planned unit of
 	// the campaign must already be Done in the oracle's checkpoint —
-	// the plan enumerates exactly the units missRates commits.
-	plan, err := experiment.PlanCampaign(chaosOpts(nil), []string{"fig5"})
+	// the plan enumerates exactly the units Run commits.
+	plan, err := experiment.PlanCampaign(chaosOpts(nil), []string{id})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Len() == 0 {
-		t.Fatal("fig5 plan is empty")
+		t.Fatalf("%s plan is empty", id)
 	}
 	for i := 0; i < plan.Len(); i++ {
 		if !plan.Done(i, seqCkpt) {
@@ -181,7 +196,7 @@ func TestChaosKilledWorkersBitIdenticalMerge(t *testing.T) {
 	if err := os.MkdirAll(shardDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := RunCampaign(opts, []string{"fig5"}, Options{
+	stats, err := RunCampaign(opts, []string{id}, Options{
 		Workers:       4,
 		Command:       workerCommand,
 		ShardDir:      shardDir,
@@ -211,15 +226,21 @@ func TestChaosKilledWorkersBitIdenticalMerge(t *testing.T) {
 		t.Fatalf("restarts = %d, want >= 2 (both killed workers respawn)", stats.Restarts)
 	}
 
-	// The in-process pass renders from the merged checkpoint; every
-	// distributed unit must hit.
-	e, err := experiment.ByID("fig5")
+	// The in-process pass renders from the merged checkpoint alone: on a
+	// fresh memo and trace cache every distributed unit must hit, so no
+	// trace is built.
+	experiment.ResetUnitMemo()
+	experiment.ResetTraceCache()
+	e, err := experiment.ByID(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tables, err := e.Run(opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if builds := experiment.TraceCacheStats().Misses; builds != 0 {
+		t.Errorf("rendering from the merged checkpoint built %d traces", builds)
 	}
 	if got := renderAll(tables); got != seqRender {
 		t.Errorf("rendered tables differ from sequential oracle:\n--- dist ---\n%s--- seq ---\n%s", got, seqRender)
@@ -245,7 +266,7 @@ func TestSIGINTDrainsWorkersExit130(t *testing.T) {
 		t.Skip("spawns subprocesses")
 	}
 	dir := t.TempDir()
-	_, _, seqCkpt := runSequentialOracle(t, dir)
+	_, _, seqCkpt := runSequentialOracle(t, dir, "fig5")
 
 	distPath := filepath.Join(dir, "partial.json")
 	ckpt := experiment.NewCheckpoint(distPath)
@@ -326,7 +347,7 @@ func TestSIGINTDrainsWorkersExit130(t *testing.T) {
 				continue
 			}
 			want, ok := seqCkpt.Lookup(key)
-			if !ok || got != want {
+			if !ok || !bytes.Equal(got, want) {
 				mismatches++
 			}
 		}
@@ -344,7 +365,7 @@ func TestMergeShardDirRecoversCoordinatorCrash(t *testing.T) {
 		t.Skip("spawns subprocesses")
 	}
 	dir := t.TempDir()
-	_, _, seqCkpt := runSequentialOracle(t, dir)
+	_, _, seqCkpt := runSequentialOracle(t, dir, "fig5")
 
 	shardDir := filepath.Join(dir, "shards")
 	if err := os.MkdirAll(shardDir, 0o755); err != nil {
@@ -383,8 +404,8 @@ func TestMergeShardDirRecoversCoordinatorCrash(t *testing.T) {
 				t.Fatalf("unit key %s missing after shard merge", key)
 			}
 			want, _ := seqCkpt.Lookup(key)
-			if got != want {
-				t.Fatalf("unit key %s: shard value %+v != oracle %+v", key, got, want)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("unit key %s: shard value %s != oracle %s", key, got, want)
 			}
 		}
 	}

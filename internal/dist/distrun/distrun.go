@@ -1,7 +1,7 @@
 // Package distrun binds the generic distribution machinery of
 // internal/dist to this repo's experiment plans: it is the only place
-// that knows both what a unit *is* (one planned miss-rate work unit
-// committing checkpoint records) and how units are farmed out (leases,
+// that knows both what a unit *is* (one planned work unit of any
+// experiment, committing checkpoint records) and how units are farmed out (leases,
 // shards, worker subprocesses). cmd/experiments calls RunCampaign on the
 // coordinator side and WorkerMain from its -worker mode; both rebuild
 // the same deterministic plan from the same CampaignSpec, and the plan
@@ -69,47 +69,43 @@ func (s CampaignSpec) Opts() experiment.Opts {
 	}
 }
 
-// planAdapter lifts an experiment.Plan into the dist.Plan interface,
-// marshaling each unit's keyed results as opaque records.
+// planAdapter lifts an experiment.Plan into the dist.Plan interface.
+// Each unit's records carry the JSON of its results as they will sit in
+// the checkpoint, so they pass through untouched.
 type planAdapter struct {
 	p *experiment.Plan
 }
 
 func (a planAdapter) Len() int            { return a.p.Len() }
 func (a planAdapter) Fingerprint() uint64 { return a.p.Fingerprint() }
-
 func (a planAdapter) Exec(unit int) ([]dist.Record, error) {
-	results, err := a.p.Execute(unit)
+	return execRecords(a.p, unit)
+}
+
+// LeaseDone retires the record trace the lease's last unit left
+// resident (dist.LeaseEnder).
+func (a planAdapter) LeaseDone() { a.p.Release() }
+
+func execRecords(p *experiment.Plan, unit int) ([]dist.Record, error) {
+	vals, err := p.Execute(unit)
 	if err != nil {
 		return nil, err
 	}
-	return marshalResults(results)
-}
-
-func marshalResults(results []experiment.KeyedResult) ([]dist.Record, error) {
-	recs := make([]dist.Record, len(results))
-	for i, kr := range results {
-		val, err := json.Marshal(kr.Result)
-		if err != nil {
-			return nil, err
-		}
-		recs[i] = dist.Record{Key: kr.Key, Val: val}
+	keys := p.UnitKeys(unit)
+	recs := make([]dist.Record, len(vals))
+	for i, v := range vals {
+		recs[i] = dist.Record{Key: keys[i], Val: v}
 	}
 	return recs, nil
 }
 
-// commitRecords applies one unit's records to the checkpoint. The raw
-// counters round-trip through JSON exactly, so a distributed unit
-// commits bit-identical values to an in-process one.
-func commitRecords(ckpt *experiment.Checkpoint, recs []dist.Record) error {
+// commitRecords applies one unit's records to the checkpoint. Results
+// round-trip through JSON exactly, so a distributed unit commits
+// bit-identical values to an in-process one.
+func commitRecords(ckpt *experiment.Checkpoint, recs []dist.Record) {
 	for _, r := range recs {
-		var u experiment.UnitResult
-		if err := json.Unmarshal(r.Val, &u); err != nil {
-			return fmt.Errorf("distrun: unit record %q: %w", r.Key, err)
-		}
-		ckpt.Record(r.Key, u)
+		ckpt.Record(r.Key, r.Val)
 	}
-	return nil
 }
 
 // WorkerMain is the whole worker subprocess: speak the protocol over
@@ -176,8 +172,8 @@ type Options struct {
 	Events dist.Events
 }
 
-// RunCampaign distributes every plannable unit of the named experiments
-// across worker subprocesses, committing results into opts.Checkpoint.
+// RunCampaign distributes every unit of the named experiments across
+// worker subprocesses, committing results into opts.Checkpoint.
 // After it returns, running the experiments in-process finds every
 // distributed unit in the checkpoint — same keys, same values — which is
 // what makes the rendered tables bit-identical to a single-process run.
@@ -216,19 +212,15 @@ func RunCampaign(opts experiment.Opts, ids []string, o Options) (dist.Stats, err
 		Clock:         tracespan.Wall,
 		AlreadyDone:   func(i int) bool { return plan.Done(i, ckpt) },
 		Commit: func(unit int, recs []dist.Record) error {
-			return commitRecords(ckpt, recs)
+			commitRecords(ckpt, recs)
+			return nil
 		},
-		LocalExec: func(unit int) ([]dist.Record, error) {
-			results, err := plan.Execute(unit)
-			if err != nil {
-				return nil, err
-			}
-			return marshalResults(results)
-		},
-		Stop:   o.Stop,
-		Logf:   o.Logf,
-		Events: telemetryEvents(o.Events),
+		LocalExec: func(unit int) ([]dist.Record, error) { return execRecords(plan, unit) },
+		Stop:      o.Stop,
+		Logf:      o.Logf,
+		Events:    telemetryEvents(o.Events),
 	}
+	defer plan.Release() // units the coordinator ran itself
 	return dist.Coordinate(cfg)
 }
 
@@ -321,9 +313,7 @@ func MergeShardDir(dir string, fingerprint uint64, ckpt *experiment.Checkpoint) 
 			if !fresh {
 				continue
 			}
-			if err := commitRecords(ckpt, pl.Records); err != nil {
-				return units, merged, err
-			}
+			commitRecords(ckpt, pl.Records)
 			merged++
 		}
 	}

@@ -166,17 +166,17 @@ func (p Params) PerAccess(kind Kind) float64 {
 
 // Counts are the traffic figures of one simulated run.
 type Counts struct {
-	L1Accesses uint64 // I$ + D$ accesses
-	L1Misses   uint64 // I$ + D$ misses
+	L1Accesses uint64 `json:"l1Accesses"` // I$ + D$ accesses
+	L1Misses   uint64 `json:"l1Misses"`   // I$ + D$ misses
 	// PDPredictedMisses counts B-Cache misses the PD predicted (no
 	// tag/data array read); zero for other configurations.
-	PDPredictedMisses uint64
+	PDPredictedMisses uint64 `json:"pdPredictedMisses"`
 	// VictimProbes counts victim-buffer probes (main-cache misses);
 	// zero for other configurations.
-	VictimProbes uint64
-	L2Accesses   uint64
-	L2Misses     uint64
-	Cycles       uint64
+	VictimProbes uint64 `json:"victimProbes"`
+	L2Accesses   uint64 `json:"l2Accesses"`
+	L2Misses     uint64 `json:"l2Misses"`
+	Cycles       uint64 `json:"cycles"`
 }
 
 // Breakdown is a run's energy split (pJ).

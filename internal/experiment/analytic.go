@@ -15,19 +15,19 @@ import (
 
 func init() {
 	register(Experiment{
-		ID:    "table1",
-		Title: "Timing analysis of the B-Cache decoder vs the original local decoders",
-		Run:   runTable1,
+		ID:     "table1",
+		Title:  "Timing analysis of the B-Cache decoder vs the original local decoders",
+		Render: renderTable1,
 	})
 	register(Experiment{
-		ID:    "table2",
-		Title: "Storage cost analysis (SRAM-bit equivalents)",
-		Run:   runTable2,
+		ID:     "table2",
+		Title:  "Storage cost analysis (SRAM-bit equivalents)",
+		Render: renderTable2,
 	})
 	register(Experiment{
-		ID:    "table3",
-		Title: "Energy per cache access (pJ), baseline vs B-Cache",
-		Run:   runTable3,
+		ID:     "table3",
+		Title:  "Energy per cache access (pJ), baseline vs B-Cache",
+		Render: renderTable3,
 	})
 }
 
@@ -49,7 +49,7 @@ func gateNames(gs []timing.Gate) string {
 	return s
 }
 
-func runTable1(Opts) ([]*Table, error) {
+func renderTable1(Opts, results) ([]*Table, error) {
 	t := &Table{
 		ID:    "table1",
 		Title: "Decoder timing: original vs B-Cache PD (6-bit CAM) and NPD",
@@ -79,7 +79,7 @@ func runTable1(Opts) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
-func runTable2(opts Opts) ([]*Table, error) {
+func renderTable2(opts Opts, _ results) ([]*Table, error) {
 	base, err := area.Baseline(opts.L1Size, opts.LineBytes)
 	if err != nil {
 		return nil, err
@@ -126,7 +126,7 @@ func runTable2(opts Opts) ([]*Table, error) {
 	return []*Table{t}, nil
 }
 
-func runTable3(opts Opts) ([]*Table, error) {
+func renderTable3(opts Opts, _ results) ([]*Table, error) {
 	p := energy.Defaults()
 	base, bc, err := p.Table3(paperBCacheConfig(opts))
 	if err != nil {

@@ -9,20 +9,21 @@ import (
 	"sync"
 )
 
-// A checkpoint makes long campaigns crash-safe: every completed
-// miss-rate work unit — one (profile × seed × spec) replay — is recorded
-// under a self-describing key, the file is rewritten atomically
-// (temp + rename, so a crash mid-save leaves the previous checkpoint
-// intact), and a resumed run looks each unit up before simulating it.
-// The stored values are the raw uint64 event counters, which round-trip
-// through JSON exactly, so a resumed run aggregates to bit-identical
-// results — not approximately-equal ones.
+// A checkpoint makes long campaigns crash-safe: every result a work
+// unit commits is recorded under a self-describing key, the file is
+// rewritten atomically (temp + rename, so a crash mid-save leaves the
+// previous checkpoint intact), and a resumed run looks each unit up
+// before simulating it. Each value is the JSON of the unit's own result
+// type; results hold raw counters (or finite floats), which round-trip
+// through JSON exactly, so a resumed run renders bit-identical tables —
+// not approximately-equal ones.
 
 // CheckpointSchemaVersion identifies the checkpoint JSON layout.
 const CheckpointSchemaVersion = 1
 
-// UnitResult is the committed outcome of one miss-rate work unit: raw
-// counters only, so resume is exact.
+// UnitResult is the committed outcome of one miss-rate work unit (and
+// of the other units that need only miss counters): raw counters only,
+// so resume is exact.
 type UnitResult struct {
 	Misses   uint64 `json:"misses"`
 	Accesses uint64 `json:"accesses"`
@@ -30,10 +31,19 @@ type UnitResult struct {
 	PDMiss   uint64 `json:"pdMiss,omitempty"`
 }
 
+// missRate is Misses/Accesses, or 0 for a unit that saw no accesses
+// (cache.Stats.MissRate on the stored counters).
+func (u UnitResult) missRate() float64 {
+	if u.Accesses == 0 {
+		return 0
+	}
+	return float64(u.Misses) / float64(u.Accesses)
+}
+
 // checkpointFile is the on-disk layout.
 type checkpointFile struct {
-	SchemaVersion int                   `json:"schemaVersion"`
-	Units         map[string]UnitResult `json:"units"`
+	SchemaVersion int                        `json:"schemaVersion"`
+	Units         map[string]json.RawMessage `json:"units"`
 }
 
 // Checkpoint is a concurrency-safe set of completed work units bound to
@@ -42,8 +52,8 @@ type checkpointFile struct {
 type Checkpoint struct {
 	mu    sync.Mutex
 	path  string
-	units map[string]UnitResult // guarded by mu
-	dirty int                   // guarded by mu
+	units map[string]json.RawMessage // guarded by mu
+	dirty int                        // guarded by mu
 	// autosaveEvery flushes to disk after that many new records
 	// (0 = only on explicit Save).
 	autosaveEvery int
@@ -58,7 +68,7 @@ type Checkpoint struct {
 // NewCheckpoint returns an empty checkpoint bound to path ("" = purely
 // in-memory).
 func NewCheckpoint(path string) *Checkpoint {
-	return &Checkpoint{path: path, units: map[string]UnitResult{}}
+	return &Checkpoint{path: path, units: map[string]json.RawMessage{}}
 }
 
 // LoadCheckpoint reads a checkpoint from path. A missing file is not an
@@ -89,7 +99,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 			return nil, fmt.Errorf("experiment: checkpoint %s is schema v%d, this build reads v%d",
 				path, ver, CheckpointSchemaVersion)
 		}
-		c.units = units
+		c.units = compactUnits(units)
 		c.loadWarning = fmt.Sprintf("checkpoint %s is torn (%v); recovered the valid prefix of %d units",
 			path, err, len(units))
 		return c, nil
@@ -99,9 +109,21 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 			path, f.SchemaVersion, CheckpointSchemaVersion)
 	}
 	if f.Units != nil {
-		c.units = f.Units
+		c.units = compactUnits(f.Units)
 	}
 	return c, nil
+}
+
+// compactUnits strips the file's indentation from every record, so a
+// loaded value is byte-identical to the one its unit recorded.
+func compactUnits(units map[string]json.RawMessage) map[string]json.RawMessage {
+	for k, raw := range units {
+		var b bytes.Buffer
+		if json.Compact(&b, raw) == nil {
+			units[k] = b.Bytes()
+		}
+	}
+	return units
 }
 
 // recoverCheckpointPrefix walks a torn checkpoint token by token and
@@ -111,12 +133,12 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // resuming it would be a guess, not a recovery. Unit records are only
 // kept when their key and value both decoded, so a record cut mid-value
 // is dropped, not half-restored.
-func recoverCheckpointPrefix(data []byte) (schemaVersion int, units map[string]UnitResult, err error) {
+func recoverCheckpointPrefix(data []byte) (schemaVersion int, units map[string]json.RawMessage, err error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	if tok, terr := dec.Token(); terr != nil || tok != json.Delim('{') {
 		return 0, nil, fmt.Errorf("no top-level object")
 	}
-	units = map[string]UnitResult{}
+	units = map[string]json.RawMessage{}
 	sawVersion := false
 	for {
 		tok, terr := dec.Token()
@@ -146,7 +168,7 @@ func recoverCheckpointPrefix(data []byte) (schemaVersion int, units map[string]U
 				if !ok {
 					return finishRecovery(schemaVersion, units, sawVersion)
 				}
-				var u UnitResult
+				var u json.RawMessage
 				if derr := dec.Decode(&u); derr != nil {
 					return finishRecovery(schemaVersion, units, sawVersion)
 				}
@@ -168,7 +190,7 @@ func recoverCheckpointPrefix(data []byte) (schemaVersion int, units map[string]U
 
 // finishRecovery applies the one hard requirement of a recovery — the
 // schema version must have been read — and returns the kept prefix.
-func finishRecovery(ver int, units map[string]UnitResult, sawVersion bool) (int, map[string]UnitResult, error) {
+func finishRecovery(ver int, units map[string]json.RawMessage, sawVersion bool) (int, map[string]json.RawMessage, error) {
 	if !sawVersion {
 		return 0, nil, fmt.Errorf("schema version missing from recoverable prefix")
 	}
@@ -207,10 +229,10 @@ func (c *Checkpoint) SetAfterRecord(fn func(total int)) {
 	c.mu.Unlock()
 }
 
-// Lookup returns the recorded result for key, if any.
-func (c *Checkpoint) Lookup(key string) (UnitResult, bool) {
+// Lookup returns the JSON of the result recorded under key, if any.
+func (c *Checkpoint) Lookup(key string) (json.RawMessage, bool) {
 	if c == nil {
-		return UnitResult{}, false
+		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -218,11 +240,12 @@ func (c *Checkpoint) Lookup(key string) (UnitResult, bool) {
 	return r, ok
 }
 
-// Record stores the result of a completed unit and autosaves when due.
+// Record stores the JSON of a completed unit's result under key and
+// autosaves when due.
 // Save errors during autosave are deliberately swallowed — the units
 // stay recorded in memory and the caller's explicit Save will report
 // persistent failures.
-func (c *Checkpoint) Record(key string, r UnitResult) {
+func (c *Checkpoint) Record(key string, r json.RawMessage) {
 	if c == nil {
 		return
 	}

@@ -18,7 +18,7 @@ func buildCheckpointBytes(t *testing.T, n int) ([]byte, map[string]UnitResult) {
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("v1|side=0|n=1000|size=16384|line=32|spec=MF%d|seed=0|prof=bench%d", i, i)
 		u := UnitResult{Misses: uint64(100 + i), Accesses: uint64(1000 + i), PDHit: uint64(i)}
-		c.Record(key, u)
+		c.Record(key, rawJSON(u))
 		want[key] = u
 	}
 	if err := c.Save(); err != nil {
@@ -75,7 +75,7 @@ func TestLoadCheckpointTornTail(t *testing.T) {
 		}
 		for key, u := range want {
 			got, ok := c.Lookup(key)
-			if ok && got != u {
+			if ok && string(got) != string(rawJSON(u)) {
 				t.Fatalf("cut %d: unit %s recovered as %+v, want %+v", cut, key, got, u)
 			}
 		}
@@ -133,7 +133,7 @@ func FuzzLoadCheckpointTorn(f *testing.F) {
 	c := NewCheckpoint(path)
 	const nUnits = 6
 	for i := 0; i < nUnits; i++ {
-		c.Record(fmt.Sprintf("v1|spec=MF%d|prof=p%d", i, i), UnitResult{Misses: uint64(i), Accesses: uint64(10 * i)})
+		c.Record(fmt.Sprintf("v1|spec=MF%d|prof=p%d", i, i), rawJSON(UnitResult{Misses: uint64(i), Accesses: uint64(10 * i)}))
 	}
 	if err := c.Save(); err != nil {
 		f.Fatal(err)

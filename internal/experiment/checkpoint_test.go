@@ -15,8 +15,8 @@ import (
 func TestCheckpointSaveLoadRoundtrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp.json")
 	cp := NewCheckpoint(path)
-	cp.Record("k1", UnitResult{Misses: 1, Accesses: 2, PDHit: 3, PDMiss: 4})
-	cp.Record("k2", UnitResult{Misses: 5, Accesses: 6})
+	cp.Record("k1", rawJSON(UnitResult{Misses: 1, Accesses: 2, PDHit: 3, PDMiss: 4}))
+	cp.Record("k2", rawJSON(UnitResult{Misses: 5, Accesses: 6}))
 	if err := cp.Save(); err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestCheckpointSaveLoadRoundtrip(t *testing.T) {
 		t.Fatalf("loaded %d units, want 2", got.Len())
 	}
 	u, ok := got.Lookup("k1")
-	if !ok || u != (UnitResult{Misses: 1, Accesses: 2, PDHit: 3, PDMiss: 4}) {
+	if !ok || string(u) != string(rawJSON(UnitResult{Misses: 1, Accesses: 2, PDHit: 3, PDMiss: 4})) {
 		t.Errorf("k1 roundtrip: got %+v ok=%v", u, ok)
 	}
 }
@@ -57,11 +57,11 @@ func TestCheckpointAutosave(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp.json")
 	cp := NewCheckpoint(path)
 	cp.SetAutosave(2)
-	cp.Record("a", UnitResult{Accesses: 1})
+	cp.Record("a", rawJSON(UnitResult{Accesses: 1}))
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("autosave fired before threshold")
 	}
-	cp.Record("b", UnitResult{Accesses: 2})
+	cp.Record("b", rawJSON(UnitResult{Accesses: 2}))
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("autosave did not write the file: %v", err)
 	}
@@ -69,7 +69,7 @@ func TestCheckpointAutosave(t *testing.T) {
 
 func TestCheckpointNilSafe(t *testing.T) {
 	var cp *Checkpoint
-	cp.Record("k", UnitResult{})
+	cp.Record("k", rawJSON(UnitResult{}))
 	cp.SetAutosave(1)
 	cp.SetAfterRecord(nil)
 	if _, ok := cp.Lookup("k"); ok {

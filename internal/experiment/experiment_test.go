@@ -165,7 +165,12 @@ func TestTable56Crossover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("design-space sweep is slow")
 	}
-	red, pd, err := designSpace(tinyOpts())
+	opts := tinyOpts()
+	res, err := runUnits(opts, designSweep(opts).units())
+	if err != nil {
+		t.Fatal(err)
+	}
+	red, pd, err := designSpace(opts, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,6 +320,7 @@ func TestExperimentDeterminism(t *testing.T) {
 	opts.Workers = 4
 	e, _ := ByID("fig4")
 	render := func() string {
+		ResetUnitMemo() // compare two simulations, not one with its memo
 		tables, err := e.Run(opts)
 		if err != nil {
 			t.Fatal(err)

@@ -22,26 +22,18 @@ import (
 // (xrecolor), and the §6.4 drowsy-compatibility analysis (xdrowsy).
 
 func init() {
-	register(Experiment{
-		ID:    "xrelated",
-		Title: "Related-work comparison: miss-rate reduction and hit latency per design (§7)",
-		Run:   runXRelated,
-	})
-	register(Experiment{
-		ID:    "xvipt",
-		Title: "Virtually-indexed physically-tagged B-Cache with and without page coloring (§6.8)",
-		Run:   runXVIPT,
-	})
-	register(Experiment{
-		ID:    "xrecolor",
-		Title: "OS page recoloring (CML) vs the B-Cache on conflict-bound benchmarks (§7.1)",
-		Run:   runXRecolor,
-	})
-	register(Experiment{
-		ID:    "xdrowsy",
-		Title: "Drowsy-eligible frame fraction: baseline vs B-Cache (§6.4)",
-		Run:   runXDrowsy,
-	})
+	register(gridExperiment("xrelated",
+		"Related-work comparison: miss-rate reduction and hit latency per design (§7)",
+		xRelatedGrid, renderXRelated))
+	register(gridExperiment("xvipt",
+		"Virtually-indexed physically-tagged B-Cache with and without page coloring (§6.8)",
+		xVIPTGrid, renderXVIPT))
+	register(gridExperiment("xrecolor",
+		"OS page recoloring (CML) vs the B-Cache on conflict-bound benchmarks (§7.1)",
+		xRecolorGrid, renderXRecolor))
+	register(gridExperiment("xdrowsy",
+		"Drowsy-eligible frame fraction: baseline vs B-Cache (§6.4)",
+		xDrowsyGrid, renderXDrowsy))
 }
 
 // relatedSpecs returns every alternative design under comparison.
@@ -71,39 +63,42 @@ func relatedSpecs() []Spec {
 	}
 }
 
-func runXRelated(opts Opts) ([]*Table, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	// Config 0 is the baseline every design's reduction is measured
-	// against; config j+1 is specs[j].
+// relatedRun is one design's raw counters on one benchmark.
+type relatedRun struct {
+	Misses uint64 `json:"misses"`
+	Hits   uint64 `json:"hits"`
+	// Extra sums the extra hit latency, in cycles, over all hits.
+	Extra uint64 `json:"extra"`
+}
+
+// xRelatedGrid replays every benchmark's data stream on the baseline
+// (config 0) and each relatedSpecs design (config j+1 is specs[j]).
+func xRelatedGrid(opts Opts) grid[relatedRun] {
 	specs := append([]Spec{baselineSpec()}, relatedSpecs()...)
-	type run struct{ misses, hits, extra uint64 }
-	runs, err := profileUnits(opts, "xrelated", workload.All(), specNames(specs),
-		func(p *workload.Profile, c int) (run, error) {
+	return grid[relatedRun]{id: "xrelated", opts: opts, profiles: workload.All(), configs: specNames(specs),
+		run: func(p *workload.Profile, c int) (relatedRun, error) {
 			at, err := cachedData(opts, p)
 			if err != nil {
-				return run{}, err
+				return relatedRun{}, err
 			}
 			cc, err := specs[c].New(opts.L1Size, opts.LineBytes)
 			if err != nil {
-				return run{}, err
+				return relatedRun{}, err
 			}
-			var r run
+			var r relatedRun
 			for _, m := range at.accs {
 				res := cc.Access(m.Addr(), m.Write())
 				if res.Hit {
-					r.hits++
-					r.extra += uint64(res.ExtraLatency)
+					r.Hits++
+					r.Extra += uint64(res.ExtraLatency)
 				}
 			}
-			r.misses = cc.Stats().Misses
+			r.Misses = cc.Stats().Misses
 			return r, nil
-		})
-	if err != nil {
-		return nil, err
-	}
+		}}
+}
 
+func renderXRelated(_ Opts, _ grid[relatedRun], runs [][]relatedRun) []*Table {
 	t := &Table{
 		ID:    "xrelated",
 		Title: "Related-work designs on the full suite (D$, 16kB): reduction vs baseline and mean hit latency",
@@ -114,26 +109,26 @@ func runXRelated(opts Opts) ([]*Table, error) {
 	}
 	var baseMisses uint64
 	for _, r := range runs {
-		baseMisses += r[0].misses
+		baseMisses += r[0].Misses
 	}
-	for j, s := range specs[1:] {
-		var sum run
+	for j, s := range relatedSpecs() {
+		var sum relatedRun
 		for _, r := range runs {
-			sum.misses += r[j+1].misses
-			sum.hits += r[j+1].hits
-			sum.extra += r[j+1].extra
+			sum.Misses += r[j+1].Misses
+			sum.Hits += r[j+1].Hits
+			sum.Extra += r[j+1].Extra
 		}
 		red := 0.0
 		if baseMisses > 0 {
-			red = 1 - float64(sum.misses)/float64(baseMisses)
+			red = 1 - float64(sum.Misses)/float64(baseMisses)
 		}
 		lat := 1.0
-		if sum.hits > 0 {
-			lat = 1 + float64(sum.extra)/float64(sum.hits)
+		if sum.Hits > 0 {
+			lat = 1 + float64(sum.Extra)/float64(sum.Hits)
 		}
 		t.AddRow(s.Name, pct(red), fmt.Sprintf("%.3f", lat))
 	}
-	return []*Table{t}, nil
+	return []*Table{t}
 }
 
 // dmBCSpecs returns the pair most extensions compare: the direct-mapped
@@ -142,29 +137,17 @@ func dmBCSpecs() []Spec {
 	return []Spec{baselineSpec(), bcacheSpec(8, 8, cache.LRU)}
 }
 
-func runXVIPT(opts Opts) ([]*Table, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
+// xVIPTGrid runs one unit per benchmark: the colored address space the
+// PIPT run populates must be the one the VIPT-colored run translates
+// through, so both see the same frames. A unit's result holds the PIPT,
+// VIPT-colored and VIPT-arbitrary B-Cache counters, then the colored
+// run's TLB counters.
+func xVIPTGrid(opts Opts) grid[[]UnitResult] {
 	const pageBytes = 8192
-	t := &Table{
-		ID:    "xvipt",
-		Title: "B-Cache under virtual addressing (8kB pages, 64-entry TLB)",
-		Note:  "coloring preserves the PD's borrowed tag bits; the physical column is the PIPT reference",
-		Headers: []string{
-			"benchmark", "physical", "vipt-colored", "vipt-arbitrary", "tlb-miss",
-		},
-	}
-	profiles, err := profilesByName("equake", "crafty", "gcc", "mcf")
-	if err != nil {
-		return nil, err
-	}
 	bcSpec := bcacheSpec(8, 8, cache.LRU)
-	// One unit per benchmark: the colored address space the PIPT run
-	// populates must be the one the VIPT-colored run translates through,
-	// so both see the same frames.
-	runs, err := profileUnits(opts, "xvipt", profiles, []string{bcSpec.Name},
-		func(p *workload.Profile, _ int) ([]float64, error) {
+	return grid[[]UnitResult]{id: "xvipt", opts: opts, profiles: mustProfiles("equake", "crafty", "gcc", "mcf"),
+		configs: []string{bcSpec.Name},
+		run: func(p *workload.Profile, _ int) ([]UnitResult, error) {
 			at, err := cachedData(opts, p)
 			if err != nil {
 				return nil, err
@@ -184,8 +167,8 @@ func runXVIPT(opts Opts) ([]*Table, error) {
 			for _, m := range at.accs {
 				pipt.Access(colored.Translate(m.Addr()), m.Write())
 			}
-			rates := []float64{pipt.Stats().MissRate()}
-			var tlbMiss float64
+			r := []UnitResult{statsResult(pipt)}
+			var tlbRun UnitResult
 			for i, as := range []*vm.AddressSpace{colored, arbitrary} {
 				bc, err := bcSpec.New(opts.L1Size, opts.LineBytes)
 				if err != nil {
@@ -202,64 +185,66 @@ func runXVIPT(opts Opts) ([]*Table, error) {
 				for _, m := range at.accs {
 					vipt.Access(m.Addr(), m.Write())
 				}
-				rates = append(rates, bc.Stats().MissRate())
+				r = append(r, statsResult(bc))
 				if i == 0 {
-					tlbMiss = float64(tlb.Misses) / float64(tlb.Hits+tlb.Misses)
+					tlbRun = UnitResult{Misses: tlb.Misses, Accesses: tlb.Hits + tlb.Misses}
 				}
 			}
-			return append(rates, tlbMiss), nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	for pi, p := range profiles {
-		r := runs[pi][0]
-		t.AddRow(p.Name, pct(r[0]), pct(r[1]), pct(r[2]), pct(r[3]))
-	}
-	return []*Table{t}, nil
+			return append(r, tlbRun), nil
+		}}
 }
 
-func runXRecolor(opts Opts) ([]*Table, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	const pageBytes = 4096
+// statsResult captures c's miss and access counters.
+func statsResult(c cache.Cache) UnitResult {
+	return UnitResult{Misses: c.Stats().Misses, Accesses: c.Stats().Accesses}
+}
+
+func renderXVIPT(_ Opts, g grid[[]UnitResult], runs [][][]UnitResult) []*Table {
 	t := &Table{
-		ID:    "xrecolor",
-		Title: "OS page recoloring (CML buffer) vs hardware approaches (D$ miss rate)",
-		Note:  "recoloring approaches 2-way behaviour (§7.1); the B-Cache reaches 4-way+ in hardware",
+		ID:    "xvipt",
+		Title: "B-Cache under virtual addressing (8kB pages, 64-entry TLB)",
+		Note:  "coloring preserves the PD's borrowed tag bits; the physical column is the PIPT reference",
 		Headers: []string{
-			"benchmark", "dm", "dm+recolor", "remaps", "2way", "bcache",
+			"benchmark", "physical", "vipt-colored", "vipt-arbitrary", "tlb-miss",
 		},
 	}
-	profiles, err := profilesByName("equake", "crafty", "twolf", "gcc")
-	if err != nil {
-		return nil, err
+	for pi, p := range g.profiles {
+		r := runs[pi][0]
+		t.AddRow(p.Name, pct(r[0].missRate()), pct(r[1].missRate()), pct(r[2].missRate()), pct(r[3].missRate()))
 	}
-	// Both configs translate through an identically-seeded arbitrary
-	// allocator, so initial placements match. Config 0 ("phys") runs the
-	// plain DM, 2-way and B-Cache on one shared address space; config 1
-	// ("recolor") runs DM plus the recoloring policy on its own.
+	return []*Table{t}
+}
+
+// recolorRun is one benchmark's counters under one xrecolor config.
+type recolorRun struct {
+	// Caches holds per-spec counters ("phys") or the DM's ("recolor").
+	Caches []UnitResult `json:"caches"`
+	Remaps uint64       `json:"remaps,omitempty"`
+}
+
+// xRecolorGrid translates both configs through an identically-seeded
+// arbitrary allocator, so initial placements match. Config 0 ("phys")
+// runs the plain DM, 2-way and B-Cache on one shared address space;
+// config 1 ("recolor") runs DM plus the recoloring policy on its own.
+func xRecolorGrid(opts Opts) grid[recolorRun] {
+	const pageBytes = 4096
 	specs := []Spec{baselineSpec(), setAssocSpec(2, 0), bcacheSpec(8, 8, cache.LRU)}
-	type run struct {
-		rates  []float64 // phys: per spec; recolor: the DM's
-		remaps uint64
-	}
-	runs, err := profileUnits(opts, "xrecolor", profiles, []string{"phys", "recolor"},
-		func(p *workload.Profile, c int) (run, error) {
+	return grid[recolorRun]{id: "xrecolor", opts: opts, profiles: mustProfiles("equake", "crafty", "twolf", "gcc"),
+		configs: []string{"phys", "recolor"},
+		run: func(p *workload.Profile, c int) (recolorRun, error) {
 			at, err := cachedData(opts, p)
 			if err != nil {
-				return run{}, err
+				return recolorRun{}, err
 			}
 			as, err := vm.NewAddressSpace(vm.Config{PageBytes: pageBytes, Policy: vm.Arbitrary, Seed: 2})
 			if err != nil {
-				return run{}, err
+				return recolorRun{}, err
 			}
 			if c == 0 {
 				caches := make([]cache.Cache, len(specs))
 				for i, s := range specs {
 					if caches[i], err = s.New(opts.L1Size, opts.LineBytes); err != nil {
-						return run{}, err
+						return recolorRun{}, err
 					}
 				}
 				for _, m := range at.accs {
@@ -268,19 +253,19 @@ func runXRecolor(opts Opts) ([]*Table, error) {
 						cc.Access(pa, m.Write())
 					}
 				}
-				var r run
+				var r recolorRun
 				for _, cc := range caches {
-					r.rates = append(r.rates, cc.Stats().MissRate())
+					r.Caches = append(r.Caches, statsResult(cc))
 				}
 				return r, nil
 			}
 			rc, err := vm.NewRecolorer(as, opts.L1Size, 24)
 			if err != nil {
-				return run{}, err
+				return recolorRun{}, err
 			}
 			dm, err := specs[0].New(opts.L1Size, opts.LineBytes)
 			if err != nil {
-				return run{}, err
+				return recolorRun{}, err
 			}
 			for _, m := range at.accs {
 				pa := as.Translate(m.Addr())
@@ -289,43 +274,39 @@ func runXRecolor(opts Opts) ([]*Table, error) {
 					rc.OnMiss(pa)
 				}
 			}
-			return run{rates: []float64{dm.Stats().MissRate()}, remaps: rc.Remaps}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	for pi, p := range profiles {
-		phys, rc := runs[pi][0], runs[pi][1]
-		t.AddRow(p.Name,
-			pct(phys.rates[0]),
-			pct(rc.rates[0]),
-			fmt.Sprintf("%d", rc.remaps),
-			pct(phys.rates[1]),
-			pct(phys.rates[2]))
-	}
-	return []*Table{t}, nil
+			return recolorRun{Caches: []UnitResult{statsResult(dm)}, Remaps: rc.Remaps}, nil
+		}}
 }
 
-func runXDrowsy(opts Opts) ([]*Table, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	const window = 2048
+func renderXRecolor(_ Opts, g grid[recolorRun], runs [][]recolorRun) []*Table {
 	t := &Table{
-		ID:    "xdrowsy",
-		Title: "Drowsy-eligible frame fraction (window 2048 accesses): baseline vs B-Cache",
-		Note:  "§6.4: the B-Cache balances accesses yet leaves cold frames for drowsy/decay techniques",
+		ID:    "xrecolor",
+		Title: "OS page recoloring (CML buffer) vs hardware approaches (D$ miss rate)",
+		Note:  "recoloring approaches 2-way behaviour (§7.1); the B-Cache reaches 4-way+ in hardware",
 		Headers: []string{
-			"benchmark", "dm-drowsy", "bc-drowsy", "dm-static-factor", "bc-static-factor",
+			"benchmark", "dm", "dm+recolor", "remaps", "2way", "bcache",
 		},
 	}
-	profiles, err := profilesByName("equake", "crafty", "art", "mcf", "gcc")
-	if err != nil {
-		return nil, err
+	for pi, p := range g.profiles {
+		phys, rc := runs[pi][0], runs[pi][1]
+		t.AddRow(p.Name,
+			pct(phys.Caches[0].missRate()),
+			pct(rc.Caches[0].missRate()),
+			fmt.Sprintf("%d", rc.Remaps),
+			pct(phys.Caches[1].missRate()),
+			pct(phys.Caches[2].missRate()))
 	}
+	return []*Table{t}
+}
+
+// xDrowsyGrid measures each benchmark's drowsy-eligible frame fraction
+// (window 2048 accesses) on the baseline and the B-Cache.
+func xDrowsyGrid(opts Opts) grid[float64] {
+	const window = 2048
 	specs := dmBCSpecs()
-	runs, err := profileUnits(opts, "xdrowsy", profiles, specNames(specs),
-		func(p *workload.Profile, c int) (float64, error) {
+	return grid[float64]{id: "xdrowsy", opts: opts, profiles: mustProfiles("equake", "crafty", "art", "mcf", "gcc"),
+		configs: specNames(specs),
+		run: func(p *workload.Profile, c int) (float64, error) {
 			at, err := cachedData(opts, p)
 			if err != nil {
 				return 0, err
@@ -342,45 +323,39 @@ func runXDrowsy(opts Opts) ([]*Table, error) {
 				d.Touch(cc.Access(m.Addr(), m.Write()).Frame)
 			}
 			return d.DrowsyFraction(), nil
-		})
-	if err != nil {
-		return nil, err
+		}}
+}
+
+func renderXDrowsy(_ Opts, g grid[float64], runs [][]float64) []*Table {
+	t := &Table{
+		ID:    "xdrowsy",
+		Title: "Drowsy-eligible frame fraction (window 2048 accesses): baseline vs B-Cache",
+		Note:  "§6.4: the B-Cache balances accesses yet leaves cold frames for drowsy/decay techniques",
+		Headers: []string{
+			"benchmark", "dm-drowsy", "bc-drowsy", "dm-static-factor", "bc-static-factor",
+		},
 	}
-	for pi, p := range profiles {
+	for pi, p := range g.profiles {
 		fDM, fBC := runs[pi][0], runs[pi][1]
 		t.AddRow(p.Name, pct(fDM), pct(fBC),
 			f3(energy.DrowsyStaticFactor(fDM)), f3(energy.DrowsyStaticFactor(fBC)))
 	}
-	return []*Table{t}, nil
+	return []*Table{t}
 }
 
 func init() {
-	register(Experiment{
-		ID:    "x3c",
-		Title: "3C miss decomposition (D$): the B-Cache removes conflict misses only",
-		Run:   runX3C,
-	})
+	register(gridExperiment("x3c",
+		"3C miss decomposition (D$): the B-Cache removes conflict misses only",
+		x3CGrid, renderX3C))
 }
 
-func runX3C(opts Opts) ([]*Table, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	t := &Table{
-		ID:    "x3c",
-		Title: "Compulsory/capacity/conflict decomposition of D$ misses (% of accesses)",
-		Note:  "the B-Cache (MF8/BAS8) attacks the conflict column; compulsory and capacity are indexing-independent",
-		Headers: []string{
-			"benchmark", "cfg", "compulsory", "capacity", "conflict", "total-miss",
-		},
-	}
-	profiles, err := profilesByName("equake", "crafty", "gcc", "art", "mcf", "wupwise")
-	if err != nil {
-		return nil, err
-	}
+// x3CGrid classifies every data-stream miss of six benchmarks on the
+// baseline and the B-Cache.
+func x3CGrid(opts Opts) grid[threec.Counts] {
 	specs := dmBCSpecs()
-	runs, err := profileUnits(opts, "x3c", profiles, specNames(specs),
-		func(p *workload.Profile, c int) (threec.Counts, error) {
+	return grid[threec.Counts]{id: "x3c", opts: opts,
+		profiles: mustProfiles("equake", "crafty", "gcc", "art", "mcf", "wupwise"), configs: specNames(specs),
+		run: func(p *workload.Profile, c int) (threec.Counts, error) {
 			at, err := cachedData(opts, p)
 			if err != nil {
 				return threec.Counts{}, err
@@ -397,11 +372,19 @@ func runX3C(opts Opts) ([]*Table, error) {
 				cl.Access(m.Addr(), m.Write())
 			}
 			return cl.Counts(), nil
-		})
-	if err != nil {
-		return nil, err
+		}}
+}
+
+func renderX3C(_ Opts, g grid[threec.Counts], runs [][]threec.Counts) []*Table {
+	t := &Table{
+		ID:    "x3c",
+		Title: "Compulsory/capacity/conflict decomposition of D$ misses (% of accesses)",
+		Note:  "the B-Cache (MF8/BAS8) attacks the conflict column; compulsory and capacity are indexing-independent",
+		Headers: []string{
+			"benchmark", "cfg", "compulsory", "capacity", "conflict", "total-miss",
+		},
 	}
-	for pi, p := range profiles {
+	for pi, p := range g.profiles {
 		for c, cfg := range []string{"dm", "bc"} {
 			counts := runs[pi][c]
 			name := p.Name
@@ -416,25 +399,50 @@ func runX3C(opts Opts) ([]*Table, error) {
 				pct(float64(counts.Misses())/n))
 		}
 	}
-	return []*Table{t}, nil
+	return []*Table{t}
 }
 
 func init() {
-	register(Experiment{
-		ID:    "xprefetch",
-		Title: "Stream-buffer prefetching is orthogonal to B-Cache balancing (IPC)",
-		Run:   runXPrefetch,
-	})
+	register(gridExperiment("xprefetch",
+		"Stream-buffer prefetching is orthogonal to B-Cache balancing (IPC)",
+		xPrefetchGrid, renderXPrefetch))
 }
 
-// runXPrefetch contrasts the two miss-reduction mechanisms of the era:
+// prefetchRun is one benchmark's timed run under one xprefetch config.
+type prefetchRun struct {
+	CPU        cpu.Result `json:"cpu"`
+	StreamHits uint64     `json:"streamHits,omitempty"`
+	Prefetches uint64     `json:"prefetches,omitempty"`
+}
+
+// xPrefetchGrid contrasts the two miss-reduction mechanisms of the era:
 // a stream buffer attacks sequential (capacity/compulsory) misses, the
 // B-Cache attacks conflict misses. On streaming benchmarks the buffer
 // wins; on conflict-bound ones the B-Cache wins; together they compose.
-func runXPrefetch(opts Opts) ([]*Table, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
+// In config c, bit 1 selects the B-Cache L1s and bit 0 the stream
+// buffer.
+func xPrefetchGrid(opts Opts) grid[prefetchRun] {
+	return grid[prefetchRun]{id: "xprefetch", opts: opts,
+		profiles: mustProfiles("art", "swim", "equake", "crafty", "mcf"),
+		configs:  []string{"dm", "dm+sb", "bc", "bc+sb"},
+		run: func(p *workload.Profile, c int) (prefetchRun, error) {
+			cfg := hier.Defaults()
+			if c&1 != 0 {
+				cfg.StreamBuffer = 8
+			}
+			h, err := newL1Hierarchy(opts, c&2 != 0, cfg)
+			if err != nil {
+				return prefetchRun{}, err
+			}
+			res, err := runRecords(opts, p, h, cpu.Defaults())
+			if err != nil {
+				return prefetchRun{}, err
+			}
+			return prefetchRun{CPU: res, StreamHits: h.StreamHits, Prefetches: h.Prefetches}, nil
+		}}
+}
+
+func renderXPrefetch(_ Opts, g grid[prefetchRun], runs [][]prefetchRun) []*Table {
 	t := &Table{
 		ID:    "xprefetch",
 		Title: "IPC with and without an 8-entry data stream buffer",
@@ -443,53 +451,30 @@ func runXPrefetch(opts Opts) ([]*Table, error) {
 			"benchmark", "dm", "dm+sb", "bc", "bc+sb", "sb-hit-rate",
 		},
 	}
-	profiles, err := profilesByName("art", "swim", "equake", "crafty", "mcf")
-	if err != nil {
-		return nil, err
-	}
-	// Config c: bit 1 selects the B-Cache L1s, bit 0 the stream buffer.
-	type run struct{ ipc, sbRate float64 }
-	runs, err := profileUnits(opts, "xprefetch", profiles, []string{"dm", "dm+sb", "bc", "bc+sb"},
-		func(p *workload.Profile, c int) (run, error) {
-			cfg := hier.Defaults()
-			if c&1 != 0 {
-				cfg.StreamBuffer = 8
-			}
-			h, err := newL1Hierarchy(opts, c&2 != 0, cfg)
-			if err != nil {
-				return run{}, err
-			}
-			res, err := runRecords(opts, p, h, cpu.Defaults())
-			if err != nil {
-				return run{}, err
-			}
-			r := run{ipc: res.IPC()}
-			if h.Prefetches > 0 {
-				r.sbRate = float64(h.StreamHits) / float64(h.Prefetches)
-			}
-			return r, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	for pi, p := range profiles {
+	for pi, p := range g.profiles {
 		r := runs[pi]
-		t.AddRow(p.Name, f3(r[0].ipc), f3(r[1].ipc), f3(r[2].ipc), f3(r[3].ipc), pct(r[1].sbRate))
+		sbRate := 0.0
+		if r[1].Prefetches > 0 {
+			sbRate = float64(r[1].StreamHits) / float64(r[1].Prefetches)
+		}
+		t.AddRow(p.Name, f3(r[0].CPU.IPC()), f3(r[1].CPU.IPC()), f3(r[2].CPU.IPC()), f3(r[3].CPU.IPC()), pct(sbRate))
 	}
-	return []*Table{t}, nil
+	return []*Table{t}
 }
 
-// profilesByName resolves benchmark names in order.
-func profilesByName(names ...string) ([]*workload.Profile, error) {
+// mustProfiles resolves benchmark names in order. The names are
+// constants of the experiment declaring them, so an unknown one is a
+// programming error.
+func mustProfiles(names ...string) []*workload.Profile {
 	out := make([]*workload.Profile, len(names))
 	for i, name := range names {
 		p, err := workload.ByName(name)
 		if err != nil {
-			return nil, err
+			panic(err)
 		}
 		out[i] = p
 	}
-	return out, nil
+	return out
 }
 
 // newL1Hierarchy builds cfg's hierarchy behind a pair of level-one
@@ -512,7 +497,7 @@ func newL1Hierarchy(opts Opts, useBC bool, cfg hier.Config) (*hier.Hierarchy, er
 }
 
 // runRecords runs p's cached record trace through the CPU model on h.
-// Call it from a profileUnits unit, whose group end retires the trace.
+// Call it from a scheduled unit, whose group end retires the trace.
 func runRecords(opts Opts, p *workload.Profile, h *hier.Hierarchy, cfg cpu.Config) (cpu.Result, error) {
 	rt, err := cachedRecords(opts, p)
 	if err != nil {
@@ -522,71 +507,64 @@ func runRecords(opts Opts, p *workload.Profile, h *hier.Hierarchy, cfg cpu.Confi
 }
 
 func init() {
-	register(Experiment{
-		ID:    "xl2",
-		Title: "The B-Cache mechanism applied at the L2 (misses per 1k instructions)",
-		Run:   runXL2,
-	})
+	register(gridExperiment("xl2",
+		"The B-Cache mechanism applied at the L2 (misses per 1k instructions)",
+		xL2Grid, renderXL2))
 }
 
-// runXL2 swaps the unified 256kB L2 between direct-mapped, B-Cache
+// xL2Grid swaps the unified 256kB L2 between direct-mapped, B-Cache
 // (MF=8, BAS=8) and the paper's 4-way baseline: the balancing idea is
 // not level-one specific.
-func runXL2(opts Opts) ([]*Table, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	t := &Table{
-		ID:    "xl2",
-		Title: "L2 organization sweep (16kB DM L1s in front): L2 miss rate",
-		Note:  "an L2 B-Cache recovers most of the associativity a 4-way L2 provides, at direct-mapped access time",
-		Headers: []string{
-			"benchmark", "dm-l2", "bcache-l2", "4way-l2",
-		},
-	}
+func xL2Grid(opts Opts) grid[UnitResult] {
 	cfg := hier.Defaults()
 	l2s := []Spec{baselineSpec(), bcacheSpec(8, 8, cache.LRU), setAssocSpec(cfg.L2Ways, 0)}
-	profiles, err := profilesByName("mcf", "gcc", "equake", "ammp")
-	if err != nil {
-		return nil, err
-	}
-	runs, err := profileUnits(opts, "xl2", profiles, t.Headers[1:],
-		func(p *workload.Profile, c int) (float64, error) {
+	return grid[UnitResult]{id: "xl2", opts: opts, profiles: mustProfiles("mcf", "gcc", "equake", "ammp"),
+		configs: []string{"dm-l2", "bcache-l2", "4way-l2"},
+		run: func(p *workload.Profile, c int) (UnitResult, error) {
 			ic, err := cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
 			if err != nil {
-				return 0, err
+				return UnitResult{}, err
 			}
 			dc, err := cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
 			if err != nil {
-				return 0, err
+				return UnitResult{}, err
 			}
 			l2, err := l2s[c].New(cfg.L2Size, cfg.L2Line)
 			if err != nil {
-				return 0, err
+				return UnitResult{}, err
 			}
 			h, err := hier.NewWithL2(ic, dc, l2, cfg)
 			if err != nil {
-				return 0, err
+				return UnitResult{}, err
 			}
 			if _, err := runRecords(opts, p, h, cpu.Defaults()); err != nil {
-				return 0, err
+				return UnitResult{}, err
 			}
-			return l2.Stats().MissRate(), nil
-		})
-	if err != nil {
-		return nil, err
+			return statsResult(l2), nil
+		}}
+}
+
+func renderXL2(_ Opts, g grid[UnitResult], runs [][]UnitResult) []*Table {
+	t := &Table{
+		ID:      "xl2",
+		Title:   "L2 organization sweep (16kB DM L1s in front): L2 miss rate",
+		Note:    "an L2 B-Cache recovers most of the associativity a 4-way L2 provides, at direct-mapped access time",
+		Headers: append([]string{"benchmark"}, g.configs...),
 	}
-	for pi, p := range profiles {
+	for pi, p := range g.profiles {
 		r := runs[pi]
-		t.AddRow(p.Name, pct(r[0]), pct(r[1]), pct(r[2]))
+		t.AddRow(p.Name, pct(r[0].missRate()), pct(r[1].missRate()), pct(r[2].missRate()))
 	}
-	return []*Table{t}, nil
+	return []*Table{t}
 }
 
 func init() {
-	register(sweepExperiment("xline",
-		"Line-size sensitivity: B-Cache reductions at 16/32/64-byte lines",
-		xLineSweeps, renderXLine, false))
+	register(Experiment{
+		ID:     "xline",
+		Title:  "Line-size sensitivity: B-Cache reductions at 16/32/64-byte lines",
+		Units:  func(opts Opts) []unit { return sweepUnits(xLineSweeps(opts)) },
+		Render: renderXLine,
+	})
 }
 
 // xLineSpecs returns the three configurations xline compares.
@@ -612,7 +590,7 @@ func xLineSweeps(opts Opts) []sweep {
 	return sws
 }
 
-func renderXLine(sws []sweep, res []missResults) []*Table {
+func renderXLine(opts Opts, runs results) ([]*Table, error) {
 	t := &Table{
 		ID:    "xline",
 		Title: "Average D$ miss-rate reduction vs line size (16kB)",
@@ -621,30 +599,51 @@ func renderXLine(sws []sweep, res []missResults) []*Table {
 			"line", "4way", "8way", "MF8",
 		},
 	}
-	for i, sw := range sws {
-		avg := func(name string) float64 { return averageReduction(sw, res[i], name) }
+	for _, sw := range xLineSweeps(opts) {
+		rates, err := sw.rates(runs)
+		if err != nil {
+			return nil, err
+		}
+		avg := func(name string) float64 { return averageReduction(sw, rates, name) }
 		t.AddRow(fmt.Sprintf("%dB", sw.opts.LineBytes), pct(avg("4way")), pct(avg("8way")), pct(avg("MF8")))
 	}
-	return []*Table{t}
+	return []*Table{t}, nil
 }
 
 func init() {
-	register(Experiment{
-		ID:    "xwindow",
-		Title: "Instruction-window sensitivity: how much miss latency the window hides",
-		Run:   runXWindow,
-	})
+	register(gridExperiment("xwindow",
+		"Instruction-window sensitivity: how much miss latency the window hides",
+		xWindowGrid, renderXWindow))
 }
 
-// runXWindow sweeps the out-of-order window size on the baseline and the
-// B-Cache. equake's misses sit on dependence chains, so even an 8x larger
-// window hides almost none of their latency: the B-Cache's gain is flat
-// across window sizes. Out-of-order execution is not a substitute for
-// removing conflict misses — the observation that motivates the paper.
-func runXWindow(opts Opts) ([]*Table, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
+// xWindows are the out-of-order window sizes xwindow sweeps.
+var xWindows = []int{8, 16, 32, 64}
+
+// xWindowGrid sweeps the out-of-order window size on the baseline and
+// the B-Cache. equake's misses sit on dependence chains, so even an 8x
+// larger window hides almost none of their latency: the B-Cache's gain
+// is flat across window sizes. Out-of-order execution is not a
+// substitute for removing conflict misses — the observation that
+// motivates the paper. Config 2w+b runs xWindows[w] on the
+// direct-mapped (b=0) or B-Cache (b=1) L1s.
+func xWindowGrid(opts Opts) grid[cpu.Result] {
+	var configs []string
+	for _, w := range xWindows {
+		configs = append(configs, fmt.Sprintf("w%d/dm", w), fmt.Sprintf("w%d/bc", w))
 	}
+	return grid[cpu.Result]{id: "xwindow", opts: opts, profiles: mustProfiles("equake"), configs: configs,
+		run: func(p *workload.Profile, c int) (cpu.Result, error) {
+			h, err := newL1Hierarchy(opts, c%2 == 1, hier.Defaults())
+			if err != nil {
+				return cpu.Result{}, err
+			}
+			cfg := cpu.Defaults()
+			cfg.Window = xWindows[c/2]
+			return runRecords(opts, p, h, cfg)
+		}}
+}
+
+func renderXWindow(_ Opts, _ grid[cpu.Result], runs [][]cpu.Result) []*Table {
 	t := &Table{
 		ID:    "xwindow",
 		Title: "equake IPC vs window size (baseline / B-Cache / B-Cache gain)",
@@ -653,37 +652,9 @@ func runXWindow(opts Opts) ([]*Table, error) {
 			"window", "dm-IPC", "bc-IPC", "bc-gain",
 		},
 	}
-	profiles, err := profilesByName("equake")
-	if err != nil {
-		return nil, err
-	}
-	// Config 2w+b runs windows[w] on the direct-mapped (b=0) or B-Cache
-	// (b=1) L1s.
-	windows := []int{8, 16, 32, 64}
-	var configs []string
-	for _, w := range windows {
-		configs = append(configs, fmt.Sprintf("w%d/dm", w), fmt.Sprintf("w%d/bc", w))
-	}
-	runs, err := profileUnits(opts, "xwindow", profiles, configs,
-		func(p *workload.Profile, c int) (float64, error) {
-			h, err := newL1Hierarchy(opts, c%2 == 1, hier.Defaults())
-			if err != nil {
-				return 0, err
-			}
-			cfg := cpu.Defaults()
-			cfg.Window = windows[c/2]
-			res, err := runRecords(opts, p, h, cfg)
-			if err != nil {
-				return 0, err
-			}
-			return res.IPC(), nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	for w, window := range windows {
-		dm, bc := runs[0][2*w], runs[0][2*w+1]
+	for w, window := range xWindows {
+		dm, bc := runs[0][2*w].IPC(), runs[0][2*w+1].IPC()
 		t.AddRow(fmt.Sprintf("%d", window), f3(dm), f3(bc), pct(bc/dm-1))
 	}
-	return []*Table{t}, nil
+	return []*Table{t}
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 
 	"bcache/internal/core"
 	"bcache/internal/fault"
@@ -18,11 +19,9 @@ import (
 // forbids — with a silently broken invariant.
 
 func init() {
-	register(Experiment{
-		ID:    "fault",
-		Title: "Soft-error campaign: miss rate and corruption vs injection rate across MF×BAS",
-		Run:   runFaultCampaign,
-	})
+	register(gridExperiment("fault",
+		"Soft-error campaign: miss rate and corruption vs injection rate across MF×BAS",
+		faultGrid, renderFaultCampaign))
 }
 
 // faultGeometries are the MF×BAS design points under test: the paper's
@@ -37,19 +36,9 @@ var faultGeometries = []struct{ mf, bas int }{
 // against.
 var faultRates = []float64{0, 1e-5, 1e-4, 1e-3}
 
-// faultProfiles returns the benchmarks the campaign replays (a
+// faultProfiles are the benchmarks the campaign replays (a
 // conflict-heavy trio, so decoder damage shows up in the miss rate).
-func faultProfiles() ([]*workload.Profile, error) {
-	var out []*workload.Profile
-	for _, name := range []string{"equake", "crafty", "gcc"} {
-		p, err := workload.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
+func faultProfiles() []*workload.Profile { return mustProfiles("equake", "crafty", "gcc") }
 
 // campaignSeed derives the deterministic injection seed of one
 // (row, profile) cell; the golden-ratio multiplier keeps streams apart.
@@ -57,123 +46,120 @@ func campaignSeed(row, profile int) uint64 {
 	return 0x9E3779B97F4A7C15*uint64(row+1) + uint64(profile+1)
 }
 
-// faultCell aggregates one campaign row across its profiles.
-type faultCell struct {
-	misses, accesses uint64
-	counts           fault.Counts
-	scrub            core.ScrubReport
-	passes           uint64
-	degraded         int
-	// invariant holds the first end-of-run invariant violation ("" =
-	// every run ended clean or explicitly degraded).
-	invariant string
+// faultRow is one campaign row: a design point under one injection
+// rate and protection model.
+type faultRow struct {
+	mf, bas int
+	rate    float64
+	prot    fault.Protection
 }
 
-func runFaultCampaign(opts Opts) ([]*Table, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	profiles, err := faultProfiles()
-	if err != nil {
-		return nil, err
-	}
-
-	type rowCfg struct {
-		mf, bas int
-		rate    float64
-		prot    fault.Protection
-	}
-	var rows []rowCfg
+// faultRows lists the campaign rows in table order.
+func faultRows() []faultRow {
+	var rows []faultRow
 	for _, g := range faultGeometries {
 		for _, rate := range faultRates {
 			if rate == 0 {
 				// The fault-free reference needs no protection sweep.
-				rows = append(rows, rowCfg{g.mf, g.bas, 0, fault.None})
+				rows = append(rows, faultRow{g.mf, g.bas, 0, fault.None})
 				continue
 			}
 			for _, prot := range []fault.Protection{fault.None, fault.Parity, fault.SECDED} {
-				rows = append(rows, rowCfg{g.mf, g.bas, rate, prot})
+				rows = append(rows, faultRow{g.mf, g.bas, rate, prot})
 			}
 		}
 	}
+	return rows
+}
 
-	cells := make([]faultCell, len(rows)*len(profiles))
-	uo := unitOpts{
-		Timeout: opts.UnitTimeout,
-		Retries: opts.UnitRetries,
-		Label: func(i int) string {
-			r := rows[i/len(profiles)]
-			return fmt.Sprintf("fault/%s/MF%d-BAS%d-r%g-%s",
-				profiles[i%len(profiles)].Name, r.mf, r.bas, r.rate, r.prot)
-		},
+// faultCell is one (profile, row) run's outcome: Repaired counts PD
+// scrub repairs, Degraded is 1 when the run ended in direct-mapped
+// fallback, and Invariant holds an end-of-run invariant violation (""
+// = the run ended clean or explicitly degraded).
+type faultCell struct {
+	Misses    uint64       `json:"misses"`
+	Accesses  uint64       `json:"accesses"`
+	Counts    fault.Counts `json:"counts"`
+	Repaired  int          `json:"repaired"`
+	Degraded  int          `json:"degraded"`
+	Invariant string       `json:"invariant,omitempty"`
+}
+
+// faultGrid runs every (profile, row) cell as its own unit.
+func faultGrid(opts Opts) grid[faultCell] {
+	profiles, rows := faultProfiles(), faultRows()
+	var configs []string
+	for _, r := range rows {
+		configs = append(configs, fmt.Sprintf("MF%d-BAS%d-r%g-%s", r.mf, r.bas, r.rate, r.prot))
 	}
-	err = runUnitsCtl(len(cells), opts.workers(), uo, func(i int) (func(), error) {
-		r := rows[i/len(profiles)]
-		pi := i % len(profiles)
-		p := profiles[pi]
-		at, err := cachedData(opts, p)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p.Name, err)
-		}
-		bc, err := core.New(core.Config{
-			SizeBytes: opts.L1Size, LineBytes: opts.LineBytes,
-			MF: r.mf, BAS: r.bas,
-		})
-		if err != nil {
-			return nil, err
-		}
-		in, err := fault.Wrap(bc, fault.Config{
-			Rate:       r.rate,
-			Protection: r.prot,
-			Seed:       campaignSeed(i/len(profiles), pi),
-			ScrubEvery: 4096,
-		})
-		if err != nil {
-			return nil, err
-		}
-		replayData(at.accs, in)
-		var cell faultCell
-		invErr := in.FinalScrub()
-		st := in.Stats()
-		cell.misses, cell.accesses = st.Misses, st.Accesses
-		cell.counts = in.Counts()
-		cell.scrub, cell.passes = in.ScrubTotals()
-		if in.Degraded() {
-			cell.degraded = 1
-		}
-		if invErr != nil && !in.Degraded() {
-			cell.invariant = invErr.Error()
-		}
-		return func() { cells[i] = cell }, nil
+	return grid[faultCell]{id: "fault", opts: opts, profiles: profiles, configs: configs,
+		run: func(p *workload.Profile, ri int) (faultCell, error) {
+			return runFaultCell(opts, p, rows[ri], campaignSeed(ri, slices.Index(profiles, p)))
+		}}
+}
+
+// runFaultCell replays p's data stream through a fault-injected B-Cache.
+func runFaultCell(opts Opts, p *workload.Profile, r faultRow, seed uint64) (faultCell, error) {
+	at, err := cachedData(opts, p)
+	if err != nil {
+		return faultCell{}, fmt.Errorf("%s: %w", p.Name, err)
+	}
+	bc, err := core.New(core.Config{
+		SizeBytes: opts.L1Size, LineBytes: opts.LineBytes,
+		MF: r.mf, BAS: r.bas,
 	})
 	if err != nil {
-		return nil, err
+		return faultCell{}, err
 	}
+	in, err := fault.Wrap(bc, fault.Config{
+		Rate:       r.rate,
+		Protection: r.prot,
+		Seed:       seed,
+		ScrubEvery: 4096,
+	})
+	if err != nil {
+		return faultCell{}, err
+	}
+	replayData(at.accs, in)
+	invErr := in.FinalScrub()
+	st := in.Stats()
+	scrub, _ := in.ScrubTotals()
+	cell := faultCell{Misses: st.Misses, Accesses: st.Accesses, Counts: in.Counts(), Repaired: scrub.Repaired}
+	if in.Degraded() {
+		cell.Degraded = 1
+	}
+	if invErr != nil && !in.Degraded() {
+		cell.Invariant = invErr.Error()
+	}
+	return cell, nil
+}
+
+func renderFaultCampaign(opts Opts, g grid[faultCell], runs [][]faultCell) []*Table {
+	rows := faultRows()
 
 	// Reduce across profiles and index the fault-free reference rates.
 	agg := make([]faultCell, len(rows))
 	for ri := range rows {
 		a := &agg[ri]
-		for pi := range profiles {
-			c := cells[ri*len(profiles)+pi]
-			a.misses += c.misses
-			a.accesses += c.accesses
-			a.counts.Injected += c.counts.Injected
-			a.counts.Silent += c.counts.Silent
-			a.counts.Detected += c.counts.Detected
-			a.counts.Corrected += c.counts.Corrected
-			a.scrub.Add(c.scrub)
-			a.passes += c.passes
-			a.degraded += c.degraded
-			if a.invariant == "" {
-				a.invariant = c.invariant
+		for pi := range g.profiles {
+			c := runs[pi][ri]
+			a.Misses += c.Misses
+			a.Accesses += c.Accesses
+			a.Counts.Injected += c.Counts.Injected
+			a.Counts.Silent += c.Counts.Silent
+			a.Counts.Detected += c.Counts.Detected
+			a.Counts.Corrected += c.Counts.Corrected
+			a.Repaired += c.Repaired
+			a.Degraded += c.Degraded
+			if a.Invariant == "" {
+				a.Invariant = c.Invariant
 			}
 		}
 	}
 	ref := map[[2]int]float64{}
 	for ri, r := range rows {
-		if r.rate == 0 && agg[ri].accesses > 0 {
-			ref[[2]int{r.mf, r.bas}] = float64(agg[ri].misses) / float64(agg[ri].accesses)
+		if r.rate == 0 && agg[ri].Accesses > 0 {
+			ref[[2]int{r.mf, r.bas}] = float64(agg[ri].Misses) / float64(agg[ri].Accesses)
 		}
 	}
 
@@ -188,12 +174,12 @@ func runFaultCampaign(opts Opts) ([]*Table, error) {
 	for ri, r := range rows {
 		a := agg[ri]
 		miss := 0.0
-		if a.accesses > 0 {
-			miss = float64(a.misses) / float64(a.accesses)
+		if a.Accesses > 0 {
+			miss = float64(a.Misses) / float64(a.Accesses)
 		}
 		delta := 100 * (miss - ref[[2]int{r.mf, r.bas}])
 		inv := "ok"
-		if a.invariant != "" {
+		if a.Invariant != "" {
 			inv = "VIOLATED"
 		}
 		t.AddRow(
@@ -202,14 +188,14 @@ func runFaultCampaign(opts Opts) ([]*Table, error) {
 			fmt.Sprintf("%.0e", r.rate),
 			pct(miss),
 			fmt.Sprintf("%+.3f", delta),
-			fmt.Sprintf("%d", a.counts.Injected),
-			fmt.Sprintf("%d", a.counts.Silent),
-			fmt.Sprintf("%d", a.counts.Detected),
-			fmt.Sprintf("%d", a.counts.Corrected),
-			fmt.Sprintf("%d", a.scrub.Repaired),
-			fmt.Sprintf("%d/%d", a.degraded, len(profiles)),
+			fmt.Sprintf("%d", a.Counts.Injected),
+			fmt.Sprintf("%d", a.Counts.Silent),
+			fmt.Sprintf("%d", a.Counts.Detected),
+			fmt.Sprintf("%d", a.Counts.Corrected),
+			fmt.Sprintf("%d", a.Repaired),
+			fmt.Sprintf("%d/%d", a.Degraded, len(g.profiles)),
 			inv,
 		)
 	}
-	return []*Table{t}, nil
+	return []*Table{t}
 }

@@ -14,51 +14,47 @@ import (
 // 64), tracking the PD hit rate downward.
 
 func init() {
-	register(Experiment{
-		ID:    "fig3",
-		Title: "wupwise D$ miss rate and PD hit rate vs MF (BAS=8, 16kB)",
-		Run:   runFig3,
-	})
+	register(gridExperiment("fig3",
+		"wupwise D$ miss rate and PD hit rate vs MF (BAS=8, 16kB)",
+		fig3Grid, renderFig3))
 }
 
-func runFig3(opts Opts) ([]*Table, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	profiles, err := profilesByName("wupwise")
-	if err != nil {
-		return nil, err
-	}
+// fig3Grid replays wupwise's data stream on the B-Cache at MF 2..512,
+// BAS = 8, and keeps the raw miss and PD counters.
+func fig3Grid(opts Opts) grid[UnitResult] {
 	var specs []Spec
 	for mf := 2; mf <= 512; mf *= 2 {
 		specs = append(specs, bcacheSpec(mf, 8, cache.LRU))
 	}
-	type run struct{ missRate, pdHitRate float64 }
-	runs, err := profileUnits(opts, "fig3", profiles, specNames(specs),
-		func(p *workload.Profile, c int) (run, error) {
+	return grid[UnitResult]{id: "fig3", opts: opts, profiles: mustProfiles("wupwise"), configs: specNames(specs),
+		run: func(p *workload.Profile, c int) (UnitResult, error) {
 			at, err := cachedData(opts, p)
 			if err != nil {
-				return run{}, err
+				return UnitResult{}, err
 			}
 			cc, err := specs[c].New(opts.L1Size, opts.LineBytes)
 			if err != nil {
-				return run{}, err
+				return UnitResult{}, err
 			}
 			bc := cc.(*core.BCache)
 			replayData(at.accs, bc)
-			return run{bc.Stats().MissRate(), bc.PDStats().HitRateDuringMiss()}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
+			pd := bc.PDStats()
+			return UnitResult{Misses: bc.Stats().Misses, Accesses: bc.Stats().Accesses,
+				PDHit: pd.MissPDHit, PDMiss: pd.MissPDMiss}, nil
+		}}
+}
+
+func renderFig3(_ Opts, g grid[UnitResult], runs [][]UnitResult) []*Table {
 	t := &Table{
 		ID:      "fig3",
 		Title:   "wupwise: D$ miss rate (left axis) and PD hit rate during misses (right axis) vs MF",
 		Note:    "BAS=8, LRU; the sharp PD-hit-rate drop marks where MF exceeds the benchmark's tag-collision stride",
 		Headers: []string{"MF", "miss-rate", "pd-hit-rate"},
 	}
-	for c, s := range specs {
-		t.AddRow(s.Name, pct(runs[0][c].missRate), pct(runs[0][c].pdHitRate))
+	for c, name := range g.configs {
+		r := runs[0][c]
+		pd := core.PDStats{MissPDHit: r.PDHit, MissPDMiss: r.PDMiss}
+		t.AddRow(name, pct(r.missRate()), pct(pd.HitRateDuringMiss()))
 	}
-	return []*Table{t}, nil
+	return []*Table{t}
 }

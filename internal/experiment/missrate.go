@@ -12,15 +12,24 @@ import (
 // baseline.
 
 func init() {
-	register(sweepExperiment("fig4",
-		"Data cache miss rate reductions, 16kB (2/4/8/32-way, victim16, B-Cache MF=2..16 BAS=8)",
-		func(opts Opts) []sweep { return []sweep{fig4Sweep(opts)} }, renderFig4, true))
-	register(sweepExperiment("fig5",
-		"Instruction cache miss rate reductions, 16kB (reported benchmarks)",
-		func(opts Opts) []sweep { return []sweep{fig5Sweep(opts)} }, renderFig5, true))
-	register(sweepExperiment("fig12",
-		"Miss rate reductions at 8kB and 32kB (12 configurations)",
-		fig12Sweeps, renderFig12, false))
+	register(Experiment{
+		ID:     "fig4",
+		Title:  "Data cache miss rate reductions, 16kB (2/4/8/32-way, victim16, B-Cache MF=2..16 BAS=8)",
+		Units:  func(opts Opts) []unit { return fig4Sweep(opts).units() },
+		Render: renderFig4,
+	})
+	register(Experiment{
+		ID:     "fig5",
+		Title:  "Instruction cache miss rate reductions, 16kB (reported benchmarks)",
+		Units:  func(opts Opts) []unit { return fig5Sweep(opts).units() },
+		Render: renderFig5,
+	})
+	register(Experiment{
+		ID:     "fig12",
+		Title:  "Miss rate reductions at 8kB and 32kB (12 configurations)",
+		Units:  func(opts Opts) []unit { return sweepUnits(fig12Sweeps(opts)) },
+		Render: renderFig12,
+	})
 }
 
 // reportedICacheProfiles returns the benchmarks Figure 5 reports.
@@ -92,23 +101,41 @@ func specNames(specs []Spec) []string {
 	return out
 }
 
-func renderFig4(sws []sweep, res []missResults) []*Table {
-	sw := sws[0]
-	note := fmt.Sprintf("synthetic SPEC2K surrogates, %d instructions, LRU", sw.opts.Instructions)
+// partialRates reduces a figure's sweep for a reductionTable, which
+// marks missing profiles: it fails only when no profile completed.
+func partialRates(sw sweep, res results) (missResults, error) {
+	rates, err := sw.rates(res)
+	if err != nil && len(rates) == 0 {
+		return nil, err
+	}
+	return rates, nil
+}
+
+func renderFig4(opts Opts, res results) ([]*Table, error) {
+	sw := fig4Sweep(opts)
+	rates, err := partialRates(sw, res)
+	if err != nil {
+		return nil, err
+	}
+	note := fmt.Sprintf("synthetic SPEC2K surrogates, %d instructions, LRU", opts.Instructions)
 	var tables []*Table
 	for _, suite := range []string{"CFP2K", "CINT2K"} { // paper order: FP panel first
 		tables = append(tables, reductionTable(
 			"fig4", fmt.Sprintf("D$ miss rate reductions over 16kB direct-mapped baseline (%s)", suite),
-			note, workload.Suite(suite), sw.specs, res[0]))
+			note, workload.Suite(suite), sw.specs, rates))
 	}
-	return tables
+	return tables, nil
 }
 
-func renderFig5(sws []sweep, res []missResults) []*Table {
-	sw := sws[0]
-	note := fmt.Sprintf("benchmarks with I$ miss rate ≥ 0.01%%; %d instructions", sw.opts.Instructions)
+func renderFig5(opts Opts, res results) ([]*Table, error) {
+	sw := fig5Sweep(opts)
+	rates, err := partialRates(sw, res)
+	if err != nil {
+		return nil, err
+	}
+	note := fmt.Sprintf("benchmarks with I$ miss rate ≥ 0.01%%; %d instructions", opts.Instructions)
 	return []*Table{reductionTable("fig5", "I$ miss rate reductions over 16kB direct-mapped baseline",
-		note, sw.profiles, sw.specs, res[0])}
+		note, sw.profiles, sw.specs, rates)}, nil
 }
 
 // fig12Specs: the twelve configurations of Figure 12 — conventional
@@ -149,9 +176,13 @@ func fig12Sweeps(opts Opts) []sweep {
 }
 
 // renderFig12 plots suite averages only, one table per sweep.
-func renderFig12(sws []sweep, res []missResults) []*Table {
+func renderFig12(opts Opts, runs results) ([]*Table, error) {
 	var tables []*Table
-	for i, sw := range sws {
+	for _, sw := range fig12Sweeps(opts) {
+		rates, err := sw.rates(runs)
+		if err != nil {
+			return nil, err
+		}
 		size := sw.opts.L1Size
 		tag := "D$"
 		if sw.side == iSide {
@@ -163,28 +194,12 @@ func renderFig12(sws []sweep, res []missResults) []*Table {
 			Note:  "averaged over the benchmarks Figures 4/5 report for this side",
 		}
 		t.Headers = append([]string{"group"}, specNames(sw.specs)...)
-		sums := make([]float64, len(sw.specs))
-		included := 0
-		for _, p := range sw.profiles {
-			row, ok := res[i][p.Name]
-			if !ok {
-				continue
-			}
-			included++
-			base := row["baseline"]
-			for x, sp := range sw.specs {
-				sums[x] += reduction(base, row[sp.Name])
-			}
-		}
-		if included == 0 {
-			included = 1
-		}
 		cells := []string{fmt.Sprintf("%dK %s", size/1024, tag)}
-		for _, v := range sums {
-			cells = append(cells, pct(v/float64(included)))
+		for _, sp := range sw.specs {
+			cells = append(cells, pct(averageReduction(sw, rates, sp.Name)))
 		}
 		t.AddRow(cells...)
 		tables = append(tables, t)
 	}
-	return tables
+	return tables, nil
 }

@@ -196,45 +196,17 @@ func TestSuiteZeroDuplicateGeneration(t *testing.T) {
 	}
 }
 
-// TestTimedMemoShared: fig8 and fig9 request the identical timed sweep;
-// the second request must reuse the first's simulations.
-func TestTimedMemoShared(t *testing.T) {
-	ResetTimedCache()
-	defer ResetTimedCache()
-	opts := tinyOpts()
-	opts.Instructions = 40_000
-	r1, err := timedResults(opts, timedSpecs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := timedResults(opts, timedSpecs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.ValueOf(r1).Pointer() != reflect.ValueOf(r2).Pointer() {
-		t.Fatal("identical timed sweep was recomputed")
-	}
-	bigger := opts
-	bigger.Instructions *= 2
-	r3, err := timedResults(bigger, timedSpecs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.ValueOf(r3).Pointer() == reflect.ValueOf(r1).Pointer() {
-		t.Fatal("different opts shared a memo entry")
-	}
-}
-
 // TestTimedResultsHonorUnitTimeout: the timed sweep's units run under
 // Opts.UnitTimeout like every other scheduled unit.
 func TestTimedResultsHonorUnitTimeout(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
+	ResetUnitMemo()
 	opts := tinyOpts()
 	opts.Instructions = 2_000 // abandoned units finish in the background
 	opts.UnitTimeout = time.Nanosecond
 	before := runtime.NumGoroutine()
-	_, err := runTimedResults(opts, timedSpecs())
+	_, err := runUnits(opts, timedGrid(opts).units())
 	// Let the abandoned units finish, so they cannot move the shared
 	// trace-cache counters under a later test.
 	for i := 0; runtime.NumGoroutine() > before && i < 1000; i++ {
@@ -246,7 +218,7 @@ func TestTimedResultsHonorUnitTimeout(t *testing.T) {
 }
 
 // TestRunUnitsCoversAll: every index is executed exactly once, with
-// grouping off (Group 0 and 1), with a ragged last group, and with more
+// grouping off (group size 0 and 1), with a ragged last group, and with more
 // workers than groups.
 func TestRunUnitsCoversAll(t *testing.T) {
 	for _, tc := range []struct{ n, workers, group int }{
@@ -257,7 +229,7 @@ func TestRunUnitsCoversAll(t *testing.T) {
 		{1, 4, 6},  // one group, shorter than its size
 	} {
 		seen := make([]atomic.Int32, tc.n)
-		err := runUnitsCtl(tc.n, tc.workers, unitOpts{Group: tc.group}, func(i int) (func(), error) {
+		err := runUnitsCtl(tc.n, tc.workers, unitOpts{Groups: fixedGroups(tc.n, tc.group)}, func(i int) (func(), error) {
 			seen[i].Add(1)
 			return nil, nil
 		})
@@ -328,18 +300,20 @@ func multiUnwrap(err error) []error {
 	return []error{err}
 }
 
-// TestProfileUnitsWrapsName: a failing unit's error names its
+// TestProfileUnitsWrapsName: a failing grid unit's error names its
 // "<profile>/<config>", and the sibling units' results still arrive.
 func TestProfileUnitsWrapsName(t *testing.T) {
+	ResetUnitMemo()
 	profiles := workload.All()[:3]
 	boom := errors.New("boom")
-	res, err := profileUnits(tinyOpts(), "test", profiles, []string{"a", "b"},
-		func(p *workload.Profile, c int) (int, error) {
+	g := grid[int]{id: "test", opts: tinyOpts(), profiles: profiles, configs: []string{"a", "b"},
+		run: func(p *workload.Profile, c int) (int, error) {
 			if p.Name == profiles[1].Name && c == 1 {
 				return 0, boom
 			}
 			return c + 1, nil
-		})
+		}}
+	res, err := runUnits(g.opts, g.units())
 	if !errors.Is(err, boom) {
 		t.Fatalf("error = %v, want wrapped %v", err, boom)
 	}
@@ -353,14 +327,20 @@ func TestProfileUnitsWrapsName(t *testing.T) {
 	if !found {
 		t.Fatalf("error %q does not name the failing unit (%q)", err, want)
 	}
-	for pi := range profiles {
+	if _, err := g.collect(res); err == nil {
+		t.Error("collect succeeded with a unit missing")
+	}
+	for pi, p := range profiles {
 		for c := 0; c < 2; c++ {
-			want := c + 1
+			got, err := result[int](res, g.key(p, c))
 			if pi == 1 && c == 1 {
-				want = 0
+				if err == nil {
+					t.Errorf("failed unit [%d][%d] has result %d", pi, c, got)
+				}
+				continue
 			}
-			if res[pi][c] != want {
-				t.Errorf("result [%d][%d] = %d, want %d", pi, c, res[pi][c], want)
+			if err != nil || got != c+1 {
+				t.Errorf("result [%d][%d] = %d, %v; want %d", pi, c, got, err, c+1)
 			}
 		}
 	}

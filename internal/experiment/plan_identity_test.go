@@ -57,9 +57,9 @@ func plannedKeys(plan *Plan) map[string]bool {
 }
 
 // TestPlanCoversSequentialCheckpoint: after a sequential run of each
-// sweep experiment on a fresh checkpoint and a fresh unit memo, the
+// experiment on a fresh checkpoint and a fresh unit memo, the
 // checkpoint must hold exactly the planned keys — the plan and the
-// in-process scheduler execute the same jobs, which is what makes the
+// in-process scheduler execute the same units, which is what makes the
 // distributed merge bit-identical.
 func TestPlanCoversSequentialCheckpoint(t *testing.T) {
 	for _, tc := range []struct {
@@ -68,6 +68,7 @@ func TestPlanCoversSequentialCheckpoint(t *testing.T) {
 	}{
 		{"fig4", 260}, {"fig5", 150}, {"fig12", 1066},
 		{"table5", 234}, {"table6", 234}, {"xline", 312},
+		{"fig3", 9}, {"fig8", 156}, {"table7", 52}, {"xrelated", 312}, {"fault", 120},
 	} {
 		t.Run(tc.id, func(t *testing.T) {
 			ResetUnitMemo()
@@ -155,7 +156,8 @@ func TestPlanCampaignKeepsNarrowerSweeps(t *testing.T) {
 
 // TestPlanCampaignPinned pins the all-experiments plan: its size and
 // its fingerprint are the coordinator-worker contract, so a refactor of
-// the job enumeration must leave them where they are.
+// the unit enumeration must leave them where they are. Every simulating
+// experiment contributes units.
 func TestPlanCampaignPinned(t *testing.T) {
 	opts := tinyPlanOpts()
 	opts.Checkpoint = nil
@@ -167,10 +169,27 @@ func TestPlanCampaignPinned(t *testing.T) {
 	for i := 0; i < plan.Len(); i++ {
 		keys += len(plan.UnitKeys(i))
 	}
-	if plan.Len() != 1274 || keys != 1788 {
-		t.Errorf("plan has %d units committing %d keys, want 1274 and 1788", plan.Len(), keys)
+	if plan.Len() != 1997 || keys != 2511 {
+		t.Errorf("plan has %d units committing %d keys, want 1997 and 2511", plan.Len(), keys)
 	}
-	if fp := plan.Fingerprint(); fp != 0x4ccbe9bd706909b2 {
-		t.Errorf("plan fingerprint %#x, want 0x4ccbe9bd706909b2", fp)
+	if fp := plan.Fingerprint(); fp != 0x9a7fe6e19278eb58 {
+		t.Errorf("plan fingerprint %#x, want 0x9a7fe6e19278eb58", fp)
+	}
+	simulating := 0
+	for _, e := range All() {
+		if e.Units == nil {
+			continue
+		}
+		simulating++
+		single, err := PlanCampaign(opts, []string{e.ID})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if single.Len() == 0 {
+			t.Errorf("%s declares units but plans none", e.ID)
+		}
+	}
+	if simulating != 19 {
+		t.Errorf("%d experiments declare units, want 19 (all but the four analytic tables)", simulating)
 	}
 }

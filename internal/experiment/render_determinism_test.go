@@ -20,6 +20,7 @@ func TestRenderPathByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	renderAll := func() (text string, csv, doc []byte) {
+		ResetUnitMemo() // render two simulations, not one and its memo
 		tables, err := e.Run(opts)
 		if err != nil {
 			t.Fatal(err)

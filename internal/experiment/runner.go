@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
@@ -36,9 +37,10 @@ type Opts struct {
 	// TraceBytes bounds the shared materialized-trace cache: 0 uses the
 	// default budget, negative disables memoization.
 	TraceBytes int64
-	// Checkpoint, when non-nil, records every completed miss-rate work
-	// unit and lets an interrupted run resume bit-identically: units
-	// found in the checkpoint are not re-simulated.
+	// Checkpoint, when non-nil, records the results of every completed
+	// work unit, of every experiment, and lets an interrupted run resume
+	// bit-identically: units found in the checkpoint are not
+	// re-simulated.
 	Checkpoint *Checkpoint
 	// UnitTimeout abandons a single work unit running longer than this
 	// (0 = no deadline); abandoned and ErrTransient units are retried
@@ -127,7 +129,7 @@ type Spec struct {
 	// LRUWays, when positive, marks the spec as a plain LRU
 	// set-associative cache of that associativity, whose hit/miss
 	// counts the scheduler may derive from a shared stack-distance
-	// profile instead of a dedicated replay (see missRates).
+	// profile instead of a dedicated replay (see sweep.units).
 	LRUWays int
 }
 
@@ -271,67 +273,155 @@ func unitKey(opts Opts, s side, specKey string, seedIdx int, profile string) str
 		s, opts.Instructions, opts.L1Size, opts.LineBytes, specKey, seedIdx, profile)
 }
 
-// unitMemo shares completed work units across experiments in one
-// process: fig4, fig12, table5/6, xline, and xrelated overlap heavily in
-// (configuration, profile, scale) space, and a unit's counters are a
-// pure function of its unitKey. Lookup order in missRates is checkpoint
-// first (resume semantics unchanged), then this memo, then simulation;
-// every simulated or checkpoint-restored unit is published here.
-var unitMemo sync.Map // unitKey string -> UnitResult
+// memo shares committed unit results across experiments in one
+// process: a result is a pure function of its key, so experiments that
+// overlap in (configuration, profile, scale) space — fig4, fig12,
+// table5/6, xline; fig8 and fig9 — simulate each shared unit once.
+// runUnits consults the checkpoint first (resume semantics), then this
+// memo, then simulates, and publishes every unit it commits here.
+var memo sync.Map // unit key string -> typed result
 
-// ResetUnitMemo drops all cross-experiment unit results, so the next
-// run simulates every unit again.
+// ResetUnitMemo drops all memoized unit results, so the next run
+// simulates every unit again.
 func ResetUnitMemo() {
-	unitMemo.Range(func(k, _ any) bool {
-		unitMemo.Delete(k)
+	memo.Range(func(k, _ any) bool {
+		memo.Delete(k)
 		return true
 	})
 }
 
-// memoLookup consults the cross-experiment memo.
-func memoLookup(key string) (UnitResult, bool) {
-	if v, ok := unitMemo.Load(key); ok {
-		return v.(UnitResult), true
+// ResetTimedCache is ResetUnitMemo under its older name: timed results
+// live in the one unit memo now, and the benchmark harness (bench/,
+// edited only together with the benchmark) still calls this name.
+func ResetTimedCache() { ResetUnitMemo() }
+
+// lookupAll returns the results stored under every key, or false if any
+// is missing.
+func lookupAll(keys []string, get func(string) (any, bool)) ([]any, bool) {
+	out := make([]any, len(keys))
+	for x, key := range keys {
+		v, ok := get(key)
+		if !ok {
+			return nil, false
+		}
+		out[x] = v
 	}
-	return UnitResult{}, false
+	return out, true
 }
 
-// profileLRU answers every spec in lru (indices into all, each with
-// LRUWays set) for one materialized trace side with a single Mattson
-// stack-distance pass: under LRU's inclusion property an access hits a
-// (sets, ways) cache iff its per-set reuse distance is below ways, so
-// one profile yields the same hit/miss counts a per-spec replay would —
-// bit-identically — at a fraction of the work. feed replays the chosen
-// side's stream into the profile, one Access per element.
-func profileLRU(feed func(*stackdist.Profile), opts Opts, all []Spec, lru []int) ([]UnitResult, error) {
-	frames := opts.L1Size / opts.LineBytes
-	geoms := make([]stackdist.Geom, len(lru))
-	for x, si := range lru {
-		w := all[si].LRUWays
-		geoms[x] = stackdist.Geom{Sets: frames / w, Ways: w}
+// restore decodes a checkpoint record of u; one that does not decode
+// counts as missing, so the unit re-simulates and overwrites it.
+func (u unit) restore(cp *Checkpoint) func(string) (any, bool) {
+	return func(key string) (any, bool) {
+		raw, ok := cp.Lookup(key)
+		if !ok {
+			return nil, false
+		}
+		v, err := u.decode(raw)
+		return v, err == nil
 	}
-	prof, err := stackdist.NewProfile(opts.LineBytes, geoms)
-	if err != nil {
-		return nil, err
-	}
-	feed(prof)
-	out := make([]UnitResult, len(lru))
-	for x, g := range geoms {
-		misses, err := prof.Misses(g.Sets, g.Ways)
+}
+
+// encode returns the JSON of each result.
+func encode(vals []any) ([]json.RawMessage, error) {
+	out := make([]json.RawMessage, len(vals))
+	for x, v := range vals {
+		raw, err := json.Marshal(v)
 		if err != nil {
 			return nil, err
 		}
-		out[x] = UnitResult{Misses: misses, Accesses: prof.Accesses()}
+		out[x] = raw
 	}
 	return out, nil
 }
 
-// execReplayUnit runs one (profile, seed, spec) replay: materialize (or
-// fetch) the trace, build the cache, replay the side, and return the raw
-// counters. Through sweep.exec it runs every replay job, whether the
-// in-process scheduler (missRates) or a worker subprocess (plan.go)
-// executes it, so both compute bit-identical units.
-func execReplayUnit(opts Opts, s side, p *workload.Profile, spec Spec, k int) (UnitResult, error) {
+// runUnits executes units in one scheduler call and returns the result
+// under every key of every completed unit, alongside the joined error of
+// any that failed. Consecutive units on one trace form a scheduler
+// group, and each group's end retires its record trace.
+//
+// Every unit takes one lookup/commit path: its keys are looked up in
+// opts.Checkpoint first (resume: results round-trip through JSON
+// exactly), then in the memo, and the unit simulates only when neither
+// holds all of them. A committed unit is recorded in both under the
+// same keys, whichever way it ran.
+func runUnits(opts Opts, units []unit) (results, error) {
+	cp := opts.Checkpoint
+	tel := CurrentTelemetry()
+	var starts []int
+	for i := range units {
+		if i == 0 || !units[i].sameTrace(units[i-1]) {
+			starts = append(starts, i)
+		}
+	}
+	// One slot per unit, written only by its own commit closure.
+	vals := make([][]any, len(units))
+	uo := unitOpts{
+		Timeout:   opts.UnitTimeout,
+		Retries:   opts.UnitRetries,
+		Groups:    starts,
+		Label:     func(i int) string { return units[i].label },
+		GroupDone: func(g int) { units[starts[g]].retire() },
+	}
+	err := runUnitsCtl(len(units), opts.workers(), uo, func(i int) (func(), error) {
+		u := units[i]
+		if v, ok := lookupAll(u.keys, u.restore(cp)); ok {
+			return func() {
+				vals[i] = v
+				for x, key := range u.keys {
+					memo.Store(key, v[x])
+				}
+			}, nil
+		}
+		v, ok := lookupAll(u.keys, func(k string) (any, bool) { return memo.Load(k) })
+		simulated := !ok
+		if simulated {
+			var err error
+			if v, err = u.exec(); err != nil {
+				return nil, err
+			}
+		}
+		var raws []json.RawMessage
+		if cp != nil {
+			var err error
+			if raws, err = encode(v); err != nil {
+				return nil, fmt.Errorf("%s: %w", u.label, err)
+			}
+		}
+		return func() {
+			vals[i] = v
+			for x, key := range u.keys {
+				if raws != nil {
+					cp.Record(key, raws[x])
+				}
+				if simulated {
+					memo.Store(key, v[x])
+				}
+			}
+			if simulated && u.replays {
+				// A unit replays its trace once, however many specs it answers.
+				tel.addAccesses(v[0].(UnitResult).Accesses)
+			}
+		}, nil
+	})
+	res := make(results, len(units))
+	for i, u := range units {
+		if vals[i] == nil {
+			continue
+		}
+		for x, key := range u.keys {
+			res[key] = vals[i][x]
+		}
+	}
+	return res, err
+}
+
+// execReplayUnit runs one replay of spec on p's trace (p carries the
+// replica seed): fetch the trace, build the cache, replay the side, and
+// return the raw counters. It is the exec of every sweep replay unit,
+// whether the in-process scheduler or a worker subprocess (plan.go)
+// runs it, so both compute bit-identical units.
+func execReplayUnit(opts Opts, s side, p *workload.Profile, spec Spec) (UnitResult, error) {
 	c, err := spec.New(opts.L1Size, opts.LineBytes)
 	if err != nil {
 		return UnitResult{}, fmt.Errorf("%s/%s: %w", p.Name, spec.Name, err)
@@ -340,13 +430,13 @@ func execReplayUnit(opts Opts, s side, p *workload.Profile, spec Spec, k int) (U
 	// forces an I-side extraction, and vice versa.
 	switch s {
 	case dSide:
-		dt, err := cachedData(opts, withSeed(p, k))
+		dt, err := cachedData(opts, p)
 		if err != nil {
 			return UnitResult{}, fmt.Errorf("%s: %w", p.Name, err)
 		}
 		replayData(dt.accs, c)
 	case iSide:
-		ft, err := cachedFetch(opts, withSeed(p, k))
+		ft, err := cachedFetch(opts, p)
 		if err != nil {
 			return UnitResult{}, fmt.Errorf("%s: %w", p.Name, err)
 		}
@@ -361,38 +451,51 @@ func execReplayUnit(opts Opts, s side, p *workload.Profile, spec Spec, k int) (U
 	return u, nil
 }
 
-// execProfileUnit runs one (profile, seed) stack-distance pass answering
-// every LRU spec in lru (indices into all) at once: sweep.exec's
-// stack-distance counterpart of execReplayUnit.
-func execProfileUnit(opts Opts, s side, p *workload.Profile, all []Spec, lru []int, k int) ([]UnitResult, error) {
-	var feed func(*stackdist.Profile)
-	switch s {
-	case dSide:
-		dt, err := cachedData(opts, withSeed(p, k))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p.Name, err)
-		}
-		feed = func(prof *stackdist.Profile) {
-			for _, m := range dt.accs {
-				prof.Access(m.Addr())
-			}
-		}
-	case iSide:
-		ft, err := cachedFetch(opts, withSeed(p, k))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p.Name, err)
-		}
-		feed = func(prof *stackdist.Profile) {
-			for _, pc := range ft.pcs {
-				prof.Access(pc)
-			}
-		}
+// execProfileUnit answers every spec in lru (indices into all, each
+// with LRUWays set) for p's trace side with a single Mattson
+// stack-distance pass: under LRU's inclusion property an access hits a
+// (sets, ways) cache iff its per-set reuse distance is below ways, so
+// one profile yields the same hit/miss counts a per-spec replay would —
+// bit-identically — at a fraction of the work. It is the stack-distance
+// counterpart of execReplayUnit.
+func execProfileUnit(opts Opts, s side, p *workload.Profile, all []Spec, lru []int) ([]UnitResult, error) {
+	frames := opts.L1Size / opts.LineBytes
+	geoms := make([]stackdist.Geom, len(lru))
+	for x, si := range lru {
+		w := all[si].LRUWays
+		geoms[x] = stackdist.Geom{Sets: frames / w, Ways: w}
 	}
-	res, err := profileLRU(feed, opts, all, lru)
+	prof, err := stackdist.NewProfile(opts.LineBytes, geoms)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", p.Name, err)
 	}
-	return res, nil
+	switch s {
+	case dSide:
+		dt, err := cachedData(opts, p)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", p.Name, err)
+		}
+		for _, m := range dt.accs {
+			prof.Access(m.Addr())
+		}
+	case iSide:
+		ft, err := cachedFetch(opts, p)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", p.Name, err)
+		}
+		for _, pc := range ft.pcs {
+			prof.Access(pc)
+		}
+	}
+	out := make([]UnitResult, len(lru))
+	for x, g := range geoms {
+		misses, err := prof.Misses(g.Sets, g.Ways)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", p.Name, err)
+		}
+		out[x] = UnitResult{Misses: misses, Accesses: prof.Accesses()}
+	}
+	return out, nil
 }
 
 // lruSpecIndices partitions all into stack-distance-profileable specs
@@ -411,10 +514,8 @@ func lruSpecIndices(opts Opts, all []Spec) (lru, replayed []int) {
 }
 
 // A sweep is one miss-rate sweep: every profile × (baseline + specs) on
-// one L1 side at one scale. It is exactly one missRates call, and the
-// unit of what an experiment declares (Experiment.sweeps): its jobs are
-// what the in-process scheduler runs and what PlanCampaign leases to
-// worker subprocesses, so the two execution paths cannot disagree.
+// one L1 side at one scale. The miss-rate experiments (fig4, fig5,
+// fig12, table5, table6, xline) declare their units as sweeps.
 type sweep struct {
 	opts     Opts
 	profiles []*workload.Profile
@@ -422,193 +523,81 @@ type sweep struct {
 	side     side
 }
 
+// profileSpecName is the pseudo spec name labeling a stack-distance
+// profiling unit. It never collides with a real Spec: every registered
+// spec name is a concrete configuration like "8way" or "MF8".
+const profileSpecName = "lru-profile"
+
 // missResults is one sweep's outcome: results[profile][specName], with
 // the baseline under "baseline".
 type missResults = map[string]map[string]missRun
 
-// sweepJob is one scheduler work unit of a sweep, on the trace of one
-// (profile, seed): either one stack-distance pass answering every
-// profileable LRU spec, or the replay of one other spec.
-type sweepJob struct {
-	pi, k int
-	// specs indexes the sweep's baseline-first spec list; keys holds the
-	// checkpoint key the job commits for each of them.
-	specs []int
-	keys  []string
-	// profile marks a stack-distance pass (a replay job has one spec).
-	profile bool
+// all returns the sweep's spec list, baseline first.
+func (sw sweep) all() []Spec { return append([]Spec{baselineSpec()}, sw.specs...) }
+
+// key is the checkpoint key of spec's result on seed k of profile.
+func (sw sweep) key(spec Spec, k int, profile string) string {
+	return unitKey(sw.opts, sw.side, spec.key(), k, profile)
 }
 
-// jobs enumerates the sweep's work units; it is the only enumerator.
-// Per (profile, seed) it yields one stack-distance job covering every
-// profileable LRU spec, then one replay job per remaining spec (all of
-// them under Opts.DisableStackDist, the profiler's differential oracle).
-// It returns the baseline-first spec list the jobs index and perSeed,
-// the number of consecutive jobs that share one trace.
-func (sw sweep) jobs() (all []Spec, jobs []sweepJob, perSeed int) {
-	all = append([]Spec{baselineSpec()}, sw.specs...)
+// units enumerates the sweep's work units, each on the trace of one
+// (profile, seed): one stack-distance pass answering every profileable
+// LRU spec, then one replay per remaining spec (all of them under
+// Opts.DisableStackDist, the profiler's differential oracle). Each
+// commits one result per spec it answers, under that spec's key.
+func (sw sweep) units() []unit {
+	all := sw.all()
 	lru, replayed := lruSpecIndices(sw.opts, all)
-	perSeed = len(replayed)
-	if len(lru) > 0 {
-		perSeed++
-	}
-	seeds := sw.opts.seeds()
-	jobs = make([]sweepJob, 0, len(sw.profiles)*seeds*perSeed)
-	job := func(pi, k int, specs []int, profile bool) sweepJob {
+	var us []unit
+	add := func(p *workload.Profile, k int, specs []int, name string,
+		exec func(*workload.Profile) ([]UnitResult, error)) {
 		keys := make([]string, len(specs))
 		for x, si := range specs {
-			keys[x] = unitKey(sw.opts, sw.side, all[si].key(), k, sw.profiles[pi].Name)
+			keys[x] = sw.key(all[si], k, p.Name)
 		}
-		return sweepJob{pi: pi, k: k, specs: specs, keys: keys, profile: profile}
+		sp := withSeed(p, k)
+		u := newUnit(sw.opts, sp, fmt.Sprintf("%s/%s/seed%d", p.Name, name, k), keys,
+			func() ([]UnitResult, error) { return exec(sp) })
+		u.replays = true
+		us = append(us, u)
 	}
-	for pi := range sw.profiles {
-		for k := 0; k < seeds; k++ {
+	for _, p := range sw.profiles {
+		for k := 0; k < sw.opts.seeds(); k++ {
 			if len(lru) > 0 {
-				jobs = append(jobs, job(pi, k, lru, true))
+				add(p, k, lru, profileSpecName, func(sp *workload.Profile) ([]UnitResult, error) {
+					return execProfileUnit(sw.opts, sw.side, sp, all, lru)
+				})
 			}
-			for x := range replayed {
-				jobs = append(jobs, job(pi, k, replayed[x:x+1], false))
-			}
-		}
-	}
-	return all, jobs, perSeed
-}
-
-// label names job j for telemetry spans and the slowest-unit digest.
-func (sw sweep) label(all []Spec, j sweepJob) string {
-	spec := profileSpecName
-	if !j.profile {
-		spec = all[j.specs[0]].Name
-	}
-	return fmt.Sprintf("%s/%s/seed%d", sw.profiles[j.pi].Name, spec, j.k)
-}
-
-// exec simulates job j and returns one result per checkpoint key.
-func (sw sweep) exec(all []Spec, j sweepJob) ([]UnitResult, error) {
-	p := sw.profiles[j.pi]
-	if j.profile {
-		return execProfileUnit(sw.opts, sw.side, p, all, j.specs, j.k)
-	}
-	u, err := execReplayUnit(sw.opts, sw.side, p, all[j.specs[0]], j.k)
-	if err != nil {
-		return nil, err
-	}
-	return []UnitResult{u}, nil
-}
-
-// lookupAll returns the results stored under every key, or false if any
-// is missing.
-func lookupAll(keys []string, get func(string) (UnitResult, bool)) ([]UnitResult, bool) {
-	out := make([]UnitResult, len(keys))
-	for x, key := range keys {
-		u, ok := get(key)
-		if !ok {
-			return nil, false
-		}
-		out[x] = u
-	}
-	return out, true
-}
-
-// missRates runs a sweep and returns results[profile][specName] plus
-// the baseline under "baseline".
-//
-// Pure-LRU set-associative specs (Spec.LRUWays > 0) are not replayed
-// one cache at a time: each (profile, seed) trace feeds one profiling
-// job whose single stack-distance pass answers all of them at once
-// (profileLRU). Every other spec — B-Cache, victim, random/FIFO, the
-// related-work designs — replays as its own (profile, seed, spec) job
-// (see sweep.jobs). Jobs still saturate the machine: the grain is never
-// coarser than one (profile, seed) trace.
-//
-// Each job looks its checkpoint keys up in opts.Checkpoint first
-// (resume: restored bit-identically, since the checkpoint stores the
-// raw counters and profiled counts equal replayed counts), then in the
-// cross-experiment unit memo, and simulates only when neither holds all
-// of them; completed jobs are recorded in both under the same per-spec
-// keys whichever way they ran.
-//
-// Failed or interrupted jobs do not void the run: the returned map
-// holds every profile whose jobs all completed, alongside the joined
-// error, so callers can render partial results.
-func missRates(sw sweep) (missResults, error) {
-	opts := sw.opts
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	all, jobs, perSeed := sw.jobs()
-	seeds := opts.seeds()
-	cp := opts.Checkpoint
-
-	// One slot per (profile, seed, spec) result, written only by its
-	// owner job's commit closure on the worker goroutine; reduced below.
-	perProfile := seeds * len(all)
-	units := make([]UnitResult, len(sw.profiles)*perProfile)
-	done := make([]bool, len(units))
-	uo := unitOpts{
-		Timeout: opts.UnitTimeout,
-		Retries: opts.UnitRetries,
-		Group:   perSeed,
-		Label:   func(i int) string { return sw.label(all, jobs[i]) },
-	}
-	tel := CurrentTelemetry()
-	err := runUnitsCtl(len(jobs), opts.workers(), uo, func(i int) (func(), error) {
-		j := jobs[i]
-		fill := func(res []UnitResult) {
-			for x, si := range j.specs {
-				idx := j.pi*perProfile + j.k*len(all) + si
-				units[idx], done[idx] = res[x], true
+			for _, si := range replayed {
+				add(p, k, []int{si}, all[si].Name, func(sp *workload.Profile) ([]UnitResult, error) {
+					u, err := execReplayUnit(sw.opts, sw.side, sp, all[si])
+					return []UnitResult{u}, err
+				})
 			}
 		}
-		if res, ok := lookupAll(j.keys, cp.Lookup); ok {
-			return func() {
-				fill(res)
-				for x, key := range j.keys {
-					unitMemo.Store(key, res[x])
-				}
-			}, nil
-		}
-		if res, ok := lookupAll(j.keys, memoLookup); ok {
-			// Another experiment already simulated this exact job.
-			return func() {
-				fill(res)
-				for x, key := range j.keys {
-					cp.Record(key, res[x])
-				}
-			}, nil
-		}
-		res, err := sw.exec(all, j)
-		if err != nil {
-			return nil, err
-		}
-		return func() {
-			fill(res)
-			for x, key := range j.keys {
-				cp.Record(key, res[x])
-				unitMemo.Store(key, res[x])
-			}
-			// A job replays its trace once, however many specs it answers.
-			tel.addAccesses(res[0].Accesses)
-		}, nil
-	})
+	}
+	return us
+}
 
-	results := make(missResults, len(sw.profiles))
-	for pi, p := range sw.profiles {
+// rates reduces the sweep's unit results to rates[profile][specName],
+// summing raw counters across seeds. A profile with a missing unit is
+// left out, and the error names the last one.
+func (sw sweep) rates(res results) (out missResults, missing error) {
+	all := sw.all()
+	out = make(missResults, len(sw.profiles))
+	for _, p := range sw.profiles {
 		row := make(map[string]missRun, len(all))
-		complete := true
-		for si, spec := range all {
+		var err error
+		for _, spec := range all {
 			var r missRun
-			for k := 0; k < seeds; k++ {
-				idx := pi*perProfile + k*len(all) + si
-				if !done[idx] {
-					complete = false
-					break
+			for k := 0; k < sw.opts.seeds() && err == nil; k++ {
+				var u UnitResult
+				if u, err = result[UnitResult](res, sw.key(spec, k, p.Name)); err == nil {
+					r.misses += u.Misses
+					r.accesses += u.Accesses
+					r.pdHit += u.PDHit
+					r.pdMiss += u.PDMiss
 				}
-				u := units[idx]
-				r.misses += u.Misses
-				r.accesses += u.Accesses
-				r.pdHit += u.PDHit
-				r.pdMiss += u.PDMiss
 			}
 			if r.accesses > 0 {
 				r.missRate = float64(r.misses) / float64(r.accesses)
@@ -618,11 +607,36 @@ func missRates(sw sweep) (missResults, error) {
 			}
 			row[spec.Name] = r
 		}
-		if complete {
-			results[p.Name] = row
+		if err != nil {
+			missing = err
+			continue
 		}
+		out[p.Name] = row
 	}
-	return results, err
+	return out, missing
+}
+
+// sweepUnits concatenates the unit lists of sws.
+func sweepUnits(sws []sweep) []unit {
+	var us []unit
+	for _, sw := range sws {
+		us = append(us, sw.units()...)
+	}
+	return us
+}
+
+// missRates runs one sweep on its own and returns its rates: the
+// profiles whose units all completed, alongside any run error.
+func missRates(sw sweep) (missResults, error) {
+	if err := sw.opts.validate(); err != nil {
+		return nil, err
+	}
+	res, err := runUnits(sw.opts, sw.units())
+	out, rerr := sw.rates(res)
+	if err == nil {
+		err = rerr
+	}
+	return out, err
 }
 
 // reduction converts a (baseline, config) miss pair into the paper's

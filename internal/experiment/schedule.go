@@ -4,12 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"bcache/internal/obs/tracespan"
-	"bcache/internal/workload"
 )
 
 // The scheduler is the suite's crash boundary. A multi-hour campaign must
@@ -83,11 +83,11 @@ type unitOpts struct {
 	// digest. Only called when a telemetry hub is installed, so label
 	// formatting costs nothing on unobserved runs.
 	Label func(i int) string
-	// Group is the length of the runs of consecutive units that share
-	// one trace (the last run may be shorter); ≤ 1 means no grouping.
-	// It is derived from the caller's job layout, never from user input:
-	// see groupQueue for how it changes the claim order.
-	Group int
+	// Groups holds the first unit index of each group of consecutive
+	// units that share one trace, ascending from 0 (nil = every unit is
+	// its own group). It is derived from the unit list, never from user
+	// input: see groupQueue for how it changes the claim order.
+	Groups []int
 	// GroupDone, if set, runs once per group g after the last of its
 	// units returns — committed, failed, panicked or abandoned past its
 	// deadline — on the worker that ran that unit. A group with a unit
@@ -117,34 +117,37 @@ func (o unitOpts) label(i int) string {
 	return o.Label(i)
 }
 
-// groupQueue hands out unit indices to workers. Units come in groups of
-// size consecutive indices that share one trace. A worker keeps
-// claiming from its current group, then starts the next unstarted
-// group, and joins an already-started group only once no unstarted
-// group remains. So two workers build two different traces at the same
-// time instead of one waiting in the other's trace build, and the tail
-// still spreads over every worker. With size 1 every group is one unit
-// and the order is that of a single shared counter.
+// groupQueue hands out unit indices to workers. Units come in groups
+// of consecutive indices that share one trace. A worker keeps claiming
+// from its current group, then starts the next unstarted group, and
+// joins an already-started group only once no unstarted group remains.
+// So two workers build two different traces at the same time instead
+// of one waiting in the other's trace build, and the tail still spreads
+// over every worker. With one unit per group the order is that of a
+// single shared counter.
 type groupQueue struct {
-	n, size, groups int
-	started         atomic.Int64   // groups handed to a first worker
-	taken           []atomic.Int64 // per group: claim attempts made
-	returned        []atomic.Int64 // per group: units returned
-	claimed         atomic.Int64   // units handed out in total
+	starts   []int          // first unit of each group, then n
+	started  atomic.Int64   // groups handed to a first worker
+	taken    []atomic.Int64 // per group: claim attempts made
+	returned []atomic.Int64 // per group: units returned
+	claimed  atomic.Int64   // units handed out in total
 }
 
-func newGroupQueue(n, size int) *groupQueue {
-	if size < 1 {
-		size = 1
+// newGroupQueue queues n units grouped at starts (see unitOpts.Groups).
+func newGroupQueue(n int, starts []int) *groupQueue {
+	if starts == nil {
+		starts = make([]int, n)
+		for i := range starts {
+			starts[i] = i
+		}
 	}
-	groups := (n + size - 1) / size
-	return &groupQueue{n: n, size: size, groups: groups,
+	groups := len(starts)
+	return &groupQueue{starts: append(starts[:groups:groups], n),
 		taken: make([]atomic.Int64, groups), returned: make([]atomic.Int64, groups)}
 }
 
-// groupSize is the number of units in group g; only the last group may
-// be short.
-func (q *groupQueue) groupSize(g int) int { return min(q.size, q.n-g*q.size) }
+// groupSize is the number of units in group g.
+func (q *groupQueue) groupSize(g int) int { return q.starts[g+1] - q.starts[g] }
 
 // claim returns the next unit for a worker whose current group is *g
 // (-1 before its first claim), updating *g to the unit's group.
@@ -156,7 +159,7 @@ func (q *groupQueue) claim(g *int) (int, bool) {
 	}
 	for {
 		ng := int(q.started.Add(1)) - 1
-		if ng >= q.groups {
+		if ng >= len(q.taken) {
 			break
 		}
 		if i, ok := q.take(ng); ok {
@@ -164,7 +167,7 @@ func (q *groupQueue) claim(g *int) (int, bool) {
 			return i, true
 		}
 	}
-	for j := 0; j < q.groups; j++ {
+	for j := range q.taken {
 		if i, ok := q.take(j); ok {
 			*g = j
 			return i, true
@@ -175,7 +178,7 @@ func (q *groupQueue) claim(g *int) (int, bool) {
 
 // take claims the next unit of group g, if any is left.
 func (q *groupQueue) take(g int) (int, bool) {
-	lo, size := g*q.size, q.groupSize(g)
+	lo, size := q.starts[g], q.groupSize(g)
 	if q.taken[g].Load() >= int64(size) {
 		return 0, false
 	}
@@ -190,12 +193,12 @@ func (q *groupQueue) take(g int) (int, bool) {
 // done records that unit i returned and reports whether it was the last
 // of its group to do so, and which group that is.
 func (q *groupQueue) done(i int) (g int, last bool) {
-	g = i / q.size
+	g = sort.SearchInts(q.starts, i+1) - 1
 	return g, q.returned[g].Add(1) == int64(q.groupSize(g))
 }
 
 // runUnitsCtl executes fn(i) for every i in [0, n) on up to workers
-// goroutines claiming from a shared groupQueue (grouped by o.Group).
+// goroutines claiming from a shared groupQueue (grouped by o.Groups).
 // Work units should be the finest independent grain available —
 // (profile × spec × seed) rather than whole profiles — so a run with
 // fewer benchmarks than cores still saturates the machine.
@@ -218,7 +221,7 @@ func runUnitsCtl(n, workers int, o unitOpts, fn func(int) (func(), error)) error
 	}
 	tel := CurrentTelemetry()
 	tel.runQueued(n)
-	q := newGroupQueue(n, o.Group)
+	q := newGroupQueue(n, o.Groups)
 	var (
 		interrupted atomic.Bool
 		mu          sync.Mutex
@@ -354,37 +357,4 @@ func protectUnit(i int, fn func(int) (func(), error)) (commit func(), err error)
 		}
 	}()
 	return fn(i)
-}
-
-// profileUnits runs fn for every (profile, config) pair as its own work
-// unit under opts' deadline and retry bounds, grouped by profile so a
-// profile's configs share one trace, and returns the results indexed
-// [profile][config]. Unit labels read "<id>/<profile>/<config>". When a
-// profile's group finishes, its record trace retires (retireRecords):
-// record traces live only as long as the group that built them.
-func profileUnits[R any](opts Opts, id string, profiles []*workload.Profile, configs []string,
-	fn func(p *workload.Profile, c int) (R, error)) ([][]R, error) {
-	nc := len(configs)
-	out := make([][]R, len(profiles))
-	for pi := range out {
-		out[pi] = make([]R, nc)
-	}
-	uo := unitOpts{
-		Timeout: opts.UnitTimeout,
-		Retries: opts.UnitRetries,
-		Group:   nc,
-		Label: func(i int) string {
-			return fmt.Sprintf("%s/%s/%s", id, profiles[i/nc].Name, configs[i%nc])
-		},
-		GroupDone: func(g int) { retireRecords(opts, profiles[g]) },
-	}
-	err := runUnitsCtl(len(profiles)*nc, opts.workers(), uo, func(i int) (func(), error) {
-		pi, c := i/nc, i%nc
-		r, err := fn(profiles[pi], c)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", profiles[pi].Name, configs[c], err)
-		}
-		return func() { out[pi][c] = r }, nil
-	})
-	return out, err
 }

@@ -132,7 +132,7 @@ func TestRunUnitsStopRequest(t *testing.T) {
 		ResetStop()
 		tel, _ := withTelemetry(t)
 		var done atomic.Int32
-		err := runUnitsCtl(n, 2, unitOpts{Group: group}, func(i int) (func(), error) {
+		err := runUnitsCtl(n, 2, unitOpts{Groups: fixedGroups(n, group)}, func(i int) (func(), error) {
 			if done.Add(1) == 4 {
 				RequestStop()
 			}
@@ -171,7 +171,7 @@ func TestRunUnitsGroupsSpreadWorkers(t *testing.T) {
 		barrier sync.WaitGroup
 	)
 	barrier.Add(2)
-	err := runUnitsCtl(4*group, 2, unitOpts{Group: group}, func(i int) (func(), error) {
+	err := runUnitsCtl(4*group, 2, unitOpts{Groups: fixedGroups(4*group, group)}, func(i int) (func(), error) {
 		mu.Lock()
 		hold := len(first) < 2
 		if hold {
@@ -286,7 +286,7 @@ func TestRunUnitsGroupDone(t *testing.T) {
 			)
 			units := func(g int) (lo, hi int) { return g * tc.group, min((g+1)*tc.group, tc.n) }
 			o := tc.o
-			o.Group = tc.group
+			o.Groups = fixedGroups(tc.n, tc.group)
 			o.GroupDone = func(g int) {
 				mu.Lock()
 				defer mu.Unlock()

@@ -15,12 +15,19 @@ import (
 // once the PD reaches 6 bits.
 
 func init() {
-	register(sweepExperiment("table5",
-		"Average D$ miss rate reduction at varied MF, BAS (and PD length)",
-		designSweeps, renderTable5, false))
-	register(sweepExperiment("table6",
-		"PD hit rate during cache misses at varied MF, BAS (and PD length)",
-		designSweeps, renderTable6, false))
+	designUnits := func(opts Opts) []unit { return designSweep(opts).units() }
+	register(Experiment{
+		ID:     "table5",
+		Title:  "Average D$ miss rate reduction at varied MF, BAS (and PD length)",
+		Units:  designUnits,
+		Render: renderTable5,
+	})
+	register(Experiment{
+		ID:     "table6",
+		Title:  "PD hit rate during cache misses at varied MF, BAS (and PD length)",
+		Units:  designUnits,
+		Render: renderTable6,
+	})
 }
 
 // designSpecs returns the MF × BAS sweep configurations of Tables 5/6.
@@ -36,26 +43,19 @@ func designSpecs() []Spec {
 	return specs
 }
 
-// designSweeps is the one MF × BAS sweep behind Tables 5 and 6.
-func designSweeps(opts Opts) []sweep {
-	return []sweep{{opts, workload.All(), designSpecs(), dSide}}
+// designSweep is the one MF × BAS sweep behind Tables 5 and 6.
+func designSweep(opts Opts) sweep {
+	return sweep{opts, workload.All(), designSpecs(), dSide}
 }
 
-// designSpace runs the MF × BAS sweep once and returns, per BAS, the
-// averaged reduction and PD hit rate per MF.
-func designSpace(opts Opts) (reductions, pdHits map[int]map[int]float64, err error) {
-	sws := designSweeps(opts)
-	res, err := missRates(sws[0])
+// designSpace reduces the MF × BAS sweep's results to, per BAS, the
+// suite-average reduction and PD hit rate per MF.
+func designSpace(opts Opts, res results) (reductions, pdHits map[int]map[int]float64, err error) {
+	sw := designSweep(opts)
+	rates, err := sw.rates(res)
 	if err != nil {
 		return nil, nil, err
 	}
-	reductions, pdHits = designAverages(sws[0], res)
-	return reductions, pdHits, nil
-}
-
-// designAverages reduces the design sweep's results to, per BAS, the
-// suite-average reduction and PD hit rate per MF.
-func designAverages(sw sweep, res missResults) (reductions, pdHits map[int]map[int]float64) {
 	reductions = map[int]map[int]float64{4: {}, 8: {}}
 	pdHits = map[int]map[int]float64{4: {}, 8: {}}
 	for _, bas := range []int{4, 8} {
@@ -63,13 +63,13 @@ func designAverages(sw sweep, res missResults) (reductions, pdHits map[int]map[i
 			name := fmt.Sprintf("mf%d-bas%d", mf, bas)
 			var pd float64
 			for _, p := range sw.profiles {
-				pd += res[p.Name][name].pdHitDuringMiss
+				pd += rates[p.Name][name].pdHitDuringMiss
 			}
-			reductions[bas][mf] = averageReduction(sw, res, name)
+			reductions[bas][mf] = averageReduction(sw, rates, name)
 			pdHits[bas][mf] = pd / float64(len(sw.profiles))
 		}
 	}
-	return reductions, pdHits
+	return reductions, pdHits, nil
 }
 
 func designTable(id, title string, vals map[int]map[int]float64) *Table {
@@ -100,14 +100,20 @@ func designTable(id, title string, vals map[int]map[int]float64) *Table {
 	return t
 }
 
-func renderTable5(sws []sweep, res []missResults) []*Table {
-	red, _ := designAverages(sws[0], res[0])
-	return []*Table{designTable("table5", "Miss rate reductions of the B-Cache vs MF, BAS, PD", red)}
+func renderTable5(opts Opts, res results) ([]*Table, error) {
+	red, _, err := designSpace(opts, res)
+	if err != nil {
+		return nil, err
+	}
+	return []*Table{designTable("table5", "Miss rate reductions of the B-Cache vs MF, BAS, PD", red)}, nil
 }
 
-func renderTable6(sws []sweep, res []missResults) []*Table {
-	_, pd := designAverages(sws[0], res[0])
-	return []*Table{designTable("table6", "PD hit rate during cache misses vs MF, BAS, PD", pd)}
+func renderTable6(opts Opts, res results) ([]*Table, error) {
+	_, pd, err := designSpace(opts, res)
+	if err != nil {
+		return nil, err
+	}
+	return []*Table{designTable("table6", "PD hit rate during cache misses vs MF, BAS, PD", pd)}, nil
 }
 
 func log2i(v int) int {

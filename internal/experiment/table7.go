@@ -12,29 +12,17 @@ import (
 // total accesses they carry.
 
 func init() {
-	register(Experiment{
-		ID:    "table7",
-		Title: "Data cache memory access behaviour (set balance), baseline vs B-Cache",
-		Run:   runTable7,
-	})
+	register(gridExperiment("table7",
+		"Data cache memory access behaviour (set balance), baseline vs B-Cache",
+		table7Grid, renderTable7))
 }
 
-func runTable7(opts Opts) ([]*Table, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	all := workload.All()
-	t := &Table{
-		ID:    "table7",
-		Title: "Set balance: fhs/ch, fms/cm, las/tca per benchmark (dm = baseline, bc = B-Cache MF8/BAS8)",
-		Note:  "a set is frequent when 2x over the per-set average; less-accessed when below half of it (§6.4)",
-		Headers: []string{
-			"benchmark", "cfg", "fhs", "ch", "fms", "cm", "las", "tca",
-		},
-	}
+// table7Grid analyzes the per-set counters of every benchmark's data
+// stream on the baseline and the B-Cache.
+func table7Grid(opts Opts) grid[stats.Balance] {
 	specs := dmBCSpecs()
-	rows, err := profileUnits(opts, "table7", all, specNames(specs),
-		func(p *workload.Profile, c int) (stats.Balance, error) {
+	return grid[stats.Balance]{id: "table7", opts: opts, profiles: workload.All(), configs: specNames(specs),
+		run: func(p *workload.Profile, c int) (stats.Balance, error) {
 			at, err := cachedData(opts, p)
 			if err != nil {
 				return stats.Balance{}, err
@@ -45,23 +33,31 @@ func runTable7(opts Opts) ([]*Table, error) {
 			}
 			replayData(at.accs, cc)
 			return stats.Analyze(cc.Stats())
-		})
-	if err != nil {
-		return nil, err
-	}
+		}}
+}
 
+func renderTable7(_ Opts, _ grid[stats.Balance], runs [][]stats.Balance) []*Table {
+	t := &Table{
+		ID:    "table7",
+		Title: "Set balance: fhs/ch, fms/cm, las/tca per benchmark (dm = baseline, bc = B-Cache MF8/BAS8)",
+		Note:  "a set is frequent when 2x over the per-set average; less-accessed when below half of it (§6.4)",
+		Headers: []string{
+			"benchmark", "cfg", "fhs", "ch", "fms", "cm", "las", "tca",
+		},
+	}
 	row := func(name, cfg string, b stats.Balance) {
 		t.AddRow(name, cfg, pct(b.FreqHitSets), pct(b.HitsInFreqSets),
 			pct(b.FreqMissSets), pct(b.MissesInFreqSets),
 			pct(b.LessAccessedSets), pct(b.AccessesInLessSets))
 	}
+	all := workload.All()
 	cfgs := []string{"dm", "bc"}
 	sums := make([]stats.Balance, len(cfgs))
 	for pi, p := range all {
 		name := p.Name
 		for c, cfg := range cfgs {
-			addBalance(&sums[c], rows[pi][c])
-			row(name, cfg, rows[pi][c])
+			addBalance(&sums[c], runs[pi][c])
+			row(name, cfg, runs[pi][c])
 			name = "" // only label the first row of the pair
 		}
 	}
@@ -71,7 +67,7 @@ func runTable7(opts Opts) ([]*Table, error) {
 		row(name, cfg, sums[c])
 		name = ""
 	}
-	return []*Table{t}, nil
+	return []*Table{t}
 }
 
 func addBalance(dst *stats.Balance, s stats.Balance) {

@@ -64,7 +64,7 @@ func ValidateProgress(p Progress) error {
 // UnitTimingSummary is the per-unit wall-time digest folded into each
 // experiment's JSON result and text footer: exact quantiles over the
 // experiment's completed units, with the slowest unit named so tail
-// kernels show up in every run, not just in BENCH files.
+// kernels show up in every run, not only in a benchmark run.
 type UnitTimingSummary struct {
 	Units       int     `json:"units"`
 	P50Seconds  float64 `json:"p50Seconds"`

@@ -239,8 +239,8 @@ func TestCheckpointSpanOnAutosave(t *testing.T) {
 	dir := t.TempDir()
 	cp := NewCheckpoint(dir + "/ckpt.json")
 	cp.SetAutosave(2)
-	cp.Record("a", UnitResult{Accesses: 1})
-	cp.Record("b", UnitResult{Accesses: 2})
+	cp.Record("a", rawJSON(UnitResult{Accesses: 1}))
+	cp.Record("b", rawJSON(UnitResult{Accesses: 2}))
 	spans := spansOfKind(tel.Journal(), tracespan.KindCheckpoint)
 	if len(spans) != 1 {
 		t.Fatalf("checkpoint spans after autosave = %d, want 1", len(spans))

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"sync"
 
 	"bcache/internal/cache"
 	"bcache/internal/core"
@@ -18,20 +17,16 @@ import (
 // is Table 4's.
 
 func init() {
+	register(gridExperiment("fig8",
+		"IPC improvement of 2/4/8-way, B-Cache and victim16 over the baseline",
+		timedGrid, renderFig8))
+	register(gridExperiment("fig9",
+		"Total memory energy normalized to the baseline",
+		timedGrid, renderFig9))
 	register(Experiment{
-		ID:    "fig8",
-		Title: "IPC improvement of 2/4/8-way, B-Cache and victim16 over the baseline",
-		Run:   runFig8,
-	})
-	register(Experiment{
-		ID:    "fig9",
-		Title: "Total memory energy normalized to the baseline",
-		Run:   runFig9,
-	})
-	register(Experiment{
-		ID:    "table4",
-		Title: "Baseline and B-Cache processor configuration",
-		Run:   runTable4,
+		ID:     "table4",
+		Title:  "Baseline and B-Cache processor configuration",
+		Render: renderTable4,
 	})
 }
 
@@ -49,11 +44,11 @@ func timedSpecs() []Spec {
 	}
 }
 
-// timedRun holds one (benchmark, config) timed simulation.
+// timedRun holds one (benchmark, config) timed simulation's raw
+// counters.
 type timedRun struct {
-	cpu    cpu.Result
-	counts energy.Counts
-	kind   energy.Kind
+	CPU    cpu.Result    `json:"cpu"`
+	Counts energy.Counts `json:"counts"`
 }
 
 // runTimed simulates one benchmark on one L1 configuration.
@@ -94,110 +89,35 @@ func runTimed(p *workload.Profile, spec Spec, opts Opts) (timedRun, error) {
 	if vc, ok := dc.(*victim.Cache); ok {
 		c.VictimProbes += vc.Stats().Misses + vc.BufferHits
 	}
-	return timedRun{cpu: res, counts: c, kind: spec.Kind}, nil
+	return timedRun{CPU: res, Counts: c}, nil
 }
 
-// timedMemo shares timed-simulation results between experiments: fig8
-// and fig9 request the identical (opts, specs) sweep and only differ in
-// how they reduce it, so the second caller reuses the first's runs.
-// Entries are built once under a singleflight channel, like the trace
-// cache; the result maps are treated as immutable by all callers.
-var timedMemo = struct {
-	sync.Mutex
-	m map[timedKey]*timedEntry
-}{m: map[timedKey]*timedEntry{}}
-
-type timedKey struct {
-	opts  Opts
-	specs string
+// timedGrid is the one timed sweep behind Figures 8 and 9: every
+// profile on the baseline and each timedSpecs configuration. Its keys
+// carry the "timed" family instead of an experiment ID, so fig9 asks
+// for exactly the results fig8 committed and simulates nothing.
+func timedGrid(opts Opts) grid[timedRun] {
+	all := append([]Spec{baselineSpec()}, timedSpecs()...)
+	return grid[timedRun]{id: "timed", opts: opts, profiles: workload.All(), configs: specNames(all),
+		run: func(p *workload.Profile, c int) (timedRun, error) { return runTimed(p, all[c], opts) }}
 }
 
-type timedEntry struct {
-	ready chan struct{}
-	out   map[string]map[string]timedRun
-	err   error
-}
-
-// ResetTimedCache drops memoized timed-simulation results (test hook).
-func ResetTimedCache() {
-	timedMemo.Lock()
-	defer timedMemo.Unlock()
-	timedMemo.m = map[timedKey]*timedEntry{}
-}
-
-// timedResults runs all profiles × (baseline + specs), scheduling each
-// (profile, spec) simulation as its own work unit. Results are memoized
-// per (opts, spec set).
-func timedResults(opts Opts, specs []Spec) (map[string]map[string]timedRun, error) {
-	key := timedKey{opts: opts}
-	for _, s := range specs {
-		key.specs += s.Name + "\x00"
-	}
-	timedMemo.Lock()
-	if e, ok := timedMemo.m[key]; ok {
-		timedMemo.Unlock()
-		<-e.ready
-		return e.out, e.err
-	}
-	e := &timedEntry{ready: make(chan struct{})}
-	timedMemo.m[key] = e
-	timedMemo.Unlock()
-
-	e.out, e.err = runTimedResults(opts, specs)
-	close(e.ready)
-	if e.err != nil {
-		// Failures are not cached; a later call may retry.
-		timedMemo.Lock()
-		delete(timedMemo.m, key)
-		timedMemo.Unlock()
-	}
-	return e.out, e.err
-}
-
-func runTimedResults(opts Opts, specs []Spec) (map[string]map[string]timedRun, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	all := append([]Spec{baselineSpec()}, specs...)
-	profiles := workload.All()
-	runs, err := profileUnits(opts, "timed", profiles, specNames(all),
-		func(p *workload.Profile, si int) (timedRun, error) {
-			return runTimed(p, all[si], opts)
-		})
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]map[string]timedRun, len(profiles))
-	for pi, p := range profiles {
-		row := make(map[string]timedRun, len(all))
-		for si, spec := range all {
-			row[spec.Name] = runs[pi][si]
-		}
-		out[p.Name] = row
-	}
-	return out, nil
-}
-
-func runFig8(opts Opts) ([]*Table, error) {
+func renderFig8(opts Opts, _ grid[timedRun], runs [][]timedRun) []*Table {
 	specs := timedSpecs()
-	res, err := timedResults(opts, specs)
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{
 		ID:      "fig8",
 		Title:   "% IPC improvement over the 16kB direct-mapped baseline",
 		Note:    fmt.Sprintf("Table 4 processor, %d instructions per run", opts.Instructions),
 		Headers: append([]string{"benchmark", "base-IPC"}, specNames(specs)...),
 	}
+	// Config 0 is the baseline; config i+1 is specs[i].
 	sums := make([]float64, len(specs))
 	all := workload.All()
-	for _, p := range all {
-		row := res[p.Name]
-		base := row["baseline"].cpu.IPC()
+	for pi, p := range all {
+		base := runs[pi][0].CPU.IPC()
 		cells := []string{p.Name, f3(base)}
-		for i, s := range specs {
-			imp := row[s.Name].cpu.IPC()/base - 1
+		for i := range specs {
+			imp := runs[pi][i+1].CPU.IPC()/base - 1
 			sums[i] += imp
 			cells = append(cells, pct(imp))
 		}
@@ -208,15 +128,11 @@ func runFig8(opts Opts) ([]*Table, error) {
 		ave = append(ave, pct(s/float64(len(all))))
 	}
 	t.AddRow(ave...)
-	return []*Table{t}, nil
+	return []*Table{t}
 }
 
-func runFig9(opts Opts) ([]*Table, error) {
+func renderFig9(_ Opts, _ grid[timedRun], runs [][]timedRun) []*Table {
 	specs := timedSpecs()
-	res, err := timedResults(opts, specs)
-	if err != nil {
-		return nil, err
-	}
 	params := energy.Defaults()
 	t := &Table{
 		ID:      "fig9",
@@ -226,15 +142,13 @@ func runFig9(opts Opts) ([]*Table, error) {
 	}
 	sums := make([]float64, len(specs))
 	all := workload.All()
-	for _, p := range all {
-		row := res[p.Name]
-		base := row["baseline"]
-		spc := params.StaticPerCycle(params.Dynamic(energy.DirectMapped, base.counts), base.counts.Cycles)
-		baseTotal := params.Total(energy.DirectMapped, base.counts, spc).Total()
+	for pi, p := range all {
+		base := runs[pi][0].Counts
+		spc := params.StaticPerCycle(params.Dynamic(energy.DirectMapped, base), base.Cycles)
+		baseTotal := params.Total(energy.DirectMapped, base, spc).Total()
 		cells := []string{p.Name}
 		for i, s := range specs {
-			r := row[s.Name]
-			norm := params.Total(r.kind, r.counts, spc).Total() / baseTotal
+			norm := params.Total(s.Kind, runs[pi][i+1].Counts, spc).Total() / baseTotal
 			sums[i] += norm
 			cells = append(cells, f3(norm))
 		}
@@ -245,10 +159,10 @@ func runFig9(opts Opts) ([]*Table, error) {
 		ave = append(ave, f3(s/float64(len(all))))
 	}
 	t.AddRow(ave...)
-	return []*Table{t}, nil
+	return []*Table{t}
 }
 
-func runTable4(Opts) ([]*Table, error) {
+func renderTable4(Opts, results) ([]*Table, error) {
 	c := cpu.Defaults()
 	h := hier.Defaults()
 	t := &Table{

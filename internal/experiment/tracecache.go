@@ -35,9 +35,10 @@ import (
 //     so this is the one stream a line-size sweep re-derives.
 //
 // A record trace — 48 MB at DefaultOpts, 24 bytes per instruction
-// against the streams' ~4.7 — lives only for its profileUnits trace
+// against the streams' ~4.7 — lives only for its scheduler trace
 // group: built by the group's first unit, shared by the rest, and
-// dropped by retireRecords when the last one returns. It is never
+// dropped by retireRecords when the last one returns (a worker
+// subprocess retires it when it moves to another trace, Plan.Execute). It is never
 // evicted or spilled. Streams live until budget pressure evicts them.
 //
 // A stream miss builds BOTH sides and publishes the sibling as a
@@ -843,8 +844,8 @@ func (tc *traceCache) countGeneration() {
 // cachedRecords returns the generator output for (p, seed, n), running
 // the generator once per trace group. Only the timed CPU model needs
 // whole records; stream consumers go through cachedData/cachedFetch,
-// which never build one. Call it only from a profileUnits unit, whose
-// group end retires the entry (retireRecords).
+// which never build one. Call it only from a unit's exec, whose group
+// end retires the entry (retireRecords).
 func cachedRecords(opts Opts, p *workload.Profile) (*recordTrace, error) {
 	budget := opts.traceBudget()
 	if budget <= 0 {

@@ -221,14 +221,15 @@ func TestPeakStaysWithinBudget(t *testing.T) {
 	}
 }
 
-// recordGroups runs a CPU-model-shaped profileUnits campaign: every
-// unit of a profile's group fetches the record trace, and with streams
-// set also asks for the data and fetch streams mid-group, so a tight
-// budget evicts streams while the record trace is in use.
+// recordGroups runs a CPU-model-shaped grid campaign on a fresh unit
+// memo: every unit of a profile's group fetches the record trace, and
+// with streams set also asks for the data and fetch streams mid-group,
+// so a tight budget evicts streams while the record trace is in use.
 func recordGroups(t *testing.T, opts Opts, profiles []*workload.Profile, streams bool) {
 	t.Helper()
-	_, err := profileUnits(opts, "records", profiles, []string{"a", "b", "c"},
-		func(p *workload.Profile, c int) (struct{}, error) {
+	ResetUnitMemo()
+	g := grid[struct{}]{id: "records", opts: opts, profiles: profiles, configs: []string{"a", "b", "c"},
+		run: func(p *workload.Profile, c int) (struct{}, error) {
 			if _, err := cachedRecords(opts, p); err != nil {
 				return struct{}{}, err
 			}
@@ -241,8 +242,8 @@ func recordGroups(t *testing.T, opts Opts, profiles []*workload.Profile, streams
 				}
 			}
 			return struct{}{}, nil
-		})
-	if err != nil {
+		}}
+	if _, err := runUnits(opts, g.units()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -8,7 +8,8 @@ import (
 	"bcache/internal/obs/tracespan"
 )
 
-// profileUnitExperiments schedule every simulation through profileUnits.
+// profileUnitExperiments are the (profile × configuration) grid
+// experiments.
 var profileUnitExperiments = []string{"fig3", "table7", "x3c", "xdrowsy", "xrecolor", "xrelated", "xvipt"}
 
 // runCSV runs experiment id and returns its tables as CSV.
@@ -31,15 +32,19 @@ func runCSV(t *testing.T, id string, opts Opts) []byte {
 	return b.Bytes()
 }
 
-// TestProfileUnitsWorkerInvariant: results are reduced from the
-// [profile][config] grid after the run, so the worker count (and with it
-// the unit completion order) cannot reach the output.
+// TestProfileUnitsWorkerInvariant: results are reduced by key after the
+// run, so the worker count (and with it the unit completion order)
+// cannot reach the output. Each run starts from an empty memo, so both
+// simulate.
 func TestProfileUnitsWorkerInvariant(t *testing.T) {
 	for _, id := range profileUnitExperiments {
 		t.Run(id, func(t *testing.T) {
 			one, four := tinyOpts(), tinyOpts()
 			one.Workers, four.Workers = 1, 4
-			a, b := runCSV(t, id, one), runCSV(t, id, four)
+			ResetUnitMemo()
+			a := runCSV(t, id, one)
+			ResetUnitMemo()
+			b := runCSV(t, id, four)
 			if !bytes.Equal(a, b) {
 				t.Fatalf("CSV differs between 1 and 4 workers\n1: %s\n4: %s", a, b)
 			}
@@ -109,8 +114,7 @@ func TestNoTraceAccessOutsideUnits(t *testing.T) {
 // TestNoRecordTraceOutlivesExperiment: a record trace lives only for
 // its trace group, so once any registered experiment's Run returns the
 // shared cache holds no record trace, in memory or on disk. A future
-// cpu.Run experiment inherits the guarantee by running its units
-// through profileUnits.
+// cpu.Run experiment inherits the guarantee by declaring its units.
 func TestNoRecordTraceOutlivesExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry sweep is slow")
@@ -118,7 +122,6 @@ func TestNoRecordTraceOutlivesExperiment(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
 	ResetUnitMemo()
-	ResetTimedCache()
 	opts := tinyOpts()
 	opts.Workers = 2
 	for _, e := range All() {
@@ -134,7 +137,7 @@ func TestNoRecordTraceOutlivesExperiment(t *testing.T) {
 // TestRecordExperimentsBudgetInvariant: the experiments that run record
 // traces render the same CSV whether the trace cache starves (every
 // stream evicted on arrival), runs at its default budget, or is off.
-// fig9 reuses fig8's timed simulations at each budget, as in a suite.
+// fig9 reuses fig8's timed results at each budget, as in a suite.
 func TestRecordExperimentsBudgetInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three budgets of the timed experiments are slow")
@@ -145,7 +148,7 @@ func TestRecordExperimentsBudgetInvariant(t *testing.T) {
 	csv := make(map[string][][]byte, len(ids))
 	for _, budget := range budgets {
 		ResetTraceCache()
-		ResetTimedCache()
+		ResetUnitMemo()
 		opts := tinyOpts()
 		opts.Workers = 2
 		opts.TraceBytes = budget

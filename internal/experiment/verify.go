@@ -286,7 +286,11 @@ func checkTable3(Opts) (string, bool, error) {
 }
 
 func checkTable5(opts Opts) (string, bool, error) {
-	red, _, err := designSpace(opts)
+	res, err := runUnits(opts, designSweep(opts).units())
+	if err != nil {
+		return "", false, err
+	}
+	red, _, err := designSpace(opts, res)
 	if err != nil {
 		return "", false, err
 	}
@@ -296,7 +300,7 @@ func checkTable5(opts Opts) (string, bool, error) {
 }
 
 func checkTable7(opts Opts) (string, bool, error) {
-	tables, err := runTable7(opts)
+	tables, err := registry["table7"].Run(opts)
 	if err != nil {
 		return "", false, err
 	}

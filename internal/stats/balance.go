@@ -20,18 +20,18 @@ import (
 // All fields are fractions in [0, 1].
 type Balance struct {
 	// FreqHitSets is the fraction of sets whose hits exceed 2× average.
-	FreqHitSets float64
+	FreqHitSets float64 `json:"freqHitSets"`
 	// HitsInFreqSets is the fraction of all hits occurring in those sets.
-	HitsInFreqSets float64
+	HitsInFreqSets float64 `json:"hitsInFreqSets"`
 	// FreqMissSets is the fraction of sets whose misses exceed 2× average.
-	FreqMissSets float64
+	FreqMissSets float64 `json:"freqMissSets"`
 	// MissesInFreqSets is the fraction of all misses occurring there.
-	MissesInFreqSets float64
+	MissesInFreqSets float64 `json:"missesInFreqSets"`
 	// LessAccessedSets is the fraction of sets accessed less than half
 	// the average.
-	LessAccessedSets float64
+	LessAccessedSets float64 `json:"lessAccessedSets"`
 	// AccessesInLessSets is the fraction of all accesses they carry.
-	AccessesInLessSets float64
+	AccessesInLessSets float64 `json:"accessesInLessSets"`
 }
 
 // Analyze classifies the per-frame counters of s.

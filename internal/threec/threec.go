@@ -45,10 +45,10 @@ func (c Class) String() string {
 
 // Counts accumulates per-class totals.
 type Counts struct {
-	Hits       uint64
-	Compulsory uint64
-	Capacity   uint64
-	Conflict   uint64
+	Hits       uint64 `json:"hits"`
+	Compulsory uint64 `json:"compulsory"`
+	Capacity   uint64 `json:"capacity"`
+	Conflict   uint64 `json:"conflict"`
 }
 
 // Misses returns the total miss count.
