@@ -102,7 +102,7 @@ fmt-check:
 ci: fmt-check vet lint lint-facts-clean build bench-test race-robust race chaos reproduce
 	@$(MAKE) telemetry-smoke || echo "[telemetry-smoke] WARNING: live telemetry smoke failed (non-fatal; see above)"
 	@$(MAKE) bench-compare || echo "[bench-regression] WARNING: a benchmark run failed, or an end-to-end metric regressed against $(BASE) (non-fatal; rerun 'make bench-compare' on a quiet box)"
-	@$(MAKE) mem-ceiling || echo "[mem-ceiling] WARNING: suite or timed process peak RSS exceeds its ceiling (non-fatal; see above)"
+	@$(MAKE) mem-ceiling || echo "[mem-ceiling] WARNING: a benchmark workload's process peak RSS exceeds its ceiling (non-fatal; see above)"
 
 # chaos runs the distributed-execution kill/interrupt suite under -race:
 # worker subprocesses SIGKILLed mid-campaign, SIGINT drain, and
@@ -116,16 +116,22 @@ chaos:
 	$(GO) test -race -count=1 ./internal/dist
 
 # reproduce is the output drift gate: it regenerates every table at
-# default scale as CSV (deterministic; the text format's timing footers
-# are not) and diffs it against the committed full_experiments.csv.
-# About 35 s on 2 vCPUs. A deliberate change to the output regenerates
-# the file with the same command:
-#   go run ./cmd/experiments -format csv -workers 2 -o full_experiments.csv
+# default scale as CSV, checkpointing every unit, and diffs it against
+# the committed full_experiments.csv. It then renders the text format
+# from that checkpoint (-resume: nothing is simulated again) and diffs
+# it against full_experiments.txt; the text format's timing footers go
+# to stderr, so its stdout is deterministic. About 35 s on 2 vCPUs. A
+# deliberate change to the output regenerates both files with the same
+# commands:
+#   go run ./cmd/experiments -format csv -workers 2 -checkpoint bin/reproduce.ckpt -o full_experiments.csv
+#   go run ./cmd/experiments -format text -resume -checkpoint bin/reproduce.ckpt -o full_experiments.txt
 reproduce:
 	$(GO) build -o bin/experiments ./cmd/experiments
-	bin/experiments -format csv -workers 2 -o bin/reproduce.csv
+	bin/experiments -format csv -workers 2 -checkpoint bin/reproduce.ckpt -o bin/reproduce.csv
 	diff -u full_experiments.csv bin/reproduce.csv
-	@echo "reproduce: every table matches full_experiments.csv"
+	bin/experiments -format text -resume -checkpoint bin/reproduce.ckpt -o bin/reproduce.txt
+	diff -u full_experiments.txt bin/reproduce.txt
+	@echo "reproduce: every table matches full_experiments.csv and full_experiments.txt"
 
 # BENCH_RUN defines the shell function bench_run for the recipes below:
 # `bench_run DIR OUT ARGS...` runs `bash bench/run.sh ARGS...` in DIR
@@ -175,21 +181,24 @@ bench-compare:
 
 # MEM_CEILING_<workload> is the process peak RSS, in MiB, that one
 # benchmark run of the workload may reach: about 25% above its median
-# over two 10-round runs on 2 vCPUs with go1.24.0 (suite 60.5 MiB,
-# timed 100–105 MiB).
-MEM_CEILING_suite = 76
-MEM_CEILING_timed = 128
+# over a 10-round run on 2 vCPUs with go1.24.0 (suite 42 MiB,
+# missrate-spill 34 MiB, timed 62 MiB, sweep 67 MiB).
+MEM_CEILING_suite = 52
+MEM_CEILING_missrate-spill = 43
+MEM_CEILING_timed = 78
+MEM_CEILING_sweep = 84
 
-# mem-ceiling runs the suite and timed benchmark workloads once each
-# (bench/run.sh, about 10 s apiece) and fails when a run's output does
-# not match its golden digests or its peak_rss_mb — the experiments
-# process's peak RSS — exceeds the workload's ceiling above. Non-fatal
-# in ci because RSS varies with the host's Go version and page size;
-# promotion path to fatal: once it has a clean week in CI logs, drop
-# the `|| echo` fallback above so its exit status gates the build.
+# mem-ceiling runs the four benchmark workloads once each (bench/run.sh,
+# about 10 s apiece) and fails when a run's output does not match its
+# golden digests or its peak_rss_mb — the experiments process's peak
+# RSS — exceeds the workload's ceiling above. Non-fatal in ci because
+# RSS varies with the host's Go version and page size; promotion path
+# to fatal: once it has a clean week in CI logs, drop the `|| echo`
+# fallback above so its exit status gates the build.
 mem-ceiling:
-	@$(BENCH_RUN); for w in suite timed; do \
-		case $$w in suite) ceil=$(MEM_CEILING_suite);; timed) ceil=$(MEM_CEILING_timed);; esac; \
+	@$(BENCH_RUN); for w in suite missrate-spill timed sweep; do \
+		case $$w in suite) ceil=$(MEM_CEILING_suite);; missrate-spill) ceil=$(MEM_CEILING_missrate-spill);; \
+		timed) ceil=$(MEM_CEILING_timed);; sweep) ceil=$(MEM_CEILING_sweep);; esac; \
 		out=$(CURDIR)/.bench_build/mem-ceiling-$$w.out; \
 		bench_run . "$$out" --workload $$w --rounds 1 --trace 0 || exit 1; \
 		line=$$(tail -n 1 "$$out"); \

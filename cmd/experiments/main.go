@@ -4,7 +4,10 @@
 //
 //	experiments [-run id[,id...]] [-n instructions] [-size bytes] [-workers n]
 //
-// Without -run, every registered experiment executes in order. Use
+// Without -run, every registered experiment executes. All selected
+// experiments run as one campaign ordered by trace, and their tables
+// print in experiment order; the text format's per-experiment timing
+// footers go to stderr, so stdout is deterministic. Use
 // -list to see the available IDs. -format json emits one
 // schema-versioned document holding every table plus per-experiment
 // wall-clock times (see experiment.Document); -cpuprofile and
@@ -50,7 +53,7 @@ func main() {
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
-		traceCacheBytes = flag.Int64("trace-cache-bytes", 0, "resident byte budget for the shared trace cache; colder streams spill to disk (0 = default, negative = no caching)")
+		traceCacheBytes = flag.Int64("trace-cache-bytes", 0, "resident byte budget for the shared trace cache; past it the coldest idle stream is dropped and rebuilt on its next use (0 = default, negative = no caching)")
 
 		ckptPath    = flag.String("checkpoint", "", "record every experiment's completed work units to this JSON file (atomic rewrite)")
 		resume      = flag.Bool("resume", false, "load -checkpoint first and skip units already recorded (bit-identical)")
@@ -89,7 +92,6 @@ func main() {
 		code := distrun.WorkerMain(os.Stdin, os.Stdout, stop, func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		})
-		experiment.CleanupTraceSpill()
 		os.Exit(code)
 	}
 
@@ -123,7 +125,6 @@ func main() {
 	opts.UnitTimeout = *unitTimeout
 	opts.UnitRetries = *unitRetries
 	opts.TraceBytes = *traceCacheBytes
-	defer experiment.CleanupTraceSpill()
 
 	if *resume && *ckptPath == "" {
 		fmt.Fprintln(os.Stderr, "-resume requires -checkpoint")
@@ -340,13 +341,16 @@ func main() {
 		out = f
 	}
 
+	// One trace-major campaign over every selected experiment; the
+	// tables still print in experiment order. Per-experiment timing is
+	// folded over the units each experiment owns, and goes to stderr in
+	// the text format, so stdout is deterministic.
 	var results []experiment.Result
 	var runErr error
-	for _, e := range exps {
-		tel.BeginExperiment(e.ID)
-		start := time.Now()
-		tables, err := e.Run(opts)
-		elapsed := time.Since(start)
+	outcomes := experiment.RunAll(opts, exps)
+	for i, e := range exps {
+		tables, err := outcomes[i].Tables, outcomes[i].Err
+		start, elapsed := tel.ExperimentWindow(e.ID)
 		timing := tel.EndExperiment(e.ID, start, elapsed)
 		if err != nil {
 			// A failed or interrupted experiment may still return partial
@@ -360,12 +364,12 @@ func main() {
 				fmt.Fprintln(out, t.Render())
 			}
 			if f := timing.Footer(); f != "" {
-				fmt.Fprintf(out, "[%s %s]\n", e.ID, f)
+				fmt.Fprintf(os.Stderr, "[%s %s]\n", e.ID, f)
 			}
 			if err == nil {
-				fmt.Fprintf(out, "[%s completed in %v]\n\n", e.ID, elapsed.Round(time.Millisecond))
+				fmt.Fprintf(os.Stderr, "[%s completed in %v]\n", e.ID, elapsed.Round(time.Millisecond))
 			} else {
-				fmt.Fprintf(out, "[%s INCOMPLETE after %v]\n\n", e.ID, elapsed.Round(time.Millisecond))
+				fmt.Fprintf(os.Stderr, "[%s INCOMPLETE after %v]\n", e.ID, elapsed.Round(time.Millisecond))
 			}
 		case "csv":
 			for _, t := range tables {

@@ -165,60 +165,3 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		t.Errorf("resumed results differ from uninterrupted run:\n got %+v\nwant %+v", res, ref)
 	}
 }
-
-// TestTraceSpillDetectsCorruption corrupts a spill file on disk and
-// checks the reload notices the checksum mismatch, deletes the file,
-// and rebuilds the stream from scratch with identical content.
-func TestTraceSpillDetectsCorruption(t *testing.T) {
-	ResetTraceCache()
-	defer ResetTraceCache()
-	opts := tinyOpts()
-	p, err := workload.ByName("gcc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	at1, err := cachedData(opts, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(at1.accs) == 0 {
-		t.Fatal("empty trace")
-	}
-
-	// Evict the canonical trace to disk by building another stream
-	// under a budget no two entries fit in.
-	opts.TraceBytes = 1
-	if _, err := cachedData(opts, withSeed(p, 1)); err != nil {
-		t.Fatal(err)
-	}
-	key := dataTraceKey(opts, p)
-	sharedTraces.mu.Lock()
-	slot := sharedTraces.spilled[key]
-	sharedTraces.mu.Unlock()
-	if slot == nil {
-		t.Fatal("canonical trace was not spilled")
-	}
-	b, err := os.ReadFile(slot.path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)-1] ^= 0xFF // corrupt the final record
-	if err := os.WriteFile(slot.path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	at2, err := cachedData(opts, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := TraceCacheStats()
-	if c.Rebuilds != 1 {
-		t.Errorf("Rebuilds = %d, want 1", c.Rebuilds)
-	}
-	if !reflect.DeepEqual(at1, at2) {
-		t.Error("rebuilt trace differs from original")
-	}
-	if _, err := os.Stat(slot.path); !os.IsNotExist(err) {
-		t.Error("corrupt spill file was not deleted")
-	}
-}

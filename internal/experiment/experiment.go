@@ -38,28 +38,105 @@ type Experiment struct {
 	Render func(Opts, results) ([]*Table, error)
 }
 
-// Run validates opts, runs every unit of the experiment in one
-// scheduler call, and renders the results. When units fail or a stop
-// request cuts the run short, Run still returns the tables Render can
-// build from the completed units (they carry a [partial] note) together
-// with the error; otherwise it returns only the error.
+// Run is RunAll over e alone.
 func (e Experiment) Run(opts Opts) ([]*Table, error) {
+	out := RunAll(opts, []Experiment{e})[0]
+	return out.Tables, out.Err
+}
+
+// Outcome is one experiment's share of a RunAll campaign.
+type Outcome struct {
+	Tables []*Table
+	Err    error
+}
+
+// RunAll validates opts, runs the units of every experiment in exps as
+// one trace-major campaign (campaignUnits) in one scheduler call, and
+// renders each experiment from the campaign's results, in the order
+// given. An experiment whose units did not all complete — a unit
+// failed, or a stop request cut the campaign short — gets the
+// campaign's error, alongside the tables Render can still build (they
+// carry a [partial] note) or none when it cannot.
+func RunAll(opts Opts, exps []Experiment) []Outcome {
+	out := make([]Outcome, len(exps))
 	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	var us []unit
-	if e.Units != nil {
-		us = e.Units(opts)
-	}
-	res, err := runUnits(opts, us)
-	tables, rerr := e.Render(opts, res)
-	if rerr != nil {
-		if err == nil {
-			err = rerr
+		for i := range out {
+			out[i].Err = err
 		}
-		return nil, err
+		return out
 	}
-	return tables, err
+	res, err := runUnits(opts, campaignUnits(opts, exps))
+	for i, e := range exps {
+		var eerr error
+		if err != nil && e.Units != nil && !res.complete(e.Units(opts)) {
+			eerr = err
+		}
+		tables, rerr := e.Render(opts, res)
+		if rerr != nil {
+			if eerr == nil {
+				eerr = rerr
+			}
+			tables = nil
+		}
+		out[i] = Outcome{Tables: tables, Err: eerr}
+	}
+	return out
+}
+
+// complete reports whether res holds the result of every key of us.
+func (res results) complete(us []unit) bool {
+	for _, u := range us {
+		for _, k := range u.keys {
+			if _, ok := res[k]; !ok {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// campaignUnits is the unit list of a campaign over exps, shared by
+// RunAll and PlanCampaign. It concatenates the experiments' unit lists,
+// owning each unit by the first experiment that declares it, and drops
+// a unit whose every key an earlier unit commits (fig9 after fig8). A
+// stack-distance unit can overlap an earlier one partly (xline's
+// 4/8-way profile and fig4's 2/4/8/32-way profile of the same trace);
+// it is kept whole. The list is then ordered trace-major: units are
+// stable-sorted by the first appearance of their trace, so every
+// consumer of a trace runs in its one scheduler group, in declared
+// order, and the trace is built once and dropped when the group ends.
+func campaignUnits(opts Opts, exps []Experiment) []unit {
+	var traces []traceKey // in order of first appearance
+	byTrace := map[traceKey][]unit{}
+	planned := map[string]bool{}
+	n := 0
+	for _, e := range exps {
+		if e.Units == nil {
+			continue
+		}
+		for _, u := range e.Units(opts) {
+			dup := true
+			for _, k := range u.keys {
+				dup = dup && planned[k]
+				planned[k] = true
+			}
+			if dup {
+				continue
+			}
+			u.owner = e.ID
+			k := u.trace()
+			if _, ok := byTrace[k]; !ok {
+				traces = append(traces, k)
+			}
+			byTrace[k] = append(byTrace[k], u)
+			n++
+		}
+	}
+	us := make([]unit, 0, n)
+	for _, k := range traces {
+		us = append(us, byTrace[k]...)
+	}
+	return us
 }
 
 // A unit is one scheduled simulation. It commits one result per
@@ -75,6 +152,9 @@ type unit struct {
 	// label names the unit in telemetry spans and the slowest-unit
 	// digest; bench/fold.go parses it.
 	label string
+	// owner is the experiment whose per-experiment telemetry the unit
+	// counts toward: the first in a campaign to declare it.
+	owner string
 	// exec simulates the unit, returning one result per key; decode
 	// parses one checkpointed result.
 	exec   func() ([]any, error)
@@ -82,6 +162,8 @@ type unit struct {
 	// replays marks a miss-rate unit: its simulated accesses count
 	// toward the experiment.accesses metric.
 	replays bool
+	// records marks a unit that runs the CPU model on the record trace.
+	records bool
 }
 
 // newUnit builds a unit whose results are all of type R.
@@ -108,13 +190,11 @@ func newUnit[R any](opts Opts, p *workload.Profile, label string, keys []string,
 	}
 }
 
-// sameTrace reports whether u and v replay the same trace.
-func (u unit) sameTrace(v unit) bool {
-	return recordTraceKey(u.opts, u.prof) == recordTraceKey(v.opts, v.prof)
-}
+// trace is the record-trace key of u's trace: its trace group.
+func (u unit) trace() traceKey { return recordTraceKey(u.opts, u.prof) }
 
-// retire ends the residency of the record trace of u's group.
-func (u unit) retire() { retireRecords(u.opts, u.prof) }
+// retire ends the residency of every payload of u's trace.
+func (u unit) retire() { sharedTraces.retireTrace(u.trace()) }
 
 // results holds the committed result of every unit key of a run.
 type results map[string]any
@@ -139,6 +219,9 @@ type grid[R any] struct {
 	profiles []*workload.Profile
 	configs  []string
 	run      func(p *workload.Profile, c int) (R, error)
+	// records marks a grid whose runs replay the record trace through
+	// the CPU model (runRecords).
+	records bool
 }
 
 // key is the checkpoint key of p's result on config c. id names the
@@ -152,14 +235,16 @@ func (g grid[R]) units() []unit {
 	us := make([]unit, 0, len(g.profiles)*len(g.configs))
 	for _, p := range g.profiles {
 		for c, cfg := range g.configs {
-			us = append(us, newUnit(g.opts, p, fmt.Sprintf("%s/%s/%s", g.id, p.Name, cfg),
+			u := newUnit(g.opts, p, fmt.Sprintf("%s/%s/%s", g.id, p.Name, cfg),
 				[]string{g.key(p, c)}, func() ([]R, error) {
 					r, err := g.run(p, c)
 					if err != nil {
 						return nil, fmt.Errorf("%s/%s: %w", p.Name, cfg, err)
 					}
 					return []R{r}, nil
-				}))
+				})
+			u.records = g.records
+			us = append(us, u)
 		}
 	}
 	return us

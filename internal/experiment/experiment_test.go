@@ -410,3 +410,17 @@ func TestWithSeedDoesNotMutate(t *testing.T) {
 		t.Fatal("replica 0 should be the canonical profile itself")
 	}
 }
+
+// missRates runs one sweep on its own and returns its rates: the
+// profiles whose units all completed, alongside any run error.
+func missRates(sw sweep) (missResults, error) {
+	if err := sw.opts.validate(); err != nil {
+		return nil, err
+	}
+	res, err := runUnits(sw.opts, sw.units())
+	out, rerr := sw.rates(res)
+	if err == nil {
+		err = rerr
+	}
+	return out, err
+}

@@ -439,7 +439,8 @@ func xPrefetchGrid(opts Opts) grid[prefetchRun] {
 				return prefetchRun{}, err
 			}
 			return prefetchRun{CPU: res, StreamHits: h.StreamHits, Prefetches: h.Prefetches}, nil
-		}}
+		},
+		records: true}
 }
 
 func renderXPrefetch(_ Opts, g grid[prefetchRun], runs [][]prefetchRun) []*Table {
@@ -497,7 +498,8 @@ func newL1Hierarchy(opts Opts, useBC bool, cfg hier.Config) (*hier.Hierarchy, er
 }
 
 // runRecords runs p's cached record trace through the CPU model on h.
-// Call it from a scheduled unit, whose group end retires the trace.
+// Call it from a unit of a grid marked records, whose group end retires
+// the trace.
 func runRecords(opts Opts, p *workload.Profile, h *hier.Hierarchy, cfg cpu.Config) (cpu.Result, error) {
 	rt, err := cachedRecords(opts, p)
 	if err != nil {
@@ -541,7 +543,8 @@ func xL2Grid(opts Opts) grid[UnitResult] {
 				return UnitResult{}, err
 			}
 			return statsResult(l2), nil
-		}}
+		},
+		records: true}
 }
 
 func renderXL2(_ Opts, g grid[UnitResult], runs [][]UnitResult) []*Table {
@@ -640,7 +643,8 @@ func xWindowGrid(opts Opts) grid[cpu.Result] {
 			cfg := cpu.Defaults()
 			cfg.Window = xWindows[c/2]
 			return runRecords(opts, p, h, cfg)
-		}}
+		},
+		records: true}
 }
 
 func renderXWindow(_ Opts, _ grid[cpu.Result], runs [][]cpu.Result) []*Table {

@@ -22,8 +22,18 @@ func init() {
 // fig3Grid replays wupwise's data stream on the B-Cache at MF 2..512,
 // BAS = 8, and keeps the raw miss and PD counters.
 func fig3Grid(opts Opts) grid[UnitResult] {
-	var specs []Spec
+	var mfs []int
 	for mf := 2; mf <= 512; mf *= 2 {
+		mfs = append(mfs, mf)
+	}
+	return fig3GridMF(opts, mfs)
+}
+
+// fig3GridMF is the part of Figure 3's grid at the given MFs: its units
+// commit the same keys as fig3Grid's.
+func fig3GridMF(opts Opts, mfs []int) grid[UnitResult] {
+	var specs []Spec
+	for _, mf := range mfs {
 		specs = append(specs, bcacheSpec(mf, 8, cache.LRU))
 	}
 	return grid[UnitResult]{id: "fig3", opts: opts, profiles: mustProfiles("wupwise"), configs: specNames(specs),

@@ -21,8 +21,10 @@ type Document struct {
 
 // Result is one experiment's outcome inside a Document.
 type Result struct {
-	ID             string  `json:"id"`
-	Title          string  `json:"title"`
+	ID    string `json:"id"`
+	Title string `json:"title"`
+	// ElapsedSeconds spans the unit attempts the experiment owns in the
+	// campaign (0 for the analytic tables).
 	ElapsedSeconds float64 `json:"elapsedSeconds"`
 	// UnitTiming digests per-unit wall time (present when a telemetry
 	// hub was installed for the run; additive, so no schema bump).

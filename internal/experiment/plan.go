@@ -41,14 +41,14 @@ func (p *Plan) UnitKeys(i int) []string { return p.units[i].keys }
 
 // Execute runs unit i and returns the JSON of its results, one per
 // UnitKeys(i) entry, as the checkpoint stores them. Outside the
-// scheduler no group end retires record traces, so Execute retires the
-// previous unit's record trace whenever it moves to a unit on another
-// trace: a worker holds at most one record trace at a time.
+// scheduler no group end retires traces, so Execute retires every
+// payload of the previous unit's trace whenever it moves to a unit on
+// another trace: a worker holds at most one trace at a time.
 func (p *Plan) Execute(i int) ([]json.RawMessage, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	u := p.units[i]
-	if p.last >= 0 && !p.units[p.last].sameTrace(u) {
+	if p.last >= 0 && p.units[p.last].trace() != u.trace() {
 		p.units[p.last].retire()
 	}
 	p.last = i
@@ -59,8 +59,8 @@ func (p *Plan) Execute(i int) ([]json.RawMessage, error) {
 	return encode(vals)
 }
 
-// Release retires the record trace of the last executed unit: a worker
-// calls it when its lease ends.
+// Release retires every payload of the last executed unit's trace: a
+// worker calls it when its lease ends.
 func (p *Plan) Release() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -91,13 +91,10 @@ func (p *Plan) Done(i int, cp *Checkpoint) bool {
 }
 
 // PlanCampaign enumerates the units of every experiment named by ids
-// (nil or empty = all registered experiments), in registry order.
-// Experiments share work — the baseline column appears in every figure,
-// fig9 reads fig8's timed runs — so a unit is planned only if it commits
-// a checkpoint key no earlier unit does. A stack-distance unit can
-// overlap an earlier one partly (xline's 4/8-way profile and fig4's
-// 2/4/8/32-way profile of the same trace); it is planned whole.
-// The analytic tables have no units and contribute nothing.
+// (nil or empty = all registered experiments) as campaignUnits does for
+// RunAll: deduplicated across experiments and ordered trace-major, so a
+// lease of consecutive units covers whole traces. The analytic tables
+// have no units and contribute nothing.
 func PlanCampaign(opts Opts, ids []string) (*Plan, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -114,22 +111,5 @@ func PlanCampaign(opts Opts, ids []string) (*Plan, error) {
 			exps = append(exps, e)
 		}
 	}
-	plan := &Plan{last: -1}
-	planned := map[string]bool{}
-	for _, e := range exps {
-		if e.Units == nil {
-			continue
-		}
-		for _, u := range e.Units(opts) {
-			dup := true
-			for _, k := range u.keys {
-				dup = dup && planned[k]
-				planned[k] = true
-			}
-			if !dup {
-				plan.units = append(plan.units, u)
-			}
-		}
-	}
-	return plan, nil
+	return &Plan{units: campaignUnits(opts, exps), last: -1}, nil
 }

@@ -338,7 +338,8 @@ func encode(vals []any) ([]json.RawMessage, error) {
 // runUnits executes units in one scheduler call and returns the result
 // under every key of every completed unit, alongside the joined error of
 // any that failed. Consecutive units on one trace form a scheduler
-// group, and each group's end retires its record trace.
+// group, and each group's end retires every payload of its trace;
+// campaignUnits orders a campaign so each trace is one group.
 //
 // Every unit takes one lookup/commit path: its keys are looked up in
 // opts.Checkpoint first (resume: results round-trip through JSON
@@ -349,9 +350,12 @@ func runUnits(opts Opts, units []unit) (results, error) {
 	cp := opts.Checkpoint
 	tel := CurrentTelemetry()
 	var starts []int
-	for i := range units {
-		if i == 0 || !units[i].sameTrace(units[i-1]) {
+	for i, u := range units {
+		if i == 0 || u.trace() != units[i-1].trace() {
 			starts = append(starts, i)
+		}
+		if u.records && opts.traceBudget() > 0 {
+			sharedTraces.expectRecords(u.trace())
 		}
 	}
 	// One slot per unit, written only by its own commit closure.
@@ -361,6 +365,7 @@ func runUnits(opts Opts, units []unit) (results, error) {
 		Retries:   opts.UnitRetries,
 		Groups:    starts,
 		Label:     func(i int) string { return units[i].label },
+		Owner:     func(i int) string { return units[i].owner },
 		GroupDone: func(g int) { units[starts[g]].retire() },
 	}
 	err := runUnitsCtl(len(units), opts.workers(), uo, func(i int) (func(), error) {
@@ -623,20 +628,6 @@ func sweepUnits(sws []sweep) []unit {
 		us = append(us, sw.units()...)
 	}
 	return us
-}
-
-// missRates runs one sweep on its own and returns its rates: the
-// profiles whose units all completed, alongside any run error.
-func missRates(sw sweep) (missResults, error) {
-	if err := sw.opts.validate(); err != nil {
-		return nil, err
-	}
-	res, err := runUnits(sw.opts, sw.units())
-	out, rerr := sw.rates(res)
-	if err == nil {
-		err = rerr
-	}
-	return out, err
 }
 
 // reduction converts a (baseline, config) miss pair into the paper's

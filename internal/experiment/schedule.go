@@ -83,6 +83,10 @@ type unitOpts struct {
 	// digest. Only called when a telemetry hub is installed, so label
 	// formatting costs nothing on unobserved runs.
 	Label func(i int) string
+	// Owner names the experiment unit i's timing counts toward in the
+	// per-experiment digest (nil: none). Only called when a telemetry
+	// hub is installed.
+	Owner func(i int) string
 	// Groups holds the first unit index of each group of consecutive
 	// units that share one trace, ascending from 0 (nil = every unit is
 	// its own group). It is derived from the unit list, never from user
@@ -115,6 +119,13 @@ func (o unitOpts) label(i int) string {
 		return ""
 	}
 	return o.Label(i)
+}
+
+func (o unitOpts) owner(i int) string {
+	if o.Owner == nil {
+		return ""
+	}
+	return o.Owner(i)
 }
 
 // groupQueue hands out unit indices to workers. Units come in groups
@@ -283,9 +294,9 @@ func runUnitsCtl(n, workers int, o unitOpts, fn func(int) (func(), error)) error
 // KindUnit span, and each scheduled retry exactly one KindRetry span.
 func runOneUnit(w, i int, o unitOpts, tel *Telemetry, fn func(int) (func(), error)) error {
 	clk := o.clock()
-	label := ""
+	label, owner := "", ""
 	if tel != nil {
-		label = o.label(i)
+		label, owner = o.label(i), o.owner(i)
 	}
 	delay := o.backoff()
 	for attempt := 0; ; attempt++ {
@@ -295,7 +306,7 @@ func runOneUnit(w, i int, o unitOpts, tel *Telemetry, fn func(int) (func(), erro
 		}
 		commit, err := invokeUnit(i, o.Timeout, fn)
 		if tel != nil {
-			tel.unitAttempt(w, i, label, attempt, start, tel.now().Sub(start), err)
+			tel.unitAttempt(w, i, label, owner, attempt, start, tel.now().Sub(start), err)
 		}
 		if err == nil {
 			if commit != nil {

@@ -9,13 +9,11 @@ import (
 )
 
 // Differential coverage for the sibling-warming path: a cachedData miss
-// builds the fetch stream as a byproduct and publishes it with
-// putIfAbsent, and the byproduct must be bit-identical to what the
-// generator-driven materialize oracle produces — whether it came
-// straight from the generator or was extracted from a record trace
-// reloaded off a spill file. The concurrency half runs the publication
-// against racing gets under the race-robust gate (-race over
-// ./internal/experiment/...).
+// builds the fetch stream in the same generator pass and caches it
+// under the same singleflight, and the sibling must be bit-identical to
+// what the generator-driven materialize oracle produces. The
+// concurrency half races data and fetch requests under the
+// race-robust gate (-race over ./internal/experiment/...).
 
 func siblingOpts() Opts {
 	o := DefaultOpts()
@@ -77,12 +75,11 @@ func TestSiblingWarmingMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestSiblingWarmingConcurrent races byproduct publications against
-// in-flight gets: for each profile, data and fetch requests run
-// concurrently from several goroutines, so putIfAbsent lands while the
-// sibling's own build may be in flight (the no-singleflight drop path).
-// Every returned stream must match the per-profile oracle regardless of
-// which path produced it.
+// TestSiblingWarmingConcurrent races data and fetch requests: for each
+// profile they run concurrently from several goroutines, so a request
+// for the sibling may arrive while its pair is being built. Every
+// returned stream must match the per-profile oracle, and the pair is
+// one singleflight: each profile's generator runs once.
 func TestSiblingWarmingConcurrent(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
@@ -130,11 +127,9 @@ func TestSiblingWarmingConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
-	// A data and a fetch miss of one profile may race each other, but
-	// each stream key builds once.
 	c := TraceCacheStats()
-	if c.Generations < uint64(len(profiles)) || c.Generations > uint64(2*len(profiles)) {
-		t.Fatalf("generator ran %d times for %d profiles; want one or two runs each",
+	if c.Generations != uint64(len(profiles)) {
+		t.Fatalf("generator ran %d times for %d profiles; want one run each",
 			c.Generations, len(profiles))
 	}
 }

@@ -108,7 +108,6 @@ type Telemetry struct {
 	checkpointSaves *metrics.Counter
 	traceHits       *metrics.Counter
 	traceBuilds     *metrics.Counter
-	traceRebuilds   *metrics.Counter
 	queueDepth      *metrics.Gauge
 	inFlight        *metrics.Gauge
 	checkpointBytes *metrics.Gauge
@@ -124,10 +123,18 @@ type Telemetry struct {
 	distShardMerge *metrics.Histogram
 
 	mu         sync.Mutex
-	experiment string    // guarded by mu
-	durs       []float64 // guarded by mu
-	slowest    float64   // guarded by mu
-	slowestKey string    // guarded by mu
+	experiment string                     // guarded by mu
+	folds      map[string]*experimentFold // guarded by mu
+}
+
+// experimentFold accumulates the unit attempts one experiment owns: the
+// wall times of its completed units, the slowest of them, and the
+// window from the first attempt's start to the last one's end.
+type experimentFold struct {
+	durs        []float64
+	slowest     float64
+	slowestKey  string
+	first, last time.Time
 }
 
 // NewTelemetry builds a telemetry hub with a journal of journalCap
@@ -153,7 +160,6 @@ func NewTelemetry(journalCap int, clock tracespan.Clock) *Telemetry {
 		checkpointSaves: reg.Counter("bcache_checkpoint_saves", "checkpoint files written (autosave and explicit)"),
 		traceHits:       reg.Counter("bcache_trace_cache_hits", "trace-cache lookups served from memory"),
 		traceBuilds:     reg.Counter("bcache_trace_cache_builds", "trace-cache misses that materialized a stream"),
-		traceRebuilds:   reg.Counter("bcache_trace_cache_rebuilds", "trace-cache entries discarded on checksum mismatch"),
 		queueDepth:      reg.Gauge("bcache_queue_depth", "work units queued but not yet claimed"),
 		inFlight:        reg.Gauge("bcache_units_in_flight", "work units currently executing"),
 		checkpointBytes: reg.Gauge("bcache_checkpoint_bytes", "size of the last checkpoint file written"),
@@ -167,6 +173,8 @@ func NewTelemetry(journalCap int, clock tracespan.Clock) *Telemetry {
 		distRecovered:  reg.Counter("dist_shard_recovered_units", "units recovered from dead workers' shards"),
 		distWorkers:    reg.Gauge("dist_workers_live", "worker subprocesses currently attached"),
 		distShardMerge: reg.Histogram("dist_shard_merge_seconds", "wall time merging one worker shard", distMergeBounds),
+
+		folds: map[string]*experimentFold{},
 	}
 	return t
 }
@@ -223,37 +231,54 @@ func SetTelemetry(t *Telemetry) { activeTelemetry.Store(t) }
 // CurrentTelemetry returns the installed hub, or nil.
 func CurrentTelemetry() *Telemetry { return activeTelemetry.Load() }
 
-// BeginExperiment scopes subsequent unit timings to experiment id and
-// resets the per-experiment digest.
+// BeginExperiment names id as the running experiment in /progress and
+// resets the digest of the units id owns.
 func (t *Telemetry) BeginExperiment(id string) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	t.experiment = id
-	t.durs = t.durs[:0]
-	t.slowest = 0
-	t.slowestKey = ""
+	delete(t.folds, id)
 	t.mu.Unlock()
 }
 
-// EndExperiment emits the experiment-level span and returns the unit
-// timing digest accumulated since BeginExperiment (nil with no units).
+// ExperimentWindow returns the span of id's unit attempts: from the
+// first one's start to the last one's end (zero when id owns none).
+func (t *Telemetry) ExperimentWindow(id string) (start time.Time, dur time.Duration) {
+	if t == nil {
+		return time.Time{}, 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	f := t.folds[id]
+	if f == nil {
+		return time.Time{}, 0
+	}
+	return f.first, f.last.Sub(f.first)
+}
+
+// EndExperiment emits the experiment-level span over [start, start+dur)
+// and returns the timing digest of the units id owns (nil with none).
 func (t *Telemetry) EndExperiment(id string, start time.Time, dur time.Duration) *UnitTimingSummary {
 	if t == nil {
 		return nil
 	}
-	t.journal.Record(tracespan.Span{
+	s := tracespan.Span{
 		Kind: tracespan.KindExperiment, Name: id,
-		Worker: tracespan.SharedWorker, Unit: -1,
-		StartUnixNano: start.UnixNano(), DurNanos: int64(dur),
-	})
+		Worker: tracespan.SharedWorker, Unit: -1, DurNanos: int64(dur),
+	}
+	if !start.IsZero() {
+		s.StartUnixNano = start.UnixNano()
+	}
+	t.journal.Record(s)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.durs) == 0 {
+	f := t.folds[id]
+	if f == nil || len(f.durs) == 0 {
 		return nil
 	}
-	sorted := append([]float64(nil), t.durs...)
+	sorted := append([]float64(nil), f.durs...)
 	sort.Float64s(sorted)
 	quantile := func(q float64) float64 {
 		i := int(q * float64(len(sorted)))
@@ -267,7 +292,7 @@ func (t *Telemetry) EndExperiment(id string, start time.Time, dur time.Duration)
 		P50Seconds:  quantile(0.50),
 		P90Seconds:  quantile(0.90),
 		MaxSeconds:  sorted[len(sorted)-1],
-		SlowestUnit: t.slowestKey,
+		SlowestUnit: f.slowestKey,
 	}
 }
 
@@ -309,14 +334,37 @@ func (t *Telemetry) unitReleased() {
 	t.inFlight.Add(-1)
 }
 
-// unitAttempt records one completed attempt of a unit: the KindUnit
-// span, the wall-time histogram sample, an abandon/panic instant when
-// the error says so, and — on the successful attempt — the
-// per-experiment timing digest.
-func (t *Telemetry) unitAttempt(worker, unit int, label string, attempt int, start time.Time, dur time.Duration, err error) {
+// unitAttempt records one completed attempt of a unit owned by
+// experiment owner: the KindUnit span, the wall-time histogram sample,
+// an abandon/panic instant when the error says so, the owner's window
+// and — on the successful attempt — the owner's timing digest.
+func (t *Telemetry) unitAttempt(worker, unit int, label, owner string, attempt int, start time.Time, dur time.Duration, err error) {
 	if t == nil {
 		return
 	}
+	t.mu.Lock()
+	if owner != "" {
+		t.experiment = owner
+	}
+	f := t.folds[owner]
+	if f == nil {
+		f = &experimentFold{first: start, last: start}
+		t.folds[owner] = f
+	}
+	if start.Before(f.first) {
+		f.first = start
+	}
+	if end := start.Add(dur); end.After(f.last) {
+		f.last = end
+	}
+	if err == nil {
+		sec := dur.Seconds()
+		f.durs = append(f.durs, sec)
+		if sec > f.slowest || f.slowestKey == "" {
+			f.slowest, f.slowestKey = sec, label
+		}
+	}
+	t.mu.Unlock()
 	s := tracespan.Span{
 		Kind: tracespan.KindUnit, Name: label, Worker: worker, Unit: unit,
 		Attempt: attempt, StartUnixNano: start.UnixNano(), DurNanos: int64(dur),
@@ -330,12 +378,6 @@ func (t *Telemetry) unitAttempt(worker, unit int, label string, attempt int, sta
 	switch {
 	case err == nil:
 		t.unitsCompleted.Inc()
-		t.mu.Lock()
-		t.durs = append(t.durs, sec)
-		if sec > t.slowest || t.slowestKey == "" {
-			t.slowest, t.slowestKey = sec, label
-		}
-		t.mu.Unlock()
 	case errors.Is(err, ErrUnitTimeout):
 		t.unitsAbandoned.Inc()
 		t.journal.Record(tracespan.Span{
@@ -404,8 +446,6 @@ func (t *Telemetry) traceCacheEvent(kind, name string, start time.Time, dur time
 		t.traceHits.Inc()
 	case tracespan.KindTraceBuild:
 		t.traceBuilds.Inc()
-	case tracespan.KindTraceRebuild:
-		t.traceRebuilds.Inc()
 	}
 	t.traceCacheBytes.Set(float64(usedBytes))
 	s := tracespan.Span{

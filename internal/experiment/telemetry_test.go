@@ -191,13 +191,21 @@ func TestUnitTimingSummary(t *testing.T) {
 	tel.BeginExperiment("figX")
 	durs := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 400 * time.Millisecond}
 	err := runUnitsCtl(len(durs), 1, unitOpts{Clock: clk,
-		Label: func(i int) string { return fmt.Sprintf("unit%d", i) }},
+		Label: func(i int) string { return fmt.Sprintf("unit%d", i) },
+		Owner: func(int) string { return "figX" }},
 		func(i int) (func(), error) {
 			clk.Advance(durs[i])
 			return nil, nil
 		})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The window spans the owner's unit attempts, back to back here.
+	if _, dur := tel.ExperimentWindow("figX"); dur != 430*time.Millisecond {
+		t.Fatalf("ExperimentWindow = %v, want 430ms", dur)
+	}
+	if _, dur := tel.ExperimentWindow("figY"); dur != 0 {
+		t.Fatalf("ExperimentWindow of an experiment without units = %v, want 0", dur)
 	}
 	start := clk.Now()
 	sum := tel.EndExperiment("figX", start, time.Second)
@@ -285,7 +293,7 @@ func TestTelemetryNilSafe(t *testing.T) {
 	var tel *Telemetry
 	tel.runQueued(5)
 	tel.unitClaimed()
-	tel.unitAttempt(0, 0, "x", 0, time.Time{}, 0, nil)
+	tel.unitAttempt(0, 0, "x", "e", 0, time.Time{}, 0, nil)
 	tel.unitRetry(0, 0, "x", 0, time.Millisecond)
 	tel.unitReleased()
 	tel.unitFailed()

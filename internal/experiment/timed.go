@@ -99,7 +99,8 @@ func runTimed(p *workload.Profile, spec Spec, opts Opts) (timedRun, error) {
 func timedGrid(opts Opts) grid[timedRun] {
 	all := append([]Spec{baselineSpec()}, timedSpecs()...)
 	return grid[timedRun]{id: "timed", opts: opts, profiles: workload.All(), configs: specNames(all),
-		run: func(p *workload.Profile, c int) (timedRun, error) { return runTimed(p, all[c], opts) }}
+		run:     func(p *workload.Profile, c int) (timedRun, error) { return runTimed(p, all[c], opts) },
+		records: true}
 }
 
 func renderFig8(opts Opts, _ grid[timedRun], runs [][]timedRun) []*Table {

@@ -1,11 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-	"math/bits"
-	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -34,42 +29,39 @@ import (
 //     instructions, line bytes) — consecutive same-line PCs collapse,
 //     so this is the one stream a line-size sweep re-derives.
 //
-// A record trace — 48 MB at DefaultOpts, 24 bytes per instruction
-// against the streams' ~4.7 — lives only for its scheduler trace
-// group: built by the group's first unit, shared by the rest, and
-// dropped by retireRecords when the last one returns (a worker
-// subprocess retires it when it moves to another trace, Plan.Execute). It is never
-// evicted or spilled. Streams live until budget pressure evicts them.
+// Every payload lives only for its scheduler trace group: RunAll orders
+// a whole campaign by trace, so each trace's consumers, whichever
+// experiment declared them, run while it is resident, and the group's
+// end drops every payload of its (profile, seed, n) — retireTrace. A
+// worker subprocess retires a trace when it moves to another one
+// (Plan.Execute) and at the end of a lease.
 //
-// A stream miss builds BOTH sides and publishes the sibling as a
-// byproduct (putIfAbsent). If the record trace is resident it extracts
-// the streams from it; otherwise the generator runs straight into the
-// two streams. So a record trace is never built just to derive streams.
+// A stream miss builds BOTH sides in one pass and caches the sibling
+// too; the sibling's key joins the miss's singleflight. If the group
+// also runs the CPU model (runUnits marks it with expectRecords), or
+// the record trace is already resident or being built, the streams are
+// extracted from the record trace; otherwise the generator runs
+// straight into the two streams. So each trace runs the generator once
+// per group, and a record trace is never built just to derive streams.
 //
 // Entries are built once under a singleflight channel — duplicate
-// requesters block on the first builder — and when the byte budget is
-// exceeded, the least recently used streams are spilled to checksummed
-// on-disk V2 trace files instead of being discarded: a later request
-// decodes the spill file (verifying the build-time FNV checksum; a
-// corrupt file is deleted and the entry rebuilt) rather than re-running
-// the generator. Spilled-but-reloaded entries keep their file, so
-// re-evicting them costs nothing. Evicted traces stay usable by anyone
-// already holding the pointer; payloads are immutable after build.
-//
-// The budget bounds cache-RESIDENT bytes, record traces included, and
-// eviction makes room BEFORE a new entry is accounted, so the resident
+// requesters block on the first builder. The byte budget bounds
+// cache-RESIDENT bytes, record traces included; past it the least
+// recently used idle stream is dropped (a later request in its group
+// rebuilds it). Record traces are never evicted, only retired. Eviction
+// runs before a build's payloads become visible, so the resident
 // high-water mark (PeakBytes) stays at or below the budget whenever
-// enough completed streams exist to evict. Units replaying a stream
-// hold their own pointer for the duration, so transient process RSS can
-// still exceed the budget by the working set of in-flight units.
+// enough completed streams exist to evict. Dropped traces stay usable
+// by anyone already holding the pointer; payloads are immutable after
+// build, and units replaying a stream hold their own pointer for the
+// duration, so transient process RSS can exceed the budget by the
+// working set of in-flight units.
 
 // defaultTraceBytes bounds the shared cache when Opts does not say
-// otherwise. At DefaultOpts the full suite's steady working set is
-// every profile's data stream (~4.4 MB each) plus its 32-byte-line
-// fetch stream (~2.5 MB each), about 180 MB; 232 MiB holds that beside
-// one CPU-model trace group's record trace (~48 MB). Each further
-// concurrent group's record trace pushes the least recently used
-// streams out to spill files.
+// otherwise. At DefaultOpts one trace group holds its record trace
+// (~48 MB), data stream (~4.4 MB) and 32-byte-line fetch stream
+// (~2.5 MB); 232 MiB holds four such groups, one per concurrent worker
+// on a 4-CPU machine, before any stream is dropped.
 const defaultTraceBytes = 232 << 20
 
 // payloadKind discriminates the three cached stream representations.
@@ -92,11 +84,10 @@ type traceKey struct {
 	lineBytes int
 }
 
-// String is the stable form used for spill file naming and the sorted
-// SpilledTraces listing.
-func (k traceKey) String() string {
-	return fmt.Sprintf("kind=%d|%s|seed=%d|n=%d|line=%d",
-		k.kind, k.name, k.seed, k.instructions, k.lineBytes)
+// trace returns the record-trace key of k's (profile, seed, n): the
+// trace group every payload of it belongs to.
+func (k traceKey) trace() traceKey {
+	return traceKey{kind: kindRecords, name: k.name, seed: k.seed, instructions: k.instructions}
 }
 
 // payload is one cached value: a dataTrace, fetchTrace, or recordTrace.
@@ -105,21 +96,8 @@ type payload interface {
 	sizeBytes() int64
 }
 
-// spillable is a payload that budget eviction may write to disk: the two
-// address streams. Record traces are group-scoped (retireRecords) and
-// never spill, so they do not implement it.
-type spillable interface {
-	payload
-	checksum() uint64
-	// spillRecords writes the payload as a V2 record stream; the
-	// matching loader reverses it exactly (verified by checksum).
-	spillRecords(w *trace.CompressedWriter) error
-}
-
 // traceEntry is one in-memory slot. ready is closed when val/err are
-// set. The content checksum is not taken here: most entries live and
-// die resident, so the spill writer computes it only when an eviction
-// actually persists the payload.
+// set.
 type traceEntry struct {
 	ready   chan struct{}
 	val     payload
@@ -138,41 +116,25 @@ func (e *traceEntry) built() bool {
 	}
 }
 
-// spillSlot is one on-disk entry of the spill index. verified is set
-// after the first reload proves the file reproduces the build-time
-// checksum; later reloads of the same slot skip the verify pass — the
-// file is process-private and immutable once written, so one successful
-// round-trip establishes it for the slot's lifetime.
-type spillSlot struct {
-	path     string
-	sum      uint64
-	size     int64 // file bytes, compressed
-	verified bool
-}
-
 // TraceCacheCounters reports shared trace-cache effectiveness.
 type TraceCacheCounters struct {
-	// Hits are in-memory lookups; Reloads are lookups served by
-	// decoding a spill file; Misses are entries built from scratch
-	// (byproduct publications — the sibling stream extracted during a
-	// build — are not counted under any of these).
+	// Hits are in-memory lookups; Misses are entries built from scratch
+	// (the sibling stream cached alongside a build is not counted under
+	// either). Reloads is always 0: nothing is spilled to disk any more,
+	// and the field stays for the benchmark harness that reports it.
 	Hits    uint64
 	Misses  uint64
 	Reloads uint64
 	// Generations counts workload-generator runs: every record-trace
-	// build and every stream miss that found no resident record trace
-	// to extract from.
+	// build and every stream miss that had no record trace to extract
+	// from.
 	Generations uint64
-	// Evictions counts entries dropped from memory under budget
-	// pressure; Spills counts the subset persisted to disk (an entry
-	// whose spill file already exists is not rewritten).
+	// Evictions counts streams dropped under budget pressure. Spills is
+	// always 0, like Reloads.
 	Evictions uint64
 	Spills    uint64
-	// Rebuilds counts spill files discarded because their content no
-	// longer matched the build-time checksum.
-	Rebuilds uint64
-	// Bytes is resident; SpillBytes is on disk; PeakBytes is the
-	// resident high-water mark.
+	// Bytes is resident; PeakBytes is the resident high-water mark.
+	// SpillBytes is always 0, like Reloads.
 	Bytes      int64
 	SpillBytes int64
 	PeakBytes  int64
@@ -181,11 +143,11 @@ type TraceCacheCounters struct {
 type traceCache struct {
 	mu      sync.Mutex
 	entries map[traceKey]*traceEntry // guarded by mu
-	spilled map[traceKey]*spillSlot  // guarded by mu
-	dir     string
-	dirErr  error
-	used    int64  // guarded by mu
-	ticks   uint64 // guarded by mu
+	// records holds the record-trace keys of the trace groups whose
+	// units run the CPU model (expectRecords).
+	records map[traceKey]bool // guarded by mu
+	used    int64             // guarded by mu
+	ticks   uint64            // guarded by mu
 	c       TraceCacheCounters
 }
 
@@ -193,41 +155,25 @@ type traceCache struct {
 var sharedTraces = newTraceCache()
 
 func newTraceCache() *traceCache {
-	return &traceCache{
-		entries: map[traceKey]*traceEntry{},
-		spilled: map[traceKey]*spillSlot{},
-	}
+	return &traceCache{entries: map[traceKey]*traceEntry{}, records: map[traceKey]bool{}}
 }
 
-// ResetTraceCache drops all memoized traces, counters, and spill files
-// (test hook; also the CLI exit cleanup via CleanupTraceSpill).
+// ResetTraceCache drops all memoized traces and counters (test hook).
 func ResetTraceCache() {
 	tc := sharedTraces
 	tc.mu.Lock()
 	tc.entries = map[traceKey]*traceEntry{}
+	tc.records = map[traceKey]bool{}
 	tc.used = 0
 	tc.ticks = 0
 	tc.c = TraceCacheCounters{}
 	tc.mu.Unlock()
-	CleanupTraceSpill()
 }
 
-// CleanupTraceSpill removes the spill directory and forgets every
-// spilled entry. CLIs defer this so temp files never outlive the
-// process; the in-memory cache keeps working (evictions simply start a
-// fresh spill directory).
-func CleanupTraceSpill() {
-	tc := sharedTraces
-	tc.mu.Lock()
-	dir := tc.dir
-	tc.dir, tc.dirErr = "", nil
-	tc.spilled = map[traceKey]*spillSlot{}
-	tc.c.SpillBytes = 0
-	tc.mu.Unlock()
-	if dir != "" {
-		os.RemoveAll(dir)
-	}
-}
+// CleanupTraceSpill does nothing: the trace cache no longer writes
+// spill files. It stays for the benchmark harness, which still calls
+// it.
+func CleanupTraceSpill() {}
 
 // TraceCacheStats returns a snapshot of the shared cache counters.
 func TraceCacheStats() TraceCacheCounters {
@@ -238,35 +184,6 @@ func TraceCacheStats() TraceCacheCounters {
 	c.Bytes = tc.used
 	return c
 }
-
-// SpilledTraces lists the keys currently held on disk, sorted so the
-// emission order is deterministic regardless of map iteration.
-func SpilledTraces() []string {
-	tc := sharedTraces
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	keys := make([]string, 0, len(tc.spilled))
-	for k := range tc.spilled {
-		keys = append(keys, k.String())
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// fnvWord folds one 64-bit word into the checksum state: xor, rotate,
-// multiply by the FNV prime. A word-at-a-time variant of FNV-1a — the
-// canonical byte fold costs 8 multiplies per word, which dominated
-// spill verification at suite scale. The rotation carries high-byte
-// bit flips into the low bytes that the upward-only multiply would
-// otherwise never touch. The sums are process-private (computed when a
-// payload spills, checked on its first reload), so the exact mixing
-// function is free to change between versions.
-func fnvWord(h, v uint64) uint64 {
-	const prime = 1099511628211
-	return bits.RotateLeft64(h^v, 27) * prime
-}
-
-const fnvOffset = 14695981039346656037
 
 // ---- data traces ----
 
@@ -279,42 +196,6 @@ type dataTrace struct {
 
 func (dt *dataTrace) sizeBytes() int64 { return int64(cap(dt.accs)) * 8 }
 
-// checksum folds the stream through FNV-1a. memAcc already packs
-// addr<<1|write into one word, so the fold consumes it directly.
-func (dt *dataTrace) checksum() uint64 {
-	h := uint64(fnvOffset)
-	h = fnvWord(h, uint64(len(dt.accs)))
-	for _, m := range dt.accs {
-		h = fnvWord(h, uint64(m))
-	}
-	return h
-}
-
-func (dt *dataTrace) spillRecords(w *trace.CompressedWriter) error {
-	for _, m := range dt.accs {
-		k := trace.Load
-		if m.Write() {
-			k = trace.Store
-		}
-		if err := w.Write(trace.Record{Mem: m.Addr(), Kind: k, Lat: 1}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func loadDataTrace(r *trace.CompressedReader, name string) (*dataTrace, error) {
-	dt := &dataTrace{name: name, accs: make([]memAcc, 0, r.Remaining())}
-	for {
-		rec, ok := r.Next()
-		if !ok {
-			break
-		}
-		dt.accs = append(dt.accs, cache.NewMemAccess(rec.Mem, rec.Kind == trace.Store))
-	}
-	return dt, r.Err()
-}
-
 // ---- fetch traces ----
 
 // fetchTrace is the I-cache access stream for one (profile, seed, n,
@@ -326,36 +207,6 @@ type fetchTrace struct {
 }
 
 func (ft *fetchTrace) sizeBytes() int64 { return int64(cap(ft.pcs)) * 8 }
-
-func (ft *fetchTrace) checksum() uint64 {
-	h := uint64(fnvOffset)
-	h = fnvWord(h, uint64(len(ft.pcs)))
-	for _, pc := range ft.pcs {
-		h = fnvWord(h, uint64(pc))
-	}
-	return h
-}
-
-func (ft *fetchTrace) spillRecords(w *trace.CompressedWriter) error {
-	for _, pc := range ft.pcs {
-		if err := w.Write(trace.Record{PC: pc, Kind: trace.Int, Lat: 1}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func loadFetchTrace(r *trace.CompressedReader, name string) (*fetchTrace, error) {
-	ft := &fetchTrace{name: name, pcs: make([]addr.Addr, 0, r.Remaining())}
-	for {
-		rec, ok := r.Next()
-		if !ok {
-			break
-		}
-		ft.pcs = append(ft.pcs, rec.PC)
-	}
-	return ft, r.Err()
-}
 
 // ---- record traces ----
 
@@ -510,18 +361,16 @@ func extractFetch(rt *recordTrace, lineBytes int) *fetchTrace {
 // ---- the cache ----
 
 // get returns the payload for key, building it at most once per key.
-// Lookup order: memory (free), spill file (decode, plus a checksum
-// verify on the slot's first reload), build. A corrupt spill file is
-// deleted, counted under Rebuilds, and the entry rebuilt from scratch.
-// load is nil for record traces, which never spill.
-func (tc *traceCache) get(key traceKey, budget int64,
-	build func() (payload, error),
-	load func(*trace.CompressedReader) (spillable, error)) (payload, error) {
+// build returns key's payload followed by one payload per sibling key:
+// the other stream of the same generator pass. Siblings not yet cached
+// join key's singleflight, so a concurrent request for one waits for
+// this build instead of running the generator a second time.
+func (tc *traceCache) get(key traceKey, sibs []traceKey, budget int64,
+	build func() ([]payload, error)) (payload, error) {
 	tel := CurrentTelemetry()
 	tc.mu.Lock()
 	if e, ok := tc.entries[key]; ok {
-		tc.ticks++
-		e.lastUse = tc.ticks
+		tc.touchLocked(e)
 		tc.c.Hits++
 		used := tc.used
 		tc.mu.Unlock()
@@ -529,297 +378,122 @@ func (tc *traceCache) get(key traceKey, budget int64,
 		tel.traceCacheEvent(tracespan.KindTraceHit, key.name, time.Time{}, 0, used)
 		return e.val, e.err
 	}
-	e := &traceEntry{ready: make(chan struct{})}
-	tc.ticks++
-	e.lastUse = tc.ticks
-	tc.entries[key] = e
-	slot := tc.spilled[key]
-	verify := slot != nil && !slot.verified
+	keys := append([]traceKey{key}, sibs...)
+	claimed := make([]*traceEntry, len(keys))
+	ready := make(chan struct{})
+	for i, k := range keys {
+		if i > 0 && tc.entries[k] != nil {
+			continue
+		}
+		e := &traceEntry{ready: ready}
+		tc.touchLocked(e)
+		tc.entries[k] = e
+		claimed[i] = e
+	}
 	tc.mu.Unlock()
 
 	var buildStart time.Time
 	if tel != nil {
 		buildStart = tel.now()
 	}
-	var val payload
-	var err error
-	kind := tracespan.KindTraceReload
-	if slot != nil {
-		val, err = reloadSpill(slot, load, verify)
-		if err != nil {
-			// Corrupt or unreadable: delete the file so the next
-			// eviction rewrites it, and fall through to a rebuild.
-			os.Remove(slot.path)
-			tc.mu.Lock()
-			if tc.spilled[key] == slot {
-				delete(tc.spilled, key)
-				tc.c.SpillBytes -= slot.size
-			}
-			tc.c.Rebuilds++
-			used := tc.used
-			tc.mu.Unlock()
-			tel.traceCacheEvent(tracespan.KindTraceRebuild, key.name, time.Time{}, 0, used)
-			slot = nil
+	vals, err := build()
+
+	// Publish and account under one lock hold, so no reader sees a
+	// built entry whose bytes are not counted, or the cache over budget
+	// before eviction made room.
+	tc.mu.Lock()
+	for i, e := range claimed {
+		switch {
+		case e == nil:
+		case err != nil:
+			// Failures are not cached; a later call may retry.
+			e.err = err
+			delete(tc.entries, keys[i])
+		default:
+			e.val, e.size = vals[i], vals[i].sizeBytes()
+			tc.used += e.size
 		}
 	}
-	if slot == nil {
-		val, err = build()
-		kind = tracespan.KindTraceBuild
-	}
-	e.val, e.err = val, err
+	close(ready)
 	if err == nil {
-		e.size = val.sizeBytes()
+		tc.c.Misses++
+		tc.evictLocked(key, budget)
+		tc.c.PeakBytes = max(tc.c.PeakBytes, tc.used)
 	}
-	close(e.ready)
-
-	tc.mu.Lock()
-	var victims []spillJob
+	used := tc.used
+	tc.mu.Unlock()
 	if err != nil {
-		// Failures are not cached; a later call may retry.
-		delete(tc.entries, key)
-	} else {
-		if slot == nil {
-			tc.c.Misses++
-		} else {
-			tc.c.Reloads++
-			if verify {
-				slot.verified = true
-			}
-		}
-		// Make room BEFORE accounting the new entry, so the resident
-		// high-water mark stays within budget whenever eviction can
-		// keep up.
-		victims = tc.evictLocked(key, budget-e.size)
-		tc.used += e.size
-		if tc.used > tc.c.PeakBytes {
-			tc.c.PeakBytes = tc.used
-		}
+		return nil, err
 	}
-	used := tc.used
-	tc.mu.Unlock()
-	tc.spill(victims, tel)
-	if tel != nil && err == nil {
-		tel.traceCacheEvent(kind, key.name, buildStart, tel.now().Sub(buildStart), used)
+	if tel != nil {
+		tel.traceCacheEvent(tracespan.KindTraceBuild, key.name, buildStart, tel.now().Sub(buildStart), used)
 	}
-	return val, err
+	return vals[0], nil
 }
 
-// resident returns key's payload when it is built and in memory,
-// counting a hit. It never waits for an in-flight build, reloads a
-// spill file or builds, so it returns false in every other case.
-func (tc *traceCache) resident(key traceKey) (payload, bool) {
-	tc.mu.Lock()
-	e := tc.entries[key]
-	if e == nil || !e.built() {
-		tc.mu.Unlock()
-		return nil, false
-	}
+// touchLocked marks e as the most recently used entry.
+func (tc *traceCache) touchLocked(e *traceEntry) {
 	tc.ticks++
 	e.lastUse = tc.ticks
-	tc.c.Hits++
-	used := tc.used
-	tc.mu.Unlock()
-	CurrentTelemetry().traceCacheEvent(tracespan.KindTraceHit, key.name, time.Time{}, 0, used)
-	return e.val, true
 }
 
-// putIfAbsent publishes a byproduct payload — the sibling stream built
-// alongside another entry from the same generator run or resident
-// record trace. No singleflight: if the key is already present in
-// memory, in flight, or on disk, the byproduct is simply dropped. No
-// counter moves; the publication is an accident of build order, not a
-// lookup.
-func (tc *traceCache) putIfAbsent(key traceKey, val payload, budget int64) {
-	e := &traceEntry{
-		ready: make(chan struct{}),
-		val:   val,
-		size:  val.sizeBytes(),
-	}
-	close(e.ready)
-	tc.mu.Lock()
-	if tc.entries[key] != nil || tc.spilled[key] != nil {
-		tc.mu.Unlock()
-		return
-	}
-	tc.ticks++
-	e.lastUse = tc.ticks
-	tc.entries[key] = e
-	victims := tc.evictLocked(key, budget-e.size)
-	tc.used += e.size
-	if tc.used > tc.c.PeakBytes {
-		tc.c.PeakBytes = tc.used
-	}
-	tc.mu.Unlock()
-	tc.spill(victims, CurrentTelemetry())
-}
-
-// retire drops key's built entry without spilling it and returns its
-// payload. An entry still building or failed is left alone.
-func (tc *traceCache) retire(key traceKey) (payload, bool) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	e := tc.entries[key]
-	if e == nil || !e.built() {
-		return nil, false
-	}
-	delete(tc.entries, key)
-	tc.used -= e.size
-	return e.val, true
-}
-
-// has reports whether key is resident, in flight, or spilled.
-func (tc *traceCache) has(key traceKey) bool {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	return tc.entries[key] != nil || tc.spilled[key] != nil
-}
-
-// spillJob carries one evicted entry out of the lock for writing.
-type spillJob struct {
-	key traceKey
-	val spillable
-}
-
-// evictLocked drops the least recently used built streams (never keep)
-// until used fits budget, returning the ones that need a spill file
-// written. Record traces are not spillable, so never chosen: only
-// their group's end retires them. The entry count is small — a few per
-// (benchmark, seed) — so a linear minimum scan is fine.
-func (tc *traceCache) evictLocked(keep traceKey, budget int64) []spillJob {
-	var jobs []spillJob
+// evictLocked drops the least recently used idle streams other than
+// keep until used fits budget. An entry still building is not idle, and
+// record traces are never chosen: only their group's end retires them.
+// The entry count is small — a few per trace group in flight — so a
+// linear minimum scan is fine.
+func (tc *traceCache) evictLocked(keep traceKey, budget int64) {
 	for tc.used > budget {
 		var victim traceKey
 		var ve *traceEntry
 		for k, e := range tc.entries {
-			if k == keep || (ve != nil && e.lastUse >= ve.lastUse) || !e.built() {
+			if k == keep || k.kind == kindRecords || !e.built() || (ve != nil && e.lastUse >= ve.lastUse) {
 				continue
 			}
-			if _, ok := e.val.(spillable); ok {
-				victim, ve = k, e
-			}
+			victim, ve = k, e
 		}
 		if ve == nil {
-			return jobs
+			return
 		}
 		tc.used -= ve.size
 		delete(tc.entries, victim)
 		tc.c.Evictions++
-		if tc.spilled[victim] == nil {
-			jobs = append(jobs, spillJob{key: victim, val: ve.val.(spillable)})
-		}
 	}
-	return jobs
 }
 
-// spillDir lazily creates the process's spill directory.
-func (tc *traceCache) spillDir() (string, error) {
+// hasRecords reports whether a stream build of group should extract
+// from the record trace: the group runs the CPU model, or its record
+// trace is resident or being built.
+func (tc *traceCache) hasRecords(group traceKey) bool {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	if tc.dir == "" && tc.dirErr == nil {
-		tc.dir, tc.dirErr = os.MkdirTemp("", "bcache-tracespill-")
-	}
-	return tc.dir, tc.dirErr
+	return tc.records[group] || tc.entries[group] != nil
 }
 
-// spillName derives a stable file name from the key's string form.
-func spillName(k traceKey) string {
-	return fmt.Sprintf("t%016x.bct", stringFNV(k.String()))
+// expectRecords marks group as one whose units run the CPU model, so
+// its first stream miss builds the record trace and extracts from it
+// instead of running the generator a second time.
+func (tc *traceCache) expectRecords(group traceKey) {
+	tc.mu.Lock()
+	tc.records[group] = true
+	tc.mu.Unlock()
 }
 
-func stringFNV(s string) uint64 {
-	const prime = 1099511628211
-	h := uint64(fnvOffset)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * prime
-	}
-	return h
-}
-
-// spill writes evicted entries to disk, outside the cache lock — the
-// write races only against a concurrent rebuild of the same key, which
-// is benign (both produce content with the same checksum). A failed
-// write degrades to a plain eviction.
-func (tc *traceCache) spill(jobs []spillJob, tel *Telemetry) {
-	if len(jobs) == 0 {
-		return
-	}
-	dir, err := tc.spillDir()
-	if err != nil {
-		return
-	}
-	for _, j := range jobs {
-		path := filepath.Join(dir, spillName(j.key))
-		// The checksum is computed here, not at build time: the payload
-		// is immutable, and only the minority of entries that reach a
-		// spill file ever need one.
-		sum := j.val.checksum()
-		n, err := writeSpill(path, j.val)
-		if err != nil {
-			os.Remove(path)
-			continue
-		}
-		tc.mu.Lock()
-		if tc.spilled[j.key] == nil {
-			tc.spilled[j.key] = &spillSlot{path: path, sum: sum, size: n}
-			tc.c.Spills++
-			tc.c.SpillBytes += n
-		}
-		used := tc.used
-		tc.mu.Unlock()
-		tel.traceCacheEvent(tracespan.KindTraceSpill, j.key.name, time.Time{}, 0, used)
-	}
-}
-
-// writeSpill encodes val into a V2 trace file and reports its size.
-func writeSpill(path string, val spillable) (int64, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	w, err := trace.NewCompressedWriter(f)
-	if err != nil {
-		f.Close()
-		return 0, err
-	}
-	if err := val.spillRecords(w); err != nil {
-		f.Close()
-		return 0, err
-	}
-	if err := w.Close(); err != nil {
-		f.Close()
-		return 0, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return 0, err
-	}
-	return st.Size(), f.Close()
-}
-
-// reloadSpill decodes one spill file; when verify is set it also checks
-// the content against the build-time checksum (the slot's first reload
-// — see spillSlot.verified).
-func reloadSpill(slot *spillSlot, load func(*trace.CompressedReader) (spillable, error), verify bool) (spillable, error) {
-	f, err := os.Open(slot.path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r, err := trace.NewCompressedReader(f)
-	if err != nil {
-		return nil, err
-	}
-	val, err := load(r)
-	if err != nil {
-		return nil, err
-	}
-	if verify {
-		if got := val.checksum(); got != slot.sum {
-			return nil, fmt.Errorf("spill %s: checksum %x, want %x", slot.path, got, slot.sum)
+// retireTrace ends a trace group: it drops every built payload of
+// group's (profile, seed, n) — the record trace, the data stream and
+// the fetch streams at every line size — and its expectRecords mark. A
+// build still in flight (a unit abandoned past its deadline) is left
+// to finish.
+func (tc *traceCache) retireTrace(group traceKey) {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	delete(tc.records, group)
+	for k, e := range tc.entries {
+		if k.trace() == group && e.built() {
+			delete(tc.entries, k)
+			tc.used -= e.size
 		}
 	}
-	return val, nil
 }
 
 // traceBudget resolves the Opts knob: 0 means the default budget,
@@ -843,47 +517,24 @@ func (tc *traceCache) countGeneration() {
 
 // cachedRecords returns the generator output for (p, seed, n), running
 // the generator once per trace group. Only the timed CPU model needs
-// whole records; stream consumers go through cachedData/cachedFetch,
-// which never build one. Call it only from a unit's exec, whose group
-// end retires the entry (retireRecords).
+// whole records; stream consumers go through cachedData/cachedFetch.
+// Call it only from a unit's exec, whose group end retires the entry.
 func cachedRecords(opts Opts, p *workload.Profile) (*recordTrace, error) {
 	budget := opts.traceBudget()
 	if budget <= 0 {
 		sharedTraces.countGeneration()
 		return generateRecords(p, opts.Instructions)
 	}
-	val, err := sharedTraces.get(recordTraceKey(opts, p), budget,
-		func() (payload, error) {
+	val, err := sharedTraces.get(recordTraceKey(opts, p), nil, budget,
+		func() ([]payload, error) {
 			sharedTraces.countGeneration()
-			return generateRecords(p, opts.Instructions)
-		}, nil)
+			rt, err := generateRecords(p, opts.Instructions)
+			return []payload{rt}, err
+		})
 	if err != nil {
 		return nil, err
 	}
 	return val.(*recordTrace), nil
-}
-
-// retireRecords ends the residency of p's record trace once its trace
-// group is done. Later stream requests for p can no longer extract from
-// it, so its data stream and opts.LineBytes fetch stream are published
-// from it when absent; the record trace itself is dropped, never
-// spilled.
-func retireRecords(opts Opts, p *workload.Profile) {
-	budget := opts.traceBudget()
-	if budget <= 0 {
-		return
-	}
-	val, ok := sharedTraces.retire(recordTraceKey(opts, p))
-	if !ok {
-		return
-	}
-	rt := val.(*recordTrace)
-	if key := dataTraceKey(opts, p); !sharedTraces.has(key) {
-		sharedTraces.putIfAbsent(key, extractData(rt), budget)
-	}
-	if key := fetchTraceKey(opts, p); !sharedTraces.has(key) {
-		sharedTraces.putIfAbsent(key, extractFetch(rt, opts.LineBytes), budget)
-	}
 }
 
 // recordTraceKey/dataTraceKey/fetchTraceKey name the three payloads of
@@ -902,13 +553,16 @@ func fetchTraceKey(opts Opts, p *workload.Profile) traceKey {
 }
 
 // buildStreams produces both address streams of (p, seed, n) at
-// opts.LineBytes for a stream miss. A resident record trace is
-// extracted from; otherwise the generator runs straight into the two
-// streams, so a campaign that only replays streams never allocates or
-// spills a record trace.
+// opts.LineBytes for a stream miss: extracted from the record trace
+// when the group has one (hasRecords), otherwise straight from the
+// generator, so a campaign that only replays streams never allocates a
+// record trace.
 func buildStreams(opts Opts, p *workload.Profile) (*dataTrace, *fetchTrace, error) {
-	if val, ok := sharedTraces.resident(recordTraceKey(opts, p)); ok {
-		rt := val.(*recordTrace)
+	if sharedTraces.hasRecords(recordTraceKey(opts, p)) {
+		rt, err := cachedRecords(opts, p)
+		if err != nil {
+			return nil, nil, err
+		}
 		return extractData(rt), extractFetch(rt, opts.LineBytes), nil
 	}
 	return generateStreams(opts, p)
@@ -922,26 +576,19 @@ func generateStreams(opts Opts, p *workload.Profile) (*dataTrace, *fetchTrace, e
 
 // cachedData is the D-side call-site helper: every data-cache
 // experiment obtains its stream here instead of calling materialize
-// directly. A miss builds both streams (buildStreams) and publishes the
-// opts.LineBytes fetch stream as a byproduct, so a later I-side
-// experiment at the same line size hits without another generator run.
+// directly. A miss builds both streams (buildStreams) and caches the
+// opts.LineBytes fetch stream as its sibling, so an I-side unit of the
+// same group at the same line size hits without another build.
 func cachedData(opts Opts, p *workload.Profile) (*dataTrace, error) {
 	budget := opts.traceBudget()
 	if budget <= 0 {
 		dt, _, err := generateStreams(opts, p)
 		return dt, err
 	}
-	val, err := sharedTraces.get(dataTraceKey(opts, p), budget,
-		func() (payload, error) {
+	val, err := sharedTraces.get(dataTraceKey(opts, p), []traceKey{fetchTraceKey(opts, p)}, budget,
+		func() ([]payload, error) {
 			dt, ft, err := buildStreams(opts, p)
-			if err != nil {
-				return nil, err
-			}
-			sharedTraces.putIfAbsent(fetchTraceKey(opts, p), ft, budget)
-			return dt, nil
-		},
-		func(r *trace.CompressedReader) (spillable, error) {
-			return loadDataTrace(r, p.Name)
+			return []payload{dt, ft}, err
 		})
 	if err != nil {
 		return nil, err
@@ -949,25 +596,18 @@ func cachedData(opts Opts, p *workload.Profile) (*dataTrace, error) {
 	return val.(*dataTrace), nil
 }
 
-// cachedFetch is cachedData's I-side twin; a miss publishes the data
-// stream as the byproduct.
+// cachedFetch is cachedData's I-side twin; a miss caches the data
+// stream as the sibling.
 func cachedFetch(opts Opts, p *workload.Profile) (*fetchTrace, error) {
 	budget := opts.traceBudget()
 	if budget <= 0 {
 		_, ft, err := generateStreams(opts, p)
 		return ft, err
 	}
-	val, err := sharedTraces.get(fetchTraceKey(opts, p), budget,
-		func() (payload, error) {
+	val, err := sharedTraces.get(fetchTraceKey(opts, p), []traceKey{dataTraceKey(opts, p)}, budget,
+		func() ([]payload, error) {
 			dt, ft, err := buildStreams(opts, p)
-			if err != nil {
-				return nil, err
-			}
-			sharedTraces.putIfAbsent(dataTraceKey(opts, p), dt, budget)
-			return ft, nil
-		},
-		func(r *trace.CompressedReader) (spillable, error) {
-			return loadFetchTrace(r, p.Name)
+			return []payload{ft, dt}, err
 		})
 	if err != nil {
 		return nil, err

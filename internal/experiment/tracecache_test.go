@@ -1,13 +1,9 @@
 package experiment
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
-	"sort"
 	"testing"
 
-	"bcache/internal/trace"
 	"bcache/internal/workload"
 )
 
@@ -71,89 +67,6 @@ func TestStreamsExactlySized(t *testing.T) {
 			check(p, "direct", lb, dt, ft)
 			check(p, "extract", lb, extractData(rt), extractFetch(rt, lb))
 		}
-	}
-}
-
-// TestSpillRoundTrip: every payload kind survives a spill/reload cycle
-// bit-identically, with the reload checksum matching the build-time one.
-func TestSpillRoundTrip(t *testing.T) {
-	p := workload.All()[0]
-	rt, err := generateRecords(p, 30_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dt := extractData(rt)
-	ft := extractFetch(rt, 32)
-	dir := t.TempDir()
-
-	for _, tc := range []struct {
-		name string
-		val  spillable
-		load func(*trace.CompressedReader) (spillable, error)
-	}{
-		{"data", dt, func(r *trace.CompressedReader) (spillable, error) {
-			return loadDataTrace(r, p.Name)
-		}},
-		{"fetch", ft, func(r *trace.CompressedReader) (spillable, error) {
-			return loadFetchTrace(r, p.Name)
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(dir, tc.name+".bct")
-			size, err := writeSpill(path, tc.val)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if size <= 0 {
-				t.Fatal("spill file reports no bytes")
-			}
-			got, err := reloadSpill(&spillSlot{path: path, sum: tc.val.checksum(), size: size}, tc.load, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, tc.val) {
-				t.Fatal("reloaded payload differs from the original")
-			}
-		})
-	}
-}
-
-// TestSpilledTracesSorted: the spill-index listing is emitted in sorted
-// order regardless of map iteration, and cleanup empties it along with
-// the on-disk directory.
-func TestSpilledTracesSorted(t *testing.T) {
-	ResetTraceCache()
-	defer ResetTraceCache()
-	opts := tinyOpts()
-	opts.TraceBytes = 1 // evict-and-spill everything as soon as it is built
-	p, err := workload.ByName("gcc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := 0; seed < 3; seed++ {
-		if _, err := cachedData(opts, withSeed(p, seed)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	keys := SpilledTraces()
-	if len(keys) == 0 {
-		t.Fatal("nothing spilled under a 1-byte budget")
-	}
-	if !sort.StringsAreSorted(keys) {
-		t.Fatalf("spill listing not sorted: %q", keys)
-	}
-	sharedTraces.mu.Lock()
-	dir := sharedTraces.dir
-	sharedTraces.mu.Unlock()
-	CleanupTraceSpill()
-	if got := SpilledTraces(); len(got) != 0 {
-		t.Fatalf("cleanup left %d spill entries", len(got))
-	}
-	if _, err := os.Stat(dir); !os.IsNotExist(err) {
-		t.Fatal("cleanup left the spill directory behind")
-	}
-	if c := TraceCacheStats(); c.SpillBytes != 0 {
-		t.Fatalf("cleanup left SpillBytes=%d", c.SpillBytes)
 	}
 }
 
@@ -248,24 +161,22 @@ func recordGroups(t *testing.T, opts Opts, profiles []*workload.Profile, streams
 	}
 }
 
-// residentRecords counts the record traces the shared cache holds in
-// memory and on disk.
-func residentRecords() (mem, disk int) {
+// residentRecords counts the record traces the shared cache holds.
+func residentRecords() int {
 	sharedTraces.mu.Lock()
 	defer sharedTraces.mu.Unlock()
+	n := 0
 	for k := range sharedTraces.entries {
-		mem += btoi(k.kind == kindRecords)
+		n += btoi(k.kind == kindRecords)
 	}
-	for k := range sharedTraces.spilled {
-		disk += btoi(k.kind == kindRecords)
-	}
-	return mem, disk
+	return n
 }
 
 // TestRecordsNeverEvictedMidGroup: under a 1-byte budget every stream
-// is evicted and spilled as soon as it is published, but a record trace
-// stays resident until its group ends: each profile's generator runs
-// once, for all the group's units, and no record trace is spilled.
+// is dropped as soon as it is cached, but a record trace stays
+// resident until its group ends: each profile's generator runs once,
+// for all the group's units, and the dropped streams are re-extracted
+// from the record trace.
 func TestRecordsNeverEvictedMidGroup(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
@@ -279,46 +190,47 @@ func TestRecordsNeverEvictedMidGroup(t *testing.T) {
 		t.Fatalf("%d generator runs for %d profiles; a record trace was lost mid-group: %+v",
 			c.Generations, len(profiles), c)
 	}
-	if c.Spills == 0 {
-		t.Fatalf("a 1-byte budget spilled nothing: %+v", c)
+	if c.Evictions == 0 {
+		t.Fatalf("a 1-byte budget dropped nothing: %+v", c)
 	}
-	if mem, disk := residentRecords(); mem+disk != 0 {
-		t.Fatalf("record traces outlived their groups: %d resident, %d spilled", mem, disk)
+	if n := residentRecords(); n != 0 {
+		t.Fatalf("%d record traces outlived their groups", n)
 	}
 }
 
-// TestRetiredGroupPublishesStreams: when a record group ends, its record
-// trace leaves the cache and the profile's data and fetch streams take
-// its place, extracted from it and equal to materialize's.
-func TestRetiredGroupPublishesStreams(t *testing.T) {
+// TestGroupEndRetiresEveryPayload: when a trace group ends, every
+// payload of its trace leaves the cache — the record trace, the data
+// stream and the fetch streams at every line size — and the resident
+// byte count returns to zero. Inside the group, a record-marked grid's
+// streams come from its record trace: one generator run per profile.
+func TestGroupEndRetiresEveryPayload(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
 	opts := tinyOpts()
 	opts.Workers = 2
 	profiles := []*workload.Profile{mustProfile(t, "gcc"), mustProfile(t, "swim")}
-	recordGroups(t, opts, profiles, false)
-	if mem, _ := residentRecords(); mem != 0 {
-		t.Fatalf("%d record traces outlived their groups", mem)
+	ResetUnitMemo()
+	wide := opts
+	wide.LineBytes = 64
+	g := grid[struct{}]{id: "payloads", opts: opts, profiles: profiles, configs: []string{"a", "b"}, records: true,
+		run: func(p *workload.Profile, c int) (struct{}, error) {
+			if _, err := cachedData(opts, p); err != nil {
+				return struct{}{}, err
+			}
+			if _, err := cachedFetch(wide, p); err != nil {
+				return struct{}{}, err
+			}
+			_, err := cachedRecords(opts, p)
+			return struct{}{}, err
+		}}
+	if _, err := runUnits(opts, g.units()); err != nil {
+		t.Fatal(err)
 	}
-	for _, p := range profiles {
-		wantData, wantFetch, err := materialize(p, opts.Instructions, opts.LineBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sharedTraces.mu.Lock()
-		de, fe := sharedTraces.entries[dataTraceKey(opts, p)], sharedTraces.entries[fetchTraceKey(opts, p)]
-		sharedTraces.mu.Unlock()
-		if de == nil || fe == nil {
-			t.Fatalf("%s: retiring the record trace left data %v, fetch %v resident", p.Name, de != nil, fe != nil)
-		}
-		if !reflect.DeepEqual(de.val.(*dataTrace).accs, wantData.accs) {
-			t.Fatalf("%s: published data stream diverges from materialize", p.Name)
-		}
-		if !reflect.DeepEqual(fe.val.(*fetchTrace).pcs, wantFetch.pcs) {
-			t.Fatalf("%s: published fetch stream diverges from materialize", p.Name)
-		}
+	c := TraceCacheStats()
+	if n := residentTraces(); c.Bytes != 0 || n != 0 {
+		t.Fatalf("payloads of %d traces (%d bytes) outlived their groups", n, c.Bytes)
 	}
-	if c := TraceCacheStats(); c.Generations != uint64(len(profiles)) {
+	if c.Generations != uint64(len(profiles)) {
 		t.Fatalf("%d generator runs for %d profiles; the streams should come from the record traces", c.Generations, len(profiles))
 	}
 }
@@ -379,20 +291,6 @@ func mustProfile(t *testing.T, name string) *workload.Profile {
 		t.Fatal(err)
 	}
 	return p
-}
-
-// TestSpillNamesDistinct guards the spill naming scheme: distinct keys
-// must map to distinct file names.
-func TestSpillNamesDistinct(t *testing.T) {
-	a := traceKey{kind: kindData, name: "gcc", seed: 1, instructions: 100}
-	b := a
-	b.kind = kindRecords
-	c := a
-	c.kind = kindFetch
-	c.lineBytes = 32
-	if spillName(a) == spillName(b) || spillName(a) == spillName(c) || spillName(b) == spillName(c) {
-		t.Fatal("distinct keys share a spill file name")
-	}
 }
 
 // BenchmarkMaterialize times the generation layer on its own: one op

@@ -34,23 +34,25 @@ func fixedGroups(n, size int) []int {
 // TestUnitResultsRoundTrip: every unit result of every experiment
 // survives a checkpoint's JSON encode/decode unchanged, so a resume
 // renders exactly what a fresh run would; no experiment declares a key
-// twice; and experiments that share a key share its result type.
+// twice; and experiments that share a key share its result type. The
+// results come from one campaign over the whole registry.
 func TestUnitResultsRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
 	opts := tinyOpts()
 	opts.Instructions = 60_000
+	ResetUnitMemo()
+	res, err := runUnits(opts, campaignUnits(opts, All()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	types := map[string]reflect.Type{}
 	for _, e := range All() {
 		if e.Units == nil {
 			continue
 		}
 		us := e.Units(opts)
-		res, err := runUnits(opts, us)
-		if err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
-		}
 		seen := map[string]bool{}
 		for _, u := range us {
 			for _, key := range u.keys {
@@ -169,17 +171,17 @@ func TestFig9AfterFig8SimulatesNothing(t *testing.T) {
 	}
 }
 
-// TestPlanWorkerHoldsOneRecordTrace: a worker executes planned timed
-// units outside the scheduler, so no group end retires their record
-// traces. Moving to a unit on another trace retires the previous one,
-// in plan order and across interleaved leases alike, and Release (the
-// end of a lease) retires the last.
+// TestPlanWorkerHoldsOneRecordTrace: a worker executes planned units
+// outside the scheduler, so no group end retires their traces. Moving
+// to a unit on another trace retires every payload of the previous
+// one, in plan order and across interleaved leases alike, and Release
+// (the end of a lease) retires the last.
 func TestPlanWorkerHoldsOneRecordTrace(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
 	opts := tinyOpts()
 	opts.Instructions = 20_000
-	plan, err := PlanCampaign(opts, []string{"fig8", "xwindow"})
+	plan, err := PlanCampaign(opts, []string{"fig8", "xwindow", "table7"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,12 +196,24 @@ func TestPlanWorkerHoldsOneRecordTrace(t *testing.T) {
 		if _, err := plan.Execute(i); err != nil {
 			t.Fatal(err)
 		}
-		if mem, disk := residentRecords(); mem > 1 || disk != 0 {
-			t.Fatalf("after unit %d (%s): %d record traces resident, %d spilled", i, plan.Key(i), mem, disk)
+		if n := residentTraces(); n > 1 {
+			t.Fatalf("after unit %d (%s): payloads of %d traces resident", i, plan.Key(i), n)
 		}
 	}
 	plan.Release()
-	if mem, _ := residentRecords(); mem != 0 {
-		t.Fatalf("%d record traces resident after Release", mem)
+	if c := TraceCacheStats(); c.Bytes != 0 {
+		t.Fatalf("%d bytes resident after Release", c.Bytes)
 	}
+}
+
+// residentTraces counts the traces the shared cache holds any payload
+// of.
+func residentTraces() int {
+	sharedTraces.mu.Lock()
+	defer sharedTraces.mu.Unlock()
+	traces := map[traceKey]bool{}
+	for k := range sharedTraces.entries {
+		traces[k.trace()] = true
+	}
+	return len(traces)
 }

@@ -55,8 +55,9 @@ func TestProfileUnitsWorkerInvariant(t *testing.T) {
 // TestNoTraceAccessOutsideUnits: every registered experiment reads its
 // traces from inside scheduled units, so no simulation runs serially
 // outside the scheduler's deadline, retry and timing coverage. Each
-// trace-cache event must start within some unit span. Not parallel: the
-// telemetry hub is process-global.
+// trace-cache event of a campaign over the whole registry must start
+// within some unit span. Not parallel: the telemetry hub is
+// process-global.
 func TestNoTraceAccessOutsideUnits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry sweep is slow")
@@ -70,9 +71,9 @@ func TestNoTraceAccessOutsideUnits(t *testing.T) {
 
 	opts := tinyOpts()
 	opts.Workers = 2
-	for _, e := range All() {
-		if _, err := e.Run(opts); err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
+	for i, out := range RunAll(opts, All()) {
+		if out.Err != nil {
+			t.Fatalf("%s: %v", All()[i].ID, out.Err)
 		}
 	}
 	j := tel.Journal()
@@ -111,10 +112,10 @@ func TestNoTraceAccessOutsideUnits(t *testing.T) {
 	}
 }
 
-// TestNoRecordTraceOutlivesExperiment: a record trace lives only for
-// its trace group, so once any registered experiment's Run returns the
-// shared cache holds no record trace, in memory or on disk. A future
-// cpu.Run experiment inherits the guarantee by declaring its units.
+// TestNoRecordTraceOutlivesExperiment: every payload, record traces
+// included, lives only for its trace group, so once any registered
+// experiment's Run returns the shared cache holds nothing. A future
+// experiment inherits the guarantee by declaring its units.
 func TestNoRecordTraceOutlivesExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry sweep is slow")
@@ -128,8 +129,8 @@ func TestNoRecordTraceOutlivesExperiment(t *testing.T) {
 		if _, err := e.Run(opts); err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}
-		if mem, disk := residentRecords(); mem+disk != 0 {
-			t.Errorf("%s left record traces behind: %d resident, %d spilled", e.ID, mem, disk)
+		if c := TraceCacheStats(); c.Bytes != 0 {
+			t.Errorf("%s left %d trace bytes resident (%d record traces)", e.ID, c.Bytes, residentRecords())
 		}
 	}
 }

@@ -46,14 +46,11 @@ const (
 	KindTraceHit = "trace_hit"
 	// KindTraceBuild is a trace-cache miss plus the build that filled it.
 	KindTraceBuild = "trace_build"
-	// KindTraceRebuild marks a checksum-failed entry being discarded.
-	KindTraceRebuild = "trace_rebuild"
-	// KindTraceSpill marks an evicted trace being written to disk.
-	KindTraceSpill = "trace_spill"
-	// KindTraceReload marks a spilled trace being read back from disk
-	// (dur carries the decode time, like trace_build).
+	// KindTraceReload marked a spilled trace being read back from disk.
+	// The trace cache no longer spills, so nothing emits it; it stays
+	// for the benchmark harness, whose fold still matches it.
 	KindTraceReload = "trace_reload"
-	// KindExperiment is one whole experiment from the CLI's perspective.
+	// KindExperiment spans the unit attempts one experiment owns.
 	KindExperiment = "experiment"
 	// KindLease marks a distributed lease being granted (Detail carries
 	// the unit range; Worker the subprocess slot).
