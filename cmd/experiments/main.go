@@ -445,4 +445,10 @@ func main() {
 		}
 		os.Exit(1)
 	}
+	if experiment.Stopped() {
+		// The signal came after the last unit was claimed (during the
+		// telemetry linger, say): the output is complete, but the run
+		// still ends the way every interrupted run does.
+		os.Exit(130)
+	}
 }

@@ -224,64 +224,61 @@ func RunCampaign(opts experiment.Opts, ids []string, o Options) (dist.Stats, err
 	return dist.Coordinate(cfg)
 }
 
-// telemetryEvents wires the coordinator's hooks to the process-wide
-// telemetry hub, layered over any caller-supplied hooks.
+// telemetryEvents maps each coordinator hook to one span emitted into
+// the process-wide telemetry hub, layered over any caller-supplied hooks.
 func telemetryEvents(extra dist.Events) dist.Events {
-	tel := experiment.CurrentTelemetry
-	return dist.Events{
-		LeaseGranted: func(l dist.Lease) {
-			tel().DistLeaseGranted(l.Worker, l.ID, l.Start, l.End)
-			if extra.LeaseGranted != nil {
-				extra.LeaseGranted(l)
-			}
-		},
-		LeaseExpired: func(l dist.Lease, returned int) {
-			tel().DistLeaseExpired(l.Worker, l.ID, returned)
-			if extra.LeaseExpired != nil {
-				extra.LeaseExpired(l, returned)
-			}
-		},
-		WorkerStarted: func(slot, attempt, pid int) {
-			tel().DistWorkerAttached(+1)
-			if extra.WorkerStarted != nil {
-				extra.WorkerStarted(slot, attempt, pid)
-			}
-		},
-		WorkerExited: func(slot int, err error) {
-			tel().DistWorkerAttached(-1)
-			if extra.WorkerExited != nil {
-				extra.WorkerExited(slot, err)
-			}
-		},
-		WorkerRestarted: func(slot, attempt int) {
-			tel().DistWorkerRestarted(slot, attempt)
-			if extra.WorkerRestarted != nil {
-				extra.WorkerRestarted(slot, attempt)
-			}
-		},
-		ShardMerged: func(slot, records, recovered int, dur time.Duration) {
-			tel().DistShardMerged(slot, records, recovered, dur)
-			if extra.ShardMerged != nil {
-				extra.ShardMerged(slot, records, recovered, dur)
-			}
-		},
-		DuplicateDropped: func(unit int) {
-			tel().DistDuplicateDropped(unit)
-			if extra.DuplicateDropped != nil {
-				extra.DuplicateDropped(unit)
-			}
-		},
-		Degraded: func(remaining int) {
-			if extra.Degraded != nil {
-				extra.Degraded(remaining)
-			}
-		},
-		ResultCommitted: func(worker, unit int) {
-			if extra.ResultCommitted != nil {
-				extra.ResultCommitted(worker, unit)
-			}
-		},
+	emit := func(s tracespan.Span) { experiment.CurrentTelemetry().Emit(s) }
+	ev := extra
+	ev.LeaseGranted = func(l dist.Lease) {
+		emit(tracespan.Span{Kind: tracespan.KindLease, Worker: l.Worker, Unit: -1, Attempt: l.ID,
+			Detail: fmt.Sprintf("units=%d-%d", l.Start, l.End)})
+		if extra.LeaseGranted != nil {
+			extra.LeaseGranted(l)
+		}
 	}
+	ev.LeaseExpired = func(l dist.Lease, returned int) {
+		emit(tracespan.Span{Kind: tracespan.KindLeaseExpire, Worker: l.Worker, Unit: -1, Attempt: l.ID,
+			Detail: fmt.Sprintf("returned=%d", returned)})
+		if extra.LeaseExpired != nil {
+			extra.LeaseExpired(l, returned)
+		}
+	}
+	ev.WorkerStarted = func(slot, attempt, pid int) {
+		emit(tracespan.Span{Kind: tracespan.KindWorkerStart, Worker: slot, Unit: -1, Attempt: attempt})
+		if extra.WorkerStarted != nil {
+			extra.WorkerStarted(slot, attempt, pid)
+		}
+	}
+	ev.WorkerExited = func(slot int, err error) {
+		s := tracespan.Span{Kind: tracespan.KindWorkerExit, Worker: slot, Unit: -1}
+		if err != nil {
+			s.Err = err.Error()
+		}
+		emit(s)
+		if extra.WorkerExited != nil {
+			extra.WorkerExited(slot, err)
+		}
+	}
+	ev.WorkerRestarted = func(slot, attempt int) {
+		emit(tracespan.Span{Kind: tracespan.KindWorkerRestart, Worker: slot, Unit: -1, Attempt: attempt})
+		if extra.WorkerRestarted != nil {
+			extra.WorkerRestarted(slot, attempt)
+		}
+	}
+	ev.ShardMerged = func(slot, records, recovered int, dur time.Duration) {
+		emit(tracespan.Span{Kind: tracespan.KindShardMerge, Worker: slot, Unit: -1, DurNanos: int64(dur),
+			Count: int64(recovered), Detail: fmt.Sprintf("records=%d recovered=%d", records, recovered)})
+		if extra.ShardMerged != nil {
+			extra.ShardMerged(slot, records, recovered, dur)
+		}
+	}
+	ev.DuplicateDropped = func(unit int) {
+		emit(tracespan.Span{Kind: tracespan.KindDuplicate, Worker: tracespan.SharedWorker, Unit: unit})
+		if extra.DuplicateDropped != nil {
+			extra.DuplicateDropped(unit)
+		}
+	}
+	return ev
 }
 
 // MergeShardDir merges every shard file in dir into the checkpoint:

@@ -94,6 +94,37 @@ func TestRunAllMatchesPerExperimentRuns(t *testing.T) {
 	}
 }
 
+// TestPlanExecuteGeneratesEachTraceOnce: a worker executing a plan unit
+// by unit, as a lease does, runs the generator once per distinct trace,
+// like RunAll. fig4's stream units and fig8's CPU-model units share
+// every trace, so without the record-trace mark on each trace change
+// the stream units would run the generator a second time.
+func TestPlanExecuteGeneratesEachTraceOnce(t *testing.T) {
+	defer ResetTraceCache()
+	opts := tinyOpts()
+	opts.Instructions = 60_000
+	plan, err := PlanCampaign(opts, []string{"fig4", "fig8"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ResetTraceCache()
+	traces := map[traceKey]bool{}
+	for i, u := range plan.units {
+		traces[u.trace()] = true
+		if _, err := plan.Execute(i); err != nil {
+			t.Fatalf("unit %s: %v", plan.Key(i), err)
+		}
+	}
+	plan.Release()
+	c := TraceCacheStats()
+	if c.Generations != uint64(len(traces)) {
+		t.Errorf("plan ran the generator %d times for %d distinct traces", c.Generations, len(traces))
+	}
+	if c.Bytes != 0 {
+		t.Errorf("%d trace bytes resident after Release", c.Bytes)
+	}
+}
+
 // TestCampaignUnitsTraceMajor: campaignUnits drops fig9's units, which
 // commit only fig8's keys, and puts every unit of a trace in one
 // consecutive run, in declared order.

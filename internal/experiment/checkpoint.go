@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"bcache/internal/obs/tracespan"
 )
 
 // A checkpoint makes long campaigns crash-safe: every result a work
@@ -318,6 +320,8 @@ func (c *Checkpoint) saveLocked() error {
 	c.dirty = 0
 	// Emitting under c.mu is safe: telemetry never calls back into the
 	// checkpoint, so there is no lock-order cycle.
-	CurrentTelemetry().checkpointSaved(len(c.units), len(data)+1)
+	size := len(data) + 1
+	CurrentTelemetry().Emit(tracespan.Span{Kind: tracespan.KindCheckpoint, Worker: tracespan.SharedWorker,
+		Unit: -1, Bytes: int64(size), Detail: fmt.Sprintf("units=%d bytes=%d", len(c.units), size)})
 	return nil
 }

@@ -23,6 +23,9 @@ import (
 // Plan is an ordered, deduplicated list of planned units.
 type Plan struct {
 	units []unit
+	// records holds the traces some planned unit runs the CPU model on
+	// (empty when trace caching is off).
+	records map[traceKey]bool
 	// mu serializes Execute; last is the unit it ran last (-1 = none),
 	// whose record trace may still be resident.
 	mu   sync.Mutex
@@ -43,13 +46,20 @@ func (p *Plan) UnitKeys(i int) []string { return p.units[i].keys }
 // UnitKeys(i) entry, as the checkpoint stores them. Outside the
 // scheduler no group end retires traces, so Execute retires every
 // payload of the previous unit's trace whenever it moves to a unit on
-// another trace: a worker holds at most one trace at a time.
+// another trace: a worker holds at most one trace at a time. Moving
+// onto a trace that CPU-model units use marks it as runUnits does, so
+// its streams come from the record trace and the generator runs once.
 func (p *Plan) Execute(i int) ([]json.RawMessage, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	u := p.units[i]
-	if p.last >= 0 && p.units[p.last].trace() != u.trace() {
-		p.units[p.last].retire()
+	if p.last < 0 || p.units[p.last].trace() != u.trace() {
+		if p.last >= 0 {
+			p.units[p.last].retire()
+		}
+		if p.records[u.trace()] {
+			sharedTraces.expectRecords(u.trace())
+		}
 	}
 	p.last = i
 	vals, err := u.exec()
@@ -111,5 +121,11 @@ func PlanCampaign(opts Opts, ids []string) (*Plan, error) {
 			exps = append(exps, e)
 		}
 	}
-	return &Plan{units: campaignUnits(opts, exps), last: -1}, nil
+	p := &Plan{units: campaignUnits(opts, exps), records: map[traceKey]bool{}, last: -1}
+	for _, u := range p.units {
+		if u.records && opts.traceBudget() > 0 {
+			p.records[u.trace()] = true
+		}
+	}
+	return p, nil
 }

@@ -12,6 +12,7 @@ import (
 	"bcache/internal/cache"
 	"bcache/internal/core"
 	"bcache/internal/energy"
+	"bcache/internal/obs/tracespan"
 	"bcache/internal/rng"
 	"bcache/internal/stackdist"
 	"bcache/internal/victim"
@@ -405,7 +406,8 @@ func runUnits(opts Opts, units []unit) (results, error) {
 			}
 			if simulated && u.replays {
 				// A unit replays its trace once, however many specs it answers.
-				tel.addAccesses(v[0].(UnitResult).Accesses)
+				tel.Emit(tracespan.Span{Kind: tracespan.KindAccesses, Name: u.label,
+					Worker: tracespan.SharedWorker, Unit: i, Count: int64(v[0].(UnitResult).Accesses)})
 			}
 		}, nil
 	})

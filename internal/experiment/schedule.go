@@ -231,7 +231,7 @@ func runUnitsCtl(n, workers int, o unitOpts, fn func(int) (func(), error)) error
 		workers = n
 	}
 	tel := CurrentTelemetry()
-	tel.runQueued(n)
+	tel.Emit(tracespan.Span{Kind: tracespan.KindQueue, Worker: tracespan.SharedWorker, Unit: -1, Count: int64(n)})
 	q := newGroupQueue(n, o.Groups)
 	var (
 		interrupted atomic.Bool
@@ -254,14 +254,21 @@ func runUnitsCtl(n, workers int, o unitOpts, fn func(int) (func(), error)) error
 				if !ok {
 					return
 				}
-				tel.unitClaimed()
-				err := runOneUnit(w, i, o, tel, fn)
-				tel.unitReleased()
+				label := ""
+				if tel != nil {
+					label = o.label(i)
+				}
+				tel.Emit(tracespan.Span{Kind: tracespan.KindClaim, Name: label, Worker: w, Unit: i})
+				err := runOneUnit(w, i, label, o, tel, fn)
+				release := tracespan.Span{Kind: tracespan.KindRelease, Name: label, Worker: w, Unit: i}
+				if err != nil && tel != nil {
+					release.Err = err.Error()
+				}
+				tel.Emit(release)
 				if done, last := q.done(i); last && o.GroupDone != nil {
 					o.GroupDone(done)
 				}
 				if err != nil {
-					tel.unitFailed()
 					mu.Lock()
 					if len(errs) < maxJoinedErrors {
 						errs = append(errs, err)
@@ -275,9 +282,9 @@ func runUnitsCtl(n, workers int, o unitOpts, fn func(int) (func(), error)) error
 	}
 	wg.Wait()
 	// A stop request leaves units unclaimed; take them back out of the
-	// queue-depth gauge.
+	// queue.
 	if claimed := int(q.claimed.Load()); claimed < n {
-		tel.runDrained(n - claimed)
+		tel.Emit(tracespan.Span{Kind: tracespan.KindDrain, Worker: tracespan.SharedWorker, Unit: -1, Count: int64(n - claimed)})
 	}
 	if dropped > 0 {
 		errs = append(errs, fmt.Errorf("experiment: %d further unit failures elided", dropped))
@@ -288,15 +295,16 @@ func runUnitsCtl(n, workers int, o unitOpts, fn func(int) (func(), error)) error
 	return errors.Join(errs...)
 }
 
-// runOneUnit runs unit i to completion on worker w, committing on
-// success and retrying timeouts and transient failures with exponential
-// backoff through the unit clock. Each attempt emits exactly one
-// KindUnit span, and each scheduled retry exactly one KindRetry span.
-func runOneUnit(w, i int, o unitOpts, tel *Telemetry, fn func(int) (func(), error)) error {
+// runOneUnit runs unit i, labelled label, to completion on worker w,
+// committing on success and retrying timeouts and transient failures
+// with exponential backoff through the unit clock. Each attempt emits
+// exactly one KindUnit span (plus an abandon or panic instant when the
+// error says so), and each scheduled retry exactly one KindRetry span.
+func runOneUnit(w, i int, label string, o unitOpts, tel *Telemetry, fn func(int) (func(), error)) error {
 	clk := o.clock()
-	label, owner := "", ""
+	owner := ""
 	if tel != nil {
-		label, owner = o.label(i), o.owner(i)
+		owner = o.owner(i)
 	}
 	delay := o.backoff()
 	for attempt := 0; ; attempt++ {
@@ -306,7 +314,24 @@ func runOneUnit(w, i int, o unitOpts, tel *Telemetry, fn func(int) (func(), erro
 		}
 		commit, err := invokeUnit(i, o.Timeout, fn)
 		if tel != nil {
-			tel.unitAttempt(w, i, label, owner, attempt, start, tel.now().Sub(start), err)
+			end := tel.now()
+			s := tracespan.Span{Kind: tracespan.KindUnit, Name: label, Worker: w, Unit: i, Attempt: attempt,
+				StartUnixNano: start.UnixNano(), DurNanos: int64(end.Sub(start)), Owner: owner}
+			if err != nil {
+				s.Err = err.Error()
+			}
+			tel.Emit(s)
+			instant := ""
+			switch {
+			case errors.Is(err, ErrUnitTimeout):
+				instant = tracespan.KindAbandon
+			case errors.Is(err, errUnitPanic):
+				instant = tracespan.KindPanic
+			}
+			if instant != "" {
+				tel.Emit(tracespan.Span{Kind: instant, Name: label, Worker: w, Unit: i, Attempt: attempt,
+					StartUnixNano: end.UnixNano(), Err: s.Err})
+			}
 		}
 		if err == nil {
 			if commit != nil {
@@ -321,7 +346,8 @@ func runOneUnit(w, i int, o unitOpts, tel *Telemetry, fn func(int) (func(), erro
 			}
 			return fmt.Errorf("unit %d: %w", i, err)
 		}
-		tel.unitRetry(w, i, label, attempt, delay)
+		tel.Emit(tracespan.Span{Kind: tracespan.KindRetry, Name: label, Worker: w, Unit: i,
+			Attempt: attempt, Detail: delay.String()})
 		clk.Sleep(delay)
 		delay *= 2
 	}

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -14,11 +13,15 @@ import (
 
 // Telemetry is the experiment layer's live observability hub: one span
 // journal (the scheduler's flight recorder) plus one metrics registry
-// (the /metrics exposition), fed from the scheduler, checkpoint, and
-// trace-cache seams. The CLIs install one per process with SetTelemetry;
-// everything in this file is nil-safe, so with no telemetry installed
-// the scheduler pays a single atomic pointer load per work unit and the
-// checkpoint/trace-cache seams pay one per event.
+// (the /metrics exposition). Every event — from the scheduler, the
+// runner's commit, the checkpoint, the trace cache and the distributed
+// coordinator — arrives as one tracespan.Span through Emit, which
+// records it and folds it into the instruments, the /progress counters
+// and the per-experiment digests. So each of those is a function of the
+// span sequence: replaying the journal through foldLocked rebuilds them. The
+// CLIs install one hub per process with SetTelemetry; Emit and the
+// other methods are nil-safe, so with no hub installed an emission site
+// costs one nil check.
 //
 // All wall-clock reads go through the tracespan.Clock seam — Telemetry
 // never calls time.Now — so the determinism analyzer stays clean and
@@ -122,6 +125,7 @@ type Telemetry struct {
 	distWorkers    *metrics.Gauge
 	distShardMerge *metrics.Histogram
 
+	// mu orders Emit: the journal and the fold see spans in one order.
 	mu         sync.Mutex
 	experiment string                     // guarded by mu
 	folds      map[string]*experimentFold // guarded by mu
@@ -129,12 +133,13 @@ type Telemetry struct {
 
 // experimentFold accumulates the unit attempts one experiment owns: the
 // wall times of its completed units, the slowest of them, and the
-// window from the first attempt's start to the last one's end.
+// window from the first attempt's start to the last one's end (Unix
+// nanoseconds).
 type experimentFold struct {
 	durs        []float64
 	slowest     float64
 	slowestKey  string
-	first, last time.Time
+	first, last int64
 }
 
 // NewTelemetry builds a telemetry hub with a journal of journalCap
@@ -145,7 +150,7 @@ func NewTelemetry(journalCap int, clock tracespan.Clock) *Telemetry {
 		clock = tracespan.Wall
 	}
 	reg := metrics.NewRegistry()
-	t := &Telemetry{
+	return &Telemetry{
 		journal: tracespan.NewJournal(journalCap, clock),
 		clock:   clock,
 		reg:     reg,
@@ -176,7 +181,6 @@ func NewTelemetry(journalCap int, clock tracespan.Clock) *Telemetry {
 
 		folds: map[string]*experimentFold{},
 	}
-	return t
 }
 
 // distMergeBounds are the shard-merge histogram buckets in seconds:
@@ -224,8 +228,8 @@ func (t *Telemetry) ProgressSnapshot() Progress {
 var activeTelemetry atomic.Pointer[Telemetry]
 
 // SetTelemetry installs t as the process-wide telemetry hub (nil turns
-// telemetry off). Install before starting runs; the scheduler reads it
-// per unit.
+// telemetry off). Install before starting runs; each scheduler call
+// reads it once.
 func SetTelemetry(t *Telemetry) { activeTelemetry.Store(t) }
 
 // CurrentTelemetry returns the installed hub, or nil.
@@ -255,7 +259,7 @@ func (t *Telemetry) ExperimentWindow(id string) (start time.Time, dur time.Durat
 	if f == nil {
 		return time.Time{}, 0
 	}
-	return f.first, f.last.Sub(f.first)
+	return time.Unix(0, f.first), time.Duration(f.last - f.first)
 }
 
 // EndExperiment emits the experiment-level span over [start, start+dur)
@@ -271,7 +275,7 @@ func (t *Telemetry) EndExperiment(id string, start time.Time, dur time.Duration)
 	if !start.IsZero() {
 		s.StartUnixNano = start.UnixNano()
 	}
-	t.journal.Record(s)
+	t.Emit(s)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	f := t.folds[id]
@@ -299,233 +303,89 @@ func (t *Telemetry) EndExperiment(id string, start time.Time, dur time.Duration)
 // now returns the hub's clock reading; callers gate on t != nil first.
 func (t *Telemetry) now() time.Time { return t.clock.Now() }
 
-// runQueued accounts n units entering the scheduler.
-func (t *Telemetry) runQueued(n int) {
-	if t == nil {
-		return
-	}
-	t.unitsQueued.Add(uint64(n))
-	t.queueDepth.Add(float64(n))
-}
-
-// runDrained removes units that will never be claimed (stop requests)
-// from the queue-depth gauge.
-func (t *Telemetry) runDrained(unclaimed int) {
-	if t == nil || unclaimed <= 0 {
-		return
-	}
-	t.queueDepth.Add(-float64(unclaimed))
-}
-
-// unitClaimed moves one unit from queued to in-flight.
-func (t *Telemetry) unitClaimed() {
-	if t == nil {
-		return
-	}
-	t.queueDepth.Add(-1)
-	t.inFlight.Add(1)
-}
-
-// unitReleased takes a unit out of in-flight once its last attempt ends.
-func (t *Telemetry) unitReleased() {
-	if t == nil {
-		return
-	}
-	t.inFlight.Add(-1)
-}
-
-// unitAttempt records one completed attempt of a unit owned by
-// experiment owner: the KindUnit span, the wall-time histogram sample,
-// an abandon/panic instant when the error says so, the owner's window
-// and — on the successful attempt — the owner's timing digest.
-func (t *Telemetry) unitAttempt(worker, unit int, label, owner string, attempt int, start time.Time, dur time.Duration, err error) {
+// Emit records s in the journal and folds it. It is the hub's only
+// event entry point.
+func (t *Telemetry) Emit(s tracespan.Span) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	if owner != "" {
-		t.experiment = owner
-	}
-	f := t.folds[owner]
-	if f == nil {
-		f = &experimentFold{first: start, last: start}
-		t.folds[owner] = f
-	}
-	if start.Before(f.first) {
-		f.first = start
-	}
-	if end := start.Add(dur); end.After(f.last) {
-		f.last = end
-	}
-	if err == nil {
-		sec := dur.Seconds()
-		f.durs = append(f.durs, sec)
-		if sec > f.slowest || f.slowestKey == "" {
-			f.slowest, f.slowestKey = sec, label
-		}
-	}
-	t.mu.Unlock()
-	s := tracespan.Span{
-		Kind: tracespan.KindUnit, Name: label, Worker: worker, Unit: unit,
-		Attempt: attempt, StartUnixNano: start.UnixNano(), DurNanos: int64(dur),
-	}
-	if err != nil {
-		s.Err = err.Error()
-	}
+	defer t.mu.Unlock()
 	t.journal.Record(s)
-	sec := dur.Seconds()
-	t.unitWall.Observe(sec)
-	switch {
-	case err == nil:
-		t.unitsCompleted.Inc()
-	case errors.Is(err, ErrUnitTimeout):
+	t.foldLocked(s)
+}
+
+// foldLocked applies one span to every view derived from the journal. It is
+// the only code that changes an instrument (DESIGN.md §13 tabulates
+// which kind moves which). Callers hold t.mu.
+func (t *Telemetry) foldLocked(s tracespan.Span) {
+	switch s.Kind {
+	case tracespan.KindQueue:
+		t.unitsQueued.Add(uint64(s.Count))
+		t.queueDepth.Add(float64(s.Count))
+	case tracespan.KindDrain:
+		t.queueDepth.Add(-float64(s.Count))
+	case tracespan.KindClaim:
+		t.queueDepth.Add(-1)
+		t.inFlight.Add(1)
+	case tracespan.KindRelease:
+		t.inFlight.Add(-1)
+		if s.Err != "" {
+			t.unitsFailed.Inc()
+		}
+	case tracespan.KindUnit:
+		sec := time.Duration(s.DurNanos).Seconds()
+		t.unitWall.Observe(sec)
+		if s.Err == "" {
+			t.unitsCompleted.Inc()
+		}
+		if s.Owner != "" {
+			t.experiment = s.Owner
+		}
+		f := t.folds[s.Owner]
+		if f == nil {
+			f = &experimentFold{first: s.StartUnixNano, last: s.StartUnixNano}
+			t.folds[s.Owner] = f
+		}
+		f.first = min(f.first, s.StartUnixNano)
+		f.last = max(f.last, s.StartUnixNano+s.DurNanos)
+		if s.Err == "" {
+			f.durs = append(f.durs, sec)
+			if sec > f.slowest || f.slowestKey == "" {
+				f.slowest, f.slowestKey = sec, s.Name
+			}
+		}
+	case tracespan.KindRetry:
+		t.unitsRetried.Inc()
+	case tracespan.KindAbandon:
 		t.unitsAbandoned.Inc()
-		t.journal.Record(tracespan.Span{
-			Kind: tracespan.KindAbandon, Name: label, Worker: worker, Unit: unit,
-			Attempt: attempt, StartUnixNano: start.Add(dur).UnixNano(), Err: s.Err,
-		})
-	case errors.Is(err, errUnitPanic):
+	case tracespan.KindPanic:
 		t.unitsPanicked.Inc()
-		t.journal.Record(tracespan.Span{
-			Kind: tracespan.KindPanic, Name: label, Worker: worker, Unit: unit,
-			Attempt: attempt, StartUnixNano: start.Add(dur).UnixNano(), Err: s.Err,
-		})
-	}
-}
-
-// unitRetry records a retry being scheduled after a failed attempt.
-func (t *Telemetry) unitRetry(worker, unit int, label string, attempt int, delay time.Duration) {
-	if t == nil {
-		return
-	}
-	t.unitsRetried.Inc()
-	t.journal.Record(tracespan.Span{
-		Kind: tracespan.KindRetry, Name: label, Worker: worker, Unit: unit,
-		Attempt: attempt, Detail: delay.String(),
-	})
-}
-
-// unitFailed records a unit giving up for good.
-func (t *Telemetry) unitFailed() {
-	if t == nil {
-		return
-	}
-	t.unitsFailed.Inc()
-}
-
-// addAccesses accounts simulated accesses from a committed unit.
-func (t *Telemetry) addAccesses(n uint64) {
-	if t == nil {
-		return
-	}
-	t.accesses.Add(n)
-}
-
-// checkpointSaved records one checkpoint write.
-func (t *Telemetry) checkpointSaved(units, bytes int) {
-	if t == nil {
-		return
-	}
-	t.checkpointSaves.Inc()
-	t.checkpointBytes.Set(float64(bytes))
-	t.journal.Record(tracespan.Span{
-		Kind: tracespan.KindCheckpoint, Worker: tracespan.SharedWorker, Unit: -1,
-		Detail: fmt.Sprintf("units=%d bytes=%d", units, bytes),
-	})
-}
-
-// traceCacheEvent records one shared-trace-cache event (kind is a
-// tracespan.KindTrace* constant); usedBytes refreshes the size gauge,
-// and dur carries the build time for trace_build spans.
-func (t *Telemetry) traceCacheEvent(kind, name string, start time.Time, dur time.Duration, usedBytes int64) {
-	if t == nil {
-		return
-	}
-	switch kind {
+	case tracespan.KindAccesses:
+		t.accesses.Add(uint64(s.Count))
+	case tracespan.KindCheckpoint:
+		t.checkpointSaves.Inc()
+		t.checkpointBytes.Set(float64(s.Bytes))
 	case tracespan.KindTraceHit:
 		t.traceHits.Inc()
+		t.traceCacheBytes.Set(float64(s.Bytes))
 	case tracespan.KindTraceBuild:
 		t.traceBuilds.Inc()
+		t.traceCacheBytes.Set(float64(s.Bytes))
+	case tracespan.KindLease:
+		t.distLeases.Inc()
+	case tracespan.KindLeaseExpire:
+		t.distReleases.Inc()
+	case tracespan.KindWorkerStart:
+		t.distWorkers.Add(1)
+	case tracespan.KindWorkerExit:
+		t.distWorkers.Add(-1)
+	case tracespan.KindWorkerRestart:
+		t.distRestarts.Inc()
+	case tracespan.KindShardMerge:
+		t.distRecovered.Add(uint64(s.Count))
+		t.distShardMerge.Observe(time.Duration(s.DurNanos).Seconds())
+	case tracespan.KindDuplicate:
+		t.distDuplicates.Inc()
 	}
-	t.traceCacheBytes.Set(float64(usedBytes))
-	s := tracespan.Span{
-		Kind: kind, Name: name, Worker: tracespan.SharedWorker, Unit: -1,
-		DurNanos: int64(dur),
-	}
-	if !start.IsZero() {
-		s.StartUnixNano = start.UnixNano()
-	}
-	t.journal.Record(s)
-}
-
-// The Dist* methods observe the distributed coordinator (internal/dist)
-// through its Events hooks — cmd/experiments wires them up. All are
-// nil-safe like the rest of the hub.
-
-// DistLeaseGranted records a unit-range lease going to a worker slot.
-func (t *Telemetry) DistLeaseGranted(worker, leaseID, start, end int) {
-	if t == nil {
-		return
-	}
-	t.distLeases.Inc()
-	t.journal.Record(tracespan.Span{
-		Kind: tracespan.KindLease, Worker: worker, Unit: -1, Attempt: leaseID,
-		Detail: fmt.Sprintf("units=%d-%d", start, end),
-	})
-}
-
-// DistLeaseExpired records a lease missing its deadline; returned units
-// go back to the pool for re-lease.
-func (t *Telemetry) DistLeaseExpired(worker, leaseID, returned int) {
-	if t == nil {
-		return
-	}
-	t.distReleases.Inc()
-	t.journal.Record(tracespan.Span{
-		Kind: tracespan.KindLeaseExpire, Worker: worker, Unit: -1, Attempt: leaseID,
-		Detail: fmt.Sprintf("returned=%d", returned),
-	})
-}
-
-// DistWorkerAttached moves the live-workers gauge as subprocesses come
-// and go (delta is +1 on start, -1 on exit).
-func (t *Telemetry) DistWorkerAttached(delta int) {
-	if t == nil {
-		return
-	}
-	t.distWorkers.Add(float64(delta))
-}
-
-// DistWorkerRestarted records a dead worker slot being respawned.
-func (t *Telemetry) DistWorkerRestarted(worker, attempt int) {
-	if t == nil {
-		return
-	}
-	t.distRestarts.Inc()
-	t.journal.Record(tracespan.Span{
-		Kind: tracespan.KindWorkerRestart, Worker: worker, Unit: -1, Attempt: attempt,
-	})
-}
-
-// DistShardMerged records one worker shard merge: how many records it
-// held, how many units only the shard knew about, and the merge time.
-func (t *Telemetry) DistShardMerged(worker, records, recovered int, dur time.Duration) {
-	if t == nil {
-		return
-	}
-	t.distRecovered.Add(uint64(recovered))
-	t.distShardMerge.Observe(dur.Seconds())
-	t.journal.Record(tracespan.Span{
-		Kind: tracespan.KindShardMerge, Worker: worker, Unit: -1, DurNanos: int64(dur),
-		Detail: fmt.Sprintf("records=%d recovered=%d", records, recovered),
-	})
-}
-
-// DistDuplicateDropped records a re-leased unit completing twice; the
-// second completion is dropped, never re-applied.
-func (t *Telemetry) DistDuplicateDropped(unit int) {
-	if t == nil {
-		return
-	}
-	t.distDuplicates.Inc()
 }

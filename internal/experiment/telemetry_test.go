@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"bcache/internal/obs/metrics"
 	"bcache/internal/obs/tracespan"
 	"bcache/internal/workload"
 )
@@ -289,17 +291,13 @@ func TestTraceCacheSpans(t *testing.T) {
 	}
 }
 
+// TestTelemetryNilSafe: Emit and the rest of the hub follow the
+// nil-receiver convention, so emission sites (the scheduler, the trace
+// cache, the checkpoint, the dist hooks) never guard their calls.
 func TestTelemetryNilSafe(t *testing.T) {
 	var tel *Telemetry
-	tel.runQueued(5)
-	tel.unitClaimed()
-	tel.unitAttempt(0, 0, "x", "e", 0, time.Time{}, 0, nil)
-	tel.unitRetry(0, 0, "x", 0, time.Millisecond)
-	tel.unitReleased()
-	tel.unitFailed()
-	tel.addAccesses(100)
-	tel.checkpointSaved(1, 2)
-	tel.traceCacheEvent(tracespan.KindTraceHit, "x", time.Time{}, 0, 0)
+	tel.Emit(tracespan.Span{Kind: tracespan.KindQueue, Count: 5})
+	tel.Emit(tracespan.Span{Kind: tracespan.KindUnit, Name: "x", Owner: "e"})
 	tel.BeginExperiment("e")
 	if sum := tel.EndExperiment("e", time.Time{}, 0); sum != nil {
 		t.Fatal("nil telemetry returned a summary")
@@ -310,6 +308,242 @@ func TestTelemetryNilSafe(t *testing.T) {
 	p := tel.ProgressSnapshot()
 	if err := ValidateProgress(p); err != nil {
 		t.Fatalf("nil progress invalid: %v", err)
+	}
+}
+
+// TestDistTelemetryNilSafe: every distribution span kind goes through the
+// hub's nil-receiver Emit, so dist code never guards its telemetry calls.
+func TestDistTelemetryNilSafe(t *testing.T) {
+	var tel *Telemetry
+	for _, s := range []tracespan.Span{
+		{Kind: tracespan.KindLease, Worker: 0, Unit: -1, Count: 4},
+		{Kind: tracespan.KindLeaseExpire, Worker: 0, Unit: -1, Count: 4},
+		{Kind: tracespan.KindWorkerStart, Worker: 1},
+		{Kind: tracespan.KindWorkerExit, Worker: 1},
+		{Kind: tracespan.KindWorkerRestart, Worker: 0},
+		{Kind: tracespan.KindShardMerge, Worker: 0, Count: 1, DurNanos: int64(time.Millisecond)},
+		{Kind: tracespan.KindDuplicate, Unit: 0},
+	} {
+		tel.Emit(s)
+	}
+}
+
+// TestFoldMatchesJournal drives one campaign through runUnits with a
+// transient unit that succeeds on retry, a panicking unit, a unit that
+// times out on both attempts, a replay unit whose accesses count, trace
+// cache builds and hits, and an autosaving checkpoint. Every counter and
+// gauge must equal what the journal's spans imply, and replaying the
+// journal through foldLocked on a fresh hub must rebuild the exposition
+// and /progress exactly: no instrument moves outside the fold.
+func TestFoldMatchesJournal(t *testing.T) {
+	tel, _ := withTelemetry(t)
+	ResetTraceCache()
+	ResetUnitMemo()
+	defer ResetTraceCache()
+	defer ResetUnitMemo()
+	opts := DefaultOpts()
+	opts.Instructions = 10_000
+	opts.Workers = 1
+	opts.UnitTimeout = 20 * time.Millisecond
+	opts.UnitRetries = 1
+	opts.Checkpoint = NewCheckpoint(t.TempDir() + "/ckpt.json")
+	opts.Checkpoint.SetAutosave(2)
+	release := make(chan struct{})
+	defer close(release)
+
+	profs := workload.All()
+	var flaky atomic.Int32
+	mk := func(p *workload.Profile, label string, exec func() (UnitResult, error)) unit {
+		u := newUnit(opts, p, label, []string{"fold/" + label}, func() ([]UnitResult, error) {
+			r, err := exec()
+			return []UnitResult{r}, err
+		})
+		u.owner = "figF"
+		return u
+	}
+	replay := mk(profs[0], "replay", func() (UnitResult, error) {
+		_, err := cachedData(opts, profs[0])
+		return UnitResult{Accesses: 1234}, err
+	})
+	replay.replays = true
+	units := []unit{
+		replay,
+		mk(profs[0], "flaky", func() (UnitResult, error) {
+			if _, err := cachedData(opts, profs[0]); err != nil {
+				return UnitResult{}, err
+			}
+			if flaky.Add(1) == 1 {
+				return UnitResult{}, fmt.Errorf("once: %w", ErrTransient)
+			}
+			return UnitResult{Accesses: 1}, nil
+		}),
+		mk(profs[1], "boom", func() (UnitResult, error) { panic("boom") }),
+		mk(profs[1], "hang", func() (UnitResult, error) {
+			<-release
+			return UnitResult{}, nil
+		}),
+	}
+	tel.BeginExperiment("figF")
+	if _, err := runUnits(opts, units); err == nil {
+		t.Fatal("campaign with a panicking and a hanging unit returned no error")
+	}
+	if err := opts.Checkpoint.Save(); err != nil {
+		t.Fatal(err)
+	}
+
+	spans := tel.Journal().Snapshot()
+	var (
+		queued, drained, claims, releases, gaveUp, done, retries uint64
+		panics, abandons, accesses, saves, hits, builds, walls   uint64
+		ckptBytes, traceBytes                                    int64
+	)
+	for _, s := range spans {
+		switch s.Kind {
+		case tracespan.KindQueue:
+			queued += uint64(s.Count)
+		case tracespan.KindDrain:
+			drained += uint64(s.Count)
+		case tracespan.KindClaim:
+			claims++
+		case tracespan.KindRelease:
+			releases++
+			if s.Err != "" {
+				gaveUp++
+			}
+		case tracespan.KindUnit:
+			walls++
+			if s.Err == "" {
+				done++
+			}
+		case tracespan.KindRetry:
+			retries++
+		case tracespan.KindPanic:
+			panics++
+		case tracespan.KindAbandon:
+			abandons++
+		case tracespan.KindAccesses:
+			accesses += uint64(s.Count)
+		case tracespan.KindCheckpoint:
+			saves++
+			ckptBytes = s.Bytes
+		case tracespan.KindTraceHit:
+			hits++
+			traceBytes = s.Bytes
+		case tracespan.KindTraceBuild:
+			builds++
+			traceBytes = s.Bytes
+		}
+	}
+	// The campaign's own shape, so the comparisons below are not vacuous.
+	if queued != 4 || done != 2 || gaveUp != 2 || retries != 2 || panics != 1 ||
+		abandons != 2 || accesses != 1234 || saves != 2 || builds != 1 || hits != 2 {
+		t.Fatalf("journal: queued %d done %d gave up %d retries %d panics %d abandons %d accesses %d saves %d builds %d hits %d",
+			queued, done, gaveUp, retries, panics, abandons, accesses, saves, builds, hits)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"units_queued", float64(tel.unitsQueued.Value()), float64(queued)},
+		{"units_completed", float64(tel.unitsCompleted.Value()), float64(done)},
+		{"units_failed", float64(tel.unitsFailed.Value()), float64(gaveUp)},
+		{"units_retried", float64(tel.unitsRetried.Value()), float64(retries)},
+		{"units_panicked", float64(tel.unitsPanicked.Value()), float64(panics)},
+		{"units_abandoned", float64(tel.unitsAbandoned.Value()), float64(abandons)},
+		{"accesses", float64(tel.accesses.Value()), float64(accesses)},
+		{"checkpoint_saves", float64(tel.checkpointSaves.Value()), float64(saves)},
+		{"trace_cache_hits", float64(tel.traceHits.Value()), float64(hits)},
+		{"trace_cache_builds", float64(tel.traceBuilds.Value()), float64(builds)},
+		{"queue_depth", tel.queueDepth.Value(), float64(queued - drained - claims)},
+		{"units_in_flight", tel.inFlight.Value(), float64(claims - releases)},
+		{"checkpoint_bytes", tel.checkpointBytes.Value(), float64(ckptBytes)},
+		{"trace_cache_bytes", tel.traceCacheBytes.Value(), float64(traceBytes)},
+		{"unit_wall_seconds count", float64(tel.unitWall.Count()), float64(walls)},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, the journal implies %v", c.name, c.got, c.want)
+		}
+	}
+	p := tel.ProgressSnapshot()
+	want := Progress{SchemaVersion: ProgressSchemaVersion, Experiment: "figF",
+		QueuedUnits: queued, DoneUnits: done, FailedUnits: gaveUp, RetriedUnits: retries,
+		Accesses: accesses, SpansRecorded: uint64(len(spans))}
+	if p != want {
+		t.Errorf("progress %+v, the journal implies %+v", p, want)
+	}
+	if sum := tel.EndExperiment("figF", time.Time{}, 0); sum == nil || sum.Units != int(done) {
+		t.Errorf("digest %+v, want %d completed units", sum, done)
+	}
+
+	replayed := NewTelemetry(len(spans), nil)
+	replayed.mu.Lock()
+	for _, s := range spans {
+		replayed.foldLocked(s)
+	}
+	replayed.mu.Unlock()
+	if got, want := exposition(t, replayed), exposition(t, tel); got != want {
+		t.Errorf("journal replayed through the fold renders\n%s\nthe live hub\n%s", got, want)
+	}
+	rp := replayed.ProgressSnapshot()
+	rp.SpansRecorded = p.SpansRecorded
+	if rp != p {
+		t.Errorf("replayed progress %+v, live %+v", rp, p)
+	}
+}
+
+func exposition(t *testing.T, tel *Telemetry) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tel.Registry().WriteOpenMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := metrics.ValidateExposition(buf.String()); err != nil {
+		t.Fatalf("exposition invalid: %v\n%s", err, buf.String())
+	}
+	return buf.String()
+}
+
+// TestMetricFamiliesPinned pins the 22 metric families — name, type and
+// help text — that scrape dashboards key on.
+func TestMetricFamiliesPinned(t *testing.T) {
+	want := []string{
+		"bcache_accesses counter cache accesses simulated by committed units",
+		"bcache_checkpoint_bytes gauge size of the last checkpoint file written",
+		"bcache_checkpoint_saves counter checkpoint files written (autosave and explicit)",
+		"bcache_queue_depth gauge work units queued but not yet claimed",
+		"bcache_trace_cache_builds counter trace-cache misses that materialized a stream",
+		"bcache_trace_cache_bytes gauge bytes held by the shared trace cache",
+		"bcache_trace_cache_hits counter trace-cache lookups served from memory",
+		"bcache_unit_wall_seconds histogram wall time per work unit attempt",
+		"bcache_units_abandoned counter unit attempts abandoned past their deadline",
+		"bcache_units_completed counter work units that committed successfully",
+		"bcache_units_failed counter work units that exhausted retries or failed terminally",
+		"bcache_units_in_flight gauge work units currently executing",
+		"bcache_units_panicked counter unit attempts that panicked (recovered by the scheduler)",
+		"bcache_units_queued counter work units handed to the scheduler",
+		"bcache_units_retried counter retry attempts scheduled after timeouts or transient failures",
+		"dist_duplicates_dropped counter re-leased unit completions dropped (first commit wins)",
+		"dist_leases_granted counter unit-range leases granted to worker subprocesses",
+		"dist_releases counter leases released back to the pool (expiry or worker death)",
+		"dist_shard_merge_seconds histogram wall time merging one worker shard",
+		"dist_shard_recovered_units counter units recovered from dead workers' shards",
+		"dist_worker_restarts counter dead worker subprocesses respawned",
+		"dist_workers_live gauge worker subprocesses currently attached",
+	}
+	var got []string
+	types := map[string]string{}
+	for _, line := range strings.Split(exposition(t, NewTelemetry(0, nil)), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, typ, _ := strings.Cut(rest, " ")
+			types[name] = typ
+		}
+		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
+			name, help, _ := strings.Cut(rest, " ")
+			got = append(got, name+" "+types[name]+" "+help)
+		}
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("metric families:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

@@ -375,7 +375,8 @@ func (tc *traceCache) get(key traceKey, sibs []traceKey, budget int64,
 		used := tc.used
 		tc.mu.Unlock()
 		<-e.ready
-		tel.traceCacheEvent(tracespan.KindTraceHit, key.name, time.Time{}, 0, used)
+		tel.Emit(tracespan.Span{Kind: tracespan.KindTraceHit, Name: key.name,
+			Worker: tracespan.SharedWorker, Unit: -1, Bytes: used})
 		return e.val, e.err
 	}
 	keys := append([]traceKey{key}, sibs...)
@@ -426,7 +427,9 @@ func (tc *traceCache) get(key traceKey, sibs []traceKey, budget int64,
 		return nil, err
 	}
 	if tel != nil {
-		tel.traceCacheEvent(tracespan.KindTraceBuild, key.name, buildStart, tel.now().Sub(buildStart), used)
+		tel.Emit(tracespan.Span{Kind: tracespan.KindTraceBuild, Name: key.name,
+			Worker: tracespan.SharedWorker, Unit: -1, StartUnixNano: buildStart.UnixNano(),
+			DurNanos: int64(tel.now().Sub(buildStart)), Bytes: used})
 	}
 	return vals[0], nil
 }

@@ -10,9 +10,9 @@ import (
 // grammar this package emits: `# TYPE`/`# HELP` metadata lines, sample
 // lines whose names belong to the most recently declared family (with
 // the _total/_bucket/_sum/_count suffixes their type allows), parseable
-// values, and a final `# EOF` line. It is the contract test behind
-// `make telemetry-smoke` — strict enough to catch a malformed render,
-// small enough to need no dependency.
+// values, and a final `# EOF` line. It is the contract check behind the
+// experiments CLI's end-to-end telemetry test — strict enough to catch
+// a malformed render, small enough to need no dependency.
 func ValidateExposition(text string) error {
 	if text == "" {
 		return fmt.Errorf("openmetrics: empty exposition")

@@ -1,18 +1,20 @@
 // Package tracespan is the scheduler's flight recorder: a lock-cheap,
-// bounded, in-memory journal of lifecycle spans — unit start/finish,
-// retry and backoff, deadline abandons, panics, checkpoint autosaves,
-// trace-cache hits and rebuilds — exportable as schema-versioned JSONL
-// and as a Chrome trace-event timeline (chrome://tracing / Perfetto, one
-// track per worker).
+// bounded, in-memory journal of lifecycle spans — units queued, claimed,
+// attempted and released, retry and backoff, deadline abandons, panics,
+// checkpoint autosaves, trace-cache hits and builds, distributed leases
+// and workers — exportable as schema-versioned JSONL and as a Chrome
+// trace-event timeline (chrome://tracing / Perfetto, one track per
+// worker).
 //
-// The journal is deliberately simple: a preallocated ring under one
-// mutex. Recording is O(1), allocation-free past the label strings the
-// caller already holds, and safe from every worker goroutine. When the
-// ring is full the oldest spans are overwritten (and counted), so a
-// multi-hour campaign keeps its most recent window rather than growing
-// without bound. Spans never feed back into simulation results; their
-// timestamps come from the Clock seam (clock.go), which is the audited
-// wall-clock boundary for the determinism analyzer.
+// The journal is deliberately simple: a bounded ring under one mutex,
+// grown by append until it reaches its capacity. Recording is amortized
+// O(1), allocation-free once the ring is full, and safe from every
+// worker goroutine. When the ring is full the oldest spans are
+// overwritten (and counted), so a multi-hour campaign keeps its most
+// recent window rather than growing without bound. Spans never feed
+// back into simulation results; their timestamps come from the Clock
+// seam (clock.go), which is the audited wall-clock boundary for the
+// determinism analyzer.
 package tracespan
 
 import (
@@ -28,10 +30,23 @@ import (
 // Span fields). Bump on any breaking change.
 const SchemaVersion = 1
 
-// Span kinds. KindUnit and KindExperiment are duration spans; the rest
-// are instants on the timeline.
+// Span kinds. KindUnit, KindExperiment, KindTraceBuild and
+// KindShardMerge are duration spans; the rest are instants on the
+// timeline.
 const (
-	// KindUnit is one scheduled work unit from claim to completion.
+	// KindQueue marks units entering one scheduler call (Count carries
+	// how many).
+	KindQueue = "queue"
+	// KindDrain marks queued units a stop request left unclaimed (Count
+	// carries how many).
+	KindDrain = "drain"
+	// KindClaim marks a worker claiming a unit from the queue.
+	KindClaim = "claim"
+	// KindRelease marks a unit leaving its worker after its last
+	// attempt; Err is set when the unit gave up.
+	KindRelease = "release"
+	// KindUnit is one attempt of a scheduled work unit (Owner names the
+	// experiment its timing counts toward).
 	KindUnit = "unit"
 	// KindRetry marks a retry being scheduled (Detail carries the
 	// backoff delay; Attempt the attempt that just failed, 0-based).
@@ -40,11 +55,17 @@ const (
 	KindAbandon = "abandon"
 	// KindPanic marks a unit that panicked (recovered by the scheduler).
 	KindPanic = "panic"
-	// KindCheckpoint marks a checkpoint save (Detail carries units/bytes).
+	// KindAccesses marks a committed replay unit's simulated accesses
+	// (Count carries how many).
+	KindAccesses = "accesses"
+	// KindCheckpoint marks a checkpoint save (Detail carries units/bytes,
+	// Bytes the file size).
 	KindCheckpoint = "checkpoint"
-	// KindTraceHit marks a trace-cache hit.
+	// KindTraceHit marks a trace-cache hit (Bytes carries the cache's
+	// resident bytes).
 	KindTraceHit = "trace_hit"
-	// KindTraceBuild is a trace-cache miss plus the build that filled it.
+	// KindTraceBuild is a trace-cache miss plus the build that filled it
+	// (Bytes carries the cache's resident bytes after it).
 	KindTraceBuild = "trace_build"
 	// KindTraceReload marked a spilled trace being read back from disk.
 	// The trace cache no longer spills, so nothing emits it; it stays
@@ -58,12 +79,22 @@ const (
 	// KindLeaseExpire marks a lease missing its deadline and its units
 	// returning to the pool.
 	KindLeaseExpire = "lease_expire"
+	// KindWorkerStart marks a worker subprocess attaching (Attempt
+	// carries the incarnation number).
+	KindWorkerStart = "worker_start"
+	// KindWorkerExit marks a worker subprocess exiting (Err carries its
+	// exit error, if any).
+	KindWorkerExit = "worker_exit"
 	// KindWorkerRestart marks a dead worker subprocess being respawned
 	// (Attempt carries the incarnation number).
 	KindWorkerRestart = "worker_restart"
 	// KindShardMerge marks a worker's checkpoint shard being merged
-	// (Detail carries records/recovered counts).
+	// (Detail carries records/recovered counts, Count the recovered
+	// units).
 	KindShardMerge = "shard_merge"
+	// KindDuplicate marks a re-leased unit's second completion being
+	// dropped (first commit wins).
+	KindDuplicate = "duplicate"
 )
 
 // SharedWorker is the Worker value for spans not owned by one scheduler
@@ -84,20 +115,28 @@ type Span struct {
 	DurNanos      int64  `json:"durNanos,omitempty"`
 	Err           string `json:"err,omitempty"`
 	Detail        string `json:"detail,omitempty"`
+	// Count, Bytes and Owner carry the numbers and names the telemetry
+	// fold needs; each kind's comment says which it sets.
+	Count int64  `json:"count,omitempty"`
+	Bytes int64  `json:"bytes,omitempty"`
+	Owner string `json:"owner,omitempty"`
 }
 
 // DefaultCapacity bounds a journal when the caller does not say
-// otherwise: 64k spans is hours of scheduling at experiment grain, a few
-// MB of memory at most.
+// otherwise: 64k spans is hours of scheduling at experiment grain, under
+// 10 MB of memory at most.
 const DefaultCapacity = 64 << 10
 
 // Journal is a bounded concurrent span ring. A nil *Journal is valid and
 // inert so emission sites need no guards beyond their own nil check.
 type Journal struct {
-	mu       sync.Mutex
-	clock    Clock
+	mu    sync.Mutex
+	clock Clock
+	// ring grows by append up to capacity, so a short run holds only
+	// the spans it recorded; once full it wraps at start.
 	ring     []Span // guarded by mu
-	start, n int    // guarded by mu
+	capacity int
+	start    int    // guarded by mu
 	recorded uint64 // guarded by mu
 	dropped  uint64 // guarded by mu
 }
@@ -111,7 +150,7 @@ func NewJournal(capacity int, clock Clock) *Journal {
 	if clock == nil {
 		clock = Wall
 	}
-	return &Journal{clock: clock, ring: make([]Span, capacity)}
+	return &Journal{clock: clock, capacity: capacity}
 }
 
 // Clock returns the journal's time source.
@@ -133,13 +172,12 @@ func (j *Journal) Record(s Span) {
 		s.StartUnixNano = j.clock.Now().UnixNano()
 	}
 	j.mu.Lock()
-	if j.n == len(j.ring) {
+	if len(j.ring) < j.capacity {
+		j.ring = append(j.ring, s)
+	} else {
 		j.ring[j.start] = s
 		j.start = (j.start + 1) % len(j.ring)
 		j.dropped++
-	} else {
-		j.ring[(j.start+j.n)%len(j.ring)] = s
-		j.n++
 	}
 	j.recorded++
 	j.mu.Unlock()
@@ -152,7 +190,7 @@ func (j *Journal) Len() int {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.n
+	return len(j.ring)
 }
 
 // Recorded returns the total spans ever recorded (including overwritten).
@@ -182,8 +220,8 @@ func (j *Journal) Snapshot() []Span {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]Span, j.n)
-	for i := 0; i < j.n; i++ {
+	out := make([]Span, len(j.ring))
+	for i := range out {
 		out[i] = j.ring[(j.start+i)%len(j.ring)]
 	}
 	return out
