@@ -56,7 +56,7 @@ func main() {
 		traceCacheBytes = flag.Int64("trace-cache-bytes", 0, "resident byte budget for the shared trace cache; past it the coldest idle stream is dropped and rebuilt on its next use (0 = default, negative = no caching)")
 
 		ckptPath    = flag.String("checkpoint", "", "record every experiment's completed work units to this JSON file (atomic rewrite)")
-		resume      = flag.Bool("resume", false, "load -checkpoint first and skip units already recorded (bit-identical)")
+		resume      = flag.Bool("resume", false, "load -checkpoint first and skip units already recorded (bit-identical); with -workers-procs, first merge the worker shards already in -dist-dir (recovers a crashed coordinator)")
 		unitTimeout = flag.Duration("unit-timeout", 0, "abandon a single work unit running longer than this (0 = no deadline)")
 		unitRetries = flag.Int("unit-retries", 0, "retries for timed-out or transient work units")
 
@@ -65,7 +65,6 @@ func main() {
 		distDir        = flag.String("dist-dir", "", "directory for worker checkpoint shards (default: a temp dir)")
 		leaseTTL       = flag.Duration("lease-ttl", 0, "re-lease a worker's units after this long without a heartbeat (default 30s)")
 		workerRestarts = flag.Int("worker-restarts", 1, "times a dead worker subprocess is respawned (0 disables restarts)")
-		resumeShards   = flag.Bool("resume-shards", false, "merge shards already in -dist-dir into the checkpoint first (recovers a crashed coordinator)")
 
 		telemetry   = flag.String("telemetry", "", "serve live telemetry (/metrics, /progress, /debug/pprof) on this host:port (:0 picks a port)")
 		linger      = flag.Duration("telemetry-linger", 0, "keep the telemetry server up this long after the run (scrapers; SIGINT ends it early)")
@@ -126,8 +125,8 @@ func main() {
 	opts.UnitRetries = *unitRetries
 	opts.TraceBytes = *traceCacheBytes
 
-	if *resume && *ckptPath == "" {
-		fmt.Fprintln(os.Stderr, "-resume requires -checkpoint")
+	if *resume && *ckptPath == "" && (*distDir == "" || *workersProcs == 0) {
+		fmt.Fprintln(os.Stderr, "-resume requires -checkpoint, or -dist-dir with -workers-procs")
 		os.Exit(2)
 	}
 	var ckpt *experiment.Checkpoint
@@ -267,10 +266,6 @@ func main() {
 		shardDir := *distDir
 		tempShards := false
 		if shardDir == "" {
-			if *resumeShards {
-				fmt.Fprintln(os.Stderr, "-resume-shards requires -dist-dir")
-				os.Exit(2)
-			}
 			var err error
 			shardDir, err = os.MkdirTemp("", "bcache-shards-")
 			if err != nil {
@@ -300,7 +295,7 @@ func main() {
 			ShardDir:      shardDir,
 			LeaseTTL:      *leaseTTL,
 			RestartBudget: *workerRestarts,
-			ResumeShards:  *resumeShards,
+			ResumeShards:  *resume,
 			Stop:          stopc,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, format+"\n", args...)
@@ -313,20 +308,20 @@ func main() {
 			}
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "dist: %d units — %d committed (%d shard-recovered, %d local), %d duplicates dropped; %d leases, %d expiries, %d restarts\n",
-			stats.Units, stats.Committed, stats.ShardRecovered, stats.LocalUnits,
+		fmt.Fprintf(os.Stderr, "dist: %d units — %d committed (%d shard-recovered), %d failed, %d unfinished, %d duplicates dropped; %d leases, %d expiries, %d restarts\n",
+			stats.Units, stats.Committed, stats.ShardRecovered, stats.Failed, stats.Unfinished,
 			stats.Duplicates, stats.Leases, stats.Expiries, stats.Restarts)
-		if n := len(stats.FailedUnits); n > 0 {
-			fmt.Fprintf(os.Stderr, "dist: %d units failed terminally; the in-process pass below re-attempts them\n", n)
+		if n := stats.Failed + stats.Unfinished; n > 0 && !stats.Interrupted {
+			fmt.Fprintf(os.Stderr, "dist: %d units left to the in-process pass\n", n)
 		}
 		if !stats.Interrupted {
 			if tempShards {
 				os.RemoveAll(shardDir)
 			}
 		} else if tempShards {
-			fmt.Fprintf(os.Stderr, "dist: shards kept in %s (resume with -dist-dir %s -resume-shards)\n", shardDir, shardDir)
+			fmt.Fprintf(os.Stderr, "dist: shards kept in %s (resume with -dist-dir %s -resume)\n", shardDir, shardDir)
 		} else {
-			fmt.Fprintf(os.Stderr, "dist: shards kept in %s (continue with -resume-shards)\n", shardDir)
+			fmt.Fprintf(os.Stderr, "dist: shards kept in %s (continue with -resume)\n", shardDir)
 		}
 	}
 

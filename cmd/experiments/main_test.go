@@ -9,6 +9,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -21,13 +23,63 @@ import (
 
 // TestMain doubles as the experiments CLI: when the env hook is set, the
 // test binary runs main with its arguments and nothing else, so the
-// end-to-end test drives the real command without building a binary.
+// end-to-end tests drive the real command without building a binary.
+// The -worker children a -workers-procs run spawns inherit the hook;
+// with BCACHE_EXPERIMENTS_WORKERS_DIE also set, each of them exits 1
+// before speaking the protocol, so the test can lose every worker.
 func TestMain(m *testing.M) {
 	if os.Getenv("BCACHE_EXPERIMENTS_CLI") == "1" {
+		if os.Getenv("BCACHE_EXPERIMENTS_WORKERS_DIE") == "1" && slices.Contains(os.Args[1:], "-worker") {
+			os.Exit(1)
+		}
 		main()
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
+}
+
+// runCLI runs the experiments CLI with args and extra environment
+// entries, fails the test unless it exits 0, and returns its stdout and
+// stderr.
+func runCLI(t *testing.T, env []string, args ...string) (stdout, stderr string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(append(os.Environ(), "BCACHE_EXPERIMENTS_CLI=1"), env...)
+	var out, errOut strings.Builder
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("experiments %s: %v\nstderr:\n%s", strings.Join(args, " "), err, errOut.String())
+	}
+	return out.String(), errOut.String()
+}
+
+// TestWorkersProcsMatchesInProcess: a -workers-procs run prints the same
+// CSV as an in-process run, byte for byte — also when every worker dies
+// at once and the in-process pass runs every unit the coordinator left.
+func TestWorkersProcsMatchesInProcess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the experiments CLI in subprocesses")
+	}
+	args := []string{"-run", "fig4,fig8", "-n", "100000", "-format", "csv"}
+	want, _ := runCLI(t, nil, args...)
+	distArgs := append(args, "-workers-procs", "2")
+	got, stderr := runCLI(t, nil, distArgs...)
+	if got != want {
+		t.Errorf("-workers-procs CSV differs from the in-process CSV\nstderr:\n%s", stderr)
+	}
+	if strings.Contains(stderr, "left to the in-process pass") {
+		t.Errorf("healthy workers left units to the in-process pass\nstderr:\n%s", stderr)
+	}
+
+	got, stderr = runCLI(t, []string{"BCACHE_EXPERIMENTS_WORKERS_DIE=1"}, distArgs...)
+	if got != want {
+		t.Errorf("CSV after losing every worker differs from the in-process CSV\nstderr:\n%s", stderr)
+	}
+	total := regexp.MustCompile(`dist: (\d+) units — 0 committed`).FindStringSubmatch(stderr)
+	left := regexp.MustCompile(`dist: (\d+) units left to the in-process pass`).FindStringSubmatch(stderr)
+	if total == nil || left == nil || total[1] != left[1] || total[1] == "0" {
+		t.Errorf("stderr does not report every unit left to the in-process pass:\n%s", stderr)
+	}
 }
 
 // TestTelemetryEndToEnd drives the whole live-telemetry stack once: the

@@ -15,16 +15,16 @@ import (
 	"bcache/internal/obs/tracespan"
 )
 
-// The coordinator owns the campaign: it spawns worker subprocesses,
-// leases them contiguous unit ranges, commits their results as they
-// stream back, and absorbs every way a worker can let it down — crash
-// (kill -9), hang past the lease deadline, corrupt shard, exhausted
-// restart budget — by re-leasing the lost units to survivors. When every
-// worker is gone it degrades to executing the remainder in-process, so a
-// campaign that *can* finish does. All of it preserves one invariant:
-// each unit's records commit exactly once (first-commit-wins), so the
-// merged checkpoint is bit-identical to a single-process run no matter
-// which workers died when.
+// The coordinator owns the campaign's distribution, never its
+// execution: it spawns worker subprocesses, leases them contiguous unit
+// ranges, commits their results as they stream back, and absorbs every
+// way a worker can let it down — crash (kill -9), hang past the lease
+// deadline, corrupt shard — by re-leasing the lost units to survivors.
+// When every worker is gone it returns, counting the units left
+// unfinished; the caller's in-process scheduler runs those. All of it
+// preserves one invariant: each unit's records commit exactly once
+// (first-commit-wins), so the merged checkpoint is bit-identical to a
+// single-process run no matter which workers died when.
 
 // Events are nil-safe observation hooks: telemetry wires them to metrics
 // and trace spans, the chaos tests to seeded kill switches.
@@ -36,7 +36,6 @@ type Events struct {
 	WorkerRestarted  func(slot, attempt int)
 	ShardMerged      func(slot, records, recovered int, dur time.Duration)
 	DuplicateDropped func(unit int)
-	Degraded         func(remaining int)
 	ResultCommitted  func(worker, unit int)
 }
 
@@ -50,8 +49,7 @@ type Config struct {
 	// ShardDir receives one shard file per worker incarnation
 	// (shard-<slot>-<attempt>.bin).
 	ShardDir string
-	// Workers is the number of subprocess slots; 0 skips subprocesses
-	// entirely and runs every unit through LocalExec.
+	// Workers is the number of subprocess slots (at least 1).
 	Workers int
 	// Command builds the (unstarted) worker command for a slot
 	// incarnation; the coordinator wires its pipes and process group.
@@ -67,10 +65,8 @@ type Config struct {
 	ChunkMax int
 	// RestartBudget is how many times a dead worker slot is respawned;
 	// 0 (the zero value) means never — its units go straight to
-	// survivors. UnitAttempts bounds execution failures per unit
-	// (default 3).
+	// survivors.
 	RestartBudget int
-	UnitAttempts  int
 	// DrainWindow bounds the graceful-shutdown wait before stragglers
 	// are killed (default 10s).
 	DrainWindow time.Duration
@@ -83,10 +79,6 @@ type Config struct {
 	// Commit applies one unit's records exactly once, in completion
 	// order. A commit error aborts the campaign.
 	Commit func(unit int, recs []Record) error
-	// LocalExec executes one unit in-process — the degrade fallback when
-	// every worker is lost (and the whole path when Workers is 0). Nil
-	// means no fallback: losing every worker fails the campaign.
-	LocalExec func(unit int) ([]Record, error)
 	// Stop, when closed, drains the campaign: workers get shutdown plus
 	// SIGINT and the merged partial result is still committed.
 	Stop <-chan struct{}
@@ -106,8 +98,10 @@ type Stats struct {
 	Expiries       int   `json:"expiries"`
 	Restarts       int   `json:"restarts"`
 	ShardRecovered int   `json:"shardRecovered"`
-	LocalUnits     int   `json:"localUnits"`
-	Interrupted    bool  `json:"interrupted"`
+	// Unfinished counts the units neither committed nor failed on return
+	// (every worker lost, or Stop fired); the caller runs them.
+	Unfinished  int  `json:"unfinished"`
+	Interrupted bool `json:"interrupted"`
 }
 
 // event is one occurrence posted to the coordinator's single event loop.
@@ -151,11 +145,15 @@ func (c *coordinator) logf(format string, args ...any) {
 }
 
 // Coordinate runs the campaign described by cfg and returns its stats.
-// On return every unit has been committed, terminally failed, or — when
-// Stop fired — left for a resumed run; subprocesses are all reaped.
+// On return every unit has been committed, failed, or left unfinished
+// (Stop fired, or every worker was lost) for the caller to run; the
+// coordinator never executes a unit itself. Subprocesses are all reaped.
 func Coordinate(cfg Config) (Stats, error) {
 	if cfg.Units < 0 || cfg.Commit == nil {
 		return Stats{}, errors.New("dist: config needs Units >= 0 and a Commit func")
+	}
+	if cfg.Workers < 1 || cfg.Command == nil {
+		return Stats{}, errors.New("dist: config needs Workers >= 1 and a Command func")
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = tracespan.Wall
@@ -170,11 +168,7 @@ func Coordinate(cfg Config) (Stats, error) {
 		cfg.DrainWindow = 10 * time.Second
 	}
 	if cfg.ChunkMax <= 0 {
-		w := cfg.Workers
-		if w < 1 {
-			w = 1
-		}
-		cfg.ChunkMax = cfg.Units / (w * 4)
+		cfg.ChunkMax = cfg.Units / (cfg.Workers * 4)
 		if cfg.ChunkMax < 1 {
 			cfg.ChunkMax = 1
 		}
@@ -189,7 +183,7 @@ func Coordinate(cfg Config) (Stats, error) {
 	c := &coordinator{
 		cfg:   cfg,
 		clk:   cfg.Clock,
-		table: newLeaseTable(cfg.Units, cfg.UnitAttempts),
+		table: newLeaseTable(cfg.Units),
 		evc:   make(chan event, 64),
 		donec: make(chan struct{}),
 	}
@@ -206,6 +200,7 @@ func Coordinate(cfg Config) (Stats, error) {
 	c.stats.Duplicates = c.table.dups
 	c.stats.FailedUnits = c.table.failedUnits()
 	c.stats.Failed = len(c.stats.FailedUnits)
+	c.stats.Unfinished = c.table.unfinished()
 	return c.stats, err
 }
 
@@ -213,11 +208,6 @@ func (c *coordinator) run() error {
 	if c.cfg.Units == 0 {
 		return nil
 	}
-	if c.cfg.Workers <= 0 || c.cfg.Command == nil {
-		// Zero-worker campaign: purely local execution.
-		return c.runLocal(false)
-	}
-
 	c.procs = make([]*workerProc, c.cfg.Workers)
 	live := 0
 	for slot := 0; slot < c.cfg.Workers; slot++ {
@@ -228,8 +218,7 @@ func (c *coordinator) run() error {
 		live++
 	}
 	if live == 0 {
-		c.logf("dist: no workers started; running %d units locally", c.cfg.Units)
-		return c.runLocal(true)
+		return nil // every unit stays unfinished
 	}
 
 	// Expiry ticker: a clock-seam sleep loop, not time.Tick, so the
@@ -249,7 +238,6 @@ func (c *coordinator) run() error {
 		}
 	}()
 
-	interrupted := false
 	draining := false
 	var fatal error
 	for {
@@ -264,7 +252,6 @@ func (c *coordinator) run() error {
 		select {
 		case <-c.cfg.Stop:
 			c.cfg.Stop = nil // fire once
-			interrupted = true
 			c.stats.Interrupted = true
 			draining = true
 			c.logf("dist: interrupt — draining %d workers", c.liveCount())
@@ -291,80 +278,9 @@ func (c *coordinator) run() error {
 		}
 	}
 
-	if fatal != nil {
-		return fatal
-	}
-	if interrupted {
-		return nil
-	}
-	// Workers are gone but work may remain (all slots dead past their
-	// restart budgets): degrade to in-process execution.
-	if rem := c.table.remaining(); len(rem) > 0 {
-		c.logf("dist: %d units stranded after worker losses; running them locally", len(rem))
-		return c.runLocal(true)
-	}
-	return nil
-}
-
-// runLocal executes every remaining unit in-process. degraded marks the
-// fallback path (vs. a deliberate zero-worker run) for the hook.
-func (c *coordinator) runLocal(degraded bool) error {
-	if c.cfg.LocalExec == nil {
-		return fmt.Errorf("dist: %d units remain and no local fallback is configured", len(c.table.remaining()))
-	}
-	rem := c.table.remaining()
-	if degraded && c.cfg.Events.Degraded != nil {
-		c.cfg.Events.Degraded(len(rem))
-	}
-	for _, u := range rem {
-		select {
-		case <-c.cfg.Stop:
-			c.stats.Interrupted = true
-			return nil
-		default:
-		}
-		recs, err := c.cfg.LocalExec(u)
-		if err != nil {
-			if c.table.fail(u) {
-				c.logf("dist: unit %d failed terminally in local fallback: %v", u, err)
-			}
-			continue
-		}
-		if c.table.complete(u) == Committed {
-			if err := c.cfg.Commit(u, recs); err != nil {
-				return err
-			}
-			c.stats.Committed++
-			c.stats.LocalUnits++
-		}
-	}
-	// Retry units whose first local attempt failed, until budgets spend.
-	for {
-		rem := c.table.remaining()
-		if len(rem) == 0 {
-			return nil
-		}
-		for _, u := range rem {
-			select {
-			case <-c.cfg.Stop:
-				c.stats.Interrupted = true
-				return nil
-			default:
-			}
-			recs, err := c.cfg.LocalExec(u)
-			if err != nil {
-				c.table.fail(u)
-				continue
-			}
-			if c.table.complete(u) == Committed {
-				if err := c.cfg.Commit(u, recs); err != nil {
-					return err
-				}
-				c.stats.Committed++
-				c.stats.LocalUnits++
-			}
-		}
-	}
+	// Every worker is gone. Units still pending (every slot died past its
+	// restart budget) stay unfinished for the caller to run.
+	return fatal
 }
 
 // spawn starts incarnation attempt of worker slot and its reader
@@ -533,9 +449,7 @@ func (c *coordinator) handleMsg(slot int, m Msg) error {
 	case MsgUnitErr:
 		c.table.heartbeat(m.Lease, c.clk.Now(), c.cfg.LeaseTTL)
 		if c.table.fail(m.Unit) {
-			c.logf("dist: unit %d failed terminally: %s", m.Unit, m.Err)
-		} else {
-			c.logf("dist: unit %d failed on worker %d (%s); will re-lease", m.Unit, slot, m.Err)
+			c.logf("dist: unit %d failed on worker %d: %s", m.Unit, slot, m.Err)
 		}
 	case MsgLeaseDone:
 		c.table.release(m.Lease)

@@ -1,7 +1,7 @@
 package dist
 
 import (
-	"fmt"
+	"encoding/json"
 	"os/exec"
 	"sync"
 	"testing"
@@ -33,139 +33,99 @@ func (m *memCommit) len() int {
 	return len(m.got)
 }
 
-func localExecFor(plan fakePlan) func(int) ([]Record, error) {
-	return func(unit int) ([]Record, error) { return plan.Exec(unit) }
-}
-
-// TestCoordinateZeroWorkersRunsLocally: Workers 0 is the degenerate
-// campaign — every unit executes in-process through LocalExec.
-func TestCoordinateZeroWorkersRunsLocally(t *testing.T) {
-	plan := fakePlan{n: 12}
+// TestCoordinateAllWorkersLostLeavesUnitsUnfinished: every subprocess
+// exits immediately without speaking the protocol. Once restart budgets
+// are spent the coordinator returns without an error and counts every
+// unit unfinished; it commits nothing, because no worker ran a unit and
+// it never runs one itself.
+func TestCoordinateAllWorkersLostLeavesUnitsUnfinished(t *testing.T) {
 	mc := newMemCommit()
 	stats, err := Coordinate(Config{
-		Units:       plan.n,
-		Fingerprint: plan.Fingerprint(),
-		Workers:     0,
-		Commit:      mc.commit,
-		LocalExec:   localExecFor(plan),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Committed != 12 || stats.LocalUnits != 12 || mc.len() != 12 {
-		t.Fatalf("stats = %+v, committed map %d", stats, mc.len())
-	}
-	if len(mc.doubled) != 0 {
-		t.Fatalf("units committed twice: %v", mc.doubled)
-	}
-}
-
-// TestCoordinateZeroWorkersNoFallbackFails: with no workers and no
-// LocalExec there is nothing that can run the campaign.
-func TestCoordinateZeroWorkersNoFallbackFails(t *testing.T) {
-	_, err := Coordinate(Config{Units: 3, Workers: 0, Commit: func(int, []Record) error { return nil }})
-	if err == nil {
-		t.Fatal("campaign with no executor succeeded")
-	}
-}
-
-// TestCoordinateDegradesWhenAllWorkersDie: every subprocess exits
-// immediately without speaking the protocol; once restart budgets are
-// spent the coordinator falls back to local execution and still
-// completes every unit exactly once.
-func TestCoordinateDegradesWhenAllWorkersDie(t *testing.T) {
-	plan := fakePlan{n: 9}
-	mc := newMemCommit()
-	degraded := 0
-	stats, err := Coordinate(Config{
-		Units:       plan.n,
-		Fingerprint: plan.Fingerprint(),
-		Workers:     2,
-		ShardDir:    t.TempDir(),
+		Units:    9,
+		Workers:  2,
+		ShardDir: t.TempDir(),
 		Command: func(slot, attempt int) *exec.Cmd {
 			return exec.Command("false")
 		},
 		RestartBudget: 1,
 		LeaseTTL:      5 * time.Second,
 		Commit:        mc.commit,
-		LocalExec:     localExecFor(plan),
-		Events:        Events{Degraded: func(remaining int) { degraded = remaining }},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Committed != 9 || stats.LocalUnits != 9 || mc.len() != 9 {
-		t.Fatalf("stats = %+v, committed map %d", stats, mc.len())
-	}
-	if degraded != 9 {
-		t.Fatalf("Degraded hook saw %d remaining, want 9", degraded)
+	if stats.Unfinished != 9 || stats.Committed != 0 || stats.Failed != 0 || mc.len() != 0 {
+		t.Fatalf("stats = %+v, committed map %d; want all 9 units unfinished", stats, mc.len())
 	}
 	if stats.Restarts != 2 {
 		t.Fatalf("restarts = %d, want 2 (one per slot)", stats.Restarts)
 	}
-	if len(mc.doubled) != 0 {
-		t.Fatalf("units committed twice: %v", mc.doubled)
-	}
 }
 
 // TestCoordinateAlreadyDoneSkipsUnits: checkpoint-resumed units are
-// neither executed nor committed again.
+// neither leased nor committed again.
 func TestCoordinateAlreadyDoneSkipsUnits(t *testing.T) {
-	plan := fakePlan{n: 10}
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	spec := scriptedSpec{Units: 10}
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mc := newMemCommit()
+	var leased []Lease
 	stats, err := Coordinate(Config{
-		Units:       plan.n,
-		Fingerprint: plan.Fingerprint(),
-		Workers:     0,
+		Units:       spec.Units,
+		Fingerprint: spec.fingerprint(),
+		Spec:        specJSON,
+		ShardDir:    t.TempDir(),
+		Workers:     2,
+		Command:     scriptedCommand(t),
 		AlreadyDone: func(u int) bool { return u%2 == 0 },
 		Commit:      mc.commit,
-		LocalExec:   localExecFor(plan),
+		Events:      Events{LeaseGranted: func(l Lease) { leased = append(leased, l) }},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Committed != 5 || mc.len() != 5 {
-		t.Fatalf("committed %d (map %d), want 5", stats.Committed, mc.len())
+	if stats.Committed != 5 || stats.Unfinished != 0 || mc.len() != 5 {
+		t.Fatalf("stats = %+v, committed map %d; want 5 committed", stats, mc.len())
+	}
+	if len(mc.doubled) != 0 {
+		t.Fatalf("units committed twice: %v", mc.doubled)
 	}
 	for u := range mc.got {
 		if u%2 == 0 {
 			t.Fatalf("resumed unit %d re-committed", u)
 		}
 	}
-}
-
-// TestCoordinateLocalFallbackRetriesAndReportsFailures: units that keep
-// failing locally exhaust their attempt budget and surface in
-// FailedUnits instead of hanging the campaign.
-func TestCoordinateLocalFallbackRetriesAndReportsFailures(t *testing.T) {
-	plan := fakePlan{n: 6, fail: map[int]bool{2: true, 4: true}}
-	mc := newMemCommit()
-	stats, err := Coordinate(Config{
-		Units:        plan.n,
-		Fingerprint:  plan.Fingerprint(),
-		Workers:      0,
-		UnitAttempts: 2,
-		Commit:       mc.commit,
-		LocalExec:    localExecFor(plan),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Committed != 4 || mc.len() != 4 {
-		t.Fatalf("committed %d, want 4", stats.Committed)
-	}
-	if fmt.Sprint(stats.FailedUnits) != "[2 4]" {
-		t.Fatalf("FailedUnits = %v, want [2 4]", stats.FailedUnits)
+	for _, l := range leased {
+		for u := l.Start; u < l.End; u++ {
+			if u%2 == 0 {
+				t.Fatalf("lease %+v covers resumed unit %d", l, u)
+			}
+		}
 	}
 }
 
-// TestCoordinateRejectsBadConfig: a campaign needs a commit sink.
+// TestCoordinateRejectsBadConfig: a campaign needs a commit sink and
+// at least one worker to lease to — the coordinator runs no unit itself.
 func TestCoordinateRejectsBadConfig(t *testing.T) {
-	if _, err := Coordinate(Config{Units: 1}); err == nil {
-		t.Fatal("Coordinate accepted a config without Commit")
-	}
-	if _, err := Coordinate(Config{Units: -1, Commit: func(int, []Record) error { return nil }}); err == nil {
-		t.Fatal("Coordinate accepted negative Units")
+	commit := func(int, []Record) error { return nil }
+	command := func(slot, attempt int) *exec.Cmd { return exec.Command("false") }
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"no Commit", Config{Units: 1, Workers: 1, Command: command}},
+		{"negative Units", Config{Units: -1, Workers: 1, Command: command, Commit: commit}},
+		{"no workers", Config{Units: 1, Command: command, Commit: commit}},
+		{"no Command", Config{Units: 1, Workers: 1, Commit: commit}},
+	} {
+		if _, err := Coordinate(c.cfg); err == nil {
+			t.Errorf("Coordinate accepted a config with %s", c.name)
+		}
 	}
 }
 

@@ -79,25 +79,21 @@ type planAdapter struct {
 func (a planAdapter) Len() int            { return a.p.Len() }
 func (a planAdapter) Fingerprint() uint64 { return a.p.Fingerprint() }
 func (a planAdapter) Exec(unit int) ([]dist.Record, error) {
-	return execRecords(a.p, unit)
-}
-
-// LeaseDone retires the record trace the lease's last unit left
-// resident (dist.LeaseEnder).
-func (a planAdapter) LeaseDone() { a.p.Release() }
-
-func execRecords(p *experiment.Plan, unit int) ([]dist.Record, error) {
-	vals, err := p.Execute(unit)
+	vals, err := a.p.Execute(unit)
 	if err != nil {
 		return nil, err
 	}
-	keys := p.UnitKeys(unit)
+	keys := a.p.UnitKeys(unit)
 	recs := make([]dist.Record, len(vals))
 	for i, v := range vals {
 		recs[i] = dist.Record{Key: keys[i], Val: v}
 	}
 	return recs, nil
 }
+
+// LeaseDone retires the record trace the lease's last unit left
+// resident (dist.LeaseEnder).
+func (a planAdapter) LeaseDone() { a.p.Release() }
 
 // commitRecords applies one unit's records to the checkpoint. Results
 // round-trip through JSON exactly, so a distributed unit commits
@@ -173,10 +169,12 @@ type Options struct {
 }
 
 // RunCampaign distributes every unit of the named experiments across
-// worker subprocesses, committing results into opts.Checkpoint.
-// After it returns, running the experiments in-process finds every
-// distributed unit in the checkpoint — same keys, same values — which is
-// what makes the rendered tables bit-identical to a single-process run.
+// worker subprocesses, committing results into opts.Checkpoint. It runs
+// no unit itself. After it returns, running the experiments in-process
+// finds every distributed unit in the checkpoint — same keys, same
+// values — which is what makes the rendered tables bit-identical to a
+// single-process run; that pass also runs every unit the workers did
+// not finish (Stats.Unfinished) or failed.
 func RunCampaign(opts experiment.Opts, ids []string, o Options) (dist.Stats, error) {
 	ckpt := opts.Checkpoint
 	if ckpt == nil {
@@ -215,12 +213,10 @@ func RunCampaign(opts experiment.Opts, ids []string, o Options) (dist.Stats, err
 			commitRecords(ckpt, recs)
 			return nil
 		},
-		LocalExec: func(unit int) ([]dist.Record, error) { return execRecords(plan, unit) },
-		Stop:      o.Stop,
-		Logf:      o.Logf,
-		Events:    telemetryEvents(o.Events),
+		Stop:   o.Stop,
+		Logf:   o.Logf,
+		Events: telemetryEvents(o.Events),
 	}
-	defer plan.Release() // units the coordinator ran itself
 	return dist.Coordinate(cfg)
 }
 

@@ -27,7 +27,6 @@ func TestDistMetricsExposition(t *testing.T) {
 	var extra []string
 	ev := telemetryEvents(dist.Events{
 		LeaseGranted: func(dist.Lease) { extra = append(extra, "lease") },
-		Degraded:     func(int) { extra = append(extra, "degraded") },
 	})
 	ev.LeaseGranted(dist.Lease{ID: 1, Worker: 0, Start: 0, End: 8})
 	ev.LeaseGranted(dist.Lease{ID: 2, Worker: 1, Start: 8, End: 16})
@@ -38,13 +37,12 @@ func TestDistMetricsExposition(t *testing.T) {
 	ev.WorkerRestarted(0, 1)
 	ev.ShardMerged(0, 6, 2, 40*time.Millisecond)
 	ev.DuplicateDropped(3)
-	ev.Degraded(1)
 	if ev.ResultCommitted != nil {
 		t.Error("ResultCommitted hook set without a caller hook; it has no span")
 	}
 
-	if got := strings.Join(extra, ","); got != "lease,lease,degraded" {
-		t.Errorf("caller hooks ran %q, want lease,lease,degraded", got)
+	if got := strings.Join(extra, ","); got != "lease,lease" {
+		t.Errorf("caller hooks ran %q, want lease,lease", got)
 	}
 	var buf bytes.Buffer
 	if err := tel.Registry().WriteOpenMetrics(&buf); err != nil {

@@ -69,7 +69,7 @@ func TestDoomedWorkerNotRegrantedInExpiryWindow(t *testing.T) {
 			// respawn it; its units belong to the survivor.
 		},
 		clk:   clk,
-		table: newLeaseTable(4, 0),
+		table: newLeaseTable(4),
 		procs: []*workerProc{fakeProc(), fakeProc()},
 		evc:   make(chan event, 4),
 		donec: make(chan struct{}),
@@ -195,7 +195,7 @@ func TestExitDuringExpiryWindowThenLateResult(t *testing.T) {
 			},
 		},
 		clk:   clk,
-		table: newLeaseTable(2, 0),
+		table: newLeaseTable(2),
 		procs: []*workerProc{fakeProc(), fakeProc()},
 		evc:   make(chan event, 4),
 		donec: make(chan struct{}),

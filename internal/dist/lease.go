@@ -6,13 +6,15 @@ import (
 )
 
 // The lease table is the coordinator's single source of truth about who
-// owns which units. Units move pending → leased → done; a lease that
-// misses its deadline (or whose worker dies) releases its unfinished
-// units back to pending, where a survivor picks them up. Completion is
-// per *unit* and first-commit-wins: when a slow worker and its
-// replacement both finish the same unit, the first result commits and
-// the second is counted as a duplicate and dropped — never re-applied,
-// so re-leasing can never change a committed value.
+// owns which units. Units move pending → leased → done, or → failed on
+// the first reported unit error; a lease that misses its deadline (or
+// whose worker dies) releases its unfinished units back to pending,
+// where a survivor picks them up. A unit error is never retried here:
+// the caller's in-process scheduler reruns failed units under its own
+// retry policy. Completion is per *unit* and first-commit-wins: when a
+// slow worker and its replacement both finish the same unit, the first
+// result commits and the second is counted as a duplicate and dropped —
+// never re-applied, so re-leasing can never change a committed value.
 //
 // The table is deliberately passive about time: every method that needs
 // a clock takes `now` as a parameter, so the coordinator's Clock seam is
@@ -23,7 +25,7 @@ const (
 	unitPending = iota
 	unitLeased
 	unitDone
-	unitFailed // attempts exhausted; reported, never silently dropped
+	unitFailed // a worker reported a unit error; left to the caller
 )
 
 // CompleteStatus classifies a unit completion.
@@ -49,29 +51,16 @@ type Lease struct {
 // leaseTable tracks unit and lease state. Not safe for concurrent use;
 // the coordinator mutates it from its event loop only.
 type leaseTable struct {
-	state    []int
-	attempts []int // execution failures per unit
-	leases   map[int]*Lease
-	nextID   int
-	done     int
-	failed   int
-	dups     int
-	// maxAttempts bounds execution failures per unit before the unit is
-	// marked failed instead of re-leased.
-	maxAttempts int
+	state  []int
+	leases map[int]*Lease
+	nextID int
+	done   int
+	failed int
+	dups   int
 }
 
-func newLeaseTable(units, maxAttempts int) *leaseTable {
-	if maxAttempts <= 0 {
-		maxAttempts = 3
-	}
-	return &leaseTable{
-		state:       make([]int, units),
-		attempts:    make([]int, units),
-		leases:      map[int]*Lease{},
-		nextID:      1,
-		maxAttempts: maxAttempts,
-	}
+func newLeaseTable(units int) *leaseTable {
+	return &leaseTable{state: make([]int, units), leases: map[int]*Lease{}, nextID: 1}
 }
 
 // markDone pre-seeds a unit as complete (checkpoint resume).
@@ -126,7 +115,7 @@ func (t *leaseTable) complete(unit int) CompleteStatus {
 		t.dups++
 		return Duplicate
 	case unitFailed:
-		// A late success beats an earlier chain of failures.
+		// A late success beats an earlier failure.
 		t.failed--
 	}
 	t.state[unit] = unitDone
@@ -134,22 +123,19 @@ func (t *leaseTable) complete(unit int) CompleteStatus {
 	return Committed
 }
 
-// fail records one execution failure of unit. Until the attempt budget
-// is spent the unit returns to pending for another worker; after that it
-// is marked failed. Terminal failure reports true.
+// fail marks unit failed on its first reported execution error and
+// reports true; a unit already done or failed is left as it is.
 func (t *leaseTable) fail(unit int) bool {
-	if t.state[unit] == unitDone {
-		t.dups++ // failed retry of an already-committed unit
+	switch t.state[unit] {
+	case unitDone:
+		t.dups++ // failed rerun of an already-committed unit
+		return false
+	case unitFailed:
 		return false
 	}
-	t.attempts[unit]++
-	if t.attempts[unit] >= t.maxAttempts {
-		t.state[unit] = unitFailed
-		t.failed++
-		return true
-	}
-	t.state[unit] = unitPending
-	return false
+	t.state[unit] = unitFailed
+	t.failed++
+	return true
 }
 
 // release drops a lease and returns its unfinished units to pending
@@ -209,19 +195,7 @@ func (t *leaseTable) expired(now time.Time) []Lease {
 	return out
 }
 
-// remaining returns the units not yet done or failed, ascending — the
-// work list for the degrade-to-local fallback.
-func (t *leaseTable) remaining() []int {
-	var out []int
-	for i, s := range t.state {
-		if s == unitPending || s == unitLeased {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// failedUnits returns terminally failed units, ascending.
+// failedUnits returns failed units, ascending.
 func (t *leaseTable) failedUnits() []int {
 	var out []int
 	for i, s := range t.state {
@@ -232,5 +206,9 @@ func (t *leaseTable) failedUnits() []int {
 	return out
 }
 
+// unfinished counts the units not yet done or failed — what the campaign
+// leaves to the caller when every worker is lost.
+func (t *leaseTable) unfinished() int { return len(t.state) - t.done - t.failed }
+
 // settled reports whether every unit reached done or failed.
-func (t *leaseTable) settled() bool { return t.done+t.failed == len(t.state) }
+func (t *leaseTable) settled() bool { return t.unfinished() == 0 }

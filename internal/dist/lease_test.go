@@ -8,7 +8,7 @@ import (
 var t0 = time.Unix(1_700_000_000, 0)
 
 func TestLeaseGrantContiguousAndChunked(t *testing.T) {
-	lt := newLeaseTable(10, 0)
+	lt := newLeaseTable(10)
 	l1, ok := lt.grant(0, 4, t0, time.Minute)
 	if !ok || l1.Start != 0 || l1.End != 4 || l1.Worker != 0 {
 		t.Fatalf("first grant = %+v ok=%v", l1, ok)
@@ -30,7 +30,7 @@ func TestLeaseGrantContiguousAndChunked(t *testing.T) {
 }
 
 func TestLeaseMarkDoneSkipsResumedUnits(t *testing.T) {
-	lt := newLeaseTable(6, 0)
+	lt := newLeaseTable(6)
 	lt.markDone(1)
 	lt.markDone(2)
 	lt.markDone(2) // idempotent
@@ -50,7 +50,7 @@ func TestLeaseMarkDoneSkipsResumedUnits(t *testing.T) {
 // TestLeaseExpiryReturnsUnits: a lease that misses its deadline hands
 // its unfinished units back; completed units stay completed.
 func TestLeaseExpiryReturnsUnits(t *testing.T) {
-	lt := newLeaseTable(8, 0)
+	lt := newLeaseTable(8)
 	l, _ := lt.grant(0, 8, t0, time.Minute)
 	if got := lt.expired(t0.Add(59 * time.Second)); len(got) != 0 {
 		t.Fatalf("lease expired early: %v", got)
@@ -76,7 +76,7 @@ func TestLeaseExpiryReturnsUnits(t *testing.T) {
 // back from both its original worker and its replacement commits once
 // and counts one duplicate.
 func TestLeaseDoubleCompletionFirstCommitWins(t *testing.T) {
-	lt := newLeaseTable(4, 0)
+	lt := newLeaseTable(4)
 	l1, _ := lt.grant(0, 2, t0, time.Second)
 	_ = l1
 	// Deadline passes; units re-leased to worker 1.
@@ -105,7 +105,7 @@ func TestLeaseDoubleCompletionFirstCommitWins(t *testing.T) {
 // dead worker's shard commits a unit while the unit is already re-leased
 // elsewhere; the survivor's later result is a duplicate, dropped.
 func TestLeaseExpiryDuringMergeThenLateResult(t *testing.T) {
-	lt := newLeaseTable(3, 0)
+	lt := newLeaseTable(3)
 	l1, _ := lt.grant(0, 3, t0, time.Second)
 	lt.release(l1.ID) // worker 0 died; its lease collapses
 	l2, _ := lt.grant(1, 3, t0, time.Second)
@@ -132,23 +132,24 @@ func TestLeaseExpiryDuringMergeThenLateResult(t *testing.T) {
 	}
 }
 
-func TestLeaseFailureBudget(t *testing.T) {
-	lt := newLeaseTable(2, 3)
-	for i := 0; i < 2; i++ {
-		if terminal := lt.fail(0); terminal {
-			t.Fatalf("attempt %d terminal before budget", i)
-		}
-		if lt.state[0] != unitPending {
-			t.Fatalf("failed unit not returned to pending")
-		}
-	}
+// TestLeaseFirstErrorFailsLateSuccessCommits: one reported unit error
+// fails the unit — it is never re-leased, the caller reruns it — but a
+// late success (a re-leased copy, a shard merge) still commits.
+func TestLeaseFirstErrorFailsLateSuccessCommits(t *testing.T) {
+	lt := newLeaseTable(2)
+	lt.grant(0, 2, t0, time.Second)
 	if !lt.fail(0) {
-		t.Fatal("third failure not terminal")
+		t.Fatal("first reported error did not fail the unit")
 	}
-	if got := lt.failedUnits(); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("failedUnits = %v", got)
+	if lt.fail(0) {
+		t.Fatal("second error of a failed unit reported as a new failure")
 	}
-	// A late success (e.g. shard merge) still beats the failure verdict.
+	if got := lt.failedUnits(); len(got) != 1 || got[0] != 0 || lt.failed != 1 {
+		t.Fatalf("failedUnits = %v, failed = %d", got, lt.failed)
+	}
+	if _, ok := lt.grant(1, 2, t0, time.Second); ok {
+		t.Fatal("failed unit re-leased")
+	}
 	if st := lt.complete(0); st != Committed {
 		t.Fatalf("late success = %v", st)
 	}
@@ -158,7 +159,7 @@ func TestLeaseFailureBudget(t *testing.T) {
 }
 
 func TestLeaseReleaseWorkerReclaimsAllLeases(t *testing.T) {
-	lt := newLeaseTable(8, 0)
+	lt := newLeaseTable(8)
 	lt.grant(0, 2, t0, time.Minute)
 	lt.grant(1, 2, t0, time.Minute)
 	lt.grant(0, 2, t0, time.Minute)
@@ -168,7 +169,7 @@ func TestLeaseReleaseWorkerReclaimsAllLeases(t *testing.T) {
 	if returned := lt.releaseWorker(0); returned != 0 {
 		t.Fatalf("second releaseWorker(0) returned %d, want 0", returned)
 	}
-	if got := lt.remaining(); len(got) != 8 {
-		t.Fatalf("remaining = %v (worker 1's units still leased but remaining)", got)
+	if got := lt.unfinished(); got != 8 {
+		t.Fatalf("unfinished = %d, want 8 (worker 1's units are still leased)", got)
 	}
 }

@@ -8,10 +8,11 @@
 // unit ranges with deadlines and heartbeats, a JSONL wire protocol over
 // each worker's stdin/stdout, append-only checksummed shard files that
 // survive kill -9 mid-write, and a coordinator that re-leases the units
-// of crashed, hung, or corrupt workers to survivors (restart budgets,
-// degrade-to-local fallback). What a unit *means* — which cache replay it
-// is, what keys it commits — lives with the caller (internal/dist/distrun
-// binds it to experiment plans). The two sides agree on the unit space by
+// of crashed, hung, or corrupt workers to survivors (restart budgets).
+// The coordinator never executes a unit: what no worker finished is left
+// to the caller. What a unit *means* — which cache replay it is, what
+// keys it commits — lives with the caller (internal/dist/distrun binds
+// it to experiment plans). The two sides agree on the unit space by
 // fingerprint, never by trust.
 package dist
 
@@ -46,7 +47,7 @@ const (
 	// report — so a result lost to a crash is recovered from the shard.
 	MsgResult = "result"
 	// MsgUnitErr reports a unit whose execution failed; the coordinator
-	// decides whether to retry it elsewhere.
+	// marks it failed and never re-leases it.
 	MsgUnitErr = "unitErr"
 	// MsgLeaseDone reports every unit of a lease handled (result or
 	// unitErr); the worker is ready for its next lease.

@@ -107,9 +107,8 @@ func TestWorkerDeathRegrantsToIdleSurvivor(t *testing.T) {
 
 	// ChunkMax 2 splits 4 units into exactly two leases: whichever
 	// worker gets [0,2) dies on unit 0; the other finishes [2,4) and
-	// idles. RestartBudget 0 (explicit zero = never respawn) strands the
-	// dead worker's units unless they are re-granted. No LocalExec: the
-	// degrade fallback must not be what completes the campaign.
+	// idles. RestartBudget 0 (explicit zero = never respawn) leaves the
+	// dead worker's units unfinished unless they are re-granted.
 	mc := newMemCommit()
 	type outcome struct {
 		stats Stats
@@ -147,8 +146,8 @@ func TestWorkerDeathRegrantsToIdleSurvivor(t *testing.T) {
 		if out.stats.Restarts != 0 {
 			t.Fatalf("restarts = %d, want 0 (budget was explicitly zero)", out.stats.Restarts)
 		}
-		if out.stats.LocalUnits != 0 {
-			t.Fatalf("local fallback ran %d units; the survivor should have", out.stats.LocalUnits)
+		if out.stats.Unfinished != 0 {
+			t.Fatalf("%d units unfinished; the survivor should have run them", out.stats.Unfinished)
 		}
 	}
 }

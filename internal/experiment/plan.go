@@ -49,6 +49,8 @@ func (p *Plan) UnitKeys(i int) []string { return p.units[i].keys }
 // another trace: a worker holds at most one trace at a time. Moving
 // onto a trace that CPU-model units use marks it as runUnits does, so
 // its streams come from the record trace and the generator runs once.
+// A panicking unit returns an error, as it does under the scheduler, so
+// a worker reports it instead of dying.
 func (p *Plan) Execute(i int) ([]json.RawMessage, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -62,8 +64,12 @@ func (p *Plan) Execute(i int) ([]json.RawMessage, error) {
 		}
 	}
 	p.last = i
-	vals, err := u.exec()
-	if err != nil {
+	var vals []any
+	if _, err := protectUnit(i, func(int) (func(), error) {
+		var err error
+		vals, err = u.exec()
+		return nil, err
+	}); err != nil {
 		return nil, err
 	}
 	return encode(vals)

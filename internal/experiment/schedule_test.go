@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"bcache/internal/workload"
 )
 
 // The scheduler's contract under failure: siblings of a failing unit
@@ -59,6 +61,24 @@ func TestRunUnitsPanicIsolation(t *testing.T) {
 	}
 	if got := ok.Load(); got != 7 {
 		t.Errorf("%d siblings committed, want 7", got)
+	}
+}
+
+// TestPlanExecutePanicIsUnitError: a worker's Plan.Execute has the
+// scheduler's crash boundary, so a panicking unit becomes an error the
+// worker reports, the plan's lock is released, and later units run.
+func TestPlanExecutePanicIsUnitError(t *testing.T) {
+	prof := &workload.Profile{Name: "panicky"}
+	plan := &Plan{units: []unit{
+		newUnit(DefaultOpts(), prof, "boom", []string{"boom"}, func() ([]int, error) { panic("boom in a planned unit") }),
+		newUnit(DefaultOpts(), prof, "fine", []string{"fine"}, func() ([]int, error) { return []int{7}, nil }),
+	}, records: map[traceKey]bool{}, last: -1}
+	if _, err := plan.Execute(0); !errors.Is(err, errUnitPanic) || !strings.Contains(err.Error(), "boom in a planned unit") {
+		t.Fatalf("Execute(panicking unit) = %v, want an error wrapping errUnitPanic", err)
+	}
+	vals, err := plan.Execute(1)
+	if err != nil || len(vals) != 1 || string(vals[0]) != "7" {
+		t.Fatalf("Execute after a panic = %s, %v; want [7]", vals, err)
 	}
 }
 
