@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-times bench-test race race-robust vet lint lint-build lint-fix lint-facts-clean fmt-check ci reproduce bench bench-compare mem-ceiling chaos clean
+.PHONY: all build test test-times loc bench-test race race-robust vet lint lint-build lint-fix lint-facts-clean fmt-check ci reproduce bench bench-compare mem-ceiling chaos clean
 
 all: build
 
@@ -22,6 +22,23 @@ test-times:
 
 race:
 	$(GO) test -race ./...
+
+# BASE is the commit loc and bench-compare measure the working tree
+# against.
+BASE ?= HEAD~1
+
+# loc reports the line delta of the working tree against BASE per Go
+# package directory, from git diff --numstat: lines added and deleted
+# in non-test files, then in _test.go files, then the net non-test
+# delta. A rename counts as a delete plus an add. Stage new files first
+# (git add -A): git diff sees tracked files only.
+loc:
+	@printf '%-28s %7s %7s %7s %7s %8s\n' package +code -code +test -test net-code
+	@git diff --numstat --no-renames $(BASE) -- '*.go' | awk -F'\t' '{ \
+		dir = $$3; sub(/\/[^\/]*$$/, "", dir); if (dir == $$3) dir = "."; \
+		k = ($$3 ~ /_test\.go$$/) ? "test" : "code"; add[dir, k] += $$1; del[dir, k] += $$2; seen[dir] = 1 } \
+		END { for (d in seen) printf "%-28s %7d %7d %7d %7d %+8d\n", d, \
+			add[d, "code"], del[d, "code"], add[d, "test"], del[d, "test"], add[d, "code"] - del[d, "code"] }' | sort
 
 vet:
 	$(GO) vet ./...
@@ -155,9 +172,6 @@ BENCH_RUN = bench_run() { \
 	esac; \
 }
 
-# BASE is the commit bench-compare measures the working tree against.
-BASE ?= HEAD~1
-
 # bench-compare runs every benchmark workload for three rounds on BASE
 # (extracted with git archive into .bench_build/base) and then on the
 # working tree, one after the other so the two never share the CPUs,
@@ -186,12 +200,13 @@ bench-compare:
 
 # MEM_CEILING_<workload> is the process peak RSS, in MiB, that one
 # benchmark run of the workload may reach: about 25% above its median
-# over a 10-round run on 2 vCPUs with go1.24.0 (suite 42 MiB,
-# missrate-spill 34 MiB, timed 62 MiB, sweep 67 MiB).
-MEM_CEILING_suite = 52
-MEM_CEILING_missrate-spill = 43
-MEM_CEILING_timed = 78
-MEM_CEILING_sweep = 84
+# over a 10-round run (bench/run.sh --workload all --rounds 10
+# --trace 0) on 2 vCPUs with go1.24.0 (suite 31.2 MiB, missrate-spill
+# 21.2 MiB, timed 49.6 MiB, sweep 49.0 MiB).
+MEM_CEILING_suite = 39
+MEM_CEILING_missrate-spill = 27
+MEM_CEILING_timed = 62
+MEM_CEILING_sweep = 61
 
 # mem-ceiling runs the four benchmark workloads once each (bench/run.sh,
 # about 10 s apiece) and fails when a run's output does not match its

@@ -162,7 +162,7 @@ func (k *killer) resultCommitted(worker, unit int) {
 func TestChaosKilledWorkersBitIdenticalMerge(t *testing.T) { chaosCampaign(t, "fig5") }
 
 // TestChaosKilledWorkersFig8 runs the same chaos campaign on fig8's
-// timed units, whose workers also retire record traces between groups.
+// timed units, whose workers also hold a record trace per group.
 func TestChaosKilledWorkersFig8(t *testing.T) { chaosCampaign(t, "fig8") }
 
 func chaosCampaign(t *testing.T, id string) {

@@ -91,10 +91,6 @@ func (a planAdapter) Exec(unit int) ([]dist.Record, error) {
 	return recs, nil
 }
 
-// LeaseDone retires the record trace the lease's last unit left
-// resident (dist.LeaseEnder).
-func (a planAdapter) LeaseDone() { a.p.Release() }
-
 // commitRecords applies one unit's records to the checkpoint. Results
 // round-trip through JSON exactly, so a distributed unit commits
 // bit-identical values to an in-process one.

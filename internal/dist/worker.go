@@ -21,12 +21,6 @@ type Plan interface {
 	Exec(unit int) ([]Record, error)
 }
 
-// LeaseEnder is implemented by a Plan that holds per-lease state: the
-// worker calls LeaseDone after the last unit of each lease it runs.
-type LeaseEnder interface {
-	LeaseDone()
-}
-
 // WorkerConfig parameterizes ServeWorker.
 type WorkerConfig struct {
 	// Build rebuilds the plan from the coordinator's opaque spec.
@@ -183,9 +177,6 @@ func ServeWorker(in io.Reader, out io.Writer, cfg WorkerConfig) (interrupted boo
 					}
 				}
 				curLease.Store(0)
-				if le, ok := plan.(LeaseEnder); ok {
-					le.LeaseDone()
-				}
 				if err := send(Msg{Type: MsgLeaseDone, Lease: m.Lease}); err != nil {
 					return false, err
 				}

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -16,14 +15,6 @@ import (
 type fakePlan struct {
 	n    int
 	fail map[int]bool // units whose Exec errors
-	// leases, if set, counts LeaseDone calls.
-	leases *atomic.Int32
-}
-
-func (p fakePlan) LeaseDone() {
-	if p.leases != nil {
-		p.leases.Add(1)
-	}
 }
 
 func (p fakePlan) Len() int            { return p.n }
@@ -109,7 +100,7 @@ func (h *protoHarness) recvSkippingHeartbeats() Msg {
 }
 
 func TestWorkerProtocolHappyPath(t *testing.T) {
-	plan := fakePlan{n: 5, fail: map[int]bool{3: true}, leases: new(atomic.Int32)}
+	plan := fakePlan{n: 5, fail: map[int]bool{3: true}}
 	shardPath := filepath.Join(t.TempDir(), "shard-000-000.bin")
 	h := startWorker(t, plan, nil)
 
@@ -127,9 +118,6 @@ func TestWorkerProtocolHappyPath(t *testing.T) {
 		if m.Type == MsgLeaseDone {
 			if m.Lease != 1 {
 				t.Fatalf("leaseDone for lease %d", m.Lease)
-			}
-			if n := plan.leases.Load(); n != 1 {
-				t.Fatalf("plan saw %d LeaseDone calls before the leaseDone message, want 1", n)
 			}
 			break
 		}

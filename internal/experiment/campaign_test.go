@@ -97,8 +97,8 @@ func TestRunAllMatchesPerExperimentRuns(t *testing.T) {
 // TestPlanExecuteGeneratesEachTraceOnce: a worker executing a plan unit
 // by unit, as a lease does, runs the generator once per distinct trace,
 // like RunAll. fig4's stream units and fig8's CPU-model units share
-// every trace, so without the record-trace mark on each trace change
-// the stream units would run the generator a second time.
+// every trace, so unless the group knows it runs the CPU model the
+// stream units would run the generator a second time.
 func TestPlanExecuteGeneratesEachTraceOnce(t *testing.T) {
 	defer ResetTraceCache()
 	opts := tinyOpts()
@@ -115,13 +115,12 @@ func TestPlanExecuteGeneratesEachTraceOnce(t *testing.T) {
 			t.Fatalf("unit %s: %v", plan.Key(i), err)
 		}
 	}
-	plan.Release()
 	c := TraceCacheStats()
 	if c.Generations != uint64(len(traces)) {
 		t.Errorf("plan ran the generator %d times for %d distinct traces", c.Generations, len(traces))
 	}
-	if c.Bytes != 0 {
-		t.Errorf("%d trace bytes resident after Release", c.Bytes)
+	if held := heldBytes(plan.group); c.Bytes != held {
+		t.Errorf("%d trace bytes resident, the last group holds %d", c.Bytes, held)
 	}
 }
 

@@ -155,9 +155,9 @@ type unit struct {
 	// owner is the experiment whose per-experiment telemetry the unit
 	// counts toward: the first in a campaign to declare it.
 	owner string
-	// exec simulates the unit, returning one result per key; decode
-	// parses one checkpointed result.
-	exec   func() ([]any, error)
+	// exec simulates the unit on its trace group's payloads, returning
+	// one result per key; decode parses one checkpointed result.
+	exec   func(*traceGroup) ([]any, error)
 	decode func(json.RawMessage) (any, error)
 	// replays marks a miss-rate unit: its simulated accesses count
 	// toward the experiment.accesses metric.
@@ -168,11 +168,11 @@ type unit struct {
 
 // newUnit builds a unit whose results are all of type R.
 func newUnit[R any](opts Opts, p *workload.Profile, label string, keys []string,
-	exec func() ([]R, error)) unit {
+	exec func(*traceGroup) ([]R, error)) unit {
 	return unit{
 		keys: keys, opts: opts, prof: p, label: label,
-		exec: func() ([]any, error) {
-			rs, err := exec()
+		exec: func(tg *traceGroup) ([]any, error) {
+			rs, err := exec(tg)
 			if err != nil {
 				return nil, err
 			}
@@ -190,11 +190,8 @@ func newUnit[R any](opts Opts, p *workload.Profile, label string, keys []string,
 	}
 }
 
-// trace is the record-trace key of u's trace: its trace group.
-func (u unit) trace() traceKey { return recordTraceKey(u.opts, u.prof) }
-
-// retire ends the residency of every payload of u's trace.
-func (u unit) retire() { sharedTraces.retireTrace(u.trace()) }
+// trace is u's trace: its scheduler group.
+func (u unit) trace() traceKey { return traceOf(u.opts, u.prof) }
 
 // results holds the committed result of every unit key of a run.
 type results map[string]any
@@ -218,7 +215,7 @@ type grid[R any] struct {
 	opts     Opts
 	profiles []*workload.Profile
 	configs  []string
-	run      func(p *workload.Profile, c int) (R, error)
+	run      func(tg *traceGroup, c int) (R, error)
 	// records marks a grid whose runs replay the record trace through
 	// the CPU model (runRecords).
 	records bool
@@ -236,8 +233,8 @@ func (g grid[R]) units() []unit {
 	for _, p := range g.profiles {
 		for c, cfg := range g.configs {
 			u := newUnit(g.opts, p, fmt.Sprintf("%s/%s/%s", g.id, p.Name, cfg),
-				[]string{g.key(p, c)}, func() ([]R, error) {
-					r, err := g.run(p, c)
+				[]string{g.key(p, c)}, func(tg *traceGroup) ([]R, error) {
+					r, err := g.run(tg, c)
 					if err != nil {
 						return nil, fmt.Errorf("%s/%s: %w", p.Name, cfg, err)
 					}

@@ -76,8 +76,8 @@ type relatedRun struct {
 func xRelatedGrid(opts Opts) grid[relatedRun] {
 	specs := append([]Spec{baselineSpec()}, relatedSpecs()...)
 	return grid[relatedRun]{id: "xrelated", opts: opts, profiles: workload.All(), configs: specNames(specs),
-		run: func(p *workload.Profile, c int) (relatedRun, error) {
-			at, err := cachedData(opts, p)
+		run: func(tg *traceGroup, c int) (relatedRun, error) {
+			at, err := tg.data()
 			if err != nil {
 				return relatedRun{}, err
 			}
@@ -147,8 +147,8 @@ func xVIPTGrid(opts Opts) grid[[]UnitResult] {
 	bcSpec := bcacheSpec(8, 8, cache.LRU)
 	return grid[[]UnitResult]{id: "xvipt", opts: opts, profiles: mustProfiles("equake", "crafty", "gcc", "mcf"),
 		configs: []string{bcSpec.Name},
-		run: func(p *workload.Profile, _ int) ([]UnitResult, error) {
-			at, err := cachedData(opts, p)
+		run: func(tg *traceGroup, _ int) ([]UnitResult, error) {
+			at, err := tg.data()
 			if err != nil {
 				return nil, err
 			}
@@ -231,8 +231,8 @@ func xRecolorGrid(opts Opts) grid[recolorRun] {
 	specs := []Spec{baselineSpec(), setAssocSpec(2, 0), bcacheSpec(8, 8, cache.LRU)}
 	return grid[recolorRun]{id: "xrecolor", opts: opts, profiles: mustProfiles("equake", "crafty", "twolf", "gcc"),
 		configs: []string{"phys", "recolor"},
-		run: func(p *workload.Profile, c int) (recolorRun, error) {
-			at, err := cachedData(opts, p)
+		run: func(tg *traceGroup, c int) (recolorRun, error) {
+			at, err := tg.data()
 			if err != nil {
 				return recolorRun{}, err
 			}
@@ -306,8 +306,8 @@ func xDrowsyGrid(opts Opts) grid[float64] {
 	specs := dmBCSpecs()
 	return grid[float64]{id: "xdrowsy", opts: opts, profiles: mustProfiles("equake", "crafty", "art", "mcf", "gcc"),
 		configs: specNames(specs),
-		run: func(p *workload.Profile, c int) (float64, error) {
-			at, err := cachedData(opts, p)
+		run: func(tg *traceGroup, c int) (float64, error) {
+			at, err := tg.data()
 			if err != nil {
 				return 0, err
 			}
@@ -355,8 +355,8 @@ func x3CGrid(opts Opts) grid[threec.Counts] {
 	specs := dmBCSpecs()
 	return grid[threec.Counts]{id: "x3c", opts: opts,
 		profiles: mustProfiles("equake", "crafty", "gcc", "art", "mcf", "wupwise"), configs: specNames(specs),
-		run: func(p *workload.Profile, c int) (threec.Counts, error) {
-			at, err := cachedData(opts, p)
+		run: func(tg *traceGroup, c int) (threec.Counts, error) {
+			at, err := tg.data()
 			if err != nil {
 				return threec.Counts{}, err
 			}
@@ -425,7 +425,7 @@ func xPrefetchGrid(opts Opts) grid[prefetchRun] {
 	return grid[prefetchRun]{id: "xprefetch", opts: opts,
 		profiles: mustProfiles("art", "swim", "equake", "crafty", "mcf"),
 		configs:  []string{"dm", "dm+sb", "bc", "bc+sb"},
-		run: func(p *workload.Profile, c int) (prefetchRun, error) {
+		run: func(tg *traceGroup, c int) (prefetchRun, error) {
 			cfg := hier.Defaults()
 			if c&1 != 0 {
 				cfg.StreamBuffer = 8
@@ -434,7 +434,7 @@ func xPrefetchGrid(opts Opts) grid[prefetchRun] {
 			if err != nil {
 				return prefetchRun{}, err
 			}
-			res, err := runRecords(opts, p, h, cpu.Defaults())
+			res, err := runRecords(tg, h, cpu.Defaults())
 			if err != nil {
 				return prefetchRun{}, err
 			}
@@ -497,15 +497,15 @@ func newL1Hierarchy(opts Opts, useBC bool, cfg hier.Config) (*hier.Hierarchy, er
 	return hier.New(ic, dc, cfg)
 }
 
-// runRecords runs p's cached record trace through the CPU model on h.
-// Call it from a unit of a grid marked records, whose group end retires
-// the trace.
-func runRecords(opts Opts, p *workload.Profile, h *hier.Hierarchy, cfg cpu.Config) (cpu.Result, error) {
-	rt, err := cachedRecords(opts, p)
+// runRecords runs tg's record trace through the CPU model on h. Call
+// it from a unit of a grid marked records, so that tg extracts its
+// streams from the record trace too.
+func runRecords(tg *traceGroup, h *hier.Hierarchy, cfg cpu.Config) (cpu.Result, error) {
+	rt, err := tg.records()
 	if err != nil {
 		return cpu.Result{}, err
 	}
-	return cpu.Run(trace.NewSliceStream(rt.recs), h, cfg, opts.Instructions)
+	return cpu.Run(trace.NewSliceStream(rt.recs), h, cfg, tg.key.instructions)
 }
 
 func init() {
@@ -522,7 +522,7 @@ func xL2Grid(opts Opts) grid[UnitResult] {
 	l2s := []Spec{baselineSpec(), bcacheSpec(8, 8, cache.LRU), setAssocSpec(cfg.L2Ways, 0)}
 	return grid[UnitResult]{id: "xl2", opts: opts, profiles: mustProfiles("mcf", "gcc", "equake", "ammp"),
 		configs: []string{"dm-l2", "bcache-l2", "4way-l2"},
-		run: func(p *workload.Profile, c int) (UnitResult, error) {
+		run: func(tg *traceGroup, c int) (UnitResult, error) {
 			ic, err := cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
 			if err != nil {
 				return UnitResult{}, err
@@ -539,7 +539,7 @@ func xL2Grid(opts Opts) grid[UnitResult] {
 			if err != nil {
 				return UnitResult{}, err
 			}
-			if _, err := runRecords(opts, p, h, cpu.Defaults()); err != nil {
+			if _, err := runRecords(tg, h, cpu.Defaults()); err != nil {
 				return UnitResult{}, err
 			}
 			return statsResult(l2), nil
@@ -635,14 +635,14 @@ func xWindowGrid(opts Opts) grid[cpu.Result] {
 		configs = append(configs, fmt.Sprintf("w%d/dm", w), fmt.Sprintf("w%d/bc", w))
 	}
 	return grid[cpu.Result]{id: "xwindow", opts: opts, profiles: mustProfiles("equake"), configs: configs,
-		run: func(p *workload.Profile, c int) (cpu.Result, error) {
+		run: func(tg *traceGroup, c int) (cpu.Result, error) {
 			h, err := newL1Hierarchy(opts, c%2 == 1, hier.Defaults())
 			if err != nil {
 				return cpu.Result{}, err
 			}
 			cfg := cpu.Defaults()
 			cfg.Window = xWindows[c/2]
-			return runRecords(opts, p, h, cfg)
+			return runRecords(tg, h, cfg)
 		},
 		records: true}
 }

@@ -93,16 +93,18 @@ func faultGrid(opts Opts) grid[faultCell] {
 		configs = append(configs, fmt.Sprintf("MF%d-BAS%d-r%g-%s", r.mf, r.bas, r.rate, r.prot))
 	}
 	return grid[faultCell]{id: "fault", opts: opts, profiles: profiles, configs: configs,
-		run: func(p *workload.Profile, ri int) (faultCell, error) {
-			return runFaultCell(opts, p, rows[ri], campaignSeed(ri, slices.Index(profiles, p)))
+		run: func(tg *traceGroup, ri int) (faultCell, error) {
+			pi := slices.IndexFunc(profiles, func(p *workload.Profile) bool { return p.Name == tg.prof.Name })
+			return runFaultCell(opts, tg, rows[ri], campaignSeed(ri, pi))
 		}}
 }
 
-// runFaultCell replays p's data stream through a fault-injected B-Cache.
-func runFaultCell(opts Opts, p *workload.Profile, r faultRow, seed uint64) (faultCell, error) {
-	at, err := cachedData(opts, p)
+// runFaultCell replays tg's data stream through a fault-injected
+// B-Cache.
+func runFaultCell(opts Opts, tg *traceGroup, r faultRow, seed uint64) (faultCell, error) {
+	at, err := tg.data()
 	if err != nil {
-		return faultCell{}, fmt.Errorf("%s: %w", p.Name, err)
+		return faultCell{}, fmt.Errorf("%s: %w", tg.prof.Name, err)
 	}
 	bc, err := core.New(core.Config{
 		SizeBytes: opts.L1Size, LineBytes: opts.LineBytes,

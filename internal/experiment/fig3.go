@@ -3,7 +3,6 @@ package experiment
 import (
 	"bcache/internal/cache"
 	"bcache/internal/core"
-	"bcache/internal/workload"
 )
 
 // Figure 3: the benchmark wupwise's data-cache miss rate and PD hit rate
@@ -37,8 +36,8 @@ func fig3GridMF(opts Opts, mfs []int) grid[UnitResult] {
 		specs = append(specs, bcacheSpec(mf, 8, cache.LRU))
 	}
 	return grid[UnitResult]{id: "fig3", opts: opts, profiles: mustProfiles("wupwise"), configs: specNames(specs),
-		run: func(p *workload.Profile, c int) (UnitResult, error) {
-			at, err := cachedData(opts, p)
+		run: func(tg *traceGroup, c int) (UnitResult, error) {
+			at, err := tg.data()
 			if err != nil {
 				return UnitResult{}, err
 			}

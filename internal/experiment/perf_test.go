@@ -14,16 +14,13 @@ import (
 	"bcache/internal/workload"
 )
 
-// TestTraceCacheSingleflight: concurrent requests for the same stream
-// build it exactly once and all receive the same immutable trace.
+// TestTraceCacheSingleflight: concurrent requests for one group's
+// stream build it exactly once and all receive the same immutable
+// trace.
 func TestTraceCacheSingleflight(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
-	opts := tinyOpts()
-	p, err := workload.ByName("gcc")
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := testGroup(tinyOpts(), mustProfile(t, "gcc"))
 	const callers = 8
 	traces := make([]*dataTrace, callers)
 	var wg sync.WaitGroup
@@ -31,7 +28,7 @@ func TestTraceCacheSingleflight(t *testing.T) {
 	for i := 0; i < callers; i++ {
 		go func(i int) {
 			defer wg.Done()
-			at, err := cachedData(opts, p)
+			at, err := g.data()
 			if err != nil {
 				t.Error(err)
 				return
@@ -46,8 +43,8 @@ func TestTraceCacheSingleflight(t *testing.T) {
 		}
 	}
 	c := TraceCacheStats()
-	// One data-trace build straight from the generator (the fetch
-	// byproduct is published, not missed).
+	// One data-stream build straight from the generator (the fetch
+	// stream built alongside it is kept, not missed).
 	if c.Misses != 1 || c.Hits != callers-1 || c.Generations != 1 {
 		t.Fatalf("counters = %+v, want 1 miss, %d hits, 1 generation", c, callers-1)
 	}
@@ -56,104 +53,101 @@ func TestTraceCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestTraceCacheKeying: a shifted seed or different instruction count is
-// a different stream; a repeat request is not.
+// TestTraceCacheKeying: one group returns one stream instance to every
+// request, and groups on a shifted seed or a different instruction
+// count build distinct ones.
 func TestTraceCacheKeying(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
 	opts := tinyOpts()
-	p, err := workload.ByName("equake")
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1, err := cachedData(opts, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a2, _ := cachedData(opts, p); a2 != a1 {
-		t.Fatal("identical request rebuilt the trace")
-	}
-	if as, _ := cachedData(opts, withSeed(p, 1)); as == a1 {
-		t.Fatal("shifted seed shared the canonical trace")
-	}
+	p := mustProfile(t, "equake")
 	shorter := opts
 	shorter.Instructions /= 2
-	if an, _ := cachedData(shorter, p); an == a1 {
-		t.Fatal("different instruction count shared the trace")
+	g := testGroup(opts, p)
+	a1, err := g.data()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a2, _ := g.data(); a2 != a1 {
+		t.Fatal("a repeat request rebuilt the stream")
+	}
+	as, _ := testGroup(opts, withSeed(p, 1)).data()
+	an, _ := testGroup(shorter, p).data()
+	if as == a1 || an == a1 || as == an {
+		t.Fatal("groups of distinct traces shared a stream")
 	}
 	c := TraceCacheStats()
-	// Three distinct data keys, each generated once.
+	// Three groups, each generated once.
 	if c.Misses != 3 || c.Hits != 1 || c.Generations != 3 {
 		t.Fatalf("counters = %+v, want 3 misses, 1 hit, 3 generations", c)
 	}
 }
 
-// TestTraceCacheEviction: a budget below the working set drops the
-// least recently used stream, the accounting follows, and a dropped
-// stream is rebuilt — bit-identically — on its next request.
+// TestTraceCacheEviction: a stream that would take the resident bytes
+// past the budget goes to its requester and is not kept, the
+// accounting follows, and the group's next request rebuilds it —
+// bit-identically — with one more generator run.
 func TestTraceCacheEviction(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
 	opts := tinyOpts()
-	p, err := workload.ByName("gcc")
+	p := mustProfile(t, "gcc")
+	dt, ft, err := materialize(p, opts.Instructions, opts.LineBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, err := cachedData(opts, p)
-	if err != nil {
+	// Room for one group's stream pair, not two.
+	opts.TraceBytes = dt.sizeBytes() + ft.sizeBytes() + dt.sizeBytes()/2
+	if _, err := testGroup(opts, p).data(); err != nil {
 		t.Fatal(err)
 	}
-	opts.TraceBytes = a1.sizeBytes() + a1.sizeBytes()/2 // below two data streams
-	if _, err := cachedData(opts, withSeed(p, 1)); err != nil {
+	g := testGroup(opts, withSeed(p, 1))
+	a1, err := g.data()
+	if err != nil {
 		t.Fatal(err)
 	}
 	c := TraceCacheStats()
-	if c.Evictions == 0 {
-		t.Fatalf("nothing dropped under a tight budget: %+v", c)
+	if c.Evictions == 0 || heldBytes(g) != 0 {
+		t.Fatalf("a stream over budget was kept: %+v, group holds %d", c, heldBytes(g))
 	}
 	if c.Bytes > opts.TraceBytes {
-		t.Fatalf("cache holds %d bytes over budget %d", c.Bytes, opts.TraceBytes)
+		t.Fatalf("%d bytes resident over budget %d", c.Bytes, opts.TraceBytes)
 	}
 	if c.Spills != 0 || c.SpillBytes != 0 || c.Reloads != 0 {
-		t.Fatalf("a dropped stream reached disk: %+v", c)
+		t.Fatalf("an unkept stream reached disk: %+v", c)
 	}
-	// The canonical stream was dropped; re-requesting it rebuilds it.
-	gens := c.Generations
-	a2, err := cachedData(opts, p)
+	a2, err := g.data()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c = TraceCacheStats(); c.Generations != gens+1 {
-		t.Fatalf("dropped stream: %d generations, want %d", c.Generations, gens+1)
+	if after := TraceCacheStats(); after.Generations != c.Generations+1 {
+		t.Fatalf("unkept stream: %d generations, want %d", after.Generations, c.Generations+1)
 	}
 	if a2 == a1 || !reflect.DeepEqual(a1, a2) {
-		t.Fatal("rebuilt stream is the dropped instance or differs from it")
+		t.Fatal("rebuilt stream is the first instance or differs from it")
 	}
 }
 
-// TestTraceCacheBypass: a negative budget disables memoization entirely.
+// TestTraceCacheBypass: a negative budget keeps nothing.
 func TestTraceCacheBypass(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
 	opts := tinyOpts()
 	opts.TraceBytes = -1
-	p, err := workload.ByName("gcc")
+	g := testGroup(opts, mustProfile(t, "gcc"))
+	a1, err := g.data()
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, err := cachedData(opts, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := cachedData(opts, p)
+	a2, err := g.data()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a1 == a2 {
 		t.Fatal("bypass mode returned a shared instance")
 	}
-	if c := TraceCacheStats(); c.Hits != 0 || c.Misses != 0 {
-		t.Fatalf("bypass mode touched the shared cache: %+v", c)
+	if c := TraceCacheStats(); c.Hits != 0 || c.Misses != 0 || c.Bytes != 0 {
+		t.Fatalf("bypass mode kept a payload: %+v", c)
 	}
 }
 
@@ -304,8 +298,8 @@ func TestProfileUnitsWrapsName(t *testing.T) {
 	profiles := workload.All()[:3]
 	boom := errors.New("boom")
 	g := grid[int]{id: "test", opts: tinyOpts(), profiles: profiles, configs: []string{"a", "b"},
-		run: func(p *workload.Profile, c int) (int, error) {
-			if p.Name == profiles[1].Name && c == 1 {
+		run: func(tg *traceGroup, c int) (int, error) {
+			if tg.prof.Name == profiles[1].Name && c == 1 {
 				return 0, boom
 			}
 			return c + 1, nil

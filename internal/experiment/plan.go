@@ -23,13 +23,10 @@ import (
 // Plan is an ordered, deduplicated list of planned units.
 type Plan struct {
 	units []unit
-	// records holds the traces some planned unit runs the CPU model on
-	// (empty when trace caching is off).
-	records map[traceKey]bool
-	// mu serializes Execute; last is the unit it ran last (-1 = none),
-	// whose record trace may still be resident.
-	mu   sync.Mutex
-	last int
+	// mu serializes Execute; group is the trace group of the unit it
+	// ran last (nil = none).
+	mu    sync.Mutex
+	group *traceGroup // guarded by mu
 }
 
 // Len returns the number of planned units.
@@ -43,47 +40,32 @@ func (p *Plan) Key(i int) string { return strings.Join(p.units[i].keys, "+") }
 func (p *Plan) UnitKeys(i int) []string { return p.units[i].keys }
 
 // Execute runs unit i and returns the JSON of its results, one per
-// UnitKeys(i) entry, as the checkpoint stores them. Outside the
-// scheduler no group end retires traces, so Execute retires every
-// payload of the previous unit's trace whenever it moves to a unit on
-// another trace: a worker holds at most one trace at a time. Moving
-// onto a trace that CPU-model units use marks it as runUnits does, so
-// its streams come from the record trace and the generator runs once.
-// A panicking unit returns an error, as it does under the scheduler, so
-// a worker reports it instead of dying.
+// UnitKeys(i) entry, as the checkpoint stores them. A worker runs
+// leased units outside the scheduler, so Execute keeps the trace group
+// of the last unit it ran, across lease boundaries, until a unit on
+// another trace arrives; then it drops that group and starts the new
+// unit's, as runUnits does. So a worker holds one trace group at a
+// time and runs the generator once per group it enters. A panicking
+// unit returns an error, as it does under the scheduler, so a worker
+// reports it instead of dying.
 func (p *Plan) Execute(i int) ([]json.RawMessage, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	u := p.units[i]
-	if p.last < 0 || p.units[p.last].trace() != u.trace() {
-		if p.last >= 0 {
-			p.units[p.last].retire()
-		}
-		if p.records[u.trace()] {
-			sharedTraces.expectRecords(u.trace())
-		}
+	if p.group == nil || p.group.key != u.trace() {
+		p.group.drop()
+		p.group = newTraceGroup(p.units, i)
 	}
-	p.last = i
+	tg := p.group
 	var vals []any
 	if _, err := protectUnit(i, func(int) (func(), error) {
 		var err error
-		vals, err = u.exec()
+		vals, err = u.exec(tg)
 		return nil, err
 	}); err != nil {
 		return nil, err
 	}
 	return encode(vals)
-}
-
-// Release retires every payload of the last executed unit's trace: a
-// worker calls it when its lease ends.
-func (p *Plan) Release() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.last >= 0 {
-		p.units[p.last].retire()
-		p.last = -1
-	}
 }
 
 // Fingerprint folds every unit key, each followed by a 0xFF separator,
@@ -127,11 +109,5 @@ func PlanCampaign(opts Opts, ids []string) (*Plan, error) {
 			exps = append(exps, e)
 		}
 	}
-	p := &Plan{units: campaignUnits(opts, exps), records: map[traceKey]bool{}, last: -1}
-	for _, u := range p.units {
-		if u.records && opts.traceBudget() > 0 {
-			p.records[u.trace()] = true
-		}
-	}
-	return p, nil
+	return &Plan{units: campaignUnits(opts, exps)}, nil
 }

@@ -35,8 +35,9 @@ type Opts struct {
 	// averages the results (noise control for small instruction counts).
 	// Zero or one means a single run with the canonical seed.
 	Seeds int
-	// TraceBytes bounds the shared materialized-trace cache: 0 uses the
-	// default budget, negative disables memoization.
+	// TraceBytes bounds the trace bytes all trace groups keep resident:
+	// a group keeps a built stream only if it fits, and its record
+	// trace always. 0 uses the default budget; negative keeps nothing.
 	TraceBytes int64
 	// Checkpoint, when non-nil, records the results of every completed
 	// work unit, of every experiment, and lets an interrupted run resume
@@ -339,8 +340,9 @@ func encode(vals []any) ([]json.RawMessage, error) {
 // runUnits executes units in one scheduler call and returns the result
 // under every key of every completed unit, alongside the joined error of
 // any that failed. Consecutive units on one trace form a scheduler
-// group, and each group's end retires every payload of its trace;
-// campaignUnits orders a campaign so each trace is one group.
+// group that owns the trace's payloads (traceGroup), and the group's
+// end drops them; campaignUnits orders a campaign so each trace is one
+// group.
 //
 // Every unit takes one lookup/commit path: its keys are looked up in
 // opts.Checkpoint first (resume: results round-trip through JSON
@@ -351,13 +353,14 @@ func runUnits(opts Opts, units []unit) (results, error) {
 	cp := opts.Checkpoint
 	tel := CurrentTelemetry()
 	var starts []int
+	groupOf := make([]*traceGroup, len(units))
 	for i, u := range units {
-		if i == 0 || u.trace() != units[i-1].trace() {
-			starts = append(starts, i)
+		if i > 0 && u.trace() == groupOf[i-1].key {
+			groupOf[i] = groupOf[i-1]
+			continue
 		}
-		if u.records && opts.traceBudget() > 0 {
-			sharedTraces.expectRecords(u.trace())
-		}
+		starts = append(starts, i)
+		groupOf[i] = newTraceGroup(units, i)
 	}
 	// One slot per unit, written only by its own commit closure.
 	vals := make([][]any, len(units))
@@ -367,7 +370,7 @@ func runUnits(opts Opts, units []unit) (results, error) {
 		Groups:    starts,
 		Label:     func(i int) string { return units[i].label },
 		Owner:     func(i int) string { return units[i].owner },
-		GroupDone: func(g int) { units[starts[g]].retire() },
+		GroupDone: func(g int) { groupOf[starts[g]].drop() },
 	}
 	err := runUnitsCtl(len(units), opts.workers(), uo, func(i int) (func(), error) {
 		u := units[i]
@@ -383,7 +386,7 @@ func runUnits(opts Opts, units []unit) (results, error) {
 		simulated := !ok
 		if simulated {
 			var err error
-			if v, err = u.exec(); err != nil {
+			if v, err = u.exec(groupOf[i]); err != nil {
 				return nil, err
 			}
 		}
@@ -423,29 +426,30 @@ func runUnits(opts Opts, units []unit) (results, error) {
 	return res, err
 }
 
-// execReplayUnit runs one replay of spec on p's trace (p carries the
-// replica seed): fetch the trace, build the cache, replay the side, and
-// return the raw counters. It is the exec of every sweep replay unit,
-// whether the in-process scheduler or a worker subprocess (plan.go)
-// runs it, so both compute bit-identical units.
-func execReplayUnit(opts Opts, s side, p *workload.Profile, spec Spec) (UnitResult, error) {
+// execReplayUnit runs one replay of spec on tg's trace (whose profile
+// carries the replica seed): fetch the stream, build the cache, replay
+// the side, and return the raw counters. It is the exec of every sweep
+// replay unit, whether the in-process scheduler or a worker subprocess
+// (plan.go) runs it, so both compute bit-identical units.
+func execReplayUnit(opts Opts, s side, tg *traceGroup, spec Spec) (UnitResult, error) {
+	name := tg.prof.Name
 	c, err := spec.New(opts.L1Size, opts.LineBytes)
 	if err != nil {
-		return UnitResult{}, fmt.Errorf("%s/%s: %w", p.Name, spec.Name, err)
+		return UnitResult{}, fmt.Errorf("%s/%s: %w", name, spec.Name, err)
 	}
 	// Fetch only the stream this side replays: a D-side unit never
 	// forces an I-side extraction, and vice versa.
 	switch s {
 	case dSide:
-		dt, err := cachedData(opts, p)
+		dt, err := tg.data()
 		if err != nil {
-			return UnitResult{}, fmt.Errorf("%s: %w", p.Name, err)
+			return UnitResult{}, fmt.Errorf("%s: %w", name, err)
 		}
 		replayData(dt.accs, c)
 	case iSide:
-		ft, err := cachedFetch(opts, p)
+		ft, err := tg.fetch(opts.LineBytes)
 		if err != nil {
-			return UnitResult{}, fmt.Errorf("%s: %w", p.Name, err)
+			return UnitResult{}, fmt.Errorf("%s: %w", name, err)
 		}
 		replayFetch(ft.pcs, c)
 	}
@@ -459,13 +463,14 @@ func execReplayUnit(opts Opts, s side, p *workload.Profile, spec Spec) (UnitResu
 }
 
 // execProfileUnit answers every spec in lru (indices into all, each
-// with LRUWays set) for p's trace side with a single Mattson
+// with LRUWays set) for tg's trace side with a single Mattson
 // stack-distance pass: under LRU's inclusion property an access hits a
 // (sets, ways) cache iff its per-set reuse distance is below ways, so
 // one profile yields the same hit/miss counts a per-spec replay would —
 // bit-identically — at a fraction of the work. It is the stack-distance
 // counterpart of execReplayUnit.
-func execProfileUnit(opts Opts, s side, p *workload.Profile, all []Spec, lru []int) ([]UnitResult, error) {
+func execProfileUnit(opts Opts, s side, tg *traceGroup, all []Spec, lru []int) ([]UnitResult, error) {
+	name := tg.prof.Name
 	frames := opts.L1Size / opts.LineBytes
 	geoms := make([]stackdist.Geom, len(lru))
 	for x, si := range lru {
@@ -474,21 +479,21 @@ func execProfileUnit(opts Opts, s side, p *workload.Profile, all []Spec, lru []i
 	}
 	prof, err := stackdist.NewProfile(opts.LineBytes, geoms)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", p.Name, err)
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	switch s {
 	case dSide:
-		dt, err := cachedData(opts, p)
+		dt, err := tg.data()
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p.Name, err)
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		for _, m := range dt.accs {
 			prof.Access(m.Addr())
 		}
 	case iSide:
-		ft, err := cachedFetch(opts, p)
+		ft, err := tg.fetch(opts.LineBytes)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p.Name, err)
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		for _, pc := range ft.pcs {
 			prof.Access(pc)
@@ -498,7 +503,7 @@ func execProfileUnit(opts Opts, s side, p *workload.Profile, all []Spec, lru []i
 	for x, g := range geoms {
 		misses, err := prof.Misses(g.Sets, g.Ways)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p.Name, err)
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		out[x] = UnitResult{Misses: misses, Accesses: prof.Accesses()}
 	}
@@ -557,27 +562,25 @@ func (sw sweep) units() []unit {
 	lru, replayed := lruSpecIndices(sw.opts, all)
 	var us []unit
 	add := func(p *workload.Profile, k int, specs []int, name string,
-		exec func(*workload.Profile) ([]UnitResult, error)) {
+		exec func(*traceGroup) ([]UnitResult, error)) {
 		keys := make([]string, len(specs))
 		for x, si := range specs {
 			keys[x] = sw.key(all[si], k, p.Name)
 		}
-		sp := withSeed(p, k)
-		u := newUnit(sw.opts, sp, fmt.Sprintf("%s/%s/seed%d", p.Name, name, k), keys,
-			func() ([]UnitResult, error) { return exec(sp) })
+		u := newUnit(sw.opts, withSeed(p, k), fmt.Sprintf("%s/%s/seed%d", p.Name, name, k), keys, exec)
 		u.replays = true
 		us = append(us, u)
 	}
 	for _, p := range sw.profiles {
 		for k := 0; k < sw.opts.seeds(); k++ {
 			if len(lru) > 0 {
-				add(p, k, lru, profileSpecName, func(sp *workload.Profile) ([]UnitResult, error) {
-					return execProfileUnit(sw.opts, sw.side, sp, all, lru)
+				add(p, k, lru, profileSpecName, func(tg *traceGroup) ([]UnitResult, error) {
+					return execProfileUnit(sw.opts, sw.side, tg, all, lru)
 				})
 			}
 			for _, si := range replayed {
-				add(p, k, []int{si}, all[si].Name, func(sp *workload.Profile) ([]UnitResult, error) {
-					u, err := execReplayUnit(sw.opts, sw.side, sp, all[si])
+				add(p, k, []int{si}, all[si].Name, func(tg *traceGroup) ([]UnitResult, error) {
+					u, err := execReplayUnit(sw.opts, sw.side, tg, all[si])
 					return []UnitResult{u}, err
 				})
 			}

@@ -70,9 +70,9 @@ func TestRunUnitsPanicIsolation(t *testing.T) {
 func TestPlanExecutePanicIsUnitError(t *testing.T) {
 	prof := &workload.Profile{Name: "panicky"}
 	plan := &Plan{units: []unit{
-		newUnit(DefaultOpts(), prof, "boom", []string{"boom"}, func() ([]int, error) { panic("boom in a planned unit") }),
-		newUnit(DefaultOpts(), prof, "fine", []string{"fine"}, func() ([]int, error) { return []int{7}, nil }),
-	}, records: map[traceKey]bool{}, last: -1}
+		newUnit(DefaultOpts(), prof, "boom", []string{"boom"}, func(*traceGroup) ([]int, error) { panic("boom in a planned unit") }),
+		newUnit(DefaultOpts(), prof, "fine", []string{"fine"}, func(*traceGroup) ([]int, error) { return []int{7}, nil }),
+	}}
 	if _, err := plan.Execute(0); !errors.Is(err, errUnitPanic) || !strings.Contains(err.Error(), "boom in a planned unit") {
 		t.Fatalf("Execute(panicking unit) = %v, want an error wrapping errUnitPanic", err)
 	}

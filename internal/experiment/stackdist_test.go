@@ -74,7 +74,7 @@ func TestStackDistMatchesReplay(t *testing.T) {
 func TestStackDistMatchesDirectReplay(t *testing.T) {
 	opts := tinyOpts()
 	for _, p := range gridProfiles(t) {
-		at, err := cachedData(opts, p)
+		at, err := testGroup(opts, p).data()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestStackDistInclusionProperty(t *testing.T) {
 		geoms = append(geoms, stackdist.Geom{Sets: sets, Ways: frames / sets * 2})
 	}
 	for _, p := range workload.All() {
-		at, err := cachedData(opts, p)
+		at, err := testGroup(opts, p).data()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestStackDistCapacityNearMonotone(t *testing.T) {
 		geoms = append(geoms, stackdist.Geom{Sets: frames / w, Ways: w})
 	}
 	for _, p := range workload.All() {
-		at, err := cachedData(opts, p)
+		at, err := testGroup(opts, p).data()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,8 +22,8 @@ func init() {
 func table7Grid(opts Opts) grid[stats.Balance] {
 	specs := dmBCSpecs()
 	return grid[stats.Balance]{id: "table7", opts: opts, profiles: workload.All(), configs: specNames(specs),
-		run: func(p *workload.Profile, c int) (stats.Balance, error) {
-			at, err := cachedData(opts, p)
+		run: func(tg *traceGroup, c int) (stats.Balance, error) {
+			at, err := tg.data()
 			if err != nil {
 				return stats.Balance{}, err
 			}

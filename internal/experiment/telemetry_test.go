@@ -273,16 +273,17 @@ func TestTraceCacheSpans(t *testing.T) {
 	opts := DefaultOpts()
 	opts.Instructions = 10_000
 	p := workload.All()[0]
-	if _, err := cachedData(opts, p); err != nil {
+	g := testGroup(opts, p)
+	if _, err := g.data(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cachedData(opts, p); err != nil {
+	if _, err := g.data(); err != nil {
 		t.Fatal(err)
 	}
 	builds := spansOfKind(tel.Journal(), tracespan.KindTraceBuild)
 	hits := spansOfKind(tel.Journal(), tracespan.KindTraceHit)
-	// One build: the data trace, straight from the generator; the
-	// second cachedData call is a single in-memory hit.
+	// One build: the data stream, straight from the generator; the
+	// second request is a single in-memory hit.
 	if len(builds) != 1 || len(hits) != 1 {
 		t.Fatalf("builds=%d hits=%d, want 1 and 1", len(builds), len(hits))
 	}
@@ -353,23 +354,23 @@ func TestFoldMatchesJournal(t *testing.T) {
 
 	profs := workload.All()
 	var flaky atomic.Int32
-	mk := func(p *workload.Profile, label string, exec func() (UnitResult, error)) unit {
-		u := newUnit(opts, p, label, []string{"fold/" + label}, func() ([]UnitResult, error) {
-			r, err := exec()
+	mk := func(p *workload.Profile, label string, exec func(*traceGroup) (UnitResult, error)) unit {
+		u := newUnit(opts, p, label, []string{"fold/" + label}, func(tg *traceGroup) ([]UnitResult, error) {
+			r, err := exec(tg)
 			return []UnitResult{r}, err
 		})
 		u.owner = "figF"
 		return u
 	}
-	replay := mk(profs[0], "replay", func() (UnitResult, error) {
-		_, err := cachedData(opts, profs[0])
+	replay := mk(profs[0], "replay", func(tg *traceGroup) (UnitResult, error) {
+		_, err := tg.data()
 		return UnitResult{Accesses: 1234}, err
 	})
 	replay.replays = true
 	units := []unit{
 		replay,
-		mk(profs[0], "flaky", func() (UnitResult, error) {
-			if _, err := cachedData(opts, profs[0]); err != nil {
+		mk(profs[0], "flaky", func(tg *traceGroup) (UnitResult, error) {
+			if _, err := tg.data(); err != nil {
 				return UnitResult{}, err
 			}
 			if flaky.Add(1) == 1 {
@@ -377,8 +378,8 @@ func TestFoldMatchesJournal(t *testing.T) {
 			}
 			return UnitResult{Accesses: 1}, nil
 		}),
-		mk(profs[1], "boom", func() (UnitResult, error) { panic("boom") }),
-		mk(profs[1], "hang", func() (UnitResult, error) {
+		mk(profs[1], "boom", func(*traceGroup) (UnitResult, error) { panic("boom") }),
+		mk(profs[1], "hang", func(*traceGroup) (UnitResult, error) {
 			<-release
 			return UnitResult{}, nil
 		}),

@@ -51,8 +51,8 @@ type timedRun struct {
 	Counts energy.Counts `json:"counts"`
 }
 
-// runTimed simulates one benchmark on one L1 configuration.
-func runTimed(p *workload.Profile, spec Spec, opts Opts) (timedRun, error) {
+// runTimed simulates tg's benchmark on one L1 configuration.
+func runTimed(tg *traceGroup, spec Spec, opts Opts) (timedRun, error) {
 	ic, err := spec.New(opts.L1Size, opts.LineBytes)
 	if err != nil {
 		return timedRun{}, err
@@ -65,7 +65,7 @@ func runTimed(p *workload.Profile, spec Spec, opts Opts) (timedRun, error) {
 	if err != nil {
 		return timedRun{}, err
 	}
-	res, err := runRecords(opts, p, h, cpu.Defaults())
+	res, err := runRecords(tg, h, cpu.Defaults())
 	if err != nil {
 		return timedRun{}, err
 	}
@@ -99,7 +99,7 @@ func runTimed(p *workload.Profile, spec Spec, opts Opts) (timedRun, error) {
 func timedGrid(opts Opts) grid[timedRun] {
 	all := append([]Spec{baselineSpec()}, timedSpecs()...)
 	return grid[timedRun]{id: "timed", opts: opts, profiles: workload.All(), configs: specNames(all),
-		run:     func(p *workload.Profile, c int) (timedRun, error) { return runTimed(p, all[c], opts) },
+		run:     func(tg *traceGroup, c int) (timedRun, error) { return runTimed(tg, all[c], opts) },
 		records: true}
 }
 

@@ -172,10 +172,10 @@ func TestFig9AfterFig8SimulatesNothing(t *testing.T) {
 }
 
 // TestPlanWorkerHoldsOneRecordTrace: a worker executes planned units
-// outside the scheduler, so no group end retires their traces. Moving
-// to a unit on another trace retires every payload of the previous
-// one, in plan order and across interleaved leases alike, and Release
-// (the end of a lease) retires the last.
+// outside the scheduler. Its Plan keeps the trace group of the last
+// unit it ran and drops it when a unit on another trace arrives, in
+// plan order and across interleaved leases alike, so at most one group
+// holds payloads: the resident bytes are always the current group's.
 func TestPlanWorkerHoldsOneRecordTrace(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
@@ -196,24 +196,9 @@ func TestPlanWorkerHoldsOneRecordTrace(t *testing.T) {
 		if _, err := plan.Execute(i); err != nil {
 			t.Fatal(err)
 		}
-		if n := residentTraces(); n > 1 {
-			t.Fatalf("after unit %d (%s): payloads of %d traces resident", i, plan.Key(i), n)
+		if c, held := TraceCacheStats(), heldBytes(plan.group); c.Bytes != held || held == 0 {
+			t.Fatalf("after unit %d (%s): %d bytes resident, the current group holds %d",
+				i, plan.Key(i), c.Bytes, held)
 		}
 	}
-	plan.Release()
-	if c := TraceCacheStats(); c.Bytes != 0 {
-		t.Fatalf("%d bytes resident after Release", c.Bytes)
-	}
-}
-
-// residentTraces counts the traces the shared cache holds any payload
-// of.
-func residentTraces() int {
-	sharedTraces.mu.Lock()
-	defer sharedTraces.mu.Unlock()
-	traces := map[traceKey]bool{}
-	for k := range sharedTraces.entries {
-		traces[k.trace()] = true
-	}
-	return len(traces)
 }

@@ -88,7 +88,7 @@ func TestNoTraceAccessOutsideUnits(t *testing.T) {
 		switch s.Kind {
 		case tracespan.KindUnit:
 			units = append(units, span{s.StartUnixNano, s.StartUnixNano + s.DurNanos})
-		case tracespan.KindTraceBuild, tracespan.KindTraceHit, tracespan.KindTraceReload:
+		case tracespan.KindTraceBuild, tracespan.KindTraceHit:
 			traces = append(traces, s)
 		}
 	}
@@ -114,7 +114,7 @@ func TestNoTraceAccessOutsideUnits(t *testing.T) {
 
 // TestNoRecordTraceOutlivesExperiment: every payload, record traces
 // included, lives only for its trace group, so once any registered
-// experiment's Run returns the shared cache holds nothing. A future
+// experiment's Run returns no trace bytes are resident. A future
 // experiment inherits the guarantee by declaring its units.
 func TestNoRecordTraceOutlivesExperiment(t *testing.T) {
 	if testing.Short() {
@@ -130,14 +130,14 @@ func TestNoRecordTraceOutlivesExperiment(t *testing.T) {
 			t.Fatalf("%s: %v", e.ID, err)
 		}
 		if c := TraceCacheStats(); c.Bytes != 0 {
-			t.Errorf("%s left %d trace bytes resident (%d record traces)", e.ID, c.Bytes, residentRecords())
+			t.Errorf("%s left %d trace bytes resident", e.ID, c.Bytes)
 		}
 	}
 }
 
 // TestRecordExperimentsBudgetInvariant: the experiments that run record
-// traces render the same CSV whether the trace cache starves (every
-// stream evicted on arrival), runs at its default budget, or is off.
+// traces render the same CSV whether the budget starves (no stream
+// kept), is the default, or keeps nothing at all.
 // fig9 reuses fig8's timed results at each budget, as in a suite.
 func TestRecordExperimentsBudgetInvariant(t *testing.T) {
 	if testing.Short() {
