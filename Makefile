@@ -201,12 +201,12 @@ bench-compare:
 # MEM_CEILING_<workload> is the process peak RSS, in MiB, that one
 # benchmark run of the workload may reach: about 25% above its median
 # over a 10-round run (bench/run.sh --workload all --rounds 10
-# --trace 0) on 2 vCPUs with go1.24.0 (suite 31.2 MiB, missrate-spill
-# 21.2 MiB, timed 49.6 MiB, sweep 49.0 MiB).
-MEM_CEILING_suite = 39
-MEM_CEILING_missrate-spill = 27
-MEM_CEILING_timed = 62
-MEM_CEILING_sweep = 61
+# --trace 0) on 2 vCPUs with go1.24.0 (suite 30.7 MiB, missrate-spill
+# 14.0 MiB, timed 17.1 MiB, sweep 21.5 MiB).
+MEM_CEILING_suite = 38
+MEM_CEILING_missrate-spill = 18
+MEM_CEILING_timed = 21
+MEM_CEILING_sweep = 27
 
 # mem-ceiling runs the four benchmark workloads once each (bench/run.sh,
 # about 10 s apiece) and fails when a run's output does not match its

@@ -53,7 +53,7 @@ func main() {
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
-		traceCacheBytes = flag.Int64("trace-cache-bytes", 0, "resident byte budget for the trace groups' payloads; a stream that does not fit is not kept and is rebuilt on its group's next use (0 = default, negative = keep nothing)")
+		_ = flag.Int64("trace-cache-bytes", 0, "accepted and ignored: traces are streamed, never kept (the flag stays until the benchmark harness stops passing it)")
 
 		ckptPath    = flag.String("checkpoint", "", "record every experiment's completed work units to this JSON file (atomic rewrite)")
 		resume      = flag.Bool("resume", false, "load -checkpoint first and skip units already recorded (bit-identical); with -workers-procs, first merge the worker shards already in -dist-dir (recovers a crashed coordinator)")
@@ -123,7 +123,6 @@ func main() {
 	}
 	opts.UnitTimeout = *unitTimeout
 	opts.UnitRetries = *unitRetries
-	opts.TraceBytes = *traceCacheBytes
 
 	if *resume && *ckptPath == "" && (*distDir == "" || *workersProcs == 0) {
 		fmt.Fprintln(os.Stderr, "-resume requires -checkpoint, or -dist-dir with -workers-procs")

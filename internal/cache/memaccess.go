@@ -4,7 +4,7 @@ import "bcache/internal/addr"
 
 // MemAccess is one element of a replayable data stream: a byte address
 // plus its read/write direction, packed into one word (addr<<1 | write)
-// so a materialized stream costs 8 bytes per access instead of 16.
+// so a stream of them costs 8 bytes per access instead of 16.
 // Addresses must fit in 63 bits; NewMemAccess rejects the top bit.
 type MemAccess uint64
 

@@ -60,11 +60,13 @@ func NewPolicy(kind PolicyKind, ways int, src *rng.Source) Policy {
 	}
 }
 
-// lruPolicy tracks recency with a timestamp per way. The linear victim
-// scan is intentional, but only below the index crossover: sets with
-// faIndexMinWays (64) ways or more carry a stackdist.Index whose recency
-// list answers the LRU victim in O(1), so this scan only ever runs on
-// narrow sets — the paper's 2..32-way sweeps — where it beats
+// lruPolicy tracks recency with a timestamp per way, for caches that
+// hold one Policy per set (altcache's PAM); SetAssoc keeps the same
+// stamps in one flat slab and scans them the same way. The linear
+// victim scan is intentional, but only below the index crossover: sets
+// with faIndexMinWays (64) ways or more carry a stackdist.Index whose
+// recency list answers the LRU victim in O(1), so this scan only ever
+// runs on narrow sets — the paper's 2..32-way sweeps — where it beats
 // maintaining a list. TestIndexCrossover asserts the threshold.
 type lruPolicy struct {
 	stamp []uint64

@@ -51,17 +51,24 @@ type SetAssoc struct {
 	maskWords int
 	tailMask  uint64 // in-range way bits of a set's last mask word
 
-	policies []Policy // one per set
+	// LRU recency is one stamp per frame, stamps[set*Ways+way], from one
+	// cache-wide clock: within a set the stamps order the ways exactly
+	// as a per-set clock would, and a flat slab costs a wide cache's
+	// sets no policy objects. FIFO and Random keep one Policy per set
+	// (policies, nil under LRU).
+	stamps   []uint64
+	clock    uint64
+	policies []Policy
 	stats    *Stats
 	probe    Probe // nil unless observability is attached
 	name     string
 
 	// idx, when non-nil, holds one hash index per set (any policy at or
 	// above faIndexMinWays ways). Under LRU, while active it is the
-	// single source of recency truth; the per-set lruPolicy stamps stay
-	// untouched until dropIndex hands the order back. Under FIFO/Random
-	// the per-set policy keeps advancing normally and the index is only
-	// the O(1) tag map.
+	// single source of recency truth; the stamps stay untouched until
+	// dropIndex hands the order back. Under FIFO/Random the per-set
+	// policy keeps advancing normally and the index is only the O(1) tag
+	// map.
 	idx []*stackdist.Index
 }
 
@@ -97,20 +104,24 @@ func NewSetAssoc(size, lineBytes, ways int, kind PolicyKind, src *rng.Source) (*
 		dirty:     make([]uint64, geom.Sets*mw),
 		maskWords: mw,
 		tailMask:  tail,
-		policies:  make([]Policy, geom.Sets),
 		stats:     NewStats(geom.Frames),
 		name:      fmt.Sprintf("%dkB-%dway-%s", size/1024, ways, kind),
 	}
-	for s := range c.policies {
-		ps := src
-		if kind == Random && src != nil {
-			// Each set draws from its own stream split off the caller's
-			// source, so per-set victim sequences are a function of the
-			// set alone — replaying sets in any order (or in parallel)
-			// yields bit-identical results.
-			ps = src.Split(uint64(s))
+	if kind == LRU {
+		c.stamps = make([]uint64, geom.Frames)
+	} else {
+		c.policies = make([]Policy, geom.Sets)
+		for s := range c.policies {
+			ps := src
+			if kind == Random && src != nil {
+				// Each set draws from its own stream split off the caller's
+				// source, so per-set victim sequences are a function of the
+				// set alone — replaying sets in any order (or in parallel)
+				// yields bit-identical results.
+				ps = src.Split(uint64(s))
+			}
+			c.policies[s] = NewPolicy(kind, ways, ps)
 		}
-		c.policies[s] = NewPolicy(kind, ways, ps)
 	}
 	if ways >= faIndexMinWays {
 		c.idx = make([]*stackdist.Index, geom.Sets)
@@ -151,6 +162,33 @@ func NewFullyAssoc(size, lineBytes int, kind PolicyKind, src *rng.Source) (*SetA
 	}
 	c.name = fmt.Sprintf("%dkB-fullyassoc-%s", size/1024, kind)
 	return c, nil
+}
+
+// touch records a use of way in set with the replacement policy.
+func (c *SetAssoc) touch(set, way int) {
+	if c.policies == nil {
+		c.clock++
+		c.stamps[set*c.geom.Ways+way] = c.clock
+		return
+	}
+	c.policies[set].Touch(way)
+}
+
+// victim returns the way the replacement policy evicts from a full set:
+// under LRU the lowest-numbered way with the oldest stamp, as the scan
+// of a per-set lruPolicy picks it.
+func (c *SetAssoc) victim(set int) int {
+	if c.policies == nil {
+		stamps := c.stamps[set*c.geom.Ways : (set+1)*c.geom.Ways]
+		victim, best := 0, stamps[0]
+		for w, s := range stamps[1:] {
+			if s < best {
+				victim, best = w+1, s
+			}
+		}
+		return victim
+	}
+	return c.policies[set].Victim()
 }
 
 // wordMask returns the in-range way bits of the set's wi-th mask word.
@@ -206,7 +244,7 @@ func (c *SetAssoc) Access(a addr.Addr, write bool) Result {
 	// policy state is unobservable there.
 	if w := c.findWay(set, tag); w >= 0 {
 		if c.geom.Ways > 1 {
-			c.policies[set].Touch(w)
+			c.touch(set, w)
 		}
 		if write {
 			c.dirty[mbase+w>>6] |= 1 << (w & 63)
@@ -231,7 +269,7 @@ func (c *SetAssoc) Access(a addr.Addr, write bool) Result {
 		// Victim is consulted even for 1-way sets: a Random policy
 		// draws from the shared rng stream, and skipping the draw
 		// would shift every later pick.
-		way = c.policies[set].Victim()
+		way = c.victim(set)
 		res.Evicted = true
 		res.EvictedAddr = c.lineAddr(c.tags[base+way], set)
 		res.EvictedDirty = c.dirty[mbase+way>>6]&(1<<(way&63)) != 0
@@ -248,7 +286,7 @@ func (c *SetAssoc) Access(a addr.Addr, write bool) Result {
 		c.dirty[mbase+way>>6] &^= 1 << (way & 63)
 	}
 	if c.geom.Ways > 1 {
-		c.policies[set].Touch(way)
+		c.touch(set, way)
 	}
 	res.Frame = base + way
 	c.stats.Record(base+way, false, write)
@@ -296,7 +334,7 @@ func (c *SetAssoc) accessIndexed(set int, tag addr.Addr, write bool) Result {
 	} else {
 		victim := ix.LRU()
 		if c.kind != LRU {
-			victim = ix.Get(c.tags[base+c.policies[set].Victim()])
+			victim = ix.Get(c.tags[base+c.victim(set)])
 		}
 		way = int(victim.Val)
 		ix.Remove(victim)
@@ -325,7 +363,7 @@ func (c *SetAssoc) accessIndexed(set int, tag addr.Addr, write bool) Result {
 }
 
 // dropIndex permanently disables the hash index, handing each set's
-// recency order to its policy under LRU (tail-first Touch replay
+// recency order to the stamps under LRU (tail-first touch replay
 // reproduces the exact stamp order), so the scan path continues
 // bit-identically. FIFO and Random policies advanced normally while the
 // index was active, so they need no handoff. Fault injection calls this
@@ -337,9 +375,8 @@ func (c *SetAssoc) dropIndex() {
 	}
 	if c.kind == LRU {
 		for set, ix := range c.idx {
-			pol := c.policies[set]
 			for n := ix.LRU(); n != nil; n = ix.Prev(n) {
-				pol.Touch(int(n.Val))
+				c.touch(set, int(n.Val))
 			}
 		}
 	}
@@ -376,6 +413,8 @@ func (c *SetAssoc) Reset() {
 	clear(c.tags)
 	clear(c.valid)
 	clear(c.dirty)
+	clear(c.stamps)
+	c.clock = 0
 	for _, p := range c.policies {
 		p.Reset()
 	}

@@ -12,7 +12,7 @@ import (
 // TestIndexCrossover pins the faIndexMinWays threshold for every policy
 // kind: below it the bitmask scan runs (idx nil), at or above it the
 // hash index is active, and NewSetAssocScan strips it unconditionally.
-// lruPolicy's linear victim scan is justified by exactly this split.
+// The linear LRU victim scan is justified by exactly this split.
 func TestIndexCrossover(t *testing.T) {
 	for _, kind := range []PolicyKind{LRU, FIFO, Random} {
 		src := rng.New(1)

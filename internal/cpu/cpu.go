@@ -11,6 +11,11 @@
 // cache once per line or taken branch. Branch prediction is ideal — the
 // paper holds the front end constant across cache configurations, so the
 // relative IPC between configurations is preserved.
+//
+// A Core holds one run's state between chunks of its stream, so a
+// caller that produces the stream a chunk at a time (the experiment
+// package's trace passes) never keeps the whole stream; Run feeds a
+// Core a whole stream.
 package cpu
 
 import (
@@ -69,78 +74,79 @@ func (r Result) IPC() float64 {
 	return float64(r.Instructions) / float64(r.Cycles)
 }
 
-// Run executes up to maxInstr records of st against h and returns the
-// timing result. The hierarchy's caches accumulate their own statistics.
-func Run(st trace.Stream, h *hier.Hierarchy, cfg Config, maxInstr uint64) (Result, error) {
+// Core is one timing-model run held between chunks of its instruction
+// stream: Step consumes the next records in stream order, and Result
+// reports the run so far. A stream fed to one Core in any chunking
+// gives the cycles Run gives over the whole stream.
+type Core struct {
+	cfg Config
+	h   *hier.Hierarchy
+	res Result
+
+	// i counts the instructions stepped so far.
+	i uint64
+
+	// regReady[r] is the cycle register r's value becomes available.
+	// Register 0 is the always-ready zero register.
+	regReady [trace.NumRegs]uint64
+
+	// dispatch/retire rings are indexed i % Window; slot, issueIdx, and
+	// retireIdx track that modulus (and the IssueWidth/RetireWidth
+	// look-back positions) by wrap-around increment — three integer
+	// divisions per instruction are measurable at suite scale.
+	dispatchAt, retireAt      []uint64
+	slot, issueIdx, retireIdx int
+	lastRetire                uint64 // retire cycle of the previous instruction
+	fetchReady                uint64 // cycle the next instruction is available to dispatch
+	curFetchLine, lineMask    addr.Addr
+
+	// memStart is a ring of the last MemPorts memory-op start cycles; a
+	// new memory op cannot start the same cycle as the op MemPorts back.
+	memStart []uint64
+	memPos   int
+}
+
+// New starts a run of cfg's core on h. The hierarchy's caches
+// accumulate their own statistics.
+func New(h *hier.Hierarchy, cfg Config) (*Core, error) {
 	if err := cfg.Validate(); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if h == nil {
-		return Result{}, fmt.Errorf("cpu: nil hierarchy")
+		return nil, fmt.Errorf("cpu: nil hierarchy")
 	}
-
-	var (
-		res Result
-
-		// regReady[r] is the cycle register r's value becomes available.
-		// Register 0 is the always-ready zero register.
-		regReady [trace.NumRegs]uint64
-
-		// dispatch/retire rings are indexed i % Window; slot, issueIdx,
-		// and retireIdx track that modulus (and the IssueWidth/
-		// RetireWidth look-back positions) by wrap-around increment —
-		// three integer divisions per instruction are measurable at
-		// suite scale.
-		dispatchAt = make([]uint64, cfg.Window)
-		retireAt   = make([]uint64, cfg.Window)
-		slot       = 0
-		issueIdx   = (cfg.Window - cfg.IssueWidth%cfg.Window) % cfg.Window
-		retireIdx  = (cfg.Window - cfg.RetireWidth%cfg.Window) % cfg.Window
-
-		lastRetire   uint64    // retire cycle of the previous instruction
-		fetchReady   uint64    // cycle the next instruction is available to dispatch
-		curFetchLine addr.Addr = ^addr.Addr(0)
-
-		lineMask = ^addr.Addr(uint64(h.I.Geometry().LineBytes) - 1)
-
-		// memStart is a ring of the last MemPorts memory-op start
-		// cycles; a new memory op cannot start the same cycle as the
-		// op MemPorts back.
-		memStart []uint64
-		memPos   int
-	)
+	c := &Core{
+		cfg:          cfg,
+		h:            h,
+		dispatchAt:   make([]uint64, cfg.Window),
+		retireAt:     make([]uint64, cfg.Window),
+		issueIdx:     (cfg.Window - cfg.IssueWidth%cfg.Window) % cfg.Window,
+		retireIdx:    (cfg.Window - cfg.RetireWidth%cfg.Window) % cfg.Window,
+		curFetchLine: ^addr.Addr(0),
+		lineMask:     ^addr.Addr(uint64(h.I.Geometry().LineBytes) - 1),
+	}
 	if cfg.MemPorts > 0 {
-		memStart = make([]uint64, cfg.MemPorts)
+		c.memStart = make([]uint64, cfg.MemPorts)
 	}
+	return c, nil
+}
 
-	// Direct-index fast path: the suite always feeds a SliceStream, and
-	// an interface call plus a second record copy per instruction is
-	// measurable across a full timed sweep.
-	var recs []trace.Record
-	direct := false
-	if ss, ok := st.(*trace.SliceStream); ok {
-		recs = ss.Rest()
-		if maxInstr < uint64(len(recs)) {
-			recs = recs[:maxInstr]
-		}
-		direct = true
-		defer ss.Skip(len(recs))
-	}
-
-	var i uint64
-	for ; i < maxInstr; i++ {
-		var rec trace.Record
-		if direct {
-			if i >= uint64(len(recs)) {
-				break
-			}
-			rec = recs[i]
-		} else {
-			var ok bool
-			if rec, ok = st.Next(); !ok {
-				break
-			}
-		}
+// Step runs recs, the next records of the stream, through the model.
+func (c *Core) Step(recs []trace.Record) {
+	// The per-instruction state lives in locals for the loop and is
+	// stored back once per chunk.
+	var (
+		cfg, h                    = c.cfg, c.h
+		i                         = c.i
+		dispatchAt, retireAt      = c.dispatchAt, c.retireAt
+		slot, issueIdx, retireIdx = c.slot, c.issueIdx, c.retireIdx
+		lastRetire, fetchReady    = c.lastRetire, c.fetchReady
+		curFetchLine, lineMask    = c.curFetchLine, c.lineMask
+		memStart, memPos          = c.memStart, c.memPos
+		regReady                  = &c.regReady
+	)
+	for x := range recs {
+		rec := &recs[x]
 
 		// Fetch: one I$ access per new line. A taken branch to another
 		// line redirects fetch; sequential flow within a line is free.
@@ -195,10 +201,10 @@ func Run(st trace.Stream, h *hier.Hierarchy, cfg Config, maxInstr uint64) (Resul
 		}
 		switch rec.Kind {
 		case trace.Load:
-			res.Loads++
+			c.res.Loads++
 			complete = start + uint64(h.Data(rec.Mem, false))
 		case trace.Store:
-			res.Stores++
+			c.res.Stores++
 			// Stores retire through a write buffer: the D$ sees the
 			// access (for refill and statistics) but the pipeline does
 			// not wait for it.
@@ -231,9 +237,60 @@ func Run(st trace.Stream, h *hier.Hierarchy, cfg Config, maxInstr uint64) (Resul
 		if retireIdx++; retireIdx == cfg.Window {
 			retireIdx = 0
 		}
+		i++
 	}
+	c.i = i
+	c.slot, c.issueIdx, c.retireIdx = slot, issueIdx, retireIdx
+	c.lastRetire, c.fetchReady = lastRetire, fetchReady
+	c.curFetchLine, c.memPos = curFetchLine, memPos
+}
 
-	res.Instructions = i
-	res.Cycles = lastRetire + 1
-	return res, nil
+// Result reports the run over every record stepped so far.
+func (c *Core) Result() Result {
+	res := c.res
+	res.Instructions = c.i
+	res.Cycles = c.lastRetire + 1
+	return res
+}
+
+// runChunk is how many records Run reads from a stream that is not a
+// SliceStream before stepping them.
+const runChunk = 4096
+
+// Run executes up to maxInstr records of st against h and returns the
+// timing result: a Core fed the whole stream.
+func Run(st trace.Stream, h *hier.Hierarchy, cfg Config, maxInstr uint64) (Result, error) {
+	c, err := New(h, cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	// Direct-index fast path: a SliceStream's records are stepped in
+	// place, without an interface call or a copy per instruction.
+	if ss, ok := st.(*trace.SliceStream); ok {
+		recs := ss.Rest()
+		if maxInstr < uint64(len(recs)) {
+			recs = recs[:maxInstr]
+		}
+		c.Step(recs)
+		ss.Skip(len(recs))
+		return c.Result(), nil
+	}
+	buf := make([]trace.Record, min(maxInstr, runChunk))
+	for left := maxInstr; left > 0; {
+		want := min(left, uint64(len(buf)))
+		n := uint64(0)
+		for ; n < want; n++ {
+			rec, ok := st.Next()
+			if !ok {
+				break
+			}
+			buf[n] = rec
+		}
+		c.Step(buf[:n])
+		if n < want {
+			break
+		}
+		left -= n
+	}
+	return c.Result(), nil
 }

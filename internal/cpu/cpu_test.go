@@ -1,12 +1,14 @@
 package cpu
 
 import (
+	"reflect"
 	"testing"
 
 	"bcache/internal/addr"
 	"bcache/internal/cache"
 	"bcache/internal/hier"
 	"bcache/internal/trace"
+	"bcache/internal/workload"
 )
 
 func newHier(t testing.TB, l1size int) *hier.Hierarchy {
@@ -236,5 +238,51 @@ func TestNegativeMemPortsRejected(t *testing.T) {
 	cfg.MemPorts = -1
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("negative ports accepted")
+	}
+}
+
+// TestCoreChunkingInvariant: a Core stepped over a generated stream in
+// chunks of any size ends with the cycles, counters and cache
+// statistics of one Run over the whole stream, and so does Run over a
+// stream that is not a SliceStream.
+func TestCoreChunkingInvariant(t *testing.T) {
+	const n = 50_000
+	p, err := workload.ByName("equake")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := workload.New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]trace.Record, n)
+	g.Fill(recs)
+	wantH := newHier(t, 16*1024)
+	want := run(t, recs, wantH)
+	for _, size := range []int{1, 7, 4096, n + 1} {
+		h := newHier(t, 16*1024)
+		c, err := New(h, Defaults())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < n; lo += size {
+			c.Step(recs[lo:min(lo+size, n)])
+		}
+		if got := c.Result(); got != want || !reflect.DeepEqual(h.D.Stats(), wantH.D.Stats()) ||
+			!reflect.DeepEqual(h.I.Stats(), wantH.I.Stats()) {
+			t.Fatalf("chunks of %d: %+v, want %+v", size, got, want)
+		}
+	}
+	gen, err := workload.New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newHier(t, 16*1024)
+	got, err := Run(gen, h, Defaults(), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || !reflect.DeepEqual(h.D.Stats(), wantH.D.Stats()) {
+		t.Fatalf("Run over the generator: %+v, want %+v", got, want)
 	}
 }

@@ -16,8 +16,8 @@ import (
 )
 
 // The coordinator owns the campaign's distribution, never its
-// execution: it spawns worker subprocesses, leases them contiguous unit
-// ranges, commits their results as they stream back, and absorbs every
+// execution: it spawns worker subprocesses, leases them units one at a
+// time, commits their results as they stream back, and absorbs every
 // way a worker can let it down — crash (kill -9), hang past the lease
 // deadline, corrupt shard — by re-leasing the lost units to survivors.
 // When every worker is gone it returns, counting the units left
@@ -59,10 +59,6 @@ type Config struct {
 	// (default TTL/4).
 	LeaseTTL  time.Duration
 	Heartbeat time.Duration
-	// ChunkMax caps units per lease (default: units/(workers*4),
-	// clamped to [1, 32] — small enough to re-lease cheaply, large
-	// enough to amortize the round trip).
-	ChunkMax int
 	// RestartBudget is how many times a dead worker slot is respawned;
 	// 0 (the zero value) means never — its units go straight to
 	// survivors.
@@ -166,15 +162,6 @@ func Coordinate(cfg Config) (Stats, error) {
 	}
 	if cfg.DrainWindow <= 0 {
 		cfg.DrainWindow = 10 * time.Second
-	}
-	if cfg.ChunkMax <= 0 {
-		cfg.ChunkMax = cfg.Units / (cfg.Workers * 4)
-		if cfg.ChunkMax < 1 {
-			cfg.ChunkMax = 1
-		}
-		if cfg.ChunkMax > 32 {
-			cfg.ChunkMax = 32
-		}
 	}
 	if cfg.RestartBudget < 0 {
 		cfg.RestartBudget = 0
@@ -372,14 +359,20 @@ func (c *coordinator) liveCount() int {
 	return n
 }
 
-// grantTo leases the next chunk to slot; with nothing pending the worker
+// leaseUnits is how many units one lease holds. A unit is the caller's
+// coarsest independent grain (an experiment plan's unit is a whole
+// trace group, run as one pass), so one per lease amortizes the round
+// trip and keeps a re-lease to the work a death actually lost.
+const leaseUnits = 1
+
+// grantTo leases the next unit to slot; with nothing pending the worker
 // idles (its units may still come back from an expiry elsewhere).
 func (c *coordinator) grantTo(slot int) {
 	p := c.procs[slot]
 	if p == nil || !p.alive || p.draining || p.doomed {
 		return
 	}
-	l, ok := c.table.grant(slot, c.cfg.ChunkMax, c.clk.Now(), c.cfg.LeaseTTL)
+	l, ok := c.table.grant(slot, leaseUnits, c.clk.Now(), c.cfg.LeaseTTL)
 	if !ok {
 		return
 	}

@@ -49,9 +49,10 @@ func workerCommand(slot, attempt int) *exec.Cmd {
 	return cmd
 }
 
-// chaosOpts is the campaign scale: at 60k instructions fig5 is 90 units
-// of real simulation and fig8 156 — big enough that 4 workers overlap
-// and seeded kills land mid-campaign, small enough for CI.
+// chaosOpts is the campaign scale: at 60k instructions fig5 is 15 trace
+// groups (90 units) of real simulation and fig8 26 (156 units) — big
+// enough that 4 workers overlap and seeded kills land mid-campaign,
+// small enough for CI.
 func chaosOpts(ckpt *experiment.Checkpoint) experiment.Opts {
 	opts := experiment.DefaultOpts()
 	opts.Instructions = 60_000
@@ -162,7 +163,7 @@ func (k *killer) resultCommitted(worker, unit int) {
 func TestChaosKilledWorkersBitIdenticalMerge(t *testing.T) { chaosCampaign(t, "fig5") }
 
 // TestChaosKilledWorkersFig8 runs the same chaos campaign on fig8's
-// timed units, whose workers also hold a record trace per group.
+// timed units, whose passes feed the CPU model records.
 func TestChaosKilledWorkersFig8(t *testing.T) { chaosCampaign(t, "fig8") }
 
 func chaosCampaign(t *testing.T, id string) {
@@ -172,7 +173,7 @@ func chaosCampaign(t *testing.T, id string) {
 	dir := t.TempDir()
 	seqBytes, seqRender, seqCkpt := runSequentialOracle(t, dir, id)
 
-	// The plan seam identity check rides along: every planned unit of
+	// The plan seam identity check rides along: every planned group of
 	// the campaign must already be Done in the oracle's checkpoint —
 	// the plan enumerates exactly the units Run commits.
 	plan, err := experiment.PlanCampaign(chaosOpts(nil), []string{id})
@@ -184,7 +185,7 @@ func chaosCampaign(t *testing.T, id string) {
 	}
 	for i := 0; i < plan.Len(); i++ {
 		if !plan.Done(i, seqCkpt) {
-			t.Fatalf("planned unit %d (%s) missing from the sequential checkpoint: plan and scheduler disagree", i, plan.Key(i))
+			t.Fatalf("planned group %d (keys %v) missing from the sequential checkpoint: plan and scheduler disagree", i, plan.UnitKeys(i))
 		}
 	}
 

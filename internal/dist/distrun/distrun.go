@@ -1,8 +1,9 @@
 // Package distrun binds the generic distribution machinery of
 // internal/dist to this repo's experiment plans: it is the only place
-// that knows both what a unit *is* (one planned work unit of any
-// experiment, committing checkpoint records) and how units are farmed out (leases,
-// shards, worker subprocesses). cmd/experiments calls RunCampaign on the
+// that knows both what a dist unit *is* (one planned trace group, whose
+// units of any experiment run as one pass and commit checkpoint
+// records) and how units are farmed out (leases, shards, worker
+// subprocesses). cmd/experiments calls RunCampaign on the
 // coordinator side and WorkerMain from its -worker mode; both rebuild
 // the same deterministic plan from the same CampaignSpec, and the plan
 // fingerprint proves they agree before any unit runs.
@@ -29,8 +30,8 @@ const SpecSchemaVersion = 1
 // CampaignSpec is everything a worker needs to rebuild the coordinator's
 // plan: the experiment IDs plus the Opts fields that shape unit identity.
 // Scheduling-only knobs (Workers, UnitTimeout, checkpoint) stay out — a
-// worker executes leased units one at a time against its own in-process
-// state, and including them would make equal plans look different.
+// worker executes one leased group at a time as one pass, and including
+// them would make equal plans look different.
 type CampaignSpec struct {
 	SchemaVersion    int      `json:"schemaVersion"`
 	IDs              []string `json:"ids,omitempty"`
@@ -39,7 +40,6 @@ type CampaignSpec struct {
 	LineBytes        int      `json:"lineBytes"`
 	Seeds            int      `json:"seeds,omitempty"`
 	DisableStackDist bool     `json:"disableStackDist,omitempty"`
-	TraceBytes       int64    `json:"traceBytes,omitempty"`
 }
 
 // SpecFor captures opts and ids as a wire spec.
@@ -52,7 +52,6 @@ func SpecFor(opts experiment.Opts, ids []string) CampaignSpec {
 		LineBytes:        opts.LineBytes,
 		Seeds:            opts.Seeds,
 		DisableStackDist: opts.DisableStackDist,
-		TraceBytes:       opts.TraceBytes,
 	}
 }
 
@@ -64,14 +63,14 @@ func (s CampaignSpec) Opts() experiment.Opts {
 		LineBytes:        s.LineBytes,
 		Seeds:            s.Seeds,
 		DisableStackDist: s.DisableStackDist,
-		TraceBytes:       s.TraceBytes,
 		Workers:          1,
 	}
 }
 
-// planAdapter lifts an experiment.Plan into the dist.Plan interface.
-// Each unit's records carry the JSON of its results as they will sit in
-// the checkpoint, so they pass through untouched.
+// planAdapter lifts an experiment.Plan into the dist.Plan interface:
+// dist unit i is the plan's group i. A group's records carry the JSON of
+// its units' results as they will sit in the checkpoint, so they pass
+// through untouched.
 type planAdapter struct {
 	p *experiment.Plan
 }
@@ -164,9 +163,12 @@ type Options struct {
 	Events dist.Events
 }
 
-// RunCampaign distributes every unit of the named experiments across
-// worker subprocesses, committing results into opts.Checkpoint. It runs
-// no unit itself. After it returns, running the experiments in-process
+// RunCampaign distributes every trace group of the named experiments
+// across worker subprocesses, one group per lease, committing results
+// into opts.Checkpoint. A group some of whose units the checkpoint
+// already holds is leased whole: a worker has no checkpoint, so it runs
+// every unit of the group, and the values it returns for the held keys
+// are the ones already there. It runs no unit itself. After it returns, running the experiments in-process
 // finds every distributed unit in the checkpoint — same keys, same
 // values — which is what makes the rendered tables bit-identical to a
 // single-process run; that pass also runs every unit the workers did

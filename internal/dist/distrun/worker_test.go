@@ -11,16 +11,15 @@ import (
 )
 
 // TestWorkerGeneratesEachTraceOnceAcrossLeases drives one in-process
-// worker through the whole registry's plan in back-to-back 32-unit
-// leases, playing coordinator over pipes. A trace group spans several
-// leases (the registry's 26 groups hold 54–142 units each), and the
-// worker keeps its group across lease boundaries, so it runs the
-// generator once per trace: 26 times, as an in-process campaign does.
+// worker through the whole registry's plan lease by lease, as the
+// coordinator grants them, playing coordinator over pipes. A lease is
+// one trace group (the registry's 26 groups hold 54–138 units each),
+// and the worker runs it as one pass, so it runs the generator once per
+// trace: 26 times, as an in-process campaign does.
 func TestWorkerGeneratesEachTraceOnceAcrossLeases(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every unit of the registry")
 	}
-	const lease = 32
 	opts := experiment.DefaultOpts()
 	opts.Instructions = 120_000
 	plan, err := experiment.PlanCampaign(opts, nil)
@@ -64,8 +63,9 @@ func TestWorkerGeneratesEachTraceOnceAcrossLeases(t *testing.T) {
 		t.Fatalf("hello = %+v", hello)
 	}
 	results := 0
-	for id, start := 1, 0; start < plan.Len(); id, start = id+1, start+lease {
-		send(dist.Msg{Type: dist.MsgLease, Lease: id, Start: start, End: min(start+lease, plan.Len())})
+	for g := 0; g < plan.Len(); g++ {
+		id := g + 1
+		send(dist.Msg{Type: dist.MsgLease, Lease: id, Start: g, End: g + 1})
 		for m := recv(); m.Type != dist.MsgLeaseDone; m = recv() {
 			if m.Type != dist.MsgResult {
 				t.Fatalf("lease %d: unexpected %q (%s)", id, m.Type, m.Err)
@@ -82,7 +82,7 @@ func TestWorkerGeneratesEachTraceOnceAcrossLeases(t *testing.T) {
 	}
 	inW.Close()
 	if results != plan.Len() {
-		t.Fatalf("%d results for %d units", results, plan.Len())
+		t.Fatalf("%d results for %d groups", results, plan.Len())
 	}
 	if g := experiment.TraceCacheStats().Generations; g != 26 {
 		t.Fatalf("worker ran the generator %d times for the registry's 26 traces", g)

@@ -58,8 +58,7 @@ func TestDoomedWorkerNotRegrantedInExpiryWindow(t *testing.T) {
 	committed := map[int]bool{}
 	c := &coordinator{
 		cfg: Config{
-			Units:    4,
-			ChunkMax: 2,
+			Units:    2,
 			LeaseTTL: time.Second,
 			Commit: func(unit int, recs []Record) error {
 				committed[unit] = true
@@ -69,14 +68,14 @@ func TestDoomedWorkerNotRegrantedInExpiryWindow(t *testing.T) {
 			// respawn it; its units belong to the survivor.
 		},
 		clk:   clk,
-		table: newLeaseTable(4),
+		table: newLeaseTable(2),
 		procs: []*workerProc{fakeProc(), fakeProc()},
 		evc:   make(chan event, 4),
 		donec: make(chan struct{}),
 	}
-	c.stats.Units = 4
+	c.stats.Units = 2
 
-	// Both workers lease a chunk: worker 0 gets [0,2), worker 1 [2,4).
+	// Both workers lease a unit: worker 0 gets [0,1), worker 1 [1,2).
 	c.grantTo(0)
 	c.grantTo(1)
 	l0 := leaseOf(t, c.table, 0)
@@ -84,18 +83,16 @@ func TestDoomedWorkerNotRegrantedInExpiryWindow(t *testing.T) {
 	if l0 == nil || l1 == nil {
 		t.Fatalf("expected both workers leased; got %v / %v", l0, l1)
 	}
-	if l0.Start != 0 || l0.End != 2 || l1.Start != 2 || l1.End != 4 {
+	if l0.Start != 0 || l0.End != 1 || l1.Start != 1 || l1.End != 2 {
 		t.Fatalf("unexpected lease ranges: [%d,%d) and [%d,%d)",
 			l0.Start, l0.End, l1.Start, l1.End)
 	}
 
-	// Worker 1 finishes its chunk and reports its lease done; with
-	// units 0 and 1 still leased to worker 0 there is nothing left to
-	// grant, so worker 1 goes idle — the pre-condition for the race.
-	for unit := 2; unit < 4; unit++ {
-		if err := c.handleMsg(1, Msg{Type: MsgResult, Lease: l1.ID, Unit: unit}); err != nil {
-			t.Fatal(err)
-		}
+	// Worker 1 finishes its unit and reports its lease done; with unit
+	// 0 still leased to worker 0 there is nothing left to grant, so
+	// worker 1 goes idle — the pre-condition for the race.
+	if err := c.handleMsg(1, Msg{Type: MsgResult, Lease: l1.ID, Unit: 1}); err != nil {
+		t.Fatal(err)
 	}
 	if err := c.handleMsg(1, Msg{Type: MsgLeaseDone, Lease: l1.ID}); err != nil {
 		t.Fatal(err)
@@ -123,8 +120,8 @@ func TestDoomedWorkerNotRegrantedInExpiryWindow(t *testing.T) {
 		t.Fatalf("doomed worker 0 re-granted units [%d,%d) in the expiry window", got.Start, got.End)
 	}
 	rl := leaseOf(t, c.table, 1)
-	if rl == nil || rl.Start != 0 || rl.End != 2 {
-		t.Fatalf("survivor should hold re-granted [0,2); got %v", rl)
+	if rl == nil || rl.Start != 0 || rl.End != 1 {
+		t.Fatalf("survivor should hold re-granted [0,1); got %v", rl)
 	}
 
 	// Extra regrant sweeps inside the window (any event can trigger
@@ -153,12 +150,10 @@ func TestDoomedWorkerNotRegrantedInExpiryWindow(t *testing.T) {
 		t.Fatalf("survivor's lease changed across the exit event: %v -> %v", rl, rl2)
 	}
 
-	// The survivor finishes the recovered chunk; the campaign settles
+	// The survivor finishes the recovered unit; the campaign settles
 	// with every unit committed exactly once.
-	for unit := 0; unit < 2; unit++ {
-		if err := c.handleMsg(1, Msg{Type: MsgResult, Lease: rl2.ID, Unit: unit}); err != nil {
-			t.Fatal(err)
-		}
+	if err := c.handleMsg(1, Msg{Type: MsgResult, Lease: rl2.ID, Unit: 0}); err != nil {
+		t.Fatal(err)
 	}
 	if err := c.handleMsg(1, Msg{Type: MsgLeaseDone, Lease: rl2.ID}); err != nil {
 		t.Fatal(err)
@@ -166,7 +161,7 @@ func TestDoomedWorkerNotRegrantedInExpiryWindow(t *testing.T) {
 	if !c.table.settled() {
 		t.Fatal("table not settled after survivor finished the recovered units")
 	}
-	for unit := 0; unit < 4; unit++ {
+	for unit := 0; unit < 2; unit++ {
 		if !committed[unit] {
 			t.Fatalf("unit %d never committed", unit)
 		}
@@ -187,7 +182,6 @@ func TestExitDuringExpiryWindowThenLateResult(t *testing.T) {
 	c := &coordinator{
 		cfg: Config{
 			Units:    2,
-			ChunkMax: 2,
 			LeaseTTL: time.Second,
 			Commit: func(unit int, recs []Record) error {
 				commits[unit]++
@@ -208,7 +202,7 @@ func TestExitDuringExpiryWindowThenLateResult(t *testing.T) {
 		t.Fatal("worker 0 got no lease")
 	}
 
-	// Expire it; the idle worker 1 inherits both units and commits one.
+	// Expire it; the idle worker 1 inherits unit 0 and commits it.
 	clk.Advance(2 * time.Second)
 	c.handleExpiries()
 	rl := leaseOf(t, c.table, 1)

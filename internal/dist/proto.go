@@ -4,8 +4,8 @@
 //
 // The division of labour is strict. This package knows about *units* —
 // opaque integers 0..n-1 that execute into key/value records — and about
-// the machinery of distributing them: a lease table granting contiguous
-// unit ranges with deadlines and heartbeats, a JSONL wire protocol over
+// the machinery of distributing them: a lease table granting units with
+// deadlines and heartbeats, a JSONL wire protocol over
 // each worker's stdin/stdout, append-only checksummed shard files that
 // survive kill -9 mid-write, and a coordinator that re-leases the units
 // of crashed, hung, or corrupt workers to survivors (restart budgets).

@@ -95,7 +95,7 @@ func TestWorkerDeathRegrantsToIdleSurvivor(t *testing.T) {
 	spec := scriptedSpec{
 		Units:   4,
 		DieUnit: 0,
-		// Long enough that the survivor finishes its two trivial units
+		// Long enough that the survivor finishes its three trivial units
 		// and idles before the death; short enough for CI.
 		DieDelayMillis: 1500,
 		Sentinel:       filepath.Join(dir, "died-once"),
@@ -105,9 +105,8 @@ func TestWorkerDeathRegrantsToIdleSurvivor(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// ChunkMax 2 splits 4 units into exactly two leases: whichever
-	// worker gets [0,2) dies on unit 0; the other finishes [2,4) and
-	// idles. RestartBudget 0 (explicit zero = never respawn) leaves the
+	// One unit per lease: whichever worker gets unit 0 dies on it; the
+	// other finishes units 1-3 and idles. RestartBudget 0 (explicit zero = never respawn) leaves the
 	// dead worker's units unfinished unless they are re-granted.
 	mc := newMemCommit()
 	type outcome struct {
@@ -122,7 +121,6 @@ func TestWorkerDeathRegrantsToIdleSurvivor(t *testing.T) {
 			Spec:          specJSON,
 			ShardDir:      dir,
 			Workers:       2,
-			ChunkMax:      2,
 			RestartBudget: 0,
 			Command:       scriptedCommand(t),
 			Commit:        mc.commit,

@@ -60,24 +60,26 @@ func TestRunAllMatchesPerExperimentRuns(t *testing.T) {
 	if j := tel.Journal(); j.Dropped() > 0 {
 		t.Fatalf("journal dropped %d spans; raise its capacity", j.Dropped())
 	}
-	labels := make([]string, plan.Len())
+	labels := make([]string, len(plan.units))
 	for _, s := range tel.Journal().Snapshot() {
 		if s.Kind == tracespan.KindUnit {
 			if s.Unit >= len(labels) {
-				t.Fatalf("unit index %d beyond the plan's %d units", s.Unit, plan.Len())
+				t.Fatalf("unit index %d beyond the plan's %d units", s.Unit, len(plan.units))
 			}
 			labels[s.Unit] = s.Name
 		}
 	}
-	keys := 0
 	for i, u := range plan.units {
 		if labels[i] != u.label {
 			t.Fatalf("RunAll ran unit %d as %q, PlanCampaign leases %q", i, labels[i], u.label)
 		}
-		if !plan.Done(i, withCkpt.Checkpoint) {
-			t.Fatalf("RunAll committed no result for planned unit %s", plan.Key(i))
+	}
+	keys := 0
+	for g := 0; g < plan.Len(); g++ {
+		if !plan.Done(g, withCkpt.Checkpoint) {
+			t.Fatalf("RunAll committed no result for planned group %d (keys %v)", g, plan.UnitKeys(g))
 		}
-		keys += len(u.keys)
+		keys += len(plan.UnitKeys(g))
 	}
 	if got := withCkpt.Checkpoint.Len(); got != keys {
 		t.Fatalf("RunAll committed %d keys, the plan %d", got, keys)
@@ -94,11 +96,11 @@ func TestRunAllMatchesPerExperimentRuns(t *testing.T) {
 	}
 }
 
-// TestPlanExecuteGeneratesEachTraceOnce: a worker executing a plan unit
-// by unit, as a lease does, runs the generator once per distinct trace,
-// like RunAll. fig4's stream units and fig8's CPU-model units share
-// every trace, so unless the group knows it runs the CPU model the
-// stream units would run the generator a second time.
+// TestPlanExecuteGeneratesEachTraceOnce: a worker executing a plan
+// group by group, as its leases arrive, runs the generator once per
+// distinct trace, like RunAll: fig4's stream units and fig8's CPU-model
+// units of one trace share its group's one pass, and nothing is left
+// resident between passes.
 func TestPlanExecuteGeneratesEachTraceOnce(t *testing.T) {
 	defer ResetTraceCache()
 	opts := tinyOpts()
@@ -109,18 +111,26 @@ func TestPlanExecuteGeneratesEachTraceOnce(t *testing.T) {
 	}
 	ResetTraceCache()
 	traces := map[traceKey]bool{}
-	for i, u := range plan.units {
+	for _, u := range plan.units {
 		traces[u.trace()] = true
-		if _, err := plan.Execute(i); err != nil {
-			t.Fatalf("unit %s: %v", plan.Key(i), err)
+	}
+	if plan.Len() != len(traces) {
+		t.Fatalf("plan has %d groups for %d distinct traces", plan.Len(), len(traces))
+	}
+	for g := 0; g < plan.Len(); g++ {
+		raws, err := plan.Execute(g)
+		if err != nil {
+			t.Fatalf("group %d: %v", g, err)
+		}
+		if len(raws) != len(plan.UnitKeys(g)) {
+			t.Fatalf("group %d: %d results for %d keys", g, len(raws), len(plan.UnitKeys(g)))
+		}
+		if c := TraceCacheStats(); c.Bytes != 0 {
+			t.Fatalf("group %d left %d trace bytes resident", g, c.Bytes)
 		}
 	}
-	c := TraceCacheStats()
-	if c.Generations != uint64(len(traces)) {
+	if c := TraceCacheStats(); c.Generations != uint64(len(traces)) {
 		t.Errorf("plan ran the generator %d times for %d distinct traces", c.Generations, len(traces))
-	}
-	if held := heldBytes(plan.group); c.Bytes != held {
-		t.Errorf("%d trace bytes resident, the last group holds %d", c.Bytes, held)
 	}
 }
 

@@ -146,7 +146,7 @@ func campaignUnits(opts Opts, exps []Experiment) []unit {
 type unit struct {
 	keys []string
 	// opts and prof name the trace the unit replays: consecutive units
-	// on one trace form a scheduler group.
+	// on one trace form a scheduler group, which runs as one pass.
 	opts Opts
 	prof *workload.Profile
 	// label names the unit in telemetry spans and the slowest-unit
@@ -155,32 +155,43 @@ type unit struct {
 	// owner is the experiment whose per-experiment telemetry the unit
 	// counts toward: the first in a campaign to declare it.
 	owner string
-	// exec simulates the unit on its trace group's payloads, returning
-	// one result per key; decode parses one checkpointed result.
-	exec   func(*traceGroup) ([]any, error)
+	// reads is the stream the unit's engine reads from each chunk.
+	reads stream
+	// start builds the unit's engine for one pass, whose results are
+	// one per key; decode parses one checkpointed result.
+	start  func() (engine[[]any], error)
 	decode func(json.RawMessage) (any, error)
 	// replays marks a miss-rate unit: its simulated accesses count
 	// toward the experiment.accesses metric.
 	replays bool
-	// records marks a unit that runs the CPU model on the record trace.
-	records bool
+}
+
+// An engine is one unit's consumer in a pass: feed takes the stream the
+// unit reads, chunk by chunk in trace order, and results returns what
+// it computed once the last chunk is in.
+type engine[R any] struct {
+	feed    func(*chunk)
+	results func() (R, error)
 }
 
 // newUnit builds a unit whose results are all of type R.
-func newUnit[R any](opts Opts, p *workload.Profile, label string, keys []string,
-	exec func(*traceGroup) ([]R, error)) unit {
+func newUnit[R any](opts Opts, p *workload.Profile, label string, keys []string, reads stream,
+	start func() (engine[[]R], error)) unit {
 	return unit{
-		keys: keys, opts: opts, prof: p, label: label,
-		exec: func(tg *traceGroup) ([]any, error) {
-			rs, err := exec(tg)
+		keys: keys, opts: opts, prof: p, label: label, reads: reads,
+		start: func() (engine[[]any], error) {
+			e, err := start()
 			if err != nil {
-				return nil, err
+				return engine[[]any]{}, err
 			}
-			out := make([]any, len(rs))
-			for i, r := range rs {
-				out[i] = r
-			}
-			return out, nil
+			return engine[[]any]{feed: e.feed, results: func() ([]any, error) {
+				rs, err := e.results()
+				out := make([]any, len(rs))
+				for i, r := range rs {
+					out[i] = r
+				}
+				return out, err
+			}}, nil
 		},
 		decode: func(raw json.RawMessage) (any, error) {
 			var r R
@@ -209,16 +220,16 @@ func result[R any](res results, key string) (R, error) {
 
 // A grid is the unit list of a (profile × configuration) experiment:
 // one unit per pair, grouped by profile so a profile's configurations
-// share its trace. Labels read "<id>/<profile>/<config>".
+// share its trace's pass. Labels read "<id>/<profile>/<config>".
 type grid[R any] struct {
 	id       string
 	opts     Opts
 	profiles []*workload.Profile
 	configs  []string
-	run      func(tg *traceGroup, c int) (R, error)
-	// records marks a grid whose runs replay the record trace through
-	// the CPU model (runRecords).
-	records bool
+	// run builds the engine of p's run on config c, which reads the
+	// grid's stream.
+	run   func(p *workload.Profile, c int) (engine[R], error)
+	reads stream
 }
 
 // key is the checkpoint key of p's result on config c. id names the
@@ -232,16 +243,21 @@ func (g grid[R]) units() []unit {
 	us := make([]unit, 0, len(g.profiles)*len(g.configs))
 	for _, p := range g.profiles {
 		for c, cfg := range g.configs {
-			u := newUnit(g.opts, p, fmt.Sprintf("%s/%s/%s", g.id, p.Name, cfg),
-				[]string{g.key(p, c)}, func(tg *traceGroup) ([]R, error) {
-					r, err := g.run(tg, c)
+			wrap := func(err error) error { return fmt.Errorf("%s/%s: %w", p.Name, cfg, err) }
+			us = append(us, newUnit(g.opts, p, fmt.Sprintf("%s/%s/%s", g.id, p.Name, cfg),
+				[]string{g.key(p, c)}, g.reads, func() (engine[[]R], error) {
+					e, err := g.run(p, c)
 					if err != nil {
-						return nil, fmt.Errorf("%s/%s: %w", p.Name, cfg, err)
+						return engine[[]R]{}, wrap(err)
 					}
-					return []R{r}, nil
-				})
-			u.records = g.records
-			us = append(us, u)
+					return engine[[]R]{feed: e.feed, results: func() ([]R, error) {
+						r, err := e.results()
+						if err != nil {
+							return nil, wrap(err)
+						}
+						return []R{r}, nil
+					}}, nil
+				}))
 		}
 	}
 	return us

@@ -11,7 +11,6 @@ import (
 	"bcache/internal/rng"
 	"bcache/internal/stats"
 	"bcache/internal/threec"
-	"bcache/internal/trace"
 	"bcache/internal/vm"
 	"bcache/internal/workload"
 )
@@ -76,25 +75,24 @@ type relatedRun struct {
 func xRelatedGrid(opts Opts) grid[relatedRun] {
 	specs := append([]Spec{baselineSpec()}, relatedSpecs()...)
 	return grid[relatedRun]{id: "xrelated", opts: opts, profiles: workload.All(), configs: specNames(specs),
-		run: func(tg *traceGroup, c int) (relatedRun, error) {
-			at, err := tg.data()
-			if err != nil {
-				return relatedRun{}, err
-			}
+		run: func(_ *workload.Profile, c int) (engine[relatedRun], error) {
 			cc, err := specs[c].New(opts.L1Size, opts.LineBytes)
 			if err != nil {
-				return relatedRun{}, err
+				return engine[relatedRun]{}, err
 			}
 			var r relatedRun
-			for _, m := range at.accs {
-				res := cc.Access(m.Addr(), m.Write())
-				if res.Hit {
-					r.Hits++
-					r.Extra += uint64(res.ExtraLatency)
+			return engine[relatedRun]{feed: func(ch *chunk) {
+				for _, m := range ch.data {
+					res := cc.Access(m.Addr(), m.Write())
+					if res.Hit {
+						r.Hits++
+						r.Extra += uint64(res.ExtraLatency)
+					}
 				}
-			}
-			r.Misses = cc.Stats().Misses
-			return r, nil
+			}, results: func() (relatedRun, error) {
+				r.Misses = cc.Stats().Misses
+				return r, nil
+			}}, nil
 		}}
 }
 
@@ -147,50 +145,48 @@ func xVIPTGrid(opts Opts) grid[[]UnitResult] {
 	bcSpec := bcacheSpec(8, 8, cache.LRU)
 	return grid[[]UnitResult]{id: "xvipt", opts: opts, profiles: mustProfiles("equake", "crafty", "gcc", "mcf"),
 		configs: []string{bcSpec.Name},
-		run: func(tg *traceGroup, _ int) ([]UnitResult, error) {
-			at, err := tg.data()
-			if err != nil {
-				return nil, err
-			}
+		run: func(*workload.Profile, int) (engine[[]UnitResult], error) {
 			colored, err := vm.NewAddressSpace(vm.Config{PageBytes: pageBytes, ColorBits: 4, Policy: vm.Colored, Seed: 1})
 			if err != nil {
-				return nil, err
+				return engine[[]UnitResult]{}, err
 			}
 			arbitrary, err := vm.NewAddressSpace(vm.Config{PageBytes: pageBytes, Policy: vm.Arbitrary, Seed: 1})
 			if err != nil {
-				return nil, err
+				return engine[[]UnitResult]{}, err
 			}
 			pipt, err := bcSpec.New(opts.L1Size, opts.LineBytes)
 			if err != nil {
-				return nil, err
+				return engine[[]UnitResult]{}, err
 			}
-			for _, m := range at.accs {
-				pipt.Access(colored.Translate(m.Addr()), m.Write())
-			}
-			r := []UnitResult{statsResult(pipt)}
-			var tlbRun UnitResult
+			// The PIPT run translates each access first, so the colored
+			// space maps a page before a VIPT run translates through it.
+			var bcs [2]cache.Cache
+			var tlbs [2]*vm.TLB
+			var vipts [2]*vm.VIPT
 			for i, as := range []*vm.AddressSpace{colored, arbitrary} {
-				bc, err := bcSpec.New(opts.L1Size, opts.LineBytes)
-				if err != nil {
-					return nil, err
+				if bcs[i], err = bcSpec.New(opts.L1Size, opts.LineBytes); err != nil {
+					return engine[[]UnitResult]{}, err
 				}
-				tlb, err := vm.NewTLB(64)
-				if err != nil {
-					return nil, err
+				if tlbs[i], err = vm.NewTLB(64); err != nil {
+					return engine[[]UnitResult]{}, err
 				}
-				vipt, err := vm.NewVIPT(bc, as, tlb, 17)
-				if err != nil {
-					return nil, err
-				}
-				for _, m := range at.accs {
-					vipt.Access(m.Addr(), m.Write())
-				}
-				r = append(r, statsResult(bc))
-				if i == 0 {
-					tlbRun = UnitResult{Misses: tlb.Misses, Accesses: tlb.Hits + tlb.Misses}
+				if vipts[i], err = vm.NewVIPT(bcs[i], as, tlbs[i], 17); err != nil {
+					return engine[[]UnitResult]{}, err
 				}
 			}
-			return append(r, tlbRun), nil
+			return engine[[]UnitResult]{feed: func(ch *chunk) {
+				for _, m := range ch.data {
+					pipt.Access(colored.Translate(m.Addr()), m.Write())
+				}
+				for _, vipt := range vipts {
+					for _, m := range ch.data {
+						vipt.Access(m.Addr(), m.Write())
+					}
+				}
+			}, results: func() ([]UnitResult, error) {
+				return []UnitResult{statsResult(pipt), statsResult(bcs[0]), statsResult(bcs[1]),
+					{Misses: tlbs[0].Misses, Accesses: tlbs[0].Hits + tlbs[0].Misses}}, nil
+			}}, nil
 		}}
 }
 
@@ -231,50 +227,52 @@ func xRecolorGrid(opts Opts) grid[recolorRun] {
 	specs := []Spec{baselineSpec(), setAssocSpec(2, 0), bcacheSpec(8, 8, cache.LRU)}
 	return grid[recolorRun]{id: "xrecolor", opts: opts, profiles: mustProfiles("equake", "crafty", "twolf", "gcc"),
 		configs: []string{"phys", "recolor"},
-		run: func(tg *traceGroup, c int) (recolorRun, error) {
-			at, err := tg.data()
-			if err != nil {
-				return recolorRun{}, err
-			}
+		run: func(_ *workload.Profile, c int) (engine[recolorRun], error) {
 			as, err := vm.NewAddressSpace(vm.Config{PageBytes: pageBytes, Policy: vm.Arbitrary, Seed: 2})
 			if err != nil {
-				return recolorRun{}, err
+				return engine[recolorRun]{}, err
 			}
 			if c == 0 {
 				caches := make([]cache.Cache, len(specs))
 				for i, s := range specs {
 					if caches[i], err = s.New(opts.L1Size, opts.LineBytes); err != nil {
-						return recolorRun{}, err
+						return engine[recolorRun]{}, err
 					}
 				}
-				for _, m := range at.accs {
-					pa := as.Translate(m.Addr())
+				return engine[recolorRun]{feed: func(ch *chunk) {
+					for _, m := range ch.data {
+						pa := as.Translate(m.Addr())
+						for _, cc := range caches {
+							cc.Access(pa, m.Write())
+						}
+					}
+				}, results: func() (recolorRun, error) {
+					var r recolorRun
 					for _, cc := range caches {
-						cc.Access(pa, m.Write())
+						r.Caches = append(r.Caches, statsResult(cc))
 					}
-				}
-				var r recolorRun
-				for _, cc := range caches {
-					r.Caches = append(r.Caches, statsResult(cc))
-				}
-				return r, nil
+					return r, nil
+				}}, nil
 			}
 			rc, err := vm.NewRecolorer(as, opts.L1Size, 24)
 			if err != nil {
-				return recolorRun{}, err
+				return engine[recolorRun]{}, err
 			}
 			dm, err := specs[0].New(opts.L1Size, opts.LineBytes)
 			if err != nil {
-				return recolorRun{}, err
+				return engine[recolorRun]{}, err
 			}
-			for _, m := range at.accs {
-				pa := as.Translate(m.Addr())
-				rc.Note(m.Addr(), pa)
-				if !dm.Access(pa, m.Write()).Hit {
-					rc.OnMiss(pa)
+			return engine[recolorRun]{feed: func(ch *chunk) {
+				for _, m := range ch.data {
+					pa := as.Translate(m.Addr())
+					rc.Note(m.Addr(), pa)
+					if !dm.Access(pa, m.Write()).Hit {
+						rc.OnMiss(pa)
+					}
 				}
-			}
-			return recolorRun{Caches: []UnitResult{statsResult(dm)}, Remaps: rc.Remaps}, nil
+			}, results: func() (recolorRun, error) {
+				return recolorRun{Caches: []UnitResult{statsResult(dm)}, Remaps: rc.Remaps}, nil
+			}}, nil
 		}}
 }
 
@@ -306,23 +304,20 @@ func xDrowsyGrid(opts Opts) grid[float64] {
 	specs := dmBCSpecs()
 	return grid[float64]{id: "xdrowsy", opts: opts, profiles: mustProfiles("equake", "crafty", "art", "mcf", "gcc"),
 		configs: specNames(specs),
-		run: func(tg *traceGroup, c int) (float64, error) {
-			at, err := tg.data()
-			if err != nil {
-				return 0, err
-			}
+		run: func(_ *workload.Profile, c int) (engine[float64], error) {
 			cc, err := specs[c].New(opts.L1Size, opts.LineBytes)
 			if err != nil {
-				return 0, err
+				return engine[float64]{}, err
 			}
 			d, err := stats.NewDrowsyTracker(cc.Geometry().Frames, window)
 			if err != nil {
-				return 0, err
+				return engine[float64]{}, err
 			}
-			for _, m := range at.accs {
-				d.Touch(cc.Access(m.Addr(), m.Write()).Frame)
-			}
-			return d.DrowsyFraction(), nil
+			return engine[float64]{feed: func(ch *chunk) {
+				for _, m := range ch.data {
+					d.Touch(cc.Access(m.Addr(), m.Write()).Frame)
+				}
+			}, results: func() (float64, error) { return d.DrowsyFraction(), nil }}, nil
 		}}
 }
 
@@ -355,23 +350,20 @@ func x3CGrid(opts Opts) grid[threec.Counts] {
 	specs := dmBCSpecs()
 	return grid[threec.Counts]{id: "x3c", opts: opts,
 		profiles: mustProfiles("equake", "crafty", "gcc", "art", "mcf", "wupwise"), configs: specNames(specs),
-		run: func(tg *traceGroup, c int) (threec.Counts, error) {
-			at, err := tg.data()
-			if err != nil {
-				return threec.Counts{}, err
-			}
+		run: func(_ *workload.Profile, c int) (engine[threec.Counts], error) {
 			under, err := specs[c].New(opts.L1Size, opts.LineBytes)
 			if err != nil {
-				return threec.Counts{}, err
+				return engine[threec.Counts]{}, err
 			}
 			cl, err := threec.New(under)
 			if err != nil {
-				return threec.Counts{}, err
+				return engine[threec.Counts]{}, err
 			}
-			for _, m := range at.accs {
-				cl.Access(m.Addr(), m.Write())
-			}
-			return cl.Counts(), nil
+			return engine[threec.Counts]{feed: func(ch *chunk) {
+				for _, m := range ch.data {
+					cl.Access(m.Addr(), m.Write())
+				}
+			}, results: func() (threec.Counts, error) { return cl.Counts(), nil }}, nil
 		}}
 }
 
@@ -403,9 +395,35 @@ func renderX3C(_ Opts, g grid[threec.Counts], runs [][]threec.Counts) []*Table {
 }
 
 func init() {
-	register(gridExperiment("xprefetch",
+	register(timedExtension("xprefetch",
 		"Stream-buffer prefetching is orthogonal to B-Cache balancing (IPC)",
 		xPrefetchGrid, renderXPrefetch))
+}
+
+// timedExtension builds an experiment that compares own's runs with the
+// timed sweep's baseline and B-Cache runs of the same profiles: its
+// units are those timed runs, committed under the timed family's keys
+// (so a campaign with fig8 simulates them once), then own's. render
+// gets both indexed [profile][config].
+func timedExtension[R any](id, title string, own func(Opts) grid[R],
+	render func(g grid[R], timed [][]timedRun, runs [][]R) []*Table) Experiment {
+	return Experiment{ID: id, Title: title,
+		Units: func(opts Opts) []unit {
+			g := own(opts)
+			return append(timedDMBC(opts, g.profiles).units(), g.units()...)
+		},
+		Render: func(opts Opts, res results) ([]*Table, error) {
+			g := own(opts)
+			timed, err := timedDMBC(opts, g.profiles).collect(res)
+			if err != nil {
+				return nil, err
+			}
+			runs, err := g.collect(res)
+			if err != nil {
+				return nil, err
+			}
+			return render(g, timed, runs), nil
+		}}
 }
 
 // prefetchRun is one benchmark's timed run under one xprefetch config.
@@ -419,31 +437,28 @@ type prefetchRun struct {
 // a stream buffer attacks sequential (capacity/compulsory) misses, the
 // B-Cache attacks conflict misses. On streaming benchmarks the buffer
 // wins; on conflict-bound ones the B-Cache wins; together they compose.
-// In config c, bit 1 selects the B-Cache L1s and bit 0 the stream
-// buffer.
+// Its configs add an 8-entry stream buffer to the direct-mapped (dm+sb)
+// and the B-Cache (bc+sb) L1s; the runs without one are the timed
+// sweep's.
 func xPrefetchGrid(opts Opts) grid[prefetchRun] {
 	return grid[prefetchRun]{id: "xprefetch", opts: opts,
 		profiles: mustProfiles("art", "swim", "equake", "crafty", "mcf"),
-		configs:  []string{"dm", "dm+sb", "bc", "bc+sb"},
-		run: func(tg *traceGroup, c int) (prefetchRun, error) {
+		configs:  []string{"dm+sb", "bc+sb"},
+		run: func(_ *workload.Profile, c int) (engine[prefetchRun], error) {
 			cfg := hier.Defaults()
-			if c&1 != 0 {
-				cfg.StreamBuffer = 8
-			}
-			h, err := newL1Hierarchy(opts, c&2 != 0, cfg)
+			cfg.StreamBuffer = 8
+			h, err := newL1Hierarchy(opts, c == 1, cfg)
 			if err != nil {
-				return prefetchRun{}, err
+				return engine[prefetchRun]{}, err
 			}
-			res, err := runRecords(tg, h, cpu.Defaults())
-			if err != nil {
-				return prefetchRun{}, err
-			}
-			return prefetchRun{CPU: res, StreamHits: h.StreamHits, Prefetches: h.Prefetches}, nil
+			return cpuEngine(h, cpu.Defaults(), func(res cpu.Result) (prefetchRun, error) {
+				return prefetchRun{CPU: res, StreamHits: h.StreamHits, Prefetches: h.Prefetches}, nil
+			})
 		},
-		records: true}
+		reads: recordStream}
 }
 
-func renderXPrefetch(_ Opts, g grid[prefetchRun], runs [][]prefetchRun) []*Table {
+func renderXPrefetch(g grid[prefetchRun], timed [][]timedRun, runs [][]prefetchRun) []*Table {
 	t := &Table{
 		ID:    "xprefetch",
 		Title: "IPC with and without an 8-entry data stream buffer",
@@ -453,12 +468,12 @@ func renderXPrefetch(_ Opts, g grid[prefetchRun], runs [][]prefetchRun) []*Table
 		},
 	}
 	for pi, p := range g.profiles {
-		r := runs[pi]
+		dm, bc, dmSB, bcSB := timed[pi][0].CPU, timed[pi][1].CPU, runs[pi][0], runs[pi][1]
 		sbRate := 0.0
-		if r[1].Prefetches > 0 {
-			sbRate = float64(r[1].StreamHits) / float64(r[1].Prefetches)
+		if dmSB.Prefetches > 0 {
+			sbRate = float64(dmSB.StreamHits) / float64(dmSB.Prefetches)
 		}
-		t.AddRow(p.Name, f3(r[0].CPU.IPC()), f3(r[1].CPU.IPC()), f3(r[2].CPU.IPC()), f3(r[3].CPU.IPC()), pct(sbRate))
+		t.AddRow(p.Name, f3(dm.IPC()), f3(dmSB.CPU.IPC()), f3(bc.IPC()), f3(bcSB.CPU.IPC()), pct(sbRate))
 	}
 	return []*Table{t}
 }
@@ -497,17 +512,6 @@ func newL1Hierarchy(opts Opts, useBC bool, cfg hier.Config) (*hier.Hierarchy, er
 	return hier.New(ic, dc, cfg)
 }
 
-// runRecords runs tg's record trace through the CPU model on h. Call
-// it from a unit of a grid marked records, so that tg extracts its
-// streams from the record trace too.
-func runRecords(tg *traceGroup, h *hier.Hierarchy, cfg cpu.Config) (cpu.Result, error) {
-	rt, err := tg.records()
-	if err != nil {
-		return cpu.Result{}, err
-	}
-	return cpu.Run(trace.NewSliceStream(rt.recs), h, cfg, tg.key.instructions)
-}
-
 func init() {
 	register(gridExperiment("xl2",
 		"The B-Cache mechanism applied at the L2 (misses per 1k instructions)",
@@ -522,29 +526,26 @@ func xL2Grid(opts Opts) grid[UnitResult] {
 	l2s := []Spec{baselineSpec(), bcacheSpec(8, 8, cache.LRU), setAssocSpec(cfg.L2Ways, 0)}
 	return grid[UnitResult]{id: "xl2", opts: opts, profiles: mustProfiles("mcf", "gcc", "equake", "ammp"),
 		configs: []string{"dm-l2", "bcache-l2", "4way-l2"},
-		run: func(tg *traceGroup, c int) (UnitResult, error) {
+		run: func(_ *workload.Profile, c int) (engine[UnitResult], error) {
 			ic, err := cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
 			if err != nil {
-				return UnitResult{}, err
+				return engine[UnitResult]{}, err
 			}
 			dc, err := cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
 			if err != nil {
-				return UnitResult{}, err
+				return engine[UnitResult]{}, err
 			}
 			l2, err := l2s[c].New(cfg.L2Size, cfg.L2Line)
 			if err != nil {
-				return UnitResult{}, err
+				return engine[UnitResult]{}, err
 			}
 			h, err := hier.NewWithL2(ic, dc, l2, cfg)
 			if err != nil {
-				return UnitResult{}, err
+				return engine[UnitResult]{}, err
 			}
-			if _, err := runRecords(tg, h, cpu.Defaults()); err != nil {
-				return UnitResult{}, err
-			}
-			return statsResult(l2), nil
+			return cpuEngine(h, cpu.Defaults(), func(cpu.Result) (UnitResult, error) { return statsResult(l2), nil })
 		},
-		records: true}
+		reads: recordStream}
 }
 
 func renderXL2(_ Opts, g grid[UnitResult], runs [][]UnitResult) []*Table {
@@ -614,7 +615,7 @@ func renderXLine(opts Opts, runs results) ([]*Table, error) {
 }
 
 func init() {
-	register(gridExperiment("xwindow",
+	register(timedExtension("xwindow",
 		"Instruction-window sensitivity: how much miss latency the window hides",
 		xWindowGrid, renderXWindow))
 }
@@ -627,27 +628,32 @@ var xWindows = []int{8, 16, 32, 64}
 // larger window hides almost none of their latency: the B-Cache's gain
 // is flat across window sizes. Out-of-order execution is not a
 // substitute for removing conflict misses — the observation that
-// motivates the paper. Config 2w+b runs xWindows[w] on the
-// direct-mapped (b=0) or B-Cache (b=1) L1s.
+// motivates the paper. Config 2w+b runs the w-th window other than the
+// Table 4 default on the direct-mapped (b=0) or B-Cache (b=1) L1s; the
+// default window's runs are the timed sweep's.
 func xWindowGrid(opts Opts) grid[cpu.Result] {
 	var configs []string
+	var windows []int
 	for _, w := range xWindows {
-		configs = append(configs, fmt.Sprintf("w%d/dm", w), fmt.Sprintf("w%d/bc", w))
+		if w != cpu.Defaults().Window {
+			configs = append(configs, fmt.Sprintf("w%d/dm", w), fmt.Sprintf("w%d/bc", w))
+			windows = append(windows, w)
+		}
 	}
 	return grid[cpu.Result]{id: "xwindow", opts: opts, profiles: mustProfiles("equake"), configs: configs,
-		run: func(tg *traceGroup, c int) (cpu.Result, error) {
+		run: func(_ *workload.Profile, c int) (engine[cpu.Result], error) {
 			h, err := newL1Hierarchy(opts, c%2 == 1, hier.Defaults())
 			if err != nil {
-				return cpu.Result{}, err
+				return engine[cpu.Result]{}, err
 			}
 			cfg := cpu.Defaults()
-			cfg.Window = xWindows[c/2]
-			return runRecords(tg, h, cfg)
+			cfg.Window = windows[c/2]
+			return cpuEngine(h, cfg, func(res cpu.Result) (cpu.Result, error) { return res, nil })
 		},
-		records: true}
+		reads: recordStream}
 }
 
-func renderXWindow(_ Opts, _ grid[cpu.Result], runs [][]cpu.Result) []*Table {
+func renderXWindow(_ grid[cpu.Result], timed [][]timedRun, runs [][]cpu.Result) []*Table {
 	t := &Table{
 		ID:    "xwindow",
 		Title: "equake IPC vs window size (baseline / B-Cache / B-Cache gain)",
@@ -656,8 +662,15 @@ func renderXWindow(_ Opts, _ grid[cpu.Result], runs [][]cpu.Result) []*Table {
 			"window", "dm-IPC", "bc-IPC", "bc-gain",
 		},
 	}
-	for w, window := range xWindows {
-		dm, bc := runs[0][2*w].IPC(), runs[0][2*w+1].IPC()
+	own := runs[0]
+	for _, window := range xWindows {
+		var dm, bc float64
+		if window == cpu.Defaults().Window {
+			dm, bc = timed[0][0].CPU.IPC(), timed[0][1].CPU.IPC()
+		} else {
+			dm, bc = own[0].IPC(), own[1].IPC()
+			own = own[2:]
+		}
 		t.AddRow(fmt.Sprintf("%d", window), f3(dm), f3(bc), pct(bc/dm-1))
 	}
 	return []*Table{t}

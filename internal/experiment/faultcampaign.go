@@ -93,25 +93,19 @@ func faultGrid(opts Opts) grid[faultCell] {
 		configs = append(configs, fmt.Sprintf("MF%d-BAS%d-r%g-%s", r.mf, r.bas, r.rate, r.prot))
 	}
 	return grid[faultCell]{id: "fault", opts: opts, profiles: profiles, configs: configs,
-		run: func(tg *traceGroup, ri int) (faultCell, error) {
-			pi := slices.IndexFunc(profiles, func(p *workload.Profile) bool { return p.Name == tg.prof.Name })
-			return runFaultCell(opts, tg, rows[ri], campaignSeed(ri, pi))
+		run: func(p *workload.Profile, ri int) (engine[faultCell], error) {
+			return faultEngine(opts, rows[ri], campaignSeed(ri, slices.Index(profiles, p)))
 		}}
 }
 
-// runFaultCell replays tg's data stream through a fault-injected
-// B-Cache.
-func runFaultCell(opts Opts, tg *traceGroup, r faultRow, seed uint64) (faultCell, error) {
-	at, err := tg.data()
-	if err != nil {
-		return faultCell{}, fmt.Errorf("%s: %w", tg.prof.Name, err)
-	}
+// faultEngine replays a data stream through a fault-injected B-Cache.
+func faultEngine(opts Opts, r faultRow, seed uint64) (engine[faultCell], error) {
 	bc, err := core.New(core.Config{
 		SizeBytes: opts.L1Size, LineBytes: opts.LineBytes,
 		MF: r.mf, BAS: r.bas,
 	})
 	if err != nil {
-		return faultCell{}, err
+		return engine[faultCell]{}, err
 	}
 	in, err := fault.Wrap(bc, fault.Config{
 		Rate:       r.rate,
@@ -120,20 +114,21 @@ func runFaultCell(opts Opts, tg *traceGroup, r faultRow, seed uint64) (faultCell
 		ScrubEvery: 4096,
 	})
 	if err != nil {
-		return faultCell{}, err
+		return engine[faultCell]{}, err
 	}
-	replayData(at.accs, in)
-	invErr := in.FinalScrub()
-	st := in.Stats()
-	scrub, _ := in.ScrubTotals()
-	cell := faultCell{Misses: st.Misses, Accesses: st.Accesses, Counts: in.Counts(), Repaired: scrub.Repaired}
-	if in.Degraded() {
-		cell.Degraded = 1
-	}
-	if invErr != nil && !in.Degraded() {
-		cell.Invariant = invErr.Error()
-	}
-	return cell, nil
+	return engine[faultCell]{feed: func(ch *chunk) { replayData(ch.data, in) }, results: func() (faultCell, error) {
+		invErr := in.FinalScrub()
+		st := in.Stats()
+		scrub, _ := in.ScrubTotals()
+		cell := faultCell{Misses: st.Misses, Accesses: st.Accesses, Counts: in.Counts(), Repaired: scrub.Repaired}
+		if in.Degraded() {
+			cell.Degraded = 1
+		}
+		if invErr != nil && !in.Degraded() {
+			cell.Invariant = invErr.Error()
+		}
+		return cell, nil
+	}}, nil
 }
 
 func renderFaultCampaign(opts Opts, g grid[faultCell], runs [][]faultCell) []*Table {

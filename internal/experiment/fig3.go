@@ -3,6 +3,7 @@ package experiment
 import (
 	"bcache/internal/cache"
 	"bcache/internal/core"
+	"bcache/internal/workload"
 )
 
 // Figure 3: the benchmark wupwise's data-cache miss rate and PD hit rate
@@ -36,20 +37,18 @@ func fig3GridMF(opts Opts, mfs []int) grid[UnitResult] {
 		specs = append(specs, bcacheSpec(mf, 8, cache.LRU))
 	}
 	return grid[UnitResult]{id: "fig3", opts: opts, profiles: mustProfiles("wupwise"), configs: specNames(specs),
-		run: func(tg *traceGroup, c int) (UnitResult, error) {
-			at, err := tg.data()
-			if err != nil {
-				return UnitResult{}, err
-			}
+		run: func(_ *workload.Profile, c int) (engine[UnitResult], error) {
 			cc, err := specs[c].New(opts.L1Size, opts.LineBytes)
 			if err != nil {
-				return UnitResult{}, err
+				return engine[UnitResult]{}, err
 			}
 			bc := cc.(*core.BCache)
-			replayData(at.accs, bc)
-			pd := bc.PDStats()
-			return UnitResult{Misses: bc.Stats().Misses, Accesses: bc.Stats().Accesses,
-				PDHit: pd.MissPDHit, PDMiss: pd.MissPDMiss}, nil
+			return engine[UnitResult]{feed: func(ch *chunk) { replayData(ch.data, bc) },
+				results: func() (UnitResult, error) {
+					pd := bc.PDStats()
+					return UnitResult{Misses: bc.Stats().Misses, Accesses: bc.Stats().Accesses,
+						PDHit: pd.MissPDHit, PDMiss: pd.MissPDMiss}, nil
+				}}, nil
 		}}
 }
 

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -14,150 +15,175 @@ import (
 	"bcache/internal/workload"
 )
 
-// TestTraceCacheSingleflight: concurrent requests for one group's
-// stream build it exactly once and all receive the same immutable
-// trace.
+// countingGrid is a grid over profiles whose every config counts the
+// data accesses its engine is fed, and fails (config fail, after the
+// pass) or panics in feed (config panic) when asked to.
+func countingGrid(opts Opts, profiles []*workload.Profile, configs []string) grid[int] {
+	return grid[int]{id: "count", opts: opts, profiles: profiles, configs: configs,
+		run: func(_ *workload.Profile, c int) (engine[int], error) {
+			n := 0
+			return engine[int]{feed: func(ch *chunk) {
+				if configs[c] == "panic" && n > 0 {
+					panic("engine blew up mid-pass")
+				}
+				n += len(ch.data)
+			}, results: func() (int, error) {
+				if configs[c] == "fail" {
+					return 0, errors.New("boom")
+				}
+				return n, nil
+			}}, nil
+		}}
+}
+
+// TestTraceCacheSingleflight: every unit of a group is fed from the
+// group's one pass: eight units on one trace run the generator once,
+// and each sees the whole data stream.
 func TestTraceCacheSingleflight(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
-	g := testGroup(tinyOpts(), mustProfile(t, "gcc"))
-	const callers = 8
-	traces := make([]*dataTrace, callers)
-	var wg sync.WaitGroup
-	wg.Add(callers)
-	for i := 0; i < callers; i++ {
-		go func(i int) {
-			defer wg.Done()
-			at, err := g.data()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			traces[i] = at
-		}(i)
+	ResetUnitMemo()
+	opts := tinyOpts()
+	opts.Workers = 4
+	p := mustProfile(t, "gcc")
+	g := countingGrid(opts, []*workload.Profile{p}, []string{"a", "b", "c", "d", "e", "f", "g", "h"})
+	res, err := runUnits(opts, g.units())
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	for i := 1; i < callers; i++ {
-		if traces[i] != traces[0] {
-			t.Fatalf("caller %d got a distinct trace instance", i)
+	wantData, _ := materialize(t, p, opts.Instructions, opts.LineBytes)
+	runs, err := g.collect(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, n := range runs[0] {
+		if n != len(wantData) {
+			t.Fatalf("unit %d was fed %d data accesses, the trace has %d", c, n, len(wantData))
 		}
 	}
-	c := TraceCacheStats()
-	// One data-stream build straight from the generator (the fetch
-	// stream built alongside it is kept, not missed).
-	if c.Misses != 1 || c.Hits != callers-1 || c.Generations != 1 {
-		t.Fatalf("counters = %+v, want 1 miss, %d hits, 1 generation", c, callers-1)
-	}
-	if c.Bytes < traces[0].sizeBytes() {
-		t.Fatalf("accounted %d bytes, access trace alone holds %d", c.Bytes, traces[0].sizeBytes())
+	if c := TraceCacheStats(); c.Generations != 1 || c.Misses != 1 || c.Hits != 0 {
+		t.Fatalf("counters = %+v, want 1 pass (generation and miss), 0 hits", c)
 	}
 }
 
-// TestTraceCacheKeying: one group returns one stream instance to every
-// request, and groups on a shifted seed or a different instruction
-// count build distinct ones.
+// TestTraceCacheKeying: units on a shifted seed or a different
+// instruction count are other traces: each group runs its own pass.
 func TestTraceCacheKeying(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
+	ResetUnitMemo()
 	opts := tinyOpts()
 	p := mustProfile(t, "equake")
 	shorter := opts
 	shorter.Instructions /= 2
-	g := testGroup(opts, p)
-	a1, err := g.data()
-	if err != nil {
+	var us []unit
+	for k, g := range []grid[int]{countingGrid(opts, []*workload.Profile{p}, []string{"a", "b"}),
+		countingGrid(opts, []*workload.Profile{withSeed(p, 1)}, []string{"a", "b"}),
+		countingGrid(shorter, []*workload.Profile{p}, []string{"a"})} {
+		g.id = fmt.Sprintf("count%d", k) // grid keys do not name the seed
+		us = append(us, g.units()...)
+	}
+	if len(groupStarts(us)) != 3 {
+		t.Fatalf("%d groups, want 3", len(groupStarts(us)))
+	}
+	if _, err := runUnits(opts, us); err != nil {
 		t.Fatal(err)
 	}
-	if a2, _ := g.data(); a2 != a1 {
-		t.Fatal("a repeat request rebuilt the stream")
-	}
-	as, _ := testGroup(opts, withSeed(p, 1)).data()
-	an, _ := testGroup(shorter, p).data()
-	if as == a1 || an == a1 || as == an {
-		t.Fatal("groups of distinct traces shared a stream")
-	}
-	c := TraceCacheStats()
-	// Three groups, each generated once.
-	if c.Misses != 3 || c.Hits != 1 || c.Generations != 3 {
-		t.Fatalf("counters = %+v, want 3 misses, 1 hit, 3 generations", c)
+	if c := TraceCacheStats(); c.Generations != 3 || c.Misses != 3 {
+		t.Fatalf("counters = %+v, want 3 passes", c)
 	}
 }
 
-// TestTraceCacheEviction: a stream that would take the resident bytes
-// past the budget goes to its requester and is not kept, the
-// accounting follows, and the group's next request rebuilds it —
-// bit-identically — with one more generator run.
+// TestTraceCacheEviction: nothing of a trace is kept between passes. A
+// campaign run again on a fresh memo regenerates every trace, once
+// each, and computes bit-identical results.
 func TestTraceCacheEviction(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
 	opts := tinyOpts()
-	p := mustProfile(t, "gcc")
-	dt, ft, err := materialize(p, opts.Instructions, opts.LineBytes)
-	if err != nil {
-		t.Fatal(err)
+	opts.Workers = 2
+	profiles := []*workload.Profile{mustProfile(t, "gcc"), mustProfile(t, "swim")}
+	var runs []results
+	for round := 1; round <= 2; round++ {
+		ResetUnitMemo()
+		res, err := runUnits(opts, sweep{opts, profiles, figureSpecs(), dSide}.units())
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, res)
+		if c := TraceCacheStats(); c.Generations != uint64(round*len(profiles)) || c.Bytes != 0 || c.Evictions != 0 {
+			t.Fatalf("round %d: %+v, want %d generations and nothing kept", round, c, round*len(profiles))
+		}
 	}
-	// Room for one group's stream pair, not two.
-	opts.TraceBytes = dt.sizeBytes() + ft.sizeBytes() + dt.sizeBytes()/2
-	if _, err := testGroup(opts, p).data(); err != nil {
-		t.Fatal(err)
-	}
-	g := testGroup(opts, withSeed(p, 1))
-	a1, err := g.data()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := TraceCacheStats()
-	if c.Evictions == 0 || heldBytes(g) != 0 {
-		t.Fatalf("a stream over budget was kept: %+v, group holds %d", c, heldBytes(g))
-	}
-	if c.Bytes > opts.TraceBytes {
-		t.Fatalf("%d bytes resident over budget %d", c.Bytes, opts.TraceBytes)
-	}
-	if c.Spills != 0 || c.SpillBytes != 0 || c.Reloads != 0 {
-		t.Fatalf("an unkept stream reached disk: %+v", c)
-	}
-	a2, err := g.data()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after := TraceCacheStats(); after.Generations != c.Generations+1 {
-		t.Fatalf("unkept stream: %d generations, want %d", after.Generations, c.Generations+1)
-	}
-	if a2 == a1 || !reflect.DeepEqual(a1, a2) {
-		t.Fatal("rebuilt stream is the first instance or differs from it")
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Fatal("a regenerated trace gave different results")
 	}
 }
 
-// TestTraceCacheBypass: a negative budget keeps nothing.
+// TestTraceCacheBypass: Opts.TraceBytes is accepted and ignored — a
+// negative, a tiny and the default value run the same passes and
+// render the same CSV — and nothing ever reaches disk.
 func TestTraceCacheBypass(t *testing.T) {
-	ResetTraceCache()
+	defer ResetTraceCache()
+	var csvs [][]byte
+	var counters []TraceCacheCounters
+	for _, budget := range []int64{0, 1, -1} {
+		ResetTraceCache()
+		ResetUnitMemo()
+		opts := tinyOpts()
+		opts.Instructions = 20_000
+		opts.TraceBytes = budget
+		csvs = append(csvs, runCSV(t, "table7", opts))
+		counters = append(counters, TraceCacheStats())
+	}
+	for k := 1; k < len(csvs); k++ {
+		if !bytes.Equal(csvs[k], csvs[0]) || counters[k] != counters[0] {
+			t.Fatalf("TraceBytes changed the run: %+v vs %+v", counters[k], counters[0])
+		}
+	}
+	if c := counters[0]; c.Reloads != 0 || c.Spills != 0 || c.SpillBytes != 0 {
+		t.Fatalf("a trace reached disk: %+v", c)
+	}
+}
+
+// TestPassFailingEngineFailsOnlyItsUnit: in one pass, an engine that
+// panics mid-pass and one that fails at the end each fail their own
+// unit only; the pass stops feeding the panicked engine, and every
+// sibling commits its full count.
+func TestPassFailingEngineFailsOnlyItsUnit(t *testing.T) {
+	ResetUnitMemo()
 	defer ResetTraceCache()
 	opts := tinyOpts()
-	opts.TraceBytes = -1
-	g := testGroup(opts, mustProfile(t, "gcc"))
-	a1, err := g.data()
-	if err != nil {
-		t.Fatal(err)
+	p := mustProfile(t, "gcc")
+	g := countingGrid(opts, []*workload.Profile{p}, []string{"a", "panic", "fail", "b"})
+	res, err := runUnits(opts, g.units())
+	if err == nil || !errors.Is(err, errUnitPanic) || !strings.Contains(err.Error(), "gcc/fail: boom") {
+		t.Fatalf("error = %v, want the panic and gcc/fail's failure", err)
 	}
-	a2, err := g.data()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1 == a2 {
-		t.Fatal("bypass mode returned a shared instance")
-	}
-	if c := TraceCacheStats(); c.Hits != 0 || c.Misses != 0 || c.Bytes != 0 {
-		t.Fatalf("bypass mode kept a payload: %+v", c)
+	wantData, _ := materialize(t, p, opts.Instructions, opts.LineBytes)
+	for c, cfg := range g.configs {
+		n, err := result[int](res, g.key(p, c))
+		switch cfg {
+		case "panic", "fail":
+			if err == nil {
+				t.Errorf("%s committed %d", cfg, n)
+			}
+		default:
+			if err != nil || n != len(wantData) {
+				t.Errorf("%s = %d, %v; want %d", cfg, n, err, len(wantData))
+			}
+		}
 	}
 }
 
 // TestSuiteZeroDuplicateGeneration: one trace-major campaign over the
 // full miss-rate fan-out generates each trace once — generations equal
 // the number of distinct (profile, seed) keys regardless of specs or
-// sides — and a repeat of it takes every result from the memo.
+// sides — and a repeat of it takes every result from the memo and runs
+// no pass.
 func TestSuiteZeroDuplicateGeneration(t *testing.T) {
 	ResetTraceCache()
-	ResetUnitMemo() // memoized units skip trace fetches entirely
+	ResetUnitMemo() // memoized units join no pass
 	defer ResetTraceCache()
 	opts := tinyOpts()
 	opts.Seeds = 2
@@ -174,16 +200,11 @@ func TestSuiteZeroDuplicateGeneration(t *testing.T) {
 	c := TraceCacheStats()
 	want := uint64(len(profiles) * opts.Seeds)
 	if c.Generations != want {
-		t.Fatalf("generated %d streams, want %d (duplicate generation)", c.Generations, want)
+		t.Fatalf("generated %d traces, want %d (duplicate generation)", c.Generations, want)
 	}
-	// One data build per distinct key, nothing more: no record trace is
-	// built, and the I-side units' fetch streams were cached as siblings
-	// of the D-side builds, so they hit instead of missing.
+	// One pass per distinct key feeds both sides' units.
 	if c.Misses != want {
-		t.Fatalf("built %d entries, want %d (duplicate builds)", c.Misses, want)
-	}
-	if c.Hits == 0 {
-		t.Fatal("cache recorded no hits across the campaign")
+		t.Fatalf("ran %d passes, want %d", c.Misses, want)
 	}
 }
 
@@ -198,8 +219,8 @@ func TestTimedResultsHonorUnitTimeout(t *testing.T) {
 	opts.UnitTimeout = time.Nanosecond
 	before := runtime.NumGoroutine()
 	_, err := runUnits(opts, timedGrid(opts).units())
-	// Let the abandoned units finish, so they cannot move the shared
-	// trace-cache counters under a later test.
+	// Let the abandoned passes stop, so they cannot move the shared
+	// trace counters under a later test.
 	for i := 0; runtime.NumGoroutine() > before && i < 1000; i++ {
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -220,10 +241,10 @@ func TestRunUnitsCoversAll(t *testing.T) {
 		{1, 4, 6},  // one group, shorter than its size
 	} {
 		seen := make([]atomic.Int32, tc.n)
-		err := runUnitsCtl(tc.n, tc.workers, unitOpts{Groups: fixedGroups(tc.n, tc.group)}, func(i int) (func(), error) {
+		err := runUnitsCtl(tc.n, tc.workers, unitOpts{Groups: fixedGroups(tc.n, tc.group)}, each(func(i int) (func(), error) {
 			seen[i].Add(1)
 			return nil, nil
-		})
+		}))
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -241,13 +262,13 @@ func TestRunUnitsCoversAll(t *testing.T) {
 func TestRunUnitsSurvivesFailure(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int32
-	err := runUnitsCtl(1000, 1, unitOpts{}, func(i int) (func(), error) {
+	err := runUnitsCtl(1000, 1, unitOpts{}, each(func(i int) (func(), error) {
 		ran.Add(1)
 		if i == 3 {
 			return nil, boom
 		}
 		return nil, nil
-	})
+	}))
 	if !errors.Is(err, boom) {
 		t.Fatalf("error = %v, want %v", err, boom)
 	}
@@ -261,11 +282,11 @@ func TestRunUnitsSurvivesFailure(t *testing.T) {
 func TestRunUnitsJoinsConcurrentErrors(t *testing.T) {
 	var gate sync.WaitGroup
 	gate.Add(2)
-	err := runUnitsCtl(2, 2, unitOpts{}, func(i int) (func(), error) {
+	err := runUnitsCtl(2, 2, unitOpts{}, each(func(i int) (func(), error) {
 		gate.Done()
 		gate.Wait() // both workers fail simultaneously
 		return nil, fmt.Errorf("unit %d failed", i)
-	})
+	}))
 	if err == nil {
 		t.Fatal("no error returned")
 	}
@@ -298,11 +319,13 @@ func TestProfileUnitsWrapsName(t *testing.T) {
 	profiles := workload.All()[:3]
 	boom := errors.New("boom")
 	g := grid[int]{id: "test", opts: tinyOpts(), profiles: profiles, configs: []string{"a", "b"},
-		run: func(tg *traceGroup, c int) (int, error) {
-			if tg.prof.Name == profiles[1].Name && c == 1 {
-				return 0, boom
-			}
-			return c + 1, nil
+		run: func(p *workload.Profile, c int) (engine[int], error) {
+			return engine[int]{feed: func(*chunk) {}, results: func() (int, error) {
+				if p.Name == profiles[1].Name && c == 1 {
+					return 0, boom
+				}
+				return c + 1, nil
+			}}, nil
 		}}
 	res, err := runUnits(g.opts, g.units())
 	if !errors.Is(err, boom) {

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"runtime"
@@ -35,9 +36,9 @@ type Opts struct {
 	// averages the results (noise control for small instruction counts).
 	// Zero or one means a single run with the canonical seed.
 	Seeds int
-	// TraceBytes bounds the trace bytes all trace groups keep resident:
-	// a group keeps a built stream only if it fits, and its record
-	// trace always. 0 uses the default budget; negative keeps nothing.
+	// TraceBytes is accepted and ignored: no trace is kept, so there is
+	// nothing to budget. It stays until the benchmark harness, which
+	// sets it, stops doing so.
 	TraceBytes int64
 	// Checkpoint, when non-nil, records the results of every completed
 	// work unit, of every experiment, and lets an interrupted run resume
@@ -109,7 +110,7 @@ func withSeed(p *workload.Profile, k int) *workload.Profile {
 }
 
 // memAcc is one data-cache access: the cache package's packed
-// address+direction word, 8 bytes per materialized access.
+// address+direction word, 8 bytes per access in a chunk's data stream.
 type memAcc = cache.MemAccess
 
 // Spec is a buildable L1 cache configuration.
@@ -340,64 +341,32 @@ func encode(vals []any) ([]json.RawMessage, error) {
 // runUnits executes units in one scheduler call and returns the result
 // under every key of every completed unit, alongside the joined error of
 // any that failed. Consecutive units on one trace form a scheduler
-// group that owns the trace's payloads (traceGroup), and the group's
-// end drops them; campaignUnits orders a campaign so each trace is one
-// group.
+// group, which runs as one pass over the trace (runPass);
+// campaignUnits orders a campaign so each trace is one group.
 //
 // Every unit takes one lookup/commit path: its keys are looked up in
 // opts.Checkpoint first (resume: results round-trip through JSON
-// exactly), then in the memo, and the unit simulates only when neither
-// holds all of them. A committed unit is recorded in both under the
-// same keys, whichever way it ran.
+// exactly), then in the memo, and the unit's engine joins the pass
+// only when neither holds all of them; a group with no such unit runs
+// no pass. A committed unit is recorded in both under the same keys,
+// whichever way it ran.
 func runUnits(opts Opts, units []unit) (results, error) {
 	cp := opts.Checkpoint
 	tel := CurrentTelemetry()
-	var starts []int
-	groupOf := make([]*traceGroup, len(units))
-	for i, u := range units {
-		if i > 0 && u.trace() == groupOf[i-1].key {
-			groupOf[i] = groupOf[i-1]
-			continue
-		}
-		starts = append(starts, i)
-		groupOf[i] = newTraceGroup(units, i)
-	}
 	// One slot per unit, written only by its own commit closure.
 	vals := make([][]any, len(units))
-	uo := unitOpts{
-		Timeout:   opts.UnitTimeout,
-		Retries:   opts.UnitRetries,
-		Groups:    starts,
-		Label:     func(i int) string { return units[i].label },
-		Owner:     func(i int) string { return units[i].owner },
-		GroupDone: func(g int) { groupOf[starts[g]].drop() },
-	}
-	err := runUnitsCtl(len(units), opts.workers(), uo, func(i int) (func(), error) {
+	// commit is unit i's commit of v: simulated by this run, or found
+	// in the memo.
+	commit := func(i int, v []any, simulated bool) outcome {
 		u := units[i]
-		if v, ok := lookupAll(u.keys, u.restore(cp)); ok {
-			return func() {
-				vals[i] = v
-				for x, key := range u.keys {
-					memo.Store(key, v[x])
-				}
-			}, nil
-		}
-		v, ok := lookupAll(u.keys, func(k string) (any, bool) { return memo.Load(k) })
-		simulated := !ok
-		if simulated {
-			var err error
-			if v, err = u.exec(groupOf[i]); err != nil {
-				return nil, err
-			}
-		}
 		var raws []json.RawMessage
 		if cp != nil {
 			var err error
 			if raws, err = encode(v); err != nil {
-				return nil, fmt.Errorf("%s: %w", u.label, err)
+				return outcome{err: fmt.Errorf("%s: %w", u.label, err)}
 			}
 		}
-		return func() {
+		return outcome{commit: func() {
 			vals[i] = v
 			for x, key := range u.keys {
 				if raws != nil {
@@ -412,7 +381,50 @@ func runUnits(opts Opts, units []unit) (results, error) {
 				tel.Emit(tracespan.Span{Kind: tracespan.KindAccesses, Name: u.label,
 					Worker: tracespan.SharedWorker, Unit: i, Count: int64(v[0].(UnitResult).Accesses)})
 			}
-		}, nil
+		}}
+	}
+	uo := unitOpts{
+		Timeout: opts.UnitTimeout,
+		Retries: opts.UnitRetries,
+		Groups:  groupStarts(units),
+		Label:   func(i int) string { return units[i].label },
+		Owner:   func(i int) string { return units[i].owner },
+	}
+	err := runUnitsCtl(len(units), opts.workers(), uo, func(ctx context.Context, idx []int) []outcome {
+		outs := make([]outcome, len(idx))
+		var pending, at []int // unit indices left to simulate, and their positions in idx
+		for x, i := range idx {
+			u := units[i]
+			if v, ok := lookupAll(u.keys, u.restore(cp)); ok {
+				outs[x].commit = func() {
+					vals[i] = v
+					for y, key := range u.keys {
+						memo.Store(key, v[y])
+					}
+				}
+			} else if v, ok := lookupAll(u.keys, func(k string) (any, bool) { return memo.Load(k) }); ok {
+				outs[x] = commit(i, v, false)
+			} else {
+				pending, at = append(pending, i), append(at, x)
+				continue
+			}
+			if tel != nil {
+				// A unit found by lookup takes no time of the pass.
+				outs[x].start = tel.now()
+			}
+		}
+		if len(pending) == 0 {
+			return outs
+		}
+		for x, po := range runGroupPass(ctx, units, pending, tel) {
+			out := po.outcome
+			if out.err == nil {
+				out = commit(pending[x], po.vals, true)
+				out.start, out.dur = po.start, po.dur
+			}
+			outs[at[x]] = out
+		}
+		return outs
 	})
 	res := make(results, len(units))
 	for i, u := range units {
@@ -426,51 +438,130 @@ func runUnits(opts Opts, units []unit) (results, error) {
 	return res, err
 }
 
-// execReplayUnit runs one replay of spec on tg's trace (whose profile
-// carries the replica seed): fetch the stream, build the cache, replay
-// the side, and return the raw counters. It is the exec of every sweep
-// replay unit, whether the in-process scheduler or a worker subprocess
-// (plan.go) runs it, so both compute bit-identical units.
-func execReplayUnit(opts Opts, s side, tg *traceGroup, spec Spec) (UnitResult, error) {
-	name := tg.prof.Name
-	c, err := spec.New(opts.L1Size, opts.LineBytes)
-	if err != nil {
-		return UnitResult{}, fmt.Errorf("%s/%s: %w", name, spec.Name, err)
-	}
-	// Fetch only the stream this side replays: a D-side unit never
-	// forces an I-side extraction, and vice versa.
-	switch s {
-	case dSide:
-		dt, err := tg.data()
-		if err != nil {
-			return UnitResult{}, fmt.Errorf("%s: %w", name, err)
+// groupStarts returns the first index of each run of consecutive units
+// of us on one trace: its scheduler groups.
+func groupStarts(us []unit) []int {
+	var starts []int
+	for i, u := range us {
+		if i == 0 || u.trace() != us[i-1].trace() {
+			starts = append(starts, i)
 		}
-		replayData(dt.accs, c)
-	case iSide:
-		ft, err := tg.fetch(opts.LineBytes)
-		if err != nil {
-			return UnitResult{}, fmt.Errorf("%s: %w", name, err)
-		}
-		replayFetch(ft.pcs, c)
 	}
-	st := c.Stats()
-	u := UnitResult{Misses: st.Misses, Accesses: st.Accesses}
-	if bc, ok := c.(*core.BCache); ok {
-		pd := bc.PDStats()
-		u.PDHit, u.PDMiss = pd.MissPDHit, pd.MissPDMiss
-	}
-	return u, nil
+	return starts
 }
 
-// execProfileUnit answers every spec in lru (indices into all, each
-// with LRUWays set) for tg's trace side with a single Mattson
+// passOutcome is a unit's outcome in a pass, with its results on
+// success.
+type passOutcome struct {
+	outcome
+	vals []any
+}
+
+// runGroupPass runs the units pending (indices into units, all on one
+// trace) as one pass: it starts each unit's engine, feeds them all from
+// one run of the generator, and collects each one's results. A unit
+// whose engine fails to start, panics or fails fails alone; a failing
+// generator fails them all. With a telemetry hub installed it emits the
+// pass's trace_build span and places the unit spans so they tile the
+// pass in feed order: the first unit's span also covers the pass's
+// generation and extraction, whose trace_build span nests in it.
+func runGroupPass(ctx context.Context, units []unit, pending []int, tel *Telemetry) []passOutcome {
+	outs := make([]passOutcome, len(pending))
+	fs := make([]*feeder, len(pending))
+	results := make([]func() ([]any, error), len(pending))
+	var live []*feeder
+	for x, i := range pending {
+		var e engine[[]any]
+		err := func() (err error) {
+			defer recovered(i, &err)
+			e, err = units[i].start()
+			return err
+		}()
+		if err != nil {
+			outs[x].err = err
+			continue
+		}
+		fs[x] = &feeder{unit: i, reads: units[i].reads, feed: e.feed}
+		results[x] = e.results
+		live = append(live, fs[x])
+	}
+	if len(live) == 0 {
+		return outs
+	}
+	var now func() time.Time
+	var start time.Time
+	if tel != nil {
+		now = tel.now
+		start = now()
+	}
+	u := units[pending[0]]
+	build, resident, err := runPass(ctx, u.prof, u.opts.Instructions, live, now)
+	if tel != nil {
+		tel.Emit(tracespan.Span{Kind: tracespan.KindTraceBuild, Name: u.prof.Name,
+			Worker: tracespan.SharedWorker, Unit: -1, StartUnixNano: start.UnixNano(),
+			DurNanos: int64(build), Bytes: resident})
+	}
+	at := start
+	lead := build
+	for x, i := range pending {
+		f := fs[x]
+		if f == nil {
+			continue
+		}
+		out := &outs[x]
+		switch {
+		case err != nil:
+			out.err = fmt.Errorf("%s: %w", u.prof.Name, err)
+		case f.err != nil:
+			out.err = f.err
+		default:
+			out.err = func() (err error) {
+				defer recovered(i, &err)
+				out.vals, err = results[x]()
+				return err
+			}()
+		}
+		if tel != nil {
+			out.start, out.dur = at, lead+f.busy
+			at, lead = at.Add(out.dur), 0
+		}
+	}
+	return outs
+}
+
+// replayEngine is the engine of one replay of spec on one side of a
+// trace: build the cache, replay the side's stream through it, and
+// return the raw counters. It is the engine of every sweep replay
+// unit, whether the in-process scheduler or a worker subprocess
+// (plan.go) runs it, so both compute bit-identical units.
+func replayEngine(opts Opts, s side, spec Spec) (engine[[]UnitResult], error) {
+	c, err := spec.New(opts.L1Size, opts.LineBytes)
+	if err != nil {
+		return engine[[]UnitResult]{}, fmt.Errorf("%s: %w", spec.Name, err)
+	}
+	feed := func(ch *chunk) { replayData(ch.data, c) }
+	if s == iSide {
+		feed = func(ch *chunk) { replayFetch(ch.fetchAt(opts.LineBytes), c) }
+	}
+	return engine[[]UnitResult]{feed: feed, results: func() ([]UnitResult, error) {
+		st := c.Stats()
+		u := UnitResult{Misses: st.Misses, Accesses: st.Accesses}
+		if bc, ok := c.(*core.BCache); ok {
+			pd := bc.PDStats()
+			u.PDHit, u.PDMiss = pd.MissPDHit, pd.MissPDMiss
+		}
+		return []UnitResult{u}, nil
+	}}, nil
+}
+
+// profileEngine answers every spec in lru (indices into all, each with
+// LRUWays set) for one side of a trace with a single Mattson
 // stack-distance pass: under LRU's inclusion property an access hits a
 // (sets, ways) cache iff its per-set reuse distance is below ways, so
 // one profile yields the same hit/miss counts a per-spec replay would —
-// bit-identically — at a fraction of the work. It is the stack-distance
-// counterpart of execReplayUnit.
-func execProfileUnit(opts Opts, s side, tg *traceGroup, all []Spec, lru []int) ([]UnitResult, error) {
-	name := tg.prof.Name
+// bit-identically — at a fraction of the work. It is the
+// stack-distance counterpart of replayEngine.
+func profileEngine(opts Opts, s side, all []Spec, lru []int) (engine[[]UnitResult], error) {
 	frames := opts.L1Size / opts.LineBytes
 	geoms := make([]stackdist.Geom, len(lru))
 	for x, si := range lru {
@@ -479,35 +570,31 @@ func execProfileUnit(opts Opts, s side, tg *traceGroup, all []Spec, lru []int) (
 	}
 	prof, err := stackdist.NewProfile(opts.LineBytes, geoms)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
+		return engine[[]UnitResult]{}, err
 	}
-	switch s {
-	case dSide:
-		dt, err := tg.data()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		for _, m := range dt.accs {
+	feed := func(ch *chunk) {
+		for _, m := range ch.data {
 			prof.Access(m.Addr())
 		}
-	case iSide:
-		ft, err := tg.fetch(opts.LineBytes)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		for _, pc := range ft.pcs {
-			prof.Access(pc)
+	}
+	if s == iSide {
+		feed = func(ch *chunk) {
+			for _, pc := range ch.fetchAt(opts.LineBytes) {
+				prof.Access(pc)
+			}
 		}
 	}
-	out := make([]UnitResult, len(lru))
-	for x, g := range geoms {
-		misses, err := prof.Misses(g.Sets, g.Ways)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
+	return engine[[]UnitResult]{feed: feed, results: func() ([]UnitResult, error) {
+		out := make([]UnitResult, len(lru))
+		for x, g := range geoms {
+			misses, err := prof.Misses(g.Sets, g.Ways)
+			if err != nil {
+				return nil, err
+			}
+			out[x] = UnitResult{Misses: misses, Accesses: prof.Accesses()}
 		}
-		out[x] = UnitResult{Misses: misses, Accesses: prof.Accesses()}
-	}
-	return out, nil
+		return out, nil
+	}}, nil
 }
 
 // lruSpecIndices partitions all into stack-distance-profileable specs
@@ -560,28 +647,31 @@ func (sw sweep) key(spec Spec, k int, profile string) string {
 func (sw sweep) units() []unit {
 	all := sw.all()
 	lru, replayed := lruSpecIndices(sw.opts, all)
+	reads := dataStream
+	if sw.side == iSide {
+		reads = fetchStream(sw.opts.LineBytes)
+	}
 	var us []unit
 	add := func(p *workload.Profile, k int, specs []int, name string,
-		exec func(*traceGroup) ([]UnitResult, error)) {
+		start func() (engine[[]UnitResult], error)) {
 		keys := make([]string, len(specs))
 		for x, si := range specs {
 			keys[x] = sw.key(all[si], k, p.Name)
 		}
-		u := newUnit(sw.opts, withSeed(p, k), fmt.Sprintf("%s/%s/seed%d", p.Name, name, k), keys, exec)
+		u := newUnit(sw.opts, withSeed(p, k), fmt.Sprintf("%s/%s/seed%d", p.Name, name, k), keys, reads, start)
 		u.replays = true
 		us = append(us, u)
 	}
 	for _, p := range sw.profiles {
 		for k := 0; k < sw.opts.seeds(); k++ {
 			if len(lru) > 0 {
-				add(p, k, lru, profileSpecName, func(tg *traceGroup) ([]UnitResult, error) {
-					return execProfileUnit(sw.opts, sw.side, tg, all, lru)
+				add(p, k, lru, profileSpecName, func() (engine[[]UnitResult], error) {
+					return profileEngine(sw.opts, sw.side, all, lru)
 				})
 			}
 			for _, si := range replayed {
-				add(p, k, []int{si}, all[si].Name, func(tg *traceGroup) ([]UnitResult, error) {
-					u, err := execReplayUnit(sw.opts, sw.side, tg, all[si])
-					return []UnitResult{u}, err
+				add(p, k, []int{si}, all[si].Name, func() (engine[[]UnitResult], error) {
+					return replayEngine(sw.opts, sw.side, all[si])
 				})
 			}
 		}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -15,22 +16,27 @@ import (
 // The scheduler is the suite's crash boundary. A multi-hour campaign must
 // survive one misbehaving work unit — a panic in a cache model, a
 // wedged simulation, a transient failure — without losing the hours of
-// sibling results already computed. Three mechanisms provide that:
+// sibling results already computed. Workers claim whole groups of
+// units (the units of one trace, which run as one pass), and every
+// unit keeps its own outcome:
 //
-//   - Panic isolation: each unit runs under recover; a panic becomes an
-//     error carrying the unit's stack, and every other unit proceeds.
-//   - Deadlines and retry: a unit exceeding its deadline is abandoned
-//     (the orphaned goroutine can never write shared state, because
-//     results are committed only via a closure the worker itself invokes
-//     on receipt) and retried with exponential backoff, as are units
-//     failing with ErrTransient.
-//   - No cancel-on-first-error: workers keep draining the unit queue
-//     after a failure, so one bad (benchmark, spec) pair costs one cell,
-//     not the whole table. All errors come back via errors.Join alongside
+//   - Panic isolation: a panic becomes an error carrying the stack. The
+//     pass recovers each engine's own panics, so one costs its unit
+//     only; the scheduler's boundary around the whole call fails every
+//     unit of it.
+//   - Deadlines and retry: a call running longer than the unit timeout
+//     × its unit count is abandoned (the orphaned goroutine can never
+//     write shared state, because results are committed only via
+//     closures the worker itself invokes on receipt). Each unit of it,
+//     and each unit failing with ErrTransient, is retried alone with
+//     exponential backoff.
+//   - No cancel-on-first-error: workers keep draining the queue after a
+//     failure, so one bad (benchmark, spec) pair costs one cell, not the
+//     whole table. All errors come back via errors.Join alongside
 //     whatever results completed.
 //
 // RequestStop (wired to SIGINT in the CLIs) is the one thing that stops
-// claiming early: in-flight units finish, the error includes
+// claiming early: in-flight groups finish, the error includes
 // ErrInterrupted, and completed units remain available for checkpointing.
 
 var (
@@ -64,20 +70,20 @@ func Stopped() bool { return stopRequested.Load() }
 // produce megabytes of joined errors.
 const maxJoinedErrors = 16
 
-// unitOpts bounds one scheduled work unit.
+// unitOpts bounds the scheduled work units.
 type unitOpts struct {
-	// Timeout abandons a unit that runs longer (0 = no deadline). The
-	// abandoned goroutine is left to finish in the background; its
-	// commit closure is never invoked.
+	// Timeout abandons a call of run that takes longer than Timeout
+	// times its unit count (0 = no deadline). The abandoned goroutine's
+	// context is cancelled; its commit closures are never invoked.
 	Timeout time.Duration
 	// Retries re-runs a unit that timed out or failed with ErrTransient
-	// up to this many additional times.
+	// up to this many additional times, alone.
 	Retries int
 	// Backoff is the first retry delay, doubling per attempt
 	// (default 50ms).
 	Backoff time.Duration
-	// Clock times unit attempts and sleeps retry backoffs (nil = wall
-	// clock). Tests inject tracespan.FakeClock to pin exact schedules.
+	// Clock sleeps retry backoffs (nil = wall clock). Tests inject
+	// tracespan.FakeClock to pin exact schedules.
 	Clock tracespan.Clock
 	// Label names unit i for telemetry spans and the slowest-unit
 	// digest. Only called when a telemetry hub is installed, so label
@@ -90,14 +96,8 @@ type unitOpts struct {
 	// Groups holds the first unit index of each group of consecutive
 	// units that share one trace, ascending from 0 (nil = every unit is
 	// its own group). It is derived from the unit list, never from user
-	// input: see groupQueue for how it changes the claim order.
+	// input.
 	Groups []int
-	// GroupDone, if set, runs once per group g after the last of its
-	// units returns — committed, failed, panicked or abandoned past its
-	// deadline — on the worker that ran that unit. A group with a unit
-	// left unclaimed by a stop request never completes, so its hook
-	// never runs.
-	GroupDone func(g int)
 }
 
 func (o unitOpts) backoff() time.Duration {
@@ -128,20 +128,25 @@ func (o unitOpts) owner(i int) string {
 	return o.Owner(i)
 }
 
-// groupQueue hands out unit indices to workers. Units come in groups
-// of consecutive indices that share one trace. A worker keeps claiming
-// from its current group, then starts the next unstarted group, and
-// joins an already-started group only once no unstarted group remains.
-// So two workers build two different traces at the same time instead
-// of one waiting in the other's trace build, and the tail still spreads
-// over every worker. With one unit per group the order is that of a
-// single shared counter.
+// An outcome is what one call of run made of one of its units.
+type outcome struct {
+	// commit publishes the unit's results; the worker invokes it (if
+	// non-nil) on success. err is the unit's failure.
+	commit func()
+	err    error
+	// start and dur place the unit's span; a zero start places it over
+	// the whole call.
+	start time.Time
+	dur   time.Duration
+}
+
+// groupQueue hands whole groups to workers, widest first: the longest
+// passes start before the short ones, so the last pass to finish is a
+// short one. Groups of equal width keep their order.
 type groupQueue struct {
-	starts   []int          // first unit of each group, then n
-	started  atomic.Int64   // groups handed to a first worker
-	taken    []atomic.Int64 // per group: claim attempts made
-	returned []atomic.Int64 // per group: units returned
-	claimed  atomic.Int64   // units handed out in total
+	order   [][2]int     // [lo, hi) unit range of each group, in claim order
+	next    atomic.Int64 // groups handed out
+	claimed atomic.Int64 // units handed out
 }
 
 // newGroupQueue queues n units grouped at starts (see unitOpts.Groups).
@@ -152,87 +157,54 @@ func newGroupQueue(n int, starts []int) *groupQueue {
 			starts[i] = i
 		}
 	}
-	groups := len(starts)
-	return &groupQueue{starts: append(starts[:groups:groups], n),
-		taken: make([]atomic.Int64, groups), returned: make([]atomic.Int64, groups)}
+	q := &groupQueue{order: make([][2]int, len(starts))}
+	for g, lo := range starts {
+		hi := n
+		if g+1 < len(starts) {
+			hi = starts[g+1]
+		}
+		q.order[g] = [2]int{lo, hi}
+	}
+	sort.SliceStable(q.order, func(a, b int) bool {
+		return q.order[a][1]-q.order[a][0] > q.order[b][1]-q.order[b][0]
+	})
+	return q
 }
 
-// groupSize is the number of units in group g.
-func (q *groupQueue) groupSize(g int) int { return q.starts[g+1] - q.starts[g] }
-
-// claim returns the next unit for a worker whose current group is *g
-// (-1 before its first claim), updating *g to the unit's group.
-func (q *groupQueue) claim(g *int) (int, bool) {
-	if *g >= 0 {
-		if i, ok := q.take(*g); ok {
-			return i, true
-		}
+// claim returns the unit indices of the next group, if any is left.
+func (q *groupQueue) claim() ([]int, bool) {
+	g := int(q.next.Add(1)) - 1
+	if g >= len(q.order) {
+		return nil, false
 	}
-	for {
-		ng := int(q.started.Add(1)) - 1
-		if ng >= len(q.taken) {
-			break
-		}
-		if i, ok := q.take(ng); ok {
-			*g = ng
-			return i, true
-		}
+	lo, hi := q.order[g][0], q.order[g][1]
+	idx := make([]int, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		idx = append(idx, i)
 	}
-	for j := range q.taken {
-		if i, ok := q.take(j); ok {
-			*g = j
-			return i, true
-		}
-	}
-	return 0, false
+	q.claimed.Add(int64(hi - lo))
+	return idx, true
 }
 
-// take claims the next unit of group g, if any is left.
-func (q *groupQueue) take(g int) (int, bool) {
-	lo, size := q.starts[g], q.groupSize(g)
-	if q.taken[g].Load() >= int64(size) {
-		return 0, false
-	}
-	k := int(q.taken[g].Add(1)) - 1
-	if k >= size {
-		return 0, false
-	}
-	q.claimed.Add(1)
-	return lo + k, true
-}
-
-// done records that unit i returned and reports whether it was the last
-// of its group to do so, and which group that is.
-func (q *groupQueue) done(i int) (g int, last bool) {
-	g = sort.SearchInts(q.starts, i+1) - 1
-	return g, q.returned[g].Add(1) == int64(q.groupSize(g))
-}
-
-// runUnitsCtl executes fn(i) for every i in [0, n) on up to workers
-// goroutines claiming from a shared groupQueue (grouped by o.Groups).
-// Work units should be the finest independent grain available —
-// (profile × spec × seed) rather than whole profiles — so a run with
-// fewer benchmarks than cores still saturates the machine.
+// runUnitsCtl executes every unit in [0, n) on up to workers goroutines.
+// A worker claims a whole group (o.Groups) and calls run with its unit
+// indices once; run returns one outcome per index, in order. A unit
+// that failed with ErrTransient or timed out then runs again alone,
+// through run, with exponential backoff, up to o.Retries times.
 //
-// fn returns (commit, error). On success the worker invokes commit (if
-// non-nil) from its own goroutine — that is the only path results may
-// reach shared state through, which is what makes abandoning a
-// timed-out unit safe. Unit failures do not cancel siblings; every
-// error is collected and returned via errors.Join after all claimable
-// units ran.
-func runUnitsCtl(n, workers int, o unitOpts, fn func(int) (func(), error)) error {
+// On success the worker invokes the unit's commit (if non-nil) from its
+// own goroutine — that is the only path results may reach shared state
+// through, which is what makes abandoning a timed-out call safe. Unit
+// failures do not cancel siblings; every error is collected and
+// returned via errors.Join after all claimable groups ran.
+func runUnitsCtl(n, workers int, o unitOpts, run func(ctx context.Context, idx []int) []outcome) error {
 	if n <= 0 {
 		return nil
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
 	}
 	tel := CurrentTelemetry()
 	tel.Emit(tracespan.Span{Kind: tracespan.KindQueue, Worker: tracespan.SharedWorker, Unit: -1, Count: int64(n)})
 	q := newGroupQueue(n, o.Groups)
+	workers = max(1, min(workers, len(q.order)))
 	var (
 		interrupted atomic.Bool
 		mu          sync.Mutex
@@ -244,45 +216,48 @@ func runUnitsCtl(n, workers int, o unitOpts, fn func(int) (func(), error)) error
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			g := -1
 			for {
 				if stopRequested.Load() {
 					interrupted.Store(true)
 					return
 				}
-				i, ok := q.claim(&g)
+				idx, ok := q.claim()
 				if !ok {
 					return
 				}
-				label := ""
-				if tel != nil {
-					label = o.label(i)
+				labels := make([]string, len(idx))
+				for k, i := range idx {
+					if tel != nil {
+						labels[k] = o.label(i)
+					}
+					tel.Emit(tracespan.Span{Kind: tracespan.KindClaim, Name: labels[k], Worker: w, Unit: i})
 				}
-				tel.Emit(tracespan.Span{Kind: tracespan.KindClaim, Name: label, Worker: w, Unit: i})
-				err := runOneUnit(w, i, label, o, tel, fn)
-				release := tracespan.Span{Kind: tracespan.KindRelease, Name: label, Worker: w, Unit: i}
-				if err != nil && tel != nil {
-					release.Err = err.Error()
+				uerrs := runGroup(w, idx, labels, o, tel, run)
+				for k, i := range idx {
+					release := tracespan.Span{Kind: tracespan.KindRelease, Name: labels[k], Worker: w, Unit: i}
+					if uerrs[k] != nil && tel != nil {
+						release.Err = uerrs[k].Error()
+					}
+					tel.Emit(release)
 				}
-				tel.Emit(release)
-				if done, last := q.done(i); last && o.GroupDone != nil {
-					o.GroupDone(done)
-				}
-				if err != nil {
-					mu.Lock()
+				mu.Lock()
+				for _, err := range uerrs {
+					if err == nil {
+						continue
+					}
 					if len(errs) < maxJoinedErrors {
 						errs = append(errs, err)
 					} else {
 						dropped++
 					}
-					mu.Unlock()
 				}
+				mu.Unlock()
 			}
 		}(w)
 	}
 	wg.Wait()
-	// A stop request leaves units unclaimed; take them back out of the
-	// queue.
+	// A stop request leaves groups unclaimed; take their units back out
+	// of the queue.
 	if claimed := int(q.claimed.Load()); claimed < n {
 		tel.Emit(tracespan.Span{Kind: tracespan.KindDrain, Worker: tracespan.SharedWorker, Unit: -1, Count: int64(n - claimed)})
 	}
@@ -295,103 +270,141 @@ func runUnitsCtl(n, workers int, o unitOpts, fn func(int) (func(), error)) error
 	return errors.Join(errs...)
 }
 
-// runOneUnit runs unit i, labelled label, to completion on worker w,
-// committing on success and retrying timeouts and transient failures
-// with exponential backoff through the unit clock. Each attempt emits
-// exactly one KindUnit span (plus an abandon or panic instant when the
-// error says so), and each scheduled retry exactly one KindRetry span.
-func runOneUnit(w, i int, label string, o unitOpts, tel *Telemetry, fn func(int) (func(), error)) error {
+// runGroup runs the units idx, labelled labels, on worker w: all of
+// them in one call of run, then each one that failed retryably alone,
+// after its backoff through the unit clock, until it succeeds or its
+// retries run out. It commits every success and returns each unit's
+// final error. Each attempt of a unit emits exactly one KindUnit span
+// (plus an abandon or panic instant when the error says so), and each
+// scheduled retry exactly one KindRetry span.
+func runGroup(w int, idx []int, labels []string, o unitOpts, tel *Telemetry,
+	run func(context.Context, []int) []outcome) []error {
+	errs := make([]error, len(idx))
+	outs := invokeUnits(idx, o.Timeout, tel, run)
+	for k, i := range idx {
+		errs[k] = settle(w, i, 0, labels[k], outs[k], o, tel)
+	}
 	clk := o.clock()
-	owner := ""
-	if tel != nil {
-		owner = o.owner(i)
+	for k, i := range idx {
+		attempt := 0
+		for delay := o.backoff(); retryable(errs[k]) && attempt < o.Retries && !stopRequested.Load(); delay *= 2 {
+			tel.Emit(tracespan.Span{Kind: tracespan.KindRetry, Name: labels[k], Worker: w, Unit: i,
+				Attempt: attempt, Detail: delay.String()})
+			clk.Sleep(delay)
+			attempt++
+			errs[k] = settle(w, i, attempt, labels[k], invokeUnits([]int{i}, o.Timeout, tel, run)[0], o, tel)
+		}
+		switch {
+		case errs[k] == nil:
+		case attempt > 0:
+			errs[k] = fmt.Errorf("unit %d (after %d retries): %w", i, attempt, errs[k])
+		default:
+			errs[k] = fmt.Errorf("unit %d: %w", i, errs[k])
+		}
 	}
-	delay := o.backoff()
-	for attempt := 0; ; attempt++ {
-		var start time.Time
-		if tel != nil {
-			start = tel.now()
-		}
-		commit, err := invokeUnit(i, o.Timeout, fn)
-		if tel != nil {
-			end := tel.now()
-			s := tracespan.Span{Kind: tracespan.KindUnit, Name: label, Worker: w, Unit: i, Attempt: attempt,
-				StartUnixNano: start.UnixNano(), DurNanos: int64(end.Sub(start)), Owner: owner}
-			if err != nil {
-				s.Err = err.Error()
-			}
-			tel.Emit(s)
-			instant := ""
-			switch {
-			case errors.Is(err, ErrUnitTimeout):
-				instant = tracespan.KindAbandon
-			case errors.Is(err, errUnitPanic):
-				instant = tracespan.KindPanic
-			}
-			if instant != "" {
-				tel.Emit(tracespan.Span{Kind: instant, Name: label, Worker: w, Unit: i, Attempt: attempt,
-					StartUnixNano: end.UnixNano(), Err: s.Err})
-			}
-		}
-		if err == nil {
-			if commit != nil {
-				commit()
-			}
-			return nil
-		}
-		retryable := errors.Is(err, ErrTransient) || errors.Is(err, ErrUnitTimeout)
-		if !retryable || attempt >= o.Retries || stopRequested.Load() {
-			if attempt > 0 {
-				return fmt.Errorf("unit %d (after %d retries): %w", i, attempt, err)
-			}
-			return fmt.Errorf("unit %d: %w", i, err)
-		}
-		tel.Emit(tracespan.Span{Kind: tracespan.KindRetry, Name: label, Worker: w, Unit: i,
-			Attempt: attempt, Detail: delay.String()})
-		clk.Sleep(delay)
-		delay *= 2
-	}
+	return errs
 }
 
-// invokeUnit calls fn(i) with panic isolation and, when a deadline is
-// set, abandons the call past it. An abandoned call keeps running on its
-// orphaned goroutine but its commit closure is discarded unseen, so it
-// can never race a retry or corrupt shared slots.
-func invokeUnit(i int, timeout time.Duration, fn func(int) (func(), error)) (func(), error) {
+// retryable reports whether a unit failing with err may run again.
+func retryable(err error) bool {
+	return errors.Is(err, ErrTransient) || errors.Is(err, ErrUnitTimeout)
+}
+
+// settle reports attempt of unit i, labelled label, on worker w, and
+// commits it on success.
+func settle(w, i, attempt int, label string, out outcome, o unitOpts, tel *Telemetry) error {
+	if tel != nil {
+		s := tracespan.Span{Kind: tracespan.KindUnit, Name: label, Worker: w, Unit: i, Attempt: attempt,
+			StartUnixNano: out.start.UnixNano(), DurNanos: int64(out.dur), Owner: o.owner(i)}
+		if out.err != nil {
+			s.Err = out.err.Error()
+		}
+		tel.Emit(s)
+		instant := ""
+		switch {
+		case errors.Is(out.err, ErrUnitTimeout):
+			instant = tracespan.KindAbandon
+		case errors.Is(out.err, errUnitPanic):
+			instant = tracespan.KindPanic
+		}
+		if instant != "" {
+			tel.Emit(tracespan.Span{Kind: instant, Name: label, Worker: w, Unit: i, Attempt: attempt,
+				StartUnixNano: out.start.Add(out.dur).UnixNano(), Err: s.Err})
+		}
+	}
+	if out.err == nil && out.commit != nil {
+		out.commit()
+	}
+	return out.err
+}
+
+// invokeUnits calls run over idx under the scheduler's panic boundary
+// and, when a unit timeout is set, abandons the call past the timeout
+// times len(idx): every unit of it then fails with ErrUnitTimeout, the
+// call's context is cancelled, and its outcomes are discarded unseen,
+// so it can never race a retry or corrupt shared slots. Outcomes with no
+// placement of their own get the call's span (timed only when tel is
+// non-nil).
+func invokeUnits(idx []int, timeout time.Duration, tel *Telemetry,
+	run func(context.Context, []int) []outcome) []outcome {
+	var start time.Time
+	if tel != nil {
+		start = tel.now()
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	call := func() (outs []outcome) {
+		defer func() {
+			if r := recover(); r != nil {
+				err := fmt.Errorf("experiment: units %v %w: %v\n%s", idx, errUnitPanic, r, debug.Stack())
+				outs = failAll(len(idx), err)
+			}
+		}()
+		return run(ctx, idx)
+	}
+	var outs []outcome
 	if timeout <= 0 {
-		return protectUnit(i, fn)
+		outs = call()
+	} else {
+		ch := make(chan []outcome, 1)
+		//bcachelint:allow goroutinelife(deliberately abandoned on the timeout path: the buffered send never blocks, the cancelled context stops the call at its next chunk, and the panic boundary already ran; see the hung-unit contract above)
+		go func() { ch <- call() }()
+		t := time.NewTimer(timeout * time.Duration(len(idx)))
+		select {
+		case outs = <-ch:
+		case <-t.C:
+			outs = failAll(len(idx), fmt.Errorf("after %v: %w", timeout*time.Duration(len(idx)), ErrUnitTimeout))
+		}
+		t.Stop()
 	}
-	type outcome struct {
-		commit func()
-		err    error
+	if tel != nil {
+		dur := tel.now().Sub(start)
+		for k := range outs {
+			if outs[k].start.IsZero() {
+				outs[k].start, outs[k].dur = start, dur
+			}
+		}
 	}
-	ch := make(chan outcome, 1)
-	//bcachelint:allow goroutinelife(deliberately abandoned on the timeout path: the buffered send never blocks and the unit's panic protection already ran; see the hung-unit contract above)
-	go func() {
-		c, err := protectUnit(i, fn)
-		ch <- outcome{c, err}
-	}()
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case out := <-ch:
-		return out.commit, out.err
-	case <-t.C:
-		return nil, fmt.Errorf("after %v: %w", timeout, ErrUnitTimeout)
+	return outs
+}
+
+// failAll is n outcomes failing with err.
+func failAll(n int, err error) []outcome {
+	outs := make([]outcome, n)
+	for k := range outs {
+		outs[k].err = err
 	}
+	return outs
 }
 
 // errUnitPanic marks an error produced by a recovered unit panic, so
 // telemetry can classify it without string matching.
 var errUnitPanic = errors.New("panicked")
 
-// protectUnit converts a panic in fn into an error carrying the stack.
-func protectUnit(i int, fn func(int) (func(), error)) (commit func(), err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			commit = nil
-			err = fmt.Errorf("experiment: unit %d %w: %v\n%s", i, errUnitPanic, r, debug.Stack())
-		}
-	}()
-	return fn(i)
+// recovered turns a panic into unit i's error, carrying the stack.
+// Defer it directly.
+func recovered(i int, err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("experiment: unit %d %w: %v\n%s", i, errUnitPanic, r, debug.Stack())
+	}
 }

@@ -1,8 +1,11 @@
 package experiment
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,12 +23,12 @@ import (
 func TestRunUnitsCollectsAllErrors(t *testing.T) {
 	const n = 20
 	var committed [n]bool
-	err := runUnitsCtl(n, 4, unitOpts{}, func(i int) (func(), error) {
+	err := runUnitsCtl(n, 4, unitOpts{}, each(func(i int) (func(), error) {
 		if i%5 == 0 {
 			return nil, fmt.Errorf("unit %d failed", i)
 		}
 		return func() { committed[i] = true }, nil
-	})
+	}))
 	if err == nil {
 		t.Fatal("want joined error, got nil")
 	}
@@ -43,12 +46,12 @@ func TestRunUnitsCollectsAllErrors(t *testing.T) {
 
 func TestRunUnitsPanicIsolation(t *testing.T) {
 	var ok atomic.Int32
-	err := runUnitsCtl(8, 4, unitOpts{}, func(i int) (func(), error) {
+	err := runUnitsCtl(8, 4, unitOpts{}, each(func(i int) (func(), error) {
 		if i == 3 {
 			panic("boom in unit 3")
 		}
 		return func() { ok.Add(1) }, nil
-	})
+	}))
 	if err == nil {
 		t.Fatal("want error from panicking unit")
 	}
@@ -65,16 +68,25 @@ func TestRunUnitsPanicIsolation(t *testing.T) {
 }
 
 // TestPlanExecutePanicIsUnitError: a worker's Plan.Execute has the
-// scheduler's crash boundary, so a panicking unit becomes an error the
-// worker reports, the plan's lock is released, and later units run.
+// scheduler's crash boundary, so a group with a panicking engine returns
+// an error the worker reports, and the plan's later groups run.
 func TestPlanExecutePanicIsUnitError(t *testing.T) {
-	prof := &workload.Profile{Name: "panicky"}
-	plan := &Plan{units: []unit{
-		newUnit(DefaultOpts(), prof, "boom", []string{"boom"}, func(*traceGroup) ([]int, error) { panic("boom in a planned unit") }),
-		newUnit(DefaultOpts(), prof, "fine", []string{"fine"}, func(*traceGroup) ([]int, error) { return []int{7}, nil }),
-	}}
+	opts := tinyOpts()
+	opts.Instructions = 1_000
+	seven := func() (engine[[]int], error) {
+		return engine[[]int]{feed: func(*chunk) {}, results: func() ([]int, error) { return []int{7}, nil }}, nil
+	}
+	boom, fine := workload.All()[0], workload.All()[1]
+	us := []unit{
+		newUnit(opts, boom, "boom", []string{"boom"}, dataStream, func() (engine[[]int], error) {
+			panic("boom in a planned unit")
+		}),
+		newUnit(opts, boom, "sibling", []string{"sibling"}, dataStream, seven),
+		newUnit(opts, fine, "fine", []string{"fine"}, dataStream, seven),
+	}
+	plan := &Plan{units: us, starts: append(groupStarts(us), len(us))}
 	if _, err := plan.Execute(0); !errors.Is(err, errUnitPanic) || !strings.Contains(err.Error(), "boom in a planned unit") {
-		t.Fatalf("Execute(panicking unit) = %v, want an error wrapping errUnitPanic", err)
+		t.Fatalf("Execute(panicking group) = %v, want an error wrapping errUnitPanic", err)
 	}
 	vals, err := plan.Execute(1)
 	if err != nil || len(vals) != 1 || string(vals[0]) != "7" {
@@ -84,12 +96,12 @@ func TestPlanExecutePanicIsUnitError(t *testing.T) {
 
 func TestRunUnitsTransientRetry(t *testing.T) {
 	var attempts atomic.Int32
-	err := runUnitsCtl(1, 1, unitOpts{Retries: 3, Backoff: time.Millisecond}, func(i int) (func(), error) {
+	err := runUnitsCtl(1, 1, unitOpts{Retries: 3, Backoff: time.Millisecond}, each(func(i int) (func(), error) {
 		if attempts.Add(1) < 3 {
 			return nil, fmt.Errorf("flaky: %w", ErrTransient)
 		}
 		return nil, nil
-	})
+	}))
 	if err != nil {
 		t.Fatalf("unit should succeed on third attempt: %v", err)
 	}
@@ -100,10 +112,10 @@ func TestRunUnitsTransientRetry(t *testing.T) {
 
 func TestRunUnitsRetriesExhausted(t *testing.T) {
 	var attempts atomic.Int32
-	err := runUnitsCtl(1, 1, unitOpts{Retries: 2, Backoff: time.Millisecond}, func(i int) (func(), error) {
+	err := runUnitsCtl(1, 1, unitOpts{Retries: 2, Backoff: time.Millisecond}, each(func(i int) (func(), error) {
 		attempts.Add(1)
 		return nil, fmt.Errorf("always down: %w", ErrTransient)
-	})
+	}))
 	if !errors.Is(err, ErrTransient) {
 		t.Fatalf("want ErrTransient after exhausting retries, got %v", err)
 	}
@@ -114,10 +126,10 @@ func TestRunUnitsRetriesExhausted(t *testing.T) {
 
 func TestRunUnitsNonRetryableFailsFast(t *testing.T) {
 	var attempts atomic.Int32
-	err := runUnitsCtl(1, 1, unitOpts{Retries: 5, Backoff: time.Millisecond}, func(i int) (func(), error) {
+	err := runUnitsCtl(1, 1, unitOpts{Retries: 5, Backoff: time.Millisecond}, each(func(i int) (func(), error) {
 		attempts.Add(1)
 		return nil, errors.New("permanent")
-	})
+	}))
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -130,10 +142,10 @@ func TestRunUnitsTimeout(t *testing.T) {
 	var committed atomic.Bool
 	release := make(chan struct{})
 	defer close(release)
-	err := runUnitsCtl(1, 1, unitOpts{Timeout: 20 * time.Millisecond}, func(i int) (func(), error) {
+	err := runUnitsCtl(1, 1, unitOpts{Timeout: 20 * time.Millisecond}, each(func(i int) (func(), error) {
 		<-release // outlives the deadline
 		return func() { committed.Store(true) }, nil
-	})
+	}))
 	if !errors.Is(err, ErrUnitTimeout) {
 		t.Fatalf("want ErrUnitTimeout, got %v", err)
 	}
@@ -152,13 +164,13 @@ func TestRunUnitsStopRequest(t *testing.T) {
 		ResetStop()
 		tel, _ := withTelemetry(t)
 		var done atomic.Int32
-		err := runUnitsCtl(n, 2, unitOpts{Groups: fixedGroups(n, group)}, func(i int) (func(), error) {
+		err := runUnitsCtl(n, 2, unitOpts{Groups: fixedGroups(n, group)}, each(func(i int) (func(), error) {
 			if done.Add(1) == 4 {
 				RequestStop()
 			}
 			time.Sleep(time.Millisecond)
 			return nil, nil
-		})
+		}))
 		if !errors.Is(err, ErrInterrupted) {
 			t.Fatalf("group %d: want ErrInterrupted, got %v", group, err)
 		}
@@ -191,7 +203,7 @@ func TestRunUnitsGroupsSpreadWorkers(t *testing.T) {
 		barrier sync.WaitGroup
 	)
 	barrier.Add(2)
-	err := runUnitsCtl(4*group, 2, unitOpts{Groups: fixedGroups(4*group, group)}, func(i int) (func(), error) {
+	err := runUnitsCtl(4*group, 2, unitOpts{Groups: fixedGroups(4*group, group)}, each(func(i int) (func(), error) {
 		mu.Lock()
 		hold := len(first) < 2
 		if hold {
@@ -205,7 +217,7 @@ func TestRunUnitsGroupsSpreadWorkers(t *testing.T) {
 			barrier.Wait()
 		}
 		return nil, nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,9 +228,9 @@ func TestRunUnitsGroupsSpreadWorkers(t *testing.T) {
 
 func TestRunUnitsErrorCapElides(t *testing.T) {
 	const n = maxJoinedErrors + 10
-	err := runUnitsCtl(n, 4, unitOpts{}, func(i int) (func(), error) {
+	err := runUnitsCtl(n, 4, unitOpts{}, each(func(i int) (func(), error) {
 		return nil, fmt.Errorf("unit %d failed", i)
-	})
+	}))
 	if err == nil {
 		t.Fatal("want error")
 	}
@@ -227,128 +239,113 @@ func TestRunUnitsErrorCapElides(t *testing.T) {
 	}
 }
 
-// TestRunUnitsGroupDone: the group-completion hook fires exactly once per
-// group, only after every unit of the group has returned, whoever ran
-// those units and however they ended; a group a stop request left
-// unfinished never fires.
+// TestRunUnitsGroupDone: a claimed group is done in one call — run
+// gets the whole group exactly once, on one worker — and a unit that
+// must run again gets a call of its own afterwards, however the group's
+// call ended: a unit panicking or failing transiently retries alone,
+// and a call abandoned past its deadline retries each of its units
+// alone. A group a stop request left unclaimed is never called.
 func TestRunUnitsGroupDone(t *testing.T) {
 	defer ResetStop()
 	release := make(chan struct{})
 	defer close(release)
-	once := func(int) int { return 1 }
 	for _, tc := range []struct {
 		name              string
 		n, group, workers int
 		o                 unitOpts
-		// unit runs attempt k (from 0) of unit i; claims counts the
-		// units claimed so far, this one included.
-		unit func(i, k, claims int) error
-		// attempts is how many attempts of unit i run to completion
-		// (an attempt abandoned past its deadline does not).
-		attempts func(i int) int
+		// unit runs attempt k (from 0) of unit i; calls counts the
+		// calls made so far, this one included.
+		unit func(i, k, calls int) error
+		// alone lists the units that get a call of their own.
+		alone []int
 	}{
 		{name: "ragged last group", n: 10, group: 4, workers: 2,
-			unit: func(i, k, claims int) error { return nil }, attempts: once},
+			unit: func(i, k, calls int) error { return nil }},
 		{name: "two workers finish one group", n: 4, group: 4, workers: 2,
-			unit: func() func(i, k, claims int) error {
-				var tail sync.WaitGroup
-				tail.Add(2)
-				return func(i, k, claims int) error {
-					if claims > 2 {
-						// The last two units are in flight at once, so
-						// the two workers each return one of them.
-						tail.Done()
-						tail.Wait()
-					}
-					return nil
-				}
-			}(), attempts: once},
+			unit: func(i, k, calls int) error { return nil }},
 		{name: "panicking unit", n: 6, group: 3, workers: 2,
-			unit: func(i, k, claims int) error {
+			unit: func(i, k, calls int) error {
 				if i == 1 {
 					panic("boom")
 				}
 				return nil
-			}, attempts: once},
+			}},
 		{name: "transient retry", n: 6, group: 3, workers: 2,
 			o: unitOpts{Retries: 1, Backoff: time.Millisecond},
-			unit: func(i, k, claims int) error {
+			unit: func(i, k, calls int) error {
 				if i == 4 && k == 0 {
 					return fmt.Errorf("flaky: %w", ErrTransient)
 				}
 				return nil
-			}, attempts: func(i int) int { return 1 + btoi(i == 4) }},
+			}, alone: []int{4}},
 		{name: "timeout retry", n: 6, group: 3, workers: 2,
 			o: unitOpts{Retries: 1, Backoff: time.Millisecond, Timeout: 20 * time.Millisecond},
-			unit: func(i, k, claims int) error {
+			unit: func(i, k, calls int) error {
 				if i == 2 && k == 0 {
-					<-release // abandoned; the retry completes the group
+					<-release // abandons its group's call; each unit retries alone
 				}
 				return nil
-			}, attempts: once},
+			}, alone: []int{0, 1, 2}},
 		{name: "stop request", n: 32, group: 4, workers: 2,
-			unit: func(i, k, claims int) error {
-				if claims == 3 {
+			unit: func(i, k, calls int) error {
+				if calls == 3 {
 					RequestStop()
 				}
 				time.Sleep(time.Millisecond)
 				return nil
-			}, attempts: once},
+			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ResetStop()
 			var (
-				mu     sync.Mutex
-				claims int
-				tries  = make([]int, tc.n)
-				ended  = make([]int, tc.n)
-				fired  = make([]int, (tc.n+tc.group-1)/tc.group)
+				mu    sync.Mutex
+				calls [][]int
+				tries = make([]int, tc.n)
 			)
-			units := func(g int) (lo, hi int) { return g * tc.group, min((g+1)*tc.group, tc.n) }
 			o := tc.o
 			o.Groups = fixedGroups(tc.n, tc.group)
-			o.GroupDone = func(g int) {
+			runUnitsCtl(tc.n, tc.workers, o, func(ctx context.Context, idx []int) []outcome {
 				mu.Lock()
-				defer mu.Unlock()
-				fired[g]++
-				lo, hi := units(g)
-				for i := lo; i < hi; i++ {
-					if ended[i] != tc.attempts(i) {
-						t.Errorf("group %d fired with unit %d at %d of %d attempts", g, i, ended[i], tc.attempts(i))
-					}
-				}
-			}
-			runUnitsCtl(tc.n, tc.workers, o, func(i int) (func(), error) {
-				mu.Lock()
-				k := tries[i]
-				tries[i]++
-				if k == 0 {
-					claims++
-				}
-				c := claims
+				calls = append(calls, append([]int(nil), idx...))
+				c := len(calls)
 				mu.Unlock()
-				defer func() {
+				return each(func(i int) (func(), error) {
 					mu.Lock()
-					ended[i]++
+					k := tries[i]
+					tries[i]++
 					mu.Unlock()
-				}()
-				return nil, tc.unit(i, k, c)
+					return nil, tc.unit(i, k, c)
+				})(ctx, idx)
 			})
 			mu.Lock()
 			defer mu.Unlock()
+			whole := map[int]int{} // group -> calls with the whole group
+			var alone []int
+			for _, idx := range calls {
+				lo := idx[0] / tc.group * tc.group
+				hi := min(lo+tc.group, tc.n)
+				switch {
+				case len(idx) == hi-lo && idx[0] == lo && idx[len(idx)-1] == hi-1:
+					whole[lo/tc.group]++
+				case len(idx) == 1:
+					alone = append(alone, idx[0])
+				default:
+					t.Errorf("call with units %v is neither a whole group nor one unit", idx)
+				}
+			}
 			unclaimed := 0
-			for g := range fired {
-				lo, hi := units(g)
-				complete := true
-				for i := lo; i < hi; i++ {
-					complete = complete && ended[i] == tc.attempts(i)
-					if tries[i] == 0 && i == lo {
-						unclaimed++
-					}
+			for g := 0; g*tc.group < tc.n; g++ {
+				switch whole[g] {
+				case 0:
+					unclaimed++
+				case 1:
+				default:
+					t.Errorf("group %d called whole %d times", g, whole[g])
 				}
-				if want := btoi(complete); fired[g] != want {
-					t.Errorf("group %d fired %d times, want %d", g, fired[g], want)
-				}
+			}
+			sort.Ints(alone)
+			if !slices.Equal(alone, tc.alone) {
+				t.Errorf("units called alone %v, want %v", alone, tc.alone)
 			}
 			if stopped := Stopped(); stopped != (unclaimed > 0) {
 				t.Errorf("stop requested %v, but %d groups left unclaimed", stopped, unclaimed)
@@ -362,4 +359,20 @@ func btoi(b bool) int {
 		return 1
 	}
 	return 0
+}
+
+// each adapts a per-unit fn to runUnitsCtl's call shape: a call runs its
+// units one after another, each under its own panic boundary.
+func each(fn func(i int) (func(), error)) func(context.Context, []int) []outcome {
+	return func(_ context.Context, idx []int) []outcome {
+		outs := make([]outcome, len(idx))
+		for k, i := range idx {
+			outs[k].err = func() (err error) {
+				defer recovered(i, &err)
+				outs[k].commit, err = fn(i)
+				return err
+			}()
+		}
+		return outs
+	}
 }

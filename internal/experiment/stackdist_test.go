@@ -74,10 +74,7 @@ func TestStackDistMatchesReplay(t *testing.T) {
 func TestStackDistMatchesDirectReplay(t *testing.T) {
 	opts := tinyOpts()
 	for _, p := range gridProfiles(t) {
-		at, err := testGroup(opts, p).data()
-		if err != nil {
-			t.Fatal(err)
-		}
+		accs, _ := materialize(t, p, opts.Instructions, opts.LineBytes)
 		frames := opts.L1Size / opts.LineBytes
 		var geoms []stackdist.Geom
 		ways := []int{1, 2, 8, 64, frames}
@@ -88,7 +85,7 @@ func TestStackDistMatchesDirectReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range at.accs {
+		for _, m := range accs {
 			prof.Access(m.Addr())
 		}
 		for _, w := range ways {
@@ -96,7 +93,7 @@ func TestStackDistMatchesDirectReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			replayData(at.accs, c)
+			replayData(accs, c)
 			got, err := prof.Misses(frames/w, w)
 			if err != nil {
 				t.Fatal(err)
@@ -121,15 +118,12 @@ func TestStackDistInclusionProperty(t *testing.T) {
 		geoms = append(geoms, stackdist.Geom{Sets: sets, Ways: frames / sets * 2})
 	}
 	for _, p := range workload.All() {
-		at, err := testGroup(opts, p).data()
-		if err != nil {
-			t.Fatal(err)
-		}
+		accs, _ := materialize(t, p, opts.Instructions, opts.LineBytes)
 		prof, err := stackdist.NewProfile(opts.LineBytes, geoms)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range at.accs {
+		for _, m := range accs {
 			prof.Access(m.Addr())
 		}
 		for _, g := range geoms {
@@ -163,15 +157,12 @@ func TestStackDistCapacityNearMonotone(t *testing.T) {
 		geoms = append(geoms, stackdist.Geom{Sets: frames / w, Ways: w})
 	}
 	for _, p := range workload.All() {
-		at, err := testGroup(opts, p).data()
-		if err != nil {
-			t.Fatal(err)
-		}
+		accs, _ := materialize(t, p, opts.Instructions, opts.LineBytes)
 		prof, err := stackdist.NewProfile(opts.LineBytes, geoms)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range at.accs {
+		for _, m := range accs {
 			prof.Access(m.Addr())
 		}
 		prev := prof.Accesses() + 1

@@ -22,17 +22,13 @@ func init() {
 func table7Grid(opts Opts) grid[stats.Balance] {
 	specs := dmBCSpecs()
 	return grid[stats.Balance]{id: "table7", opts: opts, profiles: workload.All(), configs: specNames(specs),
-		run: func(tg *traceGroup, c int) (stats.Balance, error) {
-			at, err := tg.data()
-			if err != nil {
-				return stats.Balance{}, err
-			}
+		run: func(_ *workload.Profile, c int) (engine[stats.Balance], error) {
 			cc, err := specs[c].New(opts.L1Size, opts.LineBytes)
 			if err != nil {
-				return stats.Balance{}, err
+				return engine[stats.Balance]{}, err
 			}
-			replayData(at.accs, cc)
-			return stats.Analyze(cc.Stats())
+			return engine[stats.Balance]{feed: func(ch *chunk) { replayData(ch.data, cc) },
+				results: func() (stats.Balance, error) { return stats.Analyze(cc.Stats()) }}, nil
 		}}
 }
 

@@ -109,7 +109,6 @@ type Telemetry struct {
 	unitsAbandoned  *metrics.Counter
 	accesses        *metrics.Counter
 	checkpointSaves *metrics.Counter
-	traceHits       *metrics.Counter
 	traceBuilds     *metrics.Counter
 	queueDepth      *metrics.Gauge
 	inFlight        *metrics.Gauge
@@ -163,12 +162,11 @@ func NewTelemetry(journalCap int, clock tracespan.Clock) *Telemetry {
 		unitsAbandoned:  reg.Counter("bcache_units_abandoned", "unit attempts abandoned past their deadline"),
 		accesses:        reg.Counter("bcache_accesses", "cache accesses simulated by committed units"),
 		checkpointSaves: reg.Counter("bcache_checkpoint_saves", "checkpoint files written (autosave and explicit)"),
-		traceHits:       reg.Counter("bcache_trace_cache_hits", "trace-cache lookups served from memory"),
-		traceBuilds:     reg.Counter("bcache_trace_cache_builds", "trace-cache misses that materialized a stream"),
+		traceBuilds:     reg.Counter("bcache_trace_cache_builds", "trace passes run: one generator run per trace group"),
 		queueDepth:      reg.Gauge("bcache_queue_depth", "work units queued but not yet claimed"),
 		inFlight:        reg.Gauge("bcache_units_in_flight", "work units currently executing"),
 		checkpointBytes: reg.Gauge("bcache_checkpoint_bytes", "size of the last checkpoint file written"),
-		traceCacheBytes: reg.Gauge("bcache_trace_cache_bytes", "bytes held by the shared trace cache"),
+		traceCacheBytes: reg.Gauge("bcache_trace_cache_bytes", "chunk-buffer bytes of the running trace passes"),
 		unitWall:        reg.Histogram("bcache_unit_wall_seconds", "wall time per work unit attempt", unitWallBounds),
 
 		distLeases:     reg.Counter("dist_leases_granted", "unit-range leases granted to worker subprocesses"),
@@ -366,9 +364,6 @@ func (t *Telemetry) foldLocked(s tracespan.Span) {
 	case tracespan.KindCheckpoint:
 		t.checkpointSaves.Inc()
 		t.checkpointBytes.Set(float64(s.Bytes))
-	case tracespan.KindTraceHit:
-		t.traceHits.Inc()
-		t.traceCacheBytes.Set(float64(s.Bytes))
 	case tracespan.KindTraceBuild:
 		t.traceBuilds.Inc()
 		t.traceCacheBytes.Set(float64(s.Bytes))

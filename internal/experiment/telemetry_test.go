@@ -45,12 +45,12 @@ func TestRetryBackoffExactDoubling(t *testing.T) {
 	_, clk := withTelemetry(t)
 	var attempts atomic.Int32
 	err := runUnitsCtl(1, 1, unitOpts{Retries: 3, Backoff: 50 * time.Millisecond, Clock: clk},
-		func(i int) (func(), error) {
+		each(func(i int) (func(), error) {
 			if attempts.Add(1) < 4 {
 				return nil, fmt.Errorf("flaky: %w", ErrTransient)
 			}
 			return nil, nil
-		})
+		}))
 	if err != nil {
 		t.Fatalf("unit should succeed on fourth attempt: %v", err)
 	}
@@ -69,12 +69,12 @@ func TestRetryBackoffExactDoubling(t *testing.T) {
 func TestRetryBackoffDefaultBase(t *testing.T) {
 	_, clk := withTelemetry(t)
 	var attempts atomic.Int32
-	err := runUnitsCtl(1, 1, unitOpts{Retries: 1, Clock: clk}, func(i int) (func(), error) {
+	err := runUnitsCtl(1, 1, unitOpts{Retries: 1, Clock: clk}, each(func(i int) (func(), error) {
 		if attempts.Add(1) == 1 {
 			return nil, fmt.Errorf("once: %w", ErrTransient)
 		}
 		return nil, nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +88,11 @@ func TestRetryStopRequestedShortCircuit(t *testing.T) {
 	_, clk := withTelemetry(t)
 	var attempts atomic.Int32
 	err := runUnitsCtl(1, 1, unitOpts{Retries: 10, Backoff: time.Millisecond, Clock: clk},
-		func(i int) (func(), error) {
+		each(func(i int) (func(), error) {
 			attempts.Add(1)
 			RequestStop()
 			return nil, fmt.Errorf("transient under stop: %w", ErrTransient)
-		})
+		}))
 	if err == nil || !errors.Is(err, ErrTransient) {
 		t.Fatalf("want the transient error surfaced, got %v", err)
 	}
@@ -109,12 +109,12 @@ func TestOneRetrySpanPerScheduledRetry(t *testing.T) {
 	var attempts atomic.Int32
 	err := runUnitsCtl(1, 1, unitOpts{Retries: 2, Backoff: 10 * time.Millisecond, Clock: clk,
 		Label: func(i int) string { return "flaky-unit" }},
-		func(i int) (func(), error) {
+		each(func(i int) (func(), error) {
 			if attempts.Add(1) < 3 {
 				return nil, fmt.Errorf("flaky: %w", ErrTransient)
 			}
 			return nil, nil
-		})
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,12 +145,12 @@ func TestOneRetrySpanPerScheduledRetry(t *testing.T) {
 
 func TestPanicAndCountersInTelemetry(t *testing.T) {
 	tel, _ := withTelemetry(t)
-	err := runUnitsCtl(4, 2, unitOpts{}, func(i int) (func(), error) {
+	err := runUnitsCtl(4, 2, unitOpts{}, each(func(i int) (func(), error) {
 		if i == 2 {
 			panic("boom")
 		}
 		return nil, nil
-	})
+	}))
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("want panic error, got %v", err)
 	}
@@ -173,10 +173,10 @@ func TestAbandonSpanOnTimeout(t *testing.T) {
 	tel, _ := withTelemetry(t)
 	release := make(chan struct{})
 	defer close(release)
-	err := runUnitsCtl(1, 1, unitOpts{Timeout: 10 * time.Millisecond}, func(i int) (func(), error) {
+	err := runUnitsCtl(1, 1, unitOpts{Timeout: 10 * time.Millisecond}, each(func(i int) (func(), error) {
 		<-release
 		return nil, nil
-	})
+	}))
 	if !errors.Is(err, ErrUnitTimeout) {
 		t.Fatalf("want ErrUnitTimeout, got %v", err)
 	}
@@ -195,10 +195,10 @@ func TestUnitTimingSummary(t *testing.T) {
 	err := runUnitsCtl(len(durs), 1, unitOpts{Clock: clk,
 		Label: func(i int) string { return fmt.Sprintf("unit%d", i) },
 		Owner: func(int) string { return "figX" }},
-		func(i int) (func(), error) {
+		each(func(i int) (func(), error) {
 			clk.Advance(durs[i])
 			return nil, nil
-		})
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,29 +266,29 @@ func TestCheckpointSpanOnAutosave(t *testing.T) {
 	}
 }
 
+// TestTraceCacheSpans: each pass emits exactly one trace_build span,
+// named for its profile, and no trace_hit span: a group whose units
+// are all memoized runs no pass and emits nothing.
 func TestTraceCacheSpans(t *testing.T) {
 	tel, _ := withTelemetry(t)
 	ResetTraceCache()
+	ResetUnitMemo()
 	defer ResetTraceCache()
 	opts := DefaultOpts()
 	opts.Instructions = 10_000
 	p := workload.All()[0]
-	g := testGroup(opts, p)
-	if _, err := g.data(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.data(); err != nil {
-		t.Fatal(err)
+	g := countingGrid(opts, []*workload.Profile{p}, []string{"a", "b", "c"})
+	for range 2 {
+		if _, err := runUnits(opts, g.units()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	builds := spansOfKind(tel.Journal(), tracespan.KindTraceBuild)
-	hits := spansOfKind(tel.Journal(), tracespan.KindTraceHit)
-	// One build: the data stream, straight from the generator; the
-	// second request is a single in-memory hit.
-	if len(builds) != 1 || len(hits) != 1 {
-		t.Fatalf("builds=%d hits=%d, want 1 and 1", len(builds), len(hits))
+	if hits := spansOfKind(tel.Journal(), tracespan.KindTraceHit); len(builds) != 1 || len(hits) != 0 {
+		t.Fatalf("builds=%d hits=%d, want 1 and 0", len(builds), len(hits))
 	}
-	if builds[0].Name != p.Name {
-		t.Fatalf("build span name = %q, want %q", builds[0].Name, p.Name)
+	if builds[0].Name != p.Name || builds[0].Bytes <= 0 {
+		t.Fatalf("build span %+v, want name %q and the pass's resident bytes", builds[0], p.Name)
 	}
 }
 
@@ -332,7 +332,7 @@ func TestDistTelemetryNilSafe(t *testing.T) {
 // TestFoldMatchesJournal drives one campaign through runUnits with a
 // transient unit that succeeds on retry, a panicking unit, a unit that
 // times out on both attempts, a replay unit whose accesses count, trace
-// cache builds and hits, and an autosaving checkpoint. Every counter and
+// passes, and an autosaving checkpoint. Every counter and
 // gauge must equal what the journal's spans imply, and replaying the
 // journal through foldLocked on a fresh hub must rebuild the exposition
 // and /progress exactly: no instrument moves outside the fold.
@@ -354,34 +354,32 @@ func TestFoldMatchesJournal(t *testing.T) {
 
 	profs := workload.All()
 	var flaky atomic.Int32
-	mk := func(p *workload.Profile, label string, exec func(*traceGroup) (UnitResult, error)) unit {
-		u := newUnit(opts, p, label, []string{"fold/" + label}, func(tg *traceGroup) ([]UnitResult, error) {
-			r, err := exec(tg)
-			return []UnitResult{r}, err
+	mk := func(p *workload.Profile, label string, start func() error) unit {
+		u := newUnit(opts, p, label, []string{"fold/" + label}, dataStream, func() (engine[[]UnitResult], error) {
+			if err := start(); err != nil {
+				return engine[[]UnitResult]{}, err
+			}
+			var r UnitResult
+			return engine[[]UnitResult]{feed: func(ch *chunk) { r.Accesses += uint64(len(ch.data)) },
+				results: func() ([]UnitResult, error) { return []UnitResult{r}, nil }}, nil
 		})
 		u.owner = "figF"
 		return u
 	}
-	replay := mk(profs[0], "replay", func(tg *traceGroup) (UnitResult, error) {
-		_, err := tg.data()
-		return UnitResult{Accesses: 1234}, err
-	})
+	replay := mk(profs[0], "replay", func() error { return nil })
 	replay.replays = true
 	units := []unit{
 		replay,
-		mk(profs[0], "flaky", func(tg *traceGroup) (UnitResult, error) {
-			if _, err := tg.data(); err != nil {
-				return UnitResult{}, err
-			}
+		mk(profs[0], "flaky", func() error {
 			if flaky.Add(1) == 1 {
-				return UnitResult{}, fmt.Errorf("once: %w", ErrTransient)
+				return fmt.Errorf("once: %w", ErrTransient)
 			}
-			return UnitResult{Accesses: 1}, nil
+			return nil
 		}),
-		mk(profs[1], "boom", func(*traceGroup) (UnitResult, error) { panic("boom") }),
-		mk(profs[1], "hang", func(*traceGroup) (UnitResult, error) {
+		mk(profs[1], "boom", func() error { panic("boom") }),
+		mk(profs[2], "hang", func() error {
 			<-release
-			return UnitResult{}, nil
+			return nil
 		}),
 	}
 	tel.BeginExperiment("figF")
@@ -395,7 +393,7 @@ func TestFoldMatchesJournal(t *testing.T) {
 	spans := tel.Journal().Snapshot()
 	var (
 		queued, drained, claims, releases, gaveUp, done, retries uint64
-		panics, abandons, accesses, saves, hits, builds, walls   uint64
+		panics, abandons, accesses, saves, builds, walls         uint64
 		ckptBytes, traceBytes                                    int64
 	)
 	for _, s := range spans {
@@ -427,19 +425,18 @@ func TestFoldMatchesJournal(t *testing.T) {
 		case tracespan.KindCheckpoint:
 			saves++
 			ckptBytes = s.Bytes
-		case tracespan.KindTraceHit:
-			hits++
-			traceBytes = s.Bytes
 		case tracespan.KindTraceBuild:
 			builds++
 			traceBytes = s.Bytes
 		}
 	}
 	// The campaign's own shape, so the comparisons below are not vacuous.
+	// Passes: replay and flaky's group, and flaky's retry alone; boom's
+	// and hang's engines never start, so theirs run no pass.
 	if queued != 4 || done != 2 || gaveUp != 2 || retries != 2 || panics != 1 ||
-		abandons != 2 || accesses != 1234 || saves != 2 || builds != 1 || hits != 2 {
-		t.Fatalf("journal: queued %d done %d gave up %d retries %d panics %d abandons %d accesses %d saves %d builds %d hits %d",
-			queued, done, gaveUp, retries, panics, abandons, accesses, saves, builds, hits)
+		abandons != 2 || accesses == 0 || saves != 2 || builds != 2 {
+		t.Fatalf("journal: queued %d done %d gave up %d retries %d panics %d abandons %d accesses %d saves %d builds %d",
+			queued, done, gaveUp, retries, panics, abandons, accesses, saves, builds)
 	}
 	for _, c := range []struct {
 		name      string
@@ -453,7 +450,6 @@ func TestFoldMatchesJournal(t *testing.T) {
 		{"units_abandoned", float64(tel.unitsAbandoned.Value()), float64(abandons)},
 		{"accesses", float64(tel.accesses.Value()), float64(accesses)},
 		{"checkpoint_saves", float64(tel.checkpointSaves.Value()), float64(saves)},
-		{"trace_cache_hits", float64(tel.traceHits.Value()), float64(hits)},
 		{"trace_cache_builds", float64(tel.traceBuilds.Value()), float64(builds)},
 		{"queue_depth", tel.queueDepth.Value(), float64(queued - drained - claims)},
 		{"units_in_flight", tel.inFlight.Value(), float64(claims - releases)},
@@ -504,7 +500,7 @@ func exposition(t *testing.T, tel *Telemetry) string {
 	return buf.String()
 }
 
-// TestMetricFamiliesPinned pins the 22 metric families — name, type and
+// TestMetricFamiliesPinned pins the 21 metric families — name, type and
 // help text — that scrape dashboards key on.
 func TestMetricFamiliesPinned(t *testing.T) {
 	want := []string{
@@ -512,9 +508,8 @@ func TestMetricFamiliesPinned(t *testing.T) {
 		"bcache_checkpoint_bytes gauge size of the last checkpoint file written",
 		"bcache_checkpoint_saves counter checkpoint files written (autosave and explicit)",
 		"bcache_queue_depth gauge work units queued but not yet claimed",
-		"bcache_trace_cache_builds counter trace-cache misses that materialized a stream",
-		"bcache_trace_cache_bytes gauge bytes held by the shared trace cache",
-		"bcache_trace_cache_hits counter trace-cache lookups served from memory",
+		"bcache_trace_cache_builds counter trace passes run: one generator run per trace group",
+		"bcache_trace_cache_bytes gauge chunk-buffer bytes of the running trace passes",
 		"bcache_unit_wall_seconds histogram wall time per work unit attempt",
 		"bcache_units_abandoned counter unit attempts abandoned past their deadline",
 		"bcache_units_completed counter work units that committed successfully",

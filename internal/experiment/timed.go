@@ -37,11 +37,17 @@ func timedSpecs() []Spec {
 		setAssocSpec(2, energy.Way2),
 		setAssocSpec(4, energy.Way4),
 		setAssocSpec(8, energy.Way8),
-		{Name: "B-Cache", Kind: energy.BCache, New: func(size, line int) (cache.Cache, error) {
-			return core.New(core.Config{SizeBytes: size, LineBytes: line, MF: 8, BAS: 8, Policy: cache.LRU})
-		}},
+		timedBCacheSpec(),
 		victimSpec(16),
 	}
+}
+
+// timedBCacheSpec is the B-Cache column of Figures 8 and 9: MF=8,
+// BAS=8, LRU.
+func timedBCacheSpec() Spec {
+	return Spec{Name: "B-Cache", Kind: energy.BCache, New: func(size, line int) (cache.Cache, error) {
+		return core.New(core.Config{SizeBytes: size, LineBytes: line, MF: 8, BAS: 8, Policy: cache.LRU})
+	}}
 }
 
 // timedRun holds one (benchmark, config) timed simulation's raw
@@ -51,45 +57,54 @@ type timedRun struct {
 	Counts energy.Counts `json:"counts"`
 }
 
-// runTimed simulates tg's benchmark on one L1 configuration.
-func runTimed(tg *traceGroup, spec Spec, opts Opts) (timedRun, error) {
+// timedEngine runs one benchmark on one L1 configuration: the CPU
+// model over both L1s of spec behind the Table 4 hierarchy.
+func timedEngine(spec Spec, opts Opts) (engine[timedRun], error) {
 	ic, err := spec.New(opts.L1Size, opts.LineBytes)
 	if err != nil {
-		return timedRun{}, err
+		return engine[timedRun]{}, err
 	}
 	dc, err := spec.New(opts.L1Size, opts.LineBytes)
 	if err != nil {
-		return timedRun{}, err
+		return engine[timedRun]{}, err
 	}
 	h, err := hier.New(ic, dc, hier.Defaults())
 	if err != nil {
-		return timedRun{}, err
+		return engine[timedRun]{}, err
 	}
-	res, err := runRecords(tg, h, cpu.Defaults())
-	if err != nil {
-		return timedRun{}, err
-	}
+	return cpuEngine(h, cpu.Defaults(), func(res cpu.Result) (timedRun, error) {
+		c := energy.Counts{
+			L1Accesses: ic.Stats().Accesses + dc.Stats().Accesses,
+			L1Misses:   ic.Stats().Misses + dc.Stats().Misses,
+			L2Accesses: h.L2.Stats().Accesses,
+			L2Misses:   h.L2.Stats().Misses,
+			Cycles:     res.Cycles,
+		}
+		if bc, ok := ic.(*core.BCache); ok {
+			c.PDPredictedMisses += bc.PDStats().MissPDMiss
+		}
+		if bc, ok := dc.(*core.BCache); ok {
+			c.PDPredictedMisses += bc.PDStats().MissPDMiss
+		}
+		if vc, ok := ic.(*victim.Cache); ok {
+			c.VictimProbes += vc.Stats().Misses + vc.BufferHits
+		}
+		if vc, ok := dc.(*victim.Cache); ok {
+			c.VictimProbes += vc.Stats().Misses + vc.BufferHits
+		}
+		return timedRun{CPU: res, Counts: c}, nil
+	})
+}
 
-	c := energy.Counts{
-		L1Accesses: ic.Stats().Accesses + dc.Stats().Accesses,
-		L1Misses:   ic.Stats().Misses + dc.Stats().Misses,
-		L2Accesses: h.L2.Stats().Accesses,
-		L2Misses:   h.L2.Stats().Misses,
-		Cycles:     res.Cycles,
+// cpuEngine runs the CPU model of cfg on h over the record stream and
+// hands its result to done.
+func cpuEngine[R any](h *hier.Hierarchy, cfg cpu.Config, done func(cpu.Result) (R, error)) (engine[R], error) {
+	c, err := cpu.New(h, cfg)
+	if err != nil {
+		return engine[R]{}, err
 	}
-	if bc, ok := ic.(*core.BCache); ok {
-		c.PDPredictedMisses += bc.PDStats().MissPDMiss
-	}
-	if bc, ok := dc.(*core.BCache); ok {
-		c.PDPredictedMisses += bc.PDStats().MissPDMiss
-	}
-	if vc, ok := ic.(*victim.Cache); ok {
-		c.VictimProbes += vc.Stats().Misses + vc.BufferHits
-	}
-	if vc, ok := dc.(*victim.Cache); ok {
-		c.VictimProbes += vc.Stats().Misses + vc.BufferHits
-	}
-	return timedRun{CPU: res, Counts: c}, nil
+	return engine[R]{feed: func(ch *chunk) { c.Step(ch.recs) },
+		results: func() (R, error) { return done(c.Result()) }}, nil
 }
 
 // timedGrid is the one timed sweep behind Figures 8 and 9: every
@@ -97,10 +112,24 @@ func runTimed(tg *traceGroup, spec Spec, opts Opts) (timedRun, error) {
 // carry the "timed" family instead of an experiment ID, so fig9 asks
 // for exactly the results fig8 committed and simulates nothing.
 func timedGrid(opts Opts) grid[timedRun] {
-	all := append([]Spec{baselineSpec()}, timedSpecs()...)
-	return grid[timedRun]{id: "timed", opts: opts, profiles: workload.All(), configs: specNames(all),
-		run:     func(tg *traceGroup, c int) (timedRun, error) { return runTimed(tg, all[c], opts) },
-		records: true}
+	return timedPart(opts, workload.All(), append([]Spec{baselineSpec()}, timedSpecs()...))
+}
+
+// timedPart is the part of the timed sweep over profiles and specs
+// (baseline or timedSpecs configurations): its units commit timedGrid's
+// keys, so an experiment that needs some timed runs (xprefetch,
+// xwindow) shares them with fig8.
+func timedPart(opts Opts, profiles []*workload.Profile, specs []Spec) grid[timedRun] {
+	return grid[timedRun]{id: "timed", opts: opts, profiles: profiles, configs: specNames(specs),
+		run:   func(_ *workload.Profile, c int) (engine[timedRun], error) { return timedEngine(specs[c], opts) },
+		reads: recordStream}
+}
+
+// timedDMBC is the timed sweep's part over profiles on the baseline and
+// the B-Cache: the runs of a Table 4 core behind direct-mapped or
+// B-Cache (MF8/BAS8) L1s with no stream buffer.
+func timedDMBC(opts Opts, profiles []*workload.Profile) grid[timedRun] {
+	return timedPart(opts, profiles, []Spec{baselineSpec(), timedBCacheSpec()})
 }
 
 func renderFig8(opts Opts, _ grid[timedRun], runs [][]timedRun) []*Table {

@@ -1,410 +1,442 @@
 package experiment
 
 import (
+	"context"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
+	"bcache/internal/addr"
+	"bcache/internal/trace"
 	"bcache/internal/workload"
 )
 
+// The materialize-then-replay twin: the way traces were consumed before
+// passes streamed them. A whole record trace is generated, its streams
+// are extracted whole, and each engine is fed them as one chunk. The
+// streaming pass is held to it.
+
+// generateRecords runs the workload generator for exactly n records.
+func generateRecords(t testing.TB, p *workload.Profile, n uint64) []trace.Record {
+	t.Helper()
+	g, err := workload.New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]trace.Record, n)
+	g.Fill(recs)
+	return recs
+}
+
+// extractData is the D-cache stream of a whole record trace.
+func extractData(recs []trace.Record) []memAcc { return appendData(nil, recs) }
+
+// extractFetch is the I-cache stream of a whole record trace at one line
+// size.
+func extractFetch(recs []trace.Record, lineBytes int) []addr.Addr {
+	lines := newFetchLines(lineBytes)
+	return lines.appendPCs(nil, recs)
+}
+
+// materialize runs the generator for n instructions straight into both
+// whole address streams, a chunk of records at a time.
+func materialize(t testing.TB, p *workload.Profile, n uint64, lineBytes int) ([]memAcc, []addr.Addr) {
+	t.Helper()
+	g, err := workload.New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		accs  []memAcc
+		pcs   []addr.Addr
+		lines = newFetchLines(lineBytes)
+		buf   = make([]trace.Record, min(n, chunkRecords))
+	)
+	for left := n; left > 0; {
+		c := buf[:min(left, uint64(len(buf)))]
+		g.Fill(c)
+		accs = appendData(accs, c)
+		pcs = lines.appendPCs(pcs, c)
+		left -= uint64(len(c))
+	}
+	return accs, pcs
+}
+
+// wholeChunk is a whole trace as one chunk, carrying the streams in
+// reads.
+func wholeChunk(recs []trace.Record, reads []stream) *chunk {
+	c := &chunk{recs: recs, data: extractData(recs)}
+	for _, s := range reads {
+		if s > 0 && c.fetchAt(int(s)) == nil {
+			c.fetch = append(c.fetch, fetchChunk{line: int(s), pcs: extractFetch(recs, int(s))})
+		}
+	}
+	return c
+}
+
+// replayMaterialized runs a campaign over exps the materialize-then-
+// replay way, outside the scheduler: per trace group, one whole-trace
+// chunk fed once to the engine of every unit. It returns every unit's
+// results by key.
+func replayMaterialized(t *testing.T, opts Opts, exps []Experiment) results {
+	t.Helper()
+	us := campaignUnits(opts, exps)
+	starts := append(groupStarts(us), len(us))
+	res := results{}
+	for g := 0; g+1 < len(starts); g++ {
+		group := us[starts[g]:starts[g+1]]
+		reads := make([]stream, len(group))
+		for x, u := range group {
+			reads[x] = u.reads
+		}
+		c := wholeChunk(generateRecords(t, group[0].prof, group[0].opts.Instructions), reads)
+		for _, u := range group {
+			e, err := u.start()
+			if err != nil {
+				t.Fatalf("%s: %v", u.label, err)
+			}
+			e.feed(c)
+			vals, err := e.results()
+			if err != nil {
+				t.Fatalf("%s: %v", u.label, err)
+			}
+			for x, key := range u.keys {
+				res[key] = vals[x]
+			}
+		}
+	}
+	return res
+}
+
+// renderCSV renders every experiment of exps from res as CSV.
+func renderCSV(t *testing.T, opts Opts, exps []Experiment, res results) []byte {
+	t.Helper()
+	var b []byte
+	for _, e := range exps {
+		tables, err := e.Render(opts, res)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		b = append(b, csvOf(t, tables)...)
+	}
+	return b
+}
+
+// TestStreamingMatchesMaterializedTwin: every registered experiment,
+// run as one streaming campaign at 1 and at 2 workers, renders the CSV
+// of the materialize-then-replay twin byte for byte. It runs at 60k
+// instructions, like TestRunAllMatchesPerExperimentRuns: three full
+// registry runs at tinyOpts' 120k take two minutes under -race.
+func TestStreamingMatchesMaterializedTwin(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three full registry runs")
+	}
+	opts := tinyOpts()
+	opts.Instructions = 60_000
+	want := renderCSV(t, opts, All(), replayMaterialized(t, opts, All()))
+	for _, workers := range []int{1, 2} {
+		ResetUnitMemo()
+		o := opts
+		o.Workers = workers
+		var got []byte
+		for i, out := range RunAll(o, All()) {
+			if out.Err != nil {
+				t.Fatalf("%d workers: %s: %v", workers, All()[i].ID, out.Err)
+			}
+			got = append(got, csvOf(t, out.Tables)...)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("%d workers: streaming CSV differs from the materialized twin\nstreaming:\n%s\ntwin:\n%s", workers, got, want)
+		}
+	}
+}
+
 // TestExtractMatchesMaterialize: deriving the address streams from a
-// cached record trace must be byte-for-byte the streams the
-// generator-driven materialize oracle produces, for every line size the
-// suite sweeps (the data stream is line-independent; the oracle proves
-// that by producing the same one at every line size).
+// whole record trace gives byte-for-byte the streams the
+// generator-driven materialize produces, for every line size the suite
+// sweeps (the data stream is line-independent; materialize proves that
+// by producing the same one at every line size).
 func TestExtractMatchesMaterialize(t *testing.T) {
 	const n = 50_000
 	for _, p := range workload.All()[:3] {
-		rt, err := generateRecords(p, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data := extractData(rt)
+		recs := generateRecords(t, p, n)
+		data := extractData(recs)
 		for _, lb := range []int{16, 32, 64} {
-			wantData, wantFetch, err := materialize(p, n, lb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(data.accs, wantData.accs) {
+			wantData, wantFetch := materialize(t, p, n, lb)
+			if !reflect.DeepEqual(data, wantData) {
 				t.Fatalf("%s line=%d: extracted data stream diverges from materialize", p.Name, lb)
 			}
-			fetch := extractFetch(rt, lb)
-			if !reflect.DeepEqual(fetch.pcs, wantFetch.pcs) {
+			if !reflect.DeepEqual(extractFetch(recs, lb), wantFetch) {
 				t.Fatalf("%s line=%d: extracted fetch stream diverges from materialize", p.Name, lb)
 			}
 		}
 	}
 }
 
-// TestStreamsExactlySized: every published address stream has
-// len == cap, so sizeBytes — what the trace-cache budget charges — is
-// the heap the stream holds. All 26 profiles, at 32- and 64-byte lines,
-// from both the direct (materialize) and the extract (record trace)
-// paths.
+// collector is a feeder that keeps every chunk it is handed: the
+// streams a pass produces, concatenated.
+type collector struct {
+	recs []trace.Record
+	data []memAcc
+	pcs  []addr.Addr
+}
+
+func (c *collector) feeder(s stream) *feeder {
+	return &feeder{reads: s, feed: func(ch *chunk) {
+		switch {
+		case s == recordStream:
+			c.recs = append(c.recs, ch.recs...)
+		case s == dataStream:
+			c.data = append(c.data, ch.data...)
+		default:
+			c.pcs = append(c.pcs, ch.fetchAt(int(s))...)
+		}
+	}}
+}
+
+// pass runs p's trace at n through fs.
+func pass(t testing.TB, p *workload.Profile, n uint64, fs ...*feeder) {
+	t.Helper()
+	if _, _, err := runPass(context.Background(), p, n, fs, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStreamsExactlySized: a chunk's streams never outgrow the buffers
+// newChunk allocates, so the chunk-buffer bytes a pass accounts are the
+// bytes it holds. All 26 profiles, at 32- and 64-byte lines.
 func TestStreamsExactlySized(t *testing.T) {
 	const n = 40_000
-	check := func(p *workload.Profile, path string, lb int, dt *dataTrace, ft *fetchTrace) {
-		t.Helper()
-		if len(dt.accs) != cap(dt.accs) || dt.sizeBytes() != int64(len(dt.accs))*8 {
-			t.Errorf("%s %s line=%d: data stream len %d cap %d sizeBytes %d",
-				p.Name, path, lb, len(dt.accs), cap(dt.accs), dt.sizeBytes())
-		}
-		if len(ft.pcs) != cap(ft.pcs) || ft.sizeBytes() != int64(len(ft.pcs))*8 {
-			t.Errorf("%s %s line=%d: fetch stream len %d cap %d sizeBytes %d",
-				p.Name, path, lb, len(ft.pcs), cap(ft.pcs), ft.sizeBytes())
-		}
-	}
 	for _, p := range workload.All() {
-		rt, err := generateRecords(p, n)
-		if err != nil {
-			t.Fatal(err)
+		recs := generateRecords(t, p, n)
+		c, bytes := newChunk(chunkRecords, []stream{dataStream, fetchStream(32), fetchStream(64)})
+		if want := int64(chunkRecords) * (recordBytes + 3*8); bytes != want {
+			t.Fatalf("chunk of %d records accounts %d bytes, want %d", chunkRecords, bytes, want)
 		}
-		for _, lb := range []int{32, 64} {
-			dt, ft, err := materialize(p, n, lb)
-			if err != nil {
-				t.Fatal(err)
+		dataCap, fetchCaps := cap(c.data), []int{cap(c.fetch[0].pcs), cap(c.fetch[1].pcs)}
+		for lo := 0; lo < n; lo += chunkRecords {
+			c.recs = recs[lo:min(lo+chunkRecords, n)]
+			c.extract()
+			if cap(c.data) != dataCap || cap(c.fetch[0].pcs) != fetchCaps[0] || cap(c.fetch[1].pcs) != fetchCaps[1] {
+				t.Fatalf("%s: a chunk's stream outgrew its buffer", p.Name)
 			}
-			check(p, "direct", lb, dt, ft)
-			check(p, "extract", lb, extractData(rt), extractFetch(rt, lb))
 		}
 	}
-}
-
-// testGroup returns the empty trace group of p's trace at opts, as the
-// scheduler builds it for a group of units that only replay streams;
-// cpuGroup, for a group with a unit that runs the CPU model.
-func testGroup(opts Opts, p *workload.Profile) *traceGroup {
-	return newTraceGroup([]unit{{opts: opts, prof: p}}, 0)
-}
-
-func cpuGroup(opts Opts, p *workload.Profile) *traceGroup {
-	return newTraceGroup([]unit{{opts: opts, prof: p, records: true}}, 0)
-}
-
-// heldBytes is the number of bytes g keeps.
-func heldBytes(g *traceGroup) int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.held
 }
 
 // TestPeakBytesHighWater: PeakBytes records the resident high-water
-// mark, which survives the drop that later shrinks Bytes; a dropped
-// group keeps nothing it builds afterwards.
+// mark — one pass's chunk buffers — which survives the end of the pass
+// that returns Bytes to zero.
 func TestPeakBytesHighWater(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
-	g := testGroup(tinyOpts(), mustProfile(t, "gcc"))
-	if _, err := g.data(); err != nil {
-		t.Fatal(err)
-	}
-	high := TraceCacheStats()
-	if high.PeakBytes < high.Bytes || high.PeakBytes == 0 || high.Bytes != heldBytes(g) {
-		t.Fatalf("peak %d, resident %d, group holds %d", high.PeakBytes, high.Bytes, heldBytes(g))
-	}
-	g.drop()
-	if _, err := g.data(); err != nil {
-		t.Fatal(err)
-	}
+	p := mustProfile(t, "gcc")
+	var col collector
+	pass(t, p, 20_000, col.feeder(dataStream))
 	c := TraceCacheStats()
-	if c.PeakBytes != high.PeakBytes {
-		t.Fatalf("peak moved from %d to %d", high.PeakBytes, c.PeakBytes)
+	if want := int64(chunkRecords) * (recordBytes + 8); c.PeakBytes != want || c.Bytes != 0 {
+		t.Fatalf("peak %d (want %d), resident %d after the pass", c.PeakBytes, want, c.Bytes)
 	}
-	if c.Bytes != 0 || heldBytes(g) != 0 {
-		t.Fatalf("a dropped group left %d bytes resident, holding %d", c.Bytes, heldBytes(g))
+	pass(t, p, 1_000, col.feeder(dataStream))
+	if after := TraceCacheStats(); after.PeakBytes != c.PeakBytes || after.Bytes != 0 {
+		t.Fatalf("a smaller pass moved the peak from %d to %d, or left %d bytes", c.PeakBytes, after.PeakBytes, after.Bytes)
 	}
 }
 
-// TestPeakStaysWithinBudget: a stream is kept only if the resident
-// bytes, counting it, fit the budget, so a stream-only campaign's
-// resident high-water mark never exceeds it. Three groups alive at
-// once under a budget for one and a half stream pairs must leave
-// streams unkept; a two-worker campaign over the same profiles must
-// stay within the budget too.
+// passBytes is the chunk-buffer bytes of a full-size pass whose engines
+// read records (always generated), data and fetchLines fetch streams.
+func passBytes(fetchLines int) int64 {
+	return chunkRecords * (recordBytes + 8 + 8*int64(fetchLines))
+}
+
+// TestPeakStaysWithinBudget: whatever the campaign, the resident trace
+// bytes never exceed one pass's chunk buffers per worker, and nothing
+// is left resident after it.
 func TestPeakStaysWithinBudget(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
-	opts := tinyOpts()
-	profiles := []*workload.Profile{mustProfile(t, "gcc"), mustProfile(t, "equake"), mustProfile(t, "crafty")}
-	var largest int64
-	for _, p := range profiles {
-		dt, ft, err := materialize(p, opts.Instructions, opts.LineBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		largest = max(largest, dt.sizeBytes()+ft.sizeBytes())
-	}
-	opts.TraceBytes = largest + largest/2
-	var groups []*traceGroup
-	for _, p := range profiles {
-		g := testGroup(opts, p)
-		groups = append(groups, g)
-		if _, err := g.data(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := TraceCacheStats()
-	if c.Evictions == 0 {
-		t.Fatalf("three groups under a budget for one and a half kept everything: %+v", c)
-	}
-	if c.PeakBytes > opts.TraceBytes {
-		t.Fatalf("resident peak %d exceeded budget %d", c.PeakBytes, opts.TraceBytes)
-	}
-	for _, g := range groups {
-		g.drop()
-	}
-
-	ResetTraceCache()
 	ResetUnitMemo()
+	opts := tinyOpts()
 	opts.Workers = 2
+	profiles := []*workload.Profile{mustProfile(t, "gcc"), mustProfile(t, "equake"), mustProfile(t, "crafty")}
 	campaign := []Experiment{{ID: "d", Units: func(o Opts) []unit { return sweep{o, profiles, figureSpecs(), dSide}.units() }},
 		{ID: "i", Units: func(o Opts) []unit { return sweep{o, profiles, figureSpecs(), iSide}.units() }}}
 	if _, err := runUnits(opts, campaignUnits(opts, campaign)); err != nil {
 		t.Fatal(err)
 	}
-	if c := TraceCacheStats(); c.PeakBytes > opts.TraceBytes || c.Bytes != 0 {
-		t.Fatalf("campaign: resident peak %d over budget %d, or %d bytes left resident", c.PeakBytes, opts.TraceBytes, c.Bytes)
+	if c, budget := TraceCacheStats(), int64(opts.Workers)*passBytes(1); c.PeakBytes > budget || c.PeakBytes == 0 || c.Bytes != 0 {
+		t.Fatalf("campaign: resident peak %d over %d workers' chunk buffers (%d), or %d bytes left resident",
+			c.PeakBytes, opts.Workers, budget, c.Bytes)
 	}
 }
 
-// recordGroups runs a CPU-model-shaped grid campaign on a fresh unit
-// memo: every unit of a profile's group fetches the record trace, and
-// with streams set also asks for the data and fetch streams, so a
-// tight budget leaves streams unkept while the record trace is in use.
-func recordGroups(t *testing.T, opts Opts, profiles []*workload.Profile, streams bool) {
+// TestResidentBytesIndependentOfN: a CPU-model group and a stream-only
+// group hold the same resident bytes at n and at 4n — chunk buffers,
+// never the trace — within one pass's buffers per worker.
+func TestResidentBytesIndependentOfN(t *testing.T) {
+	defer ResetTraceCache()
+	profiles := []*workload.Profile{mustProfile(t, "gcc"), mustProfile(t, "equake")}
+	campaign := []Experiment{
+		{ID: "cpu", Units: func(o Opts) []unit { return timedDMBC(o, profiles[:1]).units() }},
+		{ID: "streams", Units: func(o Opts) []unit { return sweep{o, profiles[1:], figureSpecs(), iSide}.units() }},
+	}
+	for _, workers := range []int{1, 2} {
+		var peaks []int64
+		for _, n := range []uint64{20_000, 80_000} {
+			ResetTraceCache()
+			ResetUnitMemo()
+			opts := tinyOpts()
+			opts.Instructions, opts.Workers = n, workers
+			if _, err := runUnits(opts, campaignUnits(opts, campaign)); err != nil {
+				t.Fatal(err)
+			}
+			c := TraceCacheStats()
+			if budget := int64(workers) * passBytes(1); c.PeakBytes > budget || c.Bytes != 0 {
+				t.Fatalf("%d workers, n=%d: peak %d over %d, or %d bytes left", workers, n, c.PeakBytes, budget, c.Bytes)
+			}
+			peaks = append(peaks, c.PeakBytes)
+		}
+		// Two workers may or may not overlap the two passes; one
+		// worker's peak is exactly the wider pass's buffers.
+		if workers == 1 && peaks[0] != peaks[1] {
+			t.Fatalf("resident peak grew with n: %d at n, %d at 4n", peaks[0], peaks[1])
+		}
+	}
+}
+
+// recordGroups runs a CPU-model grid campaign on a fresh unit memo whose
+// units read, per profile, the records, the data stream and the fetch
+// stream, so one pass feeds every stream kind.
+func recordGroups(t *testing.T, opts Opts, profiles []*workload.Profile) {
 	t.Helper()
 	ResetUnitMemo()
-	g := grid[struct{}]{id: "records", opts: opts, profiles: profiles, configs: []string{"a", "b", "c"},
-		run: func(tg *traceGroup, _ int) (struct{}, error) {
-			if _, err := tg.records(); err != nil {
-				return struct{}{}, err
-			}
-			if streams {
-				if _, err := tg.data(); err != nil {
-					return struct{}{}, err
-				}
-				if _, err := tg.fetch(opts.LineBytes); err != nil {
-					return struct{}{}, err
-				}
-			}
-			return struct{}{}, nil
-		}}
-	if _, err := runUnits(opts, g.units()); err != nil {
+	var us []unit
+	for k, s := range []stream{recordStream, dataStream, fetchStream(opts.LineBytes)} {
+		g := grid[int]{id: fmt.Sprintf("records%d", k), opts: opts, profiles: profiles, configs: []string{"a", "b"}, reads: s,
+			run: func(*workload.Profile, int) (engine[int], error) {
+				n := 0
+				return engine[int]{feed: func(ch *chunk) { n += len(ch.recs) + len(ch.data) + len(ch.fetchAt(opts.LineBytes)) },
+					results: func() (int, error) { return n, nil }}, nil
+			}}
+		us = append(us, g.units()...)
+	}
+	if _, err := runUnits(opts, campaignUnits(opts, []Experiment{{ID: "r", Units: func(Opts) []unit { return us }}})); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestRecordsNeverEvictedMidGroup: under a 1-byte budget no stream is
-// kept, but a record trace stays for its group's lifetime: each
-// profile's generator runs once, for all the group's units, and the
-// unkept streams are re-extracted from the record trace.
+// TestRecordsNeverEvictedMidGroup: a group whose units read the records,
+// the data stream and the fetch stream runs the generator once for all
+// of them, however many workers run the campaign.
 func TestRecordsNeverEvictedMidGroup(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
 	opts := tinyOpts()
-	opts.TraceBytes = 1
 	opts.Workers = 2
 	profiles := []*workload.Profile{mustProfile(t, "gcc"), mustProfile(t, "equake"), mustProfile(t, "mcf")}
-	recordGroups(t, opts, profiles, true)
-	c := TraceCacheStats()
-	if c.Generations != uint64(len(profiles)) {
-		t.Fatalf("%d generator runs for %d profiles; a record trace was lost mid-group: %+v",
-			c.Generations, len(profiles), c)
-	}
-	if c.Evictions == 0 {
-		t.Fatalf("a 1-byte budget kept every stream: %+v", c)
-	}
-	if c.Bytes != 0 {
-		t.Fatalf("%d bytes outlived their groups", c.Bytes)
+	recordGroups(t, opts, profiles)
+	if c := TraceCacheStats(); c.Generations != uint64(len(profiles)) || c.Bytes != 0 {
+		t.Fatalf("%d generator runs for %d profiles, %d bytes left: %+v", c.Generations, len(profiles), c.Bytes, c)
 	}
 }
 
-// TestGroupEndRetiresEveryPayload: when a trace group ends, every
-// payload it kept — the record trace, the data stream and the fetch
-// streams at every line size — is released, and the resident byte
-// count returns to zero. Inside the group, a record-marked grid's
-// streams come from its record trace: one generator run per profile.
+// TestGroupEndRetiresEveryPayload: when a pass ends its chunk buffers
+// are released, so the resident bytes return to zero, and a
+// record-reading grid's pass feeds its stream units too: one generator
+// run per profile.
 func TestGroupEndRetiresEveryPayload(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
 	opts := tinyOpts()
 	opts.Workers = 2
 	profiles := []*workload.Profile{mustProfile(t, "gcc"), mustProfile(t, "swim")}
-	ResetUnitMemo()
-	g := grid[struct{}]{id: "payloads", opts: opts, profiles: profiles, configs: []string{"a", "b"}, records: true,
-		run: func(tg *traceGroup, _ int) (struct{}, error) {
-			if _, err := tg.data(); err != nil {
-				return struct{}{}, err
-			}
-			if _, err := tg.fetch(64); err != nil {
-				return struct{}{}, err
-			}
-			_, err := tg.records()
-			return struct{}{}, err
-		}}
-	if _, err := runUnits(opts, g.units()); err != nil {
-		t.Fatal(err)
-	}
+	recordGroups(t, opts, profiles)
 	c := TraceCacheStats()
 	if c.Bytes != 0 {
-		t.Fatalf("%d bytes outlived their groups", c.Bytes)
+		t.Fatalf("%d bytes outlived their passes", c.Bytes)
 	}
 	if c.Generations != uint64(len(profiles)) {
-		t.Fatalf("%d generator runs for %d profiles; the streams should come from the record traces", c.Generations, len(profiles))
+		t.Fatalf("%d generator runs for %d profiles", c.Generations, len(profiles))
 	}
 }
 
-// TestResidentExtractMatchesDirect: a stream miss extracts the stream
-// from the group's record trace, or runs the generator straight into
-// both streams; either source yields the same streams, at 32- and
-// 64-byte lines.
+// TestResidentExtractMatchesDirect: the streams a pass extracts chunk
+// by chunk, concatenated, are the whole-trace records and streams of the
+// twin, at 32- and 64-byte lines, from one generator run.
 func TestResidentExtractMatchesDirect(t *testing.T) {
+	ResetTraceCache()
 	defer ResetTraceCache()
 	p := mustProfile(t, "gcc")
-	for _, lb := range []int{32, 64} {
-		opts := tinyOpts()
-		opts.LineBytes = lb
-		direct := testGroup(opts, p)
-		directData, err := direct.data()
-		if err != nil {
-			t.Fatal(err)
-		}
-		directFetch, err := direct.fetch(lb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ResetTraceCache()
-		g := cpuGroup(opts, p)
-		if _, err := g.records(); err != nil {
-			t.Fatal(err)
-		}
-		data, err := g.data()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fetch, err := g.fetch(lb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c := TraceCacheStats(); c.Generations != 1 {
-			t.Fatalf("line=%d: %d generator runs; the streams should come from the record trace", lb, c.Generations)
-		}
-		if !reflect.DeepEqual(data.accs, directData.accs) {
-			t.Fatalf("line=%d: data stream extracted from records diverges from the direct build", lb)
-		}
-		if !reflect.DeepEqual(fetch.pcs, directFetch.pcs) {
-			t.Fatalf("line=%d: fetch stream extracted from records diverges from the direct build", lb)
-		}
+	const n = 50_000
+	recs := generateRecords(t, p, n)
+	var all, data, f32, f64 collector
+	pass(t, p, n, all.feeder(recordStream), data.feeder(dataStream), f32.feeder(fetchStream(32)), f64.feeder(fetchStream(64)))
+	if c := TraceCacheStats(); c.Generations != 1 {
+		t.Fatalf("%d generator runs for one pass", c.Generations)
+	}
+	if !reflect.DeepEqual(all.recs, recs) {
+		t.Fatal("the pass's records diverge from the whole record trace")
+	}
+	if !reflect.DeepEqual(data.data, extractData(recs)) {
+		t.Fatal("the pass's data stream diverges from the whole-trace extraction")
+	}
+	if !reflect.DeepEqual(f32.pcs, extractFetch(recs, 32)) || !reflect.DeepEqual(f64.pcs, extractFetch(recs, 64)) {
+		t.Fatal("the pass's fetch streams diverge from the whole-trace extraction")
 	}
 }
 
-// oracleStreams runs materialize once and hands back both streams.
-func oracleStreams(t *testing.T, p *workload.Profile, o Opts) (*dataTrace, *fetchTrace) {
-	t.Helper()
-	dt, ft, err := materialize(p, o.Instructions, o.LineBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dt, ft
-}
-
-// TestSiblingWarmingMatchesOracle: a data-stream miss in a group that
-// only replays streams runs materialize once and keeps the fetch
-// stream at the group's line size too, so the next fetch request is a
-// hit — no second generator run — and both match materialize exactly.
+// TestSiblingWarmingMatchesOracle: a stream-only pass extracts the data
+// stream and the fetch stream from one generator run, and both match
+// materialize exactly.
 func TestSiblingWarmingMatchesOracle(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
 	opts := tinyOpts()
 	p := mustProfile(t, "gcc")
-	wantData, wantFetch := oracleStreams(t, p, opts)
-	g := testGroup(opts, p)
-	dt, err := g.data()
-	if err != nil {
-		t.Fatal(err)
+	wantData, wantFetch := materialize(t, p, opts.Instructions, opts.LineBytes)
+	var data, fetch collector
+	pass(t, p, opts.Instructions, data.feeder(dataStream), fetch.feeder(fetchStream(opts.LineBytes)))
+	if !reflect.DeepEqual(data.data, wantData) || !reflect.DeepEqual(fetch.pcs, wantFetch) {
+		t.Fatal("pass streams diverge from materialize")
 	}
-	before := TraceCacheStats()
-	ft, err := g.fetch(opts.LineBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := TraceCacheStats()
-	if !reflect.DeepEqual(dt.accs, wantData.accs) || !reflect.DeepEqual(ft.pcs, wantFetch.pcs) {
-		t.Fatal("group streams diverge from materialize")
-	}
-	if after.Hits != before.Hits+1 || after.Generations != 1 {
-		t.Fatalf("fetch after data: hits %d -> %d, %d generator runs; want one hit and one run",
-			before.Hits, after.Hits, after.Generations)
+	if c := TraceCacheStats(); c.Generations != 1 {
+		t.Fatalf("%d generator runs for one pass", c.Generations)
 	}
 }
 
-// TestTraceGroupConcurrentMatchesOracle races every payload request on
-// one group: goroutines ask for the data stream, the fetch streams at
-// 32 and 64 bytes and the record trace at once. Every payload must
-// equal what materialize and generateRecords produce, and a group that
-// runs the CPU model must run the generator exactly once. A group that
-// only replays streams, asked concurrently for its data stream and its
-// fetch stream at the group's line size, must run it exactly once too.
+// TestTraceGroupConcurrentMatchesOracle races passes over one trace:
+// goroutines each run their own pass for records, the data stream, or
+// the fetch streams at 32 and 64 bytes. Every pass must hand its
+// feeders the twin's streams, one generator run each.
 func TestTraceGroupConcurrentMatchesOracle(t *testing.T) {
+	ResetTraceCache()
 	defer ResetTraceCache()
-	opts := tinyOpts()
-	opts.Instructions = 60_000
 	p := mustProfile(t, "gcc")
-	wantRecs, err := generateRecords(p, opts.Instructions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantData, want32 := oracleStreams(t, p, opts)
-	_, want64, err := materialize(p, opts.Instructions, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantFetch := map[int]*fetchTrace{32: want32, 64: want64}
-
-	race := func(g *traceGroup, records bool, lines []int) {
-		t.Helper()
-		const callers = 3
-		var wg sync.WaitGroup
-		for range callers {
+	const n, callers = 60_000, 3
+	recs := generateRecords(t, p, n)
+	want := map[stream]collector{recordStream: {recs: recs}, dataStream: {data: extractData(recs)},
+		fetchStream(32): {pcs: extractFetch(recs, 32)}, fetchStream(64): {pcs: extractFetch(recs, 64)}}
+	var wg sync.WaitGroup
+	for range callers {
+		for s, w := range want {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if dt, err := g.data(); err != nil || !reflect.DeepEqual(dt.accs, wantData.accs) {
-					t.Errorf("data stream diverges from materialize (err %v)", err)
+				var got collector
+				if _, _, err := runPass(context.Background(), p, n, []*feeder{got.feeder(s)}, nil); err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, w) {
+					t.Errorf("stream %d diverges from the twin", s)
 				}
 			}()
-			for _, lb := range lines {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					if ft, err := g.fetch(lb); err != nil || !reflect.DeepEqual(ft.pcs, wantFetch[lb].pcs) {
-						t.Errorf("fetch stream at %d bytes diverges from materialize (err %v)", lb, err)
-					}
-				}()
-			}
-			if records {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					if rt, err := g.records(); err != nil || !reflect.DeepEqual(rt.recs, wantRecs.recs) {
-						t.Errorf("record trace diverges from generateRecords (err %v)", err)
-					}
-				}()
-			}
 		}
-		wg.Wait()
 	}
-
-	ResetTraceCache()
-	race(cpuGroup(opts, p), true, []int{32, 64})
-	if c := TraceCacheStats(); c.Generations != 1 {
-		t.Errorf("a group running the CPU model ran the generator %d times, want 1", c.Generations)
-	}
-	ResetTraceCache()
-	race(testGroup(opts, p), false, []int{opts.LineBytes})
-	if c := TraceCacheStats(); c.Generations != 1 {
-		t.Errorf("a stream-only group ran the generator %d times for data and fetch@%d, want 1", c.Generations, opts.LineBytes)
+	wg.Wait()
+	if c := TraceCacheStats(); c.Generations != callers*uint64(len(want)) || c.Bytes != 0 {
+		t.Errorf("%d generator runs for %d passes, %d bytes left", c.Generations, callers*len(want), c.Bytes)
 	}
 }
 
@@ -417,14 +449,16 @@ func mustProfile(t *testing.T, name string) *workload.Profile {
 	return p
 }
 
-// BenchmarkMaterialize times the generation layer on its own: one op
-// runs the generator straight into both address streams for all 26
-// profiles at 500k instructions and 32-byte lines.
-func BenchmarkMaterialize(b *testing.B) {
+// BenchmarkPass times the generation layer on its own: one op runs a
+// pass extracting the data stream and the 32-byte-line fetch stream for
+// all 26 profiles at 500k instructions, with no engine.
+func BenchmarkPass(b *testing.B) {
 	const n = 500_000
+	sink := &feeder{reads: fetchStream(32), feed: func(*chunk) {}}
+	data := &feeder{reads: dataStream, feed: func(*chunk) {}}
 	for i := 0; i < b.N; i++ {
 		for _, p := range workload.All() {
-			if _, _, err := materialize(p, n, 32); err != nil {
+			if _, _, err := runPass(context.Background(), p, n, []*feeder{data, sink}, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

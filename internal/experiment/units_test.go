@@ -171,11 +171,11 @@ func TestFig9AfterFig8SimulatesNothing(t *testing.T) {
 	}
 }
 
-// TestPlanWorkerHoldsOneRecordTrace: a worker executes planned units
-// outside the scheduler. Its Plan keeps the trace group of the last
-// unit it ran and drops it when a unit on another trace arrives, in
-// plan order and across interleaved leases alike, so at most one group
-// holds payloads: the resident bytes are always the current group's.
+// TestPlanWorkerHoldsOneRecordTrace: a worker executes planned groups
+// outside the scheduler, in plan order or jumping between the ends of
+// the plan as leases arrive. Each group is one pass whose chunk buffers
+// go with it: nothing is resident between groups, and the resident
+// high-water mark is one pass's buffers.
 func TestPlanWorkerHoldsOneRecordTrace(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
@@ -185,20 +185,12 @@ func TestPlanWorkerHoldsOneRecordTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first 14 units span three fig8 profiles; then jump between
-	// the ends of the plan.
-	order := []int{}
-	for i := 0; i < 14; i++ {
-		order = append(order, i)
-	}
-	order = append(order, plan.Len()-1, 20, plan.Len()-2, 21)
-	for _, i := range order {
-		if _, err := plan.Execute(i); err != nil {
+	for _, g := range []int{0, 1, 2, plan.Len() - 1, 3, plan.Len() - 2} {
+		if _, err := plan.Execute(g); err != nil {
 			t.Fatal(err)
 		}
-		if c, held := TraceCacheStats(), heldBytes(plan.group); c.Bytes != held || held == 0 {
-			t.Fatalf("after unit %d (%s): %d bytes resident, the current group holds %d",
-				i, plan.Key(i), c.Bytes, held)
+		if c := TraceCacheStats(); c.Bytes != 0 || c.PeakBytes != passBytes(0) {
+			t.Fatalf("after group %d: %d bytes resident, peak %d", g, c.Bytes, c.PeakBytes)
 		}
 	}
 }

@@ -23,6 +23,12 @@ func runCSV(t *testing.T, id string, opts Opts) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return csvOf(t, tables)
+}
+
+// csvOf renders tables as CSV.
+func csvOf(t *testing.T, tables []*Table) []byte {
+	t.Helper()
 	var b bytes.Buffer
 	for _, tb := range tables {
 		if err := tb.WriteCSV(&b); err != nil {
@@ -53,11 +59,11 @@ func TestProfileUnitsWorkerInvariant(t *testing.T) {
 }
 
 // TestNoTraceAccessOutsideUnits: every registered experiment reads its
-// traces from inside scheduled units, so no simulation runs serially
+// traces in passes the scheduler runs, so no simulation runs serially
 // outside the scheduler's deadline, retry and timing coverage. Each
-// trace-cache event of a campaign over the whole registry must start
-// within some unit span. Not parallel: the telemetry hub is
-// process-global.
+// pass's trace_build span of a campaign over the whole registry must
+// start within some unit span (its first unit's). Not parallel: the
+// telemetry hub is process-global.
 func TestNoTraceAccessOutsideUnits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry sweep is slow")
@@ -88,12 +94,12 @@ func TestNoTraceAccessOutsideUnits(t *testing.T) {
 		switch s.Kind {
 		case tracespan.KindUnit:
 			units = append(units, span{s.StartUnixNano, s.StartUnixNano + s.DurNanos})
-		case tracespan.KindTraceBuild, tracespan.KindTraceHit:
+		case tracespan.KindTraceBuild:
 			traces = append(traces, s)
 		}
 	}
-	if len(traces) == 0 {
-		t.Fatal("no trace-cache spans recorded")
+	if len(traces) != 26 {
+		t.Fatalf("%d trace_build spans, want one per pass: 26", len(traces))
 	}
 	// maxEnd[i] is the latest end among the i+1 earliest-starting units.
 	sort.Slice(units, func(a, b int) bool { return units[a].start < units[b].start })
@@ -112,10 +118,10 @@ func TestNoTraceAccessOutsideUnits(t *testing.T) {
 	}
 }
 
-// TestNoRecordTraceOutlivesExperiment: every payload, record traces
-// included, lives only for its trace group, so once any registered
-// experiment's Run returns no trace bytes are resident. A future
-// experiment inherits the guarantee by declaring its units.
+// TestNoRecordTraceOutlivesExperiment: every chunk buffer lives only
+// for its pass, so once any registered experiment's Run returns no
+// trace bytes are resident. A future experiment inherits the guarantee
+// by declaring its units.
 func TestNoRecordTraceOutlivesExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full registry sweep is slow")
@@ -135,33 +141,30 @@ func TestNoRecordTraceOutlivesExperiment(t *testing.T) {
 	}
 }
 
-// TestRecordExperimentsBudgetInvariant: the experiments that run record
-// traces render the same CSV whether the budget starves (no stream
-// kept), is the default, or keeps nothing at all.
-// fig9 reuses fig8's timed results at each budget, as in a suite.
+// TestRecordExperimentsBudgetInvariant: the experiments whose passes
+// feed the CPU model render the same CSV whatever the worker count, so
+// neither the claim order of the passes nor which passes overlap can
+// reach the output. fig9 reuses fig8's timed results at each worker
+// count, as in a suite.
 func TestRecordExperimentsBudgetInvariant(t *testing.T) {
 	if testing.Short() {
-		t.Skip("three budgets of the timed experiments are slow")
+		t.Skip("three runs of the timed experiments are slow")
 	}
-	defer ResetTraceCache()
 	ids := []string{"fig8", "fig9", "table7", "xl2", "xprefetch", "xwindow"}
-	budgets := []int64{0, 1, -1}
+	workers := []int{1, 2, 3}
 	csv := make(map[string][][]byte, len(ids))
-	for _, budget := range budgets {
-		ResetTraceCache()
+	for _, w := range workers {
 		ResetUnitMemo()
 		opts := tinyOpts()
-		opts.Workers = 2
-		opts.TraceBytes = budget
+		opts.Workers = w
 		for _, id := range ids {
 			csv[id] = append(csv[id], runCSV(t, id, opts))
 		}
 	}
 	for _, id := range ids {
-		for b := 1; b < len(budgets); b++ {
-			if got, want := csv[id][b], csv[id][0]; !bytes.Equal(got, want) {
-				t.Errorf("%s: TraceBytes=%d CSV differs from the default budget's\ngot:  %s\nwant: %s",
-					id, budgets[b], got, want)
+		for k := 1; k < len(workers); k++ {
+			if got, want := csv[id][k], csv[id][0]; !bytes.Equal(got, want) {
+				t.Errorf("%s: %d workers' CSV differs from 1 worker's\ngot:  %s\nwant: %s", id, workers[k], got, want)
 			}
 		}
 	}
