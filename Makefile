@@ -126,8 +126,10 @@ ci: fmt-check vet lint lint-facts-clean build bench-test race-robust race chaos 
 # worker subprocesses SIGKILLed mid-campaign, SIGINT drain, and
 # coordinator-crash shard recovery, each asserting bit-identical merges
 # against the sequential oracle (see internal/dist/distrun/chaos_test.go),
-# plus the whole internal/dist and internal/dist/distrun packages and the
-# CLI test that a -workers-procs run prints the in-process CSV byte for
+# plus the whole internal/dist and internal/dist/distrun packages, 10 s
+# of fuzzing the coordinator's handling of worker messages
+# (FuzzCoordinatorMsg: no panic, no unit committed twice), and the CLI
+# test that a -workers-procs run prints the in-process CSV byte for
 # byte, with and without losing every worker.
 # Fatal in ci since PR 10: the suite had been green since PR 7, so per
 # its documented promotion path it now gates the build as a hard
@@ -135,6 +137,7 @@ ci: fmt-check vet lint lint-facts-clean build bench-test race-robust race chaos 
 chaos:
 	$(GO) test -race -count=1 ./internal/dist/distrun
 	$(GO) test -race -count=1 ./internal/dist
+	$(GO) test -run '^$$' -fuzz FuzzCoordinatorMsg -fuzztime 10s ./internal/dist
 	$(GO) test -race -count=1 -run TestWorkersProcsMatchesInProcess ./cmd/experiments
 
 # reproduce is the output drift gate: it regenerates every table at

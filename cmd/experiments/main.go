@@ -63,7 +63,7 @@ func main() {
 		workersProcs   = flag.Int("workers-procs", 0, "distribute the experiments' work units across this many worker subprocesses")
 		workerMode     = flag.Bool("worker", false, "run as a distribution worker speaking the lease protocol on stdin/stdout (spawned by -workers-procs)")
 		distDir        = flag.String("dist-dir", "", "directory for worker checkpoint shards (default: a temp dir)")
-		leaseTTL       = flag.Duration("lease-ttl", 0, "re-lease a worker's units after this long without a heartbeat (default 30s)")
+		leaseTTL       = flag.Duration("lease-ttl", 0, "re-lease a worker's group after this long without a heartbeat (default 30s)")
 		workerRestarts = flag.Int("worker-restarts", 1, "times a dead worker subprocess is respawned (0 disables restarts)")
 
 		telemetry   = flag.String("telemetry", "", "serve live telemetry (/metrics, /progress, /debug/pprof) on this host:port (:0 picks a port)")
@@ -251,7 +251,7 @@ func main() {
 		}
 	}
 
-	// Distribution phase: lease every declared unit of the selected
+	// Distribution phase: lease the trace groups of the selected
 	// experiments to worker subprocesses first, merging their results
 	// into the checkpoint. The normal in-process loop below then runs
 	// those same units and finds each one already checkpointed, so the

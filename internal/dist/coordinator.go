@@ -16,7 +16,7 @@ import (
 )
 
 // The coordinator owns the campaign's distribution, never its
-// execution: it spawns worker subprocesses, leases them units one at a
+// execution: it spawns worker subprocesses, leases each one unit at a
 // time, commits their results as they stream back, and absorbs every
 // way a worker can let it down — crash (kill -9), hang past the lease
 // deadline, corrupt shard — by re-leasing the lost units to survivors.
@@ -29,8 +29,8 @@ import (
 // Events are nil-safe observation hooks: telemetry wires them to metrics
 // and trace spans, the chaos tests to seeded kill switches.
 type Events struct {
-	LeaseGranted     func(l Lease)
-	LeaseExpired     func(l Lease, returned int)
+	LeaseGranted     func(slot, unit int)
+	LeaseExpired     func(slot, unit int)
 	WorkerStarted    func(slot, attempt, pid int)
 	WorkerExited     func(slot int, err error)
 	WorkerRestarted  func(slot, attempt int)
@@ -55,10 +55,8 @@ type Config struct {
 	// incarnation; the coordinator wires its pipes and process group.
 	Command func(slot, attempt int) *exec.Cmd
 	// LeaseTTL is how long a lease lives without a heartbeat (default
-	// 30s); Heartbeat is the interval workers are told to beat at
-	// (default TTL/4).
-	LeaseTTL  time.Duration
-	Heartbeat time.Duration
+	// 30s); workers are told to beat every TTL/4.
+	LeaseTTL time.Duration
 	// RestartBudget is how many times a dead worker slot is respawned;
 	// 0 (the zero value) means never — its units go straight to
 	// survivors.
@@ -66,8 +64,6 @@ type Config struct {
 	// DrainWindow bounds the graceful-shutdown wait before stragglers
 	// are killed (default 10s).
 	DrainWindow time.Duration
-	// Clock is the wall-clock seam (nil = tracespan.Wall).
-	Clock tracespan.Clock
 	// AlreadyDone, when non-nil, marks units complete before any lease
 	// is granted — the checkpoint-resume seam. Such units are never
 	// executed or committed again.
@@ -151,14 +147,8 @@ func Coordinate(cfg Config) (Stats, error) {
 	if cfg.Workers < 1 || cfg.Command == nil {
 		return Stats{}, errors.New("dist: config needs Workers >= 1 and a Command func")
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = tracespan.Wall
-	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 30 * time.Second
-	}
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = cfg.LeaseTTL / 4
 	}
 	if cfg.DrainWindow <= 0 {
 		cfg.DrainWindow = 10 * time.Second
@@ -169,8 +159,8 @@ func Coordinate(cfg Config) (Stats, error) {
 
 	c := &coordinator{
 		cfg:   cfg,
-		clk:   cfg.Clock,
-		table: newLeaseTable(cfg.Units),
+		clk:   tracespan.Wall,
+		table: newLeaseTable(cfg.Units, cfg.Workers),
 		evc:   make(chan event, 64),
 		donec: make(chan struct{}),
 	}
@@ -324,7 +314,7 @@ func (c *coordinator) spawn(slot, attempt int) error {
 	if err := c.send(p, Msg{
 		Type: MsgInit, Proto: ProtoVersion, Spec: c.cfg.Spec,
 		ShardPath: p.shardPath, Fingerprint: c.cfg.Fingerprint,
-		Units: c.cfg.Units, HeartbeatMillis: c.cfg.Heartbeat.Milliseconds(),
+		Units: c.cfg.Units, HeartbeatMillis: (c.cfg.LeaseTTL / 4).Milliseconds(),
 	}); err != nil {
 		// The worker died before reading init (its stdin broke). The
 		// process did start, so its reader goroutine will surface the
@@ -359,28 +349,23 @@ func (c *coordinator) liveCount() int {
 	return n
 }
 
-// leaseUnits is how many units one lease holds. A unit is the caller's
-// coarsest independent grain (an experiment plan's unit is a whole
-// trace group, run as one pass), so one per lease amortizes the round
-// trip and keeps a re-lease to the work a death actually lost.
-const leaseUnits = 1
-
-// grantTo leases the next unit to slot; with nothing pending the worker
-// idles (its units may still come back from an expiry elsewhere).
+// grantTo leases the next unit to slot; with nothing pending, or a
+// lease already held, the worker keeps what it has (an idle one may
+// still get units back from an expiry elsewhere).
 func (c *coordinator) grantTo(slot int) {
 	p := c.procs[slot]
-	if p == nil || !p.alive || p.draining || p.doomed {
+	if p == nil || !p.alive || !p.greeted || p.draining || p.doomed {
 		return
 	}
-	l, ok := c.table.grant(slot, leaseUnits, c.clk.Now(), c.cfg.LeaseTTL)
+	unit, ok := c.table.grant(slot, c.clk.Now(), c.cfg.LeaseTTL)
 	if !ok {
 		return
 	}
 	c.stats.Leases++
 	if c.cfg.Events.LeaseGranted != nil {
-		c.cfg.Events.LeaseGranted(l)
+		c.cfg.Events.LeaseGranted(slot, unit)
 	}
-	if err := c.send(p, Msg{Type: MsgLease, Lease: l.ID, Start: l.Start, End: l.End}); err != nil {
+	if err := c.send(p, Msg{Type: MsgLease, Unit: unit}); err != nil {
 		// Dead pipe: the exit event will reclaim the lease with the rest
 		// of the worker's state.
 		c.logf("dist: worker %d lease write failed: %v", slot, err)
@@ -388,21 +373,15 @@ func (c *coordinator) grantTo(slot int) {
 }
 
 // regrantIdle offers pending work to every live idle worker. The normal
-// grant sites — MsgHello and MsgLeaseDone — only cover a worker's own
+// grant sites — hello and the end of a lease — only cover a worker's own
 // lifecycle; when units return to pending from someone *else's* failure
 // (a worker dead past its restart budget, a failed respawn, an expired
-// lease) the survivors may all be idle, having been granted nothing at
-// their last LeaseDone, and no future message from them would re-offer
-// work. This sweep is what makes "units go to survivors" true instead
-// of hanging the campaign with work pending and workers parked.
+// lease) the survivors may all be idle, having been granted nothing when
+// their last lease ended, and no future message from them would
+// re-offer work. This sweep is what makes "units go to survivors" true
+// instead of hanging the campaign with work pending and workers parked.
 func (c *coordinator) regrantIdle() {
-	for slot, p := range c.procs {
-		if p == nil || !p.alive || !p.greeted || p.draining || p.doomed {
-			continue
-		}
-		if c.table.hasLease(slot) {
-			continue
-		}
+	for slot := range c.procs {
 		c.grantTo(slot)
 	}
 }
@@ -423,9 +402,22 @@ func (c *coordinator) handleMsg(slot int, m Msg) error {
 		}
 		p.greeted = true
 		c.grantTo(slot)
-	case MsgResult:
-		c.table.heartbeat(m.Lease, c.clk.Now(), c.cfg.LeaseTTL)
-		if c.table.complete(m.Unit) == Committed {
+	case MsgResult, MsgUnitErr:
+		if m.Unit < 0 || m.Unit >= c.cfg.Units {
+			c.logf("dist: worker %d reported unit %d outside the plan's %d units; ignored", slot, m.Unit, c.cfg.Units)
+			return nil
+		}
+		switch {
+		case m.Type == MsgUnitErr:
+			if c.table.fail(m.Unit) {
+				c.logf("dist: unit %d failed on worker %d: %s", m.Unit, slot, m.Err)
+			}
+		case c.table.complete(m.Unit) != Committed:
+			if c.cfg.Events.DuplicateDropped != nil {
+				c.cfg.Events.DuplicateDropped(m.Unit)
+			}
+			c.logf("dist: duplicate completion of unit %d dropped (first commit wins)", m.Unit)
+		default:
 			if err := c.cfg.Commit(m.Unit, m.Records); err != nil {
 				return fmt.Errorf("dist: committing unit %d: %w", m.Unit, err)
 			}
@@ -433,29 +425,23 @@ func (c *coordinator) handleMsg(slot int, m Msg) error {
 			if c.cfg.Events.ResultCommitted != nil {
 				c.cfg.Events.ResultCommitted(slot, m.Unit)
 			}
-		} else {
-			if c.cfg.Events.DuplicateDropped != nil {
-				c.cfg.Events.DuplicateDropped(m.Unit)
-			}
-			c.logf("dist: duplicate completion of unit %d dropped (first commit wins)", m.Unit)
 		}
-	case MsgUnitErr:
-		c.table.heartbeat(m.Lease, c.clk.Now(), c.cfg.LeaseTTL)
-		if c.table.fail(m.Unit) {
-			c.logf("dist: unit %d failed on worker %d: %s", m.Unit, slot, m.Err)
+		// Reporting the unit it holds ends the slot's lease and frees it
+		// for the next one. A doomed slot already lost its lease at
+		// expiry: its late report still commits, but grants nothing.
+		if c.table.slots[slot].unit == m.Unit {
+			c.table.release(slot)
+			c.grantTo(slot)
 		}
-	case MsgLeaseDone:
-		c.table.release(m.Lease)
-		c.grantTo(slot)
 	case MsgHeartbeat:
-		c.table.heartbeat(m.Lease, c.clk.Now(), c.cfg.LeaseTTL)
+		c.table.heartbeat(slot, c.clk.Now(), c.cfg.LeaseTTL)
 	case MsgBye:
 		// The exit event does the bookkeeping; nothing to do here.
 	}
 	return nil
 }
 
-// handleExit reaps a dead worker: reclaim its leases, merge its shard
+// handleExit reaps a dead worker: reclaim its lease, merge its shard
 // (recovering units that persisted but never reported), and respawn it
 // if budget remains.
 func (c *coordinator) handleExit(slot int, waitErr error, draining bool) {
@@ -465,12 +451,12 @@ func (c *coordinator) handleExit(slot int, waitErr error, draining bool) {
 	}
 	p.alive = false
 	p.stdin.Close()
-	returned := c.table.releaseWorker(slot)
+	_, returned := c.table.release(slot)
 	if c.cfg.Events.WorkerExited != nil {
 		c.cfg.Events.WorkerExited(slot, waitErr)
 	}
-	if returned > 0 || waitErr != nil {
-		c.logf("dist: worker %d exited (%v); %d leased units returned", slot, waitErr, returned)
+	if returned || waitErr != nil {
+		c.logf("dist: worker %d exited (%v); leased unit returned: %v", slot, waitErr, returned)
 	}
 	c.mergeShard(slot, p.shardPath)
 	if draining {
@@ -488,8 +474,8 @@ func (c *coordinator) handleExit(slot int, waitErr error, draining bool) {
 		c.logf("dist: worker %d out of restart budget; its units go to survivors", slot)
 	}
 	// The death above may have returned units to pending (and shard merge
-	// may have shrunk that set); survivors idling since an empty-handed
-	// LeaseDone get no other chance to pick them up.
+	// may have shrunk that set); survivors idling since a lease ended with
+	// nothing left to grant get no other chance to pick them up.
 	c.regrantIdle()
 }
 
@@ -545,23 +531,22 @@ func (c *coordinator) mergeShard(slot int, path string) {
 // normal death path — merge shard, re-lease, restart — already handles.
 func (c *coordinator) handleExpiries() {
 	now := c.clk.Now()
-	for _, l := range c.table.expired(now) {
-		returned := c.table.release(l.ID)
+	for _, slot := range c.table.expired(now) {
+		unit, returned := c.table.release(slot)
 		c.stats.Expiries++
 		if c.cfg.Events.LeaseExpired != nil {
-			c.cfg.Events.LeaseExpired(l, returned)
+			c.cfg.Events.LeaseExpired(slot, unit)
 		}
-		c.logf("dist: lease %d (worker %d, units %d-%d) expired; %d units re-leased",
-			l.ID, l.Worker, l.Start, l.End, returned)
-		if p := c.procs[l.Worker]; p != nil && p.alive {
+		c.logf("dist: worker %d's lease on unit %d expired (returned to pending: %v)", slot, unit, returned)
+		if p := c.procs[slot]; p != nil && p.alive {
 			// doomed keeps the slot from being re-granted work in the
 			// window between the kill and its exit event.
 			p.doomed = true
 			killGroup(p.pid, syscall.SIGKILL)
 		}
 	}
-	// Expired units are pending again; hand them to idle survivors now
-	// rather than waiting for a LeaseDone that may never come.
+	// Expired units are pending again; hand them to idle survivors now:
+	// an idle survivor has no lease whose end would grant it one.
 	c.regrantIdle()
 }
 

@@ -74,7 +74,7 @@ func TestCoordinateAlreadyDoneSkipsUnits(t *testing.T) {
 		t.Fatal(err)
 	}
 	mc := newMemCommit()
-	var leased []Lease
+	var leased []int
 	stats, err := Coordinate(Config{
 		Units:       spec.Units,
 		Fingerprint: spec.fingerprint(),
@@ -84,7 +84,7 @@ func TestCoordinateAlreadyDoneSkipsUnits(t *testing.T) {
 		Command:     scriptedCommand(t),
 		AlreadyDone: func(u int) bool { return u%2 == 0 },
 		Commit:      mc.commit,
-		Events:      Events{LeaseGranted: func(l Lease) { leased = append(leased, l) }},
+		Events:      Events{LeaseGranted: func(slot, unit int) { leased = append(leased, unit) }},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,11 +100,9 @@ func TestCoordinateAlreadyDoneSkipsUnits(t *testing.T) {
 			t.Fatalf("resumed unit %d re-committed", u)
 		}
 	}
-	for _, l := range leased {
-		for u := l.Start; u < l.End; u++ {
-			if u%2 == 0 {
-				t.Fatalf("lease %+v covers resumed unit %d", l, u)
-			}
+	for _, u := range leased {
+		if u%2 == 0 {
+			t.Fatalf("resumed unit %d leased", u)
 		}
 	}
 }

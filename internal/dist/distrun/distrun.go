@@ -33,37 +33,34 @@ const SpecSchemaVersion = 1
 // worker executes one leased group at a time as one pass, and including
 // them would make equal plans look different.
 type CampaignSpec struct {
-	SchemaVersion    int      `json:"schemaVersion"`
-	IDs              []string `json:"ids,omitempty"`
-	Instructions     uint64   `json:"instructions"`
-	L1Size           int      `json:"l1Size"`
-	LineBytes        int      `json:"lineBytes"`
-	Seeds            int      `json:"seeds,omitempty"`
-	DisableStackDist bool     `json:"disableStackDist,omitempty"`
+	SchemaVersion int      `json:"schemaVersion"`
+	IDs           []string `json:"ids,omitempty"`
+	Instructions  uint64   `json:"instructions"`
+	L1Size        int      `json:"l1Size"`
+	LineBytes     int      `json:"lineBytes"`
+	Seeds         int      `json:"seeds,omitempty"`
 }
 
 // SpecFor captures opts and ids as a wire spec.
 func SpecFor(opts experiment.Opts, ids []string) CampaignSpec {
 	return CampaignSpec{
-		SchemaVersion:    SpecSchemaVersion,
-		IDs:              ids,
-		Instructions:     opts.Instructions,
-		L1Size:           opts.L1Size,
-		LineBytes:        opts.LineBytes,
-		Seeds:            opts.Seeds,
-		DisableStackDist: opts.DisableStackDist,
+		SchemaVersion: SpecSchemaVersion,
+		IDs:           ids,
+		Instructions:  opts.Instructions,
+		L1Size:        opts.L1Size,
+		LineBytes:     opts.LineBytes,
+		Seeds:         opts.Seeds,
 	}
 }
 
 // Opts rebuilds the execution options a worker runs units under.
 func (s CampaignSpec) Opts() experiment.Opts {
 	return experiment.Opts{
-		Instructions:     s.Instructions,
-		L1Size:           s.L1Size,
-		LineBytes:        s.LineBytes,
-		Seeds:            s.Seeds,
-		DisableStackDist: s.DisableStackDist,
-		Workers:          1,
+		Instructions: s.Instructions,
+		L1Size:       s.L1Size,
+		LineBytes:    s.LineBytes,
+		Seeds:        s.Seeds,
+		Workers:      1,
 	}
 }
 
@@ -205,7 +202,6 @@ func RunCampaign(opts experiment.Opts, ids []string, o Options) (dist.Stats, err
 		LeaseTTL:      o.LeaseTTL,
 		DrainWindow:   o.DrainWindow,
 		RestartBudget: o.RestartBudget,
-		Clock:         tracespan.Wall,
 		AlreadyDone:   func(i int) bool { return plan.Done(i, ckpt) },
 		Commit: func(unit int, recs []dist.Record) error {
 			commitRecords(ckpt, recs)
@@ -223,18 +219,16 @@ func RunCampaign(opts experiment.Opts, ids []string, o Options) (dist.Stats, err
 func telemetryEvents(extra dist.Events) dist.Events {
 	emit := func(s tracespan.Span) { experiment.CurrentTelemetry().Emit(s) }
 	ev := extra
-	ev.LeaseGranted = func(l dist.Lease) {
-		emit(tracespan.Span{Kind: tracespan.KindLease, Worker: l.Worker, Unit: -1, Attempt: l.ID,
-			Detail: fmt.Sprintf("units=%d-%d", l.Start, l.End)})
+	ev.LeaseGranted = func(slot, unit int) {
+		emit(tracespan.Span{Kind: tracespan.KindLease, Worker: slot, Unit: unit})
 		if extra.LeaseGranted != nil {
-			extra.LeaseGranted(l)
+			extra.LeaseGranted(slot, unit)
 		}
 	}
-	ev.LeaseExpired = func(l dist.Lease, returned int) {
-		emit(tracespan.Span{Kind: tracespan.KindLeaseExpire, Worker: l.Worker, Unit: -1, Attempt: l.ID,
-			Detail: fmt.Sprintf("returned=%d", returned)})
+	ev.LeaseExpired = func(slot, unit int) {
+		emit(tracespan.Span{Kind: tracespan.KindLeaseExpire, Worker: slot, Unit: unit})
 		if extra.LeaseExpired != nil {
-			extra.LeaseExpired(l, returned)
+			extra.LeaseExpired(slot, unit)
 		}
 	}
 	ev.WorkerStarted = func(slot, attempt, pid int) {

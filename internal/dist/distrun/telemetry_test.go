@@ -26,11 +26,11 @@ func TestDistMetricsExposition(t *testing.T) {
 
 	var extra []string
 	ev := telemetryEvents(dist.Events{
-		LeaseGranted: func(dist.Lease) { extra = append(extra, "lease") },
+		LeaseGranted: func(slot, unit int) { extra = append(extra, "lease") },
 	})
-	ev.LeaseGranted(dist.Lease{ID: 1, Worker: 0, Start: 0, End: 8})
-	ev.LeaseGranted(dist.Lease{ID: 2, Worker: 1, Start: 8, End: 16})
-	ev.LeaseExpired(dist.Lease{ID: 1, Worker: 0, Start: 0, End: 8}, 8)
+	ev.LeaseGranted(0, 0)
+	ev.LeaseGranted(1, 1)
+	ev.LeaseExpired(0, 0)
 	ev.WorkerStarted(0, 0, 100)
 	ev.WorkerStarted(1, 0, 101)
 	ev.WorkerExited(0, errors.New("killed"))

@@ -38,73 +38,57 @@ func fakeProc() *workerProc {
 	}
 }
 
-// leaseOf returns the single lease held by worker, or nil.
-func leaseOf(t *testing.T, table *leaseTable, worker int) *Lease {
-	t.Helper()
-	var found *Lease
-	for _, l := range table.leases {
-		if l.Worker == worker {
-			if found != nil {
-				t.Fatalf("worker %d holds more than one lease", worker)
-			}
-			found = l
-		}
+// fakeCoordinator builds a coordinator over fake workers, driven event
+// by event: the caller invokes handleMsg, handleExpiries and handleExit
+// itself. RestartBudget is 0, so a dead slot never respawns.
+func fakeCoordinator(units, workers int, clk *tracespan.FakeClock, commit func(unit int, recs []Record) error) *coordinator {
+	c := &coordinator{
+		cfg:   Config{Units: units, Workers: workers, LeaseTTL: time.Second, Commit: commit},
+		clk:   clk,
+		table: newLeaseTable(units, workers),
+		procs: make([]*workerProc, workers),
+		evc:   make(chan event, 4),
+		donec: make(chan struct{}),
 	}
-	return found
+	for i := range c.procs {
+		c.procs[i] = fakeProc()
+	}
+	c.stats.Units = units
+	return c
 }
+
+// held returns the unit slot's lease holds, or idle.
+func held(c *coordinator, slot int) int { return c.table.slots[slot].unit }
 
 func TestDoomedWorkerNotRegrantedInExpiryWindow(t *testing.T) {
 	clk := tracespan.NewFakeClock(time.Unix(1000, 0))
 	committed := map[int]bool{}
-	c := &coordinator{
-		cfg: Config{
-			Units:    2,
-			LeaseTTL: time.Second,
-			Commit: func(unit int, recs []Record) error {
-				committed[unit] = true
-				return nil
-			},
-			// RestartBudget 0: the doomed worker's exit must not
-			// respawn it; its units belong to the survivor.
-		},
-		clk:   clk,
-		table: newLeaseTable(2),
-		procs: []*workerProc{fakeProc(), fakeProc()},
-		evc:   make(chan event, 4),
-		donec: make(chan struct{}),
-	}
-	c.stats.Units = 2
+	c := fakeCoordinator(2, 2, clk, func(unit int, recs []Record) error {
+		committed[unit] = true
+		return nil
+	})
 
-	// Both workers lease a unit: worker 0 gets [0,1), worker 1 [1,2).
+	// Both workers lease a unit: worker 0 gets unit 0, worker 1 unit 1.
 	c.grantTo(0)
 	c.grantTo(1)
-	l0 := leaseOf(t, c.table, 0)
-	l1 := leaseOf(t, c.table, 1)
-	if l0 == nil || l1 == nil {
-		t.Fatalf("expected both workers leased; got %v / %v", l0, l1)
-	}
-	if l0.Start != 0 || l0.End != 1 || l1.Start != 1 || l1.End != 2 {
-		t.Fatalf("unexpected lease ranges: [%d,%d) and [%d,%d)",
-			l0.Start, l0.End, l1.Start, l1.End)
+	if held(c, 0) != 0 || held(c, 1) != 1 {
+		t.Fatalf("leases = %d / %d, want units 0 / 1", held(c, 0), held(c, 1))
 	}
 
-	// Worker 1 finishes its unit and reports its lease done; with unit
-	// 0 still leased to worker 0 there is nothing left to grant, so
-	// worker 1 goes idle — the pre-condition for the race.
-	if err := c.handleMsg(1, Msg{Type: MsgResult, Lease: l1.ID, Unit: 1}); err != nil {
+	// Worker 1 reports its unit, which ends its lease; with unit 0 still
+	// leased to worker 0 there is nothing left to grant, so worker 1
+	// goes idle — the pre-condition for the race.
+	if err := c.handleMsg(1, Msg{Type: MsgResult, Unit: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.handleMsg(1, Msg{Type: MsgLeaseDone, Lease: l1.ID}); err != nil {
-		t.Fatal(err)
-	}
-	if got := leaseOf(t, c.table, 1); got != nil {
-		t.Fatalf("worker 1 should be idle, holds lease [%d,%d)", got.Start, got.End)
+	if got := held(c, 1); got != idle {
+		t.Fatalf("worker 1 should be idle, holds unit %d", got)
 	}
 
 	// Worker 0 goes silent. Advancing past the TTL and running the
 	// expiry sweep must (a) doom slot 0 while its exit event is still
-	// pending, (b) keep its own returned units away from it, and (c)
-	// hand them to the idle survivor in the same sweep.
+	// pending, (b) keep its own returned unit away from it, and (c)
+	// hand it to the idle survivor in the same sweep.
 	clk.Advance(2 * time.Second)
 	c.handleExpiries()
 	if !c.procs[0].doomed {
@@ -116,19 +100,18 @@ func TestDoomedWorkerNotRegrantedInExpiryWindow(t *testing.T) {
 	if c.stats.Expiries != 1 {
 		t.Fatalf("Expiries = %d, want 1", c.stats.Expiries)
 	}
-	if got := leaseOf(t, c.table, 0); got != nil {
-		t.Fatalf("doomed worker 0 re-granted units [%d,%d) in the expiry window", got.Start, got.End)
+	if got := held(c, 0); got != idle {
+		t.Fatalf("doomed worker 0 re-granted unit %d in the expiry window", got)
 	}
-	rl := leaseOf(t, c.table, 1)
-	if rl == nil || rl.Start != 0 || rl.End != 1 {
-		t.Fatalf("survivor should hold re-granted [0,1); got %v", rl)
+	if got := held(c, 1); got != 0 {
+		t.Fatalf("survivor should hold re-granted unit 0; holds %d", got)
 	}
 
 	// Extra regrant sweeps inside the window (any event can trigger
 	// one) must keep skipping the doomed slot.
 	c.regrantIdle()
-	if got := leaseOf(t, c.table, 0); got != nil {
-		t.Fatal("doomed worker 0 picked up a lease from a later sweep")
+	if got := held(c, 0); got != idle {
+		t.Fatalf("doomed worker 0 picked up unit %d from a later sweep", got)
 	}
 
 	// The SIGKILL's exit event lands. With a zero restart budget the
@@ -142,20 +125,16 @@ func TestDoomedWorkerNotRegrantedInExpiryWindow(t *testing.T) {
 	if c.stats.Restarts != 0 {
 		t.Fatalf("Restarts = %d, want 0", c.stats.Restarts)
 	}
-	if got := leaseOf(t, c.table, 0); got != nil {
-		t.Fatal("dead worker 0 holds a lease after exit")
+	if got := held(c, 0); got != idle {
+		t.Fatalf("dead worker 0 holds unit %d after exit", got)
 	}
-	rl2 := leaseOf(t, c.table, 1)
-	if rl2 == nil || rl2.ID != rl.ID {
-		t.Fatalf("survivor's lease changed across the exit event: %v -> %v", rl, rl2)
+	if got := held(c, 1); got != 0 {
+		t.Fatalf("survivor's lease changed across the exit event: holds %d", got)
 	}
 
 	// The survivor finishes the recovered unit; the campaign settles
 	// with every unit committed exactly once.
-	if err := c.handleMsg(1, Msg{Type: MsgResult, Lease: rl2.ID, Unit: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.handleMsg(1, Msg{Type: MsgLeaseDone, Lease: rl2.ID}); err != nil {
+	if err := c.handleMsg(1, Msg{Type: MsgResult, Unit: 0}); err != nil {
 		t.Fatal(err)
 	}
 	if !c.table.settled() {
@@ -175,48 +154,42 @@ func TestDoomedWorkerNotRegrantedInExpiryWindow(t *testing.T) {
 // direction: the doomed worker's exit event arrives while a straggler
 // result from its expired lease is still in the pipe. The late result
 // for a unit the survivor already committed must drop as a duplicate
-// (first-commit-wins), never re-commit.
+// (first-commit-wins), never re-commit, and grants the doomed slot
+// nothing.
 func TestExitDuringExpiryWindowThenLateResult(t *testing.T) {
 	clk := tracespan.NewFakeClock(time.Unix(2000, 0))
 	commits := map[int]int{}
-	c := &coordinator{
-		cfg: Config{
-			Units:    2,
-			LeaseTTL: time.Second,
-			Commit: func(unit int, recs []Record) error {
-				commits[unit]++
-				return nil
-			},
-		},
-		clk:   clk,
-		table: newLeaseTable(2),
-		procs: []*workerProc{fakeProc(), fakeProc()},
-		evc:   make(chan event, 4),
-		donec: make(chan struct{}),
-	}
-	c.stats.Units = 2
+	c := fakeCoordinator(2, 2, clk, func(unit int, recs []Record) error {
+		commits[unit]++
+		return nil
+	})
 
 	c.grantTo(0)
-	l0 := leaseOf(t, c.table, 0)
-	if l0 == nil {
+	if held(c, 0) != 0 {
 		t.Fatal("worker 0 got no lease")
 	}
 
-	// Expire it; the idle worker 1 inherits unit 0 and commits it.
+	// Expire it; the idle worker 1 inherits unit 0 and commits it,
+	// which ends its lease and grants it unit 1.
 	clk.Advance(2 * time.Second)
 	c.handleExpiries()
-	rl := leaseOf(t, c.table, 1)
-	if rl == nil {
+	if held(c, 1) != 0 {
 		t.Fatal("survivor got no re-grant")
 	}
-	if err := c.handleMsg(1, Msg{Type: MsgResult, Lease: rl.ID, Unit: 0}); err != nil {
+	if err := c.handleMsg(1, Msg{Type: MsgResult, Unit: 0}); err != nil {
 		t.Fatal(err)
+	}
+	if held(c, 1) != 1 {
+		t.Fatalf("survivor holds %d after its result, want the next unit 1", held(c, 1))
 	}
 
 	// The doomed worker's buffered result for the same unit arrives
 	// just before its exit event: duplicate, dropped, counted.
-	if err := c.handleMsg(0, Msg{Type: MsgResult, Lease: l0.ID, Unit: 0}); err != nil {
+	if err := c.handleMsg(0, Msg{Type: MsgResult, Unit: 0}); err != nil {
 		t.Fatal(err)
+	}
+	if held(c, 0) != idle {
+		t.Fatalf("doomed worker 0 granted unit %d by its late result", held(c, 0))
 	}
 	c.handleExit(0, errors.New("signal: killed"), false)
 
@@ -226,7 +199,7 @@ func TestExitDuringExpiryWindowThenLateResult(t *testing.T) {
 	if c.table.dups != 1 {
 		t.Fatalf("dups = %d, want 1", c.table.dups)
 	}
-	if got := leaseOf(t, c.table, 1); got == nil || got.ID != rl.ID {
+	if held(c, 1) != 1 {
 		t.Fatal("survivor's lease disturbed by the late result + exit")
 	}
 }

@@ -1,24 +1,23 @@
 package dist
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 // The lease table is the coordinator's single source of truth about who
 // owns which units. Units move pending → leased → done, or → failed on
-// the first reported unit error; a lease that misses its deadline (or
-// whose worker dies) releases its unfinished units back to pending,
-// where a survivor picks them up. A unit error is never retried here:
-// the caller's in-process scheduler reruns failed units under its own
-// retry policy. Completion is per *unit* and first-commit-wins: when a
-// slow worker and its replacement both finish the same unit, the first
-// result commits and the second is counted as a duplicate and dropped —
-// never re-applied, so re-leasing can never change a committed value.
+// the first reported unit error. A lease is one unit on one worker slot:
+// each slot holds at most one, with a deadline. A lease ends when its
+// slot reports the unit (result or unit error); a lease that misses its
+// deadline, or whose worker dies, returns its unit to pending, where a
+// survivor picks it up. A unit error is never retried here: the caller's
+// in-process scheduler reruns failed units under its own retry policy.
+// Completion is per *unit* and first-commit-wins: when a slow worker and
+// its replacement both finish the same unit, the first result commits
+// and the second is counted as a duplicate and dropped — never
+// re-applied, so re-leasing can never change a committed value.
 //
 // The table is deliberately passive about time: every method that needs
-// a clock takes `now` as a parameter, so the coordinator's Clock seam is
-// the only time source and tests drive expiry with a FakeClock.
+// a clock takes `now` as a parameter, so the coordinator's clock is the
+// only time source and tests drive expiry with a FakeClock.
 
 // unit states.
 const (
@@ -27,6 +26,9 @@ const (
 	unitDone
 	unitFailed // a worker reported a unit error; left to the caller
 )
+
+// idle is the unit of a slot that holds no lease.
+const idle = -1
 
 // CompleteStatus classifies a unit completion.
 type CompleteStatus int
@@ -39,28 +41,29 @@ const (
 	Duplicate
 )
 
-// Lease is one granted range of units [Start, End).
-type Lease struct {
-	ID     int       `json:"id"`
-	Worker int       `json:"worker"`
-	Start  int       `json:"start"`
-	End    int       `json:"end"`
-	Expiry time.Time `json:"expiry"`
+// slotLease is one worker slot's lease: the unit it runs (idle when
+// none) and the deadline heartbeats push back.
+type slotLease struct {
+	unit     int
+	deadline time.Time
 }
 
 // leaseTable tracks unit and lease state. Not safe for concurrent use;
 // the coordinator mutates it from its event loop only.
 type leaseTable struct {
 	state  []int
-	leases map[int]*Lease
-	nextID int
+	slots  []slotLease
 	done   int
 	failed int
 	dups   int
 }
 
-func newLeaseTable(units int) *leaseTable {
-	return &leaseTable{state: make([]int, units), leases: map[int]*Lease{}, nextID: 1}
+func newLeaseTable(units, slots int) *leaseTable {
+	t := &leaseTable{state: make([]int, units), slots: make([]slotLease, slots)}
+	for i := range t.slots {
+		t.slots[i].unit = idle
+	}
+	return t
 }
 
 // markDone pre-seeds a unit as complete (checkpoint resume).
@@ -72,39 +75,58 @@ func (t *leaseTable) markDone(unit int) {
 	t.done++
 }
 
-// grant leases the lowest-indexed contiguous run of pending units, at
-// most max long, to worker; ok is false when nothing is pending. Leased
-// units are skipped over, so re-leased singletons and fresh ranges mix.
-func (t *leaseTable) grant(worker, max int, now time.Time, ttl time.Duration) (Lease, bool) {
-	start := -1
-	for i, s := range t.state {
+// grant leases the lowest pending unit to an idle slot; ok is false when
+// the slot already holds a lease or nothing is pending.
+func (t *leaseTable) grant(slot int, now time.Time, ttl time.Duration) (unit int, ok bool) {
+	if t.slots[slot].unit != idle {
+		return 0, false
+	}
+	for u, s := range t.state {
 		if s == unitPending {
-			start = i
-			break
+			t.state[u] = unitLeased
+			t.slots[slot] = slotLease{unit: u, deadline: now.Add(ttl)}
+			return u, true
 		}
 	}
-	if start < 0 {
-		return Lease{}, false
-	}
-	end := start
-	for end < len(t.state) && end-start < max && t.state[end] == unitPending {
-		end++
-	}
-	l := &Lease{ID: t.nextID, Worker: worker, Start: start, End: end, Expiry: now.Add(ttl)}
-	t.nextID++
-	for i := start; i < end; i++ {
-		t.state[i] = unitLeased
-	}
-	t.leases[l.ID] = l
-	return *l, true
+	return 0, false
 }
 
-// heartbeat extends a live lease's deadline; unknown (already released)
-// leases are ignored.
-func (t *leaseTable) heartbeat(leaseID int, now time.Time, ttl time.Duration) {
-	if l, ok := t.leases[leaseID]; ok {
-		l.Expiry = now.Add(ttl)
+// heartbeat extends slot's lease, if it holds one.
+func (t *leaseTable) heartbeat(slot int, now time.Time, ttl time.Duration) {
+	if t.slots[slot].unit != idle {
+		t.slots[slot].deadline = now.Add(ttl)
 	}
+}
+
+// release drops slot's lease and returns the unit it held to pending
+// unless it already finished; returned says whether it did. A lease
+// ends this way on every path: the slot reported its unit (which is
+// then done or failed, so nothing returns), its deadline passed, or its
+// worker died.
+func (t *leaseTable) release(slot int) (unit int, returned bool) {
+	unit = t.slots[slot].unit
+	if unit == idle {
+		return idle, false
+	}
+	t.slots[slot].unit = idle
+	if t.state[unit] == unitLeased {
+		t.state[unit] = unitPending
+		return unit, true
+	}
+	return unit, false
+}
+
+// expired returns the slots whose lease is past its deadline at now, in
+// slot order, without releasing them: the coordinator decides what to do
+// with the worker first.
+func (t *leaseTable) expired(now time.Time) []int {
+	var out []int
+	for slot, l := range t.slots {
+		if l.unit != idle && now.After(l.deadline) {
+			out = append(out, slot)
+		}
+	}
+	return out
 }
 
 // complete commits unit, first-commit-wins. The unit may belong to an
@@ -136,63 +158,6 @@ func (t *leaseTable) fail(unit int) bool {
 	t.state[unit] = unitFailed
 	t.failed++
 	return true
-}
-
-// release drops a lease and returns its unfinished units to pending
-// (worker exit, lease expiry, or normal leaseDone — in the last case
-// every unit is already done or failed and nothing moves).
-func (t *leaseTable) release(leaseID int) (returned int) {
-	l, ok := t.leases[leaseID]
-	if !ok {
-		return 0
-	}
-	delete(t.leases, leaseID)
-	for i := l.Start; i < l.End; i++ {
-		if t.state[i] == unitLeased {
-			t.state[i] = unitPending
-			returned++
-		}
-	}
-	return returned
-}
-
-// releaseWorker releases every lease held by worker.
-func (t *leaseTable) releaseWorker(worker int) (returned int) {
-	ids := make([]int, 0, len(t.leases))
-	for id, l := range t.leases {
-		if l.Worker == worker {
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids) // map order must not leak into release ordering
-	for _, id := range ids {
-		returned += t.release(id)
-	}
-	return returned
-}
-
-// hasLease reports whether worker holds any live lease.
-func (t *leaseTable) hasLease(worker int) bool {
-	for _, l := range t.leases {
-		if l.Worker == worker {
-			return true
-		}
-	}
-	return false
-}
-
-// expired returns the leases past their deadline at now, in lease-ID
-// order, without releasing them: the coordinator decides what to do with
-// the worker first.
-func (t *leaseTable) expired(now time.Time) []Lease {
-	var out []Lease
-	for _, l := range t.leases {
-		if now.After(l.Expiry) {
-			out = append(out, *l)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // failedUnits returns failed units, ascending.

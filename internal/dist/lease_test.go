@@ -7,68 +7,92 @@ import (
 
 var t0 = time.Unix(1_700_000_000, 0)
 
-func TestLeaseGrantContiguousAndChunked(t *testing.T) {
-	lt := newLeaseTable(10)
-	l1, ok := lt.grant(0, 4, t0, time.Minute)
-	if !ok || l1.Start != 0 || l1.End != 4 || l1.Worker != 0 {
-		t.Fatalf("first grant = %+v ok=%v", l1, ok)
+// grantOK grants slot a lease and returns its unit, failing the test
+// when nothing is granted.
+func grantOK(t *testing.T, lt *leaseTable, slot int) int {
+	t.Helper()
+	u, ok := lt.grant(slot, t0, time.Minute)
+	if !ok {
+		t.Fatalf("slot %d granted nothing", slot)
 	}
-	l2, ok := lt.grant(1, 4, t0, time.Minute)
-	if !ok || l2.Start != 4 || l2.End != 8 {
-		t.Fatalf("second grant = %+v ok=%v", l2, ok)
+	return u
+}
+
+// TestLeaseGrantLowestPendingOnePerSlot: grants take the lowest pending
+// unit, a slot holds one lease at a time, and a slot whose lease ended
+// gets the next unit.
+func TestLeaseGrantLowestPendingOnePerSlot(t *testing.T) {
+	lt := newLeaseTable(3, 2)
+	if u := grantOK(t, lt, 0); u != 0 {
+		t.Fatalf("first grant = unit %d, want 0", u)
 	}
-	l3, ok := lt.grant(0, 4, t0, time.Minute)
-	if !ok || l3.Start != 8 || l3.End != 10 {
-		t.Fatalf("third grant = %+v ok=%v (should clip at the unit space)", l3, ok)
+	if u, ok := lt.grant(0, t0, time.Minute); ok {
+		t.Fatalf("slot 0 holding unit 0 was granted unit %d too", u)
 	}
-	if _, ok := lt.grant(1, 4, t0, time.Minute); ok {
+	if u := grantOK(t, lt, 1); u != 1 {
+		t.Fatalf("second grant = unit %d, want 1", u)
+	}
+	lt.complete(0)
+	if u, returned := lt.release(0); u != 0 || returned {
+		t.Fatalf("release after completion = unit %d returned=%v, want unit 0 returned=false", u, returned)
+	}
+	if u := grantOK(t, lt, 0); u != 2 {
+		t.Fatalf("grant after the lease ended = unit %d, want 2", u)
+	}
+	lt.release(0)
+	if u, ok := lt.grant(0, t0, time.Minute); !ok || u != 2 {
+		t.Fatalf("re-grant = unit %d ok=%v, want the returned unit 2", u, ok)
+	}
+	lt.complete(2)
+	lt.release(0)
+	if _, ok := lt.grant(0, t0, time.Minute); ok {
 		t.Fatal("grant succeeded with nothing pending")
-	}
-	if l1.ID >= l2.ID || l2.ID >= l3.ID {
-		t.Fatalf("lease IDs not increasing: %d %d %d", l1.ID, l2.ID, l3.ID)
 	}
 }
 
 func TestLeaseMarkDoneSkipsResumedUnits(t *testing.T) {
-	lt := newLeaseTable(6)
-	lt.markDone(1)
+	lt := newLeaseTable(4, 1)
+	lt.markDone(0)
 	lt.markDone(2)
 	lt.markDone(2) // idempotent
-	l, ok := lt.grant(0, 10, t0, time.Minute)
-	if !ok || l.Start != 0 || l.End != 1 {
-		t.Fatalf("grant over resumed units = %+v (want the 0..1 gap)", l)
+	for _, want := range []int{1, 3} {
+		if u := grantOK(t, lt, 0); u != want {
+			t.Fatalf("grant over resumed units = unit %d, want %d", u, want)
+		}
+		lt.complete(want)
+		lt.release(0)
 	}
-	l, ok = lt.grant(0, 10, t0, time.Minute)
-	if !ok || l.Start != 3 || l.End != 6 {
-		t.Fatalf("second grant = %+v (want 3..6)", l)
-	}
-	if lt.done != 2 {
-		t.Fatalf("done = %d, want 2", lt.done)
+	if lt.done != 4 || !lt.settled() {
+		t.Fatalf("done = %d settled=%v, want 4 and true", lt.done, lt.settled())
 	}
 }
 
 // TestLeaseExpiryReturnsUnits: a lease that misses its deadline hands
-// its unfinished units back; completed units stay completed.
+// back exactly its own slot's unit; a heartbeat keeps the other alive.
 func TestLeaseExpiryReturnsUnits(t *testing.T) {
-	lt := newLeaseTable(8)
-	l, _ := lt.grant(0, 8, t0, time.Minute)
+	lt := newLeaseTable(3, 2)
+	grantOK(t, lt, 0)
+	grantOK(t, lt, 1)
 	if got := lt.expired(t0.Add(59 * time.Second)); len(got) != 0 {
-		t.Fatalf("lease expired early: %v", got)
+		t.Fatalf("lease expired early: slots %v", got)
 	}
-	if st := lt.complete(3); st != Committed {
-		t.Fatalf("complete(3) = %v", st)
-	}
+	lt.heartbeat(1, t0.Add(30*time.Second), time.Minute)
 	exp := lt.expired(t0.Add(61 * time.Second))
-	if len(exp) != 1 || exp[0].ID != l.ID {
-		t.Fatalf("expired = %v, want lease %d", exp, l.ID)
+	if len(exp) != 1 || exp[0] != 0 {
+		t.Fatalf("expired slots = %v, want [0]", exp)
 	}
-	if returned := lt.release(l.ID); returned != 7 {
-		t.Fatalf("release returned %d units, want 7 (unit 3 already done)", returned)
+	if u, returned := lt.release(0); u != 0 || !returned {
+		t.Fatalf("release = unit %d returned=%v, want unit 0 returned", u, returned)
 	}
-	// The returned units are grantable again; the done one is not.
-	l2, ok := lt.grant(1, 8, t0, time.Minute)
-	if !ok || l2.Start != 0 || l2.End != 3 {
-		t.Fatalf("re-grant = %+v, want 0..3 stopping at the done unit", l2)
+	if lt.state[0] != unitPending || lt.state[1] != unitLeased {
+		t.Fatalf("states = %v, want unit 0 pending and unit 1 still leased", lt.state)
+	}
+	if u, returned := lt.release(0); u != idle || returned {
+		t.Fatalf("second release of slot 0 = unit %d returned=%v, want nothing", u, returned)
+	}
+	// The returned unit is the lowest pending again.
+	if u := grantOK(t, lt, 0); u != 0 {
+		t.Fatalf("re-grant = unit %d, want 0", u)
 	}
 }
 
@@ -76,14 +100,12 @@ func TestLeaseExpiryReturnsUnits(t *testing.T) {
 // back from both its original worker and its replacement commits once
 // and counts one duplicate.
 func TestLeaseDoubleCompletionFirstCommitWins(t *testing.T) {
-	lt := newLeaseTable(4)
-	l1, _ := lt.grant(0, 2, t0, time.Second)
-	_ = l1
-	// Deadline passes; units re-leased to worker 1.
-	lt.release(l1.ID)
-	l2, _ := lt.grant(1, 2, t0.Add(2*time.Second), time.Second)
-	if l2.Start != 0 || l2.End != 2 {
-		t.Fatalf("re-lease = %+v", l2)
+	lt := newLeaseTable(2, 2)
+	grantOK(t, lt, 0)
+	// Deadline passes; the unit is re-leased to slot 1.
+	lt.release(0)
+	if u := grantOK(t, lt, 1); u != 0 {
+		t.Fatalf("re-lease = unit %d, want 0", u)
 	}
 	// The slow original worker finishes unit 0 first, then the
 	// replacement reports the same unit.
@@ -99,36 +121,45 @@ func TestLeaseDoubleCompletionFirstCommitWins(t *testing.T) {
 	if lt.done != 1 {
 		t.Fatalf("done = %d, want 1 (duplicate must not double-count)", lt.done)
 	}
+	if _, returned := lt.release(1); returned {
+		t.Fatal("release of a committed unit returned it to pending")
+	}
 }
 
 // TestLeaseExpiryDuringMergeThenLateResult: the shard-merge race — a
 // dead worker's shard commits a unit while the unit is already re-leased
 // elsewhere; the survivor's later result is a duplicate, dropped.
 func TestLeaseExpiryDuringMergeThenLateResult(t *testing.T) {
-	lt := newLeaseTable(3)
-	l1, _ := lt.grant(0, 3, t0, time.Second)
-	lt.release(l1.ID) // worker 0 died; its lease collapses
-	l2, _ := lt.grant(1, 3, t0, time.Second)
-	// Shard merge of worker 0 recovers unit 1 mid-way through lease 2.
-	if st := lt.complete(1); st != Committed {
+	lt := newLeaseTable(2, 2)
+	grantOK(t, lt, 0)
+	lt.release(0) // worker 0 died; its lease collapses
+	if u := grantOK(t, lt, 1); u != 0 {
+		t.Fatalf("re-lease = unit %d, want 0", u)
+	}
+	// Shard merge of worker 0 recovers unit 0 while slot 1 runs it.
+	if st := lt.complete(0); st != Committed {
 		t.Fatalf("shard-merge completion = %v", st)
 	}
-	// Worker 1 executes its whole lease, including the now-done unit 1.
-	if st := lt.complete(0); st != Committed {
-		t.Fatalf("complete(0) = %v", st)
-	}
-	if st := lt.complete(1); st != Duplicate {
+	// Slot 1 finishes the now-done unit: a duplicate, and its lease ends
+	// with nothing returned.
+	if st := lt.complete(0); st != Duplicate {
 		t.Fatalf("late result of merged unit = %v, want Duplicate", st)
 	}
-	if st := lt.complete(2); st != Committed {
-		t.Fatalf("complete(2) = %v", st)
+	if _, returned := lt.release(1); returned {
+		t.Fatal("release after the duplicate returned the unit")
 	}
-	lt.release(l2.ID)
+	if u := grantOK(t, lt, 1); u != 1 {
+		t.Fatalf("next grant = unit %d, want 1", u)
+	}
+	if st := lt.complete(1); st != Committed {
+		t.Fatalf("complete(1) = %v", st)
+	}
+	lt.release(1)
 	if !lt.settled() {
 		t.Fatal("table not settled after all units done")
 	}
-	if lt.dups != 1 || lt.done != 3 {
-		t.Fatalf("dups=%d done=%d, want 1 and 3", lt.dups, lt.done)
+	if lt.dups != 1 || lt.done != 2 {
+		t.Fatalf("dups=%d done=%d, want 1 and 2", lt.dups, lt.done)
 	}
 }
 
@@ -136,18 +167,21 @@ func TestLeaseExpiryDuringMergeThenLateResult(t *testing.T) {
 // fails the unit — it is never re-leased, the caller reruns it — but a
 // late success (a re-leased copy, a shard merge) still commits.
 func TestLeaseFirstErrorFailsLateSuccessCommits(t *testing.T) {
-	lt := newLeaseTable(2)
-	lt.grant(0, 2, t0, time.Second)
+	lt := newLeaseTable(1, 2)
+	grantOK(t, lt, 0)
 	if !lt.fail(0) {
 		t.Fatal("first reported error did not fail the unit")
 	}
 	if lt.fail(0) {
 		t.Fatal("second error of a failed unit reported as a new failure")
 	}
+	if _, returned := lt.release(0); returned {
+		t.Fatal("release of a failed unit returned it to pending")
+	}
 	if got := lt.failedUnits(); len(got) != 1 || got[0] != 0 || lt.failed != 1 {
 		t.Fatalf("failedUnits = %v, failed = %d", got, lt.failed)
 	}
-	if _, ok := lt.grant(1, 2, t0, time.Second); ok {
+	if _, ok := lt.grant(1, t0, time.Second); ok {
 		t.Fatal("failed unit re-leased")
 	}
 	if st := lt.complete(0); st != Committed {
@@ -155,21 +189,5 @@ func TestLeaseFirstErrorFailsLateSuccessCommits(t *testing.T) {
 	}
 	if lt.failed != 0 || len(lt.failedUnits()) != 0 {
 		t.Fatalf("failure verdict not retracted: failed=%d", lt.failed)
-	}
-}
-
-func TestLeaseReleaseWorkerReclaimsAllLeases(t *testing.T) {
-	lt := newLeaseTable(8)
-	lt.grant(0, 2, t0, time.Minute)
-	lt.grant(1, 2, t0, time.Minute)
-	lt.grant(0, 2, t0, time.Minute)
-	if returned := lt.releaseWorker(0); returned != 4 {
-		t.Fatalf("releaseWorker(0) returned %d, want 4", returned)
-	}
-	if returned := lt.releaseWorker(0); returned != 0 {
-		t.Fatalf("second releaseWorker(0) returned %d, want 0", returned)
-	}
-	if got := lt.unfinished(); got != 8 {
-		t.Fatalf("unfinished = %d, want 8 (worker 1's units are still leased)", got)
 	}
 }

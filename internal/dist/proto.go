@@ -21,7 +21,7 @@ import "encoding/json"
 // ProtoVersion identifies the coordinator↔worker wire protocol. A worker
 // built from a different protocol refuses the init message, because a
 // silent mismatch could commit records under the wrong units.
-const ProtoVersion = 1
+const ProtoVersion = 2
 
 // Record is one key/value pair committed by a unit. The value is opaque
 // to this package; the caller defines (and versions) its layout.
@@ -31,7 +31,8 @@ type Record struct {
 }
 
 // Message types. The coordinator sends init, lease, and shutdown; the
-// worker sends hello, result, unitErr, leaseDone, heartbeat, and bye.
+// worker sends hello, result, unitErr, heartbeat, and bye. A worker holds
+// at most one lease, and its result or unitErr ends it.
 const (
 	// MsgInit opens the session: protocol version, the opaque campaign
 	// spec the worker rebuilds its plan from, the shard path to append
@@ -40,19 +41,20 @@ const (
 	// MsgHello is the worker's acceptance: its plan length and
 	// fingerprint (the coordinator double-checks both).
 	MsgHello = "hello"
-	// MsgLease grants units [Start, End) under a lease ID.
+	// MsgLease grants one unit.
 	MsgLease = "lease"
-	// MsgResult commits one executed unit's records. The worker has
-	// already appended the same records to its shard — persist, then
-	// report — so a result lost to a crash is recovered from the shard.
+	// MsgResult commits the leased unit's records and ends the lease.
+	// The worker has already appended the same records to its shard —
+	// persist, then report — so a result lost to a crash is recovered
+	// from the shard.
 	MsgResult = "result"
-	// MsgUnitErr reports a unit whose execution failed; the coordinator
-	// marks it failed and never re-leases it.
+	// MsgUnitErr reports that the leased unit's execution failed and
+	// ends the lease; the coordinator marks the unit failed and never
+	// re-leases it.
 	MsgUnitErr = "unitErr"
-	// MsgLeaseDone reports every unit of a lease handled (result or
-	// unitErr); the worker is ready for its next lease.
-	MsgLeaseDone = "leaseDone"
-	// MsgHeartbeat keeps a lease alive while a long unit executes.
+	// MsgHeartbeat keeps the sender's lease alive while a long unit
+	// executes; it carries nothing, and from an idle worker it is a
+	// no-op.
 	MsgHeartbeat = "heartbeat"
 	// MsgShutdown asks the worker to finish its current unit, send bye,
 	// and exit.
@@ -62,7 +64,7 @@ const (
 )
 
 // Msg is the single wire envelope; Type selects which fields matter.
-// Lease bounds deliberately lack omitempty: unit 0 must survive encoding.
+// Unit deliberately lacks omitempty: unit 0 must survive encoding.
 type Msg struct {
 	Type string `json:"type"`
 
@@ -76,11 +78,8 @@ type Msg struct {
 	Fingerprint uint64 `json:"fingerprint,omitempty"`
 	Units       int    `json:"units,omitempty"`
 
-	// lease, result, unitErr, leaseDone, bye
-	Lease int `json:"lease"`
-	Start int `json:"start"`
-	End   int `json:"end"`
-	Unit  int `json:"unit"`
+	// lease, result, unitErr
+	Unit int `json:"unit"`
 
 	// result
 	Records []Record `json:"records,omitempty"`

@@ -83,7 +83,7 @@ func scriptedCommand(t *testing.T) func(slot, attempt int) *exec.Cmd {
 
 // TestWorkerDeathRegrantsToIdleSurvivor: a worker dies past its restart
 // budget while the other worker is already idle (it was granted nothing
-// at its last LeaseDone because everything was leased out). The dead
+// when its last lease ended, because everything was leased out). The dead
 // worker's returned units must be re-granted to the idle survivor —
 // before the regrant sweep existed, no event ever offered them and the
 // campaign hung with work pending and a live worker parked.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bcache/internal/obs/tracespan"
@@ -25,8 +24,6 @@ type Plan interface {
 type WorkerConfig struct {
 	// Build rebuilds the plan from the coordinator's opaque spec.
 	Build func(spec json.RawMessage) (Plan, error)
-	// Clock drives heartbeats (nil = tracespan.Wall).
-	Clock tracespan.Clock
 	// Stop, when closed, drains the worker directly (the process-group
 	// SIGINT path): it finishes its current unit, sends an interrupted
 	// bye, and returns true.
@@ -42,10 +39,6 @@ type WorkerConfig struct {
 // to the shard file *before* they are reported, so at any kill point the
 // coordinator can recover everything the worker ever finished.
 func ServeWorker(in io.Reader, out io.Writer, cfg WorkerConfig) (interrupted bool, err error) {
-	clk := cfg.Clock
-	if clk == nil {
-		clk = tracespan.Wall
-	}
 	logf := cfg.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -89,27 +82,26 @@ func ServeWorker(in io.Reader, out io.Writer, cfg WorkerConfig) (interrupted boo
 		return false, err
 	}
 
-	// Heartbeats carry the lease currently being executed so the
-	// coordinator extends the right deadline while a long unit runs.
-	var curLease atomic.Int64
+	// Heartbeats name no lease: the coordinator extends whatever lease
+	// this worker's slot holds, so a long unit stays leased.
 	stopHB := make(chan struct{})
 	defer close(stopHB)
 	if init.HeartbeatMillis > 0 {
 		go func() {
 			for {
-				clk.Sleep(time.Duration(init.HeartbeatMillis) * time.Millisecond)
+				tracespan.Wall.Sleep(time.Duration(init.HeartbeatMillis) * time.Millisecond)
 				select {
 				case <-stopHB:
 					return
 				default:
 				}
-				_ = send(Msg{Type: MsgHeartbeat, Lease: int(curLease.Load())})
+				_ = send(Msg{Type: MsgHeartbeat})
 			}
 		}()
 	}
 
-	// The protocol reader runs aside so lease execution can poll for
-	// shutdown between units without blocking on stdin.
+	// The protocol reader runs aside so the loop below can honor Stop
+	// while it waits for the next message.
 	msgs := make(chan Msg, 8)
 	go func() {
 		defer close(msgs)
@@ -144,40 +136,17 @@ func ServeWorker(in io.Reader, out io.Writer, cfg WorkerConfig) (interrupted boo
 			case MsgShutdown:
 				return bye(m.Interrupted)
 			case MsgLease:
-				curLease.Store(int64(m.Lease))
-				for u := m.Start; u < m.End; u++ {
-					// Between units, honor a drain that arrived mid-lease.
-					select {
-					case <-cfg.Stop:
-						return bye(true)
-					case m2, ok := <-msgs:
-						if !ok {
-							return false, nil
-						}
-						if m2.Type == MsgShutdown {
-							return bye(m2.Interrupted)
-						}
-					default:
-					}
-					recs, execErr := plan.Exec(u)
-					if execErr != nil {
-						logf("dist worker: unit %d: %v", u, execErr)
-						if err := send(Msg{Type: MsgUnitErr, Lease: m.Lease, Unit: u, Err: execErr.Error()}); err != nil {
-							return false, err
-						}
-						continue
-					}
-					// Persist, then report: a crash between the two loses
-					// nothing — the coordinator merges the shard.
-					if err := shard.Append(ShardPayload{Unit: u, Records: recs}); err != nil {
-						return false, fmt.Errorf("dist: worker shard append: %w", err)
-					}
-					if err := send(Msg{Type: MsgResult, Lease: m.Lease, Unit: u, Records: recs}); err != nil {
-						return false, err
-					}
+				// Persist, then report: a crash between the two loses
+				// nothing — the coordinator merges the shard.
+				recs, execErr := plan.Exec(m.Unit)
+				reply := Msg{Type: MsgResult, Unit: m.Unit, Records: recs}
+				if execErr != nil {
+					logf("dist worker: unit %d: %v", m.Unit, execErr)
+					reply = Msg{Type: MsgUnitErr, Unit: m.Unit, Err: execErr.Error()}
+				} else if err := shard.Append(ShardPayload{Unit: m.Unit, Records: recs}); err != nil {
+					return false, fmt.Errorf("dist: worker shard append: %w", err)
 				}
-				curLease.Store(0)
-				if err := send(Msg{Type: MsgLeaseDone, Lease: m.Lease}); err != nil {
+				if err := send(reply); err != nil {
 					return false, err
 				}
 			}

@@ -111,31 +111,22 @@ func TestWorkerProtocolHappyPath(t *testing.T) {
 		t.Fatalf("hello = %+v", hello)
 	}
 
-	h.send(Msg{Type: MsgLease, Lease: 1, Start: 0, End: 5})
-	var results, unitErrs []Msg
-	for {
+	// One lease per unit, as the coordinator grants them: the reply to
+	// each — a result, or a unitErr for the failing unit 3 — ends it.
+	for u := 0; u < plan.n; u++ {
+		h.send(Msg{Type: MsgLease, Unit: u})
 		m := h.recvSkippingHeartbeats()
-		if m.Type == MsgLeaseDone {
-			if m.Lease != 1 {
-				t.Fatalf("leaseDone for lease %d", m.Lease)
+		if m.Unit != u {
+			t.Fatalf("lease of unit %d answered for unit %d", u, m.Unit)
+		}
+		switch {
+		case u == 3 && m.Type == MsgUnitErr && m.Err != "":
+		case u != 3 && m.Type == MsgResult:
+			if len(m.Records) != 1 || m.Records[0].Key != fmt.Sprintf("key-%d", u) {
+				t.Fatalf("result %d records = %+v", u, m.Records)
 			}
-			break
-		}
-		switch m.Type {
-		case MsgResult:
-			results = append(results, m)
-		case MsgUnitErr:
-			unitErrs = append(unitErrs, m)
 		default:
-			t.Fatalf("unexpected %q mid-lease", m.Type)
-		}
-	}
-	if len(results) != 4 || len(unitErrs) != 1 || unitErrs[0].Unit != 3 {
-		t.Fatalf("got %d results, %d unitErrs (%+v)", len(results), len(unitErrs), unitErrs)
-	}
-	for _, m := range results {
-		if len(m.Records) != 1 || m.Records[0].Key != fmt.Sprintf("key-%d", m.Unit) {
-			t.Fatalf("result %d records = %+v", m.Unit, m.Records)
+			t.Fatalf("lease of unit %d answered with %+v", u, m)
 		}
 	}
 

@@ -169,7 +169,7 @@ func NewTelemetry(journalCap int, clock tracespan.Clock) *Telemetry {
 		traceCacheBytes: reg.Gauge("bcache_trace_cache_bytes", "chunk-buffer bytes of the running trace passes"),
 		unitWall:        reg.Histogram("bcache_unit_wall_seconds", "wall time per work unit attempt", unitWallBounds),
 
-		distLeases:     reg.Counter("dist_leases_granted", "unit-range leases granted to worker subprocesses"),
+		distLeases:     reg.Counter("dist_leases_granted", "trace-group leases granted to worker subprocesses"),
 		distReleases:   reg.Counter("dist_releases", "leases released back to the pool (expiry or worker death)"),
 		distRestarts:   reg.Counter("dist_worker_restarts", "dead worker subprocesses respawned"),
 		distDuplicates: reg.Counter("dist_duplicates_dropped", "re-leased unit completions dropped (first commit wins)"),

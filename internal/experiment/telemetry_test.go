@@ -519,7 +519,7 @@ func TestMetricFamiliesPinned(t *testing.T) {
 		"bcache_units_queued counter work units handed to the scheduler",
 		"bcache_units_retried counter retry attempts scheduled after timeouts or transient failures",
 		"dist_duplicates_dropped counter re-leased unit completions dropped (first commit wins)",
-		"dist_leases_granted counter unit-range leases granted to worker subprocesses",
+		"dist_leases_granted counter trace-group leases granted to worker subprocesses",
 		"dist_releases counter leases released back to the pool (expiry or worker death)",
 		"dist_shard_merge_seconds histogram wall time merging one worker shard",
 		"dist_shard_recovered_units counter units recovered from dead workers' shards",

@@ -1,8 +1,9 @@
-// Package d pins the distribution-layer idioms (internal/dist): lease
-// tables key leases by ID in maps, and every emission — expiry sweeps,
-// worker reclaims, stats rows — must leave in sorted order; all lease
-// timing flows through explicit `now` parameters fed by the clock seam,
-// never a wall read inside the table.
+// Package d pins the determinism idioms of a lease table: a table that
+// keys leases by ID in a map must emit every sweep — expiries, worker
+// reclaims, stats rows — in sorted order, and all lease timing flows
+// through explicit `now` parameters fed by the clock seam, never a wall
+// read inside the table. (internal/dist keeps one lease per slot in a
+// slice, so its sweeps are ordered without a sort.)
 package d
 
 import (

@@ -73,10 +73,10 @@ const (
 	KindTraceReload = "trace_reload"
 	// KindExperiment spans the unit attempts one experiment owns.
 	KindExperiment = "experiment"
-	// KindLease marks a distributed lease being granted (Detail carries
-	// the unit range; Worker the subprocess slot).
+	// KindLease marks a distributed lease being granted (Unit carries
+	// the leased trace group; Worker the subprocess slot).
 	KindLease = "lease"
-	// KindLeaseExpire marks a lease missing its deadline and its units
+	// KindLeaseExpire marks a lease missing its deadline and its group
 	// returning to the pool.
 	KindLeaseExpire = "lease_expire"
 	// KindWorkerStart marks a worker subprocess attaching (Attempt
