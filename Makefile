@@ -124,13 +124,16 @@ ci: fmt-check vet lint lint-facts-clean build bench-test race-robust race chaos 
 
 # chaos runs the distributed-execution kill/interrupt suite under -race:
 # worker subprocesses SIGKILLed mid-campaign, SIGINT drain, and
-# coordinator-crash shard recovery, each asserting bit-identical merges
-# against the sequential oracle (see internal/dist/distrun/chaos_test.go),
+# coordinator-crash shard recovery, each asserting that the merged
+# checkpoint holds the sequential oracle's keys with byte-equal values
+# and renders identical tables (see internal/dist/distrun/chaos_test.go),
 # plus the whole internal/dist and internal/dist/distrun packages, 10 s
 # of fuzzing the coordinator's handling of worker messages
-# (FuzzCoordinatorMsg: no panic, no unit committed twice), and the CLI
-# test that a -workers-procs run prints the in-process CSV byte for
-# byte, with and without losing every worker.
+# (FuzzCoordinatorMsg: no panic, no unit committed twice), 10 s of
+# fuzzing the one record-log reader that checkpoints and worker shards
+# share (FuzzLoadCheckpointTorn: no panic, never more records than the
+# bytes hold), and the CLI test that a -workers-procs run prints the
+# in-process CSV byte for byte, with and without losing every worker.
 # Fatal in ci since PR 10: the suite had been green since PR 7, so per
 # its documented promotion path it now gates the build as a hard
 # prerequisite of the ci target.
@@ -138,16 +141,20 @@ chaos:
 	$(GO) test -race -count=1 ./internal/dist/distrun
 	$(GO) test -race -count=1 ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzCoordinatorMsg -fuzztime 10s ./internal/dist
+	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpointTorn -fuzztime 10s ./internal/experiment
 	$(GO) test -race -count=1 -run TestWorkersProcsMatchesInProcess ./cmd/experiments
 
 # reproduce is the output drift gate: it regenerates every table at
-# default scale as CSV, checkpointing every unit, and diffs it against
-# the committed full_experiments.csv. It then renders the text format
-# from that checkpoint (-resume: nothing is simulated again) and diffs
-# it against full_experiments.txt; the text format's timing footers go
-# to stderr, so its stdout is deterministic. About 35 s on 2 vCPUs. A
+# default scale as CSV, appending every unit to a checkpoint log, and
+# diffs it against the committed full_experiments.csv. It then renders
+# the text format from that checkpoint (-resume: nothing is simulated
+# again) and diffs it against full_experiments.txt; the text format's
+# timing footers go to stderr, so its stdout is deterministic. The
+# resume reads the log only because both steps run the same binary: a
+# checkpoint names the build that wrote it. About 35 s on 2 vCPUs. A
 # deliberate change to the output regenerates both files with the same
-# commands:
+# commands (two go run invocations of one source tree link the same
+# binary, so the second resumes the first's log):
 #   go run ./cmd/experiments -format csv -workers 2 -checkpoint bin/reproduce.ckpt -o full_experiments.csv
 #   go run ./cmd/experiments -format text -resume -checkpoint bin/reproduce.ckpt -o full_experiments.txt
 reproduce:

@@ -13,10 +13,10 @@
 // wall-clock times (see experiment.Document); -cpuprofile and
 // -memprofile write pprof profiles of the run.
 //
-// Long campaigns are crash-safe: -checkpoint records every completed
-// work unit atomically, -resume restores them bit-identically, and the
-// first SIGINT/SIGTERM drains in-flight units, renders partial tables,
-// saves the checkpoint, and exits 130 (a second signal aborts).
+// Long campaigns are crash-safe: -checkpoint appends every completed
+// work unit to a record log as it commits, -resume restores them
+// bit-identically, and the first SIGINT/SIGTERM drains in-flight units,
+// renders partial tables, and exits 130 (a second signal aborts).
 // -unit-timeout and -unit-retries bound individual work units.
 package main
 
@@ -34,6 +34,7 @@ import (
 	"syscall"
 	"time"
 
+	"bcache/internal/dist"
 	"bcache/internal/dist/distrun"
 	"bcache/internal/experiment"
 	"bcache/internal/obs/metrics"
@@ -55,8 +56,8 @@ func main() {
 
 		_ = flag.Int64("trace-cache-bytes", 0, "accepted and ignored: traces are streamed, never kept (the flag stays until the benchmark harness stops passing it)")
 
-		ckptPath    = flag.String("checkpoint", "", "record every experiment's completed work units to this JSON file (atomic rewrite)")
-		resume      = flag.Bool("resume", false, "load -checkpoint first and skip units already recorded (bit-identical); with -workers-procs, first merge the worker shards already in -dist-dir (recovers a crashed coordinator)")
+		ckptPath    = flag.String("checkpoint", "", "append every experiment's completed work units to this record log as they commit")
+		resume      = flag.Bool("resume", false, "load -checkpoint first and skip units already recorded (bit-identical); with -workers-procs, also load the worker shards already in -dist-dir (recovers a crashed coordinator)")
 		unitTimeout = flag.Duration("unit-timeout", 0, "abandon a single work unit running longer than this (0 = no deadline)")
 		unitRetries = flag.Int("unit-retries", 0, "retries for timed-out or transient work units")
 
@@ -128,31 +129,37 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-resume requires -checkpoint, or -dist-dir with -workers-procs")
 		os.Exit(2)
 	}
+	// A -workers-procs run always has a checkpoint, in memory when no
+	// -checkpoint names a file: it is where the workers' results merge.
 	var ckpt *experiment.Checkpoint
-	if *ckptPath != "" {
+	switch {
+	case *resume:
+		var shards []string
 		var err error
-		if *resume {
-			ckpt, err = experiment.LoadCheckpoint(*ckptPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if w := ckpt.LoadWarning(); w != "" {
-				fmt.Fprintf(os.Stderr, "warning: %s\n", w)
-			}
-			if n := ckpt.Len(); n > 0 {
-				fmt.Fprintf(os.Stderr, "resuming: %d completed units restored from %s\n", n, *ckptPath)
-			}
-		} else {
-			ckpt = experiment.NewCheckpoint(*ckptPath)
+		if *distDir != "" && *workersProcs > 0 {
+			shards, err = dist.ShardPaths(*distDir)
 		}
-		ckpt.SetAutosave(64)
-		opts.Checkpoint = ckpt
+		if err == nil {
+			ckpt, err = experiment.LoadCheckpoint(*ckptPath, shards...)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		if w := ckpt.LoadWarning(); w != "" {
+			fmt.Fprintf(os.Stderr, "warning: %s\n", w)
+		}
+		if n := ckpt.Len(); n > 0 {
+			fmt.Fprintf(os.Stderr, "resuming: %d completed units restored (checkpoint %q, %d worker shards)\n", n, *ckptPath, len(shards))
+		}
+	case *ckptPath != "" || *workersProcs > 0:
+		ckpt = experiment.NewCheckpoint(*ckptPath)
 	}
+	opts.Checkpoint = ckpt
 
 	// First SIGINT/SIGTERM stops claiming new work units; in-flight units
-	// finish, partial tables render, the telemetry server drains, and the
-	// checkpoint is saved. A second signal aborts immediately.
+	// finish, partial tables render, and the telemetry server drains. A
+	// second signal aborts immediately.
 	stopc := make(chan struct{})
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -258,10 +265,6 @@ func main() {
 	// rendered tables are bit-identical to a single-process run; the
 	// analytic tables, which have no units, render in-process as always.
 	if *workersProcs > 0 {
-		if ckpt == nil {
-			ckpt = experiment.NewCheckpoint("")
-			opts.Checkpoint = ckpt
-		}
 		shardDir := *distDir
 		tempShards := false
 		if shardDir == "" {
@@ -294,7 +297,6 @@ func main() {
 			ShardDir:      shardDir,
 			LeaseTTL:      *leaseTTL,
 			RestartBudget: *workerRestarts,
-			ResumeShards:  *resume,
 			Stop:          stopc,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, format+"\n", args...)
@@ -302,8 +304,8 @@ func main() {
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			if saveErr := ckpt.Save(); saveErr == nil && ckpt.Len() > 0 && *ckptPath != "" {
-				fmt.Fprintf(os.Stderr, "checkpoint saved: %d units in %s (continue with -resume)\n", ckpt.Len(), *ckptPath)
+			if closeErr := ckpt.Close(); closeErr == nil && ckpt.Len() > 0 && *ckptPath != "" {
+				fmt.Fprintf(os.Stderr, "checkpoint: %d units in %s (continue with -resume)\n", ckpt.Len(), *ckptPath)
 			}
 			os.Exit(1)
 		}
@@ -422,16 +424,14 @@ func main() {
 		}
 	}
 
-	if ckpt != nil {
-		if err := ckpt.Save(); err != nil {
-			fmt.Fprintf(os.Stderr, "checkpoint save: %v\n", err)
-			if runErr == nil {
-				runErr = err
-			}
-		} else if runErr != nil {
-			fmt.Fprintf(os.Stderr, "checkpoint saved: %d units in %s (continue with -resume)\n",
-				ckpt.Len(), *ckptPath)
+	if err := ckpt.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		if runErr == nil {
+			runErr = err
 		}
+	} else if runErr != nil && *ckptPath != "" {
+		fmt.Fprintf(os.Stderr, "checkpoint: %d units in %s (continue with -resume)\n",
+			ckpt.Len(), *ckptPath)
 	}
 	if runErr != nil {
 		if errors.Is(runErr, experiment.ErrInterrupted) {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"bcache/internal/obs/tracespan"
+	"bcache/internal/reclog"
 )
 
 // The coordinator owns the campaign's distribution, never its
@@ -28,11 +29,13 @@ import (
 
 // Events are nil-safe observation hooks: telemetry wires them to metrics
 // and trace spans, the chaos tests to seeded kill switches.
+// WorkerExited's unit is the one the death returned to pending, or -1
+// when the worker held none.
 type Events struct {
 	LeaseGranted     func(slot, unit int)
 	LeaseExpired     func(slot, unit int)
 	WorkerStarted    func(slot, attempt, pid int)
-	WorkerExited     func(slot int, err error)
+	WorkerExited     func(slot, unit int, err error)
 	WorkerRestarted  func(slot, attempt int)
 	ShardMerged      func(slot, records, recovered int, dur time.Duration)
 	DuplicateDropped func(unit int)
@@ -120,6 +123,7 @@ type workerProc struct {
 
 type coordinator struct {
 	cfg   Config
+	build string // sent in init; a worker of another build refuses
 	clk   tracespan.Clock
 	table *leaseTable
 	procs []*workerProc
@@ -157,8 +161,13 @@ func Coordinate(cfg Config) (Stats, error) {
 		cfg.RestartBudget = 0
 	}
 
+	build, err := reclog.Self()
+	if err != nil {
+		return Stats{}, err
+	}
 	c := &coordinator{
 		cfg:   cfg,
+		build: build.String(),
 		clk:   tracespan.Wall,
 		table: newLeaseTable(cfg.Units, cfg.Workers),
 		evc:   make(chan event, 64),
@@ -173,7 +182,7 @@ func Coordinate(cfg Config) (Stats, error) {
 		}
 	}
 	defer close(c.donec)
-	err := c.run()
+	err = c.run()
 	c.stats.Duplicates = c.table.dups
 	c.stats.FailedUnits = c.table.failedUnits()
 	c.stats.Failed = len(c.stats.FailedUnits)
@@ -182,7 +191,9 @@ func Coordinate(cfg Config) (Stats, error) {
 }
 
 func (c *coordinator) run() error {
-	if c.cfg.Units == 0 {
+	if c.table.settled() {
+		// Nothing to lease (an empty plan, or a resumed campaign that is
+		// complete): spawn no worker, and so truncate no shard.
 		return nil
 	}
 	c.procs = make([]*workerProc, c.cfg.Workers)
@@ -312,7 +323,7 @@ func (c *coordinator) spawn(slot, attempt int) error {
 	}()
 
 	if err := c.send(p, Msg{
-		Type: MsgInit, Proto: ProtoVersion, Spec: c.cfg.Spec,
+		Type: MsgInit, Proto: ProtoVersion, Build: c.build, Spec: c.cfg.Spec,
 		ShardPath: p.shardPath, Fingerprint: c.cfg.Fingerprint,
 		Units: c.cfg.Units, HeartbeatMillis: (c.cfg.LeaseTTL / 4).Milliseconds(),
 	}); err != nil {
@@ -327,10 +338,26 @@ func (c *coordinator) spawn(slot, attempt int) error {
 	return nil
 }
 
-// shardName names the shard of one worker incarnation; MergeShardDir
-// globs the same shape.
+// shardName names the shard of one worker incarnation.
 func shardName(slot, attempt int) string {
 	return fmt.Sprintf("shard-%03d-%03d.bin", slot, attempt)
+}
+
+// ShardPaths lists the shard files coordinators wrote into dir, in name
+// order.
+func ShardPaths(dir string) ([]string, error) {
+	return filepath.Glob(filepath.Join(dir, "shard-*.bin"))
+}
+
+// readShard reads a worker shard of this campaign. The unit indices in a
+// shard mean something only under the plan that wrote it, so a shard of
+// another plan is an error.
+func readShard(path string, fingerprint uint64) (*reclog.Log, error) {
+	l, err := reclog.Read(path)
+	if err == nil && l.End > 0 && l.Plan != fingerprint {
+		err = fmt.Errorf("dist: shard %s belongs to plan %016x, want %016x", path, l.Plan, fingerprint)
+	}
+	return l, err
 }
 
 func (c *coordinator) send(p *workerProc, m Msg) error {
@@ -451,9 +478,12 @@ func (c *coordinator) handleExit(slot int, waitErr error, draining bool) {
 	}
 	p.alive = false
 	p.stdin.Close()
-	_, returned := c.table.release(slot)
+	unit, returned := c.table.release(slot)
+	if !returned {
+		unit = -1
+	}
 	if c.cfg.Events.WorkerExited != nil {
-		c.cfg.Events.WorkerExited(slot, waitErr)
+		c.cfg.Events.WorkerExited(slot, unit, waitErr)
 	}
 	if returned || waitErr != nil {
 		c.logf("dist: worker %d exited (%v); leased unit returned: %v", slot, waitErr, returned)
@@ -484,8 +514,8 @@ func (c *coordinator) handleExit(slot int, waitErr error, draining bool) {
 // are logged, not fatal: the units stay pending and re-lease.
 func (c *coordinator) mergeShard(slot int, path string) {
 	mergeStart := c.clk.Now()
-	payloads, err := ReadShard(path, c.cfg.Fingerprint)
-	if err != nil && !errors.Is(err, ErrShardTorn) {
+	l, err := readShard(path, c.cfg.Fingerprint)
+	if err != nil {
 		// A worker killed before handling init never created its shard:
 		// stay quiet about a missing file, loud about a corrupt one.
 		if !os.IsNotExist(err) {
@@ -493,11 +523,11 @@ func (c *coordinator) mergeShard(slot int, path string) {
 		}
 		return
 	}
-	if errors.Is(err, ErrShardTorn) {
-		c.logf("dist: shard %s has a torn tail; merging the %d intact records", path, len(payloads))
+	if l.Torn {
+		c.logf("dist: shard %s has a torn tail; merging the %d intact records", path, len(l.Entries))
 	}
 	recovered := 0
-	for _, pl := range payloads {
+	for _, pl := range l.Entries {
 		if pl.Unit < 0 || pl.Unit >= c.cfg.Units {
 			continue
 		}
@@ -521,7 +551,7 @@ func (c *coordinator) mergeShard(slot int, path string) {
 		recovered++
 	}
 	if c.cfg.Events.ShardMerged != nil {
-		c.cfg.Events.ShardMerged(slot, len(payloads), recovered, c.clk.Now().Sub(mergeStart))
+		c.cfg.Events.ShardMerged(slot, len(l.Entries), recovered, c.clk.Now().Sub(mergeStart))
 	}
 }
 

@@ -143,3 +143,26 @@ func TestCoordinateEmptyCampaign(t *testing.T) {
 		t.Fatalf("stats = %+v", stats)
 	}
 }
+
+// TestCoordinateAllDoneSpawnsNoWorker: a resumed campaign with every
+// unit already checkpointed starts no subprocess, so no worker
+// truncates the shard its slot wrote last time.
+func TestCoordinateAllDoneSpawnsNoWorker(t *testing.T) {
+	spawned := 0
+	stats, err := Coordinate(Config{
+		Units:       3,
+		Commit:      func(int, []Record) error { return nil },
+		Workers:     2,
+		AlreadyDone: func(int) bool { return true },
+		Command: func(slot, attempt int) *exec.Cmd {
+			spawned++
+			return exec.Command("false")
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spawned != 0 || stats.Leases != 0 || stats.Unfinished != 0 {
+		t.Fatalf("spawned %d workers, stats %+v", spawned, stats)
+	}
+}

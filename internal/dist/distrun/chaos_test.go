@@ -16,6 +16,7 @@ import (
 
 	"bcache/internal/dist"
 	"bcache/internal/experiment"
+	"bcache/internal/reclog"
 	"bcache/internal/rng"
 )
 
@@ -61,11 +62,11 @@ func chaosOpts(ckpt *experiment.Checkpoint) experiment.Opts {
 }
 
 // runSequentialOracle runs experiment id in-process with a fresh
-// checkpoint and memo and returns the saved checkpoint bytes and the
-// rendered tables.
-func runSequentialOracle(t *testing.T, dir, id string) ([]byte, string, *experiment.Checkpoint) {
+// checkpoint and memo and returns the checkpoint log's contents, the
+// rendered tables and the checkpoint.
+func runSequentialOracle(t *testing.T, dir, id string) (map[string]string, string, *experiment.Checkpoint) {
 	t.Helper()
-	path := filepath.Join(dir, "seq.json")
+	path := filepath.Join(dir, "seq.log")
 	ckpt := experiment.NewCheckpoint(path)
 	opts := chaosOpts(ckpt)
 	experiment.ResetUnitMemo()
@@ -77,14 +78,48 @@ func runSequentialOracle(t *testing.T, dir, id string) ([]byte, string, *experim
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ckpt.Save(); err != nil {
+	if err := ckpt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
+	return logContents(t, path), renderAll(tables), ckpt
+}
+
+// logContents reads a checkpoint log as the key→value map a resume
+// restores, the last record of a key winning. A log's record order is
+// arrival order, so equal checkpoints compare equal as maps, not as
+// file bytes.
+func logContents(t *testing.T, path string) map[string]string {
+	t.Helper()
+	l, err := reclog.Read(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data, renderAll(tables), ckpt
+	if l.Torn {
+		t.Fatalf("checkpoint log %s is torn", path)
+	}
+	m := map[string]string{}
+	for _, e := range l.Entries {
+		for _, r := range e.Records {
+			m[r.Key] = string(r.Val)
+		}
+	}
+	return m
+}
+
+// diffContents reports the first key on which two checkpoint contents
+// differ ("" when they are equal).
+func diffContents(got, want map[string]string) string {
+	for k, v := range want {
+		if g, ok := got[k]; !ok || g != v {
+			return fmt.Sprintf("key %s: got %q (present %v), want %q", k, g, ok, v)
+		}
+	}
+	for k := range got {
+		if _, ok := want[k]; !ok {
+			return fmt.Sprintf("key %s: not in the oracle", k)
+		}
+	}
+	return ""
 }
 
 // renderAll renders tables as text, then as CSV.
@@ -127,7 +162,7 @@ func (k *killer) workerStarted(slot, attempt, pid int) {
 	k.mu.Unlock()
 }
 
-func (k *killer) workerExited(slot int, err error) {
+func (k *killer) workerExited(slot, unit int, err error) {
 	k.mu.Lock()
 	delete(k.pids, slot)
 	k.mu.Unlock()
@@ -158,8 +193,8 @@ func (k *killer) resultCommitted(worker, unit int) {
 
 // TestChaosKilledWorkersBitIdenticalMerge is the acceptance test: a
 // 4-worker fig5 campaign with at least two seeded kill -9s mid-run must
-// merge to a checkpoint file and rendered tables byte-identical to the
-// sequential oracle.
+// merge to a checkpoint holding the sequential oracle's keys with
+// byte-equal values, and to byte-identical rendered tables.
 func TestChaosKilledWorkersBitIdenticalMerge(t *testing.T) { chaosCampaign(t, "fig5") }
 
 // TestChaosKilledWorkersFig8 runs the same chaos campaign on fig8's
@@ -171,7 +206,7 @@ func chaosCampaign(t *testing.T, id string) {
 		t.Skip("chaos suite spawns subprocesses")
 	}
 	dir := t.TempDir()
-	seqBytes, seqRender, seqCkpt := runSequentialOracle(t, dir, id)
+	seqContents, seqRender, seqCkpt := runSequentialOracle(t, dir, id)
 
 	// The plan seam identity check rides along: every planned group of
 	// the campaign must already be Done in the oracle's checkpoint —
@@ -189,7 +224,7 @@ func chaosCampaign(t *testing.T, id string) {
 		}
 	}
 
-	distPath := filepath.Join(dir, "dist.json")
+	distPath := filepath.Join(dir, "dist.log")
 	ckpt := experiment.NewCheckpoint(distPath)
 	opts := chaosOpts(ckpt)
 	k := newKiller(42, 2)
@@ -246,22 +281,18 @@ func chaosCampaign(t *testing.T, id string) {
 	if got := renderAll(tables); got != seqRender {
 		t.Errorf("rendered tables differ from sequential oracle:\n--- dist ---\n%s--- seq ---\n%s", got, seqRender)
 	}
-	if err := ckpt.Save(); err != nil {
+	if err := ckpt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	distBytes, err := os.ReadFile(distPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(distBytes) != string(seqBytes) {
-		t.Error("merged checkpoint bytes differ from the sequential oracle checkpoint")
+	if d := diffContents(logContents(t, distPath), seqContents); d != "" {
+		t.Errorf("merged checkpoint differs from the sequential oracle's: %s", d)
 	}
 }
 
 // TestSIGINTDrainsWorkersExit130: interrupting the campaign forwards the
 // drain to real subprocesses, which exit with status 130 (the repo's
-// interrupt convention), and the partial merged checkpoint still saves
-// atomically and holds a subset of the oracle's values.
+// interrupt convention), and the partial merged checkpoint log reloads
+// whole and holds a subset of the oracle's values.
 func TestSIGINTDrainsWorkersExit130(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
@@ -269,7 +300,7 @@ func TestSIGINTDrainsWorkersExit130(t *testing.T) {
 	dir := t.TempDir()
 	_, _, seqCkpt := runSequentialOracle(t, dir, "fig5")
 
-	distPath := filepath.Join(dir, "partial.json")
+	distPath := filepath.Join(dir, "partial.log")
 	ckpt := experiment.NewCheckpoint(distPath)
 	opts := chaosOpts(ckpt)
 
@@ -290,7 +321,7 @@ func TestSIGINTDrainsWorkersExit130(t *testing.T) {
 			ResultCommitted: func(worker, unit int) {
 				stopOnce.Do(func() { close(stop) })
 			},
-			WorkerExited: func(slot int, err error) {
+			WorkerExited: func(slot, unit int, err error) {
 				mu.Lock()
 				defer mu.Unlock()
 				var ee *exec.ExitError
@@ -321,9 +352,9 @@ func TestSIGINTDrainsWorkersExit130(t *testing.T) {
 		t.Fatalf("no worker exited 130; exit codes: %v", codes)
 	}
 
-	// Partial checkpoint: atomic save, nonzero, and every value matches
-	// the oracle bit-for-bit.
-	if err := ckpt.Save(); err != nil {
+	// Partial checkpoint: nonzero, whole on reload, and every value
+	// matches the oracle bit-for-bit.
+	if err := ckpt.Close(); err != nil {
 		t.Fatal(err)
 	}
 	re, err := experiment.LoadCheckpoint(distPath)
@@ -358,15 +389,16 @@ func TestSIGINTDrainsWorkersExit130(t *testing.T) {
 	}
 }
 
-// TestMergeShardDirRecoversCoordinatorCrash: shards alone — no result
+// TestLoadShardsRecoversCoordinatorCrash: shards alone — no result
 // stream, no checkpoint — reconstruct every committed unit, the resume
-// path for a coordinator that died before its final save.
-func TestMergeShardDirRecoversCoordinatorCrash(t *testing.T) {
+// path for a coordinator that died mid-campaign. A shard written by
+// another build is refused.
+func TestLoadShardsRecoversCoordinatorCrash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
 	dir := t.TempDir()
-	_, _, seqCkpt := runSequentialOracle(t, dir, "fig5")
+	seqContents, _, _ := runSequentialOracle(t, dir, "fig5")
 
 	shardDir := filepath.Join(dir, "shards")
 	if err := os.MkdirAll(shardDir, 0o755); err != nil {
@@ -384,35 +416,40 @@ func TestMergeShardDirRecoversCoordinatorCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Pretend the coordinator crashed before saving: a fresh checkpoint
-	// plus the shards must reconstruct everything.
-	plan, err := experiment.PlanCampaign(chaosOpts(nil), []string{"fig5"})
+	// Pretend the coordinator crashed before writing anything: the
+	// shards alone, loaded into a new checkpoint log, must reconstruct
+	// the oracle's checkpoint.
+	shards, err := dist.ShardPaths(shardDir)
+	if err != nil || len(shards) == 0 {
+		t.Fatalf("shards in %s: %v, %v", shardDir, shards, err)
+	}
+	path := filepath.Join(dir, "recovered.log")
+	fresh, err := experiment.LoadCheckpoint(path, shards...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := experiment.NewCheckpoint("")
-	units, merged, err := MergeShardDir(shardDir, plan.Fingerprint(), fresh)
-	if err != nil {
+	if err := fresh.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if merged == 0 || units < plan.Len() {
-		t.Fatalf("merge recovered %d/%d unit payloads", merged, units)
-	}
-	for i := 0; i < plan.Len(); i++ {
-		for _, key := range plan.UnitKeys(i) {
-			got, ok := fresh.Lookup(key)
-			if !ok {
-				t.Fatalf("unit key %s missing after shard merge", key)
-			}
-			want, _ := seqCkpt.Lookup(key)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("unit key %s: shard value %s != oracle %s", key, got, want)
-			}
-		}
+	if d := diffContents(logContents(t, path), seqContents); d != "" {
+		t.Fatalf("checkpoint loaded from shards differs from the oracle's: %s", d)
 	}
 
-	// A foreign fingerprint must refuse to merge.
-	if _, _, err := MergeShardDir(shardDir, plan.Fingerprint()+1, experiment.NewCheckpoint("")); err == nil {
-		t.Fatal("MergeShardDir accepted shards from another plan")
+	// A shard of another build must refuse to load, naming both builds.
+	data, err := os.ReadFile(shards[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[8] ^= 0xff
+	foreign := filepath.Join(dir, "foreign.bin")
+	if err := os.WriteFile(foreign, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	self, err := reclog.Self()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := experiment.LoadCheckpoint("", foreign); err == nil || !strings.Contains(err.Error(), self.String()) {
+		t.Fatalf("a shard of another build loaded: %v", err)
 	}
 }

@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os/exec"
-	"path/filepath"
-	"sort"
 	"time"
 
 	"bcache/internal/dist"
@@ -87,15 +85,6 @@ func (a planAdapter) Exec(unit int) ([]dist.Record, error) {
 	return recs, nil
 }
 
-// commitRecords applies one unit's records to the checkpoint. Results
-// round-trip through JSON exactly, so a distributed unit commits
-// bit-identical values to an in-process one.
-func commitRecords(ckpt *experiment.Checkpoint, recs []dist.Record) {
-	for _, r := range recs {
-		ckpt.Record(r.Key, r.Val)
-	}
-}
-
 // WorkerMain is the whole worker subprocess: speak the protocol over
 // in/out, execute leased units, exit. The returned code follows the
 // repo's convention — 0 clean, 1 error, 130 interrupted — so a worker
@@ -147,10 +136,6 @@ type Options struct {
 	LeaseTTL      time.Duration
 	DrainWindow   time.Duration
 	RestartBudget int
-	// ResumeShards first merges every shard already in ShardDir into the
-	// checkpoint — recovering a previous campaign that lost its
-	// coordinator before the final checkpoint save.
-	ResumeShards bool
 	// Stop drains the campaign when closed (the SIGINT seam).
 	Stop <-chan struct{}
 	// Logf reports campaign events (nil = silent).
@@ -183,15 +168,6 @@ func RunCampaign(opts experiment.Opts, ids []string, o Options) (dist.Stats, err
 	if err != nil {
 		return dist.Stats{}, err
 	}
-	if o.ResumeShards {
-		units, recovered, err := MergeShardDir(o.ShardDir, plan.Fingerprint(), ckpt)
-		if err != nil {
-			return dist.Stats{}, err
-		}
-		if o.Logf != nil && units > 0 {
-			o.Logf("distrun: recovered %d units (%d new) from shards in %s", units, recovered, o.ShardDir)
-		}
-	}
 	cfg := dist.Config{
 		Units:         plan.Len(),
 		Fingerprint:   plan.Fingerprint(),
@@ -203,8 +179,12 @@ func RunCampaign(opts experiment.Opts, ids []string, o Options) (dist.Stats, err
 		DrainWindow:   o.DrainWindow,
 		RestartBudget: o.RestartBudget,
 		AlreadyDone:   func(i int) bool { return plan.Done(i, ckpt) },
+		// Results round-trip through JSON exactly, so a distributed unit
+		// commits bit-identical values to an in-process one.
 		Commit: func(unit int, recs []dist.Record) error {
-			commitRecords(ckpt, recs)
+			for _, r := range recs {
+				ckpt.Record(r.Key, r.Val)
+			}
 			return nil
 		},
 		Stop:   o.Stop,
@@ -237,14 +217,14 @@ func telemetryEvents(extra dist.Events) dist.Events {
 			extra.WorkerStarted(slot, attempt, pid)
 		}
 	}
-	ev.WorkerExited = func(slot int, err error) {
-		s := tracespan.Span{Kind: tracespan.KindWorkerExit, Worker: slot, Unit: -1}
+	ev.WorkerExited = func(slot, unit int, err error) {
+		s := tracespan.Span{Kind: tracespan.KindWorkerExit, Worker: slot, Unit: unit}
 		if err != nil {
 			s.Err = err.Error()
 		}
 		emit(s)
 		if extra.WorkerExited != nil {
-			extra.WorkerExited(slot, err)
+			extra.WorkerExited(slot, unit, err)
 		}
 	}
 	ev.WorkerRestarted = func(slot, attempt int) {
@@ -267,40 +247,4 @@ func telemetryEvents(extra dist.Events) dist.Events {
 		}
 	}
 	return ev
-}
-
-// MergeShardDir merges every shard file in dir into the checkpoint:
-// crash recovery when the coordinator itself died. Records whose keys
-// the checkpoint already holds are skipped (first commit wins); torn
-// shard tails are expected and dropped; a shard from another plan
-// fingerprint is an error. Returns total units read and units newly
-// merged.
-func MergeShardDir(dir string, fingerprint uint64, ckpt *experiment.Checkpoint) (units, merged int, err error) {
-	paths, err := filepath.Glob(filepath.Join(dir, "shard-*.bin"))
-	if err != nil {
-		return 0, 0, err
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		payloads, err := dist.ReadShard(path, fingerprint)
-		if err != nil && err != dist.ErrShardTorn {
-			return units, merged, fmt.Errorf("distrun: merging %s: %w", path, err)
-		}
-		for _, pl := range payloads {
-			units++
-			fresh := false
-			for _, r := range pl.Records {
-				if _, ok := ckpt.Lookup(r.Key); ok {
-					continue
-				}
-				fresh = true
-			}
-			if !fresh {
-				continue
-			}
-			commitRecords(ckpt, pl.Records)
-			merged++
-		}
-	}
-	return units, merged, nil
 }

@@ -33,7 +33,10 @@ func TestDistMetricsExposition(t *testing.T) {
 	ev.LeaseExpired(0, 0)
 	ev.WorkerStarted(0, 0, 100)
 	ev.WorkerStarted(1, 0, 101)
-	ev.WorkerExited(0, errors.New("killed"))
+	ev.WorkerStarted(2, 0, 102)
+	ev.WorkerExited(0, -1, errors.New("killed"))
+	// A death that returns the group its worker held is a release too.
+	ev.WorkerExited(1, 1, errors.New("killed"))
 	ev.WorkerRestarted(0, 1)
 	ev.ShardMerged(0, 6, 2, 40*time.Millisecond)
 	ev.DuplicateDropped(3)
@@ -54,7 +57,7 @@ func TestDistMetricsExposition(t *testing.T) {
 	}
 	for _, want := range []string{
 		"dist_leases_granted_total 2",
-		"dist_releases_total 1",
+		"dist_releases_total 2",
 		"dist_worker_restarts_total 1",
 		"dist_duplicates_dropped_total 1",
 		"dist_shard_recovered_units_total 2",
@@ -74,8 +77,8 @@ func TestDistMetricsExposition(t *testing.T) {
 	for kind, want := range map[string]int{
 		tracespan.KindLease:         2,
 		tracespan.KindLeaseExpire:   1,
-		tracespan.KindWorkerStart:   2,
-		tracespan.KindWorkerExit:    1,
+		tracespan.KindWorkerStart:   3,
+		tracespan.KindWorkerExit:    2,
 		tracespan.KindWorkerRestart: 1,
 		tracespan.KindShardMerge:    1,
 		tracespan.KindDuplicate:     1,

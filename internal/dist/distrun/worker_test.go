@@ -8,6 +8,7 @@ import (
 
 	"bcache/internal/dist"
 	"bcache/internal/experiment"
+	"bcache/internal/reclog"
 )
 
 // TestWorkerGeneratesEachTraceOnceAcrossLeases drives one in-process
@@ -57,7 +58,11 @@ func TestWorkerGeneratesEachTraceOnceAcrossLeases(t *testing.T) {
 		return m
 	}
 
-	send(dist.Msg{Type: dist.MsgInit, Proto: dist.ProtoVersion, Spec: spec,
+	build, err := reclog.Self()
+	if err != nil {
+		t.Fatal(err)
+	}
+	send(dist.Msg{Type: dist.MsgInit, Proto: dist.ProtoVersion, Build: build.String(), Spec: spec,
 		ShardPath: filepath.Join(t.TempDir(), "shard-000-000.bin"), Fingerprint: plan.Fingerprint(), Units: plan.Len()})
 	if hello := recv(); hello.Type != dist.MsgHello || hello.Err != "" {
 		t.Fatalf("hello = %+v", hello)

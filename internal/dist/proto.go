@@ -6,37 +6,39 @@
 // opaque integers 0..n-1 that execute into key/value records — and about
 // the machinery of distributing them: a lease table granting units with
 // deadlines and heartbeats, a JSONL wire protocol over
-// each worker's stdin/stdout, append-only checksummed shard files that
-// survive kill -9 mid-write, and a coordinator that re-leases the units
+// each worker's stdin/stdout, shard files (internal/reclog record logs)
+// that survive kill -9 mid-write, and a coordinator that re-leases the units
 // of crashed, hung, or corrupt workers to survivors (restart budgets).
 // The coordinator never executes a unit: what no worker finished is left
 // to the caller. What a unit *means* — which cache replay it is, what
 // keys it commits — lives with the caller (internal/dist/distrun binds
 // it to experiment plans). The two sides agree on the unit space by
-// fingerprint, never by trust.
+// fingerprint and on build identity, never by trust.
 package dist
 
-import "encoding/json"
+import (
+	"encoding/json"
+
+	"bcache/internal/reclog"
+)
 
 // ProtoVersion identifies the coordinator↔worker wire protocol. A worker
 // built from a different protocol refuses the init message, because a
 // silent mismatch could commit records under the wrong units.
-const ProtoVersion = 2
+const ProtoVersion = 3
 
 // Record is one key/value pair committed by a unit. The value is opaque
 // to this package; the caller defines (and versions) its layout.
-type Record struct {
-	Key string          `json:"key"`
-	Val json.RawMessage `json:"val"`
-}
+type Record = reclog.Record
 
 // Message types. The coordinator sends init, lease, and shutdown; the
 // worker sends hello, result, unitErr, heartbeat, and bye. A worker holds
 // at most one lease, and its result or unitErr ends it.
 const (
-	// MsgInit opens the session: protocol version, the opaque campaign
-	// spec the worker rebuilds its plan from, the shard path to append
-	// to, the plan fingerprint to verify, and the heartbeat interval.
+	// MsgInit opens the session: protocol version, the coordinator's
+	// build identity, the opaque campaign spec the worker rebuilds its
+	// plan from, the shard path to append to, the plan fingerprint to
+	// verify, and the heartbeat interval.
 	MsgInit = "init"
 	// MsgHello is the worker's acceptance: its plan length and
 	// fingerprint (the coordinator double-checks both).
@@ -70,6 +72,7 @@ type Msg struct {
 
 	// init
 	Proto           int             `json:"proto,omitempty"`
+	Build           string          `json:"build,omitempty"`
 	Spec            json.RawMessage `json:"spec,omitempty"`
 	ShardPath       string          `json:"shardPath,omitempty"`
 	HeartbeatMillis int64           `json:"heartbeatMillis,omitempty"`

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bcache/internal/obs/tracespan"
+	"bcache/internal/reclog"
 )
 
 // Plan is the worker's view of the campaign: an indexed unit space it
@@ -61,6 +62,16 @@ func ServeWorker(in io.Reader, out io.Writer, cfg WorkerConfig) (interrupted boo
 		_ = send(Msg{Type: MsgHello, Err: fmt.Sprintf("want init proto %d, got %q proto %d", ProtoVersion, init.Type, init.Proto)})
 		return false, fmt.Errorf("dist: worker got %q proto %d, want init proto %d", init.Type, init.Proto, ProtoVersion)
 	}
+	// A worker respawned after the binary was rebuilt mid-campaign is
+	// another build: its results could differ from the campaign's.
+	build, err := reclog.Self()
+	if err == nil && build.String() != init.Build {
+		err = fmt.Errorf("build mismatch: worker is build %s, coordinator is build %s", build, init.Build)
+	}
+	if err != nil {
+		_ = send(Msg{Type: MsgHello, Err: err.Error()})
+		return false, fmt.Errorf("dist: worker %w", err)
+	}
 	plan, err := cfg.Build(init.Spec)
 	if err != nil {
 		_ = send(Msg{Type: MsgHello, Err: err.Error()})
@@ -72,7 +83,7 @@ func ServeWorker(in io.Reader, out io.Writer, cfg WorkerConfig) (interrupted boo
 		_ = send(Msg{Type: MsgHello, Err: msg})
 		return false, fmt.Errorf("dist: worker %s", msg)
 	}
-	shard, err := CreateShard(init.ShardPath, init.Fingerprint)
+	shard, err := reclog.Open(init.ShardPath, init.Fingerprint, 0)
 	if err != nil {
 		_ = send(Msg{Type: MsgHello, Err: err.Error()})
 		return false, fmt.Errorf("dist: worker creating shard: %w", err)
@@ -143,7 +154,7 @@ func ServeWorker(in io.Reader, out io.Writer, cfg WorkerConfig) (interrupted boo
 				if execErr != nil {
 					logf("dist worker: unit %d: %v", m.Unit, execErr)
 					reply = Msg{Type: MsgUnitErr, Unit: m.Unit, Err: execErr.Error()}
-				} else if err := shard.Append(ShardPayload{Unit: m.Unit, Records: recs}); err != nil {
+				} else if _, err := shard.Append(reclog.Entry{Unit: m.Unit, Records: recs}); err != nil {
 					return false, fmt.Errorf("dist: worker shard append: %w", err)
 				}
 				if err := send(reply); err != nil {

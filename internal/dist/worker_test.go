@@ -5,10 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+
+	"bcache/internal/reclog"
 )
 
 // fakePlan is a deterministic in-process plan for protocol tests.
@@ -89,6 +92,17 @@ func (h *protoHarness) recv() Msg {
 	return m
 }
 
+// selfBuild is the build identity a coordinator of this binary sends in
+// init.
+func selfBuild(t *testing.T) string {
+	t.Helper()
+	b, err := reclog.Self()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 // recvSkippingHeartbeats returns the next non-heartbeat message.
 func (h *protoHarness) recvSkippingHeartbeats() Msg {
 	for {
@@ -104,7 +118,7 @@ func TestWorkerProtocolHappyPath(t *testing.T) {
 	shardPath := filepath.Join(t.TempDir(), "shard-000-000.bin")
 	h := startWorker(t, plan, nil)
 
-	h.send(Msg{Type: MsgInit, Proto: ProtoVersion, Spec: json.RawMessage("5"),
+	h.send(Msg{Type: MsgInit, Proto: ProtoVersion, Build: selfBuild(t), Spec: json.RawMessage("5"),
 		ShardPath: shardPath, Fingerprint: plan.Fingerprint(), Units: plan.n})
 	hello := h.recv()
 	if hello.Type != MsgHello || hello.Err != "" || hello.Units != 5 || hello.Fingerprint != plan.Fingerprint() {
@@ -132,10 +146,11 @@ func TestWorkerProtocolHappyPath(t *testing.T) {
 
 	// The shard holds exactly the successful units, in execution order —
 	// written before each result went on the wire.
-	payloads, err := ReadShard(shardPath, plan.Fingerprint())
+	l, err := readShard(shardPath, plan.Fingerprint())
 	if err != nil {
 		t.Fatalf("shard: %v", err)
 	}
+	payloads := l.Entries
 	if len(payloads) != 4 {
 		t.Fatalf("shard holds %d payloads, want 4", len(payloads))
 	}
@@ -160,7 +175,7 @@ func TestWorkerProtocolHappyPath(t *testing.T) {
 func TestWorkerRefusesFingerprintMismatch(t *testing.T) {
 	plan := fakePlan{n: 3}
 	h := startWorker(t, plan, nil)
-	h.send(Msg{Type: MsgInit, Proto: ProtoVersion, Spec: json.RawMessage("3"),
+	h.send(Msg{Type: MsgInit, Proto: ProtoVersion, Build: selfBuild(t), Spec: json.RawMessage("3"),
 		ShardPath: filepath.Join(t.TempDir(), "s.bin"), Fingerprint: 0xDEAD, Units: 3})
 	hello := h.recv()
 	if hello.Type != MsgHello || hello.Err == "" || !strings.Contains(hello.Err, "plan mismatch") {
@@ -169,6 +184,30 @@ func TestWorkerRefusesFingerprintMismatch(t *testing.T) {
 	<-h.doneC
 	if h.retErr == nil {
 		t.Fatal("ServeWorker returned nil error on fingerprint mismatch")
+	}
+}
+
+// TestWorkerRefusesForeignBuild: a worker whose executable differs from
+// the coordinator's — respawned after a rebuild mid-campaign, say —
+// refuses init, naming both builds, and creates no shard.
+func TestWorkerRefusesForeignBuild(t *testing.T) {
+	plan := fakePlan{n: 3}
+	h := startWorker(t, plan, nil)
+	shardPath := filepath.Join(t.TempDir(), "s.bin")
+	self := selfBuild(t)
+	other := strings.Repeat("0", len(self))
+	h.send(Msg{Type: MsgInit, Proto: ProtoVersion, Build: other, Spec: json.RawMessage("3"),
+		ShardPath: shardPath, Fingerprint: plan.Fingerprint(), Units: 3})
+	hello := h.recv()
+	if hello.Type != MsgHello || !strings.Contains(hello.Err, self) || !strings.Contains(hello.Err, other) {
+		t.Fatalf("hello = %+v, want a refusal naming builds %s and %s", hello, self, other)
+	}
+	<-h.doneC
+	if h.retErr == nil {
+		t.Fatal("ServeWorker returned nil error on a build mismatch")
+	}
+	if _, err := os.Stat(shardPath); !os.IsNotExist(err) {
+		t.Fatalf("refusing worker touched its shard: %v", err)
 	}
 }
 
@@ -189,7 +228,7 @@ func TestWorkerDirectStopDrains(t *testing.T) {
 	plan := fakePlan{n: 4}
 	stop := make(chan struct{})
 	h := startWorker(t, plan, stop)
-	h.send(Msg{Type: MsgInit, Proto: ProtoVersion, Spec: json.RawMessage("4"),
+	h.send(Msg{Type: MsgInit, Proto: ProtoVersion, Build: selfBuild(t), Spec: json.RawMessage("4"),
 		ShardPath: filepath.Join(t.TempDir(), "s.bin"), Fingerprint: plan.Fingerprint(), Units: 4})
 	if hello := h.recv(); hello.Err != "" {
 		t.Fatalf("hello refused: %s", hello.Err)

@@ -13,11 +13,11 @@ import (
 )
 
 func TestCheckpointSaveLoadRoundtrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp.json")
+	path := filepath.Join(t.TempDir(), "cp.log")
 	cp := NewCheckpoint(path)
 	cp.Record("k1", rawJSON(UnitResult{Misses: 1, Accesses: 2, PDHit: 3, PDMiss: 4}))
 	cp.Record("k2", rawJSON(UnitResult{Misses: 5, Accesses: 6}))
-	if err := cp.Save(); err != nil {
+	if err := cp.Close(); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadCheckpoint(path)
@@ -34,7 +34,7 @@ func TestCheckpointSaveLoadRoundtrip(t *testing.T) {
 }
 
 func TestCheckpointMissingFileIsEmpty(t *testing.T) {
-	cp, err := LoadCheckpoint(filepath.Join(t.TempDir(), "never-written.json"))
+	cp, err := LoadCheckpoint(filepath.Join(t.TempDir(), "never-written.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,34 +43,58 @@ func TestCheckpointMissingFileIsEmpty(t *testing.T) {
 	}
 }
 
+// TestCheckpointSchemaMismatchRejected: a file that is not a record log
+// — the JSON checkpoint of earlier builds, say — is refused, not read
+// as empty.
 func TestCheckpointSchemaMismatchRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cp.json")
-	if err := os.WriteFile(path, []byte(`{"schemaVersion":99,"units":{}}`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"schemaVersion":1,"units":{}}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadCheckpoint(path); err == nil {
-		t.Fatal("schema v99 accepted")
+		t.Fatal("JSON checkpoint accepted")
 	}
 }
 
+// TestCheckpointAutosave: every new result is on disk when Record
+// returns, with no save step; recording a key's same bytes again
+// appends nothing, and a key recorded with new bytes reloads as the
+// last one.
 func TestCheckpointAutosave(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp.json")
+	path := filepath.Join(t.TempDir(), "cp.log")
 	cp := NewCheckpoint(path)
-	cp.SetAutosave(2)
+	defer cp.Close()
+	size := func() int64 {
+		t.Helper()
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatalf("record not on disk: %v", err)
+		}
+		return info.Size()
+	}
 	cp.Record("a", rawJSON(UnitResult{Accesses: 1}))
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("autosave fired before threshold")
+	one := size()
+	cp.Record("a", rawJSON(UnitResult{Accesses: 1}))
+	if size() != one {
+		t.Fatal("re-recording the same bytes appended")
 	}
 	cp.Record("b", rawJSON(UnitResult{Accesses: 2}))
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("autosave did not write the file: %v", err)
+	cp.Record("a", rawJSON(UnitResult{Accesses: 3}))
+	if size() <= one {
+		t.Fatal("new records did not append")
+	}
+	got, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, _ := got.Lookup("a"); got.Len() != 2 || string(a) != string(rawJSON(UnitResult{Accesses: 3})) {
+		t.Fatalf("reloaded %d units, a = %s; want 2 units, the last a", got.Len(), a)
 	}
 }
 
 func TestCheckpointNilSafe(t *testing.T) {
 	var cp *Checkpoint
 	cp.Record("k", rawJSON(UnitResult{}))
-	cp.SetAutosave(1)
 	cp.SetAfterRecord(nil)
 	if _, ok := cp.Lookup("k"); ok {
 		t.Error("nil checkpoint returned a unit")
@@ -78,8 +102,8 @@ func TestCheckpointNilSafe(t *testing.T) {
 	if cp.Len() != 0 {
 		t.Error("nil checkpoint non-empty")
 	}
-	if err := cp.Save(); err != nil {
-		t.Errorf("nil Save: %v", err)
+	if err := cp.Close(); err != nil {
+		t.Errorf("nil Close: %v", err)
 	}
 }
 
@@ -102,7 +126,7 @@ func resumeFixture(t *testing.T) (Opts, []*workload.Profile, []Spec) {
 }
 
 // TestCheckpointResumeBitIdentical kills a miss-rate run in-process after
-// three committed units, saves the checkpoint, resumes from the file, and
+// three committed units, closes the checkpoint, resumes from the file, and
 // requires the resumed results to equal an uninterrupted run exactly —
 // bit-identical, not approximately equal.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
@@ -117,7 +141,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	// threshold before the stop request lands.
 	ResetUnitMemo()
 
-	path := filepath.Join(t.TempDir(), "cp.json")
+	path := filepath.Join(t.TempDir(), "cp.log")
 	cp := NewCheckpoint(path)
 	const stopAfter = 3
 	cp.SetAfterRecord(func(total int) {
@@ -143,7 +167,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			t.Errorf("partial row %s differs from reference", name)
 		}
 	}
-	if err := cp.Save(); err != nil {
+	if err := cp.Close(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -190,7 +190,7 @@ func TestStackDistCheckpointInterop(t *testing.T) {
 
 	opts := tinyOpts()
 	opts.DisableStackDist = true
-	opts.Checkpoint = NewCheckpoint(dir + "/cp.json")
+	opts.Checkpoint = NewCheckpoint(dir + "/cp.log")
 	oracle, err := missRates(sweep{opts, profiles, specs, dSide})
 	if err != nil {
 		t.Fatal(err)

@@ -161,11 +161,11 @@ func NewTelemetry(journalCap int, clock tracespan.Clock) *Telemetry {
 		unitsPanicked:   reg.Counter("bcache_units_panicked", "unit attempts that panicked (recovered by the scheduler)"),
 		unitsAbandoned:  reg.Counter("bcache_units_abandoned", "unit attempts abandoned past their deadline"),
 		accesses:        reg.Counter("bcache_accesses", "cache accesses simulated by committed units"),
-		checkpointSaves: reg.Counter("bcache_checkpoint_saves", "checkpoint files written (autosave and explicit)"),
+		checkpointSaves: reg.Counter("bcache_checkpoint_saves", "records appended to the checkpoint log"),
 		traceBuilds:     reg.Counter("bcache_trace_cache_builds", "trace passes run: one generator run per trace group"),
 		queueDepth:      reg.Gauge("bcache_queue_depth", "work units queued but not yet claimed"),
 		inFlight:        reg.Gauge("bcache_units_in_flight", "work units currently executing"),
-		checkpointBytes: reg.Gauge("bcache_checkpoint_bytes", "size of the last checkpoint file written"),
+		checkpointBytes: reg.Gauge("bcache_checkpoint_bytes", "size of the checkpoint log after its last append"),
 		traceCacheBytes: reg.Gauge("bcache_trace_cache_bytes", "chunk-buffer bytes of the running trace passes"),
 		unitWall:        reg.Histogram("bcache_unit_wall_seconds", "wall time per work unit attempt", unitWallBounds),
 
@@ -363,7 +363,7 @@ func (t *Telemetry) foldLocked(s tracespan.Span) {
 		t.accesses.Add(uint64(s.Count))
 	case tracespan.KindCheckpoint:
 		t.checkpointSaves.Inc()
-		t.checkpointBytes.Set(float64(s.Bytes))
+		t.checkpointBytes.Set(float64(s.Count))
 	case tracespan.KindTraceBuild:
 		t.traceBuilds.Inc()
 		t.traceCacheBytes.Set(float64(s.Bytes))
@@ -375,6 +375,9 @@ func (t *Telemetry) foldLocked(s tracespan.Span) {
 		t.distWorkers.Add(1)
 	case tracespan.KindWorkerExit:
 		t.distWorkers.Add(-1)
+		if s.Unit >= 0 {
+			t.distReleases.Inc()
+		}
 	case tracespan.KindWorkerRestart:
 		t.distRestarts.Inc()
 	case tracespan.KindShardMerge:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -244,25 +245,30 @@ func TestUnitTimingSummary(t *testing.T) {
 	}
 }
 
+// TestCheckpointSpanOnAutosave: each append emits one checkpoint span
+// sized in the bytes it wrote, so the spans of a new log sum to its
+// file size; re-recording a key's same bytes appends nothing and emits
+// nothing.
 func TestCheckpointSpanOnAutosave(t *testing.T) {
 	tel, _ := withTelemetry(t)
-	dir := t.TempDir()
-	cp := NewCheckpoint(dir + "/ckpt.json")
-	cp.SetAutosave(2)
+	path := t.TempDir() + "/ckpt.log"
+	cp := NewCheckpoint(path)
 	cp.Record("a", rawJSON(UnitResult{Accesses: 1}))
 	cp.Record("b", rawJSON(UnitResult{Accesses: 2}))
-	spans := spansOfKind(tel.Journal(), tracespan.KindCheckpoint)
-	if len(spans) != 1 {
-		t.Fatalf("checkpoint spans after autosave = %d, want 1", len(spans))
-	}
-	if !strings.Contains(spans[0].Detail, "units=2") {
-		t.Fatalf("checkpoint span detail = %q", spans[0].Detail)
-	}
-	if err := cp.Save(); err != nil {
+	cp.Record("a", rawJSON(UnitResult{Accesses: 1}))
+	if err := cp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := spansOfKind(tel.Journal(), tracespan.KindCheckpoint); len(got) != 2 {
-		t.Fatalf("checkpoint spans after explicit save = %d, want 2", len(got))
+	spans := spansOfKind(tel.Journal(), tracespan.KindCheckpoint)
+	if len(spans) != 2 {
+		t.Fatalf("checkpoint spans after two new records = %d, want 2", len(spans))
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := spans[0].Bytes + spans[1].Bytes; sum != info.Size() || spans[1].Count != info.Size() {
+		t.Fatalf("span bytes sum to %d, last log size %d; the file holds %d", sum, spans[1].Count, info.Size())
 	}
 }
 
@@ -332,7 +338,7 @@ func TestDistTelemetryNilSafe(t *testing.T) {
 // TestFoldMatchesJournal drives one campaign through runUnits with a
 // transient unit that succeeds on retry, a panicking unit, a unit that
 // times out on both attempts, a replay unit whose accesses count, trace
-// passes, and an autosaving checkpoint. Every counter and
+// passes, and a checkpoint log. Every counter and
 // gauge must equal what the journal's spans imply, and replaying the
 // journal through foldLocked on a fresh hub must rebuild the exposition
 // and /progress exactly: no instrument moves outside the fold.
@@ -347,8 +353,7 @@ func TestFoldMatchesJournal(t *testing.T) {
 	opts.Workers = 1
 	opts.UnitTimeout = 20 * time.Millisecond
 	opts.UnitRetries = 1
-	opts.Checkpoint = NewCheckpoint(t.TempDir() + "/ckpt.json")
-	opts.Checkpoint.SetAutosave(2)
+	opts.Checkpoint = NewCheckpoint(t.TempDir() + "/ckpt.log")
 	release := make(chan struct{})
 	defer close(release)
 
@@ -386,14 +391,14 @@ func TestFoldMatchesJournal(t *testing.T) {
 	if _, err := runUnits(opts, units); err == nil {
 		t.Fatal("campaign with a panicking and a hanging unit returned no error")
 	}
-	if err := opts.Checkpoint.Save(); err != nil {
+	if err := opts.Checkpoint.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	spans := tel.Journal().Snapshot()
 	var (
 		queued, drained, claims, releases, gaveUp, done, retries uint64
-		panics, abandons, accesses, saves, builds, walls         uint64
+		panics, abandons, accesses, appends, builds, walls       uint64
 		ckptBytes, traceBytes                                    int64
 	)
 	for _, s := range spans {
@@ -423,8 +428,8 @@ func TestFoldMatchesJournal(t *testing.T) {
 		case tracespan.KindAccesses:
 			accesses += uint64(s.Count)
 		case tracespan.KindCheckpoint:
-			saves++
-			ckptBytes = s.Bytes
+			appends++
+			ckptBytes = s.Count
 		case tracespan.KindTraceBuild:
 			builds++
 			traceBytes = s.Bytes
@@ -434,9 +439,9 @@ func TestFoldMatchesJournal(t *testing.T) {
 	// Passes: replay and flaky's group, and flaky's retry alone; boom's
 	// and hang's engines never start, so theirs run no pass.
 	if queued != 4 || done != 2 || gaveUp != 2 || retries != 2 || panics != 1 ||
-		abandons != 2 || accesses == 0 || saves != 2 || builds != 2 {
-		t.Fatalf("journal: queued %d done %d gave up %d retries %d panics %d abandons %d accesses %d saves %d builds %d",
-			queued, done, gaveUp, retries, panics, abandons, accesses, saves, builds)
+		abandons != 2 || accesses == 0 || appends != 2 || builds != 2 {
+		t.Fatalf("journal: queued %d done %d gave up %d retries %d panics %d abandons %d accesses %d appends %d builds %d",
+			queued, done, gaveUp, retries, panics, abandons, accesses, appends, builds)
 	}
 	for _, c := range []struct {
 		name      string
@@ -449,7 +454,7 @@ func TestFoldMatchesJournal(t *testing.T) {
 		{"units_panicked", float64(tel.unitsPanicked.Value()), float64(panics)},
 		{"units_abandoned", float64(tel.unitsAbandoned.Value()), float64(abandons)},
 		{"accesses", float64(tel.accesses.Value()), float64(accesses)},
-		{"checkpoint_saves", float64(tel.checkpointSaves.Value()), float64(saves)},
+		{"checkpoint_saves", float64(tel.checkpointSaves.Value()), float64(appends)},
 		{"trace_cache_builds", float64(tel.traceBuilds.Value()), float64(builds)},
 		{"queue_depth", tel.queueDepth.Value(), float64(queued - drained - claims)},
 		{"units_in_flight", tel.inFlight.Value(), float64(claims - releases)},
@@ -505,8 +510,8 @@ func exposition(t *testing.T, tel *Telemetry) string {
 func TestMetricFamiliesPinned(t *testing.T) {
 	want := []string{
 		"bcache_accesses counter cache accesses simulated by committed units",
-		"bcache_checkpoint_bytes gauge size of the last checkpoint file written",
-		"bcache_checkpoint_saves counter checkpoint files written (autosave and explicit)",
+		"bcache_checkpoint_bytes gauge size of the checkpoint log after its last append",
+		"bcache_checkpoint_saves counter records appended to the checkpoint log",
 		"bcache_queue_depth gauge work units queued but not yet claimed",
 		"bcache_trace_cache_builds counter trace passes run: one generator run per trace group",
 		"bcache_trace_cache_bytes gauge chunk-buffer bytes of the running trace passes",

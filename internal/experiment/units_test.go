@@ -107,7 +107,7 @@ func TestResumeBitIdentical(t *testing.T) {
 			want := runCSV(t, id, opts)
 
 			ResetUnitMemo()
-			path := filepath.Join(t.TempDir(), "cp.json")
+			path := filepath.Join(t.TempDir(), "cp.log")
 			cp := NewCheckpoint(path)
 			cp.SetAfterRecord(func(total int) {
 				if total >= keys/2 {
@@ -122,7 +122,7 @@ func TestResumeBitIdentical(t *testing.T) {
 			if cp.Len() < keys/2 || cp.Len() >= keys {
 				t.Fatalf("interrupted run recorded %d of %d keys", cp.Len(), keys)
 			}
-			if err := cp.Save(); err != nil {
+			if err := cp.Close(); err != nil {
 				t.Fatal(err)
 			}
 			ResetStop()
@@ -145,7 +145,7 @@ func TestResumeBitIdentical(t *testing.T) {
 				if builds := TraceCacheStats().Misses; round == 1 && builds != 0 {
 					t.Errorf("resume from a complete checkpoint built %d traces", builds)
 				}
-				if err := cp2.Save(); err != nil {
+				if err := cp2.Close(); err != nil {
 					t.Fatal(err)
 				}
 			}

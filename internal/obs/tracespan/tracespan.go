@@ -1,7 +1,7 @@
 // Package tracespan is the scheduler's flight recorder: a lock-cheap,
 // bounded, in-memory journal of lifecycle spans — units queued, claimed,
 // attempted and released, retry and backoff, deadline abandons, panics,
-// checkpoint autosaves, trace-cache hits and builds, distributed leases
+// checkpoint appends, trace-cache hits and builds, distributed leases
 // and workers — exportable as schema-versioned JSONL and as a Chrome
 // trace-event timeline (chrome://tracing / Perfetto, one track per
 // worker).
@@ -58,8 +58,9 @@ const (
 	// KindAccesses marks a committed replay unit's simulated accesses
 	// (Count carries how many).
 	KindAccesses = "accesses"
-	// KindCheckpoint marks a checkpoint save (Detail carries units/bytes,
-	// Bytes the file size).
+	// KindCheckpoint marks one record appended to the checkpoint log
+	// (Bytes carries the bytes the append wrote, Count the log's size
+	// after it).
 	KindCheckpoint = "checkpoint"
 	// KindTraceHit marks a trace-cache hit (Bytes carries the cache's
 	// resident bytes).
@@ -83,7 +84,8 @@ const (
 	// carries the incarnation number).
 	KindWorkerStart = "worker_start"
 	// KindWorkerExit marks a worker subprocess exiting (Err carries its
-	// exit error, if any).
+	// exit error, if any; Unit the trace group its death returned to the
+	// pool, -1 when it held none).
 	KindWorkerExit = "worker_exit"
 	// KindWorkerRestart marks a dead worker subprocess being respawned
 	// (Attempt carries the incarnation number).
@@ -98,7 +100,7 @@ const (
 )
 
 // SharedWorker is the Worker value for spans not owned by one scheduler
-// worker (checkpoint saves, trace-cache events observed on whichever
+// worker (checkpoint appends, trace-cache events observed on whichever
 // goroutine got there first).
 const SharedWorker = -1
 
