@@ -32,6 +32,7 @@ import (
 	"syscall"
 	"time"
 
+	"bcache/internal/addr"
 	"bcache/internal/altcache"
 	"bcache/internal/cache"
 	"bcache/internal/core"
@@ -41,6 +42,7 @@ import (
 	"bcache/internal/obs"
 	"bcache/internal/obs/metrics"
 	"bcache/internal/rng"
+	"bcache/internal/stats"
 	"bcache/internal/trace"
 	"bcache/internal/victim"
 	"bcache/internal/workload"
@@ -336,11 +338,15 @@ func run(cfg runCfg) error {
 		c = inj // replay through the injector; summaries use inj.Unwrap()
 	}
 	var sampler *obs.IntervalSampler
+	var frames *stats.Frames
+	sim := c // the access path: c, counting frames for the report
 	if cfg.reportPath != "" {
 		sampler = obs.NewIntervalSampler(cfg.interval, c.Geometry().Frames)
 		if !cache.AttachProbe(c, sampler) {
 			return fmt.Errorf("cache type %q does not support -report time-series (no probe attach point)", cfg.kind)
 		}
+		frames = stats.NewFrames(c.Geometry().Frames)
+		sim = frameCounting{c, frames}
 	}
 
 	lineMask := ^uint64(uint64(cfg.line) - 1)
@@ -356,12 +362,12 @@ func run(cfg runCfg) error {
 		switch cfg.side {
 		case "d":
 			if rec.Kind.IsMem() {
-				c.Access(rec.Mem, rec.Kind == trace.Store)
+				sim.Access(rec.Mem, rec.Kind == trace.Store)
 			}
 		case "i":
 			if l := uint64(rec.PC) & lineMask; l != curLine {
 				curLine = l
-				c.Access(rec.PC, false)
+				sim.Access(rec.PC, false)
 			}
 		default:
 			return fmt.Errorf("bad -side %q (want d or i)", cfg.side)
@@ -420,7 +426,7 @@ func run(cfg runCfg) error {
 	}
 
 	if cfg.reportPath != "" {
-		r := obs.NewReport(base)
+		r := obs.NewReport(base, frames)
 		r.Config.Benchmark = benchLabel(cfg)
 		r.Config.Side = cfg.side
 		r.Config.Interrupted = cfg.interrupted()
@@ -446,7 +452,13 @@ func runIPC(cfg runCfg, build func() (cache.Cache, error), stream trace.Stream, 
 	if err != nil {
 		return err
 	}
-	h, err := hier.New(ic, dc, hier.Defaults())
+	var frames *stats.Frames
+	var d cache.Cache = dc // the D$ access path, counting frames for the report
+	if cfg.reportPath != "" {
+		frames = stats.NewFrames(dc.Geometry().Frames)
+		d = frameCounting{dc, frames}
+	}
+	h, err := hier.New(ic, d, hier.Defaults())
 	if err != nil {
 		return err
 	}
@@ -483,7 +495,7 @@ func runIPC(cfg runCfg, build func() (cache.Cache, error), stream trace.Stream, 
 	}
 
 	if cfg.reportPath != "" {
-		r := obs.NewReport(dc)
+		r := obs.NewReport(dc, frames)
 		r.Config.Benchmark = benchLabel(cfg)
 		r.Config.Side = "d"
 		r.Config.Interrupted = cfg.interrupted()
@@ -496,6 +508,20 @@ func runIPC(cfg runCfg, build func() (cache.Cache, error), stream trace.Stream, 
 			cfg.reportPath, len(r.Samples), len(r.Series))
 	}
 	return nil
+}
+
+// frameCounting counts each access's Result.Frame into f on its way
+// through: the per-frame counts behind the report's balance block.
+type frameCounting struct {
+	cache.Cache
+	f *stats.Frames
+}
+
+// Access implements cache.Cache.
+func (c frameCounting) Access(a addr.Addr, write bool) cache.Result {
+	r := c.Cache.Access(a, write)
+	c.f.Count(r)
+	return r
 }
 
 // benchLabel names the input stream for the report.

@@ -70,7 +70,7 @@ func NewAGAC(size, lineBytes, dirEntries int, epochLen uint64) (*AGAC, error) {
 		dir:      make([]dirEntry, dirEntries),
 		refBits:  make([]bool, geom.Sets),
 		epochLen: epochLen,
-		stats:    cache.NewStats(geom.Frames),
+		stats:    cache.NewStats(),
 	}, nil
 }
 
@@ -86,7 +86,7 @@ func (c *AGAC) Access(a addr.Addr, write bool) cache.Result {
 		if write {
 			l.dirty = true
 		}
-		c.stats.Record(s, true, write)
+		c.stats.Record(true, write)
 		return cache.Result{Hit: true, Frame: s}
 	}
 
@@ -103,7 +103,7 @@ func (c *AGAC) Access(a addr.Addr, write bool) cache.Result {
 			if write {
 				l.dirty = true
 			}
-			c.stats.Record(h, true, write)
+			c.stats.Record(true, write)
 			return cache.Result{Hit: true, Frame: h, ExtraLatency: 2}
 		}
 		// Stale directory entry (line displaced underneath): drop it.
@@ -133,7 +133,7 @@ func (c *AGAC) Access(a addr.Addr, write bool) cache.Result {
 		c.stats.RecordEviction(victim.dirty)
 	}
 	c.lines[s] = agacLine{valid: true, dirty: write, block: block, home: true}
-	c.stats.Record(s, false, write)
+	c.stats.Record(false, write)
 	return res
 }
 

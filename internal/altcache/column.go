@@ -50,7 +50,7 @@ func NewColumn(size, lineBytes int) (*Column, error) {
 	return &Column{
 		geom:  geom,
 		lines: make([]columnLine, geom.Frames),
-		stats: cache.NewStats(geom.Frames),
+		stats: cache.NewStats(),
 	}, nil
 }
 
@@ -68,7 +68,7 @@ func (c *Column) Access(a addr.Addr, write bool) cache.Result {
 		if write {
 			l1.dirty = true
 		}
-		c.stats.Record(s1, true, write)
+		c.stats.Record(true, write)
 		return cache.Result{Hit: true, Frame: s1}
 	}
 	if l2.valid && l2.block == block {
@@ -81,7 +81,7 @@ func (c *Column) Access(a addr.Addr, write bool) cache.Result {
 		if write {
 			l1.dirty = true
 		}
-		c.stats.Record(s1, true, write)
+		c.stats.Record(true, write)
 		return cache.Result{Hit: true, Frame: s1, ExtraLatency: 1}
 	}
 
@@ -102,7 +102,7 @@ func (c *Column) Access(a addr.Addr, write bool) cache.Result {
 		res.EvictedAddr = r2.EvictedAddr
 		res.EvictedDirty = r2.EvictedDirty
 	}
-	c.stats.Record(s1, false, write)
+	c.stats.Record(false, write)
 	return res
 }
 

@@ -52,7 +52,7 @@ func NewPAM(size, lineBytes, ways int, partBits uint) (*PAM, error) {
 		partBits: partBits,
 		lines:    make([]pamLine, geom.Frames),
 		policies: make([]cache.Policy, geom.Sets),
-		stats:    cache.NewStats(geom.Frames),
+		stats:    cache.NewStats(),
 	}
 	for i := range c.policies {
 		c.policies[i] = cache.NewPolicy(cache.LRU, ways, nil)
@@ -102,7 +102,7 @@ func (c *PAM) Access(a addr.Addr, write bool) cache.Result {
 		if write {
 			c.lines[base+hitWay].dirty = true
 		}
-		c.stats.Record(base+hitWay, true, write)
+		c.stats.Record(true, write)
 		return cache.Result{Hit: true, Frame: base + hitWay, ExtraLatency: extra}
 	}
 
@@ -127,7 +127,7 @@ func (c *PAM) Access(a addr.Addr, write bool) cache.Result {
 	c.lines[base+way] = pamLine{valid: true, dirty: write, tag: tag}
 	pol.Touch(way)
 	res.Frame = base + way
-	c.stats.Record(base+way, false, write)
+	c.stats.Record(false, write)
 	return res
 }
 

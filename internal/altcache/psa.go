@@ -46,7 +46,7 @@ func NewPSA(size, lineBytes int, predBits uint) (*PSA, error) {
 		lines:    make([]columnLine, geom.Frames),
 		steer:    make([]uint8, 1<<predBits),
 		predBits: predBits,
-		stats:    cache.NewStats(geom.Frames),
+		stats:    cache.NewStats(),
 	}, nil
 }
 
@@ -77,7 +77,7 @@ func (c *PSA) Access(a addr.Addr, write bool) cache.Result {
 		if write {
 			l.dirty = true
 		}
-		c.stats.Record(first, true, write)
+		c.stats.Record(true, write)
 		return cache.Result{Hit: true, Frame: first}
 	}
 	if l := &c.lines[second]; l.valid && l.block == block {
@@ -88,7 +88,7 @@ func (c *PSA) Access(a addr.Addr, write bool) cache.Result {
 		if write {
 			l.dirty = true
 		}
-		c.stats.Record(second, true, write)
+		c.stats.Record(true, write)
 		return cache.Result{Hit: true, Frame: second, ExtraLatency: 1}
 	}
 
@@ -116,7 +116,7 @@ func (c *PSA) Access(a addr.Addr, write bool) cache.Result {
 		res.Frame = s
 	}
 	c.steer[pi] = 0
-	c.stats.Record(s, false, write)
+	c.stats.Record(false, write)
 	return res
 }
 

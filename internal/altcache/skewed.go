@@ -32,7 +32,7 @@ func NewSkewed(size, lineBytes int, src *rng.Source) (*Skewed, error) {
 	if src == nil {
 		return nil, fmt.Errorf("altcache: skewed cache requires an rng source")
 	}
-	s := &Skewed{geom: geom, bankSets: geom.Sets, src: src, stats: cache.NewStats(geom.Frames)}
+	s := &Skewed{geom: geom, bankSets: geom.Sets, src: src, stats: cache.NewStats()}
 	s.banks[0] = make([]columnLine, s.bankSets)
 	s.banks[1] = make([]columnLine, s.bankSets)
 	return s, nil
@@ -71,7 +71,7 @@ func (s *Skewed) Access(a addr.Addr, write bool) cache.Result {
 			if write {
 				l.dirty = true
 			}
-			s.stats.Record(s.frame(b, idx), true, write)
+			s.stats.Record(true, write)
 			return cache.Result{Hit: true, Frame: s.frame(b, idx)}
 		}
 	}
@@ -96,7 +96,7 @@ func (s *Skewed) Access(a addr.Addr, write bool) cache.Result {
 		s.stats.RecordEviction(old.dirty)
 	}
 	s.banks[bank][idx] = columnLine{valid: true, dirty: write, block: block}
-	s.stats.Record(s.frame(bank, idx), false, write)
+	s.stats.Record(false, write)
 	return res
 }
 

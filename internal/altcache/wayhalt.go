@@ -50,7 +50,7 @@ func NewWayHalt(size, lineBytes, ways int, haltBits uint) (*WayHalt, error) {
 		haltBits: haltBits,
 		lines:    make([]pamLine, geom.Frames),
 		policies: make([]cache.Policy, geom.Sets),
-		stats:    cache.NewStats(geom.Frames),
+		stats:    cache.NewStats(),
 	}
 	for i := range c.policies {
 		c.policies[i] = cache.NewPolicy(cache.LRU, ways, nil)
@@ -88,7 +88,7 @@ func (c *WayHalt) Access(a addr.Addr, write bool) cache.Result {
 		if write {
 			c.lines[base+hitWay].dirty = true
 		}
-		c.stats.Record(base+hitWay, true, write)
+		c.stats.Record(true, write)
 		return cache.Result{Hit: true, Frame: base + hitWay}
 	}
 
@@ -113,7 +113,7 @@ func (c *WayHalt) Access(a addr.Addr, write bool) cache.Result {
 	c.lines[base+way] = pamLine{valid: true, dirty: write, tag: tag}
 	pol.Touch(way)
 	res.Frame = base + way
-	c.stats.Record(base+way, false, write)
+	c.stats.Record(false, write)
 	return res
 }
 

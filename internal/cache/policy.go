@@ -60,11 +60,53 @@ func NewPolicy(kind PolicyKind, ways int, src *rng.Source) Policy {
 	}
 }
 
+// Stamps is the LRU recency of a whole cache in one flat slab: one
+// stamp per frame, stamp[set*ways+way], from one cache-wide clock.
+// Within a set the stamps order the ways exactly as a per-set clock
+// would, so the victim is the one a per-set LRU Policy picks, and a
+// cache of thousands of sets keeps no policy object per set.
+// SetAssoc's sets and core.BCache's rows keep their LRU state here.
+type Stamps struct {
+	ways  int
+	stamp []uint64
+	clock uint64
+}
+
+// NewStamps returns zeroed recency for sets sets of ways ways each.
+func NewStamps(sets, ways int) Stamps {
+	return Stamps{ways: ways, stamp: make([]uint64, sets*ways)}
+}
+
+// Touch records a use of way in set.
+func (s *Stamps) Touch(set, way int) {
+	s.clock++
+	s.stamp[set*s.ways+way] = s.clock
+}
+
+// Victim returns the lowest-numbered way of set with the oldest stamp.
+func (s *Stamps) Victim(set int) int {
+	stamps := s.stamp[set*s.ways : (set+1)*s.ways]
+	victim, best := 0, stamps[0]
+	for w, st := range stamps[1:] {
+		if st < best {
+			victim, best = w+1, st
+		}
+	}
+	return victim
+}
+
+// Reset clears the recency.
+func (s *Stamps) Reset() {
+	clear(s.stamp)
+	s.clock = 0
+}
+
 // lruPolicy tracks recency with a timestamp per way, for caches that
-// hold one Policy per set (altcache's PAM); SetAssoc keeps the same
-// stamps in one flat slab and scans them the same way. The linear
-// victim scan is intentional, but only below the index crossover: sets
-// with faIndexMinWays (64) ways or more carry a stackdist.Index whose
+// hold one Policy per set (altcache's PAM and WayHalt, core.Reference).
+// It scans its stamps as Stamps does, kept apart as the per-set form
+// the differential oracle (core.Reference) runs. The linear victim scan
+// is intentional, but only below the index crossover: sets with
+// faIndexMinWays (64) ways or more carry a stackdist.Index whose
 // recency list answers the LRU victim in O(1), so this scan only ever
 // runs on narrow sets — the paper's 2..32-way sweeps — where it beats
 // maintaining a list. TestIndexCrossover asserts the threshold.

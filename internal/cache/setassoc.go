@@ -51,13 +51,12 @@ type SetAssoc struct {
 	maskWords int
 	tailMask  uint64 // in-range way bits of a set's last mask word
 
-	// LRU recency is one stamp per frame, stamps[set*Ways+way], from one
-	// cache-wide clock: within a set the stamps order the ways exactly
-	// as a per-set clock would, and a flat slab costs a wide cache's
-	// sets no policy objects. FIFO and Random keep one Policy per set
-	// (policies, nil under LRU).
-	stamps   []uint64
-	clock    uint64
+	// lru is the LRU recency of every set in one slab (Stamps). A
+	// direct-mapped LRU cache leaves it empty: its one way is always the
+	// victim. FIFO and Random keep one Policy per set (policies, nil
+	// under LRU), even at one way, where the Random draw is still part
+	// of the stream.
+	lru      Stamps
 	policies []Policy
 	stats    *Stats
 	probe    Probe // nil unless observability is attached
@@ -104,11 +103,13 @@ func NewSetAssoc(size, lineBytes, ways int, kind PolicyKind, src *rng.Source) (*
 		dirty:     make([]uint64, geom.Sets*mw),
 		maskWords: mw,
 		tailMask:  tail,
-		stats:     NewStats(geom.Frames),
+		stats:     NewStats(),
 		name:      fmt.Sprintf("%dkB-%dway-%s", size/1024, ways, kind),
 	}
 	if kind == LRU {
-		c.stamps = make([]uint64, geom.Frames)
+		if ways > 1 {
+			c.lru = NewStamps(geom.Sets, ways)
+		}
 	} else {
 		c.policies = make([]Policy, geom.Sets)
 		for s := range c.policies {
@@ -167,26 +168,19 @@ func NewFullyAssoc(size, lineBytes int, kind PolicyKind, src *rng.Source) (*SetA
 // touch records a use of way in set with the replacement policy.
 func (c *SetAssoc) touch(set, way int) {
 	if c.policies == nil {
-		c.clock++
-		c.stamps[set*c.geom.Ways+way] = c.clock
+		c.lru.Touch(set, way)
 		return
 	}
 	c.policies[set].Touch(way)
 }
 
-// victim returns the way the replacement policy evicts from a full set:
-// under LRU the lowest-numbered way with the oldest stamp, as the scan
-// of a per-set lruPolicy picks it.
+// victim returns the way the replacement policy evicts from a full set.
 func (c *SetAssoc) victim(set int) int {
 	if c.policies == nil {
-		stamps := c.stamps[set*c.geom.Ways : (set+1)*c.geom.Ways]
-		victim, best := 0, stamps[0]
-		for w, s := range stamps[1:] {
-			if s < best {
-				victim, best = w+1, s
-			}
+		if c.geom.Ways == 1 {
+			return 0
 		}
-		return victim
+		return c.lru.Victim(set)
 	}
 	return c.policies[set].Victim()
 }
@@ -249,7 +243,7 @@ func (c *SetAssoc) Access(a addr.Addr, write bool) Result {
 		if write {
 			c.dirty[mbase+w>>6] |= 1 << (w & 63)
 		}
-		c.stats.Record(base+w, true, write)
+		c.stats.Record(true, write)
 		if c.probe != nil {
 			c.probe.ObserveAccess(base+w, true, write)
 		}
@@ -289,7 +283,7 @@ func (c *SetAssoc) Access(a addr.Addr, write bool) Result {
 		c.touch(set, way)
 	}
 	res.Frame = base + way
-	c.stats.Record(base+way, false, write)
+	c.stats.Record(false, write)
 	if c.probe != nil {
 		c.probe.ObserveAccess(base+way, false, write)
 	}
@@ -320,7 +314,7 @@ func (c *SetAssoc) accessIndexed(set int, tag addr.Addr, write bool) Result {
 		if write {
 			c.dirty[mbase+w>>6] |= 1 << (w & 63)
 		}
-		c.stats.Record(base+w, true, write)
+		c.stats.Record(true, write)
 		if c.probe != nil {
 			c.probe.ObserveAccess(base+w, true, write)
 		}
@@ -355,7 +349,7 @@ func (c *SetAssoc) accessIndexed(set int, tag addr.Addr, write bool) Result {
 	}
 	ix.Insert(tag, uint64(way))
 	res.Frame = base + way
-	c.stats.Record(base+way, false, write)
+	c.stats.Record(false, write)
 	if c.probe != nil {
 		c.probe.ObserveAccess(base+way, false, write)
 	}
@@ -413,8 +407,7 @@ func (c *SetAssoc) Reset() {
 	clear(c.tags)
 	clear(c.valid)
 	clear(c.dirty)
-	clear(c.stamps)
-	c.clock = 0
+	c.lru.Reset()
 	for _, p := range c.policies {
 		p.Reset()
 	}

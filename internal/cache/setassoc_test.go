@@ -164,18 +164,18 @@ func TestWritebackDirty(t *testing.T) {
 
 func TestStatsCounting(t *testing.T) {
 	c := mustDM(t, 128, 32)
-	c.Access(0, false)
-	c.Access(0, true)
-	c.Access(64, false)
+	r0 := c.Access(0, false)
+	r1 := c.Access(0, true)
+	r2 := c.Access(64, false)
 	s := c.Stats()
 	if s.Accesses != 3 || s.Hits != 1 || s.Misses != 2 || s.Reads != 2 || s.Writes != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if s.FrameAccess(0) != 2 || s.FrameAccess(2) != 1 {
-		t.Fatalf("frame hits = %v, frame misses = %v", s.FrameHits, s.FrameMisses)
+	if r0.Frame != 0 || r1.Frame != 0 || r2.Frame != 2 {
+		t.Fatalf("frames = %d, %d, %d, want 0, 0, 2", r0.Frame, r1.Frame, r2.Frame)
 	}
 	c.Reset()
-	if s2 := c.Stats(); s2.Accesses != 0 || s2.FrameAccess(0) != 0 {
+	if s2 := c.Stats(); *s2 != (Stats{}) {
 		t.Fatal("Reset did not clear stats")
 	}
 	if c.Contains(0) {

@@ -2,8 +2,9 @@ package cache
 
 import "fmt"
 
-// Stats holds the access counters of one cache.
-// Per-frame counters feed the set-balance analysis of Table 7.
+// Stats holds the scalar access counters of one cache. Per-frame
+// counts (Table 7's set balance) are not kept here: a reader that needs
+// them counts each access's Result.Frame itself (stats.Frames).
 type Stats struct {
 	Accesses   uint64
 	Hits       uint64
@@ -12,24 +13,13 @@ type Stats struct {
 	Writes     uint64
 	Evictions  uint64
 	Writebacks uint64
-
-	// FrameHits/FrameMisses are indexed by physical frame. A frame's
-	// access total is their sum — see FrameAccess; keeping a third
-	// array in sync would cost an extra counter write per access.
-	FrameHits   []uint64
-	FrameMisses []uint64
 }
 
-// NewStats returns zeroed counters for a cache with frames line frames.
-func NewStats(frames int) *Stats {
-	return &Stats{
-		FrameHits:   make([]uint64, frames),
-		FrameMisses: make([]uint64, frames),
-	}
-}
+// NewStats returns zeroed counters.
+func NewStats() *Stats { return &Stats{} }
 
-// Record books one access outcome against frame.
-func (s *Stats) Record(frame int, hit, write bool) {
+// Record books one access outcome.
+func (s *Stats) Record(hit, write bool) {
 	s.Accesses++
 	if write {
 		s.Writes++
@@ -38,19 +28,10 @@ func (s *Stats) Record(frame int, hit, write bool) {
 	}
 	if hit {
 		s.Hits++
-		s.FrameHits[frame]++
 	} else {
 		s.Misses++
-		s.FrameMisses[frame]++
 	}
 }
-
-// Frames returns the number of per-frame counters.
-func (s *Stats) Frames() int { return len(s.FrameHits) }
-
-// FrameAccess returns frame i's total accesses, derived from the hit
-// and miss counters.
-func (s *Stats) FrameAccess(i int) uint64 { return s.FrameHits[i] + s.FrameMisses[i] }
 
 // RecordEviction books the displacement of a valid line.
 func (s *Stats) RecordEviction(dirty bool) {
@@ -77,15 +58,7 @@ func (s *Stats) HitRate() float64 {
 }
 
 // Reset zeroes all counters in place.
-func (s *Stats) Reset() {
-	frames := len(s.FrameHits)
-	*s = Stats{
-		FrameHits:   s.FrameHits[:0],
-		FrameMisses: s.FrameMisses[:0],
-	}
-	s.FrameHits = append(s.FrameHits, make([]uint64, frames)...)
-	s.FrameMisses = append(s.FrameMisses, make([]uint64, frames)...)
-}
+func (s *Stats) Reset() { *s = Stats{} }
 
 func (s *Stats) String() string {
 	return fmt.Sprintf("accesses=%d hits=%d misses=%d missRate=%.4f%%",

@@ -170,7 +170,12 @@ type BCache struct {
 	// tags[frameIndex] holds the tag bits above the PI field.
 	tags []addr.Addr
 
-	policies []cache.Policy // one per row, arbitrating the BAS clusters
+	// lru is the LRU recency of every row's clusters in one slab
+	// (cache.Stamps), so the rows keep no policy objects. Random keeps
+	// one cache.Policy per row (policies, nil under LRU), all drawing
+	// from the one seeded stream.
+	lru      cache.Stamps
+	policies []cache.Policy
 
 	stats   *cache.Stats
 	pdStats PDStats
@@ -230,7 +235,7 @@ func New(cfg Config) (*BCache, error) {
 		rows:      1 << (geom.IndexBits() - nb),
 		swar:      nb+nm <= 7 && cfg.BAS <= swarLanes,
 		maskWords: (cfg.BAS + 63) / 64,
-		stats:     cache.NewStats(geom.Frames),
+		stats:     cache.NewStats(),
 	}
 	npi := geom.IndexBits() - nb
 	c.rowShift = geom.OffsetBits()
@@ -255,9 +260,13 @@ func New(cfg Config) (*BCache, error) {
 	c.valid = make([]uint64, c.rows*c.maskWords)
 	c.dirty = make([]uint64, c.rows*c.maskWords)
 	c.tags = make([]addr.Addr, geom.Frames)
-	c.policies = make([]cache.Policy, c.rows)
-	for r := range c.policies {
-		c.policies[r] = cache.NewPolicy(cfg.Policy, cfg.BAS, src)
+	if cfg.Policy == cache.LRU {
+		c.lru = cache.NewStamps(c.rows, cfg.BAS)
+	} else {
+		c.policies = make([]cache.Policy, c.rows)
+		for r := range c.policies {
+			c.policies[r] = cache.NewPolicy(cfg.Policy, cfg.BAS, src)
+		}
 	}
 	return c, nil
 }
@@ -366,6 +375,24 @@ func (c *BCache) firstUnprogrammed(row int) int {
 	return -1
 }
 
+// touch records a use of cluster in row with the replacement policy.
+func (c *BCache) touch(row, cluster int) {
+	if c.policies == nil {
+		c.lru.Touch(row, cluster)
+		return
+	}
+	c.policies[row].Touch(cluster)
+}
+
+// victim returns the cluster the replacement policy evicts from a fully
+// programmed row.
+func (c *BCache) victim(row int) int {
+	if c.policies == nil {
+		return c.lru.Victim(row)
+	}
+	return c.policies[row].Victim()
+}
+
 // Access implements cache.Cache.
 func (c *BCache) Access(a addr.Addr, write bool) cache.Result {
 	if c.degraded {
@@ -374,19 +401,18 @@ func (c *BCache) Access(a addr.Addr, write bool) cache.Result {
 	row := c.row(a)
 	pi := c.pi(a)
 	tag := c.tagRem(a)
-	pol := c.policies[row]
 
 	if cl := c.lookupPD(row, pi); cl >= 0 {
 		fi := c.frameIndex(cl, row)
 		w, bit := c.maskAt(cl, row)
 		if c.valid[w]&bit != 0 && c.tags[fi] == tag {
 			// Cache hit: single activated word line, one cycle.
-			pol.Touch(cl)
+			c.touch(row, cl)
 			if write {
 				c.dirty[w] |= bit
 			}
 			c.pdStats.HitPD++
-			c.stats.Record(fi, true, write)
+			c.stats.Record(true, write)
 			if c.probe != nil {
 				// A cache hit is a PD hit by definition (§2.3), so the
 				// hot path emits a single event; probes derive total PD
@@ -400,7 +426,7 @@ func (c *BCache) Access(a addr.Addr, write bool) cache.Result {
 		// one too (paper §2.3). The replacement policy cannot help here.
 		c.pdStats.MissPDHit++
 		res := c.refill(cl, row, pi, tag, write)
-		c.stats.Record(fi, false, write)
+		c.stats.Record(false, write)
 		if c.probe != nil {
 			c.probe.ObservePD(true)
 			c.probe.ObserveAccess(fi, false, write)
@@ -414,12 +440,12 @@ func (c *BCache) Access(a addr.Addr, write bool) cache.Result {
 	c.pdStats.MissPDMiss++
 	cl := c.firstUnprogrammed(row) // cold start: program invalid entries first
 	if cl < 0 {
-		cl = pol.Victim()
+		cl = c.victim(row)
 	}
 	fi := c.frameIndex(cl, row)
 	c.pdStats.Programmed++
 	res := c.refill(cl, row, pi, tag, write)
-	c.stats.Record(fi, false, write)
+	c.stats.Record(false, write)
 	if c.probe != nil {
 		c.probe.ObservePD(false)
 		c.probe.ObserveReprogram()
@@ -452,7 +478,7 @@ func (c *BCache) refill(cluster, row int, pi, tag addr.Addr, write bool) cache.R
 	} else {
 		c.dirty[w] &^= bit
 	}
-	c.policies[row].Touch(cluster)
+	c.touch(row, cluster)
 	return res
 }
 
@@ -513,6 +539,7 @@ func (c *BCache) Reset() {
 	for i := range c.tags {
 		c.tags[i] = 0
 	}
+	c.lru.Reset()
 	for _, p := range c.policies {
 		p.Reset()
 	}

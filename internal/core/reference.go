@@ -63,7 +63,7 @@ func NewReference(cfg Config) (*Reference, error) {
 		nb:    nb,
 		nm:    nm,
 		rows:  1 << (geom.IndexBits() - nb),
-		stats: cache.NewStats(geom.Frames),
+		stats: cache.NewStats(),
 	}
 	c.frames = make([]scalarFrame, geom.Frames)
 	c.policies = make([]cache.Policy, c.rows)
@@ -126,7 +126,7 @@ func (c *Reference) Access(a addr.Addr, write bool) cache.Result {
 				f.dirty = true
 			}
 			c.pdStats.HitPD++
-			c.stats.Record(fi, true, write)
+			c.stats.Record(true, write)
 			if c.probe != nil {
 				c.probe.ObserveAccess(fi, true, write)
 			}
@@ -136,7 +136,7 @@ func (c *Reference) Access(a addr.Addr, write bool) cache.Result {
 		// victim (paper §2.3). The replacement policy cannot help here.
 		c.pdStats.MissPDHit++
 		res := c.refill(fi, scalarFrame{pdValid: true, pd: pi, valid: true, dirty: write, tag: tag}, row, cl)
-		c.stats.Record(fi, false, write)
+		c.stats.Record(false, write)
 		if c.probe != nil {
 			c.probe.ObservePD(true)
 			c.probe.ObserveAccess(fi, false, write)
@@ -159,7 +159,7 @@ func (c *Reference) Access(a addr.Addr, write bool) cache.Result {
 	fi := c.frameIndex(cl, row)
 	c.pdStats.Programmed++
 	res := c.refill(fi, scalarFrame{pdValid: true, pd: pi, valid: true, dirty: write, tag: tag}, row, cl)
-	c.stats.Record(fi, false, write)
+	c.stats.Record(false, write)
 	if c.probe != nil {
 		c.probe.ObservePD(false)
 		c.probe.ObserveReprogram()

@@ -240,7 +240,7 @@ func (c *BCache) accessDegraded(a addr.Addr, write bool) cache.Result {
 		if write {
 			c.dirty[w] |= bit
 		}
-		c.stats.Record(fi, true, write)
+		c.stats.Record(true, write)
 		if c.probe != nil {
 			c.probe.ObserveAccess(fi, true, write)
 		}
@@ -266,7 +266,7 @@ func (c *BCache) accessDegraded(a addr.Addr, write bool) cache.Result {
 	} else {
 		c.dirty[w] &^= bit
 	}
-	c.stats.Record(fi, false, write)
+	c.stats.Record(false, write)
 	if c.probe != nil {
 		c.probe.ObserveAccess(fi, false, write)
 	}

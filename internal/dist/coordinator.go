@@ -50,7 +50,8 @@ type Config struct {
 	// Spec is the opaque campaign spec sent to each worker in init.
 	Spec json.RawMessage
 	// ShardDir receives one shard file per worker incarnation
-	// (shard-<slot>-<attempt>.bin).
+	// (shard-<slot>-<n>.bin, n the first number at or after the
+	// incarnation's attempt that no file in ShardDir has yet).
 	ShardDir string
 	// Workers is the number of subprocess slots (at least 1).
 	Workers int
@@ -295,7 +296,7 @@ func (c *coordinator) spawn(slot, attempt int) error {
 	p := &workerProc{
 		cmd: cmd, stdin: stdin, enc: json.NewEncoder(stdin),
 		pid: cmd.Process.Pid, attempt: attempt, alive: true,
-		shardPath: filepath.Join(c.cfg.ShardDir, shardName(slot, attempt)),
+		shardPath: c.freshShardPath(slot, attempt),
 	}
 	c.procs[slot] = p
 	if c.cfg.Events.WorkerStarted != nil {
@@ -338,9 +339,25 @@ func (c *coordinator) spawn(slot, attempt int) error {
 	return nil
 }
 
-// shardName names the shard of one worker incarnation.
-func shardName(slot, attempt int) string {
-	return fmt.Sprintf("shard-%03d-%03d.bin", slot, attempt)
+// shardName names the n-th shard of a worker slot.
+func shardName(slot, n int) string {
+	return fmt.Sprintf("shard-%03d-%03d.bin", slot, n)
+}
+
+// freshShardPath returns the shard path of incarnation attempt of slot:
+// shard-<slot>-<n>.bin for the first n at or after attempt that names
+// no file yet. The shard directory of a resumed campaign still holds
+// the shards of the runs before it, whose records may be kept nowhere
+// else, and a worker truncates the shard it opens, so it is never
+// handed an existing one. A path that cannot be checked is returned
+// as is: the worker's open reports why.
+func (c *coordinator) freshShardPath(slot, attempt int) string {
+	for n := attempt; ; n++ {
+		path := filepath.Join(c.cfg.ShardDir, shardName(slot, n))
+		if _, err := os.Lstat(path); err != nil {
+			return path
+		}
+	}
 }
 
 // ShardPaths lists the shard files coordinators wrote into dir, in name

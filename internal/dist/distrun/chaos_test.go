@@ -453,3 +453,75 @@ func TestLoadShardsRecoversCoordinatorCrash(t *testing.T) {
 		t.Fatalf("a shard of another build loaded: %v", err)
 	}
 }
+
+// TestResumeTwiceKeepsFirstCampaign: a campaign whose results live only
+// in its worker shards (no checkpoint file) crashes, resumes from those
+// shards, crashes again and resumes again, and every record of the
+// first campaign must come back. A resumed campaign's workers write
+// new shards beside the old ones; they never reopen, and so truncate,
+// a shard an earlier run wrote.
+func TestResumeTwiceKeepsFirstCampaign(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	shardDir := t.TempDir()
+	// resume loads every shard in shardDir into an in-memory checkpoint.
+	resume := func() *experiment.Checkpoint {
+		shards, err := dist.ShardPaths(shardDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckpt, err := experiment.LoadCheckpoint("", shards...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ckpt
+	}
+	// crash runs fig5 on top of ckpt and stops the campaign at its first
+	// result, like a coordinator that dies mid-campaign, and returns
+	// what the shards then hold.
+	crash := func(ckpt *experiment.Checkpoint) map[string]string {
+		stop := make(chan struct{})
+		var once sync.Once
+		if _, err := RunCampaign(chaosOpts(ckpt), []string{"fig5"}, Options{
+			Workers:     2,
+			Command:     workerCommand,
+			ShardDir:    shardDir,
+			LeaseTTL:    20 * time.Second,
+			DrainWindow: 15 * time.Second,
+			Stop:        stop,
+			Logf:        t.Logf,
+			Events: dist.Events{ResultCommitted: func(worker, unit int) {
+				once.Do(func() { close(stop) })
+			}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		shards, err := dist.ShardPaths(shardDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := map[string]string{}
+		for _, path := range shards {
+			for k, v := range logContents(t, path) {
+				held[k] = v
+			}
+		}
+		return held
+	}
+
+	first := crash(resume())
+	if len(first) == 0 {
+		t.Fatal("the first campaign left no records in its shards")
+	}
+	second := crash(resume())
+	if len(second) <= len(first) {
+		t.Fatalf("the resumed campaign added nothing: %d records after it, %d before", len(second), len(first))
+	}
+	final := resume()
+	for k, v := range first {
+		if got, ok := final.Lookup(k); !ok || string(got) != v {
+			t.Fatalf("record %s of the first campaign lost after two resumes (present %v)", k, ok)
+		}
+	}
+}

@@ -18,7 +18,8 @@ func init() {
 }
 
 // table7Grid analyzes the per-set counters of every benchmark's data
-// stream on the baseline and the B-Cache.
+// stream on the baseline and the B-Cache, counted from each access's
+// Result.Frame.
 func table7Grid(opts Opts) grid[stats.Balance] {
 	specs := dmBCSpecs()
 	return grid[stats.Balance]{id: "table7", opts: opts, profiles: workload.All(), configs: specNames(specs),
@@ -27,8 +28,12 @@ func table7Grid(opts Opts) grid[stats.Balance] {
 			if err != nil {
 				return engine[stats.Balance]{}, err
 			}
-			return engine[stats.Balance]{feed: func(ch *chunk) { replayData(ch.data, cc) },
-				results: func() (stats.Balance, error) { return stats.Analyze(cc.Stats()) }}, nil
+			frames := stats.NewFrames(cc.Geometry().Frames)
+			return engine[stats.Balance]{feed: func(ch *chunk) {
+				for _, m := range ch.data {
+					frames.Count(cc.Access(m.Addr(), m.Write()))
+				}
+			}, results: func() (stats.Balance, error) { return stats.Analyze(frames) }}, nil
 		}}
 }
 

@@ -145,9 +145,10 @@ type Heatmap struct {
 }
 
 // NewReport snapshots c into a report: configuration, totals, PD stats
-// when c is a B-Cache, and the set-balance classification when the run
-// produced one.
-func NewReport(c cache.Cache) *Report {
+// when c is a B-Cache, and the set-balance classification of frames,
+// the run's per-frame counts, when they are non-nil and the run
+// accessed the cache.
+func NewReport(c cache.Cache, frames *stats.Frames) *Report {
 	g := c.Geometry()
 	st := c.Stats()
 	r := &Report{
@@ -184,7 +185,10 @@ func NewReport(c cache.Cache) *Report {
 	if vc, ok := c.(*victim.Cache); ok {
 		r.Totals.BufferHits = vc.BufferHits
 	}
-	if b, err := stats.Analyze(st); err == nil {
+	if frames == nil {
+		return r
+	}
+	if b, err := stats.Analyze(frames); err == nil {
 		r.Balance = &Balance{
 			FreqHitSets:        b.FreqHitSets,
 			HitsInFreqSets:     b.HitsInFreqSets,

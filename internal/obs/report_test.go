@@ -9,6 +9,7 @@ import (
 
 	"bcache/internal/cache"
 	"bcache/internal/core"
+	"bcache/internal/stats"
 	"bcache/internal/victim"
 )
 
@@ -22,10 +23,11 @@ func runReport(t *testing.T, n int) *Report {
 	}
 	s := NewIntervalSampler(1000, bc.Geometry().Frames)
 	bc.SetProbe(s)
+	frames := stats.NewFrames(bc.Geometry().Frames)
 	for i := 0; i < n; i++ {
-		bc.Access(addrAt(i), i%5 == 0)
+		frames.Count(bc.Access(addrAt(i), i%5 == 0))
 	}
-	r := NewReport(bc)
+	r := NewReport(bc, frames)
 	r.AttachSampler(s)
 	r.SetThroughput(125*time.Millisecond, uint64(n)*3)
 	return r
@@ -125,7 +127,7 @@ func TestReportOnPlainCacheHasNoPD(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		c.Access(addrAt(i), false)
 	}
-	r := NewReport(c)
+	r := NewReport(c, nil)
 	r.AttachSampler(s)
 	if r.PD != nil {
 		t.Fatal("direct-mapped report grew PD totals")
@@ -143,7 +145,7 @@ func TestReportVictimBufferHits(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		vc.Access(addrAt(i), false)
 	}
-	r := NewReport(vc)
+	r := NewReport(vc, nil)
 	if r.Totals.BufferHits != vc.BufferHits {
 		t.Fatalf("report bufferHits %d != cache %d", r.Totals.BufferHits, vc.BufferHits)
 	}
@@ -154,7 +156,8 @@ func TestReportEmptyRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewReport(c) // never accessed: no balance, zero totals, no panic
+	// Never accessed: no balance, zero totals, no panic.
+	r := NewReport(c, stats.NewFrames(c.Geometry().Frames))
 	if r.Balance != nil {
 		t.Fatal("idle run produced a balance block")
 	}

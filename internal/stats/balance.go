@@ -34,32 +34,61 @@ type Balance struct {
 	AccessesInLessSets float64 `json:"accessesInLessSets"`
 }
 
-// Analyze classifies the per-frame counters of s.
-func Analyze(s *cache.Stats) (Balance, error) {
-	n := s.Frames()
-	if n == 0 {
-		return Balance{}, fmt.Errorf("stats: cache has no per-frame counters")
+// Frames counts one cache run's accesses per physical frame, split
+// into hits and misses: the per-set counters the classification reads.
+// The caches themselves keep only scalar totals; a reader that wants
+// per-frame counts feeds each access's cache.Result to Count.
+type Frames struct {
+	Hits   []uint64
+	Misses []uint64
+}
+
+// NewFrames returns zeroed counters for a cache of n line frames.
+func NewFrames(n int) *Frames {
+	return &Frames{Hits: make([]uint64, n), Misses: make([]uint64, n)}
+}
+
+// Count books one access against the frame that served or received it.
+func (f *Frames) Count(r cache.Result) {
+	if r.Hit {
+		f.Hits[r.Frame]++
+	} else {
+		f.Misses[r.Frame]++
 	}
-	if s.Accesses == 0 {
+}
+
+// Analyze classifies the per-frame counters of f.
+func Analyze(f *Frames) (Balance, error) {
+	n := len(f.Hits)
+	if n == 0 {
+		return Balance{}, fmt.Errorf("stats: cache has no frames")
+	}
+	var hits, misses uint64
+	for i := range f.Hits {
+		hits += f.Hits[i]
+		misses += f.Misses[i]
+	}
+	accesses := hits + misses
+	if accesses == 0 {
 		return Balance{}, fmt.Errorf("stats: cache was never accessed")
 	}
-	avgHits := float64(s.Hits) / float64(n)
-	avgMisses := float64(s.Misses) / float64(n)
-	avgAccesses := float64(s.Accesses) / float64(n)
+	avgHits := float64(hits) / float64(n)
+	avgMisses := float64(misses) / float64(n)
+	avgAccesses := float64(accesses) / float64(n)
 
 	var b Balance
 	var fhSets, fmSets, laSets int
 	var fhHits, fmMisses, laAccesses uint64
 	for i := 0; i < n; i++ {
-		if s.Hits > 0 && float64(s.FrameHits[i]) > 2*avgHits {
+		if hits > 0 && float64(f.Hits[i]) > 2*avgHits {
 			fhSets++
-			fhHits += s.FrameHits[i]
+			fhHits += f.Hits[i]
 		}
-		if s.Misses > 0 && float64(s.FrameMisses[i]) > 2*avgMisses {
+		if misses > 0 && float64(f.Misses[i]) > 2*avgMisses {
 			fmSets++
-			fmMisses += s.FrameMisses[i]
+			fmMisses += f.Misses[i]
 		}
-		if fa := s.FrameAccess(i); float64(fa) < avgAccesses/2 {
+		if fa := f.Hits[i] + f.Misses[i]; float64(fa) < avgAccesses/2 {
 			laSets++
 			laAccesses += fa
 		}
@@ -67,12 +96,12 @@ func Analyze(s *cache.Stats) (Balance, error) {
 	b.FreqHitSets = float64(fhSets) / float64(n)
 	b.FreqMissSets = float64(fmSets) / float64(n)
 	b.LessAccessedSets = float64(laSets) / float64(n)
-	if s.Hits > 0 {
-		b.HitsInFreqSets = float64(fhHits) / float64(s.Hits)
+	if hits > 0 {
+		b.HitsInFreqSets = float64(fhHits) / float64(hits)
 	}
-	if s.Misses > 0 {
-		b.MissesInFreqSets = float64(fmMisses) / float64(s.Misses)
+	if misses > 0 {
+		b.MissesInFreqSets = float64(fmMisses) / float64(misses)
 	}
-	b.AccessesInLessSets = float64(laAccesses) / float64(s.Accesses)
+	b.AccessesInLessSets = float64(laAccesses) / float64(accesses)
 	return b, nil
 }

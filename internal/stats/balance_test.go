@@ -12,10 +12,10 @@ import (
 
 func TestAnalyzeUniform(t *testing.T) {
 	// Perfectly uniform usage: no frequent or less-accessed sets.
-	s := cache.NewStats(8)
+	s := NewFrames(8)
 	for f := 0; f < 8; f++ {
 		for i := 0; i < 10; i++ {
-			s.Record(f, i > 0, false)
+			s.Count(cache.Result{Frame: f, Hit: i > 0})
 		}
 	}
 	b, err := Analyze(s)
@@ -29,12 +29,12 @@ func TestAnalyzeUniform(t *testing.T) {
 
 func TestAnalyzeSkewed(t *testing.T) {
 	// One set carries nearly all hits and misses; others idle.
-	s := cache.NewStats(10)
+	s := NewFrames(10)
 	for i := 0; i < 100; i++ {
-		s.Record(0, i%2 == 0, false)
+		s.Count(cache.Result{Frame: 0, Hit: i%2 == 0})
 	}
 	for f := 1; f < 10; f++ {
-		s.Record(f, true, false)
+		s.Count(cache.Result{Frame: f, Hit: true})
 	}
 	b, err := Analyze(s)
 	if err != nil {
@@ -55,10 +55,10 @@ func TestAnalyzeSkewed(t *testing.T) {
 }
 
 func TestAnalyzeErrors(t *testing.T) {
-	if _, err := Analyze(&cache.Stats{}); err == nil {
+	if _, err := Analyze(&Frames{}); err == nil {
 		t.Fatal("accepted empty stats")
 	}
-	if _, err := Analyze(cache.NewStats(4)); err == nil {
+	if _, err := Analyze(NewFrames(4)); err == nil {
 		t.Fatal("accepted zero-access stats")
 	}
 }
@@ -69,7 +69,8 @@ func TestAnalyzeErrors(t *testing.T) {
 // compared with the direct-mapped baseline.
 func TestBCacheBalancesAccesses(t *testing.T) {
 	const size, line = 16384, 32
-	stream := func(c cache.Cache) {
+	stream := func(c cache.Cache) *Frames {
+		frames := NewFrames(c.Geometry().Frames)
 		src := rng.New(19)
 		for i := 0; i < 400000; i++ {
 			var a addr.Addr
@@ -79,21 +80,20 @@ func TestBCacheBalancesAccesses(t *testing.T) {
 			default:
 				a = addr.Addr(src.Intn(128) * 32) // hot lines in few sets
 			}
-			c.Access(a, false)
+			frames.Count(c.Access(a, false))
 		}
+		return frames
 	}
 	dm, _ := cache.NewDirectMapped(size, line)
 	bc, err := core.New(core.Config{SizeBytes: size, LineBytes: line, MF: 8, BAS: 8, Policy: cache.LRU})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream(dm)
-	stream(bc)
-	bdm, err := Analyze(dm.Stats())
+	bdm, err := Analyze(stream(dm))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bbc, err := Analyze(bc.Stats())
+	bbc, err := Analyze(stream(bc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +111,9 @@ func TestBCacheBalancesAccesses(t *testing.T) {
 // frame's count, so nothing can exceed 2× it or fall below half of it —
 // a fully-associative (single-set) cache is never "skewed".
 func TestAnalyzeSingleFrame(t *testing.T) {
-	s := cache.NewStats(1)
+	s := NewFrames(1)
 	for i := 0; i < 50; i++ {
-		s.Record(0, i%3 != 0, i%2 == 0)
+		s.Count(cache.Result{Frame: 0, Hit: i%3 != 0})
 	}
 	b, err := Analyze(s)
 	if err != nil {
@@ -127,12 +127,12 @@ func TestAnalyzeSingleFrame(t *testing.T) {
 // TestAnalyzeAllMisses: a run with zero hits must classify misses
 // normally and report zero (not NaN) for the hit-side fractions.
 func TestAnalyzeAllMisses(t *testing.T) {
-	s := cache.NewStats(8)
+	s := NewFrames(8)
 	for i := 0; i < 90; i++ {
-		s.Record(0, false, false) // every access misses in one set
+		s.Count(cache.Result{Frame: 0}) // every access misses in one set
 	}
 	for f := 1; f < 8; f++ {
-		s.Record(f, false, false)
+		s.Count(cache.Result{Frame: f, Hit: false})
 	}
 	b, err := Analyze(s)
 	if err != nil {
@@ -158,10 +158,10 @@ func TestAnalyzeAllMisses(t *testing.T) {
 func TestAnalyzeTwoXBoundary(t *testing.T) {
 	// Hits per frame [6,2,2,2]: total 12 over 4 frames, average 3, so
 	// frame 0 sits exactly at the 2× boundary.
-	at := cache.NewStats(4)
+	at := NewFrames(4)
 	for f, hits := range []int{6, 2, 2, 2} {
 		for i := 0; i < hits; i++ {
-			at.Record(f, true, false)
+			at.Count(cache.Result{Frame: f, Hit: true})
 		}
 	}
 	b, err := Analyze(at)
@@ -173,10 +173,10 @@ func TestAnalyzeTwoXBoundary(t *testing.T) {
 	}
 
 	// [7,2,2,1] keeps the same total, pushing frame 0 past the boundary.
-	over := cache.NewStats(4)
+	over := NewFrames(4)
 	for f, hits := range []int{7, 2, 2, 1} {
 		for i := 0; i < hits; i++ {
-			over.Record(f, true, false)
+			over.Count(cache.Result{Frame: f, Hit: true})
 		}
 	}
 	b, err = Analyze(over)
@@ -193,9 +193,9 @@ func TestAnalyzeTwoXBoundary(t *testing.T) {
 
 func TestFractionsInRange(t *testing.T) {
 	src := rng.New(5)
-	s := cache.NewStats(64)
+	s := NewFrames(64)
 	for i := 0; i < 100000; i++ {
-		s.Record(src.Intn(64), src.Intn(3) > 0, src.Intn(4) == 0)
+		s.Count(cache.Result{Frame: src.Intn(64), Hit: src.Intn(3) > 0})
 	}
 	b, err := Analyze(s)
 	if err != nil {

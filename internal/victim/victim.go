@@ -61,7 +61,7 @@ func New(size, lineBytes, entries int) (*Cache, error) {
 		main:     main,
 		buf:      stackdist.NewIndex(entries),
 		entries:  entries,
-		stats:    cache.NewStats(g.Frames),
+		stats:    cache.NewStats(),
 		lineMask: ^addr.Addr(uint64(g.LineBytes) - 1),
 		offBits:  g.OffsetBits(),
 		idxMask:  g.Sets - 1,
@@ -75,7 +75,7 @@ func (c *Cache) Entries() int { return c.entries }
 func (c *Cache) Access(a addr.Addr, write bool) cache.Result {
 	if c.main.Contains(a) {
 		r := c.main.Access(a, write)
-		c.stats.Record(r.Frame, true, write)
+		c.stats.Record(true, write)
 		if c.probe != nil {
 			c.probe.ObserveAccess(r.Frame, true, write)
 		}
@@ -95,7 +95,7 @@ func (c *Cache) Access(a addr.Addr, write bool) cache.Result {
 		if r.Evicted {
 			c.insert(r.EvictedAddr, r.EvictedDirty)
 		}
-		c.stats.Record(frame, true, write)
+		c.stats.Record(true, write)
 		if c.probe != nil {
 			c.probe.ObserveAccess(frame, true, write)
 		}
@@ -120,7 +120,7 @@ func (c *Cache) Access(a addr.Addr, write bool) cache.Result {
 			}
 		}
 	}
-	c.stats.Record(frame, false, write)
+	c.stats.Record(false, write)
 	if c.probe != nil {
 		c.probe.ObserveAccess(frame, false, write)
 	}
