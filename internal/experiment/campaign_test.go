@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"bcache/internal/obs/tracespan"
@@ -74,14 +75,12 @@ func TestRunAllMatchesPerExperimentRuns(t *testing.T) {
 			t.Fatalf("RunAll ran unit %d as %q, PlanCampaign leases %q", i, labels[i], u.label)
 		}
 	}
-	keys := 0
 	for g := 0; g < plan.Len(); g++ {
 		if !plan.Done(g, withCkpt.Checkpoint) {
 			t.Fatalf("RunAll committed no result for planned group %d (keys %v)", g, plan.UnitKeys(g))
 		}
-		keys += len(plan.UnitKeys(g))
 	}
-	if got := withCkpt.Checkpoint.Len(); got != keys {
+	if got, keys := withCkpt.Checkpoint.Len(), len(plannedKeys(plan)); got != keys {
 		t.Fatalf("RunAll committed %d keys, the plan %d", got, keys)
 	}
 
@@ -135,8 +134,9 @@ func TestPlanExecuteGeneratesEachTraceOnce(t *testing.T) {
 }
 
 // TestCampaignUnitsTraceMajor: campaignUnits drops fig9's units, which
-// commit only fig8's keys, and puts every unit of a trace in one
-// consecutive run, in declared order.
+// commit only fig8's keys, and fig4's victim16 and MF8 replays, whose
+// keys fig8's timed units of those specs also commit; it puts every
+// unit of a trace in one consecutive run, in declared order.
 func TestCampaignUnitsTraceMajor(t *testing.T) {
 	opts := tinyOpts()
 	var exps []Experiment
@@ -154,8 +154,15 @@ func TestCampaignUnitsTraceMajor(t *testing.T) {
 		}
 	}
 	us := campaignUnits(opts, exps)
-	if want := len(exps[0].Units(opts)) + len(exps[1].Units(opts)); len(us) != want {
-		t.Fatalf("campaign has %d units, want fig4's and fig8's %d", len(us), want)
+	answered := 0
+	for _, u := range exps[0].Units(opts) {
+		if strings.HasSuffix(u.label, "/victim16/seed0") || strings.HasSuffix(u.label, "/MF8/seed0") {
+			answered++
+		}
+	}
+	if want := len(exps[0].Units(opts)) + len(exps[1].Units(opts)) - answered; answered != 52 || len(us) != want {
+		t.Fatalf("campaign has %d units, want fig4's and fig8's %d less fig4's %d victim16 and MF8 replays",
+			len(us), want, answered)
 	}
 	seen := map[traceKey]bool{}
 	for i, u := range us {

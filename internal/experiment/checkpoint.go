@@ -29,6 +29,8 @@ type UnitResult struct {
 	Accesses uint64 `json:"accesses"`
 	PDHit    uint64 `json:"pdHit,omitempty"`
 	PDMiss   uint64 `json:"pdMiss,omitempty"`
+	// BufferHits counts the hits a victim cache served from its buffer.
+	BufferHits uint64 `json:"bufferHits,omitempty"`
 }
 
 // missRate is Misses/Accesses, or 0 for a unit that saw no accesses

@@ -12,6 +12,7 @@ package experiment
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"bcache/internal/workload"
@@ -96,47 +97,138 @@ func (res results) complete(us []unit) bool {
 }
 
 // campaignUnits is the unit list of a campaign over exps, shared by
-// RunAll and PlanCampaign. It concatenates the experiments' unit lists,
-// owning each unit by the first experiment that declares it, and drops
-// a unit whose every key an earlier unit commits (fig9 after fig8). A
-// stack-distance unit can overlap an earlier one partly (xline's
-// 4/8-way profile and fig4's 2/4/8/32-way profile of the same trace);
-// it is kept whole. The list is then ordered trace-major: units are
-// stable-sorted by the first appearance of their trace, so every
-// consumer of a trace runs in its one scheduler group, in declared
-// order, and the trace is built once and dropped when the group ends.
+// RunAll and PlanCampaign. It simulates each (configuration, stream)
+// once:
+//
+//   - every stack-distance unit of one (trace, side, line) merges into
+//     one profile answering all their keys (mergeProfiles), whichever
+//     experiments and L1 sizes asked;
+//   - a unit is kept only if no other kept unit answers every one of
+//     its keys (cover): fig9's units yield to fig8's, fig4's victim16
+//     and MF8 replays to the timed units of those specs, which answer
+//     the same L1 keys.
+//
+// A unit that overlaps a kept one only partly is kept whole, and the
+// keys they share are committed twice (checkCommits compares them).
+// Each unit is owned by the experiment that declared it. The list is
+// then ordered trace-major: units are stable-sorted by the first
+// appearance of their trace, so every consumer of a trace runs in its
+// one scheduler group, in declared order, and the trace is built once
+// and dropped when the group ends.
 func campaignUnits(opts Opts, exps []Experiment) []unit {
-	var traces []traceKey // in order of first appearance
-	byTrace := map[traceKey][]unit{}
-	planned := map[string]bool{}
-	n := 0
+	var us []unit
 	for _, e := range exps {
 		if e.Units == nil {
 			continue
 		}
 		for _, u := range e.Units(opts) {
-			dup := true
-			for _, k := range u.keys {
-				dup = dup && planned[k]
-				planned[k] = true
-			}
-			if dup {
-				continue
-			}
 			u.owner = e.ID
-			k := u.trace()
-			if _, ok := byTrace[k]; !ok {
-				traces = append(traces, k)
-			}
-			byTrace[k] = append(byTrace[k], u)
-			n++
+			us = append(us, u)
 		}
 	}
-	us := make([]unit, 0, n)
+	var traces []traceKey // in order of first appearance
+	byTrace := map[traceKey][]unit{}
+	for _, u := range cover(mergeProfiles(us)) {
+		k := u.trace()
+		if _, ok := byTrace[k]; !ok {
+			traces = append(traces, k)
+		}
+		byTrace[k] = append(byTrace[k], u)
+	}
+	us = us[:0]
 	for _, k := range traces {
 		us = append(us, byTrace[k]...)
 	}
 	return us
+}
+
+// mergeProfiles replaces the stack-distance units of us, in place, on
+// each (trace, side, line) with one unit, in place of the first of
+// them, that answers all their keys from one profile: one stackdist.Profile serves
+// every L1 size at one set count, so fig4's 16 kB, fig12's 8 and 32 kB
+// and xrelated's profiles of one stream run as one.
+func mergeProfiles(us []unit) []unit {
+	type stream struct {
+		trace traceKey
+		side  side
+		line  int
+	}
+	at := map[stream]int{} // the stream's merged unit in out
+	out := us[:0]
+	for _, u := range us {
+		if u.lru == nil {
+			out = append(out, u)
+			continue
+		}
+		s := stream{u.trace(), u.lru.side, u.lru.line}
+		i, ok := at[s]
+		if !ok {
+			at[s] = len(out)
+			out = append(out, u)
+			continue
+		}
+		m := out[i]
+		keys, sh := slices.Clone(m.keys), *m.lru
+		sh.geoms = slices.Clone(sh.geoms)
+		for x, k := range u.keys {
+			if !slices.Contains(keys, k) {
+				keys = append(keys, k)
+				sh.geoms = append(sh.geoms, u.lru.geoms[x])
+			}
+		}
+		out[i] = profileUnit(m.opts, m.prof, m.label, keys, sh)
+		out[i].owner = m.owner
+	}
+	return out
+}
+
+// cover filters us, in place, to the units no other kept unit answers
+// every key of, in us's order. Units are weighed widest first, ties broken by
+// label and then keys, so which units stay does not depend on the order
+// experiments are declared in; of identical units the first declared
+// stays.
+func cover(us []unit) []unit {
+	order := make([]int, len(us))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		ua, ub := us[order[a]], us[order[b]]
+		if len(ua.keys) != len(ub.keys) {
+			return len(ua.keys) > len(ub.keys)
+		}
+		if ua.label != ub.label {
+			return ua.label < ub.label
+		}
+		return slices.Compare(ua.keys, ub.keys) < 0
+	})
+	by := map[string][]int{} // key -> the kept units answering it
+	keep := make([]bool, len(us))
+	for _, i := range order {
+		keys := us[i].keys
+		answers := func(j int) bool {
+			for _, k := range keys {
+				if !slices.Contains(by[k], j) {
+					return false
+				}
+			}
+			return true
+		}
+		if slices.ContainsFunc(by[keys[0]], answers) {
+			continue
+		}
+		keep[i] = true
+		for _, k := range keys {
+			by[k] = append(by[k], i)
+		}
+	}
+	out := us[:0]
+	for i, u := range us {
+		if keep[i] {
+			out = append(out, u)
+		}
+	}
+	return out
 }
 
 // A unit is one scheduled simulation. It commits one result per
@@ -158,20 +250,26 @@ type unit struct {
 	// reads is the stream the unit's engine reads from each chunk.
 	reads stream
 	// start builds the unit's engine for one pass, whose results are
-	// one per key; decode parses one checkpointed result.
+	// one per key; decode parses the checkpointed result of key x.
 	start  func() (engine[[]any], error)
-	decode func(json.RawMessage) (any, error)
+	decode func(x int, raw json.RawMessage) (any, error)
 	// replays marks a miss-rate unit: its simulated accesses count
 	// toward the experiment.accesses metric.
 	replays bool
+	// lru is a stack-distance unit's shape (profileUnit), which
+	// mergeProfiles widens; nil on every other unit.
+	lru *lruShape
 }
 
 // An engine is one unit's consumer in a pass: feed takes the stream the
 // unit reads, chunk by chunk in trace order, and results returns what
-// it computed once the last chunk is in.
+// it computed once the last chunk is in. An engine that drives a pair
+// of L1 caches (timedEngine) also reads their counters with l1: the D
+// side's, then the I side's.
 type engine[R any] struct {
 	feed    func(*chunk)
 	results func() (R, error)
+	l1      func() [2]UnitResult
 }
 
 // newUnit builds a unit whose results are all of type R.
@@ -193,12 +291,15 @@ func newUnit[R any](opts Opts, p *workload.Profile, label string, keys []string,
 				return out, err
 			}}, nil
 		},
-		decode: func(raw json.RawMessage) (any, error) {
-			var r R
-			err := json.Unmarshal(raw, &r)
-			return r, err
-		},
+		decode: func(_ int, raw json.RawMessage) (any, error) { return decodeAs[R](raw) },
 	}
+}
+
+// decodeAs parses raw as an R.
+func decodeAs[R any](raw json.RawMessage) (any, error) {
+	var r R
+	err := json.Unmarshal(raw, &r)
+	return r, err
 }
 
 // trace is u's trace: its scheduler group.
@@ -230,6 +331,10 @@ type grid[R any] struct {
 	// grid's stream.
 	run   func(p *workload.Profile, c int) (engine[R], error)
 	reads stream
+	// l1, when set, is the L1 spec each config runs: p's unit on config
+	// c also answers spec l1[c]'s dSide and iSide miss-rate keys at
+	// seed 0 (l1Keys), from its engine's l1 counters.
+	l1 []Spec
 }
 
 // key is the checkpoint key of p's result on config c. id names the
@@ -244,23 +349,44 @@ func (g grid[R]) units() []unit {
 	for _, p := range g.profiles {
 		for c, cfg := range g.configs {
 			wrap := func(err error) error { return fmt.Errorf("%s/%s: %w", p.Name, cfg, err) }
-			us = append(us, newUnit(g.opts, p, fmt.Sprintf("%s/%s/%s", g.id, p.Name, cfg),
-				[]string{g.key(p, c)}, g.reads, func() (engine[[]R], error) {
+			keys := []string{g.key(p, c)}
+			if g.l1 != nil {
+				keys = append(keys, l1Keys(g.opts, g.l1[c], p.Name)...)
+			}
+			u := newUnit(g.opts, p, fmt.Sprintf("%s/%s/%s", g.id, p.Name, cfg),
+				keys, g.reads, func() (engine[[]any], error) {
 					e, err := g.run(p, c)
 					if err != nil {
-						return engine[[]R]{}, wrap(err)
+						return engine[[]any]{}, wrap(err)
 					}
-					return engine[[]R]{feed: e.feed, results: func() ([]R, error) {
+					return engine[[]any]{feed: e.feed, results: func() ([]any, error) {
 						r, err := e.results()
 						if err != nil {
 							return nil, wrap(err)
 						}
-						return []R{r}, nil
+						if g.l1 == nil {
+							return []any{r}, nil
+						}
+						l1 := e.l1()
+						return []any{r, l1[0], l1[1]}, nil
 					}}, nil
-				}))
+				})
+			u.decode = func(x int, raw json.RawMessage) (any, error) {
+				if x > 0 {
+					return decodeAs[UnitResult](raw)
+				}
+				return decodeAs[R](raw)
+			}
+			us = append(us, u)
 		}
 	}
 	return us
+}
+
+// l1Keys are the dSide and iSide miss-rate keys of spec on profile's
+// canonical (seed 0) trace.
+func l1Keys(opts Opts, spec Spec, profile string) []string {
+	return []string{unitKey(opts, dSide, spec.key(), 0, profile), unitKey(opts, iSide, spec.key(), 0, profile)}
 }
 
 // gridExperiment builds a grid experiment: its units are build(opts)'s,

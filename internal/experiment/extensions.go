@@ -21,9 +21,14 @@ import (
 // (xrecolor), and the §6.4 drowsy-compatibility analysis (xdrowsy).
 
 func init() {
-	register(gridExperiment("xrelated",
-		"Related-work comparison: miss-rate reduction and hit latency per design (§7)",
-		xRelatedGrid, renderXRelated))
+	register(Experiment{
+		ID:    "xrelated",
+		Title: "Related-work comparison: miss-rate reduction and hit latency per design (§7)",
+		Units: func(opts Opts) []unit {
+			return append(xRelatedSweep(opts).units(), xRelatedGrid(opts).units()...)
+		},
+		Render: renderXRelated,
+	})
 	register(gridExperiment("xvipt",
 		"Virtually-indexed physically-tagged B-Cache with and without page coloring (§6.8)",
 		xVIPTGrid, renderXVIPT))
@@ -35,7 +40,8 @@ func init() {
 		xDrowsyGrid, renderXDrowsy))
 }
 
-// relatedSpecs returns every alternative design under comparison.
+// relatedSpecs returns every alternative design under comparison, in
+// table order.
 func relatedSpecs() []Spec {
 	return []Spec{
 		setAssocSpec(2, 0),
@@ -62,6 +68,33 @@ func relatedSpecs() []Spec {
 	}
 }
 
+// relatedSplit partitions relatedSpecs into the designs Figure 4 also
+// measures, whose miss-rate keys xrelated reads (xRelatedSweep), and
+// the rest, which its own grid runs (xRelatedGrid).
+func relatedSplit() (standard, alt []Spec) {
+	fig4 := map[string]bool{}
+	for _, s := range figureSpecs() {
+		fig4[s.key()] = true
+	}
+	for _, s := range relatedSpecs() {
+		if fig4[s.key()] {
+			standard = append(standard, s)
+		} else {
+			alt = append(alt, s)
+		}
+	}
+	return standard, alt
+}
+
+// xRelatedSweep is the D-side sweep of the baseline and the standard
+// designs on every benchmark's canonical trace: its keys are Figure 4's
+// (seed 0), so a campaign running both simulates them once.
+func xRelatedSweep(opts Opts) sweep {
+	opts.Seeds = 1
+	standard, _ := relatedSplit()
+	return sweep{opts, workload.All(), standard, dSide}
+}
+
 // relatedRun is one design's raw counters on one benchmark.
 type relatedRun struct {
 	Misses uint64 `json:"misses"`
@@ -70,10 +103,10 @@ type relatedRun struct {
 	Extra uint64 `json:"extra"`
 }
 
-// xRelatedGrid replays every benchmark's data stream on the baseline
-// (config 0) and each relatedSpecs design (config j+1 is specs[j]).
+// xRelatedGrid replays every benchmark's data stream on each design
+// relatedSplit leaves out of the sweep.
 func xRelatedGrid(opts Opts) grid[relatedRun] {
-	specs := append([]Spec{baselineSpec()}, relatedSpecs()...)
+	_, specs := relatedSplit()
 	return grid[relatedRun]{id: "xrelated", opts: opts, profiles: workload.All(), configs: specNames(specs),
 		run: func(_ *workload.Profile, c int) (engine[relatedRun], error) {
 			cc, err := specs[c].New(opts.L1Size, opts.LineBytes)
@@ -96,7 +129,36 @@ func xRelatedGrid(opts Opts) grid[relatedRun] {
 		}}
 }
 
-func renderXRelated(_ Opts, _ grid[relatedRun], runs [][]relatedRun) []*Table {
+// renderXRelated sums each design's counters over the suite. A sweep
+// design's hits are its accesses less its misses, and its only extra
+// hit latency is the victim buffer's one cycle per buffer hit.
+func renderXRelated(opts Opts, res results) ([]*Table, error) {
+	sw, g := xRelatedSweep(opts), xRelatedGrid(opts)
+	rates, err := sw.rates(res)
+	if err != nil {
+		return nil, err
+	}
+	runs, err := g.collect(res)
+	if err != nil {
+		return nil, err
+	}
+	sums := map[string]relatedRun{}
+	add := func(name string, r relatedRun) {
+		s := sums[name]
+		s.Misses += r.Misses
+		s.Hits += r.Hits
+		s.Extra += r.Extra
+		sums[name] = s
+	}
+	for pi, p := range g.profiles {
+		for _, s := range sw.all() {
+			r := rates[p.Name][s.Name]
+			add(s.Name, relatedRun{Misses: r.misses, Hits: r.accesses - r.misses, Extra: r.bufferHits})
+		}
+		for c, cfg := range g.configs {
+			add(cfg, runs[pi][c])
+		}
+	}
 	t := &Table{
 		ID:    "xrelated",
 		Title: "Related-work designs on the full suite (D$, 16kB): reduction vs baseline and mean hit latency",
@@ -105,17 +167,9 @@ func renderXRelated(_ Opts, _ grid[relatedRun], runs [][]relatedRun) []*Table {
 			"design", "miss-reduction", "mean-hit-latency",
 		},
 	}
-	var baseMisses uint64
-	for _, r := range runs {
-		baseMisses += r[0].Misses
-	}
-	for j, s := range relatedSpecs() {
-		var sum relatedRun
-		for _, r := range runs {
-			sum.Misses += r[j+1].Misses
-			sum.Hits += r[j+1].Hits
-			sum.Extra += r[j+1].Extra
-		}
+	baseMisses := sums["baseline"].Misses
+	for _, s := range relatedSpecs() {
+		sum := sums[s.Name]
 		red := 0.0
 		if baseMisses > 0 {
 			red = 1 - float64(sum.Misses)/float64(baseMisses)
@@ -126,7 +180,7 @@ func renderXRelated(_ Opts, _ grid[relatedRun], runs [][]relatedRun) []*Table {
 		}
 		t.AddRow(s.Name, pct(red), fmt.Sprintf("%.3f", lat))
 	}
-	return []*Table{t}
+	return []*Table{t}, nil
 }
 
 // dmBCSpecs returns the pair most extensions compare: the direct-mapped
@@ -184,15 +238,10 @@ func xVIPTGrid(opts Opts) grid[[]UnitResult] {
 					}
 				}
 			}, results: func() ([]UnitResult, error) {
-				return []UnitResult{statsResult(pipt), statsResult(bcs[0]), statsResult(bcs[1]),
+				return []UnitResult{cacheCounters(pipt), cacheCounters(bcs[0]), cacheCounters(bcs[1]),
 					{Misses: tlbs[0].Misses, Accesses: tlbs[0].Hits + tlbs[0].Misses}}, nil
 			}}, nil
 		}}
-}
-
-// statsResult captures c's miss and access counters.
-func statsResult(c cache.Cache) UnitResult {
-	return UnitResult{Misses: c.Stats().Misses, Accesses: c.Stats().Accesses}
 }
 
 func renderXVIPT(_ Opts, g grid[[]UnitResult], runs [][][]UnitResult) []*Table {
@@ -249,7 +298,7 @@ func xRecolorGrid(opts Opts) grid[recolorRun] {
 				}, results: func() (recolorRun, error) {
 					var r recolorRun
 					for _, cc := range caches {
-						r.Caches = append(r.Caches, statsResult(cc))
+						r.Caches = append(r.Caches, cacheCounters(cc))
 					}
 					return r, nil
 				}}, nil
@@ -271,7 +320,7 @@ func xRecolorGrid(opts Opts) grid[recolorRun] {
 					}
 				}
 			}, results: func() (recolorRun, error) {
-				return recolorRun{Caches: []UnitResult{statsResult(dm)}, Remaps: rc.Remaps}, nil
+				return recolorRun{Caches: []UnitResult{cacheCounters(dm)}, Remaps: rc.Remaps}, nil
 			}}, nil
 		}}
 }
@@ -543,7 +592,7 @@ func xL2Grid(opts Opts) grid[UnitResult] {
 			if err != nil {
 				return engine[UnitResult]{}, err
 			}
-			return cpuEngine(h, cpu.Defaults(), func(cpu.Result) (UnitResult, error) { return statsResult(l2), nil })
+			return cpuEngine(h, cpu.Defaults(), func(cpu.Result) (UnitResult, error) { return cacheCounters(l2), nil })
 		},
 		reads: recordStream}
 }

@@ -42,13 +42,8 @@ func fig3GridMF(opts Opts, mfs []int) grid[UnitResult] {
 			if err != nil {
 				return engine[UnitResult]{}, err
 			}
-			bc := cc.(*core.BCache)
-			return engine[UnitResult]{feed: func(ch *chunk) { replayData(ch.data, bc) },
-				results: func() (UnitResult, error) {
-					pd := bc.PDStats()
-					return UnitResult{Misses: bc.Stats().Misses, Accesses: bc.Stats().Accesses,
-						PDHit: pd.MissPDHit, PDMiss: pd.MissPDMiss}, nil
-				}}, nil
+			return engine[UnitResult]{feed: func(ch *chunk) { replayData(ch.data, cc) },
+				results: func() (UnitResult, error) { return cacheCounters(cc), nil }}, nil
 		}}
 }
 

@@ -21,7 +21,8 @@ import (
 // order on every machine, so a coordinator and its workers can agree
 // on them by index alone, cross-checked with Fingerprint.
 
-// Plan is an ordered list of trace groups over deduplicated units.
+// Plan is an ordered list of trace groups over the units campaignUnits
+// keeps.
 type Plan struct {
 	units []unit
 	// starts holds the first unit of each group, then len(units).
@@ -47,8 +48,9 @@ func (p *Plan) UnitKeys(i int) []string {
 // of its results, one per UnitKeys(i) entry, as the checkpoint stores
 // them. A worker runs a leased group outside the scheduler and holds
 // no checkpoint, so every unit of the group runs. Any unit failing —
-// by error or panic, including the generator's — fails the call, and
-// the worker reports it instead of dying.
+// by error or panic, including the generator's, or by disagreeing with
+// another unit of the group on a key both answer (checkCommits) —
+// fails the call, and the worker reports it instead of dying.
 func (p *Plan) Execute(i int) (raws []json.RawMessage, err error) {
 	defer recovered(p.starts[i], &err)
 	us := p.group(i)
@@ -58,7 +60,9 @@ func (p *Plan) Execute(i int) (raws []json.RawMessage, err error) {
 	}
 	var vals []any
 	var errs []error
-	for _, out := range runGroupPass(context.TODO(), us, idx, nil) {
+	outs := runGroupPass(context.TODO(), us, idx, nil)
+	checkCommits(us, idx, outs, nil)
+	for _, out := range outs {
 		vals = append(vals, out.vals...)
 		errs = append(errs, out.err)
 	}
@@ -87,15 +91,15 @@ func (p *Plan) Fingerprint() uint64 {
 // Done reports whether every checkpoint key of group i is already
 // present in cp (a nil checkpoint marks nothing done).
 func (p *Plan) Done(i int, cp *Checkpoint) bool {
-	_, ok := lookupAll(p.UnitKeys(i), func(k string) (any, bool) { return cp.Lookup(k) })
+	_, ok := lookupAll(p.UnitKeys(i), func(_ int, k string) (any, bool) { return cp.Lookup(k) })
 	return ok
 }
 
 // PlanCampaign enumerates the units of every experiment named by ids
 // (nil or empty = all registered experiments) as campaignUnits does for
-// RunAll — deduplicated across experiments and ordered trace-major —
-// and groups them by trace. The analytic tables have no units and
-// contribute nothing.
+// RunAll — each (configuration, stream) simulated once, ordered
+// trace-major — and groups them by trace. The analytic tables have no
+// units and contribute nothing.
 func PlanCampaign(opts Opts, ids []string) (*Plan, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err

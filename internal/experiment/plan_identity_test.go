@@ -1,8 +1,12 @@
 package experiment
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"bcache/internal/workload"
 )
 
 // tinyPlanOpts is the smallest scale the campaign planner and scheduler
@@ -69,7 +73,7 @@ func TestPlanCoversSequentialCheckpoint(t *testing.T) {
 	}{
 		{"fig4", 260}, {"fig5", 150}, {"fig12", 1066},
 		{"table5", 234}, {"table6", 234}, {"xline", 312},
-		{"fig3", 9}, {"fig8", 156}, {"table7", 52}, {"xrelated", 312}, {"fault", 120},
+		{"fig3", 9}, {"fig8", 468}, {"table7", 52}, {"xrelated", 312}, {"fault", 120},
 	} {
 		t.Run(tc.id, func(t *testing.T) {
 			ResetUnitMemo()
@@ -158,7 +162,8 @@ func TestPlanCampaignKeepsNarrowerSweeps(t *testing.T) {
 
 // TestPlanCampaignPinned pins the all-experiments plan: its size and
 // its fingerprint are the coordinator-worker contract, so a refactor of
-// the unit enumeration must leave them where they are. The fingerprint
+// the unit enumeration must leave them where they are. The key count
+// counts a key once per unit committing it. The fingerprint
 // is that of the trace-major order campaignUnits produces, grouped by
 // trace. Every simulating experiment contributes units.
 func TestPlanCampaignPinned(t *testing.T) {
@@ -172,12 +177,12 @@ func TestPlanCampaignPinned(t *testing.T) {
 	for i := 0; i < plan.Len(); i++ {
 		keys += len(plan.UnitKeys(i))
 	}
-	if plan.Len() != 26 || len(plan.units) != 1985 || keys != 2499 {
-		t.Errorf("plan has %d groups of %d units committing %d keys, want 26, 1985 and 2499",
+	if plan.Len() != 26 || len(plan.units) != 1665 || keys != 2573 {
+		t.Errorf("plan has %d groups of %d units committing %d keys, want 26, 1665 and 2573",
 			plan.Len(), len(plan.units), keys)
 	}
-	if fp := plan.Fingerprint(); fp != 0x9fadec133bb4812a {
-		t.Errorf("plan fingerprint %#x, want 0x9fadec133bb4812a", fp)
+	if fp := plan.Fingerprint(); fp != 0xada3835759bd0da2 {
+		t.Errorf("plan fingerprint %#x, want 0xada3835759bd0da2", fp)
 	}
 	simulating := 0
 	for _, e := range All() {
@@ -195,5 +200,114 @@ func TestPlanCampaignPinned(t *testing.T) {
 	}
 	if simulating != 19 {
 		t.Errorf("%d experiments declare units, want 19 (all but the four analytic tables)", simulating)
+	}
+}
+
+// TestPlanCommitsEveryKey: every key an experiment reads (the keys of
+// the units it declares) has a committing unit in the full plan and in
+// the experiment's own plan, and which units the cover rule keeps does
+// not depend on the order the experiments are declared in. In the full
+// plan each (trace, side, line) has one stack-distance unit, answering
+// every L1 size. Alone, fig4 still plans its victim16 and MF8 replays
+// and xrelated its own profile, victim16 and MF8 units; under
+// DisableStackDist fig4 replays every LRU spec, the profiler's oracle.
+func TestPlanCommitsEveryKey(t *testing.T) {
+	opts := tinyPlanOpts()
+	opts.Checkpoint = nil
+	plan := func(o Opts, ids []string) *Plan {
+		t.Helper()
+		p, err := PlanCampaign(o, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	full := plan(opts, nil)
+	fullKeys := plannedKeys(full)
+	var ids []string
+	for _, e := range All() {
+		ids = append([]string{e.ID}, ids...)
+		if e.Units == nil {
+			continue
+		}
+		single := plannedKeys(plan(opts, []string{e.ID}))
+		for _, u := range e.Units(opts) {
+			for _, k := range u.keys {
+				if !fullKeys[k] || !single[k] {
+					t.Fatalf("%s reads %s: in the full plan %v, in its own %v", e.ID, k, fullKeys[k], single[k])
+				}
+			}
+		}
+	}
+
+	// A unit's identity: its label and the keys it answers, in any order
+	// (a merged profile lists its keys in the order they were declared).
+	units := func(p *Plan) map[string]bool {
+		out := map[string]bool{}
+		for _, u := range p.units {
+			keys := slices.Clone(u.keys)
+			slices.Sort(keys)
+			out[u.label+"="+strings.Join(keys, "+")] = true
+		}
+		return out
+	}
+	if fwd, rev := units(full), units(plan(opts, ids)); !reflect.DeepEqual(fwd, rev) {
+		t.Errorf("the plan of the experiments in reverse order keeps other units: %d vs %d", len(rev), len(fwd))
+	}
+
+	type stream struct {
+		trace traceKey
+		side  side
+		line  int
+	}
+	profiles := map[stream]int{}
+	fig12, merged := fig12Sweeps(opts), 0
+	for _, u := range full.units {
+		if u.lru == nil {
+			continue
+		}
+		s := stream{u.trace(), u.lru.side, u.lru.line}
+		if profiles[s]++; profiles[s] > 1 {
+			t.Errorf("%s: a second stack-distance unit on one stream", u.label)
+		}
+		for _, sw := range fig12 {
+			if sw.side == u.lru.side && u.lru.line == opts.LineBytes && u.prof.Name == "gcc" {
+				if k := sw.key(baselineSpec(), 0, "gcc"); !slices.Contains(u.keys, k) {
+					t.Errorf("%s does not answer fig12's %s", u.label, k)
+				}
+				merged++
+			}
+		}
+	}
+	if merged < 2 {
+		t.Errorf("gcc's D-side profile answered %d of fig12's two D-side sizes", merged)
+	}
+
+	labels := func(o Opts, id string) map[string]bool {
+		out := map[string]bool{}
+		for _, u := range plan(o, []string{id}).units {
+			out[u.label] = true
+		}
+		return out
+	}
+	fig4, xrelated := labels(opts, "fig4"), labels(opts, "xrelated")
+	replay := opts
+	replay.DisableStackDist = true
+	oracle := labels(replay, "fig4")
+	for _, p := range workload.All() {
+		for _, spec := range []string{profileSpecName, "victim16", "MF8"} {
+			l := p.Name + "/" + spec + "/seed0"
+			if !fig4[l] || !xrelated[l] {
+				t.Errorf("%s: planned by fig4 alone %v, by xrelated alone %v", l, fig4[l], xrelated[l])
+			}
+		}
+		if oracle[p.Name+"/"+profileSpecName+"/seed0"] {
+			t.Errorf("%s: fig4 profiles under DisableStackDist", p.Name)
+		}
+		for _, spec := range []string{"baseline", "2way", "4way", "8way", "32way", "victim16", "MF8"} {
+			if l := p.Name + "/" + spec + "/seed0"; !oracle[l] {
+				t.Errorf("%s: not replayed under DisableStackDist", l)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -257,6 +258,8 @@ type missRun struct {
 	// summed across seeds (B-Cache only).
 	pdHit  uint64
 	pdMiss uint64
+	// bufferHits sums a victim cache's buffer hits across seeds.
+	bufferHits uint64
 	// pdHitDuringMiss is pdHit/(pdHit+pdMiss): the PD hit rate during
 	// misses, computed once from the summed counters so seeds with
 	// unequal miss counts carry their true weight.
@@ -282,7 +285,23 @@ func unitKey(opts Opts, s side, specKey string, seedIdx int, profile string) str
 // table5/6, xline; fig8 and fig9 — simulate each shared unit once.
 // runUnits consults the checkpoint first (resume semantics), then this
 // memo, then simulates, and publishes every unit it commits here.
-var memo sync.Map // unit key string -> typed result
+var memo sync.Map // unit key string -> memoEntry
+
+// memoEntry is a memoized result and the label of the unit that
+// committed it, which a disagreeing second commit names (checkCommits).
+type memoEntry struct {
+	v  any
+	by string
+}
+
+// memoLoad returns the memo entry under key.
+func memoLoad(key string) (memoEntry, bool) {
+	e, ok := memo.Load(key)
+	if !ok {
+		return memoEntry{}, false
+	}
+	return e.(memoEntry), true
+}
 
 // ResetUnitMemo drops all memoized unit results, so the next run
 // simulates every unit again.
@@ -300,10 +319,10 @@ func ResetTimedCache() { ResetUnitMemo() }
 
 // lookupAll returns the results stored under every key, or false if any
 // is missing.
-func lookupAll(keys []string, get func(string) (any, bool)) ([]any, bool) {
+func lookupAll(keys []string, get func(x int, key string) (any, bool)) ([]any, bool) {
 	out := make([]any, len(keys))
 	for x, key := range keys {
-		v, ok := get(key)
+		v, ok := get(x, key)
 		if !ok {
 			return nil, false
 		}
@@ -314,13 +333,13 @@ func lookupAll(keys []string, get func(string) (any, bool)) ([]any, bool) {
 
 // restore decodes a checkpoint record of u; one that does not decode
 // counts as missing, so the unit re-simulates and overwrites it.
-func (u unit) restore(cp *Checkpoint) func(string) (any, bool) {
-	return func(key string) (any, bool) {
+func (u unit) restore(cp *Checkpoint) func(int, string) (any, bool) {
+	return func(x int, key string) (any, bool) {
 		raw, ok := cp.Lookup(key)
 		if !ok {
 			return nil, false
 		}
-		v, err := u.decode(raw)
+		v, err := u.decode(x, raw)
 		return v, err == nil
 	}
 }
@@ -373,7 +392,9 @@ func runUnits(opts Opts, units []unit) (results, error) {
 					cp.Record(key, raws[x])
 				}
 				if simulated {
-					memo.Store(key, v[x])
+					// A key committed before keeps its first unit's
+					// label; checkCommits found this result agrees.
+					memo.LoadOrStore(key, memoEntry{v[x], u.label})
 				}
 			}
 			if simulated && u.replays {
@@ -382,6 +403,14 @@ func runUnits(opts Opts, units []unit) (results, error) {
 					Worker: tracespan.SharedWorker, Unit: i, Count: int64(v[0].(UnitResult).Accesses)})
 			}
 		}}
+	}
+	// held is a key's result committed before this run's passes.
+	held := func(key string) (memoEntry, bool) {
+		if e, ok := memoLoad(key); ok {
+			return e, true
+		}
+		raw, ok := cp.Lookup(key)
+		return memoEntry{raw, "the checkpoint"}, ok
 	}
 	uo := unitOpts{
 		Timeout: opts.UnitTimeout,
@@ -399,10 +428,13 @@ func runUnits(opts Opts, units []unit) (results, error) {
 				outs[x].commit = func() {
 					vals[i] = v
 					for y, key := range u.keys {
-						memo.Store(key, v[y])
+						memo.Store(key, memoEntry{v[y], u.label})
 					}
 				}
-			} else if v, ok := lookupAll(u.keys, func(k string) (any, bool) { return memo.Load(k) }); ok {
+			} else if v, ok := lookupAll(u.keys, func(_ int, k string) (any, bool) {
+				e, ok := memoLoad(k)
+				return e.v, ok
+			}); ok {
 				outs[x] = commit(i, v, false)
 			} else {
 				pending, at = append(pending, i), append(at, x)
@@ -416,7 +448,9 @@ func runUnits(opts Opts, units []unit) (results, error) {
 		if len(pending) == 0 {
 			return outs
 		}
-		for x, po := range runGroupPass(ctx, units, pending, tel) {
+		pos := runGroupPass(ctx, units, pending, tel)
+		checkCommits(units, pending, pos, held)
+		for x, po := range pos {
 			out := po.outcome
 			if out.err == nil {
 				out = commit(pending[x], po.vals, true)
@@ -529,6 +563,55 @@ func runGroupPass(ctx context.Context, units []unit, pending []int, tel *Telemet
 	return outs
 }
 
+// checkCommits fails every successful outcome whose results disagree
+// with a result already committed under one of the unit's keys: by an
+// earlier unit of pending (outs[x] is pending[x]'s), or before the pass,
+// as held reports (nil: nothing was) from the memo or the checkpoint. A result is a pure function of
+// its key, so two units that answer one key — a timed run and a
+// stack-distance profile, say — must commit byte-identical JSON; a
+// mismatch names both units.
+func checkCommits(units []unit, pending []int, outs []passOutcome, held func(string) (memoEntry, bool)) {
+	seen := map[string]memoEntry{}
+	for x, i := range pending {
+		out, u := &outs[x], units[i]
+		for y, key := range u.keys {
+			prev, ok := seen[key]
+			if !ok && held != nil {
+				prev, ok = held(key)
+			}
+			if ok && out.err == nil {
+				out.err = agree(key, prev, u.label, out.vals[y])
+			}
+		}
+		if out.err == nil {
+			for y, key := range u.keys {
+				if _, ok := seen[key]; !ok {
+					seen[key] = memoEntry{out.vals[y], u.label}
+				}
+			}
+		}
+	}
+}
+
+// agree returns nil when unit label's result v under key has the JSON
+// of the result prev committed there, and an error naming both units
+// otherwise.
+func agree(key string, prev memoEntry, label string, v any) error {
+	was, err := json.Marshal(prev.v)
+	if err != nil {
+		return err
+	}
+	now, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(was, now) {
+		return fmt.Errorf("experiment: key %s: unit %s committed %s, unit %s computed %s",
+			key, prev.by, was, label, now)
+	}
+	return nil
+}
+
 // replayEngine is the engine of one replay of spec on one side of a
 // trace: build the cache, replay the side's stream through it, and
 // return the raw counters. It is the engine of every sweep replay
@@ -544,31 +627,43 @@ func replayEngine(opts Opts, s side, spec Spec) (engine[[]UnitResult], error) {
 		feed = func(ch *chunk) { replayFetch(ch.fetchAt(opts.LineBytes), c) }
 	}
 	return engine[[]UnitResult]{feed: feed, results: func() ([]UnitResult, error) {
-		st := c.Stats()
-		u := UnitResult{Misses: st.Misses, Accesses: st.Accesses}
-		if bc, ok := c.(*core.BCache); ok {
-			pd := bc.PDStats()
-			u.PDHit, u.PDMiss = pd.MissPDHit, pd.MissPDMiss
-		}
-		return []UnitResult{u}, nil
+		return []UnitResult{cacheCounters(c)}, nil
 	}}, nil
 }
 
-// profileEngine answers every spec in lru (indices into all, each with
-// LRUWays set) for one side of a trace with a single Mattson
+// cacheCounters reads the counters a unit commits for cache c: misses
+// and accesses, a B-Cache's PD outcomes during misses, and the hits a
+// victim cache served from its buffer.
+func cacheCounters(c cache.Cache) UnitResult {
+	st := c.Stats()
+	u := UnitResult{Misses: st.Misses, Accesses: st.Accesses}
+	switch c := c.(type) {
+	case *core.BCache:
+		pd := c.PDStats()
+		u.PDHit, u.PDMiss = pd.MissPDHit, pd.MissPDMiss
+	case *victim.Cache:
+		u.BufferHits = c.BufferHits
+	}
+	return u
+}
+
+// lruShape is what a stack-distance unit profiles: one side's stream at
+// one line size, against the LRU geometry behind each of the unit's
+// keys.
+type lruShape struct {
+	side  side
+	line  int
+	geoms []stackdist.Geom
+}
+
+// profileEngine answers every geometry of sh with a single Mattson
 // stack-distance pass: under LRU's inclusion property an access hits a
 // (sets, ways) cache iff its per-set reuse distance is below ways, so
 // one profile yields the same hit/miss counts a per-spec replay would —
 // bit-identically — at a fraction of the work. It is the
 // stack-distance counterpart of replayEngine.
-func profileEngine(opts Opts, s side, all []Spec, lru []int) (engine[[]UnitResult], error) {
-	frames := opts.L1Size / opts.LineBytes
-	geoms := make([]stackdist.Geom, len(lru))
-	for x, si := range lru {
-		w := all[si].LRUWays
-		geoms[x] = stackdist.Geom{Sets: frames / w, Ways: w}
-	}
-	prof, err := stackdist.NewProfile(opts.LineBytes, geoms)
+func profileEngine(sh lruShape) (engine[[]UnitResult], error) {
+	prof, err := stackdist.NewProfile(sh.line, sh.geoms)
 	if err != nil {
 		return engine[[]UnitResult]{}, err
 	}
@@ -577,16 +672,16 @@ func profileEngine(opts Opts, s side, all []Spec, lru []int) (engine[[]UnitResul
 			prof.Access(m.Addr())
 		}
 	}
-	if s == iSide {
+	if sh.side == iSide {
 		feed = func(ch *chunk) {
-			for _, pc := range ch.fetchAt(opts.LineBytes) {
+			for _, pc := range ch.fetchAt(sh.line) {
 				prof.Access(pc)
 			}
 		}
 	}
 	return engine[[]UnitResult]{feed: feed, results: func() ([]UnitResult, error) {
-		out := make([]UnitResult, len(lru))
-		for x, g := range geoms {
+		out := make([]UnitResult, len(sh.geoms))
+		for x, g := range sh.geoms {
 			misses, err := prof.Misses(g.Sets, g.Ways)
 			if err != nil {
 				return nil, err
@@ -595,6 +690,26 @@ func profileEngine(opts Opts, s side, all []Spec, lru []int) (engine[[]UnitResul
 		}
 		return out, nil
 	}}, nil
+}
+
+// profileUnit is the stack-distance unit on p's trace that answers
+// keys, key x from geometry sh.geoms[x]. campaignUnits merges the
+// profile units of one (trace, side, line) into one (mergeProfiles).
+func profileUnit(opts Opts, p *workload.Profile, label string, keys []string, sh lruShape) unit {
+	u := newUnit(opts, p, label, keys, sh.side.stream(sh.line), func() (engine[[]UnitResult], error) {
+		return profileEngine(sh)
+	})
+	u.replays = true
+	u.lru = &sh
+	return u
+}
+
+// stream is the stream an L1 on side s reads at lineBytes.
+func (s side) stream(lineBytes int) stream {
+	if s == iSide {
+		return fetchStream(lineBytes)
+	}
+	return dataStream
 }
 
 // lruSpecIndices partitions all into stack-distance-profileable specs
@@ -614,7 +729,8 @@ func lruSpecIndices(opts Opts, all []Spec) (lru, replayed []int) {
 
 // A sweep is one miss-rate sweep: every profile × (baseline + specs) on
 // one L1 side at one scale. The miss-rate experiments (fig4, fig5,
-// fig12, table5, table6, xline) declare their units as sweeps.
+// fig12, table5, table6, xline, and xrelated's standard designs)
+// declare their units as sweeps.
 type sweep struct {
 	opts     Opts
 	profiles []*workload.Profile
@@ -647,32 +763,31 @@ func (sw sweep) key(spec Spec, k int, profile string) string {
 func (sw sweep) units() []unit {
 	all := sw.all()
 	lru, replayed := lruSpecIndices(sw.opts, all)
-	reads := dataStream
-	if sw.side == iSide {
-		reads = fetchStream(sw.opts.LineBytes)
+	frames := sw.opts.L1Size / sw.opts.LineBytes
+	shape := lruShape{side: sw.side, line: sw.opts.LineBytes, geoms: make([]stackdist.Geom, len(lru))}
+	for x, si := range lru {
+		w := all[si].LRUWays
+		shape.geoms[x] = stackdist.Geom{Sets: frames / w, Ways: w}
 	}
 	var us []unit
-	add := func(p *workload.Profile, k int, specs []int, name string,
-		start func() (engine[[]UnitResult], error)) {
-		keys := make([]string, len(specs))
-		for x, si := range specs {
-			keys[x] = sw.key(all[si], k, p.Name)
-		}
-		u := newUnit(sw.opts, withSeed(p, k), fmt.Sprintf("%s/%s/seed%d", p.Name, name, k), keys, reads, start)
-		u.replays = true
-		us = append(us, u)
-	}
 	for _, p := range sw.profiles {
 		for k := 0; k < sw.opts.seeds(); k++ {
+			keys := func(specs ...int) []string {
+				out := make([]string, len(specs))
+				for x, si := range specs {
+					out[x] = sw.key(all[si], k, p.Name)
+				}
+				return out
+			}
+			label := func(name string) string { return fmt.Sprintf("%s/%s/seed%d", p.Name, name, k) }
 			if len(lru) > 0 {
-				add(p, k, lru, profileSpecName, func() (engine[[]UnitResult], error) {
-					return profileEngine(sw.opts, sw.side, all, lru)
-				})
+				us = append(us, profileUnit(sw.opts, withSeed(p, k), label(profileSpecName), keys(lru...), shape))
 			}
 			for _, si := range replayed {
-				add(p, k, []int{si}, all[si].Name, func() (engine[[]UnitResult], error) {
-					return replayEngine(sw.opts, sw.side, all[si])
-				})
+				u := newUnit(sw.opts, withSeed(p, k), label(all[si].Name), keys(si), sw.side.stream(sw.opts.LineBytes),
+					func() (engine[[]UnitResult], error) { return replayEngine(sw.opts, sw.side, all[si]) })
+				u.replays = true
+				us = append(us, u)
 			}
 		}
 	}
@@ -697,6 +812,7 @@ func (sw sweep) rates(res results) (out missResults, missing error) {
 					r.accesses += u.Accesses
 					r.pdHit += u.PDHit
 					r.pdMiss += u.PDMiss
+					r.bufferHits += u.BufferHits
 				}
 			}
 			if r.accesses > 0 {

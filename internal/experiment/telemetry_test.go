@@ -351,7 +351,6 @@ func TestFoldMatchesJournal(t *testing.T) {
 	opts := DefaultOpts()
 	opts.Instructions = 10_000
 	opts.Workers = 1
-	opts.UnitTimeout = 20 * time.Millisecond
 	opts.UnitRetries = 1
 	opts.Checkpoint = NewCheckpoint(t.TempDir() + "/ckpt.log")
 	release := make(chan struct{})
@@ -382,14 +381,21 @@ func TestFoldMatchesJournal(t *testing.T) {
 			return nil
 		}),
 		mk(profs[1], "boom", func() error { panic("boom") }),
-		mk(profs[2], "hang", func() error {
-			<-release
-			return nil
-		}),
 	}
+	hang := mk(profs[2], "hang", func() error {
+		<-release
+		return nil
+	})
 	tel.BeginExperiment("figF")
 	if _, err := runUnits(opts, units); err == nil {
-		t.Fatal("campaign with a panicking and a hanging unit returned no error")
+		t.Fatal("campaign with a panicking unit returned no error")
+	}
+	// Only the hanging unit runs under the deadline: a unit doing real
+	// work on a loaded machine must not be abandoned with it.
+	deadline := opts
+	deadline.UnitTimeout = 20 * time.Millisecond
+	if _, err := runUnits(deadline, []unit{hang}); err == nil {
+		t.Fatal("campaign with a hanging unit returned no error")
 	}
 	if err := opts.Checkpoint.Close(); err != nil {
 		t.Fatal(err)

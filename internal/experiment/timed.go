@@ -43,11 +43,11 @@ func timedSpecs() []Spec {
 }
 
 // timedBCacheSpec is the B-Cache column of Figures 8 and 9: MF=8,
-// BAS=8, LRU.
+// BAS=8, LRU, Figure 4's MF8 under another name.
 func timedBCacheSpec() Spec {
-	return Spec{Name: "B-Cache", Kind: energy.BCache, New: func(size, line int) (cache.Cache, error) {
-		return core.New(core.Config{SizeBytes: size, LineBytes: line, MF: 8, BAS: 8, Policy: cache.LRU})
-	}}
+	s := bcacheSpec(8, 8, cache.LRU)
+	s.Name = "B-Cache"
+	return s
 }
 
 // timedRun holds one (benchmark, config) timed simulation's raw
@@ -58,7 +58,12 @@ type timedRun struct {
 }
 
 // timedEngine runs one benchmark on one L1 configuration: the CPU
-// model over both L1s of spec behind the Table 4 hierarchy.
+// model over both L1s of spec behind the Table 4 hierarchy. The model
+// accesses the D-cache once per load or store and the I-cache once per
+// new fetch line, in program order: exactly the data stream and the
+// fetch stream a replayEngine reads, so the engine's l1 counters are
+// those replays' (TestTimedL1MatchesReplay) and a timed unit answers
+// its spec's miss-rate keys too.
 func timedEngine(spec Spec, opts Opts) (engine[timedRun], error) {
 	ic, err := spec.New(opts.L1Size, opts.LineBytes)
 	if err != nil {
@@ -72,7 +77,7 @@ func timedEngine(spec Spec, opts Opts) (engine[timedRun], error) {
 	if err != nil {
 		return engine[timedRun]{}, err
 	}
-	return cpuEngine(h, cpu.Defaults(), func(res cpu.Result) (timedRun, error) {
+	e, err := cpuEngine(h, cpu.Defaults(), func(res cpu.Result) (timedRun, error) {
 		c := energy.Counts{
 			L1Accesses: ic.Stats().Accesses + dc.Stats().Accesses,
 			L1Misses:   ic.Stats().Misses + dc.Stats().Misses,
@@ -94,6 +99,11 @@ func timedEngine(spec Spec, opts Opts) (engine[timedRun], error) {
 		}
 		return timedRun{CPU: res, Counts: c}, nil
 	})
+	if err != nil {
+		return e, err
+	}
+	e.l1 = func() [2]UnitResult { return [2]UnitResult{cacheCounters(dc), cacheCounters(ic)} }
+	return e, nil
 }
 
 // cpuEngine runs the CPU model of cfg on h over the record stream and
@@ -118,11 +128,13 @@ func timedGrid(opts Opts) grid[timedRun] {
 // timedPart is the part of the timed sweep over profiles and specs
 // (baseline or timedSpecs configurations): its units commit timedGrid's
 // keys, so an experiment that needs some timed runs (xprefetch,
-// xwindow) shares them with fig8.
+// xwindow) shares them with fig8. Each also commits its spec's D- and
+// I-side miss-rate keys, so Figures 4 and 5 replay none of these specs
+// at seed 0.
 func timedPart(opts Opts, profiles []*workload.Profile, specs []Spec) grid[timedRun] {
 	return grid[timedRun]{id: "timed", opts: opts, profiles: profiles, configs: specNames(specs),
 		run:   func(_ *workload.Profile, c int) (engine[timedRun], error) { return timedEngine(specs[c], opts) },
-		reads: recordStream}
+		reads: recordStream, l1: specs}
 }
 
 // timedDMBC is the timed sweep's part over profiles on the baseline and

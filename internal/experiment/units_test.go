@@ -6,7 +6,10 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+
+	"bcache/internal/workload"
 )
 
 // rawJSON encodes v for a checkpoint record.
@@ -55,7 +58,7 @@ func TestUnitResultsRoundTrip(t *testing.T) {
 		us := e.Units(opts)
 		seen := map[string]bool{}
 		for _, u := range us {
-			for _, key := range u.keys {
+			for x, key := range u.keys {
 				if seen[key] {
 					t.Errorf("%s: key %s declared twice", e.ID, key)
 				}
@@ -68,7 +71,7 @@ func TestUnitResultsRoundTrip(t *testing.T) {
 					t.Errorf("%s: key %s holds %v here and %v elsewhere", e.ID, key, reflect.TypeOf(v), prev)
 				}
 				types[key] = reflect.TypeOf(v)
-				got, err := u.decode(rawJSON(v))
+				got, err := u.decode(x, rawJSON(v))
 				if err != nil {
 					t.Fatalf("%s: decode %s: %v", e.ID, key, err)
 				}
@@ -192,5 +195,55 @@ func TestPlanWorkerHoldsOneRecordTrace(t *testing.T) {
 		if c := TraceCacheStats(); c.Bytes != 0 || c.PeakBytes != passBytes(0) {
 			t.Fatalf("after group %d: %d bytes resident, peak %d", g, c.Bytes, c.PeakBytes)
 		}
+	}
+}
+
+// TestDoubleCommitMismatch: a result is a pure function of its key, so
+// two units that answer one key must commit byte-identical JSON. A unit
+// that disagrees with a result committed before it fails with an error
+// naming both units — in its own group, against the memo in a later
+// run, in a worker's Plan.Execute, and against the checkpoint a resumed
+// run restored — while one that agrees commits.
+func TestDoubleCommitMismatch(t *testing.T) {
+	ResetUnitMemo()
+	defer ResetUnitMemo()
+	opts := tinyOpts()
+	opts.Instructions = 10_000
+	p := workload.All()[0]
+	mk := func(label string, misses uint64) unit {
+		return newUnit(opts, p, label, []string{"shared", label}, dataStream, func() (engine[[]UnitResult], error) {
+			return engine[[]UnitResult]{feed: func(*chunk) {}, results: func() ([]UnitResult, error) {
+				return []UnitResult{{Misses: misses}, {}}, nil
+			}}, nil
+		})
+	}
+	names := func(err error, was, now string) bool {
+		return err != nil && strings.Contains(err.Error(), "key shared: unit "+was+" committed") &&
+			strings.Contains(err.Error(), "unit "+now+" computed")
+	}
+	us := []unit{mk("first", 1), mk("agrees", 1), mk("disagrees", 2)}
+	res, err := runUnits(opts, us)
+	if !names(err, "first", "disagrees") {
+		t.Errorf("group with a disagreeing unit: error %v", err)
+	}
+	if _, ok := res["agrees"]; !ok {
+		t.Error("the agreeing unit did not commit")
+	}
+	if _, ok := res["disagrees"]; ok {
+		t.Error("the disagreeing unit committed")
+	}
+	if _, err := runUnits(opts, []unit{mk("later", 3)}); !names(err, "first", "later") {
+		t.Errorf("later run disagreeing with the memo: error %v", err)
+	}
+	plan := &Plan{units: us, starts: []int{0, len(us)}}
+	if _, err := plan.Execute(0); !names(err, "first", "disagrees") {
+		t.Errorf("Plan.Execute of a disagreeing group: error %v", err)
+	}
+	ResetUnitMemo()
+	resumed := opts
+	resumed.Checkpoint = NewCheckpoint("")
+	resumed.Checkpoint.Record("shared", rawJSON(UnitResult{Misses: 4}))
+	if _, err := runUnits(resumed, []unit{mk("resumed", 5)}); !names(err, "the checkpoint", "resumed") {
+		t.Errorf("resumed unit disagreeing with the checkpoint: error %v", err)
 	}
 }
