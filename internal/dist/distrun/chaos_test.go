@@ -62,14 +62,13 @@ func chaosOpts(ckpt *experiment.Checkpoint) experiment.Opts {
 }
 
 // runSequentialOracle runs experiment id in-process with a fresh
-// checkpoint and memo and returns the checkpoint log's contents, the
+// checkpoint and returns the checkpoint log's contents, the
 // rendered tables and the checkpoint.
 func runSequentialOracle(t *testing.T, dir, id string) (map[string]string, string, *experiment.Checkpoint) {
 	t.Helper()
 	path := filepath.Join(dir, "seq.log")
 	ckpt := experiment.NewCheckpoint(path)
 	opts := chaosOpts(ckpt)
-	experiment.ResetUnitMemo()
 	e, err := experiment.ByID(id)
 	if err != nil {
 		t.Fatal(err)
@@ -262,10 +261,9 @@ func chaosCampaign(t *testing.T, id string) {
 		t.Fatalf("restarts = %d, want >= 2 (both killed workers respawn)", stats.Restarts)
 	}
 
-	// The in-process pass renders from the merged checkpoint alone: on a
-	// fresh memo and trace cache every distributed unit must hit, so no
-	// trace is built.
-	experiment.ResetUnitMemo()
+	// The in-process pass renders from the merged checkpoint alone:
+	// every distributed unit must be restored from it, so no trace is
+	// built.
 	experiment.ResetTraceCache()
 	e, err := experiment.ByID(id)
 	if err != nil {
@@ -275,7 +273,7 @@ func chaosCampaign(t *testing.T, id string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if builds := experiment.TraceCacheStats().Misses; builds != 0 {
+	if builds := experiment.TraceCacheStats().Generations; builds != 0 {
 		t.Errorf("rendering from the merged checkpoint built %d traces", builds)
 	}
 	if got := renderAll(tables); got != seqRender {

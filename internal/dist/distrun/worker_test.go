@@ -33,7 +33,6 @@ func TestWorkerGeneratesEachTraceOnceAcrossLeases(t *testing.T) {
 	}
 	experiment.ResetTraceCache()
 	defer experiment.ResetTraceCache()
-	experiment.ResetUnitMemo()
 
 	inR, inW := io.Pipe()
 	outR, outW := io.Pipe()

@@ -24,7 +24,6 @@ func TestRunAllMatchesPerExperimentRuns(t *testing.T) {
 	opts.Workers = 2
 
 	ResetTraceCache()
-	ResetUnitMemo()
 	tel := NewTelemetry(1<<20, nil)
 	SetTelemetry(tel)
 	withCkpt := opts
@@ -85,7 +84,6 @@ func TestRunAllMatchesPerExperimentRuns(t *testing.T) {
 	}
 
 	ResetTraceCache()
-	ResetUnitMemo()
 	var twin bytes.Buffer
 	for _, e := range All() {
 		twin.Write(runCSV(t, e.ID, opts))

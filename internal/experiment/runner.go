@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"bcache/internal/addr"
@@ -267,7 +266,7 @@ type missRun struct {
 }
 
 // unitKey names one (side, scale, spec, seed, profile) work unit for the
-// checkpoint and the in-process unit memo. The key is self-describing —
+// checkpoint and the campaign's results. The key is self-describing —
 // it embeds everything the stored counters depend on — so a checkpoint
 // written at one scale can never poison a resume at another. specKey is
 // the spec's canonical configuration key (Spec.key), not its display
@@ -279,43 +278,13 @@ func unitKey(opts Opts, s side, specKey string, seedIdx int, profile string) str
 		s, opts.Instructions, opts.L1Size, opts.LineBytes, specKey, seedIdx, profile)
 }
 
-// memo shares committed unit results across experiments in one
-// process: a result is a pure function of its key, so experiments that
-// overlap in (configuration, profile, scale) space — fig4, fig12,
-// table5/6, xline; fig8 and fig9 — simulate each shared unit once.
-// runUnits consults the checkpoint first (resume semantics), then this
-// memo, then simulates, and publishes every unit it commits here.
-var memo sync.Map // unit key string -> memoEntry
-
-// memoEntry is a memoized result and the label of the unit that
-// committed it, which a disagreeing second commit names (checkCommits).
-type memoEntry struct {
+// commit is a result committed under a key and the label of the unit
+// that committed it, which a disagreeing second commit names
+// (checkCommits).
+type commit struct {
 	v  any
 	by string
 }
-
-// memoLoad returns the memo entry under key.
-func memoLoad(key string) (memoEntry, bool) {
-	e, ok := memo.Load(key)
-	if !ok {
-		return memoEntry{}, false
-	}
-	return e.(memoEntry), true
-}
-
-// ResetUnitMemo drops all memoized unit results, so the next run
-// simulates every unit again.
-func ResetUnitMemo() {
-	memo.Range(func(k, _ any) bool {
-		memo.Delete(k)
-		return true
-	})
-}
-
-// ResetTimedCache is ResetUnitMemo under its older name: timed results
-// live in the one unit memo now, and the benchmark harness (bench/,
-// edited only together with the benchmark) still calls this name.
-func ResetTimedCache() { ResetUnitMemo() }
 
 // lookupAll returns the results stored under every key, or false if any
 // is missing.
@@ -361,22 +330,21 @@ func encode(vals []any) ([]json.RawMessage, error) {
 // under every key of every completed unit, alongside the joined error of
 // any that failed. Consecutive units on one trace form a scheduler
 // group, which runs as one pass over the trace (runPass);
-// campaignUnits orders a campaign so each trace is one group.
+// campaignUnits orders a campaign so each trace is one group, and
+// simulates each key once, so the campaign is the only scope in which
+// units share results.
 //
-// Every unit takes one lookup/commit path: its keys are looked up in
-// opts.Checkpoint first (resume: results round-trip through JSON
-// exactly), then in the memo, and the unit's engine joins the pass
-// only when neither holds all of them; a group with no such unit runs
-// no pass. A committed unit is recorded in both under the same keys,
-// whichever way it ran.
+// A unit whose keys opts.Checkpoint all holds is restored from it
+// (resume: results round-trip through JSON exactly); every other unit's
+// engine joins its group's pass, and a group with no such unit runs no
+// pass. A simulated unit is recorded in the checkpoint under its keys.
 func runUnits(opts Opts, units []unit) (results, error) {
 	cp := opts.Checkpoint
 	tel := CurrentTelemetry()
 	// One slot per unit, written only by its own commit closure.
 	vals := make([][]any, len(units))
-	// commit is unit i's commit of v: simulated by this run, or found
-	// in the memo.
-	commit := func(i int, v []any, simulated bool) outcome {
+	// simulated is unit i's commit of the results v its pass computed.
+	simulated := func(i int, v []any) outcome {
 		u := units[i]
 		var raws []json.RawMessage
 		if cp != nil {
@@ -387,30 +355,15 @@ func runUnits(opts Opts, units []unit) (results, error) {
 		}
 		return outcome{commit: func() {
 			vals[i] = v
-			for x, key := range u.keys {
-				if raws != nil {
-					cp.Record(key, raws[x])
-				}
-				if simulated {
-					// A key committed before keeps its first unit's
-					// label; checkCommits found this result agrees.
-					memo.LoadOrStore(key, memoEntry{v[x], u.label})
-				}
+			for x, raw := range raws {
+				cp.Record(u.keys[x], raw)
 			}
-			if simulated && u.replays {
+			if u.replays {
 				// A unit replays its trace once, however many specs it answers.
 				tel.Emit(tracespan.Span{Kind: tracespan.KindAccesses, Name: u.label,
 					Worker: tracespan.SharedWorker, Unit: i, Count: int64(v[0].(UnitResult).Accesses)})
 			}
 		}}
-	}
-	// held is a key's result committed before this run's passes.
-	held := func(key string) (memoEntry, bool) {
-		if e, ok := memoLoad(key); ok {
-			return e, true
-		}
-		raw, ok := cp.Lookup(key)
-		return memoEntry{raw, "the checkpoint"}, ok
 	}
 	uo := unitOpts{
 		Timeout: opts.UnitTimeout,
@@ -423,25 +376,14 @@ func runUnits(opts Opts, units []unit) (results, error) {
 		outs := make([]outcome, len(idx))
 		var pending, at []int // unit indices left to simulate, and their positions in idx
 		for x, i := range idx {
-			u := units[i]
-			if v, ok := lookupAll(u.keys, u.restore(cp)); ok {
-				outs[x].commit = func() {
-					vals[i] = v
-					for y, key := range u.keys {
-						memo.Store(key, memoEntry{v[y], u.label})
-					}
-				}
-			} else if v, ok := lookupAll(u.keys, func(_ int, k string) (any, bool) {
-				e, ok := memoLoad(k)
-				return e.v, ok
-			}); ok {
-				outs[x] = commit(i, v, false)
-			} else {
+			v, ok := lookupAll(units[i].keys, units[i].restore(cp))
+			if !ok {
 				pending, at = append(pending, i), append(at, x)
 				continue
 			}
+			outs[x].commit = func() { vals[i] = v }
 			if tel != nil {
-				// A unit found by lookup takes no time of the pass.
+				// A restored unit takes no time of the pass.
 				outs[x].start = tel.now()
 			}
 		}
@@ -449,11 +391,11 @@ func runUnits(opts Opts, units []unit) (results, error) {
 			return outs
 		}
 		pos := runGroupPass(ctx, units, pending, tel)
-		checkCommits(units, pending, pos, held)
+		checkCommits(units, pending, pos, cp)
 		for x, po := range pos {
 			out := po.outcome
 			if out.err == nil {
-				out = commit(pending[x], po.vals, true)
+				out = simulated(pending[x], po.vals)
 				out.start, out.dur = po.start, po.dur
 			}
 			outs[at[x]] = out
@@ -565,19 +507,21 @@ func runGroupPass(ctx context.Context, units []unit, pending []int, tel *Telemet
 
 // checkCommits fails every successful outcome whose results disagree
 // with a result already committed under one of the unit's keys: by an
-// earlier unit of pending (outs[x] is pending[x]'s), or before the pass,
-// as held reports (nil: nothing was) from the memo or the checkpoint. A result is a pure function of
-// its key, so two units that answer one key — a timed run and a
-// stack-distance profile, say — must commit byte-identical JSON; a
-// mismatch names both units.
-func checkCommits(units []unit, pending []int, outs []passOutcome, held func(string) (memoEntry, bool)) {
-	seen := map[string]memoEntry{}
+// earlier unit of pending (outs[x] is pending[x]'s), or by the
+// checkpoint cp (nil: none) a resumed run restored. A result is a pure
+// function of its key, so two units that answer one key — a timed run
+// and a stack-distance profile, say — must commit byte-identical JSON;
+// a mismatch names both units.
+func checkCommits(units []unit, pending []int, outs []passOutcome, cp *Checkpoint) {
+	seen := map[string]commit{}
 	for x, i := range pending {
 		out, u := &outs[x], units[i]
 		for y, key := range u.keys {
 			prev, ok := seen[key]
-			if !ok && held != nil {
-				prev, ok = held(key)
+			if !ok {
+				var raw json.RawMessage
+				raw, ok = cp.Lookup(key)
+				prev = commit{raw, "the checkpoint"}
 			}
 			if ok && out.err == nil {
 				out.err = agree(key, prev, u.label, out.vals[y])
@@ -586,7 +530,7 @@ func checkCommits(units []unit, pending []int, outs []passOutcome, held func(str
 		if out.err == nil {
 			for y, key := range u.keys {
 				if _, ok := seen[key]; !ok {
-					seen[key] = memoEntry{out.vals[y], u.label}
+					seen[key] = commit{out.vals[y], u.label}
 				}
 			}
 		}
@@ -596,7 +540,7 @@ func checkCommits(units []unit, pending []int, outs []passOutcome, held func(str
 // agree returns nil when unit label's result v under key has the JSON
 // of the result prev committed there, and an error naming both units
 // otherwise.
-func agree(key string, prev memoEntry, label string, v any) error {
+func agree(key string, prev commit, label string, v any) error {
 	was, err := json.Marshal(prev.v)
 	if err != nil {
 		return err

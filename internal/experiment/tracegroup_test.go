@@ -136,7 +136,6 @@ func TestStreamingMatchesMaterializedTwin(t *testing.T) {
 	opts.Instructions = 60_000
 	want := renderCSV(t, opts, All(), replayMaterialized(t, opts, All()))
 	for _, workers := range []int{1, 2} {
-		ResetUnitMemo()
 		o := opts
 		o.Workers = workers
 		var got []byte
@@ -256,7 +255,6 @@ func passBytes(fetchLines int) int64 {
 func TestPeakStaysWithinBudget(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
-	ResetUnitMemo()
 	opts := tinyOpts()
 	opts.Workers = 2
 	profiles := []*workload.Profile{mustProfile(t, "gcc"), mustProfile(t, "equake"), mustProfile(t, "crafty")}
@@ -285,7 +283,6 @@ func TestResidentBytesIndependentOfN(t *testing.T) {
 		var peaks []int64
 		for _, n := range []uint64{20_000, 80_000} {
 			ResetTraceCache()
-			ResetUnitMemo()
 			opts := tinyOpts()
 			opts.Instructions, opts.Workers = n, workers
 			if _, err := runUnits(opts, campaignUnits(opts, campaign)); err != nil {
@@ -305,12 +302,11 @@ func TestResidentBytesIndependentOfN(t *testing.T) {
 	}
 }
 
-// recordGroups runs a CPU-model grid campaign on a fresh unit memo whose
-// units read, per profile, the records, the data stream and the fetch
-// stream, so one pass feeds every stream kind.
+// recordGroups runs a CPU-model grid campaign whose units read, per
+// profile, the records, the data stream and the fetch stream, so one
+// pass feeds every stream kind.
 func recordGroups(t *testing.T, opts Opts, profiles []*workload.Profile) {
 	t.Helper()
-	ResetUnitMemo()
 	var us []unit
 	for k, s := range []stream{recordStream, dataStream, fetchStream(opts.LineBytes)} {
 		g := grid[int]{id: fmt.Sprintf("records%d", k), opts: opts, profiles: profiles, configs: []string{"a", "b"}, reads: s,

@@ -45,7 +45,6 @@ func TestUnitResultsRoundTrip(t *testing.T) {
 	}
 	opts := tinyOpts()
 	opts.Instructions = 60_000
-	ResetUnitMemo()
 	res, err := runUnits(opts, campaignUnits(opts, All()))
 	if err != nil {
 		t.Fatal(err)
@@ -106,10 +105,8 @@ func TestResumeBitIdentical(t *testing.T) {
 			for _, u := range e.Units(opts) {
 				keys += len(u.keys)
 			}
-			ResetUnitMemo()
 			want := runCSV(t, id, opts)
 
-			ResetUnitMemo()
 			path := filepath.Join(t.TempDir(), "cp.log")
 			cp := NewCheckpoint(path)
 			cp.SetAfterRecord(func(total int) {
@@ -131,7 +128,6 @@ func TestResumeBitIdentical(t *testing.T) {
 			ResetStop()
 
 			for round, fresh := range []string{"half", "complete"} {
-				ResetUnitMemo()
 				ResetTraceCache()
 				cp2, err := LoadCheckpoint(path)
 				if err != nil {
@@ -145,7 +141,7 @@ func TestResumeBitIdentical(t *testing.T) {
 				if cp2.Len() != keys {
 					t.Fatalf("resumed checkpoint holds %d of %d keys", cp2.Len(), keys)
 				}
-				if builds := TraceCacheStats().Misses; round == 1 && builds != 0 {
+				if builds := TraceCacheStats().Generations; round == 1 && builds != 0 {
 					t.Errorf("resume from a complete checkpoint built %d traces", builds)
 				}
 				if err := cp2.Close(); err != nil {
@@ -156,21 +152,40 @@ func TestResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFig9AfterFig8SimulatesNothing: fig8 and fig9 render the same timed
-// units, so fig9 run after fig8 takes every result from the memo and
-// touches no trace.
+// TestFig9AfterFig8SimulatesNothing: fig8 and fig9 render the same
+// timed units, so a campaign of the two keeps exactly fig8's units and
+// generates each profile's trace once.
 func TestFig9AfterFig8SimulatesNothing(t *testing.T) {
-	ResetUnitMemo()
 	ResetTraceCache()
 	defer ResetTraceCache()
 	opts := tinyOpts()
 	opts.Instructions = 40_000
-	runCSV(t, "fig8", opts)
-	before := TraceCacheStats()
-	runCSV(t, "fig9", opts)
-	if after := TraceCacheStats(); after.Hits != before.Hits || after.Misses != before.Misses ||
-		after.Generations != before.Generations {
-		t.Fatalf("fig9 after fig8 touched traces: before %+v, after %+v", before, after)
+	var exps []Experiment
+	for _, id := range []string{"fig8", "fig9"} {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exps = append(exps, e)
+	}
+	labels := func(us []unit) []string {
+		var out []string
+		for _, u := range us {
+			out = append(out, u.owner+" "+u.label)
+		}
+		return out
+	}
+	us := campaignUnits(opts, exps)
+	if got, want := labels(us), labels(campaignUnits(opts, exps[:1])); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fig8+fig9 keeps %d units, want fig8's %d:\n%v", len(got), len(want), got)
+	}
+	for _, out := range RunAll(opts, exps) {
+		if out.Err != nil {
+			t.Fatal(out.Err)
+		}
+	}
+	if got, want := TraceCacheStats().Generations, uint64(len(workload.All())); got != want || len(groupStarts(us)) != int(want) {
+		t.Fatalf("generated %d traces in %d groups, want %d: one per profile", got, len(groupStarts(us)), want)
 	}
 }
 
@@ -201,12 +216,10 @@ func TestPlanWorkerHoldsOneRecordTrace(t *testing.T) {
 // TestDoubleCommitMismatch: a result is a pure function of its key, so
 // two units that answer one key must commit byte-identical JSON. A unit
 // that disagrees with a result committed before it fails with an error
-// naming both units — in its own group, against the memo in a later
-// run, in a worker's Plan.Execute, and against the checkpoint a resumed
-// run restored — while one that agrees commits.
+// naming both units — in its own group, in a worker's Plan.Execute, and
+// against the checkpoint a resumed run restored — while one that agrees
+// commits.
 func TestDoubleCommitMismatch(t *testing.T) {
-	ResetUnitMemo()
-	defer ResetUnitMemo()
 	opts := tinyOpts()
 	opts.Instructions = 10_000
 	p := workload.All()[0]
@@ -232,14 +245,10 @@ func TestDoubleCommitMismatch(t *testing.T) {
 	if _, ok := res["disagrees"]; ok {
 		t.Error("the disagreeing unit committed")
 	}
-	if _, err := runUnits(opts, []unit{mk("later", 3)}); !names(err, "first", "later") {
-		t.Errorf("later run disagreeing with the memo: error %v", err)
-	}
 	plan := &Plan{units: us, starts: []int{0, len(us)}}
 	if _, err := plan.Execute(0); !names(err, "first", "disagrees") {
 		t.Errorf("Plan.Execute of a disagreeing group: error %v", err)
 	}
-	ResetUnitMemo()
 	resumed := opts
 	resumed.Checkpoint = NewCheckpoint("")
 	resumed.Checkpoint.Record("shared", rawJSON(UnitResult{Misses: 4}))

@@ -40,16 +40,13 @@ func csvOf(t *testing.T, tables []*Table) []byte {
 
 // TestProfileUnitsWorkerInvariant: results are reduced by key after the
 // run, so the worker count (and with it the unit completion order)
-// cannot reach the output. Each run starts from an empty memo, so both
-// simulate.
+// cannot reach the output.
 func TestProfileUnitsWorkerInvariant(t *testing.T) {
 	for _, id := range profileUnitExperiments {
 		t.Run(id, func(t *testing.T) {
 			one, four := tinyOpts(), tinyOpts()
 			one.Workers, four.Workers = 1, 4
-			ResetUnitMemo()
 			a := runCSV(t, id, one)
-			ResetUnitMemo()
 			b := runCSV(t, id, four)
 			if !bytes.Equal(a, b) {
 				t.Fatalf("CSV differs between 1 and 4 workers\n1: %s\n4: %s", a, b)
@@ -70,7 +67,6 @@ func TestNoTraceAccessOutsideUnits(t *testing.T) {
 	}
 	ResetTraceCache()
 	defer ResetTraceCache()
-	ResetUnitMemo()
 	tel := NewTelemetry(1<<20, nil)
 	SetTelemetry(tel)
 	defer SetTelemetry(nil)
@@ -128,7 +124,6 @@ func TestNoRecordTraceOutlivesExperiment(t *testing.T) {
 	}
 	ResetTraceCache()
 	defer ResetTraceCache()
-	ResetUnitMemo()
 	opts := tinyOpts()
 	opts.Workers = 2
 	for _, e := range All() {
@@ -154,7 +149,6 @@ func TestRecordExperimentsBudgetInvariant(t *testing.T) {
 	workers := []int{1, 2, 3}
 	csv := make(map[string][][]byte, len(ids))
 	for _, w := range workers {
-		ResetUnitMemo()
 		opts := tinyOpts()
 		opts.Workers = w
 		for _, id := range ids {

@@ -51,6 +51,7 @@ func TestDirectives(t *testing.T) {
 // TestOraclePair swaps in a fixture manifest: the good package keeps
 // both twins and its differential test, the bad package has lost its
 // oracle, one declared test, and the surviving test's oracle reference.
+// The user package only imports good.
 func TestOraclePair(t *testing.T) {
 	defer func(old []lint.Pair) { lint.Manifest = old }(lint.Manifest)
 	lint.Manifest = []lint.Pair{
@@ -74,6 +75,9 @@ func TestOraclePair(t *testing.T) {
 		},
 	}
 	analysistest.Run(t, lint.OraclePair, "./testdata/src/oraclepair/...")
+	// Loading user alone loads good as a dependency, without its test
+	// file: a pass that cannot see the tests must not report them gone.
+	analysistest.Run(t, lint.OraclePair, "./testdata/src/oraclepair/user")
 }
 
 // TestRepoTreeClean asserts the zero-findings invariant the ci target

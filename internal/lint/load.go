@@ -38,7 +38,11 @@ type listPackage struct {
 	Module     *listModule       `json:"Module"`
 	ImportMap  map[string]string `json:"ImportMap"`
 	Incomplete bool              `json:"Incomplete"`
-	Error      *listError        `json:"Error"`
+	// DepOnly is set on packages listed only as dependencies of the
+	// patterns: -test adds no test variant for them, so their test
+	// files are never loaded.
+	DepOnly bool       `json:"DepOnly"`
+	Error   *listError `json:"Error"`
 }
 
 type listModule struct {
@@ -157,13 +161,16 @@ func typecheck(fset *token.FileSet, p *listPackage, exports map[string]string) (
 	if err != nil {
 		return nil, err
 	}
+	// A dependency is loaded without its test files, so only a package
+	// the patterns name is its widest compilation. Facts are still
+	// computed for dependencies.
 	return &checkedPackage{
 		fset:     fset,
 		files:    files,
 		pkg:      pkg,
 		info:     info,
 		pkgPath:  p.ImportPath,
-		complete: true,
+		complete: !p.DepOnly,
 	}, nil
 }
 
