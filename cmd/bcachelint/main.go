@@ -4,46 +4,38 @@
 // goroutinelife — see internal/lint) that machine-check the invariants
 // the paper reproduction's credibility rests on.
 //
-// Standalone mode type-checks and analyzes package patterns:
+// It loads the module's packages with one `go list` (lint.Load),
+// type-checks each in its widest compilation, and runs the analyzers
+// over them dependencies first, so cross-package facts flow in memory:
 //
 //	bcachelint ./...
 //	bcachelint -group ./...      # findings grouped by analyzer
 //
-// It also speaks the `go vet -vettool=` protocol, so the same binary
-// runs under the go command's vet driver:
-//
-//	go vet -vettool=$(pwd)/bin/bcachelint ./...
-//
-// Exit status: 0 clean, 1 findings or usage error, 2 internal failure
-// (vet mode follows the unitchecker convention instead: 2 = findings).
+// Exit status: 0 clean, 1 findings or usage error, 2 internal failure.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
 	"bcache/internal/lint"
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string) int {
-	// Vet-driver invocations are recognizable before flag parsing: the
-	// -V=full/-flags handshakes, or a single *.cfg argument.
-	if isVetInvocation(args) {
-		return lint.UnitcheckerMain("bcachelint", args, lint.All())
-	}
-
+// run is the whole command: findings go to stdout, the finding count
+// and errors to stderr. It returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bcachelint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	group := fs.Bool("group", false, "group findings by analyzer instead of position order")
 	list := fs.Bool("analyzers", false, "list the analyzers and exit")
-	writeFacts := fs.String("write-facts", "", "write per-package .vetx fact files into this `dir` after analysis")
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: bcachelint [-group] [-analyzers] [-write-facts dir] [packages]\n\n")
+		fmt.Fprintf(fs.Output(), "usage: bcachelint [-group] [-analyzers] [packages]\n\n")
 		fmt.Fprintf(fs.Output(), "Runs the project analyzers over the packages (default ./...).\n\n")
 		fs.PrintDefaults()
 	}
@@ -52,7 +44,7 @@ func run(args []string) int {
 	}
 	if *list {
 		for _, a := range lint.All() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
@@ -63,23 +55,17 @@ func run(args []string) int {
 
 	pkgs, err := lint.Load("", patterns...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	var diags []lint.Diagnostic
 	for _, p := range pkgs {
 		d, err := p.RunAnalyzers(lint.All())
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 		diags = append(diags, d...)
-	}
-	if *writeFacts != "" {
-		if err := lint.WriteFacts(pkgs, *writeFacts); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
 	}
 	lint.SortDiagnostics(diags)
 	diags = lint.DedupDiagnostics(diags)
@@ -87,19 +73,19 @@ func run(args []string) int {
 		return 0
 	}
 	if *group {
-		printGrouped(diags)
+		printGrouped(stdout, diags)
 	} else {
 		for _, d := range diags {
-			fmt.Println(d.String())
+			fmt.Fprintln(stdout, d.String())
 		}
 	}
-	fmt.Fprintf(os.Stderr, "bcachelint: %d finding(s)\n", len(diags))
+	fmt.Fprintf(stderr, "bcachelint: %d finding(s)\n", len(diags))
 	return 1
 }
 
 // printGrouped renders findings grouped by analyzer with file:line
 // links, the `make lint-fix` triage view.
-func printGrouped(diags []lint.Diagnostic) {
+func printGrouped(w io.Writer, diags []lint.Diagnostic) {
 	order := []string{}
 	byAnalyzer := map[string][]lint.Diagnostic{}
 	for _, d := range diags {
@@ -110,20 +96,10 @@ func printGrouped(diags []lint.Diagnostic) {
 	}
 	for _, name := range order {
 		ds := byAnalyzer[name]
-		fmt.Printf("== %s (%d) ==\n", name, len(ds))
+		fmt.Fprintf(w, "== %s (%d) ==\n", name, len(ds))
 		for _, d := range ds {
-			fmt.Printf("  %s:%d:%d  %s\n", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message)
+			fmt.Fprintf(w, "  %s:%d:%d  %s\n", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-}
-
-// isVetInvocation detects the go command's vettool calling convention.
-func isVetInvocation(args []string) bool {
-	for _, a := range args {
-		if a == "-V=full" || a == "--V=full" || a == "-flags" || a == "--flags" {
-			return true
-		}
-	}
-	return len(args) == 1 && strings.HasSuffix(args[0], ".cfg")
 }

@@ -62,29 +62,6 @@ func (s CampaignSpec) Opts() experiment.Opts {
 	}
 }
 
-// planAdapter lifts an experiment.Plan into the dist.Plan interface:
-// dist unit i is the plan's group i. A group's records carry the JSON of
-// its units' results as they will sit in the checkpoint, so they pass
-// through untouched.
-type planAdapter struct {
-	p *experiment.Plan
-}
-
-func (a planAdapter) Len() int            { return a.p.Len() }
-func (a planAdapter) Fingerprint() uint64 { return a.p.Fingerprint() }
-func (a planAdapter) Exec(unit int) ([]dist.Record, error) {
-	vals, err := a.p.Execute(unit)
-	if err != nil {
-		return nil, err
-	}
-	keys := a.p.UnitKeys(unit)
-	recs := make([]dist.Record, len(vals))
-	for i, v := range vals {
-		recs[i] = dist.Record{Key: keys[i], Val: v}
-	}
-	return recs, nil
-}
-
 // WorkerMain is the whole worker subprocess: speak the protocol over
 // in/out, execute leased units, exit. The returned code follows the
 // repo's convention — 0 clean, 1 error, 130 interrupted — so a worker
@@ -106,7 +83,7 @@ func WorkerMain(in io.Reader, out io.Writer, stop <-chan struct{}, logf func(for
 			if err != nil {
 				return nil, err
 			}
-			return planAdapter{p: plan}, nil
+			return plan, nil
 		},
 	})
 	if err != nil {

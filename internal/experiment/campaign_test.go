@@ -115,12 +115,12 @@ func TestPlanExecuteGeneratesEachTraceOnce(t *testing.T) {
 		t.Fatalf("plan has %d groups for %d distinct traces", plan.Len(), len(traces))
 	}
 	for g := 0; g < plan.Len(); g++ {
-		raws, err := plan.Execute(g)
+		recs, err := plan.Exec(g)
 		if err != nil {
 			t.Fatalf("group %d: %v", g, err)
 		}
-		if len(raws) != len(plan.UnitKeys(g)) {
-			t.Fatalf("group %d: %d results for %d keys", g, len(raws), len(plan.UnitKeys(g)))
+		if len(recs) != len(plan.UnitKeys(g)) {
+			t.Fatalf("group %d: %d results for %d keys", g, len(recs), len(plan.UnitKeys(g)))
 		}
 		if c := TraceCacheStats(); c.Bytes != 0 {
 			t.Fatalf("group %d left %d trace bytes resident", g, c.Bytes)

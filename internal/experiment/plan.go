@@ -2,9 +2,10 @@ package experiment
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"hash/fnv"
+
+	"bcache/internal/reclog"
 )
 
 // A Plan is the distributable view of a campaign: the deterministic,
@@ -44,14 +45,16 @@ func (p *Plan) UnitKeys(i int) []string {
 	return keys
 }
 
-// Execute runs every unit of group i in one pass and returns the JSON
-// of its results, one per UnitKeys(i) entry, as the checkpoint stores
-// them. A worker runs a leased group outside the scheduler and holds
-// no checkpoint, so every unit of the group runs. Any unit failing —
-// by error or panic, including the generator's, or by disagreeing with
-// another unit of the group on a key both answer (checkCommits) —
-// fails the call, and the worker reports it instead of dying.
-func (p *Plan) Execute(i int) (raws []json.RawMessage, err error) {
+// Exec runs every unit of group i in one pass and returns its records:
+// one per UnitKeys(i) entry, in that order, each holding the JSON of a
+// result as the checkpoint stores it. This makes *Plan a dist.Plan,
+// whose unit i is group i. A worker runs a leased group outside the
+// scheduler and holds no checkpoint, so every unit of the group runs.
+// Any unit failing — by error or panic, including the generator's, or
+// by disagreeing with another unit of the group on a key both answer
+// (checkCommits) — fails the call, and the worker reports it instead of
+// dying.
+func (p *Plan) Exec(i int) (recs []reclog.Record, err error) {
 	defer recovered(p.starts[i], &err)
 	us := p.group(i)
 	idx := make([]int, len(us))
@@ -69,7 +72,14 @@ func (p *Plan) Execute(i int) (raws []json.RawMessage, err error) {
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-	return encode(vals)
+	raws, err := encode(vals)
+	if err != nil {
+		return nil, err
+	}
+	for x, k := range p.UnitKeys(i) {
+		recs = append(recs, reclog.Record{Key: k, Val: raws[x]})
+	}
+	return recs, nil
 }
 
 // Fingerprint folds every unit key, each followed by a 0xFF separator,

@@ -67,7 +67,7 @@ func TestRunUnitsPanicIsolation(t *testing.T) {
 	}
 }
 
-// TestPlanExecutePanicIsUnitError: a worker's Plan.Execute has the
+// TestPlanExecutePanicIsUnitError: a worker's Plan.Exec has the
 // scheduler's crash boundary, so a group with a panicking engine returns
 // an error the worker reports, and the plan's later groups run.
 func TestPlanExecutePanicIsUnitError(t *testing.T) {
@@ -85,12 +85,12 @@ func TestPlanExecutePanicIsUnitError(t *testing.T) {
 		newUnit(opts, fine, "fine", []string{"fine"}, dataStream, seven),
 	}
 	plan := &Plan{units: us, starts: append(groupStarts(us), len(us))}
-	if _, err := plan.Execute(0); !errors.Is(err, errUnitPanic) || !strings.Contains(err.Error(), "boom in a planned unit") {
-		t.Fatalf("Execute(panicking group) = %v, want an error wrapping errUnitPanic", err)
+	if _, err := plan.Exec(0); !errors.Is(err, errUnitPanic) || !strings.Contains(err.Error(), "boom in a planned unit") {
+		t.Fatalf("Exec(panicking group) = %v, want an error wrapping errUnitPanic", err)
 	}
-	vals, err := plan.Execute(1)
-	if err != nil || len(vals) != 1 || string(vals[0]) != "7" {
-		t.Fatalf("Execute after a panic = %s, %v; want [7]", vals, err)
+	recs, err := plan.Exec(1)
+	if err != nil || len(recs) != 1 || recs[0].Key != "fine" || string(recs[0].Val) != "7" {
+		t.Fatalf("Exec after a panic = %+v, %v; want [fine: 7]", recs, err)
 	}
 }
 

@@ -204,7 +204,7 @@ func TestPlanWorkerHoldsOneRecordTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, g := range []int{0, 1, 2, plan.Len() - 1, 3, plan.Len() - 2} {
-		if _, err := plan.Execute(g); err != nil {
+		if _, err := plan.Exec(g); err != nil {
 			t.Fatal(err)
 		}
 		if c := TraceCacheStats(); c.Bytes != 0 || c.PeakBytes != passBytes(0) {
@@ -216,7 +216,7 @@ func TestPlanWorkerHoldsOneRecordTrace(t *testing.T) {
 // TestDoubleCommitMismatch: a result is a pure function of its key, so
 // two units that answer one key must commit byte-identical JSON. A unit
 // that disagrees with a result committed before it fails with an error
-// naming both units — in its own group, in a worker's Plan.Execute, and
+// naming both units — in its own group, in a worker's Plan.Exec, and
 // against the checkpoint a resumed run restored — while one that agrees
 // commits.
 func TestDoubleCommitMismatch(t *testing.T) {
@@ -246,8 +246,8 @@ func TestDoubleCommitMismatch(t *testing.T) {
 		t.Error("the disagreeing unit committed")
 	}
 	plan := &Plan{units: us, starts: []int{0, len(us)}}
-	if _, err := plan.Execute(0); !names(err, "first", "disagrees") {
-		t.Errorf("Plan.Execute of a disagreeing group: error %v", err)
+	if _, err := plan.Exec(0); !names(err, "first", "disagrees") {
+		t.Errorf("Plan.Exec of a disagreeing group: error %v", err)
 	}
 	resumed := opts
 	resumed.Checkpoint = NewCheckpoint("")

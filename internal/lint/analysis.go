@@ -8,16 +8,17 @@
 // (atomicdiscipline), per-shard rng streams and capture hygiene in
 // goroutine bodies (splitstream), and provable goroutine lifecycles
 // (goroutinelife). The concurrency analyzers share cross-package facts
-// (facts.go) in both drive modes, so exported ...Locked helpers,
-// atomic fields, concurrent runners, and self-stopping functions are
-// checked at call sites in other packages too.
+// (facts.go) through the one store a Load hands its packages, so
+// exported ...Locked helpers, atomic fields, concurrent runners, and
+// self-stopping functions are checked at call sites in other packages
+// too.
 //
 // The types here deliberately mirror golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic) so the analyzers port mechanically to
 // the upstream framework; the build environment is offline, so the
-// scaffolding — package loading (load.go), the `go vet -vettool`
-// protocol (unitchecker.go), and the testdata harness
-// (analysistest/) — is reimplemented on the standard library alone.
+// scaffolding — package loading (load.go), the one driver every caller
+// shares, and the testdata harness (analysistest/) — is reimplemented
+// on the standard library alone.
 //
 // Findings are suppressed line-by-line with a directive comment:
 //
@@ -72,12 +73,14 @@ type Pass struct {
 	// PkgPath is the import path as the build system reported it; for a
 	// test variant it carries the " [pkg.test]" suffix.
 	PkgPath string
-	// Complete marks the widest compilation of this package available
-	// to the run: the test variant when test files exist, the plain
-	// package otherwise. Whole-package requirements (oraclepair's
-	// symbol-existence and test-presence checks) run only on complete
-	// passes so the plain half of a (plain, variant) pair does not
-	// false-positive on symbols declared in _test.go files.
+	// Complete marks the widest compilation of this package: the test
+	// variant when test files exist, the plain package otherwise. A
+	// pass is incomplete only when its package was loaded as a
+	// dependency of the patterns, without its test files.
+	// Whole-package requirements (oraclepair's symbol-existence and
+	// test-presence checks) run only on complete passes, so a pass that
+	// cannot see a package's _test.go files never reports their symbols
+	// gone.
 	Complete bool
 
 	diags *[]Diagnostic
@@ -235,8 +238,8 @@ type checkedPackage struct {
 	info     *types.Info
 	pkgPath  string
 	complete bool
-	// facts is shared by every checkedPackage of one Load (or one vet
-	// unit): dependency-order analysis fills it before dependents read.
+	// facts is shared by every checkedPackage of one Load:
+	// dependency-order analysis fills it before dependents read.
 	facts *factStore
 }
 

@@ -1,14 +1,8 @@
 package lint
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 )
 
 // Cross-package facts.
@@ -18,28 +12,16 @@ import (
 // even though the helper's body lives in another compilation, and a
 // closure handed to an exported goroutine-spawning runner must obey the
 // split-stream rules even though the `go` statement is elsewhere. The
-// x/tools framework solves this with typed facts serialized into .vetx
-// files; this file is the stdlib reimplementation: a Fact is one
-// (object, kind, detail) triple exported by a package's analyzers and
-// visible to every package that imports it.
+// x/tools framework solves this with typed facts; this file is the
+// stdlib reimplementation: a Fact is one (object, kind, detail) triple
+// exported by a package's analyzers and visible to every package that
+// imports it.
 //
-// Facts flow two ways, mirroring the two drive modes:
-//
-//   - standalone (Load): `go list -deps` emits dependencies before
-//     dependents, Load preserves that order, and every checkedPackage
-//     of one Load shares a factStore — by the time a package's
-//     analyzers run, its in-module dependencies' facts are already in
-//     the store.
-//   - vet (`go vet -vettool=`): the go command hands each unit the
-//     .vetx paths of its dependencies (PackageVetx) and requires one
-//     back (VetxOutput). Units decode the former into their store and
-//     encode their own facts into the latter.
-//
-// The encoding is deliberately boring — a version line plus one JSON
-// object per fact, sorted and deduplicated — so that the same tree
-// always produces byte-identical .vetx files (`make lint-facts-clean`
-// gates on exactly this; nondeterministic fact encoding would defeat
-// the go command's vet caching and mask real diffs).
+// Facts flow dependency-first through one in-memory factStore: `go
+// list -deps` emits dependencies before dependents, Load preserves that
+// order, and every checkedPackage of one Load shares the store, so by
+// the time a package's analyzers run, its in-module dependencies' facts
+// are already there. Nothing is written to disk.
 
 // Fact kinds exported by the concurrency analyzers.
 const (
@@ -64,9 +46,9 @@ const (
 // Object is "Func" for functions and "Type.Member" for methods and
 // fields; Kind is one of the Fact* constants; Detail is kind-specific.
 type Fact struct {
-	Object string `json:"object"`
-	Kind   string `json:"kind"`
-	Detail string `json:"detail,omitempty"`
+	Object string
+	Kind   string
+	Detail string
 }
 
 // factStore accumulates facts per base (undecorated) package path for
@@ -113,51 +95,6 @@ func (s *factStore) facts(pkg string) []Fact {
 	return out
 }
 
-// vetxHeader is the first line of a bcachelint fact file. Files without
-// it (including the pre-facts "bcachelint-no-facts" stubs) decode as
-// empty — a tool version skew degrades to suffix-only checking, never
-// to an error.
-const vetxHeader = "bcachelint-facts v1"
-
-// encode renders pkg's facts in the stable .vetx form: the header line
-// followed by one canonical JSON object per fact, sorted. The output is
-// a pure function of the fact set, so two runs over an unchanged tree
-// produce byte-identical files.
-func (s *factStore) encode(pkg string) []byte {
-	var buf bytes.Buffer
-	buf.WriteString(vetxHeader)
-	buf.WriteByte('\n')
-	for _, f := range s.facts(pkg) {
-		b, err := json.Marshal(f)
-		if err != nil {
-			continue // a Fact of plain strings cannot fail to marshal
-		}
-		buf.Write(b)
-		buf.WriteByte('\n')
-	}
-	return buf.Bytes()
-}
-
-// decodeInto parses one fact file into pkg's slot. Unknown headers and
-// malformed lines are skipped, not fatal: a stale or foreign .vetx must
-// never break the build it is meant to check.
-func (s *factStore) decodeInto(pkg string, data []byte) {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	if !sc.Scan() || sc.Text() != vetxHeader {
-		return
-	}
-	for sc.Scan() {
-		var f Fact
-		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
-			continue
-		}
-		if f.Object == "" || f.Kind == "" {
-			continue
-		}
-		s.add(pkg, f)
-	}
-}
-
 // ExportFact records a fact about a package-level object of the current
 // package, visible to every later-analyzed package that imports it.
 func (p *Pass) ExportFact(object, kind, detail string) {
@@ -192,40 +129,6 @@ func (p *Pass) FindImportedFact(pkgPath, kind, object string) (Fact, bool) {
 		}
 	}
 	return Fact{}, false
-}
-
-// vetxFileName maps an import path to the file name used by the
-// -write-facts directory ("bcache/internal/dist" → bcache_internal_dist.vetx).
-func vetxFileName(pkgPath string) string {
-	return strings.ReplaceAll(pkgPath, "/", "_") + ".vetx"
-}
-
-// WriteFacts writes one .vetx fact file per analyzed base package into
-// dir (created if absent). RunAnalyzers must have run on each package
-// first — facts are a product of analysis. The files use the same
-// stable encoding as vet-mode VetxOutput, which is what `make
-// lint-facts-clean` diffs across two runs to prove the encoding (and
-// the analyzers feeding it) deterministic.
-func WriteFacts(pkgs []*checkedPackage, dir string) error {
-	if err := os.MkdirAll(dir, 0o777); err != nil {
-		return err
-	}
-	seen := map[string]bool{}
-	for _, cp := range pkgs {
-		if cp.facts == nil {
-			continue
-		}
-		base := basePkgPath(cp.pkgPath)
-		if seen[base] {
-			continue
-		}
-		seen[base] = true
-		name := filepath.Join(dir, vetxFileName(base))
-		if err := os.WriteFile(name, cp.facts.encode(base), 0o666); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // objectName renders the fact-object form of a package-level function,

@@ -50,7 +50,8 @@ func TestDirectives(t *testing.T) {
 
 // TestOraclePair swaps in a fixture manifest: the good package keeps
 // both twins and its differential test, the bad package has lost its
-// oracle, one declared test, and the surviving test's oracle reference.
+// oracle, one declared test, and the surviving test's oracle reference,
+// and the notests package keeps both twins but has no test file at all.
 // The user package only imports good.
 func TestOraclePair(t *testing.T) {
 	defer func(old []lint.Pair) { lint.Manifest = old }(lint.Manifest)
@@ -72,6 +73,15 @@ func TestOraclePair(t *testing.T) {
 			Oracle:      "Oracle",
 			TestPackage: "testdata/src/oraclepair/bad",
 			Tests:       []string{"TestGone", "TestIgnoresOracle"},
+		},
+		{
+			Name:        "notests-pair",
+			Why:         "fixture",
+			Pkg:         "testdata/src/oraclepair/notests",
+			Fast:        "Fast",
+			Oracle:      "Oracle",
+			TestPackage: "testdata/src/oraclepair/notests",
+			Tests:       []string{"TestFastMatchesOracle"},
 		},
 	}
 	analysistest.Run(t, lint.OraclePair, "./testdata/src/oraclepair/...")

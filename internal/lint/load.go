@@ -16,12 +16,13 @@ import (
 	"strings"
 )
 
-// The standalone loader shells out to `go list -test -deps -export
-// -json`, which compiles every dependency's export data into the build
-// cache, then re-type-checks each target package from source against
-// that export data with the standard library's gc importer. This is the
-// offline substitute for x/tools/go/packages: no network, no third-party
-// code, and positions/types identical to what the compiler saw.
+// The loader, the linter's one driver, shells out to `go list -test
+// -deps -export -json`, which compiles every dependency's export data
+// into the build cache, then re-type-checks each target package from
+// source against that export data with the standard library's gc
+// importer. This is the offline substitute for x/tools/go/packages: no
+// network, no third-party code, and positions/types identical to what
+// the compiler saw.
 
 // listPackage is the subset of `go list -json` output the loader needs.
 // The tags restate the go command's field names — this struct mirrors an

@@ -106,7 +106,7 @@ func guardedMutex(field *ast.Field) string {
 
 // exportLockedFacts publishes a requiresHeld fact for every ...Locked
 // function and method declared here, so callers in packages analyzed
-// later (standalone) or in dependent vet units see the contract.
+// later see the contract.
 func exportLockedFacts(pass *Pass) {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {

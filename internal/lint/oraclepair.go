@@ -25,10 +25,11 @@ import (
 // Symbols are "Name" for package-level objects or "Type.member" for
 // methods and fields; oracleInTest marks oracles that live in _test.go
 // files. Existence and test-presence checks run only on Complete
-// passes, so the plain compilation of a package never false-positives
-// on test-file symbols; `make lint`'s standalone run always analyzes
-// the widest compilation and so also catches a package whose test files
-// were deleted wholesale.
+// passes, so a package loaded as a dependency, without its test files,
+// never false-positives on test-file symbols. A package the patterns
+// name is always analyzed in its widest compilation, so a package whose
+// test files were deleted wholesale is still checked, and its declared
+// tests are reported gone.
 var OraclePair = &Analyzer{
 	Name: "oraclepair",
 	Doc:  "every fast/oracle twin in the manifest keeps both symbols and a live differential test referencing them",
