@@ -1,16 +1,18 @@
 // Package cpu implements the out-of-order processor timing model used to
 // turn cache behaviour into IPC, matching the paper's Table 4
-// configuration: 4-wide fetch/issue/retire, a 16-entry instruction
+// configuration: 4-wide issue and retire, a 16-entry instruction
 // window, and the hier package's two-level memory system.
 //
 // The model is an interval ("timestamp dataflow") simulator: instructions
 // dispatch in order at up to IssueWidth per cycle into a Window-entry
 // reorder buffer, execute as soon as their register operands are ready
 // (loads additionally pay the data-cache latency), and retire in order at
-// up to RetireWidth per cycle. Instruction fetch charges the instruction
-// cache once per line or taken branch. Branch prediction is ideal — the
-// paper holds the front end constant across cache configurations, so the
-// relative IPC between configurations is preserved.
+// up to RetireWidth per cycle. Fetch has no width of its own: it charges
+// the instruction cache once per line or taken branch, a miss delays the
+// instructions behind it, and dispatch is the IssueWidth-wide limit.
+// Branch prediction is ideal — the paper holds the front end constant
+// across cache configurations, so the relative IPC between
+// configurations is preserved.
 //
 // A Core holds one run's state between chunks of its stream, so a
 // caller that produces the stream a chunk at a time (the experiment
@@ -28,7 +30,6 @@ import (
 
 // Config is the core configuration (paper Table 4).
 type Config struct {
-	FetchWidth  int // instructions fetched per cycle
 	IssueWidth  int // instructions dispatched/issued per cycle
 	RetireWidth int // instructions retired per cycle
 	Window      int // instruction window (reorder buffer) entries
@@ -40,16 +41,21 @@ type Config struct {
 // Defaults returns the Table 4 baseline: a 4-issue core with a 16-entry
 // instruction window and a dual-ported data cache.
 func Defaults() Config {
-	return Config{FetchWidth: 4, IssueWidth: 4, RetireWidth: 4, Window: 16, MemPorts: 2}
+	return Config{IssueWidth: 4, RetireWidth: 4, Window: 16, MemPorts: 2}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Neither width may exceed the
+// window: Core looks IssueWidth and RetireWidth instructions back in a
+// Window-entry ring, which holds no further.
 func (c Config) Validate() error {
-	if c.FetchWidth <= 0 || c.IssueWidth <= 0 || c.RetireWidth <= 0 {
+	if c.IssueWidth <= 0 || c.RetireWidth <= 0 {
 		return fmt.Errorf("cpu: non-positive width in %+v", c)
 	}
 	if c.Window < c.IssueWidth {
 		return fmt.Errorf("cpu: window %d smaller than issue width %d", c.Window, c.IssueWidth)
+	}
+	if c.Window < c.RetireWidth {
+		return fmt.Errorf("cpu: window %d smaller than retire width %d", c.Window, c.RetireWidth)
 	}
 	if c.MemPorts < 0 {
 		return fmt.Errorf("cpu: negative memory ports in %+v", c)

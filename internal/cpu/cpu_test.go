@@ -183,9 +183,10 @@ func TestRunBounded(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{FetchWidth: 0, IssueWidth: 4, RetireWidth: 4, Window: 16},
-		{FetchWidth: 4, IssueWidth: 4, RetireWidth: 4, Window: 2},
-		{FetchWidth: 4, IssueWidth: -1, RetireWidth: 4, Window: 16},
+		{IssueWidth: 4, RetireWidth: 4, Window: 2},
+		{IssueWidth: -1, RetireWidth: 4, Window: 16},
+		{IssueWidth: 4, RetireWidth: 0, Window: 16},
+		{IssueWidth: 4, RetireWidth: 5, Window: 4},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -194,6 +195,29 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(trace.NewSliceStream(nil), nil, Defaults(), 1); err == nil {
 		t.Fatal("Run accepted nil hierarchy")
+	}
+}
+
+// TestRetireWidthMonotone: on independent one-cycle ints behind a
+// 4-entry window and 4-wide issue, a wider retire never lowers IPC, up
+// to the window (TestConfigValidation rejects a wider one).
+func TestRetireWidthMonotone(t *testing.T) {
+	recs := ints(10000)
+	prev := 0.0
+	for rw := 1; rw <= 4; rw++ {
+		cfg := Config{IssueWidth: 4, RetireWidth: rw, Window: 4}
+		res, err := Run(trace.NewSliceStream(recs), newHier(t, 16*1024), cfg, uint64(len(recs)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ipc := res.IPC(); ipc < prev {
+			t.Errorf("retire width %d: IPC %.3f below %.3f at width %d", rw, ipc, prev, rw-1)
+		} else {
+			prev = ipc
+		}
+	}
+	if prev < 3.5 {
+		t.Errorf("IPC %.3f at retire width 4, want ≈4", prev)
 	}
 }
 

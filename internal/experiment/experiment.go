@@ -105,9 +105,8 @@ func (res results) complete(us []unit) bool {
 //     one profile answering all their keys (mergeProfiles), whichever
 //     experiments and L1 sizes asked;
 //   - a unit is kept only if no other kept unit answers every one of
-//     its keys (cover): fig9's units yield to fig8's, fig4's victim16
-//     and MF8 replays to the timed units of those specs, which answer
-//     the same L1 keys.
+//     its keys (cover): fig9's units yield to fig8's, fig4's MF8
+//     replays to the timed MF8 units, which answer the same L1 keys.
 //
 // A unit that overlaps a kept one only partly is kept whole, and the
 // keys they share are committed twice (checkCommits compares them).

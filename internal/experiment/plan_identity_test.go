@@ -163,7 +163,11 @@ func TestPlanCampaignKeepsNarrowerSweeps(t *testing.T) {
 // the unit enumeration must leave them where they are. The key count
 // counts a key once per unit committing it. The fingerprint
 // is that of the trace-major order campaignUnits produces, grouped by
-// trace. Every simulating experiment contributes units.
+// trace. Every simulating experiment contributes units. The profile
+// units answer every victim16 key, so fig12's victim16 replays are not
+// planned, and the 16 kB seed-0 victim16 keys are committed twice: by
+// the profile and by the timed victim16 unit (checkCommits compares
+// them).
 func TestPlanCampaignPinned(t *testing.T) {
 	opts := tinyPlanOpts()
 	opts.Checkpoint = nil
@@ -175,12 +179,22 @@ func TestPlanCampaignPinned(t *testing.T) {
 	for i := 0; i < plan.Len(); i++ {
 		keys += len(plan.UnitKeys(i))
 	}
-	if plan.Len() != 26 || len(plan.units) != 1665 || keys != 2573 {
-		t.Errorf("plan has %d groups of %d units committing %d keys, want 26, 1665 and 2573",
+	if plan.Len() != 26 || len(plan.units) != 1583 || keys != 2614 {
+		t.Errorf("plan has %d groups of %d units committing %d keys, want 26, 1583 and 2614",
 			plan.Len(), len(plan.units), keys)
 	}
-	if fp := plan.Fingerprint(); fp != 0xada3835759bd0da2 {
-		t.Errorf("plan fingerprint %#x, want 0xada3835759bd0da2", fp)
+	if fp := plan.Fingerprint(); fp != 0xadb6a5a12c32c4d0 {
+		t.Errorf("plan fingerprint %#x, want 0xadb6a5a12c32c4d0", fp)
+	}
+	victim := fig4Sweep(opts).key(victimSpec(16), 0, "gcc")
+	var by []string
+	for _, u := range plan.units {
+		if slices.Contains(u.keys, victim) {
+			by = append(by, u.label)
+		}
+	}
+	if want := []string{"gcc/lru-profile/seed0", "timed/gcc/victim16"}; !slices.Equal(by, want) {
+		t.Errorf("%s is committed by %q, want %q", victim, by, want)
 	}
 	simulating := 0
 	for _, e := range All() {
@@ -206,9 +220,10 @@ func TestPlanCampaignPinned(t *testing.T) {
 // the experiment's own plan, and which units the cover rule keeps does
 // not depend on the order the experiments are declared in. In the full
 // plan each (trace, side, line) has one stack-distance unit, answering
-// every L1 size. Alone, fig4 still plans its victim16 and MF8 replays
-// and xrelated its own profile, victim16 and MF8 units; under
-// DisableStackDist fig4 replays every LRU spec, the profiler's oracle.
+// every L1 size. Alone, fig4 still plans its MF8 replays and xrelated
+// its own profile and MF8 units; the profile answers victim16, so
+// neither replays it. Under DisableStackDist fig4 replays every LRU
+// and victim spec, the profiler's oracle.
 func TestPlanCommitsEveryKey(t *testing.T) {
 	opts := tinyPlanOpts()
 	opts.Checkpoint = nil
@@ -293,11 +308,14 @@ func TestPlanCommitsEveryKey(t *testing.T) {
 	replay.DisableStackDist = true
 	oracle := labels(replay, "fig4")
 	for _, p := range workload.All() {
-		for _, spec := range []string{profileSpecName, "victim16", "MF8"} {
+		for _, spec := range []string{profileSpecName, "MF8"} {
 			l := p.Name + "/" + spec + "/seed0"
 			if !fig4[l] || !xrelated[l] {
 				t.Errorf("%s: planned by fig4 alone %v, by xrelated alone %v", l, fig4[l], xrelated[l])
 			}
+		}
+		if l := p.Name + "/victim16/seed0"; fig4[l] || xrelated[l] {
+			t.Errorf("%s: replayed by fig4 alone %v, by xrelated alone %v", l, fig4[l], xrelated[l])
 		}
 		if oracle[p.Name+"/"+profileSpecName+"/seed0"] {
 			t.Errorf("%s: fig4 profiles under DisableStackDist", p.Name)

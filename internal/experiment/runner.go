@@ -134,6 +134,10 @@ type Spec struct {
 	// counts the scheduler may derive from a shared stack-distance
 	// profile instead of a dedicated replay (see sweep.units).
 	LRUWays int
+	// Victim, when positive, marks the spec as a direct-mapped cache
+	// behind a victim buffer of that many lines, which the same profile
+	// answers at every buffer size.
+	Victim int
 }
 
 // key returns the canonical configuration identity for unit keys.
@@ -177,6 +181,7 @@ func victimSpec(entries int) Spec {
 		New: func(size, line int) (cache.Cache, error) {
 			return victim.New(size, line, entries)
 		},
+		Victim: entries,
 	}
 }
 
@@ -592,8 +597,9 @@ func cacheCounters(c cache.Cache) UnitResult {
 }
 
 // lruShape is what a stack-distance unit profiles: one side's stream at
-// one line size, against the LRU geometry behind each of the unit's
-// keys.
+// one line size, against the geometry behind each of the unit's keys:
+// an LRU (sets, ways) shape, or a direct-mapped array and the depth of
+// the victim buffer behind it.
 type lruShape struct {
 	side  side
 	line  int
@@ -602,8 +608,10 @@ type lruShape struct {
 
 // profileEngine answers every geometry of sh with a single Mattson
 // stack-distance pass: under LRU's inclusion property an access hits a
-// (sets, ways) cache iff its per-set reuse distance is below ways, so
-// one profile yields the same hit/miss counts a per-spec replay would —
+// (sets, ways) cache iff its per-set reuse distance is below ways, and
+// a victim buffer of V lines hits iff the line is among the V most
+// recent direct-mapped evictions not back in the array, so one profile
+// yields the same counters a per-spec replay would (cacheCounters) —
 // bit-identically — at a fraction of the work. It is the
 // stack-distance counterpart of replayEngine.
 func profileEngine(sh lruShape) (engine[[]UnitResult], error) {
@@ -626,11 +634,17 @@ func profileEngine(sh lruShape) (engine[[]UnitResult], error) {
 	return engine[[]UnitResult]{feed: feed, results: func() ([]UnitResult, error) {
 		out := make([]UnitResult, len(sh.geoms))
 		for x, g := range sh.geoms {
-			misses, err := prof.Misses(g.Sets, g.Ways)
+			u := UnitResult{Accesses: prof.Accesses()}
+			var err error
+			if g.Victim > 0 {
+				u.Misses, u.BufferHits, err = prof.VictimMisses(g.Sets, g.Victim)
+			} else {
+				u.Misses, err = prof.Misses(g.Sets, g.Ways)
+			}
 			if err != nil {
 				return nil, err
 			}
-			out[x] = UnitResult{Misses: misses, Accesses: prof.Accesses()}
+			out[x] = u
 		}
 		return out, nil
 	}}, nil
@@ -657,12 +671,13 @@ func (s side) stream(lineBytes int) stream {
 }
 
 // lruSpecIndices partitions all into stack-distance-profileable specs
-// (pure LRU set-associative shapes valid at the run's geometry) and the
-// rest, which replay individually.
+// (pure LRU set-associative shapes valid at the run's geometry, and
+// victim buffers behind its direct-mapped array) and the rest, which
+// replay individually.
 func lruSpecIndices(opts Opts, all []Spec) (lru, replayed []int) {
 	frames := opts.L1Size / opts.LineBytes
 	for si, sp := range all {
-		if !opts.DisableStackDist && sp.LRUWays > 0 && sp.LRUWays <= frames {
+		if !opts.DisableStackDist && (sp.LRUWays > 0 && sp.LRUWays <= frames || sp.Victim > 0) {
 			lru = append(lru, si)
 		} else {
 			replayed = append(replayed, si)
@@ -701,15 +716,20 @@ func (sw sweep) key(spec Spec, k int, profile string) string {
 
 // units enumerates the sweep's work units, each on the trace of one
 // (profile, seed): one stack-distance pass answering every profileable
-// LRU spec, then one replay per remaining spec (all of them under
-// Opts.DisableStackDist, the profiler's differential oracle). Each
-// commits one result per spec it answers, under that spec's key.
+// spec (LRU shapes and victim buffers), then one replay per remaining
+// spec (all of them under Opts.DisableStackDist, the profiler's
+// differential oracle). Each commits one result per spec it answers,
+// under that spec's key.
 func (sw sweep) units() []unit {
 	all := sw.all()
 	lru, replayed := lruSpecIndices(sw.opts, all)
 	frames := sw.opts.L1Size / sw.opts.LineBytes
 	shape := lruShape{side: sw.side, line: sw.opts.LineBytes, geoms: make([]stackdist.Geom, len(lru))}
 	for x, si := range lru {
+		if v := all[si].Victim; v > 0 {
+			shape.geoms[x] = stackdist.Geom{Sets: frames, Ways: 1, Victim: v}
+			continue
+		}
 		w := all[si].LRUWays
 		shape.geoms[x] = stackdist.Geom{Sets: frames / w, Ways: w}
 	}

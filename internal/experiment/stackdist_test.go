@@ -27,15 +27,16 @@ func gridProfiles(t *testing.T) []*workload.Profile {
 
 // TestStackDistMatchesReplay is the end-to-end differential: miss-rate
 // results derived from the one-pass stack-distance profile must be
-// bit-identical (hit and miss counts) to the per-spec replay oracle
-// across a capacity × associativity × profile × side grid.
+// bit-identical (hit and miss counts, and a victim buffer's hits) to the
+// per-spec replay oracle across a capacity × associativity × profile ×
+// side grid.
 func TestStackDistMatchesReplay(t *testing.T) {
 	profiles := gridProfiles(t)
 	specs := []Spec{
 		setAssocSpec(2, energy.Way2),
 		setAssocSpec(8, energy.Way8),
 		setAssocSpec(32, energy.Way32),
-		victimSpec(4), // non-LRU spec: must replay identically in both modes
+		victimSpec(4), // profiled behind the direct-mapped array, replayed under DisableStackDist
 	}
 	for _, size := range []int{8 * 1024, 16 * 1024} {
 		for _, s := range []side{dSide, iSide} {
@@ -55,9 +56,9 @@ func TestStackDistMatchesReplay(t *testing.T) {
 				for _, p := range profiles {
 					for _, name := range []string{"baseline", "2way", "8way", "32way", "victim4"} {
 						f, o := fast[p.Name][name], oracle[p.Name][name]
-						if f.misses != o.misses || f.accesses != o.accesses {
-							t.Errorf("%s/%s: profile (m=%d a=%d) != replay (m=%d a=%d)",
-								p.Name, name, f.misses, f.accesses, o.misses, o.accesses)
+						if f.misses != o.misses || f.accesses != o.accesses || f.bufferHits != o.bufferHits {
+							t.Errorf("%s/%s: profile (m=%d a=%d b=%d) != replay (m=%d a=%d b=%d)",
+								p.Name, name, f.misses, f.accesses, f.bufferHits, o.misses, o.accesses, o.bufferHits)
 						}
 					}
 				}

@@ -145,6 +145,9 @@ type Injector struct {
 	bc     *core.BCache // non-nil when the target has a PD to scrub
 	cfg    Config
 	rng    *rng.Source
+	// rate is rng.Threshold(cfg.Rate): an access injects when a draw
+	// falls below it, the same decision as a Float64 draw below Rate.
+	rate uint64
 
 	// domains and weights are the injectable domains and their bit
 	// counts; totalBits is the sum (sites are chosen uniformly over
@@ -183,6 +186,7 @@ func Wrap(c cache.Cache, cfg Config) (*Injector, error) {
 		target:   t,
 		cfg:      cfg,
 		rng:      rng.New(cfg.Seed),
+		rate:     rng.Threshold(cfg.Rate),
 		logLimit: cfg.LogLimit,
 	}
 	if in.logLimit <= 0 {
@@ -231,7 +235,7 @@ func (in *Injector) Degraded() bool { return in.bc != nil && in.bc.Degraded() }
 // access on the wrapped model, then run any scheduled scrub.
 func (in *Injector) Access(a addr.Addr, write bool) cache.Result {
 	in.accesses++
-	if in.cfg.Rate > 0 && in.rng.Float64() < in.cfg.Rate {
+	if in.cfg.Rate > 0 && in.rng.Below(in.rate) {
 		in.inject()
 	}
 	res := in.inner.Access(a, write)

@@ -73,6 +73,9 @@ func NewFIFOProfile(lineBytes int, geoms []Geom) (*FIFOProfile, error) {
 		if g.Sets <= 0 || !addr.IsPow2(uint64(g.Sets)) {
 			return nil, fmt.Errorf("stackdist: set count %d is not a positive power of two", g.Sets)
 		}
+		if g.Victim != 0 {
+			return nil, fmt.Errorf("stackdist: a FIFO profile has no victim buffer (geometry %+v)", g)
+		}
 		if seen[g] {
 			continue
 		}

@@ -122,29 +122,31 @@ func (p *Profiler) Access(block addr.Addr) {
 }
 
 // accessShallow scans the set's move-to-front array: the hit position is
-// the stack distance, and the scan's rotation restores MRU order. A
-// block not in the top maxWays misses every tracked associativity
-// whether it is cold or merely deep, so it lands in over either way.
+// the stack distance. The scan rotates as it goes, each line it passes
+// moving one place down, so one loop also restores MRU order, with no
+// copy call (stacks are at most shallowWays deep and real distances are
+// small). A block not in the top maxWays misses every tracked
+// associativity whether it is cold or merely deep, so it lands in over
+// either way.
 func (p *Profiler) accessShallow(block addr.Addr) {
-	base := int(block&p.setMask) * p.maxWays
-	n := int(p.fill[block&p.setMask])
+	set := block & p.setMask
+	base := int(set) * p.maxWays
+	n := int(p.fill[set])
 	stk := p.stk[base : base+n]
+	prev := block
 	for i, b := range stk {
+		stk[i] = prev
 		if b == block {
 			p.hist[i]++
-			copy(stk[1:i+1], stk[:i])
-			stk[0] = block
 			return
 		}
+		prev = b
 	}
 	p.over++
 	if n < p.maxWays {
-		p.fill[block&p.setMask]++
-		n++
+		p.fill[set]++
+		p.stk[base+n] = prev
 	}
-	stk = p.stk[base : base+n]
-	copy(stk[1:], stk[:n-1])
-	stk[0] = block
 }
 
 func (p *Profiler) accessDeep(block addr.Addr) {

@@ -6,22 +6,28 @@ import (
 	"bcache/internal/addr"
 )
 
-// Geom names one LRU cache shape a Profile must answer: a power-of-two
-// set count and an associativity. Capacity is Sets*Ways lines.
+// Geom names one cache shape a Profile must answer: a power-of-two set
+// count and an associativity, LRU throughout. Capacity is Sets*Ways
+// lines. A positive Victim puts a Victim-line victim buffer behind a
+// direct-mapped (Ways 1) array of Sets lines.
 type Geom struct {
-	Sets int
-	Ways int
+	Sets   int
+	Ways   int
+	Victim int
 }
 
 // Profile profiles one address stream at several set-index
 // granularities simultaneously, deriving hit/miss counts for every
 // requested LRU (sets, ways) geometry — and any smaller associativity at
 // the same set counts — from a single pass. Geometries sharing a set
-// count share one Profiler.
+// count share one Profiler. Victim geometries sharing a set count share
+// one victim level, which answers every buffer depth up to the largest
+// requested.
 type Profile struct {
 	lineShift uint
 	profs     []*Profiler // ascending by set count
 	bySets    map[int]*Profiler
+	victims   []*victimLevel // ascending by set count
 	total     uint64
 }
 
@@ -34,13 +40,22 @@ func NewProfile(lineBytes int, geoms []Geom) (*Profile, error) {
 	if len(geoms) == 0 {
 		return nil, fmt.Errorf("stackdist: no geometries")
 	}
-	maxWays := map[int]int{}
+	maxWays, maxVictim := map[int]int{}, map[int]int{}
 	for _, g := range geoms {
 		if g.Ways <= 0 {
 			return nil, fmt.Errorf("stackdist: non-positive ways %d", g.Ways)
 		}
-		if g.Ways > maxWays[g.Sets] {
-			maxWays[g.Sets] = g.Ways
+		switch {
+		case g.Victim < 0:
+			return nil, fmt.Errorf("stackdist: negative victim buffer size %d", g.Victim)
+		case g.Victim > 0 && g.Ways != 1:
+			return nil, fmt.Errorf("stackdist: victim buffer behind a %d-way array; only direct-mapped is profiled", g.Ways)
+		case g.Victim > 0 && (g.Sets <= 0 || !addr.IsPow2(uint64(g.Sets))):
+			return nil, fmt.Errorf("stackdist: set count %d is not a positive power of two", g.Sets)
+		case g.Victim > 0:
+			maxVictim[g.Sets] = max(maxVictim[g.Sets], g.Victim)
+		default:
+			maxWays[g.Sets] = max(maxWays[g.Sets], g.Ways)
 		}
 	}
 	p := &Profile{
@@ -54,23 +69,29 @@ func NewProfile(lineBytes int, geoms []Geom) (*Profile, error) {
 		}
 		p.bySets[sets] = pr
 	}
-	for sets := 1; ; sets *= 2 {
+	for sets := 1; len(p.profs) < len(p.bySets); sets *= 2 {
 		if pr, ok := p.bySets[sets]; ok {
 			p.profs = append(p.profs, pr)
-			if len(p.profs) == len(p.bySets) {
-				break
-			}
+		}
+	}
+	for sets := 1; len(p.victims) < len(maxVictim); sets *= 2 {
+		if entries, ok := maxVictim[sets]; ok {
+			p.victims = append(p.victims, newVictimLevel(sets, entries))
 		}
 	}
 	return p, nil
 }
 
-// Access records one byte-address access with every profiler.
+// Access records one byte-address access with every profiler and
+// victim level.
 func (p *Profile) Access(a addr.Addr) {
 	block := a >> p.lineShift
 	p.total++
 	for _, pr := range p.profs {
 		pr.Access(block)
+	}
+	for _, v := range p.victims {
+		v.access(block)
 	}
 }
 
@@ -86,4 +107,18 @@ func (p *Profile) Misses(sets, ways int) (uint64, error) {
 		return 0, fmt.Errorf("stackdist: set count %d was not profiled", sets)
 	}
 	return pr.Misses(ways)
+}
+
+// VictimMisses returns the misses and the buffer hits a direct-mapped
+// cache of sets lines behind an entries-line victim buffer would record
+// over the profiled stream; a buffer hit counts as a hit. A victim
+// geometry at that set count must have been requested with at least
+// entries lines.
+func (p *Profile) VictimMisses(sets, entries int) (misses, bufferHits uint64, err error) {
+	for _, v := range p.victims {
+		if len(v.frames) == sets {
+			return v.result(entries)
+		}
+	}
+	return 0, 0, fmt.Errorf("stackdist: no victim buffer was profiled at set count %d", sets)
 }

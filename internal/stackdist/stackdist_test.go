@@ -265,3 +265,42 @@ func TestIndexVsMap(t *testing.T) {
 		t.Fatalf("len = %d, want %d", ix.Len(), len(model))
 	}
 }
+
+// TestProfileVictimGeoms: a victim geometry must be direct-mapped with
+// a non-negative buffer, a FIFO profile has none, and a profile of
+// victim geometries alone answers every buffer size up to the largest
+// requested, from one stack. On one set, lines 0, 2, 4, 0, 2 miss the
+// array five times; the last two find their line at depth 1, so they
+// hit a 2-entry buffer and miss a 1-entry one.
+func TestProfileVictimGeoms(t *testing.T) {
+	for _, g := range []Geom{{Sets: 8, Ways: 2, Victim: 4}, {Sets: 8, Ways: 1, Victim: -1}, {Sets: 3, Ways: 1, Victim: 4}} {
+		if _, err := NewProfile(32, []Geom{g}); err == nil {
+			t.Errorf("NewProfile accepted %+v", g)
+		}
+	}
+	if _, err := NewFIFOProfile(32, []Geom{{Sets: 8, Ways: 1, Victim: 4}}); err == nil {
+		t.Error("NewFIFOProfile accepted a victim geometry")
+	}
+	p, err := NewProfile(1, []Geom{{Sets: 2, Ways: 1, Victim: 2}, {Sets: 2, Ways: 1, Victim: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []addr.Addr{0, 2, 4, 0, 2} {
+		p.Access(a)
+	}
+	for _, c := range []struct{ entries, misses, hits int }{{1, 5, 0}, {2, 3, 2}} {
+		m, h, err := p.VictimMisses(2, c.entries)
+		if err != nil || m != uint64(c.misses) || h != uint64(c.hits) {
+			t.Errorf("victim%d: %d misses, %d buffer hits (%v), want %d and %d", c.entries, m, h, err, c.misses, c.hits)
+		}
+	}
+	if _, _, err := p.VictimMisses(2, 3); err == nil {
+		t.Error("a 3-entry buffer answered beyond the deepest request")
+	}
+	if _, _, err := p.VictimMisses(4, 1); err == nil {
+		t.Error("an unprofiled set count answered")
+	}
+	if _, err := p.Misses(2, 1); err == nil {
+		t.Error("a victim geometry answered as an LRU one")
+	}
+}
