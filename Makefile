@@ -116,9 +116,12 @@ ci: fmt-check vet lint build bench-test race-robust race chaos reproduce
 # (FuzzCoordinatorMsg: no panic, no unit committed twice), 10 s of
 # fuzzing the one record-log reader that checkpoints and worker shards
 # share (FuzzLoadCheckpointTorn: no panic, never more records than the
-# bytes hold), and the CLI test that a -workers-procs run prints the
-# in-process CSV byte for byte, with and without losing every worker.
-# Both fuzz lines pass -fuzzminimizetime 0: by default the fuzzer spends
+# bytes hold), 10 s of fuzzing the fault injector's chunk replay against
+# one Access per element (FuzzInjectorReplay: same state, fault log and
+# FinalScrub for any stream, chunk split, rate and protection), and the
+# CLI test that a -workers-procs run prints the in-process CSV byte for
+# byte, with and without losing every worker.
+# The fuzz lines pass -fuzzminimizetime 0: by default the fuzzer spends
 # up to 60 s minimizing each new input it finds, so after the first one
 # the 10 s budget went to minimizing, not fuzzing (1 619 execs against
 # 26 577 with minimizing off, on 2 vCPUs).
@@ -130,6 +133,7 @@ chaos:
 	$(GO) test -race -count=1 ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzCoordinatorMsg -fuzztime 10s -fuzzminimizetime 0 ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpointTorn -fuzztime 10s -fuzzminimizetime 0 ./internal/experiment
+	$(GO) test -run '^$$' -fuzz FuzzInjectorReplay -fuzztime 10s -fuzzminimizetime 0 ./internal/fault
 	$(GO) test -race -count=1 -run TestWorkersProcsMatchesInProcess ./cmd/experiments
 
 # reproduce is the output drift gate: it regenerates every table at

@@ -25,3 +25,23 @@ func (m MemAccess) Addr() addr.Addr { return addr.Addr(m >> 1) }
 
 // Write reports the access direction.
 func (m MemAccess) Write() bool { return m&1 != 0 }
+
+// Replayer is a cache with a batch entry point: Replay runs stream in
+// order and leaves exactly the state and counters that one Access per
+// element leaves. Access stays the per-access path, and the oracle
+// Replay is tested against.
+type Replayer interface {
+	Replay(stream []MemAccess)
+}
+
+// Replay runs stream through c: one Replay call when c is a Replayer,
+// one Access per element otherwise.
+func Replay(c Cache, stream []MemAccess) {
+	if r, ok := c.(Replayer); ok {
+		r.Replay(stream)
+		return
+	}
+	for _, m := range stream {
+		c.Access(m.Addr(), m.Write())
+	}
+}

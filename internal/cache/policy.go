@@ -95,6 +95,15 @@ func (s *Stamps) Victim(set int) int {
 	return victim
 }
 
+// Slab returns the stamps, stamp[set*ways+way], and the clock, for a
+// replay kernel that keeps the clock in a register across a chunk. The
+// kernel touches a way as Touch does and hands the clock back with
+// SetClock.
+func (s *Stamps) Slab() (stamp []uint64, clock uint64) { return s.stamp, s.clock }
+
+// SetClock sets the clock a replay kernel advanced.
+func (s *Stamps) SetClock(clock uint64) { s.clock = clock }
+
 // Reset clears the recency.
 func (s *Stamps) Reset() {
 	clear(s.stamp)

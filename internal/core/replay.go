@@ -1,0 +1,110 @@
+package core
+
+import (
+	"math/bits"
+
+	"bcache/internal/addr"
+	"bcache/internal/cache"
+)
+
+// Replay implements cache.Replayer: it runs stream through the cache in
+// order and leaves exactly the state and counters that one Access per
+// element leaves. An unprobed, healthy LRU cache on the SWAR path runs
+// the whole chunk in one loop (replaySWAR); any other cache loops over
+// Access, since a probe needs its per-access events and the scalar,
+// Random and degraded paths are not where the sweeps spend their time.
+func (c *BCache) Replay(stream []cache.MemAccess) {
+	if c.probe != nil || c.degraded || !c.swar || c.policies != nil {
+		for _, m := range stream {
+			c.Access(m.Addr(), m.Write())
+		}
+		return
+	}
+	c.replaySWAR(stream)
+}
+
+// replaySWAR is Access's SWAR/LRU path over a whole chunk, with the
+// geometry, the arrays, the LRU clock and the counters in locals. With
+// BAS ≤ 8 a row's masks are one word, so the row indexes them directly.
+// Stats and PDStats are written back once, at the end.
+func (c *BCache) replaySWAR(stream []cache.MemAccess) {
+	rowShift, rowMask := c.rowShift, c.rowMask
+	piShift, piMask, tagShift := c.piShift, c.piMask, c.tagShift
+	rows, bas, tailMask := c.rows, c.cfg.BAS, c.tailMask
+	pdWords, pdValid, valid, dirty, tags := c.pdWords, c.pdValid, c.valid, c.dirty, c.tags
+	stamp, clock := c.lru.Slab()
+	var writes, hits, missPDHit, missPDMiss, evictions, writebacks uint64
+	for _, m := range stream {
+		a := addr.Addr(m >> 1)
+		write := m&1 != 0
+		if write {
+			writes++
+		}
+		row := int(a >> rowShift & rowMask)
+		pi := uint64(a >> piShift & piMask)
+		tag := a >> tagShift
+		var cl int
+		if match := matchLanes(pdWords[row], pi); match != 0 {
+			cl = bits.TrailingZeros64(match) >> 3
+			if valid[row]>>uint(cl)&1 != 0 && tags[cl*rows+row] == tag {
+				clock++
+				stamp[row*bas+cl] = clock
+				if write {
+					dirty[row] |= 1 << uint(cl)
+				}
+				hits++
+				continue
+			}
+			missPDHit++
+		} else {
+			missPDMiss++
+			if free := ^pdValid[row] & tailMask; free != 0 {
+				cl = bits.TrailingZeros64(free)
+			} else {
+				// Stamps.Victim: the lowest way with the oldest stamp.
+				st := stamp[row*bas : row*bas+bas]
+				best := st[0]
+				for w, s := range st[1:] {
+					if s < best {
+						cl, best = w+1, s
+					}
+				}
+			}
+		}
+		// refill: evict the occupant, reprogram the lane, install.
+		bit := uint64(1) << uint(cl)
+		if valid[row]&bit != 0 {
+			evictions++
+			if dirty[row]&bit != 0 {
+				writebacks++
+			}
+		}
+		sh := uint(cl) * laneBits
+		pdWords[row] = pdWords[row]&^(0xFF<<sh) | pi<<sh
+		pdValid[row] |= bit
+		tags[cl*rows+row] = tag
+		valid[row] |= bit
+		if write {
+			dirty[row] |= bit
+		} else {
+			dirty[row] &^= bit
+		}
+		clock++
+		stamp[row*bas+cl] = clock
+	}
+	c.lru.SetClock(clock)
+	n := uint64(len(stream))
+	misses := n - hits
+	st := c.stats
+	st.Accesses += n
+	st.Hits += hits
+	st.Misses += misses
+	st.Writes += writes
+	st.Reads += n - writes
+	st.Evictions += evictions
+	st.Writebacks += writebacks
+	c.pdStats.HitPD += hits
+	c.pdStats.MissPDHit += missPDHit
+	c.pdStats.MissPDMiss += missPDMiss
+	c.pdStats.Programmed += missPDMiss
+}

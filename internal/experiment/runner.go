@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"time"
 
-	"bcache/internal/addr"
 	"bcache/internal/altcache"
 	"bcache/internal/cache"
 	"bcache/internal/core"
@@ -237,20 +236,6 @@ const (
 	dSide side = iota
 	iSide
 )
-
-// replayData drives a data stream through c sequentially.
-func replayData(data []memAcc, c cache.Cache) {
-	for _, m := range data {
-		c.Access(m.Addr(), m.Write())
-	}
-}
-
-// replayFetch drives a fetch stream through c sequentially.
-func replayFetch(fetch []addr.Addr, c cache.Cache) {
-	for _, pc := range fetch {
-		c.Access(pc, false)
-	}
-}
 
 // missRun is the result of one (benchmark, spec) miss-rate run,
 // aggregated over seeds as raw event counts.
@@ -571,11 +556,8 @@ func replayEngine(opts Opts, s side, spec Spec) (engine[[]UnitResult], error) {
 	if err != nil {
 		return engine[[]UnitResult]{}, fmt.Errorf("%s: %w", spec.Name, err)
 	}
-	feed := func(ch *chunk) { replayData(ch.data, c) }
-	if s == iSide {
-		feed = func(ch *chunk) { replayFetch(ch.fetchAt(opts.LineBytes), c) }
-	}
-	return engine[[]UnitResult]{feed: feed, results: func() ([]UnitResult, error) {
+	st := s.stream(opts.LineBytes)
+	return engine[[]UnitResult]{feed: func(ch *chunk) { cache.Replay(c, ch.accesses(st)) }, results: func() ([]UnitResult, error) {
 		return []UnitResult{cacheCounters(c)}, nil
 	}}, nil
 }
@@ -619,16 +601,10 @@ func profileEngine(sh lruShape) (engine[[]UnitResult], error) {
 	if err != nil {
 		return engine[[]UnitResult]{}, err
 	}
+	st := sh.side.stream(sh.line)
 	feed := func(ch *chunk) {
-		for _, m := range ch.data {
+		for _, m := range ch.accesses(st) {
 			prof.Access(m.Addr())
-		}
-	}
-	if sh.side == iSide {
-		feed = func(ch *chunk) {
-			for _, pc := range ch.fetchAt(sh.line) {
-				prof.Access(pc)
-			}
 		}
 	}
 	return engine[[]UnitResult]{feed: feed, results: func() ([]UnitResult, error) {

@@ -92,7 +92,7 @@ func TestStackDistMatchesDirectReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			replayData(accs, c)
+			cache.Replay(c, accs)
 			got, err := prof.Misses(frames/w, w)
 			if err != nil {
 				t.Fatal(err)

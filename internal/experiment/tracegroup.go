@@ -130,21 +130,31 @@ type chunk struct {
 	fetch []fetchChunk
 }
 
-// fetchChunk is a chunk's I-cache stream at one line size.
+// fetchChunk is a chunk's I-cache stream at one line size: its fetches
+// are reads, packed like the data stream's accesses.
 type fetchChunk struct {
 	line  int
 	lines fetchLines
-	pcs   []addr.Addr
+	accs  []memAcc
 }
 
 // fetchAt returns the chunk's I-cache stream at lineBytes.
-func (c *chunk) fetchAt(lineBytes int) []addr.Addr {
+func (c *chunk) fetchAt(lineBytes int) []memAcc {
 	for i := range c.fetch {
 		if c.fetch[i].line == lineBytes {
-			return c.fetch[i].pcs
+			return c.fetch[i].accs
 		}
 	}
 	return nil
+}
+
+// accesses returns the chunk's cache stream s: the data stream, or the
+// fetch stream at a line size.
+func (c *chunk) accesses(s stream) []memAcc {
+	if s == dataStream {
+		return c.data
+	}
+	return c.fetchAt(int(s))
 }
 
 // newChunk allocates the buffers of a chunk of size records for the
@@ -159,7 +169,7 @@ func newChunk(size int, reads []stream) (*chunk, int64) {
 			bytes += int64(size) * 8
 		case s > 0 && c.fetchAt(int(s)) == nil:
 			c.fetch = append(c.fetch, fetchChunk{line: int(s), lines: newFetchLines(int(s)),
-				pcs: make([]addr.Addr, 0, size)})
+				accs: make([]memAcc, 0, size)})
 			bytes += int64(size) * 8
 		}
 	}
@@ -173,7 +183,7 @@ func (c *chunk) extract() {
 	}
 	for i := range c.fetch {
 		f := &c.fetch[i]
-		f.pcs = f.lines.appendPCs(f.pcs[:0], c.recs)
+		f.accs = f.lines.appendFetches(f.accs[:0], c.recs)
 	}
 }
 
@@ -198,15 +208,16 @@ func newFetchLines(lineBytes int) fetchLines {
 	return fetchLines{mask: ^addr.Addr(uint64(lineBytes) - 1), cur: ^addr.Addr(0)}
 }
 
-// appendPCs appends the line-entering PCs among recs to pcs.
-func (f *fetchLines) appendPCs(pcs []addr.Addr, recs []trace.Record) []addr.Addr {
+// appendFetches appends a read of each line-entering PC among recs to
+// accs.
+func (f *fetchLines) appendFetches(accs []memAcc, recs []trace.Record) []memAcc {
 	for i := range recs {
 		if line := recs[i].PC & f.mask; line != f.cur {
 			f.cur = line
-			pcs = append(pcs, recs[i].PC)
+			accs = append(accs, cache.NewMemAccess(recs[i].PC, false))
 		}
 	}
-	return pcs
+	return accs
 }
 
 // A feeder is one pending unit's engine in a pass.

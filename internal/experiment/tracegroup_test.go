@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"bcache/internal/addr"
 	"bcache/internal/trace"
 	"bcache/internal/workload"
 )
@@ -34,14 +33,14 @@ func extractData(recs []trace.Record) []memAcc { return appendData(nil, recs) }
 
 // extractFetch is the I-cache stream of a whole record trace at one line
 // size.
-func extractFetch(recs []trace.Record, lineBytes int) []addr.Addr {
+func extractFetch(recs []trace.Record, lineBytes int) []memAcc {
 	lines := newFetchLines(lineBytes)
-	return lines.appendPCs(nil, recs)
+	return lines.appendFetches(nil, recs)
 }
 
 // materialize runs the generator for n instructions straight into both
 // whole address streams, a chunk of records at a time.
-func materialize(t testing.TB, p *workload.Profile, n uint64, lineBytes int) ([]memAcc, []addr.Addr) {
+func materialize(t testing.TB, p *workload.Profile, n uint64, lineBytes int) ([]memAcc, []memAcc) {
 	t.Helper()
 	g, err := workload.New(p)
 	if err != nil {
@@ -49,7 +48,7 @@ func materialize(t testing.TB, p *workload.Profile, n uint64, lineBytes int) ([]
 	}
 	var (
 		accs  []memAcc
-		pcs   []addr.Addr
+		pcs   []memAcc
 		lines = newFetchLines(lineBytes)
 		buf   = make([]trace.Record, min(n, chunkRecords))
 	)
@@ -57,7 +56,7 @@ func materialize(t testing.TB, p *workload.Profile, n uint64, lineBytes int) ([]
 		c := buf[:min(left, uint64(len(buf)))]
 		g.Fill(c)
 		accs = appendData(accs, c)
-		pcs = lines.appendPCs(pcs, c)
+		pcs = lines.appendFetches(pcs, c)
 		left -= uint64(len(c))
 	}
 	return accs, pcs
@@ -69,7 +68,7 @@ func wholeChunk(recs []trace.Record, reads []stream) *chunk {
 	c := &chunk{recs: recs, data: extractData(recs)}
 	for _, s := range reads {
 		if s > 0 && c.fetchAt(int(s)) == nil {
-			c.fetch = append(c.fetch, fetchChunk{line: int(s), pcs: extractFetch(recs, int(s))})
+			c.fetch = append(c.fetch, fetchChunk{line: int(s), accs: extractFetch(recs, int(s))})
 		}
 	}
 	return c
@@ -178,7 +177,7 @@ func TestExtractMatchesMaterialize(t *testing.T) {
 type collector struct {
 	recs []trace.Record
 	data []memAcc
-	pcs  []addr.Addr
+	pcs  []memAcc
 }
 
 func (c *collector) feeder(s stream) *feeder {
@@ -213,11 +212,11 @@ func TestStreamsExactlySized(t *testing.T) {
 		if want := int64(chunkRecords) * (recordBytes + 3*8); bytes != want {
 			t.Fatalf("chunk of %d records accounts %d bytes, want %d", chunkRecords, bytes, want)
 		}
-		dataCap, fetchCaps := cap(c.data), []int{cap(c.fetch[0].pcs), cap(c.fetch[1].pcs)}
+		dataCap, fetchCaps := cap(c.data), []int{cap(c.fetch[0].accs), cap(c.fetch[1].accs)}
 		for lo := 0; lo < n; lo += chunkRecords {
 			c.recs = recs[lo:min(lo+chunkRecords, n)]
 			c.extract()
-			if cap(c.data) != dataCap || cap(c.fetch[0].pcs) != fetchCaps[0] || cap(c.fetch[1].pcs) != fetchCaps[1] {
+			if cap(c.data) != dataCap || cap(c.fetch[0].accs) != fetchCaps[0] || cap(c.fetch[1].accs) != fetchCaps[1] {
 				t.Fatalf("%s: a chunk's stream outgrew its buffer", p.Name)
 			}
 		}

@@ -167,8 +167,9 @@ type Injector struct {
 }
 
 var (
-	_ cache.Cache  = (*Injector)(nil)
-	_ cache.Probed = (*Injector)(nil)
+	_ cache.Cache    = (*Injector)(nil)
+	_ cache.Probed   = (*Injector)(nil)
+	_ cache.Replayer = (*Injector)(nil)
 )
 
 // Wrap builds an injector around c. It fails if c does not expose fault
@@ -244,6 +245,41 @@ func (in *Injector) Access(a addr.Addr, write bool) cache.Result {
 		in.runScrub()
 	}
 	return res
+}
+
+// Replay implements cache.Replayer: the same injections, scrubs and
+// inner accesses, at the same access ordinals, as one Access per
+// element. The chunk is split into segments that end at the next scrub
+// point or just before the next injection; rng.Until finds that
+// injection with the same Below draws Access makes, and each segment
+// runs through the inner cache's own Replay. Rate 0 draws nothing.
+func (in *Injector) Replay(stream []cache.MemAccess) {
+	for len(stream) > 0 {
+		k := len(stream)
+		// Access keeps accesses < nextScrub between calls.
+		if left := in.nextScrub - in.accesses; in.nextScrub > 0 && left < uint64(k) {
+			k = int(left)
+		}
+		hit := false
+		if in.cfg.Rate > 0 {
+			k, hit = in.rng.Until(in.rate, k)
+		}
+		if hit {
+			// The k-th access injects before it runs.
+			cache.Replay(in.inner, stream[:k-1])
+			in.accesses += uint64(k)
+			in.inject()
+			cache.Replay(in.inner, stream[k-1:k])
+		} else {
+			cache.Replay(in.inner, stream[:k])
+			in.accesses += uint64(k)
+		}
+		stream = stream[k:]
+		if in.nextScrub > 0 && in.accesses >= in.nextScrub {
+			in.nextScrub = in.accesses + in.cfg.ScrubEvery
+			in.runScrub()
+		}
+	}
 }
 
 // inject flips (or repairs, per protection) one uniformly-chosen state

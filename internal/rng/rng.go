@@ -102,6 +102,33 @@ func Threshold(p float64) uint64 {
 // threshold t: r.Below(Threshold(p)) is r.Float64() < p.
 func (r *Source) Below(t uint64) bool { return r.Uint64()>>11 < t }
 
+// Until makes Below(t) draws until one passes or limit draws are made,
+// and returns how many it made and whether the last one passed: the
+// same draws, in the same order, as a loop of up to limit Below calls
+// that stops at the first pass. The generator state stays in locals
+// across the draws. A limit ≤ 0 draws nothing.
+func (r *Source) Until(t uint64, limit int) (n int, hit bool) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for n < limit {
+		// One Uint64 step, inlined.
+		result := rotl(s1*5, 7) * 9
+		u := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= u
+		s3 = rotl(s3, 45)
+		n++
+		if result>>11 < t {
+			hit = true
+			break
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return n, hit
+}
+
 // geometricOne is the GeometricT threshold of a mean ≤ 1: the sample is
 // 1 and nothing is drawn. Real thresholds never exceed 2^53.
 const geometricOne = math.MaxUint64

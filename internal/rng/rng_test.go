@@ -297,3 +297,61 @@ func BenchmarkGeometric(b *testing.B) {
 		_ = r.GeometricT(th)
 	}
 }
+
+// belowLoop is the per-access form Until replaces: up to limit Below
+// calls, stopping at the first pass.
+func belowLoop(r *Source, t uint64, limit int) (n int, hit bool) {
+	for n < limit {
+		n++
+		if r.Below(t) {
+			return n, true
+		}
+	}
+	return n, false
+}
+
+// TestUntilMatchesBelowLoop: Until returns the Below loop's draw count
+// and verdict and leaves the source in the same state, checked through
+// the next Uint64 — when the limit is reached with and without a pass,
+// when the pass is the last draw allowed, at limits 0 and 1, and at the
+// never-passing t = 0 and the always-passing t = 2^53.
+func TestUntilMatchesBelowLoop(t *testing.T) {
+	check := func(name string, seed, th uint64, limit int) (n int, hit bool) {
+		t.Helper()
+		a, b := New(seed), New(seed)
+		n, hit = a.Until(th, limit)
+		wn, whit := belowLoop(b, th, limit)
+		if n != wn || hit != whit {
+			t.Fatalf("%s: Until(%d, %d) = (%d, %v), Below loop (%d, %v)", name, th, limit, n, hit, wn, whit)
+		}
+		if x, y := a.Uint64(), b.Uint64(); x != y {
+			t.Fatalf("%s: next Uint64 %#x vs %#x — states diverged", name, x, y)
+		}
+		return n, hit
+	}
+	th := Threshold(1e-2)
+	for seed := uint64(1); seed <= 50; seed++ {
+		// A limit far past the mean gap of 100 passes; its draw count is
+		// the position of the first pass.
+		first, hit := check("long", seed, th, 1<<16)
+		if !hit {
+			t.Fatalf("seed %d: no pass in 2^16 draws at rate 1e-2", seed)
+		}
+		check("pass on the last draw", seed, th, first)
+		if n, hit := check("limit one short of the pass", seed, th, first-1); hit || n != first-1 {
+			t.Fatalf("seed %d: limit %d gave (%d, %v), want the limit and no pass", seed, first-1, n, hit)
+		}
+		check("limit 1", seed, th, 1)
+	}
+	for _, limit := range []int{-1, 0} {
+		if n, hit := check("no draws", 3, th, limit); n != 0 || hit {
+			t.Fatalf("limit %d: (%d, %v), want no draws", limit, n, hit)
+		}
+	}
+	if n, hit := check("t = 0", 4, 0, 5000); n != 5000 || hit {
+		t.Fatalf("t = 0: (%d, %v), want 5000 draws and no pass", n, hit)
+	}
+	if n, hit := check("t = 2^53", 4, 1<<53, 5000); n != 1 || !hit {
+		t.Fatalf("t = 2^53: (%d, %v), want a pass on the first draw", n, hit)
+	}
+}

@@ -221,6 +221,22 @@ func (s *setState) prefix(k int) int {
 	return int(sum)
 }
 
+// recent returns the most recently accessed block of block's set, and
+// false when the set has seen no access: the top of the set's stack,
+// which the shallow engine keeps first in its array and the deep engine
+// in its latest slot (compaction keeps slot order).
+func (p *Profiler) recent(block addr.Addr) (addr.Addr, bool) {
+	set := block & p.setMask
+	if p.stk != nil {
+		return p.stk[int(set)*p.maxWays], p.fill[set] > 0
+	}
+	s := &p.state[set]
+	if s.t == 0 {
+		return 0, false
+	}
+	return s.blocks[s.t-1], true
+}
+
 // Accesses returns the number of recorded accesses.
 func (p *Profiler) Accesses() uint64 { return p.total }
 

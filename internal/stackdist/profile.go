@@ -22,13 +22,16 @@ type Geom struct {
 // the same set counts — from a single pass. Geometries sharing a set
 // count share one Profiler. Victim geometries sharing a set count share
 // one victim level, which answers every buffer depth up to the largest
-// requested.
+// requested and reads its direct-mapped array off the Profiler at that
+// set count; a set count only victim geometries ask for gets a one-way
+// Profiler that Misses does not answer.
 type Profile struct {
 	lineShift uint
 	profs     []*Profiler // ascending by set count
-	bySets    map[int]*Profiler
-	victims   []*victimLevel // ascending by set count
-	total     uint64
+	// bySets holds the profilers of the LRU geometries, by set count.
+	bySets  map[int]*Profiler
+	victims []*victimLevel // ascending by set count
+	total   uint64
 }
 
 // NewProfile builds a profile for streams of byte addresses with the
@@ -62,36 +65,45 @@ func NewProfile(lineBytes int, geoms []Geom) (*Profile, error) {
 		lineShift: addr.Log2(uint64(lineBytes)),
 		bySets:    make(map[int]*Profiler, len(maxWays)),
 	}
+	all := make(map[int]*Profiler, len(maxWays)+len(maxVictim))
 	for sets, ways := range maxWays {
 		pr, err := NewProfiler(sets, ways)
 		if err != nil {
 			return nil, err
 		}
-		p.bySets[sets] = pr
+		p.bySets[sets], all[sets] = pr, pr
 	}
-	for sets := 1; len(p.profs) < len(p.bySets); sets *= 2 {
-		if pr, ok := p.bySets[sets]; ok {
-			p.profs = append(p.profs, pr)
+	for sets := range maxVictim {
+		if all[sets] == nil {
+			pr, err := NewProfiler(sets, 1)
+			if err != nil {
+				return nil, err
+			}
+			all[sets] = pr
 		}
 	}
-	for sets := 1; len(p.victims) < len(maxVictim); sets *= 2 {
+	for sets := 1; len(p.profs) < len(all); sets *= 2 {
+		if pr, ok := all[sets]; ok {
+			p.profs = append(p.profs, pr)
+		}
 		if entries, ok := maxVictim[sets]; ok {
-			p.victims = append(p.victims, newVictimLevel(sets, entries))
+			p.victims = append(p.victims, newVictimLevel(all[sets], entries))
 		}
 	}
 	return p, nil
 }
 
-// Access records one byte-address access with every profiler and
-// victim level.
+// Access records one byte-address access with every victim level and
+// every profiler. The victim levels go first: each reads its array's
+// occupant off a profiler before the profiler moves block to the top.
 func (p *Profile) Access(a addr.Addr) {
 	block := a >> p.lineShift
 	p.total++
-	for _, pr := range p.profs {
-		pr.Access(block)
-	}
 	for _, v := range p.victims {
 		v.access(block)
+	}
+	for _, pr := range p.profs {
+		pr.Access(block)
 	}
 }
 
@@ -116,7 +128,7 @@ func (p *Profile) Misses(sets, ways int) (uint64, error) {
 // entries lines.
 func (p *Profile) VictimMisses(sets, entries int) (misses, bufferHits uint64, err error) {
 	for _, v := range p.victims {
-		if len(v.frames) == sets {
+		if v.prof.Sets() == sets {
 			return v.result(entries)
 		}
 	}

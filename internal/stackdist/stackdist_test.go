@@ -84,7 +84,8 @@ func TestProfilerMatchesNaive(t *testing.T) {
 // TestShallowVsDeepEngines runs the move-to-front array engine against
 // the map+Fenwick engine on identical streams: every miss count at every
 // associativity must agree (the shallow engine merges cold into over,
-// which Misses sums anyway).
+// which Misses sums anyway), and so must each set's most recent block
+// before every access, which the victim levels read.
 func TestShallowVsDeepEngines(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		blocks := randomBlocks(30000, seed)
@@ -100,7 +101,13 @@ func TestShallowVsDeepEngines(t *testing.T) {
 			if shallow.stk == nil || deep.stk != nil {
 				t.Fatal("engine selection broken")
 			}
-			for _, b := range blocks {
+			for i, b := range blocks {
+				// The victim levels read each set's most recent block.
+				sb, sok := shallow.recent(b)
+				db, dok := deep.recent(b)
+				if sb != db || sok != dok {
+					t.Fatalf("seed=%d sets=%d access %d: recent shallow (%d, %v) != deep (%d, %v)", seed, sets, i, sb, sok, db, dok)
+				}
 				shallow.Access(b)
 				deep.Access(b)
 			}

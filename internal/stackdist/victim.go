@@ -26,21 +26,17 @@ import (
 //     exactly the top V of that stack: a line at depth d hits every
 //     buffer with V > d.
 //
-// A victimLevel therefore keeps the array's frames and that stack,
-// truncated at the deepest buffer asked for, and histograms the depth
-// of each array miss found in it.
-
-// victimFrame is one direct-mapped frame of a victim level.
-type victimFrame struct {
-	block addr.Addr
-	valid bool
-}
+// A victimLevel therefore keeps that stack, truncated at the deepest
+// buffer asked for, and histograms the depth of each array miss found
+// in it. The array itself is the Profiler at the same set count: a
+// direct-mapped frame holds its set's most recent block, which is the
+// top of that set's LRU stack (Profiler.recent), read before the
+// profiler records the access.
 
 // victimLevel answers every victim-buffer depth up to cap(stk) behind
-// one direct-mapped array of len(frames) sets.
+// the direct-mapped array of prof's set count.
 type victimLevel struct {
-	setMask addr.Addr
-	frames  []victimFrame
+	prof *Profiler
 	// stk holds the displaced lines not back in the array, newest first;
 	// its capacity is the deepest buffer answered.
 	stk []addr.Addr
@@ -50,25 +46,22 @@ type victimLevel struct {
 	misses uint64
 }
 
-// newVictimLevel builds a victim level for a power-of-two set count.
-func newVictimLevel(sets, maxEntries int) *victimLevel {
+// newVictimLevel builds a victim level over prof's sets.
+func newVictimLevel(prof *Profiler, maxEntries int) *victimLevel {
 	return &victimLevel{
-		setMask: addr.Addr(sets - 1),
-		frames:  make([]victimFrame, sets),
-		stk:     make([]addr.Addr, 0, maxEntries),
-		hist:    make([]uint64, maxEntries),
+		prof: prof,
+		stk:  make([]addr.Addr, 0, maxEntries),
+		hist: make([]uint64, maxEntries),
 	}
 }
 
 // access records one access to block with the array and the buffer
-// stack.
+// stack. It must run before prof records the access.
 func (v *victimLevel) access(block addr.Addr) {
-	f := &v.frames[block&v.setMask]
-	if f.valid && f.block == block {
+	old, displaced := v.prof.recent(block)
+	if displaced && old == block {
 		return
 	}
-	old, displaced := f.block, f.valid
-	f.block, f.valid = block, true
 	v.misses++
 	if !displaced {
 		// A cold frame has displaced nothing, so no line of its set is

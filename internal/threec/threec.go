@@ -68,10 +68,12 @@ func (c Counts) ConflictShare() float64 {
 // Classifier runs a cache under test alongside a fully-associative LRU
 // reference of the same capacity and a first-touch set.
 type Classifier struct {
-	under  cache.Cache
-	fa     *cache.SetAssoc
-	seen   map[addr.Addr]struct{}
-	counts Counts
+	under cache.Cache
+	fa    *cache.SetAssoc
+	// blockShift turns an address into its line number.
+	blockShift uint
+	seen       map[addr.Addr]struct{}
+	counts     Counts
 }
 
 // New builds a classifier around the cache under test. The reference
@@ -86,19 +88,21 @@ func New(under cache.Cache) (*Classifier, error) {
 		return nil, fmt.Errorf("threec: building reference: %w", err)
 	}
 	return &Classifier{
-		under: under,
-		fa:    fa,
-		seen:  make(map[addr.Addr]struct{}),
+		under:      under,
+		fa:         fa,
+		blockShift: g.OffsetBits(),
+		seen:       make(map[addr.Addr]struct{}),
 	}, nil
 }
 
 // Access performs one access on both caches and classifies the outcome
 // of the cache under test.
 func (c *Classifier) Access(a addr.Addr, write bool) Class {
-	g := c.under.Geometry()
-	block := g.Block(a)
+	block := a >> c.blockShift
 	_, touched := c.seen[block]
-	c.seen[block] = struct{}{}
+	if !touched {
+		c.seen[block] = struct{}{}
+	}
 
 	faHit := c.fa.Access(a, write).Hit
 	hit := c.under.Access(a, write).Hit
