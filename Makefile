@@ -118,8 +118,11 @@ ci: fmt-check vet lint build bench-test race-robust race chaos reproduce
 # share (FuzzLoadCheckpointTorn: no panic, never more records than the
 # bytes hold), 10 s of fuzzing the fault injector's chunk replay against
 # one Access per element (FuzzInjectorReplay: same state, fault log and
-# FinalScrub for any stream, chunk split, rate and protection), and the
-# CLI test that a -workers-procs run prints the in-process CSV byte for
+# FinalScrub for any stream, chunk split, rate and protection), 10 s of
+# fuzzing the timing model's frame path against its per-record path
+# (FuzzStepFrame: same cycles, hierarchy counters, cache state and L1
+# events for any record stream, chunk split, L1, hierarchy and core), and
+# the CLI test that a -workers-procs run prints the in-process CSV byte for
 # byte, with and without losing every worker.
 # The fuzz lines pass -fuzzminimizetime 0: by default the fuzzer spends
 # up to 60 s minimizing each new input it finds, so after the first one
@@ -134,6 +137,7 @@ chaos:
 	$(GO) test -run '^$$' -fuzz FuzzCoordinatorMsg -fuzztime 10s -fuzzminimizetime 0 ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpointTorn -fuzztime 10s -fuzzminimizetime 0 ./internal/experiment
 	$(GO) test -run '^$$' -fuzz FuzzInjectorReplay -fuzztime 10s -fuzzminimizetime 0 ./internal/fault
+	$(GO) test -run '^$$' -fuzz FuzzStepFrame -fuzztime 10s -fuzzminimizetime 0 ./internal/cpu
 	$(GO) test -race -count=1 -run TestWorkersProcsMatchesInProcess ./cmd/experiments
 
 # reproduce is the output drift gate: it regenerates every table at

@@ -1,6 +1,10 @@
 package cache
 
-import "bcache/internal/addr"
+import (
+	"fmt"
+
+	"bcache/internal/addr"
+)
 
 // MemAccess is one element of a replayable data stream: a byte address
 // plus its read/write direction, packed into one word (addr<<1 | write)
@@ -26,22 +30,73 @@ func (m MemAccess) Addr() addr.Addr { return addr.Addr(m >> 1) }
 // Write reports the access direction.
 func (m MemAccess) Write() bool { return m&1 != 0 }
 
+// An Event is one access of a replayed stream that was not a plain hit:
+// a miss, a hit that cost extra cycles, or an access that displaced a
+// dirty line. A hit with none of these is not an event, so a replay's
+// events are as sparse as its misses. Fields are sized so an event
+// takes 16 bytes.
+type Event struct {
+	// Victim is the line-aligned address of the displaced line, when
+	// Dirty.
+	Victim addr.Addr
+	// Index is the access's position in the replayed stream.
+	Index uint32
+	// Miss reports a miss; Dirty that a dirty line was displaced.
+	Miss, Dirty bool
+	// Extra is the access's Result.ExtraLatency.
+	Extra uint8
+	// Below is left 0 by a replay. The level below the cache records
+	// in it how it served the access (package hier).
+	Below uint8
+}
+
+// EventOf returns the Event of the access at index i of a stream,
+// whose Access returned r, and whether it is one.
+func EventOf(i int, r Result) (Event, bool) {
+	dirty := r.Evicted && r.EvictedDirty
+	if r.Hit && r.ExtraLatency == 0 && !dirty {
+		return Event{}, false
+	}
+	if r.ExtraLatency < 0 || r.ExtraLatency > 0xFF {
+		panic(fmt.Sprintf("cache: extra latency %d does not fit an Event", r.ExtraLatency))
+	}
+	e := Event{Index: uint32(i), Miss: !r.Hit, Dirty: dirty, Extra: uint8(r.ExtraLatency)}
+	if dirty {
+		e.Victim = r.EvictedAddr
+	}
+	return e, true
+}
+
 // Replayer is a cache with a batch entry point: Replay runs stream in
 // order and leaves exactly the state and counters that one Access per
-// element leaves. Access stays the per-access path, and the oracle
+// element leaves. With a non-nil ev it also appends to *ev the Event of
+// every access that was not a plain hit, in stream order; with a nil ev
+// it records nothing. Access stays the per-access path, and the oracle
 // Replay is tested against.
 type Replayer interface {
-	Replay(stream []MemAccess)
+	Replay(stream []MemAccess, ev *[]Event)
 }
 
 // Replay runs stream through c: one Replay call when c is a Replayer,
-// one Access per element otherwise.
-func Replay(c Cache, stream []MemAccess) {
+// one Access per element otherwise, each event derived from its Result.
+// ev is as for Replayer; indices count from the start of stream.
+func Replay(c Cache, stream []MemAccess, ev *[]Event) {
 	if r, ok := c.(Replayer); ok {
-		r.Replay(stream)
+		r.Replay(stream, ev)
 		return
 	}
-	for _, m := range stream {
-		c.Access(m.Addr(), m.Write())
+	for i, m := range stream {
+		if r := c.Access(m.Addr(), m.Write()); ev != nil {
+			AppendEvent(ev, i, r)
+		}
+	}
+}
+
+// AppendEvent appends to *ev the Event of the access at index i of a
+// stream, whose Access returned r, if it is one (EventOf): the step of
+// a Replay that loops over Access.
+func AppendEvent(ev *[]Event, i int, r Result) {
+	if e, ok := EventOf(i, r); ok {
+		*ev = append(*ev, e)
 	}
 }

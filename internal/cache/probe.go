@@ -126,9 +126,19 @@ func (c FaultClass) String() string {
 }
 
 // Probed is implemented by models that support attaching a Probe.
-// Passing nil detaches.
+// Passing nil to SetProbe detaches; Probe returns the attached probe,
+// or nil.
 type Probed interface {
 	SetProbe(Probe)
+	Probe() Probe
+}
+
+// HasProbe reports whether c has a probe attached. A batched replay
+// that runs two caches' streams one after the other (package hier) needs
+// per-access event order only when one of them is observed.
+func HasProbe(c Cache) bool {
+	pc, ok := c.(Probed)
+	return ok && pc.Probe() != nil
 }
 
 // AttachProbe attaches p to c if c supports probing, reporting whether it

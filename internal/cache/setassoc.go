@@ -380,6 +380,9 @@ func (c *SetAssoc) dropIndex() {
 // SetProbe implements Probed. Passing nil detaches.
 func (c *SetAssoc) SetProbe(p Probe) { c.probe = p }
 
+// Probe implements Probed.
+func (c *SetAssoc) Probe() Probe { return c.probe }
+
 // Contains implements Cache.
 func (c *SetAssoc) Contains(a addr.Addr) bool {
 	return c.findWay(int(a>>c.offBits&c.idxMask), a>>(c.offBits+c.idxBits)) >= 0
@@ -415,4 +418,125 @@ func (c *SetAssoc) Reset() {
 		ix.Reset()
 	}
 	c.stats.Reset()
+}
+
+var _ Replayer = (*SetAssoc)(nil)
+
+// Replay implements Replayer. An unprobed LRU cache of at most 64 ways
+// without a hash index — direct-mapped, 2-, 4- and 8-way, the timed
+// model's L1s — runs the whole stream in one loop (replayLRU); any other
+// cache loops over Access, since a probe needs its per-access events
+// and the indexed, FIFO and Random paths are not where the timed model
+// spends its time.
+func (c *SetAssoc) Replay(stream []MemAccess, ev *[]Event) {
+	if c.probe != nil || c.idx != nil || c.policies != nil || c.maskWords != 1 {
+		for i, m := range stream {
+			if r := c.Access(m.Addr(), m.Write()); ev != nil {
+				AppendEvent(ev, i, r)
+			}
+		}
+		return
+	}
+	c.replayLRU(stream, ev)
+}
+
+// replayLRU is Access's scan path for a narrow LRU cache over a whole
+// stream, with the geometry, the arrays, the stamp clock and the
+// counters in locals. A set's valid and dirty masks are one word, so
+// the set indexes them directly. Stats and the clock are written back
+// once, at the end.
+func (c *SetAssoc) replayLRU(stream []MemAccess, ev *[]Event) {
+	offBits, idxMask, tagShift := c.offBits, c.idxMask, c.offBits+c.idxBits
+	ways, full := c.geom.Ways, c.tailMask
+	tags, valid, dirty := c.tags, c.valid, c.dirty
+	stamp, clock := c.lru.Slab()
+	if ev != nil && uint64(len(stream)) > 1<<32 {
+		panic("cache: stream too long for Event indices")
+	}
+	var writes, hits, evictions, writebacks uint64
+	for i, m := range stream {
+		a := addr.Addr(m >> 1)
+		write := m&1 != 0
+		if write {
+			writes++
+		}
+		set := int(a >> offBits & idxMask)
+		tag := a >> tagShift
+		base := set * ways
+		v := valid[set]
+		way := -1
+		if ways == 1 {
+			if v != 0 && tags[set] == tag {
+				way = 0
+			}
+		} else {
+			for vm := v; vm != 0; vm &= vm - 1 {
+				if w := bits.TrailingZeros64(vm); tags[base+w] == tag {
+					way = w
+					break
+				}
+			}
+		}
+		if way >= 0 {
+			if ways > 1 {
+				clock++
+				stamp[base+way] = clock
+			}
+			if write {
+				dirty[set] |= 1 << uint(way)
+			}
+			hits++
+			continue
+		}
+		// Miss: the lowest invalid way, else Stamps.Victim's lowest way
+		// with the oldest stamp.
+		if free := ^v & full; free != 0 {
+			way = bits.TrailingZeros64(free)
+		} else {
+			way = 0
+			if ways > 1 {
+				st := stamp[base : base+ways]
+				best := st[0]
+				for w, s := range st[1:] {
+					if s < best {
+						way, best = w+1, s
+					}
+				}
+			}
+			evictions++
+			if dirty[set]>>uint(way)&1 != 0 {
+				writebacks++
+			}
+		}
+		bit := uint64(1) << uint(way)
+		if ev != nil {
+			// Before the refill overwrites the victim's tag.
+			e := Event{Index: uint32(i), Miss: true}
+			if v&dirty[set]&bit != 0 {
+				e.Dirty, e.Victim = true, c.lineAddr(tags[base+way], set)
+			}
+			*ev = append(*ev, e)
+		}
+		tags[base+way] = tag
+		valid[set] |= bit
+		if write {
+			dirty[set] |= bit
+		} else {
+			dirty[set] &^= bit
+		}
+		if ways > 1 {
+			clock++
+			stamp[base+way] = clock
+		}
+	}
+	c.lru.SetClock(clock)
+	n := uint64(len(stream))
+	st := c.stats
+	st.Accesses += n
+	st.Hits += hits
+	st.Misses += n - hits
+	st.Writes += writes
+	st.Reads += n - writes
+	st.Evictions += evictions
+	st.Writebacks += writebacks
 }

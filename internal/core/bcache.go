@@ -514,6 +514,9 @@ func (c *BCache) PDStats() PDStats { return c.pdStats }
 // SetProbe implements cache.Probed. Passing nil detaches.
 func (c *BCache) SetProbe(p cache.Probe) { c.probe = p }
 
+// Probe implements cache.Probed.
+func (c *BCache) Probe() cache.Probe { return c.probe }
+
 // Geometry implements cache.Cache.
 func (c *BCache) Geometry() cache.Geometry { return c.geom }
 

@@ -213,6 +213,9 @@ func (c *Reference) PDStats() PDStats { return c.pdStats }
 // SetProbe implements cache.Probed. Passing nil detaches.
 func (c *Reference) SetProbe(p cache.Probe) { c.probe = p }
 
+// Probe implements cache.Probed.
+func (c *Reference) Probe() cache.Probe { return c.probe }
+
 // Geometry implements cache.Cache.
 func (c *Reference) Geometry() cache.Geometry { return c.geom }
 

@@ -9,32 +9,39 @@ import (
 
 // Replay implements cache.Replayer: it runs stream through the cache in
 // order and leaves exactly the state and counters that one Access per
-// element leaves. An unprobed, healthy LRU cache on the SWAR path runs
-// the whole chunk in one loop (replaySWAR); any other cache loops over
-// Access, since a probe needs its per-access events and the scalar,
-// Random and degraded paths are not where the sweeps spend their time.
-func (c *BCache) Replay(stream []cache.MemAccess) {
+// element leaves, appending to a non-nil ev the Event of every miss. An
+// unprobed, healthy LRU cache on the SWAR path runs the whole chunk in
+// one loop (replaySWAR); any other cache loops over Access, since a
+// probe needs its per-access events and the scalar, Random and degraded
+// paths are not where the sweeps spend their time.
+func (c *BCache) Replay(stream []cache.MemAccess, ev *[]cache.Event) {
 	if c.probe != nil || c.degraded || !c.swar || c.policies != nil {
-		for _, m := range stream {
-			c.Access(m.Addr(), m.Write())
+		for i, m := range stream {
+			if r := c.Access(m.Addr(), m.Write()); ev != nil {
+				cache.AppendEvent(ev, i, r)
+			}
 		}
 		return
 	}
-	c.replaySWAR(stream)
+	c.replaySWAR(stream, ev)
 }
 
 // replaySWAR is Access's SWAR/LRU path over a whole chunk, with the
 // geometry, the arrays, the LRU clock and the counters in locals. With
 // BAS ≤ 8 a row's masks are one word, so the row indexes them directly.
-// Stats and PDStats are written back once, at the end.
-func (c *BCache) replaySWAR(stream []cache.MemAccess) {
+// Stats and PDStats are written back once, at the end. Every B-Cache hit
+// is a one-cycle hit, so its events are its misses.
+func (c *BCache) replaySWAR(stream []cache.MemAccess, ev *[]cache.Event) {
 	rowShift, rowMask := c.rowShift, c.rowMask
 	piShift, piMask, tagShift := c.piShift, c.piMask, c.tagShift
 	rows, bas, tailMask := c.rows, c.cfg.BAS, c.tailMask
 	pdWords, pdValid, valid, dirty, tags := c.pdWords, c.pdValid, c.valid, c.dirty, c.tags
 	stamp, clock := c.lru.Slab()
+	if ev != nil && uint64(len(stream)) > 1<<32 {
+		panic("core: stream too long for Event indices")
+	}
 	var writes, hits, missPDHit, missPDMiss, evictions, writebacks uint64
-	for _, m := range stream {
+	for i, m := range stream {
 		a := addr.Addr(m >> 1)
 		write := m&1 != 0
 		if write {
@@ -78,6 +85,14 @@ func (c *BCache) replaySWAR(stream []cache.MemAccess) {
 			if dirty[row]&bit != 0 {
 				writebacks++
 			}
+		}
+		if ev != nil {
+			// Before the refill overwrites the victim's tag and lane.
+			e := cache.Event{Index: uint32(i), Miss: true}
+			if valid[row]&dirty[row]&bit != 0 {
+				e.Dirty, e.Victim = true, c.lineAddr(cl, row)
+			}
+			*ev = append(*ev, e)
 		}
 		sh := uint(cl) * laneBits
 		pdWords[row] = pdWords[row]&^(0xFF<<sh) | pi<<sh

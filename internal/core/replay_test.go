@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"bcache/internal/addr"
@@ -105,6 +106,16 @@ func sameEngine(t *testing.T, a, b *BCache, done int) {
 	}
 }
 
+// sameEvents fails t unless Replay reported exactly the events the
+// Access loop derived from each Result, in order.
+func sameEvents(t *testing.T, want, got []cache.Event, done int) {
+	t.Helper()
+	if !slices.Equal(want, got) {
+		t.Fatalf("after access %d: Replay reported %d events %v, Access results give %d %v",
+			done, len(got), got, len(want), want)
+	}
+}
+
 // TestBCacheReplayMatchesAccess: Replay leaves the engine exactly as one
 // Access per element does — arrays, LRU clock, Random streams, Stats,
 // PDStats and probe events — at every design point of Figures 3 and 12
@@ -137,10 +148,14 @@ func TestBCacheReplayMatchesAccess(t *testing.T) {
 							b.DegradeToDirectMapped()
 							degradeAt = -1
 						}
-						for _, m := range chunk {
-							a.Access(m.Addr(), m.Write())
+						var want, got []cache.Event
+						for i, m := range chunk {
+							if e, ok := cache.EventOf(i, a.Access(m.Addr(), m.Write())); ok {
+								want = append(want, e)
+							}
 						}
-						b.Replay(chunk)
+						b.Replay(chunk, &got)
+						sameEvents(t, want, got, done)
 						done += len(chunk)
 						sameEngine(t, a, b, done)
 					}
@@ -203,10 +218,14 @@ func FuzzBCacheReplay(f *testing.F) {
 				a.DegradeToDirectMapped()
 				b.DegradeToDirectMapped()
 			}
-			for _, m := range chunk {
-				a.Access(m.Addr(), m.Write())
+			var want, got []cache.Event
+			for i, m := range chunk {
+				if e, ok := cache.EventOf(i, a.Access(m.Addr(), m.Write())); ok {
+					want = append(want, e)
+				}
 			}
-			b.Replay(chunk)
+			b.Replay(chunk, &got)
+			sameEvents(t, want, got, done)
 			done += len(chunk)
 			sameEngine(t, a, b, done)
 		}
@@ -230,7 +249,7 @@ func BenchmarkReplay(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					ch := chunks[i%len(chunks)]
 					if mode == "replay" {
-						c.Replay(ch)
+						c.Replay(ch, nil)
 					} else {
 						for _, m := range ch {
 							c.Access(m.Addr(), m.Write())

@@ -18,6 +18,20 @@
 // caller that produces the stream a chunk at a time (the experiment
 // package's trace passes) never keeps the whole stream; Run feeds a
 // Core a whole stream.
+//
+// A chunk runs in two passes. No cache's state depends on timing — the
+// caches see the loads, stores and line fetches in program order
+// whatever cycle each issues in — so the first pass replays the chunk's
+// fetch and data streams through the hierarchy (hier.Replay: each L1
+// in one batch, then the L2 for the accesses that did not hit), and the
+// second runs the dataflow over a Frame of per-instruction ops patched
+// with those accesses' latencies, with no call and no data-dependent
+// branch (StepFrame). A trace pass builds one Frame per chunk for all
+// its timed engines. Step, one hierarchy call per fetch and per memory
+// operation interleaved with the dataflow, is the model as written
+// down, the oracle StepFrame is tested against, the path a hierarchy
+// with a probe attached takes, since a probe sees events in access
+// order, and Run's.
 package cpu
 
 import (
@@ -110,6 +124,11 @@ type Core struct {
 	// new memory op cannot start the same cycle as the op MemPorts back.
 	memStart []uint64
 	memPos   int
+
+	// fits reports that every latency the hierarchy can return fits a
+	// Frame's 16-bit op fields and the window and ports fit flow's
+	// rings, so StepFrame may batch.
+	fits bool
 }
 
 // New starts a run of cfg's core on h. The hierarchy's caches
@@ -131,13 +150,19 @@ func New(h *hier.Hierarchy, cfg Config) (*Core, error) {
 		curFetchLine: ^addr.Addr(0),
 		lineMask:     ^addr.Addr(uint64(h.I.Geometry().LineBytes) - 1),
 	}
+	// The slowest access: an L1 extra latency of at most 0xFF cycles
+	// (cache.Event) on top of a miss to memory.
+	hc := h.Config()
+	c.fits = hc.L1Latency+0xFF+hc.L2Latency+hc.MemLatency <= maxFrameLatency &&
+		cfg.Window <= flowRing && cfg.MemPorts < portRing
 	if cfg.MemPorts > 0 {
 		c.memStart = make([]uint64, cfg.MemPorts)
 	}
 	return c, nil
 }
 
-// Step runs recs, the next records of the stream, through the model.
+// Step runs recs, the next records of the stream, through the model,
+// one hierarchy access at a time.
 func (c *Core) Step(recs []trace.Record) {
 	// The per-instruction state lives in locals for the loop and is
 	// stored back once per chunk.
@@ -264,7 +289,10 @@ func (c *Core) Result() Result {
 const runChunk = 4096
 
 // Run executes up to maxInstr records of st against h and returns the
-// timing result: a Core fed the whole stream.
+// timing result: a Core fed the whole stream, one record at a time
+// (Step). A frame pays for itself across the engines of a trace pass
+// that share it; built for one core alone, framing and stepping
+// measured 10–15 % slower per instruction than Step.
 func Run(st trace.Stream, h *hier.Hierarchy, cfg Config, maxInstr uint64) (Result, error) {
 	c, err := New(h, cfg)
 	if err != nil {

@@ -504,7 +504,7 @@ func xPrefetchGrid(opts Opts) grid[prefetchRun] {
 				return prefetchRun{CPU: res, StreamHits: h.StreamHits, Prefetches: h.Prefetches}, nil
 			})
 		},
-		reads: recordStream}
+		reads: frameStream(opts.LineBytes)}
 }
 
 func renderXPrefetch(g grid[prefetchRun], timed [][]timedRun, runs [][]prefetchRun) []*Table {
@@ -594,7 +594,7 @@ func xL2Grid(opts Opts) grid[UnitResult] {
 			}
 			return cpuEngine(h, cpu.Defaults(), func(cpu.Result) (UnitResult, error) { return cacheCounters(l2), nil })
 		},
-		reads: recordStream}
+		reads: frameStream(opts.LineBytes)}
 }
 
 func renderXL2(_ Opts, g grid[UnitResult], runs [][]UnitResult) []*Table {
@@ -699,7 +699,7 @@ func xWindowGrid(opts Opts) grid[cpu.Result] {
 			cfg.Window = windows[c/2]
 			return cpuEngine(h, cfg, func(res cpu.Result) (cpu.Result, error) { return res, nil })
 		},
-		reads: recordStream}
+		reads: frameStream(opts.LineBytes)}
 }
 
 func renderXWindow(_ grid[cpu.Result], timed [][]timedRun, runs [][]cpu.Result) []*Table {

@@ -117,7 +117,7 @@ func faultEngine(opts Opts, r faultRow, seed uint64) (engine[faultCell], error) 
 	if err != nil {
 		return engine[faultCell]{}, err
 	}
-	return engine[faultCell]{feed: func(ch *chunk) { cache.Replay(in, ch.data) }, results: func() (faultCell, error) {
+	return engine[faultCell]{feed: func(ch *chunk) { cache.Replay(in, ch.data, nil) }, results: func() (faultCell, error) {
 		invErr := in.FinalScrub()
 		st := in.Stats()
 		scrub, _ := in.ScrubTotals()

@@ -42,7 +42,7 @@ func fig3GridMF(opts Opts, mfs []int) grid[UnitResult] {
 			if err != nil {
 				return engine[UnitResult]{}, err
 			}
-			return engine[UnitResult]{feed: func(ch *chunk) { cache.Replay(cc, ch.data) },
+			return engine[UnitResult]{feed: func(ch *chunk) { cache.Replay(cc, ch.data, nil) },
 				results: func() (UnitResult, error) { return cacheCounters(cc), nil }}, nil
 		}}
 }

@@ -557,7 +557,7 @@ func replayEngine(opts Opts, s side, spec Spec) (engine[[]UnitResult], error) {
 		return engine[[]UnitResult]{}, fmt.Errorf("%s: %w", spec.Name, err)
 	}
 	st := s.stream(opts.LineBytes)
-	return engine[[]UnitResult]{feed: func(ch *chunk) { cache.Replay(c, ch.accesses(st)) }, results: func() ([]UnitResult, error) {
+	return engine[[]UnitResult]{feed: func(ch *chunk) { cache.Replay(c, ch.accesses(st), nil) }, results: func() ([]UnitResult, error) {
 		return []UnitResult{cacheCounters(c)}, nil
 	}}, nil
 }

@@ -92,7 +92,7 @@ func TestStackDistMatchesDirectReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cache.Replay(c, accs)
+			cache.Replay(c, accs, nil)
 			got, err := prof.Misses(frames/w, w)
 			if err != nil {
 				t.Fatal(err)

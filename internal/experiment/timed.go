@@ -58,12 +58,13 @@ type timedRun struct {
 }
 
 // timedEngine runs one benchmark on one L1 configuration: the CPU
-// model over both L1s of spec behind the Table 4 hierarchy. The model
-// accesses the D-cache once per load or store and the I-cache once per
-// new fetch line, in program order: exactly the data stream and the
-// fetch stream a replayEngine reads, so the engine's l1 counters are
-// those replays' (TestTimedL1MatchesReplay) and a timed unit answers
-// its spec's miss-rate keys too.
+// model over both L1s of spec behind the Table 4 hierarchy, stepping
+// each chunk's timing frame (cpuEngine). The frame's L1 replays run the
+// chunk's data stream through the D-cache and its fetch stream through
+// the I-cache, the very streams a replayEngine reads, and the
+// per-record model makes the same accesses in the same order, so the
+// engine's l1 counters are those replays' (TestTimedL1MatchesReplay)
+// and a timed unit answers its spec's miss-rate keys too.
 func timedEngine(spec Spec, opts Opts) (engine[timedRun], error) {
 	ic, err := spec.New(opts.L1Size, opts.LineBytes)
 	if err != nil {
@@ -106,15 +107,24 @@ func timedEngine(spec Spec, opts Opts) (engine[timedRun], error) {
 	return e, nil
 }
 
-// cpuEngine runs the CPU model of cfg on h over the record stream and
-// hands its result to done.
+// cpuEngine runs the CPU model of cfg on h over each chunk's timing
+// frame at h's I-cache line size (a unit reading frameStream) and hands
+// its result to done. A chunk without that frame takes the per-record
+// model.
 func cpuEngine[R any](h *hier.Hierarchy, cfg cpu.Config, done func(cpu.Result) (R, error)) (engine[R], error) {
 	c, err := cpu.New(h, cfg)
 	if err != nil {
 		return engine[R]{}, err
 	}
-	return engine[R]{feed: func(ch *chunk) { c.Step(ch.recs) },
-		results: func() (R, error) { return done(c.Result()) }}, nil
+	line := h.I.Geometry().LineBytes
+	feed := func(ch *chunk) {
+		if f := ch.frameAt(line); f != nil {
+			c.StepFrame(f)
+		} else {
+			c.Step(ch.recs)
+		}
+	}
+	return engine[R]{feed: feed, results: func() (R, error) { return done(c.Result()) }}, nil
 }
 
 // timedGrid is the one timed sweep behind Figures 8 and 9: every
@@ -134,7 +144,7 @@ func timedGrid(opts Opts) grid[timedRun] {
 func timedPart(opts Opts, profiles []*workload.Profile, specs []Spec) grid[timedRun] {
 	return grid[timedRun]{id: "timed", opts: opts, profiles: profiles, configs: specNames(specs),
 		run:   func(_ *workload.Profile, c int) (engine[timedRun], error) { return timedEngine(specs[c], opts) },
-		reads: recordStream, l1: specs}
+		reads: frameStream(opts.LineBytes), l1: specs}
 }
 
 // timedDMBC is the timed sweep's part over profiles on the baseline and

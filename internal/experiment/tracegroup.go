@@ -7,6 +7,8 @@ import (
 
 	"bcache/internal/addr"
 	"bcache/internal/cache"
+	"bcache/internal/cpu"
+	"bcache/internal/hier"
 	"bcache/internal/trace"
 	"bcache/internal/workload"
 )
@@ -24,13 +26,16 @@ import (
 //
 // The streams a chunk carries:
 //
-//   - the records: the raw generator output, which the timed CPU model
-//     reads (every field of every instruction);
+//   - the records: the raw generator output;
 //   - the data stream: the D-cache accesses, packed 8 bytes each. Set
 //     and tag derivation happen inside the caches, so the stream does
 //     not depend on the line size;
 //   - one fetch stream per line size: consecutive same-line PCs
-//     collapse into one I-cache access, as in the CPU model's fetch.
+//     collapse into one I-cache access, as in the CPU model's fetch;
+//   - one timing frame per I-cache line size some timed engine reads
+//     (cpu.Frame): the chunk's data stream and fetch stream at that
+//     line size, each access's record, and one base op per record,
+//     built once and stepped by every timed engine of the pass.
 
 // traceKey identifies one trace: a scheduler group.
 type traceKey struct {
@@ -101,7 +106,8 @@ func tally(f func(c *TraceCacheCounters)) int64 {
 
 // A stream is what an engine reads from each chunk of a pass: the
 // D-cache accesses (dataStream, the zero value), the records themselves
-// (recordStream), or the I-cache fetches at a line size (fetchStream).
+// (recordStream), the I-cache fetches at a line size (fetchStream), or
+// the timing frame over fetches at a line size (frameStream).
 type stream int
 
 const (
@@ -111,6 +117,18 @@ const (
 
 // fetchStream is the I-cache stream at lineBytes.
 func fetchStream(lineBytes int) stream { return stream(lineBytes) }
+
+// frameStream is the timing frame over I-cache lines of lineBytes.
+func frameStream(lineBytes int) stream { return stream(-1 - lineBytes) }
+
+// frameLine is the I-cache line size of frame stream s, or 0 if s is
+// not one.
+func (s stream) frameLine() int {
+	if s >= recordStream {
+		return 0
+	}
+	return int(-1 - s)
+}
 
 // chunkRecords is how many records a pass generates at a time: 96 KiB
 // of records, small enough to stay in cache between the generator
@@ -125,9 +143,10 @@ const recordBytes = 24
 // streams extracted from them. It carries only the streams some engine
 // of the pass reads.
 type chunk struct {
-	recs  []trace.Record
-	data  []memAcc
-	fetch []fetchChunk
+	recs   []trace.Record
+	data   []memAcc
+	fetch  []fetchChunk
+	frames []*cpu.Frame
 }
 
 // fetchChunk is a chunk's I-cache stream at one line size: its fetches
@@ -148,6 +167,17 @@ func (c *chunk) fetchAt(lineBytes int) []memAcc {
 	return nil
 }
 
+// frameAt returns the chunk's timing frame over lineBytes-byte I-cache
+// lines, or nil.
+func (c *chunk) frameAt(lineBytes int) *cpu.Frame {
+	for _, f := range c.frames {
+		if f.LineBytes() == lineBytes {
+			return f
+		}
+	}
+	return nil
+}
+
 // accesses returns the chunk's cache stream s: the data stream, or the
 // fetch stream at a line size.
 func (c *chunk) accesses(s stream) []memAcc {
@@ -158,10 +188,21 @@ func (c *chunk) accesses(s stream) []memAcc {
 }
 
 // newChunk allocates the buffers of a chunk of size records for the
-// streams in reads, and returns it with its size in bytes.
+// streams in reads, and returns it with its size in bytes. A frame
+// reads the data stream and its line size's fetch stream, so those
+// come with it. Frames are built for Table 4's L1 hit time, which every
+// timed engine runs.
 func newChunk(size int, reads []stream) (*chunk, int64) {
 	c := &chunk{recs: make([]trace.Record, size)}
 	bytes := int64(size) * recordBytes
+	for _, s := range reads {
+		if line := s.frameLine(); line > 0 && c.frameAt(line) == nil {
+			f := cpu.NewFrame(size, line, hier.Defaults().L1Latency)
+			c.frames = append(c.frames, f)
+			bytes += f.Bytes()
+			reads = append(reads, dataStream, fetchStream(line))
+		}
+	}
 	for _, s := range reads {
 		switch {
 		case s == dataStream && c.data == nil:
@@ -184,6 +225,9 @@ func (c *chunk) extract() {
 	for i := range c.fetch {
 		f := &c.fetch[i]
 		f.accs = f.lines.appendFetches(f.accs[:0], c.recs)
+	}
+	for _, f := range c.frames {
+		f.Build(c.recs, c.fetchAt(f.LineBytes()), c.data)
 	}
 }
 

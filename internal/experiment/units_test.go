@@ -193,7 +193,7 @@ func TestFig9AfterFig8SimulatesNothing(t *testing.T) {
 // outside the scheduler, in plan order or jumping between the ends of
 // the plan as leases arrive. Each group is one pass whose chunk buffers
 // go with it: nothing is resident between groups, and the resident
-// high-water mark is one pass's buffers.
+// high-water mark is one framed pass's buffers.
 func TestPlanWorkerHoldsOneRecordTrace(t *testing.T) {
 	ResetTraceCache()
 	defer ResetTraceCache()
@@ -207,7 +207,7 @@ func TestPlanWorkerHoldsOneRecordTrace(t *testing.T) {
 		if _, err := plan.Exec(g); err != nil {
 			t.Fatal(err)
 		}
-		if c := TraceCacheStats(); c.Bytes != 0 || c.PeakBytes != passBytes(0) {
+		if c := TraceCacheStats(); c.Bytes != 0 || c.PeakBytes != framedPassBytes() {
 			t.Fatalf("after group %d: %d bytes resident, peak %d", g, c.Bytes, c.PeakBytes)
 		}
 	}

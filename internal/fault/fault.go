@@ -252,10 +252,12 @@ func (in *Injector) Access(a addr.Addr, write bool) cache.Result {
 // element. The chunk is split into segments that end at the next scrub
 // point or just before the next injection; rng.Until finds that
 // injection with the same Below draws Access makes, and each segment
-// runs through the inner cache's own Replay. Rate 0 draws nothing.
-func (in *Injector) Replay(stream []cache.MemAccess) {
-	for len(stream) > 0 {
-		k := len(stream)
+// runs through the inner cache's own Replay, its events renumbered from
+// the start of stream. Rate 0 draws nothing.
+func (in *Injector) Replay(stream []cache.MemAccess, ev *[]cache.Event) {
+	for off := 0; off < len(stream); {
+		rest := stream[off:]
+		k := len(rest)
 		// Access keeps accesses < nextScrub between calls.
 		if left := in.nextScrub - in.accesses; in.nextScrub > 0 && left < uint64(k) {
 			k = int(left)
@@ -266,19 +268,33 @@ func (in *Injector) Replay(stream []cache.MemAccess) {
 		}
 		if hit {
 			// The k-th access injects before it runs.
-			cache.Replay(in.inner, stream[:k-1])
+			in.replaySegment(rest[:k-1], off, ev)
 			in.accesses += uint64(k)
 			in.inject()
-			cache.Replay(in.inner, stream[k-1:k])
+			in.replaySegment(rest[k-1:k], off+k-1, ev)
 		} else {
-			cache.Replay(in.inner, stream[:k])
+			in.replaySegment(rest[:k], off, ev)
 			in.accesses += uint64(k)
 		}
-		stream = stream[k:]
+		off += k
 		if in.nextScrub > 0 && in.accesses >= in.nextScrub {
 			in.nextScrub = in.accesses + in.cfg.ScrubEvery
 			in.runScrub()
 		}
+	}
+}
+
+// replaySegment replays seg, which starts at access off of the caller's
+// stream, through the inner cache, numbering its events from there.
+func (in *Injector) replaySegment(seg []cache.MemAccess, off int, ev *[]cache.Event) {
+	if ev == nil {
+		cache.Replay(in.inner, seg, nil)
+		return
+	}
+	n := len(*ev)
+	cache.Replay(in.inner, seg, ev)
+	for i := n; i < len(*ev); i++ {
+		(*ev)[i].Index += uint32(off)
 	}
 }
 
@@ -363,6 +379,9 @@ func (in *Injector) SetProbe(p cache.Probe) {
 	in.probe = p
 	cache.AttachProbe(in.inner, p)
 }
+
+// Probe implements cache.Probed.
+func (in *Injector) Probe() cache.Probe { return in.probe }
 
 // Contains implements cache.Cache.
 func (in *Injector) Contains(a addr.Addr) bool { return in.inner.Contains(a) }

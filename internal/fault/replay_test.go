@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"bcache/internal/addr"
@@ -153,6 +154,16 @@ func testStream(seed uint64, n int) []cache.MemAccess {
 	return out
 }
 
+// sameEvents fails t unless Replay reported exactly the events the
+// Access loop derived from each Result, in order.
+func sameEvents(t *testing.T, want, got []cache.Event, done int) {
+	t.Helper()
+	if !slices.Equal(want, got) {
+		t.Fatalf("after access %d: Replay reported %d events %v, Access results give %d %v",
+			done, len(got), got, len(want), want)
+	}
+}
+
 // TestInjectorReplayMatchesAccess: Replay injects, scrubs and accesses
 // exactly as one Access per element does — same fault log with the same
 // access ordinals, same counts and scrub totals, same wrapped cache and
@@ -192,10 +203,14 @@ func TestInjectorReplayMatchesAccess(t *testing.T) {
 			src := rng.New(uint64(i))
 			done := 0
 			for _, chunk := range split(testStream(uint64(i), accesses), func() int { return chunkSize(src) }) {
-				for _, m := range chunk {
-					a.Access(m.Addr(), m.Write())
+				var want, got []cache.Event
+				for i, m := range chunk {
+					if e, ok := cache.EventOf(i, a.Access(m.Addr(), m.Write())); ok {
+						want = append(want, e)
+					}
 				}
-				b.Replay(chunk)
+				b.Replay(chunk, &got)
+				sameEvents(t, want, got, done)
 				done += len(chunk)
 				sameInjector(t, a, b, done)
 			}
@@ -264,10 +279,14 @@ func FuzzInjectorReplay(f *testing.F) {
 			cuts = cuts[1:]
 			return n
 		}) {
-			for _, m := range chunk {
-				a.Access(m.Addr(), m.Write())
+			var want, got []cache.Event
+			for i, m := range chunk {
+				if e, ok := cache.EventOf(i, a.Access(m.Addr(), m.Write())); ok {
+					want = append(want, e)
+				}
 			}
-			b.Replay(chunk)
+			b.Replay(chunk, &got)
+			sameEvents(t, want, got, done)
 			done += len(chunk)
 			sameInjector(t, a, b, done)
 		}
@@ -292,7 +311,7 @@ func BenchmarkReplay(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					ch := chunks[i%len(chunks)]
 					if mode == "replay" {
-						in.Replay(ch)
+						in.Replay(ch, nil)
 					} else {
 						for _, m := range ch {
 							in.Access(m.Addr(), m.Write())

@@ -1,6 +1,7 @@
 package hier
 
 import (
+	"runtime"
 	"testing"
 
 	"bcache/internal/addr"
@@ -201,5 +202,55 @@ func TestCustomL2(t *testing.T) {
 	}
 	if _, err := NewWithL2(ic, dc, nil, Defaults()); err == nil {
 		t.Fatal("nil L2 accepted")
+	}
+}
+
+// TestStreamBufferNoAllocs: the stream buffer is fixed at its depth, so
+// prefetching never allocates, including when a full buffer drops its
+// oldest line. A two-line stride misses the buffer every time, so every
+// miss drops and fills. testing.AllocsPerRun rounds the allocations per
+// call down, and a buffer that reallocates now and then averages below
+// one per miss, so this counts the mallocs of 100 000 misses.
+func TestStreamBufferNoAllocs(t *testing.T) {
+	cfg := Defaults()
+	cfg.StreamBuffer = 8
+	ic, _ := cache.NewDirectMapped(16*1024, 32)
+	dc, _ := cache.NewDirectMapped(16*1024, 32)
+	h, err := New(ic, dc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const misses = 100_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < misses; i++ {
+		h.Data(addr.Addr(0x10000000+i*64), false)
+	}
+	runtime.ReadMemStats(&after)
+	if h.L1Refills != misses || h.Prefetches != misses || h.StreamHits != 0 {
+		t.Fatalf("%d refills, %d prefetches, %d stream hits: want %d misses that each drop and fill",
+			h.L1Refills, h.Prefetches, h.StreamHits, misses)
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("%d mallocs over %d streaming misses, want 0", n, misses)
+	}
+}
+
+// TestRejectsAliasedCaches: Replay runs each L1's stream on its own, so
+// the instruction and data caches (and the L2) must be three caches.
+func TestRejectsAliasedCaches(t *testing.T) {
+	c, _ := cache.NewDirectMapped(16*1024, 32)
+	d, _ := cache.NewDirectMapped(16*1024, 32)
+	l2, _ := cache.NewSetAssoc(256*1024, 128, 4, cache.LRU, nil)
+	if _, err := New(c, c, Defaults()); err == nil {
+		t.Error("New accepted one cache as both L1s")
+	}
+	for _, tc := range [][3]cache.Cache{{c, c, l2}, {c, d, c}, {c, d, d}} {
+		if _, err := NewWithL2(tc[0], tc[1], tc[2], Defaults()); err == nil {
+			t.Errorf("NewWithL2 accepted an aliased cache: I %p D %p L2 %p", tc[0], tc[1], tc[2])
+		}
+	}
+	if _, err := NewWithL2(c, d, l2, Defaults()); err != nil {
+		t.Fatalf("three distinct caches rejected: %v", err)
 	}
 }

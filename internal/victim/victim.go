@@ -132,6 +132,9 @@ func (c *Cache) Access(a addr.Addr, write bool) cache.Result {
 // Stats(). The inner direct-mapped cache is not probed separately.
 func (c *Cache) SetProbe(p cache.Probe) { c.probe = p }
 
+// Probe implements cache.Probed.
+func (c *Cache) Probe() cache.Probe { return c.probe }
+
 // StateBits delegates fault injection to the main direct-mapped array,
 // where nearly all of the state (and therefore the soft-error cross
 // section) lives; the small victim buffer is not modelled as a target.
