@@ -4,12 +4,16 @@
 //
 // Examples:
 //
-//	bcachesim -bench equake -cache bcache -mf 8 -bas 8
-//	bcachesim -bench gcc -cache 4way -side i
-//	bcachesim -bench mcf -cache victim -entries 16 -ipc
-//	bcachesim -trace run.bct -cache bcache
-//	bcachesim -bench equake -cache bcache -report run.json
-//	bcachesim -bench gcc -cache bcache -cpuprofile cpu.pprof
+//	bcachesim -bench equake -cache bc:mf8:bas8:pol0
+//	bcachesim -bench gcc -cache sa:4way:lru -side i
+//	bcachesim -bench mcf -cache victim:16 -ipc
+//	bcachesim -trace run.bct -cache bc:mf8:bas8:pol0
+//	bcachesim -bench equake -cache sa:8way:lru -report run.json
+//	bcachesim -bench gcc -cache bc:mf8:bas8:pol1 -cpuprofile cpu.pprof
+//
+// -cache takes a key of the engine registry (internal/cachespec), the
+// keys the experiments' checkpoints use; -help and a bad key print its
+// grammar.
 //
 // With -report the run also emits a schema-versioned JSON document
 // (internal/obs.Report) holding totals, the set-balance classification,
@@ -33,15 +37,14 @@ import (
 	"time"
 
 	"bcache/internal/addr"
-	"bcache/internal/altcache"
 	"bcache/internal/cache"
+	"bcache/internal/cachespec"
 	"bcache/internal/core"
 	"bcache/internal/cpu"
 	"bcache/internal/fault"
 	"bcache/internal/hier"
 	"bcache/internal/obs"
 	"bcache/internal/obs/metrics"
-	"bcache/internal/rng"
 	"bcache/internal/stats"
 	"bcache/internal/trace"
 	"bcache/internal/victim"
@@ -54,13 +57,9 @@ func main() {
 		tracePath  = flag.String("trace", "", "replay a trace file (.bct v1/v2 or Dinero .din) instead of a benchmark")
 		profile    = flag.String("profile", "", "load a custom workload profile from a JSON file")
 		list       = flag.Bool("list", false, "list benchmark names and exit")
-		kind       = flag.String("cache", "bcache", "cache type: dm | Nway | bcache | victim | column | skewed | hac | agac | psa | pam | wayhalt")
+		key        = flag.String("cache", "bc:mf8:bas8:pol0", "cache key: "+cachespec.Grammar())
 		size       = flag.Int("size", 16*1024, "L1 cache size in bytes")
 		line       = flag.Int("line", 32, "line size in bytes")
-		mf         = flag.Int("mf", 8, "B-Cache mapping factor")
-		bas        = flag.Int("bas", 8, "B-Cache associativity")
-		policy     = flag.String("policy", "lru", "B-Cache replacement policy: lru | random")
-		entries    = flag.Int("entries", 16, "victim buffer entries")
 		n          = flag.Uint64("n", 2_000_000, "instructions to simulate")
 		side       = flag.String("side", "d", "cache side for miss-rate mode: d | i")
 		ipc        = flag.Bool("ipc", false, "run the full CPU model (both L1s of the chosen type)")
@@ -116,8 +115,7 @@ func main() {
 
 	cfg := runCfg{
 		bench: *benchName, tracePath: *tracePath, profile: *profile,
-		kind: *kind, size: *size, line: *line, mf: *mf, bas: *bas,
-		policy: *policy, entries: *entries, n: *n, side: *side, ipc: *ipc,
+		cache: *key, size: *size, line: *line, n: *n, side: *side, ipc: *ipc,
 		reportPath: *reportPath, interval: *interval,
 		faultRate: *faultRate, faultProtect: *faultProtect,
 		faultSeed: *faultSeed, scrubEvery: *scrubEvery,
@@ -172,10 +170,8 @@ func main() {
 // runCfg carries the parsed flags into the testable simulation driver.
 type runCfg struct {
 	bench, tracePath, profile string
-	kind                      string
-	size, line, mf, bas       int
-	policy                    string
-	entries                   int
+	cache                     string
+	size, line                int
 	n                         uint64
 	side                      string
 	ipc                       bool
@@ -292,9 +288,15 @@ func (s stopStream) Next() (trace.Record, bool) {
 // run executes one simulation, prints the human-readable summary, and
 // writes the JSON report if requested.
 func run(cfg runCfg) error {
-	build := func() (cache.Cache, error) {
-		return buildCache(cfg.kind, cfg.size, cfg.line, cfg.mf, cfg.bas, cfg.policy, cfg.entries)
+	design, err := cachespec.Parse(cfg.cache)
+	if err != nil {
+		return err
 	}
+	dSide := cfg.side == "d"
+	if !dSide && cfg.side != "i" {
+		return fmt.Errorf("bad -side %q (want d or i)", cfg.side)
+	}
+	build := func() (cache.Cache, error) { return design.New(cfg.size, cfg.line) }
 
 	stream, err := openStream(cfg.bench, cfg.tracePath, cfg.profile)
 	if err != nil {
@@ -343,7 +345,7 @@ func run(cfg runCfg) error {
 	if cfg.reportPath != "" {
 		sampler = obs.NewIntervalSampler(cfg.interval, c.Geometry().Frames)
 		if !cache.AttachProbe(c, sampler) {
-			return fmt.Errorf("cache type %q does not support -report time-series (no probe attach point)", cfg.kind)
+			return fmt.Errorf("cache %q does not support -report time-series (no probe attach point)", cfg.cache)
 		}
 		frames = stats.NewFrames(c.Geometry().Frames)
 		sim = frameCounting{c, frames}
@@ -359,18 +361,13 @@ func run(cfg runCfg) error {
 			break
 		}
 		count++
-		switch cfg.side {
-		case "d":
+		if dSide {
 			if rec.Kind.IsMem() {
 				sim.Access(rec.Mem, rec.Kind == trace.Store)
 			}
-		case "i":
-			if l := uint64(rec.PC) & lineMask; l != curLine {
-				curLine = l
-				sim.Access(rec.PC, false)
-			}
-		default:
-			return fmt.Errorf("bad -side %q (want d or i)", cfg.side)
+		} else if l := uint64(rec.PC) & lineMask; l != curLine {
+			curLine = l
+			sim.Access(rec.PC, false)
 		}
 	}
 	wall := time.Since(start)
@@ -468,7 +465,7 @@ func runIPC(cfg runCfg, build func() (cache.Cache, error), stream trace.Stream, 
 		// and let the hierarchy add its writeback events.
 		sampler = obs.NewIntervalSampler(cfg.interval, dc.Geometry().Frames)
 		if !cache.AttachProbe(dc, sampler) {
-			return fmt.Errorf("cache type %q does not support -report time-series (no probe attach point)", cfg.kind)
+			return fmt.Errorf("cache %q does not support -report time-series (no probe attach point)", cfg.cache)
 		}
 		h.SetProbe(sampler)
 	}
@@ -594,46 +591,6 @@ func openStream(bench, path, profilePath string) (trace.Stream, error) {
 		return nil, err
 	}
 	return workload.New(p)
-}
-
-func buildCache(kind string, size, line, mf, bas int, policy string, entries int) (cache.Cache, error) {
-	pol := cache.LRU
-	switch strings.ToLower(policy) {
-	case "lru":
-	case "random":
-		pol = cache.Random
-	default:
-		return nil, fmt.Errorf("bad -policy %q", policy)
-	}
-	switch strings.ToLower(kind) {
-	case "dm":
-		return cache.NewDirectMapped(size, line)
-	case "bcache":
-		return core.New(core.Config{SizeBytes: size, LineBytes: line, MF: mf, BAS: bas, Policy: pol})
-	case "victim":
-		return victim.New(size, line, entries)
-	case "column":
-		return altcache.NewColumn(size, line)
-	case "skewed":
-		return altcache.NewSkewed(size, line, rng.New(1))
-	case "hac":
-		return altcache.NewHAC(size, line)
-	case "agac":
-		return altcache.NewAGAC(size, line, 32, 4096)
-	case "psa":
-		return altcache.NewPSA(size, line, 10)
-	case "pam":
-		return altcache.NewPAM(size, line, 4, 5)
-	case "wayhalt":
-		return altcache.NewWayHalt(size, line, 4, 4)
-	}
-	if ways, ok := strings.CutSuffix(strings.ToLower(kind), "way"); ok {
-		w, err := strconv.Atoi(ways)
-		if err == nil {
-			return cache.NewSetAssoc(size, line, w, cache.LRU, rng.New(1))
-		}
-	}
-	return nil, fmt.Errorf("unknown cache type %q", kind)
 }
 
 func fail(err error) {

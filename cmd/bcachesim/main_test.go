@@ -4,51 +4,12 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"bcache/internal/obs"
 	"bcache/internal/trace"
 )
-
-func TestBuildCacheKinds(t *testing.T) {
-	kinds := []string{
-		"dm", "2way", "4way", "8way", "32way", "bcache", "victim",
-		"column", "skewed", "hac", "agac", "psa", "pam", "wayhalt",
-	}
-	for _, k := range kinds {
-		c, err := buildCache(k, 16*1024, 32, 8, 8, "lru", 16)
-		if err != nil {
-			t.Errorf("buildCache(%q): %v", k, err)
-			continue
-		}
-		if c.Name() == "" {
-			t.Errorf("buildCache(%q): empty name", k)
-		}
-		// Every built cache must be usable immediately.
-		c.Access(0x1234, false)
-		if !c.Access(0x1234, false).Hit {
-			t.Errorf("buildCache(%q): refill did not stick", k)
-		}
-	}
-}
-
-func TestBuildCacheErrors(t *testing.T) {
-	if _, err := buildCache("nosuch", 16*1024, 32, 8, 8, "lru", 16); err == nil {
-		t.Error("unknown kind accepted")
-	}
-	if _, err := buildCache("bcache", 16*1024, 32, 8, 8, "mru", 16); err == nil {
-		t.Error("unknown policy accepted")
-	}
-	if _, err := buildCache("3way", 16*1024, 32, 8, 8, "lru", 16); err == nil {
-		t.Error("non-power-of-two ways accepted")
-	}
-}
-
-func TestBuildCacheRandomPolicy(t *testing.T) {
-	if _, err := buildCache("bcache", 16*1024, 32, 8, 8, "random", 16); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestOpenStreamBenchmark(t *testing.T) {
 	st, err := openStream("gcc", "", "")
@@ -121,20 +82,19 @@ func TestOpenStreamJSONProfile(t *testing.T) {
 // alone, its PD totals.
 func TestRunWritesReport(t *testing.T) {
 	for _, tc := range []struct {
-		kind   string
+		key    string
 		ways   int
 		series []string
 		pd     bool
 	}{
 		{"dm", 1, []string{"miss_rate", "evictions_per_kaccess"}, false},
-		{"8way", 8, []string{"miss_rate", "evictions_per_kaccess"}, false},
-		{"bcache", 1, []string{"miss_rate", "evictions_per_kaccess", "pd_miss_rate", "reprograms_per_kaccess"}, true},
+		{"sa:8way:lru", 8, []string{"miss_rate", "evictions_per_kaccess"}, false},
+		{"bc:mf8:bas8:pol0", 1, []string{"miss_rate", "evictions_per_kaccess", "pd_miss_rate", "reprograms_per_kaccess"}, true},
 	} {
-		t.Run(tc.kind, func(t *testing.T) {
+		t.Run(tc.key, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "run.json")
 			cfg := runCfg{
-				bench: "equake", kind: tc.kind, size: 16 * 1024, line: 32,
-				mf: 8, bas: 8, policy: "lru", entries: 16,
+				bench: "equake", cache: tc.key, size: 16 * 1024, line: 32,
 				n: 400_000, side: "d", reportPath: path, interval: 4096,
 			}
 			if err := run(cfg); err != nil {
@@ -175,13 +135,39 @@ func TestRunWritesReport(t *testing.T) {
 
 func TestRunReportUnsupportedCache(t *testing.T) {
 	cfg := runCfg{
-		bench: "gcc", kind: "column", size: 16 * 1024, line: 32,
-		mf: 8, bas: 8, policy: "lru", entries: 16,
+		bench: "gcc", cache: "column", size: 16 * 1024, line: 32,
 		n: 1000, side: "d", reportPath: filepath.Join(t.TempDir(), "r.json"),
 		interval: 4096,
 	}
 	if err := run(cfg); err == nil {
 		t.Fatal("cache without a probe attach point accepted -report")
+	}
+}
+
+// TestRunRejectsBadInput: a bad -side or -cache fails the run before
+// it simulates anything, in miss-rate and -ipc mode alike, and the
+// cache error shows the key grammar.
+func TestRunRejectsBadInput(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		cache     string
+		side      string
+		n         uint64
+		ipc       bool
+		wantInErr string
+	}{
+		{"side", "dm", "x", 0, false, `-side "x"`},
+		{"side-ipc", "dm", "x", 1000, true, `-side "x"`},
+		{"cache", "bcache", "d", 1000, false, "bc:mf<M>:bas<B>:pol<0|1>"},
+		{"cache-ipc", "8way", "d", 1000, true, "sa:<W>way:<lru|fifo|random>"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := runCfg{bench: "gcc", cache: tc.cache, size: 16 * 1024, line: 32, n: tc.n, side: tc.side, ipc: tc.ipc}
+			err := run(cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.wantInErr) {
+				t.Fatalf("run = %v, want an error naming %s", err, tc.wantInErr)
+			}
+		})
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"bcache/internal/cache"
 	"bcache/internal/energy"
 	"bcache/internal/workload"
 )
@@ -121,7 +120,7 @@ func resumeFixture(t *testing.T) (Opts, []*workload.Profile, []Spec) {
 		}
 		profiles = append(profiles, p)
 	}
-	specs := []Spec{setAssocSpec(2, energy.Way2), bcacheSpec(8, 8, cache.LRU)}
+	specs := []Spec{setAssocSpec(2, energy.Way2), bcacheSpec(8, 8)}
 	return opts, profiles, specs
 }
 

@@ -386,7 +386,7 @@ func (g grid[R]) units() []unit {
 // l1Keys are the dSide and iSide miss-rate keys of spec on profile's
 // canonical (seed 0) trace.
 func l1Keys(opts Opts, spec Spec, profile string) []string {
-	return []string{unitKey(opts, dSide, spec.key(), 0, profile), unitKey(opts, iSide, spec.key(), 0, profile)}
+	return []string{unitKey(opts, dSide, spec.Key, 0, profile), unitKey(opts, iSide, spec.Key, 0, profile)}
 }
 
 // gridExperiment builds a grid experiment: its units are build(opts)'s,

@@ -3,12 +3,10 @@ package experiment
 import (
 	"fmt"
 
-	"bcache/internal/altcache"
 	"bcache/internal/cache"
 	"bcache/internal/cpu"
 	"bcache/internal/energy"
 	"bcache/internal/hier"
-	"bcache/internal/rng"
 	"bcache/internal/stats"
 	"bcache/internal/threec"
 	"bcache/internal/vm"
@@ -41,31 +39,14 @@ func init() {
 }
 
 // relatedSpecs returns every alternative design under comparison, in
-// table order.
+// table order. The designs of §7 without a parameter to vary are shown
+// under their registry keys.
 func relatedSpecs() []Spec {
-	return []Spec{
-		setAssocSpec(2, 0),
-		setAssocSpec(4, 0),
-		setAssocSpec(8, 0),
-		{Name: "column", New: func(size, line int) (cache.Cache, error) {
-			return altcache.NewColumn(size, line)
-		}},
-		{Name: "skewed2", New: func(size, line int) (cache.Cache, error) {
-			return altcache.NewSkewed(size, line, rng.New(1))
-		}},
-		{Name: "psa", New: func(size, line int) (cache.Cache, error) {
-			return altcache.NewPSA(size, line, 10)
-		}},
-		{Name: "agac", New: func(size, line int) (cache.Cache, error) {
-			return altcache.NewAGAC(size, line, 32, 4096)
-		}},
-		{Name: "pam4", New: func(size, line int) (cache.Cache, error) {
-			return altcache.NewPAM(size, line, 4, 5)
-		}},
-		victimSpec(16),
-		hacSpec(),
-		bcacheSpec(8, 8, cache.LRU),
+	specs := []Spec{setAssocSpec(2, 0), setAssocSpec(4, 0), setAssocSpec(8, 0)}
+	for _, key := range []string{"column", "skewed2", "psa", "agac", "pam4"} {
+		specs = append(specs, spec(key, 0, key))
 	}
+	return append(specs, victimSpec(16), hacSpec(), bcacheSpec(8, 8))
 }
 
 // relatedSplit partitions relatedSpecs into the designs Figure 4 also
@@ -74,10 +55,10 @@ func relatedSpecs() []Spec {
 func relatedSplit() (standard, alt []Spec) {
 	fig4 := map[string]bool{}
 	for _, s := range figureSpecs() {
-		fig4[s.key()] = true
+		fig4[s.Key] = true
 	}
 	for _, s := range relatedSpecs() {
-		if fig4[s.key()] {
+		if fig4[s.Key] {
 			standard = append(standard, s)
 		} else {
 			alt = append(alt, s)
@@ -186,7 +167,7 @@ func renderXRelated(opts Opts, res results) ([]*Table, error) {
 // dmBCSpecs returns the pair most extensions compare: the direct-mapped
 // baseline and the B-Cache at MF=8, BAS=8.
 func dmBCSpecs() []Spec {
-	return []Spec{baselineSpec(), bcacheSpec(8, 8, cache.LRU)}
+	return []Spec{baselineSpec(), bcacheSpec(8, 8)}
 }
 
 // xVIPTGrid runs one unit per benchmark: the colored address space the
@@ -196,7 +177,7 @@ func dmBCSpecs() []Spec {
 // run's TLB counters.
 func xVIPTGrid(opts Opts) grid[[]UnitResult] {
 	const pageBytes = 8192
-	bcSpec := bcacheSpec(8, 8, cache.LRU)
+	bcSpec := bcacheSpec(8, 8)
 	return grid[[]UnitResult]{id: "xvipt", opts: opts, profiles: mustProfiles("equake", "crafty", "gcc", "mcf"),
 		configs: []string{bcSpec.Name},
 		run: func(*workload.Profile, int) (engine[[]UnitResult], error) {
@@ -273,7 +254,7 @@ type recolorRun struct {
 // config 1 ("recolor") runs DM plus the recoloring policy on its own.
 func xRecolorGrid(opts Opts) grid[recolorRun] {
 	const pageBytes = 4096
-	specs := []Spec{baselineSpec(), setAssocSpec(2, 0), bcacheSpec(8, 8, cache.LRU)}
+	specs := []Spec{baselineSpec(), setAssocSpec(2, 0), bcacheSpec(8, 8)}
 	return grid[recolorRun]{id: "xrecolor", opts: opts, profiles: mustProfiles("equake", "crafty", "twolf", "gcc"),
 		configs: []string{"phys", "recolor"},
 		run: func(_ *workload.Profile, c int) (engine[recolorRun], error) {
@@ -496,7 +477,7 @@ func xPrefetchGrid(opts Opts) grid[prefetchRun] {
 		run: func(_ *workload.Profile, c int) (engine[prefetchRun], error) {
 			cfg := hier.Defaults()
 			cfg.StreamBuffer = 8
-			h, err := newL1Hierarchy(opts, c == 1, cfg)
+			h, err := newHierarchy(opts, dmBCSpecs()[c], cfg)
 			if err != nil {
 				return engine[prefetchRun]{}, err
 			}
@@ -542,14 +523,9 @@ func mustProfiles(names ...string) []*workload.Profile {
 	return out
 }
 
-// newL1Hierarchy builds cfg's hierarchy behind a pair of level-one
-// caches: direct-mapped, or the B-Cache at MF=8, BAS=8 when useBC.
-func newL1Hierarchy(opts Opts, useBC bool, cfg hier.Config) (*hier.Hierarchy, error) {
-	specs := dmBCSpecs()
-	spec := specs[0]
-	if useBC {
-		spec = specs[1]
-	}
+// newHierarchy builds cfg's hierarchy behind a pair of spec's caches
+// as the level-one caches.
+func newHierarchy(opts Opts, spec Spec, cfg hier.Config) (*hier.Hierarchy, error) {
 	ic, err := spec.New(opts.L1Size, opts.LineBytes)
 	if err != nil {
 		return nil, err
@@ -572,15 +548,15 @@ func init() {
 // not level-one specific.
 func xL2Grid(opts Opts) grid[UnitResult] {
 	cfg := hier.Defaults()
-	l2s := []Spec{baselineSpec(), bcacheSpec(8, 8, cache.LRU), setAssocSpec(cfg.L2Ways, 0)}
+	l1, l2s := baselineSpec(), []Spec{baselineSpec(), bcacheSpec(8, 8), setAssocSpec(cfg.L2Ways, 0)}
 	return grid[UnitResult]{id: "xl2", opts: opts, profiles: mustProfiles("mcf", "gcc", "equake", "ammp"),
 		configs: []string{"dm-l2", "bcache-l2", "4way-l2"},
 		run: func(_ *workload.Profile, c int) (engine[UnitResult], error) {
-			ic, err := cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
+			ic, err := l1.New(opts.L1Size, opts.LineBytes)
 			if err != nil {
 				return engine[UnitResult]{}, err
 			}
-			dc, err := cache.NewDirectMapped(opts.L1Size, opts.LineBytes)
+			dc, err := l1.New(opts.L1Size, opts.LineBytes)
 			if err != nil {
 				return engine[UnitResult]{}, err
 			}
@@ -625,7 +601,7 @@ func xLineSpecs() []Spec {
 	return []Spec{
 		setAssocSpec(4, energy.Way4),
 		setAssocSpec(8, energy.Way8),
-		bcacheSpec(8, 8, cache.LRU),
+		bcacheSpec(8, 8),
 	}
 }
 
@@ -691,7 +667,7 @@ func xWindowGrid(opts Opts) grid[cpu.Result] {
 	}
 	return grid[cpu.Result]{id: "xwindow", opts: opts, profiles: mustProfiles("equake"), configs: configs,
 		run: func(_ *workload.Profile, c int) (engine[cpu.Result], error) {
-			h, err := newL1Hierarchy(opts, c%2 == 1, hier.Defaults())
+			h, err := newHierarchy(opts, dmBCSpecs()[c%2], hier.Defaults())
 			if err != nil {
 				return engine[cpu.Result]{}, err
 			}

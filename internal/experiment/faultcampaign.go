@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"bcache/internal/cache"
-	"bcache/internal/core"
 	"bcache/internal/fault"
 	"bcache/internal/workload"
 )
@@ -101,10 +100,7 @@ func faultGrid(opts Opts) grid[faultCell] {
 
 // faultEngine replays a data stream through a fault-injected B-Cache.
 func faultEngine(opts Opts, r faultRow, seed uint64) (engine[faultCell], error) {
-	bc, err := core.New(core.Config{
-		SizeBytes: opts.L1Size, LineBytes: opts.LineBytes,
-		MF: r.mf, BAS: r.bas,
-	})
+	bc, err := bcacheSpec(r.mf, r.bas).New(opts.L1Size, opts.LineBytes)
 	if err != nil {
 		return engine[faultCell]{}, err
 	}

@@ -34,7 +34,7 @@ func fig3Grid(opts Opts) grid[UnitResult] {
 func fig3GridMF(opts Opts, mfs []int) grid[UnitResult] {
 	var specs []Spec
 	for _, mf := range mfs {
-		specs = append(specs, bcacheSpec(mf, 8, cache.LRU))
+		specs = append(specs, bcacheSpec(mf, 8))
 	}
 	return grid[UnitResult]{id: "fig3", opts: opts, profiles: mustProfiles("wupwise"), configs: specNames(specs),
 		run: func(_ *workload.Profile, c int) (engine[UnitResult], error) {

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"bcache/internal/cache"
 	"bcache/internal/energy"
 	"bcache/internal/workload"
 )
@@ -141,20 +140,12 @@ func renderFig5(opts Opts, res results) ([]*Table, error) {
 // fig12Specs: the twelve configurations of Figure 12 — conventional
 // 2/4/8-way, victim16, and the B-Cache at MF ∈ {2,4,8,16} × BAS ∈ {4,8}.
 func fig12Specs() []Spec {
-	specs := []Spec{
-		setAssocSpec(2, energy.Way2), setAssocSpec(4, energy.Way4),
-		setAssocSpec(8, energy.Way8), victimSpec(16),
-	}
+	specs := []Spec{setAssocSpec(2, energy.Way2), setAssocSpec(4, energy.Way4), setAssocSpec(8, energy.Way8), victimSpec(16)}
 	for _, bas := range []int{4, 8} {
 		for _, mf := range []int{2, 4, 8, 16} {
-			specs = append(specs, bcacheSpec(mf, bas, cache.LRU))
-		}
-	}
-	// Give unambiguous names to the BAS=8 variants too.
-	for i := range specs {
-		if specs[i].Name == "MF2" || specs[i].Name == "MF4" ||
-			specs[i].Name == "MF8" || specs[i].Name == "MF16" {
-			specs[i].Name += "/BAS8"
+			s := bcacheSpec(mf, bas)
+			s.Name = fmt.Sprintf("MF%d/BAS%d", mf, bas) // BAS=8 spelled out too
+			specs = append(specs, s)
 		}
 	}
 	return specs

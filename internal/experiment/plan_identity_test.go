@@ -40,7 +40,7 @@ func TestMissRatesCheckpointsEveryProfiledSpec(t *testing.T) {
 		t.Error("checkpoint holds a unit under the empty key")
 	}
 	for _, si := range lru {
-		key := unitKey(opts, iSide, all[si].key(), 0, profiles[0].Name)
+		key := unitKey(opts, iSide, all[si].Key, 0, profiles[0].Name)
 		if _, ok := cp.Lookup(key); !ok {
 			t.Errorf("profiled spec %s not checkpointed (key %s)", all[si].Name, key)
 		}

@@ -8,12 +8,11 @@ import (
 	"runtime"
 	"time"
 
-	"bcache/internal/altcache"
 	"bcache/internal/cache"
+	"bcache/internal/cachespec"
 	"bcache/internal/core"
 	"bcache/internal/energy"
 	"bcache/internal/obs/tracespan"
-	"bcache/internal/rng"
 	"bcache/internal/stackdist"
 	"bcache/internal/victim"
 	"bcache/internal/workload"
@@ -112,105 +111,46 @@ func withSeed(p *workload.Profile, k int) *workload.Profile {
 // address+direction word, 8 bytes per access in a chunk's data stream.
 type memAcc = cache.MemAccess
 
-// Spec is a buildable L1 cache configuration.
+// Spec is an L1 cache configuration as an experiment shows it: a
+// display name and an energy kind over a registry design. The design's
+// Key canonically identifies the configuration, independent of the
+// name: work-unit results are shared across experiments under it (see
+// unitKey), so table5's "mf8-bas8" column reuses fig4's "MF8"
+// simulations.
 type Spec struct {
 	// Name appears as the table column, e.g. "8way" or "MF8".
 	Name string
-	// Key canonically identifies the cache CONFIGURATION, independent
-	// of the display name an experiment picks. Two specs with equal
-	// keys must build behaviourally identical caches: work-unit results
-	// are shared across experiments under this key (see unitKey), so
-	// table5's "mf8-bas8" column reuses fig4's "MF8" simulations.
-	// Empty falls back to Name, which keeps experiment-local custom
-	// specs correct as long as their names are unambiguous.
-	Key string
 	// Kind prices the configuration in the energy model.
 	Kind energy.Kind
-	// New builds the cache at the given geometry.
-	New func(size, line int) (cache.Cache, error)
-	// LRUWays, when positive, marks the spec as a plain LRU
-	// set-associative cache of that associativity, whose hit/miss
-	// counts the scheduler may derive from a shared stack-distance
-	// profile instead of a dedicated replay (see sweep.units).
-	LRUWays int
-	// Victim, when positive, marks the spec as a direct-mapped cache
-	// behind a victim buffer of that many lines, which the same profile
-	// answers at every buffer size.
-	Victim int
+	cachespec.Design
 }
 
-// key returns the canonical configuration identity for unit keys.
-func (s Spec) key() string {
-	if s.Key != "" {
-		return s.Key
-	}
-	return s.Name
+// spec names the design key parses to.
+func spec(name string, kind energy.Kind, key string) Spec {
+	return Spec{Name: name, Kind: kind, Design: cachespec.MustParse(key)}
 }
 
 // baselineSpec is the paper's baseline: a direct-mapped cache.
-func baselineSpec() Spec {
-	return Spec{
-		Name: "baseline",
-		Key:  "dm",
-		Kind: energy.DirectMapped,
-		New: func(size, line int) (cache.Cache, error) {
-			return cache.NewDirectMapped(size, line)
-		},
-		LRUWays: 1,
-	}
-}
+func baselineSpec() Spec { return spec("baseline", energy.DirectMapped, "dm") }
 
 func setAssocSpec(ways int, kind energy.Kind) Spec {
-	return Spec{
-		Name: fmt.Sprintf("%dway", ways),
-		Key:  fmt.Sprintf("sa:%dway:lru", ways),
-		Kind: kind,
-		New: func(size, line int) (cache.Cache, error) {
-			return cache.NewSetAssoc(size, line, ways, cache.LRU, rng.New(1))
-		},
-		LRUWays: ways,
-	}
+	return spec(fmt.Sprintf("%dway", ways), kind, fmt.Sprintf("sa:%dway:lru", ways))
 }
 
 func victimSpec(entries int) Spec {
-	return Spec{
-		Name: fmt.Sprintf("victim%d", entries),
-		Key:  fmt.Sprintf("victim:%d", entries),
-		Kind: energy.VictimDM,
-		New: func(size, line int) (cache.Cache, error) {
-			return victim.New(size, line, entries)
-		},
-		Victim: entries,
-	}
+	return spec(fmt.Sprintf("victim%d", entries), energy.VictimDM, fmt.Sprintf("victim:%d", entries))
 }
 
-func bcacheSpec(mf, bas int, pol cache.PolicyKind) Spec {
+// bcacheSpec is the B-Cache at mf and bas with LRU replacement.
+func bcacheSpec(mf, bas int) Spec {
 	name := fmt.Sprintf("MF%d", mf)
 	if bas != 8 {
 		name = fmt.Sprintf("MF%d/BAS%d", mf, bas)
 	}
-	return Spec{
-		Name: name,
-		Key:  fmt.Sprintf("bc:mf%d:bas%d:pol%d", mf, bas, pol),
-		Kind: energy.BCache,
-		New: func(size, line int) (cache.Cache, error) {
-			return core.New(core.Config{
-				SizeBytes: size, LineBytes: line, MF: mf, BAS: bas, Policy: pol,
-			})
-		},
-	}
+	return spec(name, energy.BCache, fmt.Sprintf("bc:mf%d:bas%d:pol0", mf, bas))
 }
 
-func hacSpec() Spec {
-	return Spec{
-		Name: "hac32",
-		Key:  "hac:32",
-		Kind: energy.HAC,
-		New: func(size, line int) (cache.Cache, error) {
-			return altcache.NewHAC(size, line)
-		},
-	}
-}
+func hacSpec() Spec { return spec("hac32", energy.HAC, "hac:32") }
 
 // figureSpecs returns the nine configurations of Figures 4 and 5:
 // 2/4/8/32-way, a 16-entry victim buffer, and the B-Cache at MF 2..16
@@ -222,10 +162,10 @@ func figureSpecs() []Spec {
 		setAssocSpec(8, energy.Way8),
 		setAssocSpec(32, energy.Way32),
 		victimSpec(16),
-		bcacheSpec(2, 8, cache.LRU),
-		bcacheSpec(4, 8, cache.LRU),
-		bcacheSpec(8, 8, cache.LRU),
-		bcacheSpec(16, 8, cache.LRU),
+		bcacheSpec(2, 8),
+		bcacheSpec(4, 8),
+		bcacheSpec(8, 8),
+		bcacheSpec(16, 8),
 	}
 }
 
@@ -259,7 +199,7 @@ type missRun struct {
 // checkpoint and the campaign's results. The key is self-describing —
 // it embeds everything the stored counters depend on — so a checkpoint
 // written at one scale can never poison a resume at another. specKey is
-// the spec's canonical configuration key (Spec.key), not its display
+// the spec's canonical configuration key (its design's Key), not its display
 // name, so experiments that render the same configuration under
 // different column names share one simulation. v2: specs are keyed
 // canonically (v1 used display names).
@@ -687,7 +627,7 @@ func (sw sweep) all() []Spec { return append([]Spec{baselineSpec()}, sw.specs...
 
 // key is the checkpoint key of spec's result on seed k of profile.
 func (sw sweep) key(spec Spec, k int, profile string) string {
-	return unitKey(sw.opts, sw.side, spec.key(), k, profile)
+	return unitKey(sw.opts, sw.side, spec.Key, k, profile)
 }
 
 // units enumerates the sweep's work units, each on the trace of one

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"bcache/internal/cache"
 	"bcache/internal/workload"
 )
 
@@ -35,7 +34,7 @@ func designSpecs() []Spec {
 	var specs []Spec
 	for _, bas := range []int{4, 8} {
 		for _, mf := range []int{2, 4, 8, 16} {
-			s := bcacheSpec(mf, bas, cache.LRU)
+			s := bcacheSpec(mf, bas)
 			s.Name = fmt.Sprintf("mf%d-bas%d", mf, bas)
 			specs = append(specs, s)
 		}

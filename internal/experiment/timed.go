@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"bcache/internal/cache"
 	"bcache/internal/core"
 	"bcache/internal/cpu"
 	"bcache/internal/energy"
@@ -44,11 +43,7 @@ func timedSpecs() []Spec {
 
 // timedBCacheSpec is the B-Cache column of Figures 8 and 9: MF=8,
 // BAS=8, LRU, Figure 4's MF8 under another name.
-func timedBCacheSpec() Spec {
-	s := bcacheSpec(8, 8, cache.LRU)
-	s.Name = "B-Cache"
-	return s
-}
+func timedBCacheSpec() Spec { return spec("B-Cache", energy.BCache, "bc:mf8:bas8:pol0") }
 
 // timedRun holds one (benchmark, config) timed simulation's raw
 // counters.
@@ -66,18 +61,11 @@ type timedRun struct {
 // engine's l1 counters are those replays' (TestTimedL1MatchesReplay)
 // and a timed unit answers its spec's miss-rate keys too.
 func timedEngine(spec Spec, opts Opts) (engine[timedRun], error) {
-	ic, err := spec.New(opts.L1Size, opts.LineBytes)
+	h, err := newHierarchy(opts, spec, hier.Defaults())
 	if err != nil {
 		return engine[timedRun]{}, err
 	}
-	dc, err := spec.New(opts.L1Size, opts.LineBytes)
-	if err != nil {
-		return engine[timedRun]{}, err
-	}
-	h, err := hier.New(ic, dc, hier.Defaults())
-	if err != nil {
-		return engine[timedRun]{}, err
-	}
+	ic, dc := h.I, h.D
 	e, err := cpuEngine(h, cpu.Defaults(), func(res cpu.Result) (timedRun, error) {
 		c := energy.Counts{
 			L1Accesses: ic.Stats().Accesses + dc.Stats().Accesses,
