@@ -50,23 +50,6 @@ type Event struct {
 	Below uint8
 }
 
-// EventOf returns the Event of the access at index i of a stream,
-// whose Access returned r, and whether it is one.
-func EventOf(i int, r Result) (Event, bool) {
-	dirty := r.Evicted && r.EvictedDirty
-	if r.Hit && r.ExtraLatency == 0 && !dirty {
-		return Event{}, false
-	}
-	if r.ExtraLatency < 0 || r.ExtraLatency > 0xFF {
-		panic(fmt.Sprintf("cache: extra latency %d does not fit an Event", r.ExtraLatency))
-	}
-	e := Event{Index: uint32(i), Miss: !r.Hit, Dirty: dirty, Extra: uint8(r.ExtraLatency)}
-	if dirty {
-		e.Victim = r.EvictedAddr
-	}
-	return e, true
-}
-
 // Replayer is a cache with a batch entry point: Replay runs stream in
 // order and leaves exactly the state and counters that one Access per
 // element leaves. With a non-nil ev it also appends to *ev the Event of
@@ -93,10 +76,24 @@ func Replay(c Cache, stream []MemAccess, ev *[]Event) {
 }
 
 // AppendEvent appends to *ev the Event of the access at index i of a
-// stream, whose Access returned r, if it is one (EventOf): the step of
-// a Replay that loops over Access.
+// stream, whose Access returned r, if it is one: a miss, a hit with
+// ExtraLatency, or a dirty victim. It is the step of a Replay that
+// loops over Access, and inlines to one test on a plain hit, which most
+// accesses are.
 func AppendEvent(ev *[]Event, i int, r Result) {
-	if e, ok := EventOf(i, r); ok {
-		*ev = append(*ev, e)
+	if !r.Hit || r.ExtraLatency != 0 || r.Evicted && r.EvictedDirty {
+		appendEvent(ev, i, &r)
 	}
+}
+
+// appendEvent appends the Event of an access that was not a plain hit.
+func appendEvent(ev *[]Event, i int, r *Result) {
+	if r.ExtraLatency < 0 || r.ExtraLatency > 0xFF {
+		panic(fmt.Sprintf("cache: extra latency %d does not fit an Event", r.ExtraLatency))
+	}
+	e := Event{Index: uint32(i), Miss: !r.Hit, Dirty: r.Evicted && r.EvictedDirty, Extra: uint8(r.ExtraLatency)}
+	if e.Dirty {
+		e.Victim = r.EvictedAddr
+	}
+	*ev = append(*ev, e)
 }

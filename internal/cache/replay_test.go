@@ -78,9 +78,7 @@ func checkReplay(t *testing.T, a, b *SetAssoc, chunks [][]MemAccess,
 	for _, ch := range chunks {
 		var want []Event
 		for i, m := range ch {
-			if e, ok := EventOf(i, access(a, m.Addr(), m.Write())); ok {
-				want = append(want, e)
-			}
+			AppendEvent(&want, i, access(a, m.Addr(), m.Write()))
 		}
 		got = got[:0]
 		replay(b, ch, &got)

@@ -68,11 +68,6 @@ var table = []entry{
 		var entries int
 		ok := scan(key, "victim:%d", &entries)
 		return Design{Victim: entries, New: func(s, l int) (cache.Cache, error) {
-			// The buffer's index is sized up front, so one larger than
-			// the cache it backs is refused rather than allocated.
-			if l > 0 && entries > s/l {
-				return nil, fmt.Errorf("cachespec: victim buffer of %d lines exceeds the %d-line cache", entries, s/l)
-			}
 			return victim.New(s, l, entries)
 		}}, ok
 	}},

@@ -41,6 +41,10 @@ func (c *BCache) replaySWAR(stream []cache.MemAccess, ev *[]cache.Event) {
 		panic("core: stream too long for Event indices")
 	}
 	var writes, hits, missPDHit, missPDMiss, evictions, writebacks uint64
+	var evs []cache.Event // *ev in a local, stored back at the end
+	if ev != nil {
+		evs = *ev
+	}
 	for i, m := range stream {
 		a := addr.Addr(m >> 1)
 		write := m&1 != 0
@@ -92,7 +96,7 @@ func (c *BCache) replaySWAR(stream []cache.MemAccess, ev *[]cache.Event) {
 			if valid[row]&dirty[row]&bit != 0 {
 				e.Dirty, e.Victim = true, c.lineAddr(cl, row)
 			}
-			*ev = append(*ev, e)
+			evs = append(evs, e)
 		}
 		sh := uint(cl) * laneBits
 		pdWords[row] = pdWords[row]&^(0xFF<<sh) | pi<<sh
@@ -108,6 +112,9 @@ func (c *BCache) replaySWAR(stream []cache.MemAccess, ev *[]cache.Event) {
 		stamp[row*bas+cl] = clock
 	}
 	c.lru.SetClock(clock)
+	if ev != nil {
+		*ev = evs
+	}
 	n := uint64(len(stream))
 	misses := n - hits
 	st := c.stats

@@ -150,9 +150,7 @@ func TestBCacheReplayMatchesAccess(t *testing.T) {
 						}
 						var want, got []cache.Event
 						for i, m := range chunk {
-							if e, ok := cache.EventOf(i, a.Access(m.Addr(), m.Write())); ok {
-								want = append(want, e)
-							}
+							cache.AppendEvent(&want, i, a.Access(m.Addr(), m.Write()))
 						}
 						b.Replay(chunk, &got)
 						sameEvents(t, want, got, done)
@@ -220,9 +218,7 @@ func FuzzBCacheReplay(f *testing.F) {
 			}
 			var want, got []cache.Event
 			for i, m := range chunk {
-				if e, ok := cache.EventOf(i, a.Access(m.Addr(), m.Write())); ok {
-					want = append(want, e)
-				}
+				cache.AppendEvent(&want, i, a.Access(m.Addr(), m.Write()))
 			}
 			b.Replay(chunk, &got)
 			sameEvents(t, want, got, done)

@@ -80,9 +80,7 @@ type recorder struct {
 
 func (r *recorder) Access(a addr.Addr, write bool) cache.Result {
 	res := r.Cache.Access(a, write)
-	if e, ok := cache.EventOf(r.n, res); ok {
-		r.events = append(r.events, e)
-	}
+	cache.AppendEvent(&r.events, r.n, res)
 	r.n++
 	return res
 }

@@ -29,8 +29,10 @@ type UnitResult struct {
 	Accesses uint64 `json:"accesses"`
 	PDHit    uint64 `json:"pdHit,omitempty"`
 	PDMiss   uint64 `json:"pdMiss,omitempty"`
-	// BufferHits counts the hits a victim cache served from its buffer.
-	BufferHits uint64 `json:"bufferHits,omitempty"`
+	// Extra is the hit cycles spent beyond the first probe, summed over
+	// every hit: a victim cache's buffer hits, a column cache's second
+	// probes, and so on.
+	Extra uint64 `json:"extra,omitempty"`
 }
 
 // missRate is Misses/Accesses, or 0 for a unit that saw no accesses

@@ -20,11 +20,9 @@ import (
 
 func init() {
 	register(Experiment{
-		ID:    "xrelated",
-		Title: "Related-work comparison: miss-rate reduction and hit latency per design (§7)",
-		Units: func(opts Opts) []unit {
-			return append(xRelatedSweep(opts).units(), xRelatedGrid(opts).units()...)
-		},
+		ID:     "xrelated",
+		Title:  "Related-work comparison: miss-rate reduction and hit latency per design (§7)",
+		Units:  func(opts Opts) []unit { return xRelatedSweep(opts).units() },
 		Render: renderXRelated,
 	})
 	register(gridExperiment("xvipt",
@@ -49,96 +47,32 @@ func relatedSpecs() []Spec {
 	return append(specs, victimSpec(16), hacSpec(), bcacheSpec(8, 8))
 }
 
-// relatedSplit partitions relatedSpecs into the designs Figure 4 also
-// measures, whose miss-rate keys xrelated reads (xRelatedSweep), and
-// the rest, which its own grid runs (xRelatedGrid).
-func relatedSplit() (standard, alt []Spec) {
-	fig4 := map[string]bool{}
-	for _, s := range figureSpecs() {
-		fig4[s.Key] = true
-	}
-	for _, s := range relatedSpecs() {
-		if fig4[s.Key] {
-			standard = append(standard, s)
-		} else {
-			alt = append(alt, s)
-		}
-	}
-	return standard, alt
-}
-
-// xRelatedSweep is the D-side sweep of the baseline and the standard
-// designs on every benchmark's canonical trace: its keys are Figure 4's
-// (seed 0), so a campaign running both simulates them once.
+// xRelatedSweep is the D-side sweep of every related design on every
+// benchmark's canonical trace, whatever -seeds says. Its keys for the
+// designs Figure 4 also measures are Figure 4's (seed 0), so a campaign
+// running both simulates them once.
 func xRelatedSweep(opts Opts) sweep {
 	opts.Seeds = 1
-	standard, _ := relatedSplit()
-	return sweep{opts, workload.All(), standard, dSide}
+	return sweep{opts, workload.All(), relatedSpecs(), dSide}
 }
 
-// relatedRun is one design's raw counters on one benchmark.
-type relatedRun struct {
-	Misses uint64 `json:"misses"`
-	Hits   uint64 `json:"hits"`
-	// Extra sums the extra hit latency, in cycles, over all hits.
-	Extra uint64 `json:"extra"`
-}
-
-// xRelatedGrid replays every benchmark's data stream on each design
-// relatedSplit leaves out of the sweep.
-func xRelatedGrid(opts Opts) grid[relatedRun] {
-	_, specs := relatedSplit()
-	return grid[relatedRun]{id: "xrelated", opts: opts, profiles: workload.All(), configs: specNames(specs),
-		run: func(_ *workload.Profile, c int) (engine[relatedRun], error) {
-			cc, err := specs[c].New(opts.L1Size, opts.LineBytes)
-			if err != nil {
-				return engine[relatedRun]{}, err
-			}
-			var r relatedRun
-			return engine[relatedRun]{feed: func(ch *chunk) {
-				for _, m := range ch.data {
-					res := cc.Access(m.Addr(), m.Write())
-					if res.Hit {
-						r.Hits++
-						r.Extra += uint64(res.ExtraLatency)
-					}
-				}
-			}, results: func() (relatedRun, error) {
-				r.Misses = cc.Stats().Misses
-				return r, nil
-			}}, nil
-		}}
-}
-
-// renderXRelated sums each design's counters over the suite. A sweep
-// design's hits are its accesses less its misses, and its only extra
-// hit latency is the victim buffer's one cycle per buffer hit.
+// renderXRelated sums each design's counters over the suite: its hits
+// are its accesses less its misses, and its extra hit cycles are
+// UnitResult.Extra.
 func renderXRelated(opts Opts, res results) ([]*Table, error) {
-	sw, g := xRelatedSweep(opts), xRelatedGrid(opts)
+	sw := xRelatedSweep(opts)
 	rates, err := sw.rates(res)
 	if err != nil {
 		return nil, err
 	}
-	runs, err := g.collect(res)
-	if err != nil {
-		return nil, err
-	}
-	sums := map[string]relatedRun{}
-	add := func(name string, r relatedRun) {
-		s := sums[name]
-		s.Misses += r.Misses
-		s.Hits += r.Hits
-		s.Extra += r.Extra
-		sums[name] = s
-	}
-	for pi, p := range g.profiles {
-		for _, s := range sw.all() {
-			r := rates[p.Name][s.Name]
-			add(s.Name, relatedRun{Misses: r.misses, Hits: r.accesses - r.misses, Extra: r.bufferHits})
+	sum := func(name string) (misses, hits, extra uint64) {
+		for _, p := range sw.profiles {
+			r := rates[p.Name][name]
+			misses += r.misses
+			hits += r.accesses - r.misses
+			extra += r.extra
 		}
-		for c, cfg := range g.configs {
-			add(cfg, runs[pi][c])
-		}
+		return misses, hits, extra
 	}
 	t := &Table{
 		ID:    "xrelated",
@@ -148,16 +82,16 @@ func renderXRelated(opts Opts, res results) ([]*Table, error) {
 			"design", "miss-reduction", "mean-hit-latency",
 		},
 	}
-	baseMisses := sums["baseline"].Misses
-	for _, s := range relatedSpecs() {
-		sum := sums[s.Name]
+	baseMisses, _, _ := sum("baseline")
+	for _, s := range sw.specs {
+		misses, hits, extra := sum(s.Name)
 		red := 0.0
 		if baseMisses > 0 {
-			red = 1 - float64(sum.Misses)/float64(baseMisses)
+			red = 1 - float64(misses)/float64(baseMisses)
 		}
 		lat := 1.0
-		if sum.Hits > 0 {
-			lat = 1 + float64(sum.Extra)/float64(sum.Hits)
+		if hits > 0 {
+			lat = 1 + float64(extra)/float64(hits)
 		}
 		t.AddRow(s.Name, pct(red), fmt.Sprintf("%.3f", lat))
 	}

@@ -1,11 +1,5 @@
 package experiment
 
-import (
-	"bcache/internal/cache"
-	"bcache/internal/core"
-	"bcache/internal/workload"
-)
-
 // Figure 3: the benchmark wupwise's data-cache miss rate and PD hit rate
 // during misses as MF sweeps from 2 to 512 (BAS = 8, 16 kB). The paper's
 // point: wupwise's conflicting blocks sit at a power-of-two stride whose
@@ -14,50 +8,45 @@ import (
 // 64), tracking the PD hit rate downward.
 
 func init() {
-	register(gridExperiment("fig3",
-		"wupwise D$ miss rate and PD hit rate vs MF (BAS=8, 16kB)",
-		fig3Grid, renderFig3))
+	register(Experiment{
+		ID:     "fig3",
+		Title:  "wupwise D$ miss rate and PD hit rate vs MF (BAS=8, 16kB)",
+		Units:  func(opts Opts) []unit { return fig3Sweep(opts, fig3MFs...).units() },
+		Render: renderFig3,
+	})
 }
 
-// fig3Grid replays wupwise's data stream on the B-Cache at MF 2..512,
-// BAS = 8, and keeps the raw miss and PD counters.
-func fig3Grid(opts Opts) grid[UnitResult] {
-	var mfs []int
-	for mf := 2; mf <= 512; mf *= 2 {
-		mfs = append(mfs, mf)
+// fig3MFs are Figure 3's MFs.
+var fig3MFs = []int{2, 4, 8, 16, 32, 64, 128, 256, 512}
+
+// fig3Sweep is wupwise's D-side sweep of the B-Cache at each of mfs,
+// BAS = 8, on the canonical trace alone: the figure plots one run per
+// MF, whatever -seeds says. Its MF ≤ 16 keys are Figure 4's (seed 0),
+// so a campaign running both simulates them once.
+func fig3Sweep(opts Opts, mfs ...int) sweep {
+	opts.Seeds = 1
+	specs := make([]Spec, len(mfs))
+	for i, mf := range mfs {
+		specs[i] = bcacheSpec(mf, 8)
 	}
-	return fig3GridMF(opts, mfs)
+	return sweep{opts, mustProfiles("wupwise"), specs, dSide}
 }
 
-// fig3GridMF is the part of Figure 3's grid at the given MFs: its units
-// commit the same keys as fig3Grid's.
-func fig3GridMF(opts Opts, mfs []int) grid[UnitResult] {
-	var specs []Spec
-	for _, mf := range mfs {
-		specs = append(specs, bcacheSpec(mf, 8))
+func renderFig3(opts Opts, res results) ([]*Table, error) {
+	sw := fig3Sweep(opts, fig3MFs...)
+	rates, err := sw.rates(res)
+	if err != nil {
+		return nil, err
 	}
-	return grid[UnitResult]{id: "fig3", opts: opts, profiles: mustProfiles("wupwise"), configs: specNames(specs),
-		run: func(_ *workload.Profile, c int) (engine[UnitResult], error) {
-			cc, err := specs[c].New(opts.L1Size, opts.LineBytes)
-			if err != nil {
-				return engine[UnitResult]{}, err
-			}
-			return engine[UnitResult]{feed: func(ch *chunk) { cache.Replay(cc, ch.data, nil) },
-				results: func() (UnitResult, error) { return cacheCounters(cc), nil }}, nil
-		}}
-}
-
-func renderFig3(_ Opts, g grid[UnitResult], runs [][]UnitResult) []*Table {
 	t := &Table{
 		ID:      "fig3",
 		Title:   "wupwise: D$ miss rate (left axis) and PD hit rate during misses (right axis) vs MF",
 		Note:    "BAS=8, LRU; the sharp PD-hit-rate drop marks where MF exceeds the benchmark's tag-collision stride",
 		Headers: []string{"MF", "miss-rate", "pd-hit-rate"},
 	}
-	for c, name := range g.configs {
-		r := runs[0][c]
-		pd := core.PDStats{MissPDHit: r.PDHit, MissPDMiss: r.PDMiss}
-		t.AddRow(name, pct(r.missRate()), pct(pd.HitRateDuringMiss()))
+	for _, s := range sw.specs {
+		r := rates["wupwise"][s.Name]
+		t.AddRow(s.Name, pct(r.missRate), pct(r.pdHitDuringMiss))
 	}
-	return []*Table{t}
+	return []*Table{t}, nil
 }

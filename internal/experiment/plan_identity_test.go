@@ -72,7 +72,7 @@ func TestPlanCoversSequentialCheckpoint(t *testing.T) {
 	}{
 		{"fig4", 260}, {"fig5", 150}, {"fig12", 1066},
 		{"table5", 234}, {"table6", 234}, {"xline", 312},
-		{"fig3", 9}, {"fig8", 468}, {"table7", 52}, {"xrelated", 312}, {"fault", 120},
+		{"fig3", 10}, {"fig8", 468}, {"table7", 52}, {"xrelated", 312}, {"fault", 120},
 	} {
 		t.Run(tc.id, func(t *testing.T) {
 			opts := tinyPlanOpts()
@@ -167,7 +167,8 @@ func TestPlanCampaignKeepsNarrowerSweeps(t *testing.T) {
 // units answer every victim16 key, so fig12's victim16 replays are not
 // planned, and the 16 kB seed-0 victim16 keys are committed twice: by
 // the profile and by the timed victim16 unit (checkCommits compares
-// them).
+// them). Figure 3's MF ≤ 16 points are Figure 4's wupwise keys, each
+// simulated by one unit.
 func TestPlanCampaignPinned(t *testing.T) {
 	opts := tinyPlanOpts()
 	opts.Checkpoint = nil
@@ -179,22 +180,36 @@ func TestPlanCampaignPinned(t *testing.T) {
 	for i := 0; i < plan.Len(); i++ {
 		keys += len(plan.UnitKeys(i))
 	}
-	if plan.Len() != 26 || len(plan.units) != 1583 || keys != 2614 {
-		t.Errorf("plan has %d groups of %d units committing %d keys, want 26, 1583 and 2614",
+	if plan.Len() != 26 || len(plan.units) != 1579 || keys != 2610 {
+		t.Errorf("plan has %d groups of %d units committing %d keys, want 26, 1579 and 2610",
 			plan.Len(), len(plan.units), keys)
 	}
-	if fp := plan.Fingerprint(); fp != 0xadb6a5a12c32c4d0 {
-		t.Errorf("plan fingerprint %#x, want 0xadb6a5a12c32c4d0", fp)
+	if fp := plan.Fingerprint(); fp != 0x1bad59132a0a0e13 {
+		t.Errorf("plan fingerprint %#x, want 0x1bad59132a0a0e13", fp)
+	}
+	committers := func(key string) []string {
+		var by []string
+		for _, u := range plan.units {
+			if slices.Contains(u.keys, key) {
+				by = append(by, u.label)
+			}
+		}
+		return by
 	}
 	victim := fig4Sweep(opts).key(victimSpec(16), 0, "gcc")
-	var by []string
-	for _, u := range plan.units {
-		if slices.Contains(u.keys, victim) {
-			by = append(by, u.label)
+	if by, want := committers(victim), []string{"gcc/lru-profile/seed0", "timed/gcc/victim16"}; !slices.Equal(by, want) {
+		t.Errorf("%s is committed by %q, want %q", victim, by, want)
+	}
+	for _, mf := range []int{2, 4, 8, 16} {
+		key := fig4Sweep(opts).key(bcacheSpec(mf, 8), 0, "wupwise")
+		if by := committers(key); len(by) != 1 {
+			t.Errorf("%s is committed by %q, want one unit", key, by)
 		}
 	}
-	if want := []string{"gcc/lru-profile/seed0", "timed/gcc/victim16"}; !slices.Equal(by, want) {
-		t.Errorf("%s is committed by %q, want %q", victim, by, want)
+	for _, u := range plan.units {
+		if strings.HasPrefix(u.label, "fig3/") {
+			t.Errorf("unit %s: Figure 3 is a sweep, whose labels name no experiment", u.label)
+		}
 	}
 	simulating := 0
 	for _, e := range All() {

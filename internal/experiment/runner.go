@@ -32,7 +32,8 @@ type Opts struct {
 	LineBytes int
 	// Seeds replicates miss-rate runs with shifted workload seeds and
 	// averages the results (noise control for small instruction counts).
-	// Zero or one means a single run with the canonical seed.
+	// Zero or one means a single run with the canonical seed. fig3 and
+	// xrelated plot the canonical trace alone, whatever Seeds says.
 	Seeds int
 	// TraceBytes is accepted and ignored: no trace is kept, so there is
 	// nothing to budget. It stays until the benchmark harness, which
@@ -187,8 +188,8 @@ type missRun struct {
 	// summed across seeds (B-Cache only).
 	pdHit  uint64
 	pdMiss uint64
-	// bufferHits sums a victim cache's buffer hits across seeds.
-	bufferHits uint64
+	// extra sums the extra hit cycles across seeds (UnitResult.Extra).
+	extra uint64
 	// pdHitDuringMiss is pdHit/(pdHit+pdMiss): the PD hit rate during
 	// misses, computed once from the summed counters so seeds with
 	// unequal miss counts carry their true weight.
@@ -488,23 +489,36 @@ func agree(key string, prev commit, label string, v any) error {
 
 // replayEngine is the engine of one replay of spec on one side of a
 // trace: build the cache, replay the side's stream through it, and
-// return the raw counters. It is the engine of every sweep replay
-// unit, whether the in-process scheduler or a worker subprocess
-// (plan.go) runs it, so both compute bit-identical units.
+// return the raw counters, with the extra hit cycles summed off the
+// replay's hit events. It is the engine of every sweep replay unit,
+// whether the in-process scheduler or a worker subprocess (plan.go)
+// runs it, so both compute bit-identical units.
 func replayEngine(opts Opts, s side, spec Spec) (engine[[]UnitResult], error) {
 	c, err := spec.New(opts.L1Size, opts.LineBytes)
 	if err != nil {
 		return engine[[]UnitResult]{}, fmt.Errorf("%s: %w", spec.Name, err)
 	}
 	st := s.stream(opts.LineBytes)
-	return engine[[]UnitResult]{feed: func(ch *chunk) { cache.Replay(c, ch.accesses(st), nil) }, results: func() ([]UnitResult, error) {
-		return []UnitResult{cacheCounters(c)}, nil
+	var extra uint64
+	feed := func(ch *chunk) {
+		ch.events = ch.events[:0]
+		cache.Replay(c, ch.accesses(st), &ch.events)
+		for _, e := range ch.events {
+			if !e.Miss {
+				extra += uint64(e.Extra)
+			}
+		}
+	}
+	return engine[[]UnitResult]{feed: feed, results: func() ([]UnitResult, error) {
+		u := cacheCounters(c)
+		u.Extra = extra
+		return []UnitResult{u}, nil
 	}}, nil
 }
 
 // cacheCounters reads the counters a unit commits for cache c: misses
-// and accesses, a B-Cache's PD outcomes during misses, and the hits a
-// victim cache served from its buffer.
+// and accesses, a B-Cache's PD outcomes during misses, and a victim
+// cache's extra hit cycles, one per hit its buffer served.
 func cacheCounters(c cache.Cache) UnitResult {
 	st := c.Stats()
 	u := UnitResult{Misses: st.Misses, Accesses: st.Accesses}
@@ -513,7 +527,7 @@ func cacheCounters(c cache.Cache) UnitResult {
 		pd := c.PDStats()
 		u.PDHit, u.PDMiss = pd.MissPDHit, pd.MissPDMiss
 	case *victim.Cache:
-		u.BufferHits = c.BufferHits
+		u.Extra = c.BufferHits
 	}
 	return u
 }
@@ -553,7 +567,8 @@ func profileEngine(sh lruShape) (engine[[]UnitResult], error) {
 			u := UnitResult{Accesses: prof.Accesses()}
 			var err error
 			if g.Victim > 0 {
-				u.Misses, u.BufferHits, err = prof.VictimMisses(g.Sets, g.Victim)
+				// A buffer hit is the victim cache's one extra cycle.
+				u.Misses, u.Extra, err = prof.VictimMisses(g.Sets, g.Victim)
 			} else {
 				u.Misses, err = prof.Misses(g.Sets, g.Ways)
 			}
@@ -603,9 +618,9 @@ func lruSpecIndices(opts Opts, all []Spec) (lru, replayed []int) {
 }
 
 // A sweep is one miss-rate sweep: every profile × (baseline + specs) on
-// one L1 side at one scale. The miss-rate experiments (fig4, fig5,
-// fig12, table5, table6, xline, and xrelated's standard designs)
-// declare their units as sweeps.
+// one L1 side at one scale. The miss-rate experiments (fig3, fig4,
+// fig5, fig12, table5, table6, xline and xrelated) declare their units
+// as sweeps.
 type sweep struct {
 	opts     Opts
 	profiles []*workload.Profile
@@ -692,7 +707,7 @@ func (sw sweep) rates(res results) (out missResults, missing error) {
 					r.accesses += u.Accesses
 					r.pdHit += u.PDHit
 					r.pdMiss += u.PDMiss
-					r.bufferHits += u.BufferHits
+					r.extra += u.Extra
 				}
 			}
 			if r.accesses > 0 {

@@ -56,9 +56,9 @@ func TestStackDistMatchesReplay(t *testing.T) {
 				for _, p := range profiles {
 					for _, name := range []string{"baseline", "2way", "8way", "32way", "victim4"} {
 						f, o := fast[p.Name][name], oracle[p.Name][name]
-						if f.misses != o.misses || f.accesses != o.accesses || f.bufferHits != o.bufferHits {
-							t.Errorf("%s/%s: profile (m=%d a=%d b=%d) != replay (m=%d a=%d b=%d)",
-								p.Name, name, f.misses, f.accesses, f.bufferHits, o.misses, o.accesses, o.bufferHits)
+						if f.misses != o.misses || f.accesses != o.accesses || f.extra != o.extra {
+							t.Errorf("%s/%s: profile (m=%d a=%d x=%d) != replay (m=%d a=%d x=%d)",
+								p.Name, name, f.misses, f.accesses, f.extra, o.misses, o.accesses, o.extra)
 						}
 					}
 				}

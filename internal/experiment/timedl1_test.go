@@ -76,7 +76,7 @@ func TestTimedL1MatchesReplay(t *testing.T) {
 						t.Errorf("%s/%s side %d: no accesses", p.Name, spec.Name, s)
 					}
 					pd += want[0].PDHit + want[0].PDMiss
-					buffered += want[0].BufferHits
+					buffered += want[0].Extra
 				}
 			}
 		}

@@ -147,6 +147,9 @@ type chunk struct {
 	data   []memAcc
 	fetch  []fetchChunk
 	frames []*cpu.Frame
+	// events is scratch for the pass's engines, which run one at a time:
+	// an engine may refill it in its feed, and keeps nothing of it.
+	events []cache.Event
 }
 
 // fetchChunk is a chunk's I-cache stream at one line size: its fetches

@@ -9,7 +9,7 @@ import (
 )
 
 // profileUnitExperiments are the (profile × configuration) grid
-// experiments.
+// experiments and the single-seed sweeps, fig3 and xrelated.
 var profileUnitExperiments = []string{"fig3", "table7", "x3c", "xdrowsy", "xrecolor", "xrelated", "xvipt"}
 
 // runCSV runs experiment id and returns its tables as CSV.
@@ -50,6 +50,21 @@ func TestProfileUnitsWorkerInvariant(t *testing.T) {
 			b := runCSV(t, id, four)
 			if !bytes.Equal(a, b) {
 				t.Fatalf("CSV differs between 1 and 4 workers\n1: %s\n4: %s", a, b)
+			}
+		})
+	}
+}
+
+// TestSingleSeedSweepsIgnoreSeeds: fig3 and xrelated plot the canonical
+// trace alone, so their sweeps run one seed whatever Opts.Seeds says,
+// and a second seed cannot reach their CSV.
+func TestSingleSeedSweepsIgnoreSeeds(t *testing.T) {
+	for _, id := range []string{"fig3", "xrelated"} {
+		t.Run(id, func(t *testing.T) {
+			one, two := tinyOpts(), tinyOpts()
+			one.Seeds, two.Seeds = 1, 2
+			if a, b := runCSV(t, id, one), runCSV(t, id, two); !bytes.Equal(a, b) {
+				t.Fatalf("CSV differs between 1 and 2 seeds\n1: %s\n2: %s", a, b)
 			}
 		})
 	}

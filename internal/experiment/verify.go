@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"bcache/internal/area"
-	"bcache/internal/core"
 	"bcache/internal/energy"
 	"bcache/internal/threec"
 	"bcache/internal/timing"
@@ -146,10 +145,10 @@ func Verify(opts Opts, w io.Writer) (passed, failed int, err error) {
 
 // The checks' unit lists: each is part of the experiment it verifies.
 
-// fig3CliffGrid is Figure 3's grid at the two MFs around the cliff.
-func fig3CliffGrid(opts Opts) grid[UnitResult] { return fig3GridMF(opts, []int{32, 64}) }
+// fig3CliffSweep is Figure 3's sweep at the two MFs around the cliff.
+func fig3CliffSweep(opts Opts) sweep { return fig3Sweep(opts, 32, 64) }
 
-func fig3CliffUnits(opts Opts) []unit { return fig3CliffGrid(opts).units() }
+func fig3CliffUnits(opts Opts) []unit { return fig3CliffSweep(opts).units() }
 func fig4Units(opts Opts) []unit      { return fig4Sweep(opts).units() }
 func fig5Units(opts Opts) []unit      { return fig5Sweep(opts).units() }
 func table5Units(opts Opts) []unit    { return designSweep(opts).units() }
@@ -166,16 +165,13 @@ func equake3CGrid(opts Opts) grid[threec.Counts] {
 // ---- individual checks ----
 
 func checkFig3Cliff(opts Opts, res results) (string, bool, error) {
-	runs, err := fig3CliffGrid(opts).collect(res)
+	rates, err := fig3CliffSweep(opts).rates(res)
 	if err != nil {
 		return "", false, err
 	}
-	rate := func(r UnitResult) (float64, float64) {
-		pd := core.PDStats{MissPDHit: r.PDHit, MissPDMiss: r.PDMiss}
-		return r.missRate(), pd.HitRateDuringMiss()
-	}
-	m32, pd32 := rate(runs[0][0])
-	m64, pd64 := rate(runs[0][1])
+	r32, r64 := rates["wupwise"]["MF32"], rates["wupwise"]["MF64"]
+	m32, pd32 := r32.missRate, r32.pdHitDuringMiss
+	m64, pd64 := r64.missRate, r64.pdHitDuringMiss
 	msg := fmt.Sprintf("PD hit on miss %.0f%%→%.0f%%, miss %.1f%%→%.1f%% across MF 32→64",
 		100*pd32, 100*pd64, 100*m32, 100*m64)
 	return msg, pd32 > 0.4 && pd64 < 0.2 && m64 < m32, nil

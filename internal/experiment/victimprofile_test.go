@@ -91,8 +91,8 @@ func TestVictimProfileMatchesReplay(t *testing.T) {
 					t.Errorf("%s victim%d: no accesses", tw.name, victimDepths[x])
 				}
 			}
-			buffered[0] += got[0].BufferHits
-			buffered[1] += got[len(got)-1].BufferHits
+			buffered[0] += got[0].Extra
+			buffered[1] += got[len(got)-1].Extra
 		}
 	}
 	if buffered[0] == 0 || buffered[1] <= buffered[0] {

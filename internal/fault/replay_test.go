@@ -205,9 +205,7 @@ func TestInjectorReplayMatchesAccess(t *testing.T) {
 			for _, chunk := range split(testStream(uint64(i), accesses), func() int { return chunkSize(src) }) {
 				var want, got []cache.Event
 				for i, m := range chunk {
-					if e, ok := cache.EventOf(i, a.Access(m.Addr(), m.Write())); ok {
-						want = append(want, e)
-					}
+					cache.AppendEvent(&want, i, a.Access(m.Addr(), m.Write()))
 				}
 				b.Replay(chunk, &got)
 				sameEvents(t, want, got, done)
@@ -281,9 +279,7 @@ func FuzzInjectorReplay(f *testing.F) {
 		}) {
 			var want, got []cache.Event
 			for i, m := range chunk {
-				if e, ok := cache.EventOf(i, a.Access(m.Addr(), m.Write())); ok {
-					want = append(want, e)
-				}
+				cache.AppendEvent(&want, i, a.Access(m.Addr(), m.Write()))
 			}
 			b.Replay(chunk, &got)
 			sameEvents(t, want, got, done)

@@ -47,7 +47,9 @@ type Cache struct {
 var _ cache.Cache = (*Cache)(nil)
 
 // New builds a direct-mapped size/lineBytes cache with an entries-line
-// fully-associative victim buffer.
+// fully-associative victim buffer. The buffer's index is sized up
+// front, so a buffer larger than the cache it backs is refused rather
+// than allocated.
 func New(size, lineBytes, entries int) (*Cache, error) {
 	if entries <= 0 {
 		return nil, fmt.Errorf("victim: non-positive buffer size %d", entries)
@@ -57,6 +59,9 @@ func New(size, lineBytes, entries int) (*Cache, error) {
 		return nil, err
 	}
 	g := main.Geometry()
+	if entries > g.Sets {
+		return nil, fmt.Errorf("victim: buffer of %d lines exceeds the %d-line cache", entries, g.Sets)
+	}
 	return &Cache{
 		main:     main,
 		buf:      stackdist.NewIndex(entries),

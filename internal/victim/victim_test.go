@@ -125,6 +125,13 @@ func TestRejectsBadConfig(t *testing.T) {
 	if _, err := New(1000, 32, 4); err == nil {
 		t.Fatal("accepted non-power-of-two size")
 	}
+	// The buffer may hold as many lines as the 512-line cache, no more.
+	if _, err := New(16384, 32, 512); err != nil {
+		t.Fatalf("refused a buffer as large as the cache: %v", err)
+	}
+	if _, err := New(16384, 32, 513); err == nil {
+		t.Fatal("accepted a buffer larger than the cache")
+	}
 }
 
 func TestReset(t *testing.T) {
