@@ -124,7 +124,10 @@ ci: fmt-check vet lint build bench-test race-robust race chaos reproduce
 # events for any record stream, chunk split, L1, hierarchy and core), 10 s
 # of fuzzing the engine registry's key parser, which bcachesim's -cache
 # hands outside input (FuzzParse: no panic, every accepted key is its own
-# canonical key, and a built design fits the capacity it declares), and
+# canonical key, and a built design fits the capacity it declares), 10 s
+# of fuzzing the victim cache against its stamp-scan reference
+# (FuzzBufferMatchesLinear: same Results, Stats, buffer hits and resident
+# lines for any stream and buffer of 1 to 64 lines), and
 # the CLI test that a -workers-procs run prints the in-process CSV byte for
 # byte, with and without losing every worker.
 # The fuzz lines pass -fuzzminimizetime 0: by default the fuzzer spends
@@ -142,6 +145,7 @@ chaos:
 	$(GO) test -run '^$$' -fuzz FuzzInjectorReplay -fuzztime 10s -fuzzminimizetime 0 ./internal/fault
 	$(GO) test -run '^$$' -fuzz FuzzStepFrame -fuzztime 10s -fuzzminimizetime 0 ./internal/cpu
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 0 ./internal/cachespec
+	$(GO) test -run '^$$' -fuzz FuzzBufferMatchesLinear -fuzztime 10s -fuzzminimizetime 0 ./internal/victim
 	$(GO) test -race -count=1 -run TestWorkersProcsMatchesInProcess ./cmd/experiments
 
 # reproduce is the output drift gate: it regenerates every table at

@@ -11,7 +11,7 @@ import (
 // BenchmarkSetAssocAccess measures the raw access path of the
 // structure-of-arrays set-associative model across the associativities
 // the paper sweeps: direct-mapped (1), the classic 8-way, and the
-// 512-way fully-associative extreme of Table 4.
+// 512-way fully-associative extreme.
 func BenchmarkSetAssocAccess(b *testing.B) {
 	src := rng.New(5)
 	addrs := make([]addr.Addr, 8192)

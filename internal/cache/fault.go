@@ -38,11 +38,7 @@ func (c *SetAssoc) setWay(bit uint64) (word int, mask uint64) {
 }
 
 // FlipStateBit flips bit `bit` of domain d (a silent soft error).
-// Any injection permanently drops the wide-set hash index (see
-// dropIndex): the linear scan is the only lookup that stays faithful to
-// corrupted metadata.
 func (c *SetAssoc) FlipStateBit(d FaultDomain, bit uint64) {
-	c.dropIndex()
 	switch d {
 	case FaultTag:
 		tb := c.tagBits()
@@ -61,7 +57,6 @@ func (c *SetAssoc) FlipStateBit(d FaultDomain, bit uint64) {
 // (the functional model does not track data, so "refetch" is simply a
 // future miss).
 func (c *SetAssoc) InvalidateSite(d FaultDomain, bit uint64) {
-	c.dropIndex()
 	var w int
 	var m uint64
 	switch d {

@@ -114,11 +114,8 @@ func (s *Stamps) Reset() {
 // hold one Policy per set (altcache's PAM and WayHalt, core.Reference).
 // It scans its stamps as Stamps does, kept apart as the per-set form
 // the differential oracle (core.Reference) runs. The linear victim scan
-// is intentional, but only below the index crossover: sets with
-// faIndexMinWays (64) ways or more carry a stackdist.Index whose
-// recency list answers the LRU victim in O(1), so this scan only ever
-// runs on narrow sets — the paper's 2..32-way sweeps — where it beats
-// maintaining a list. TestIndexCrossover asserts the threshold.
+// is intentional: the sets it serves are narrow, where a scan beats
+// maintaining a recency list.
 type lruPolicy struct {
 	stamp []uint64
 	clock uint64

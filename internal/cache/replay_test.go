@@ -15,30 +15,24 @@ import (
 type replayShape struct {
 	size, ways int
 	kind       PolicyKind
-	scan       bool // NewSetAssocScan: no hash index at any width
 }
 
 func (s replayShape) String() string {
-	return fmt.Sprintf("%dk-%dway-%s-scan%v", s.size>>10, s.ways, s.kind, s.scan)
+	return fmt.Sprintf("%dk-%dway-%s", s.size>>10, s.ways, s.kind)
 }
 
 func (s replayShape) build(t testing.TB) *SetAssoc {
 	t.Helper()
-	newCache := NewSetAssoc
-	if s.scan {
-		newCache = NewSetAssocScan
-	}
-	c, err := newCache(s.size, 32, s.ways, s.kind, rng.New(3))
+	c, err := NewSetAssoc(s.size, 32, s.ways, s.kind, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
-// replayShapes: the kernel's direct-mapped, 2-, 4- and 8-way and
-// unindexed 64-way LRU caches (16 kB and a 1 kB one whose sets fill and
-// evict constantly), and the Access loop's FIFO, Random and indexed
-// 512-way caches.
+// replayShapes: the kernel's direct-mapped, 2-, 4- and 8-way and 64-way
+// LRU caches (16 kB and a 1 kB one whose sets fill and evict
+// constantly), and the Access loop's FIFO, Random and 512-way caches.
 func replayShapes() []replayShape {
 	var out []replayShape
 	for _, size := range []int{16 << 10, 1 << 10} {
@@ -47,7 +41,7 @@ func replayShapes() []replayShape {
 		}
 	}
 	return append(out,
-		replayShape{size: 16 << 10, ways: 64, kind: LRU, scan: true},
+		replayShape{size: 16 << 10, ways: 64, kind: LRU},
 		replayShape{size: 16 << 10, ways: 4, kind: FIFO},
 		replayShape{size: 16 << 10, ways: 4, kind: Random},
 		replayShape{size: 16 << 10, ways: 512, kind: LRU})

@@ -6,7 +6,6 @@ import (
 
 	"bcache/internal/addr"
 	"bcache/internal/rng"
-	"bcache/internal/stackdist"
 )
 
 // SetAssoc is an N-way set-associative cache with write-allocate,
@@ -15,21 +14,12 @@ import (
 //
 // Storage is structure-of-arrays: one flat tag array plus per-set valid
 // and dirty bitmasks. The hit scan walks only the set's valid ways by
-// iterating the presence bitmask, so sparse or wide sets (the 512-way
-// fully-associative configurations in Table 4) never touch cold frames.
+// iterating the presence bitmask, so sparse or wide sets never touch
+// cold frames. The scan is the only lookup, at every width: the
+// experiments build caches of at most 32 ways, where it beats a hash
+// map, and it stays faithful to metadata that fault injection corrupts.
 // Data contents are not simulated; only presence, identity, and
 // dirtiness matter to the functional model.
-//
-// Wide sets additionally carry a hash index (stackdist.Index): a map
-// from tag to the way's node on an intrusive recency list, making the
-// tag match — and, for LRU, the victim search — O(1) instead of
-// O(ways). FIFO and Random victims are already O(1) through the per-set
-// policy, so for those kinds the index serves purely as the tag map. The
-// index is a pure accelerator over the same tag/valid/dirty arrays — it
-// is dropped (with a recency handoff to the per-set policy under LRU)
-// the moment fault injection mutates those arrays underneath it, because
-// a flipped tag bit can create aliases a one-entry-per-tag map cannot
-// represent.
 type SetAssoc struct {
 	geom Geometry
 	kind PolicyKind
@@ -61,22 +51,7 @@ type SetAssoc struct {
 	stats    *Stats
 	probe    Probe // nil unless observability is attached
 	name     string
-
-	// idx, when non-nil, holds one hash index per set (any policy at or
-	// above faIndexMinWays ways). Under LRU, while active it is the
-	// single source of recency truth; the stamps stay untouched until
-	// dropIndex hands the order back. Under FIFO/Random the per-set
-	// policy keeps advancing normally and the index is only the O(1) tag
-	// map.
-	idx []*stackdist.Index
 }
-
-// faIndexMinWays is the associativity at which a set gains a hash index.
-// Narrow sets (the paper's 2..32-way sweeps) stay on the bitmask scan,
-// which beats a map at that width; the 512-way fully-associative extreme
-// is ~30× faster indexed. TestIndexCrossover asserts this threshold for
-// every policy kind.
-const faIndexMinWays = 64
 
 var _ Cache = (*SetAssoc)(nil)
 
@@ -124,24 +99,6 @@ func NewSetAssoc(size, lineBytes, ways int, kind PolicyKind, src *rng.Source) (*
 			c.policies[s] = NewPolicy(kind, ways, ps)
 		}
 	}
-	if ways >= faIndexMinWays {
-		c.idx = make([]*stackdist.Index, geom.Sets)
-		for s := range c.idx {
-			c.idx[s] = stackdist.NewIndex(ways)
-		}
-	}
-	return c, nil
-}
-
-// NewSetAssocScan builds the cache with the wide-set hash index disabled
-// unconditionally: the linear-scan reference that differential tests and
-// benchmarks compare the indexed fast path against.
-func NewSetAssocScan(size, lineBytes, ways int, kind PolicyKind, src *rng.Source) (*SetAssoc, error) {
-	c, err := NewSetAssoc(size, lineBytes, ways, kind, src)
-	if err != nil {
-		return nil, err
-	}
-	c.idx = nil
 	return c, nil
 }
 
@@ -193,15 +150,9 @@ func (c *SetAssoc) wordMask(wi int) uint64 {
 	return ^uint64(0)
 }
 
-// findWay returns the way holding tag in set, or -1 — O(1) through the
-// hash index when present, else scanning valid ways in ascending order.
+// findWay returns the way holding tag in set, or -1, scanning valid ways
+// in ascending order.
 func (c *SetAssoc) findWay(set int, tag addr.Addr) int {
-	if c.idx != nil {
-		if n := c.idx[set].Get(tag); n != nil {
-			return int(n.Val)
-		}
-		return -1
-	}
 	if c.geom.Ways == 1 {
 		// Direct-mapped: one way, one valid bit, one tag — the paper's
 		// dominant configuration skips the bitmask scan machinery.
@@ -227,9 +178,6 @@ func (c *SetAssoc) findWay(set int, tag addr.Addr) int {
 func (c *SetAssoc) Access(a addr.Addr, write bool) Result {
 	set := int(a >> c.offBits & c.idxMask)
 	tag := a >> (c.offBits + c.idxBits)
-	if c.idx != nil {
-		return c.accessIndexed(set, tag, write)
-	}
 	base := set * c.geom.Ways
 	mbase := set * c.maskWords
 
@@ -290,93 +238,6 @@ func (c *SetAssoc) Access(a addr.Addr, write bool) Result {
 	return res
 }
 
-// accessIndexed is the Access path for sets carrying a hash index. It
-// maintains the same tag/valid/dirty arrays and statistics as the scan
-// path — only the tag match, the free-way choice, and (for LRU) the
-// victim search change, and each is provably the same decision the scan
-// path makes: ways fill in ascending order (nothing invalidates a line
-// while the index is active), so the next free way is the resident
-// count, and the recency-list tail is the minimum-stamp way the LRU
-// policy would pick. FIFO and Random victims come from the per-set
-// policy exactly as on the scan path — their policies are O(1) already,
-// and keeping them advancing means dropIndex needs no state handoff —
-// with the index resolving the victim way's tag to its node.
-func (c *SetAssoc) accessIndexed(set int, tag addr.Addr, write bool) Result {
-	base := set * c.geom.Ways
-	mbase := set * c.maskWords
-	ix := c.idx[set]
-
-	if n := ix.Get(tag); n != nil {
-		w := int(n.Val)
-		if c.kind == LRU {
-			ix.Touch(n)
-		}
-		if write {
-			c.dirty[mbase+w>>6] |= 1 << (w & 63)
-		}
-		c.stats.Record(true, write)
-		if c.probe != nil {
-			c.probe.ObserveAccess(base+w, true, write)
-		}
-		return Result{Hit: true, Frame: base + w}
-	}
-
-	var res Result
-	var way int
-	if ix.Len() < c.geom.Ways {
-		way = ix.Len()
-	} else {
-		victim := ix.LRU()
-		if c.kind != LRU {
-			victim = ix.Get(c.tags[base+c.victim(set)])
-		}
-		way = int(victim.Val)
-		ix.Remove(victim)
-		res.Evicted = true
-		res.EvictedAddr = c.lineAddr(c.tags[base+way], set)
-		res.EvictedDirty = c.dirty[mbase+way>>6]&(1<<(way&63)) != 0
-		c.stats.RecordEviction(res.EvictedDirty)
-		if c.probe != nil {
-			c.probe.ObserveEvict(res.EvictedDirty)
-		}
-	}
-	c.tags[base+way] = tag
-	c.valid[mbase+way>>6] |= 1 << (way & 63)
-	if write {
-		c.dirty[mbase+way>>6] |= 1 << (way & 63)
-	} else {
-		c.dirty[mbase+way>>6] &^= 1 << (way & 63)
-	}
-	ix.Insert(tag, uint64(way))
-	res.Frame = base + way
-	c.stats.Record(false, write)
-	if c.probe != nil {
-		c.probe.ObserveAccess(base+way, false, write)
-	}
-	return res
-}
-
-// dropIndex permanently disables the hash index, handing each set's
-// recency order to the stamps under LRU (tail-first touch replay
-// reproduces the exact stamp order), so the scan path continues
-// bit-identically. FIFO and Random policies advanced normally while the
-// index was active, so they need no handoff. Fault injection calls this
-// before mutating state: a flipped tag bit can alias two ways onto one
-// map key, which the index cannot represent.
-func (c *SetAssoc) dropIndex() {
-	if c.idx == nil {
-		return
-	}
-	if c.kind == LRU {
-		for set, ix := range c.idx {
-			for n := ix.LRU(); n != nil; n = ix.Prev(n) {
-				c.touch(set, int(n.Val))
-			}
-		}
-	}
-	c.idx = nil
-}
-
 // SetProbe implements Probed. Passing nil detaches.
 func (c *SetAssoc) SetProbe(p Probe) { c.probe = p }
 
@@ -414,22 +275,18 @@ func (c *SetAssoc) Reset() {
 	for _, p := range c.policies {
 		p.Reset()
 	}
-	for _, ix := range c.idx {
-		ix.Reset()
-	}
 	c.stats.Reset()
 }
 
 var _ Replayer = (*SetAssoc)(nil)
 
 // Replay implements Replayer. An unprobed LRU cache of at most 64 ways
-// without a hash index — direct-mapped, 2-, 4- and 8-way, the timed
-// model's L1s — runs the whole stream in one loop (replayLRU); any other
-// cache loops over Access, since a probe needs its per-access events
-// and the indexed, FIFO and Random paths are not where the timed model
-// spends its time.
+// — direct-mapped, 2-, 4- and 8-way, the timed model's L1s — runs the
+// whole stream in one loop (replayLRU); any other cache loops over
+// Access, since a probe needs its per-access events and the wider, FIFO
+// and Random caches are not where the timed model spends its time.
 func (c *SetAssoc) Replay(stream []MemAccess, ev *[]Event) {
-	if c.probe != nil || c.idx != nil || c.policies != nil || c.maskWords != 1 {
+	if c.probe != nil || c.policies != nil || c.maskWords != 1 {
 		for i, m := range stream {
 			if r := c.Access(m.Addr(), m.Write()); ev != nil {
 				AppendEvent(ev, i, r)

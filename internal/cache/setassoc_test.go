@@ -284,6 +284,64 @@ func TestRandomPolicyStillCorrect(t *testing.T) {
 	}
 }
 
+// conflictStream mixes hot reuse, power-of-two striding, and cold sweeps
+// so hit, refill, and eviction paths all run.
+func conflictStream(n int, seed uint64) []addr.Addr {
+	src := rng.New(seed)
+	out := make([]addr.Addr, n)
+	for i := range out {
+		switch src.Intn(3) {
+		case 0:
+			out[i] = addr.Addr(src.Intn(1 << 14)) // resident working set
+		case 1:
+			out[i] = addr.Addr(src.Intn(64)) * (1 << 16) // tag aliases
+		default:
+			out[i] = addr.Addr(src.Intn(1 << 24)) // mostly cold
+		}
+	}
+	return out
+}
+
+// TestRandomPerSetStreamsOrderIndependent: with per-set Split streams,
+// replaying only one set's accesses must reproduce exactly what that set
+// saw in a full interleaved replay, so Random-policy output does not
+// depend on how sets' accesses interleave.
+func TestRandomPerSetStreamsOrderIndependent(t *testing.T) {
+	const size, line, ways = 8 * 1024, 32, 4
+	full, err := NewSetAssoc(size, line, ways, Random, rng.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := full.Geometry().Sets
+	stream := conflictStream(120000, 33)
+	for _, a := range stream {
+		full.Access(a, a&128 != 0)
+	}
+	// Replay each set's subsequence alone into a fresh cache and compare
+	// that set's frames.
+	for set := 0; set < sets; set += 7 {
+		solo, err := NewSetAssoc(size, line, ways, Random, rng.New(9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range stream {
+			if int(a>>solo.offBits&solo.idxMask) == set {
+				solo.Access(a, a&128 != 0)
+			}
+		}
+		base := set * ways
+		for w := 0; w < ways; w++ {
+			if full.tags[base+w] != solo.tags[base+w] {
+				t.Fatalf("set %d way %d: tag %#x (full) != %#x (solo)", set, w, full.tags[base+w], solo.tags[base+w])
+			}
+		}
+		mbase := set * full.maskWords
+		if full.valid[mbase] != solo.valid[mbase] || full.dirty[mbase] != solo.dirty[mbase] {
+			t.Fatalf("set %d: valid/dirty masks diverged", set)
+		}
+	}
+}
+
 func BenchmarkDirectMappedAccess(b *testing.B) {
 	c := mustDM(b, 16*1024, 32)
 	src := rng.New(5)

@@ -31,7 +31,8 @@ type Design struct {
 	// buffer of that many lines, which the same profile answers.
 	Victim int
 	// Twin names the internal/lint/oraclepairs.json pair whose fast
-	// type the design builds, or is empty.
+	// type, or fast method's receiver type, the design builds, or is
+	// empty.
 	Twin string
 }
 
@@ -51,7 +52,7 @@ type entry struct {
 
 var table = []entry{
 	{grammar: "dm", design: Design{LRUWays: 1, New: func(s, l int) (cache.Cache, error) { return cache.NewDirectMapped(s, l) }}},
-	{grammar: "sa:<W>way:<lru|fifo|random>", example: "sa:8way:lru", twin: "fa-hash-vs-scan", parse: func(key string) (Design, bool) {
+	{grammar: "sa:<W>way:<lru|fifo|random>", example: "sa:8way:lru", twin: "setassoc-replay-vs-access", parse: func(key string) (Design, bool) {
 		for _, kind := range []cache.PolicyKind{cache.LRU, cache.FIFO, cache.Random} {
 			var ways int
 			if scan(key, "sa:%dway:"+kind.String(), &ways) {

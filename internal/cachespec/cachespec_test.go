@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -108,8 +109,10 @@ func (*accessProbe) ObserveScrub(int, bool)                           {}
 // distinct lines touched (each costs a compulsory miss). Every 2048
 // accesses, Contains over the lines touched so far must not find more
 // resident than the declared capacity. A second build must replay the
-// trace to identical Stats (the seeds are fixed), and a line just
-// refilled must hit.
+// trace through cache.Replay, in chunks of 0, 1, 17, 4096 and the rest
+// of the accesses, to identical Stats (the seeds are fixed) and to the
+// events the first build's Results give, so a family whose Replay skips
+// its own Access fails here. A line just refilled must hit.
 func TestZooConformance(t *testing.T) {
 	accs := zooTrace(60000)
 	for _, z := range zoo(t) {
@@ -118,16 +121,28 @@ func TestZooConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			testCacher(t, c, z.blocks, accs)
+			resultEvents := testCacher(t, c, z.blocks, accs)
 			twin, err := z.build()
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, m := range accs {
-				twin.Access(m.Addr(), m.Write())
+			var events, ev []cache.Event
+			off := 0
+			for _, k := range []int{0, 1, 17, 4096, len(accs)} {
+				k = min(k, len(accs)-off)
+				ev = ev[:0]
+				cache.Replay(twin, accs[off:off+k], &ev)
+				for _, e := range ev {
+					e.Index += uint32(off)
+					events = append(events, e)
+				}
+				off += k
 			}
 			if got, want := *twin.Stats(), *c.Stats(); got != want {
 				t.Fatalf("a second build replays to %+v, the first to %+v", got, want)
+			}
+			if !slices.Equal(events, resultEvents) {
+				t.Fatalf("a second build replays to %d events, not the %d its first build's Results give", len(events), len(resultEvents))
 			}
 			const fresh = addr.Addr(0x7654320)
 			c.Access(fresh, true)
@@ -139,8 +154,8 @@ func TestZooConformance(t *testing.T) {
 }
 
 // testCacher is the zoo contract on one fresh cache c of the declared
-// capacity blocks, over accs.
-func testCacher(t *testing.T, c cache.Cache, blocks int, accs []cache.MemAccess) {
+// capacity blocks, over accs. It returns the events of c's Results.
+func testCacher(t *testing.T, c cache.Cache, blocks int, accs []cache.MemAccess) []cache.Event {
 	t.Helper()
 	if c.Name() == "" {
 		t.Fatal("empty name")
@@ -150,9 +165,11 @@ func testCacher(t *testing.T, c cache.Cache, blocks int, accs []cache.MemAccess)
 	frames := stats.NewFrames(c.Geometry().Frames)
 	seen := map[addr.Addr]bool{}
 	var lines []addr.Addr // distinct lines, first touch first
+	var events []cache.Event
 	lineMask := ^addr.Addr(zooLine - 1)
 	for i, m := range accs {
 		r := c.Access(m.Addr(), m.Write())
+		cache.AppendEvent(&events, i, r)
 		if r.Frame < 0 || r.Frame >= len(frames.Hits) {
 			t.Fatalf("access %d: Result.Frame %d outside [0,%d)", i, r.Frame, len(frames.Hits))
 		}
@@ -195,6 +212,7 @@ func testCacher(t *testing.T, c cache.Cache, blocks int, accs []cache.MemAccess)
 	if hits == 0 || misses == 0 {
 		t.Fatalf("trace gave %d hits and %d misses; it must exercise both", hits, misses)
 	}
+	return events
 }
 
 // TestParse pins what the grammar accepts: each accepted key is its
@@ -208,9 +226,9 @@ func TestParse(t *testing.T) {
 		twin            string
 	}{
 		{"dm", 1, 0, ""},
-		{"sa:8way:lru", 8, 0, "fa-hash-vs-scan"},
-		{"sa:512way:fifo", 0, 0, "fa-hash-vs-scan"},
-		{"sa:2way:random", 0, 0, "fa-hash-vs-scan"},
+		{"sa:8way:lru", 8, 0, "setassoc-replay-vs-access"},
+		{"sa:512way:fifo", 0, 0, "setassoc-replay-vs-access"},
+		{"sa:2way:random", 0, 0, "setassoc-replay-vs-access"},
 		{"victim:16", 0, 16, "victim-buffer-vs-stamp-scan"},
 		{"bc:mf8:bas8:pol0", 0, 0, "swar-vs-reference"},
 		{"bc:mf16:bas4:pol1", 0, 0, "swar-vs-reference"},
@@ -248,7 +266,8 @@ func TestParse(t *testing.T) {
 
 // TestTwinsNameOraclePairs: every registry family that declares an
 // oracle twin names a pair in the lint manifest, and that pair's fast
-// type is the type the family builds.
+// type (a fast method's receiver: SetAssoc for SetAssoc.Replay) is the
+// type the family builds.
 func TestTwinsNameOraclePairs(t *testing.T) {
 	raw, err := os.ReadFile("../lint/oraclepairs.json")
 	if err != nil {
@@ -279,7 +298,7 @@ func TestTwinsNameOraclePairs(t *testing.T) {
 				continue
 			}
 			found = true
-			if p.Pkg != typ.PkgPath() || p.Fast != typ.Name() {
+			if fast, _, _ := strings.Cut(p.Fast, "."); p.Pkg != typ.PkgPath() || fast != typ.Name() {
 				t.Errorf("%s builds %s.%s; its twin %s pairs %s.%s", e.example, typ.PkgPath(), typ.Name(), p.Name, p.Pkg, p.Fast)
 			}
 		}

@@ -22,10 +22,6 @@ import (
 //
 // Taking a Probe method as a method value (`f := p.ObserveAccess`) is
 // also flagged: a method value is a closure allocation.
-//
-// Probe implementations that fan out to other probes known non-nil by
-// construction (obs.Multi filters nils) suppress per line with
-// //bcachelint:allow probesafe(reason).
 var ProbeSafe = &Analyzer{
 	Name: "probesafe",
 	Doc:  "flag unguarded or allocating cache.Probe emissions on the hot path",

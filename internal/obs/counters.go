@@ -1,3 +1,24 @@
+// Package obs is the simulator's observability layer: implementations of
+// the cache.Probe event interface plus the schema-versioned JSON run
+// report the CLIs emit.
+//
+// The paper's claims are dynamic — PD misses reprogram decoder entries on
+// the fly (§3.3) and traffic rebalances across sets over a run (§6.4) —
+// so run-end aggregate counters cannot show them. This package turns the
+// per-event stream into evidence:
+//
+//   - Counters: run-total event counts, the cheapest possible probe.
+//   - IntervalSampler: fixed-memory time-series (miss rate, PD miss rate,
+//     reprograms per kilo-access, per-set occupancy heat) snapshotted
+//     every N accesses, with adaptive compaction so arbitrarily long runs
+//     fit a bounded sample buffer.
+//   - Report: a versioned, diffable JSON document combining configuration,
+//     totals, set-balance classification, throughput, and the sampler's
+//     series.
+//
+// All probes are zero-allocation per observed event (enforced by
+// alloc_test.go) and nil-safe at the emission sites, so an unattached
+// simulator pays only a nil check per access.
 package obs
 
 import "bcache/internal/cache"

@@ -116,41 +116,6 @@ func TestHierarchyWritebackEvents(t *testing.T) {
 	}
 }
 
-func TestMultiFanOutAndNilHandling(t *testing.T) {
-	if Multi() != nil {
-		t.Fatal("Multi() should be nil")
-	}
-	if Multi(nil, nil) != nil {
-		t.Fatal("Multi(nil, nil) should be nil")
-	}
-	var a Counters
-	if Multi(nil, &a) != cache.Probe(&a) {
-		t.Fatal("Multi with one live probe should return it directly")
-	}
-	var b Counters
-	m := Multi(&a, &b)
-	m.ObserveAccess(0, true, false)
-	m.ObservePD(false)
-	m.ObserveReprogram()
-	m.ObserveEvict(true)
-	m.ObserveWriteback()
-	for i, p := range []*Counters{&a, &b} {
-		if p.Accesses != 1 || p.Hits != 1 || p.PDMisses != 1 || p.Reprograms != 1 ||
-			p.Evictions != 1 || p.DirtyEvictions != 1 || p.Writebacks != 1 {
-			t.Fatalf("probe %d missed events: %+v", i, *p)
-		}
-	}
-}
-
-func TestNopImplementsProbe(t *testing.T) {
-	var p cache.Probe = Nop{}
-	p.ObserveAccess(0, false, false)
-	p.ObservePD(true)
-	p.ObserveReprogram()
-	p.ObserveEvict(false)
-	p.ObserveWriteback()
-}
-
 func TestAttachProbeDetach(t *testing.T) {
 	c, _ := cache.NewDirectMapped(1024, 32)
 	var p Counters

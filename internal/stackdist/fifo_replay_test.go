@@ -11,8 +11,8 @@ import (
 )
 
 // TestFIFOProfileVsScanReplay replays real byte-address streams through
-// linear-scan FIFO caches (cache.NewSetAssocScan, the scan-engine
-// oracle) across a grid of cache sizes and associativities — covering
+// linear-scan FIFO caches (cache.SetAssoc, the scan-engine oracle)
+// across a grid of cache sizes and associativities — covering
 // the MF×BAS-shaped geometries the B-Cache sweeps use — and checks the
 // one-pass queue-distance profiler produces the identical miss count for
 // every geometry from a single pass.
@@ -51,7 +51,7 @@ func TestFIFOProfileVsScanReplay(t *testing.T) {
 
 	for i, sh := range shapes {
 		t.Run(fmt.Sprintf("%dkB-%dway", sh.size/1024, sh.ways), func(t *testing.T) {
-			c, err := cache.NewSetAssocScan(sh.size, lineBytes, sh.ways, cache.FIFO, nil)
+			c, err := cache.NewSetAssoc(sh.size, lineBytes, sh.ways, cache.FIFO, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

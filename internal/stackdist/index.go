@@ -91,9 +91,6 @@ func (ix *Index) LRU() *Node { return ix.tail }
 // MRU returns the most-recently-used node, or nil when empty.
 func (ix *Index) MRU() *Node { return ix.head }
 
-// Prev returns the next-more-recent neighbour of n (towards the MRU).
-func (ix *Index) Prev(n *Node) *Node { return n.prev }
-
 // Reset drops every resident.
 func (ix *Index) Reset() {
 	clear(ix.m)

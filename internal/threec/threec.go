@@ -15,6 +15,7 @@ import (
 
 	"bcache/internal/addr"
 	"bcache/internal/cache"
+	"bcache/internal/stackdist"
 )
 
 // Class is a miss category.
@@ -66,10 +67,14 @@ func (c Counts) ConflictShare() float64 {
 }
 
 // Classifier runs a cache under test alongside a fully-associative LRU
-// reference of the same capacity and a first-touch set.
+// reference of the same capacity and a first-touch set. The reference
+// is an LRU stack of line numbers (stackdist.Index) holding at most as
+// many lines as the cache has frames: a line hits in it iff it is
+// resident, so no tags or ways are simulated.
 type Classifier struct {
 	under cache.Cache
-	fa    *cache.SetAssoc
+	fa    *stackdist.Index
+	lines int // the reference's capacity, in lines
 	// blockShift turns an address into its line number.
 	blockShift uint
 	seen       map[addr.Addr]struct{}
@@ -77,19 +82,16 @@ type Classifier struct {
 }
 
 // New builds a classifier around the cache under test. The reference
-// fully-associative cache matches its size and line size.
+// holds as many lines as the cache has frames.
 func New(under cache.Cache) (*Classifier, error) {
 	if under == nil {
 		return nil, fmt.Errorf("threec: nil cache")
 	}
 	g := under.Geometry()
-	fa, err := cache.NewFullyAssoc(g.SizeBytes, g.LineBytes, cache.LRU, nil)
-	if err != nil {
-		return nil, fmt.Errorf("threec: building reference: %w", err)
-	}
 	return &Classifier{
 		under:      under,
-		fa:         fa,
+		fa:         stackdist.NewIndex(g.Frames),
+		lines:      g.Frames,
 		blockShift: g.OffsetBits(),
 		seen:       make(map[addr.Addr]struct{}),
 	}, nil
@@ -104,7 +106,7 @@ func (c *Classifier) Access(a addr.Addr, write bool) Class {
 		c.seen[block] = struct{}{}
 	}
 
-	faHit := c.fa.Access(a, write).Hit
+	faHit := c.reference(block)
 	hit := c.under.Access(a, write).Hit
 
 	switch {
@@ -121,6 +123,21 @@ func (c *Classifier) Access(a addr.Addr, write bool) Class {
 		c.counts.Conflict++
 		return Conflict
 	}
+}
+
+// reference accesses block in the fully-associative LRU reference and
+// reports whether it hit: a hit moves the line to the MRU end, a miss
+// evicts the LRU line when the reference is full and inserts block.
+func (c *Classifier) reference(block addr.Addr) bool {
+	if n := c.fa.Get(block); n != nil {
+		c.fa.Touch(n)
+		return true
+	}
+	if c.fa.Len() == c.lines {
+		c.fa.Remove(c.fa.LRU())
+	}
+	c.fa.Insert(block, 0)
+	return false
 }
 
 // Counts returns the accumulated classification.

@@ -134,6 +134,40 @@ func TestBCacheRemovesOnlyConflicts(t *testing.T) {
 	}
 }
 
+// TestReferenceMatchesFullyAssoc: the classifier's LRU stack gives,
+// access for access, the hit verdict of a fully-associative LRU cache of
+// the same capacity, over a stream that touches far more lines than
+// either holds.
+func TestReferenceMatchesFullyAssoc(t *testing.T) {
+	const size, line = 2048, 32
+	c := newDM(t, size)
+	fa, err := cache.NewFullyAssoc(size, line, cache.LRU, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(5)
+	hits := 0
+	for i := 0; i < 200000; i++ {
+		// Lines drawn from 4× the capacity, a third of them from a hot
+		// eighth, so the reference both hits and evicts.
+		lines := 4 * size / line
+		if src.Intn(3) == 0 {
+			lines /= 8
+		}
+		a := addr.Addr(src.Intn(lines)*line + src.Intn(line))
+		want := fa.Access(a, src.Intn(4) == 0).Hit
+		if got := c.reference(a >> c.blockShift); got != want {
+			t.Fatalf("access %d (%#x): reference hit=%v, fully-associative LRU hit=%v", i, a, got, want)
+		}
+		if want {
+			hits++
+		}
+	}
+	if hits == 0 || c.fa.Len() != size/line {
+		t.Fatalf("%d hits, %d lines resident: the stream must hit and fill the reference", hits, c.fa.Len())
+	}
+}
+
 func TestNilCacheRejected(t *testing.T) {
 	if _, err := New(nil); err == nil {
 		t.Fatal("nil cache accepted")

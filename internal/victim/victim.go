@@ -36,12 +36,8 @@ type Cache struct {
 	// an extra cycle when the buffer is probed after the main cache.
 	BufferHits uint64
 
-	// Address-slicing constants of the main geometry, precomputed once:
-	// Access runs once per simulated reference, and re-deriving them
-	// from Geometry per call is measurable at suite scale.
+	// lineMask turns an address into its buffer key, the line address.
 	lineMask addr.Addr
-	offBits  uint
-	idxMask  int
 }
 
 var _ cache.Cache = (*Cache)(nil)
@@ -68,54 +64,47 @@ func New(size, lineBytes, entries int) (*Cache, error) {
 		entries:  entries,
 		stats:    cache.NewStats(),
 		lineMask: ^addr.Addr(uint64(g.LineBytes) - 1),
-		offBits:  g.OffsetBits(),
-		idxMask:  g.Sets - 1,
 	}, nil
 }
 
 // Entries returns the victim buffer capacity in lines.
 func (c *Cache) Entries() int { return c.entries }
 
-// Access implements cache.Cache.
+// Access implements cache.Cache. The direct-mapped array is accessed
+// once: on a miss it has already taken the line and displaced its old
+// one, so a buffer hit only carries the buffered copy's dirty bit over
+// and drops the entry, and in both miss cases the displaced line enters
+// the buffer.
 func (c *Cache) Access(a addr.Addr, write bool) cache.Result {
-	if c.main.Contains(a) {
-		r := c.main.Access(a, write)
+	r := c.main.Access(a, write)
+	if r.Hit {
 		c.stats.Record(true, write)
 		if c.probe != nil {
 			c.probe.ObserveAccess(r.Frame, true, write)
 		}
 		return r
 	}
-	line := a & c.lineMask
-	frame := int(a>>c.offBits) & c.idxMask
 
 	// Main miss: probe the buffer.
-	if n := c.buf.Get(line); n != nil {
-		// Swap: the buffered line moves into the main cache and the
+	res := cache.Result{Frame: r.Frame}
+	if n := c.buf.Get(a & c.lineMask); n != nil {
+		// Swap: the buffered line has moved into the main cache and the
 		// displaced main line takes its place in the buffer.
 		c.BufferHits++
-		bufDirty := n.Val != 0
+		if n.Val != 0 && !write {
+			c.main.Access(a, true)
+		}
 		c.buf.Remove(n)
-		r := c.main.Access(a, write || bufDirty)
-		if r.Evicted {
-			c.insert(r.EvictedAddr, r.EvictedDirty)
-		}
-		c.stats.Record(true, write)
-		if c.probe != nil {
-			c.probe.ObserveAccess(frame, true, write)
-		}
 		// The buffer is probed after the main cache misses: +1 cycle
 		// (paper §1: "an extra cycle is required to access the victim
 		// buffer").
-		return cache.Result{Hit: true, Frame: r.Frame, ExtraLatency: 1}
+		res.Hit, res.ExtraLatency = true, 1
 	}
-
-	// Both miss: refill the main cache; its victim drops into the buffer.
-	r := c.main.Access(a, write)
-	res := cache.Result{Hit: false, Frame: r.Frame}
 	if r.Evicted {
 		if evLine, evDirty, evicted := c.insert(r.EvictedAddr, r.EvictedDirty); evicted {
-			// The buffer's oldest line leaves the hierarchy level entirely.
+			// The buffer's oldest line leaves the hierarchy level
+			// entirely. A buffer hit has just freed an entry, so only a
+			// miss in both gets here.
 			res.Evicted = true
 			res.EvictedAddr = evLine
 			res.EvictedDirty = evDirty
@@ -125,9 +114,9 @@ func (c *Cache) Access(a addr.Addr, write bool) cache.Result {
 			}
 		}
 	}
-	c.stats.Record(false, write)
+	c.stats.Record(res.Hit, write)
 	if c.probe != nil {
-		c.probe.ObserveAccess(frame, false, write)
+		c.probe.ObserveAccess(r.Frame, res.Hit, write)
 	}
 	return res
 }
