@@ -76,6 +76,18 @@ func TestOptsValidate(t *testing.T) {
 	if err := o.validate(); err == nil {
 		t.Fatal("zero instructions accepted")
 	}
+	for _, c := range []struct{ size, line int }{
+		{0, 32}, {16 * 1024, 0}, {3000, 32}, {16 * 1024, 48}, {16, 32},
+	} {
+		o := DefaultOpts()
+		o.L1Size, o.LineBytes = c.size, c.line
+		if err := o.validate(); err == nil {
+			t.Errorf("L1 size %d, line size %d accepted", c.size, c.line)
+		}
+	}
+	if err := DefaultOpts().validate(); err != nil {
+		t.Errorf("default opts rejected: %v", err)
+	}
 }
 
 func TestAnalyticExperiments(t *testing.T) {

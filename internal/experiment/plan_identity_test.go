@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"bcache/internal/energy"
 	"bcache/internal/workload"
 )
 
@@ -31,6 +32,11 @@ func TestMissRatesCheckpointsEveryProfiledSpec(t *testing.T) {
 	lru, _ := lruSpecIndices(opts, all)
 	if len(lru) < 2 {
 		t.Fatalf("test needs >= 2 profileable specs, have %d", len(lru))
+	}
+	// An LRU spec wider than the profiler tracks replays instead.
+	wide := append(slices.Clone(all), setAssocSpec(128, energy.Way32))
+	if _, replayed := lruSpecIndices(opts, wide); !slices.Contains(replayed, len(all)) {
+		t.Errorf("a 128-way LRU spec at %d kB is not replayed (replayed %v)", opts.L1Size/1024, replayed)
 	}
 	if _, err := missRates(sweep{opts, profiles, figureSpecs(), iSide}); err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"time"
 
+	"bcache/internal/addr"
 	"bcache/internal/cache"
 	"bcache/internal/cachespec"
 	"bcache/internal/core"
@@ -77,8 +78,11 @@ func (o Opts) validate() error {
 	if o.Instructions == 0 {
 		return fmt.Errorf("experiment: zero instructions")
 	}
-	if o.L1Size <= 0 || o.LineBytes <= 0 {
-		return fmt.Errorf("experiment: bad L1 shape %d/%d", o.L1Size, o.LineBytes)
+	if o.L1Size <= 0 || o.LineBytes <= 0 || !addr.IsPow2(uint64(o.L1Size)) || !addr.IsPow2(uint64(o.LineBytes)) {
+		return fmt.Errorf("experiment: L1 size %d and line size %d must be positive powers of two", o.L1Size, o.LineBytes)
+	}
+	if o.L1Size < o.LineBytes {
+		return fmt.Errorf("experiment: L1 size %d is smaller than one %d-byte line", o.L1Size, o.LineBytes)
 	}
 	if o.Seeds < 0 {
 		return fmt.Errorf("experiment: negative seed count %d", o.Seeds)
@@ -602,13 +606,13 @@ func (s side) stream(lineBytes int) stream {
 }
 
 // lruSpecIndices partitions all into stack-distance-profileable specs
-// (pure LRU set-associative shapes valid at the run's geometry, and
-// victim buffers behind its direct-mapped array) and the rest, which
-// replay individually.
+// (pure LRU set-associative shapes valid at the run's geometry and at
+// most stackdist.MaxWays wide, and victim buffers behind its
+// direct-mapped array) and the rest, which replay individually.
 func lruSpecIndices(opts Opts, all []Spec) (lru, replayed []int) {
-	frames := opts.L1Size / opts.LineBytes
+	maxWays := min(opts.L1Size/opts.LineBytes, stackdist.MaxWays)
 	for si, sp := range all {
-		if !opts.DisableStackDist && (sp.LRUWays > 0 && sp.LRUWays <= frames || sp.Victim > 0) {
+		if !opts.DisableStackDist && (sp.LRUWays > 0 && sp.LRUWays <= maxWays || sp.Victim > 0) {
 			lru = append(lru, si)
 		} else {
 			replayed = append(replayed, si)

@@ -68,15 +68,15 @@ func TestStackDistMatchesReplay(t *testing.T) {
 }
 
 // TestStackDistMatchesDirectReplay checks the profiler against raw
-// cache.SetAssoc replays, including the fully-associative extreme that
-// no figure spec exercises.
+// cache.SetAssoc replays, up to the deepest associativity it tracks,
+// which no figure spec exercises.
 func TestStackDistMatchesDirectReplay(t *testing.T) {
 	opts := tinyOpts()
 	for _, p := range gridProfiles(t) {
 		accs, _ := materialize(t, p, opts.Instructions, opts.LineBytes)
 		frames := opts.L1Size / opts.LineBytes
 		var geoms []stackdist.Geom
-		ways := []int{1, 2, 8, 64, frames}
+		ways := []int{1, 2, 8, stackdist.MaxWays}
 		for _, w := range ways {
 			geoms = append(geoms, stackdist.Geom{Sets: frames / w, Ways: w})
 		}
@@ -108,13 +108,14 @@ func TestStackDistMatchesDirectReplay(t *testing.T) {
 // TestStackDistInclusionProperty: the property one-pass profiling rests
 // on — at a fixed set count, an LRU cache's content is a prefix of the
 // recency stack, so misses are exactly non-increasing in associativity.
-// Asserted over every workload the suite ships, at several set counts.
+// Asserted over every workload the suite ships, at several set counts,
+// each up to twice its capacity's ways or stackdist.MaxWays.
 func TestStackDistInclusionProperty(t *testing.T) {
 	opts := tinyOpts()
 	frames := opts.L1Size / opts.LineBytes
 	var geoms []stackdist.Geom
 	for _, sets := range []int{1, 16, 128} {
-		geoms = append(geoms, stackdist.Geom{Sets: sets, Ways: frames / sets * 2})
+		geoms = append(geoms, stackdist.Geom{Sets: sets, Ways: min(frames/sets*2, stackdist.MaxWays)})
 	}
 	for _, p := range workload.All() {
 		accs, _ := materialize(t, p, opts.Instructions, opts.LineBytes)
@@ -147,12 +148,14 @@ func TestStackDistInclusionProperty(t *testing.T) {
 // so strict inclusion no longer applies and tiny anomalies are genuine
 // cache behaviour (the replay oracle reproduces them bit-identically;
 // see TestStackDistMatchesDirectReplay). This pins the anomaly down:
-// miss counts may rise by at most 1% per associativity doubling.
+// miss counts may rise by at most 1% per associativity doubling, from
+// direct-mapped to fully associative. The profiler answers up to
+// stackdist.MaxWays ways; wider shapes replay through cache.SetAssoc.
 func TestStackDistCapacityNearMonotone(t *testing.T) {
 	opts := tinyOpts()
 	frames := opts.L1Size / opts.LineBytes
 	var geoms []stackdist.Geom
-	for w := 1; w <= frames; w *= 2 {
+	for w := 1; w <= stackdist.MaxWays; w *= 2 {
 		geoms = append(geoms, stackdist.Geom{Sets: frames / w, Ways: w})
 	}
 	for _, p := range workload.All() {
@@ -164,9 +167,20 @@ func TestStackDistCapacityNearMonotone(t *testing.T) {
 		for _, m := range accs {
 			prof.Access(m.Addr())
 		}
+		misses := func(w int) (uint64, error) {
+			if w <= stackdist.MaxWays {
+				return prof.Misses(frames/w, w)
+			}
+			c, err := cache.NewSetAssoc(opts.L1Size, opts.LineBytes, w, cache.LRU, nil)
+			if err != nil {
+				return 0, err
+			}
+			cache.Replay(c, accs, nil)
+			return c.Stats().Misses, nil
+		}
 		prev := prof.Accesses() + 1
 		for w := 1; w <= frames; w *= 2 {
-			m, err := prof.Misses(frames/w, w)
+			m, err := misses(w)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,7 +11,7 @@ import (
 
 // OraclePair enforces fast-kernel/oracle twinning: every optimized
 // engine in the repo (SWAR core.BCache, the chunk replay kernels, the
-// deep Mattson engine, the hash victim buffer) is only trusted
+// Mattson profiler, the hash victim buffer) is only trusted
 // because a slow reference implementation and a differential test pin
 // its behaviour. The twins are declared in oraclepairs.json; for each
 // declared pair the analyzer requires that

@@ -2,7 +2,8 @@
 // fast cache models and the experiment scheduler: an O(1) hash-indexed
 // LRU structure (Index) and a Mattson stack-distance profiler (Profiler,
 // Profile) that derives hit/miss counts for every LRU (sets, ways)
-// geometry from a single pass over an address stream. The same pass
+// geometry up to MaxWays ways from a single pass over an address
+// stream. The same pass
 // answers a direct-mapped cache behind a victim buffer of every size
 // (Geom.Victim): the buffer is an LRU stack over the array's evictions.
 //

@@ -18,8 +18,8 @@ type Geom struct {
 
 // Profile profiles one address stream at several set-index
 // granularities simultaneously, deriving hit/miss counts for every
-// requested LRU (sets, ways) geometry — and any smaller associativity at
-// the same set counts — from a single pass. Geometries sharing a set
+// requested LRU (sets, ways) geometry of at most MaxWays ways — and any
+// smaller associativity at the same set counts — from a single pass. Geometries sharing a set
 // count share one Profiler. Victim geometries sharing a set count share
 // one victim level, which answers every buffer depth up to the largest
 // requested and reads its direct-mapped array off the Profiler at that
@@ -35,7 +35,8 @@ type Profile struct {
 }
 
 // NewProfile builds a profile for streams of byte addresses with the
-// given line size, able to answer every geometry in geoms.
+// given line size, able to answer every geometry in geoms. An LRU
+// geometry wider than MaxWays ways is an error.
 func NewProfile(lineBytes int, geoms []Geom) (*Profile, error) {
 	if lineBytes <= 0 || !addr.IsPow2(uint64(lineBytes)) {
 		return nil, fmt.Errorf("stackdist: line size %d is not a positive power of two", lineBytes)

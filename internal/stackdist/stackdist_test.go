@@ -8,12 +8,14 @@ import (
 )
 
 // naiveMisses replays blocks against a per-set LRU stack kept as a plain
-// slice — the textbook Mattson formulation — and returns the miss count
-// for a (sets, ways) LRU cache.
-func naiveMisses(blocks []addr.Addr, sets, ways int) uint64 {
+// slice — the textbook Mattson formulation — and returns, at index w,
+// the miss count of a (sets, w) LRU cache for every w in 1..maxWays
+// (index 0 is unused). An access at depth d, or a first touch, misses
+// every cache of at most d ways.
+func naiveMisses(blocks []addr.Addr, sets, maxWays int) []uint64 {
 	stacks := make([][]addr.Addr, sets)
 	mask := addr.Addr(sets - 1)
-	var misses uint64
+	misses := make([]uint64, maxWays+1)
 	for _, b := range blocks {
 		st := stacks[b&mask]
 		depth := -1
@@ -23,17 +25,48 @@ func naiveMisses(blocks []addr.Addr, sets, ways int) uint64 {
 				break
 			}
 		}
-		if depth < 0 {
-			misses++ // cold
-		} else {
-			if depth >= ways {
-				misses++
+		for w := 1; w <= maxWays; w++ {
+			if depth < 0 || depth >= w {
+				misses[w]++
 			}
+		}
+		if depth >= 0 {
 			st = append(st[:depth], st[depth+1:]...)
 		}
 		stacks[b&mask] = append([]addr.Addr{b}, st...)
 	}
 	return misses
+}
+
+// profileBlocks runs blocks through a (sets, MaxWays) Profiler.
+func profileBlocks(t *testing.T, blocks []addr.Addr, sets int) *Profiler {
+	t.Helper()
+	p, err := NewProfiler(sets, MaxWays)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range blocks {
+		p.Access(b)
+	}
+	if got := p.Accesses(); got != uint64(len(blocks)) {
+		t.Fatalf("sets=%d: accesses = %d, want %d", sets, got, len(blocks))
+	}
+	return p
+}
+
+// checkMisses checks p's miss count at every ways in 1..MaxWays against
+// want, the naiveMisses of the stream p recorded.
+func checkMisses(t *testing.T, p *Profiler, want []uint64) {
+	t.Helper()
+	for ways := 1; ways <= MaxWays; ways++ {
+		got, err := p.Misses(ways)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want[ways] {
+			t.Fatalf("sets=%d ways=%d: misses = %d, want %d", p.Sets(), ways, got, want[ways])
+		}
+	}
 }
 
 // randomBlocks mixes hot reuse with a cold sweep so every distance
@@ -56,108 +89,42 @@ func randomBlocks(n int, seed uint64) []addr.Addr {
 
 func TestProfilerMatchesNaive(t *testing.T) {
 	blocks := randomBlocks(20000, 7)
-	for _, deep := range []bool{false, true} {
-		for _, sets := range []int{1, 2, 16, 64} {
-			p, err := newProfiler(sets, 64, deep)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, b := range blocks {
-				p.Access(b)
-			}
-			if got := p.Accesses(); got != uint64(len(blocks)) {
-				t.Fatalf("sets=%d: accesses = %d, want %d", sets, got, len(blocks))
-			}
-			for _, ways := range []int{1, 2, 3, 8, 64} {
-				got, err := p.Misses(ways)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := naiveMisses(blocks, sets, ways); got != want {
-					t.Errorf("deep=%v sets=%d ways=%d: misses = %d, want %d", deep, sets, ways, got, want)
-				}
-			}
-		}
+	for _, sets := range []int{1, 2, 16, 64} {
+		checkMisses(t, profileBlocks(t, blocks, sets), naiveMisses(blocks, sets, MaxWays))
+	}
+	if _, err := NewProfiler(8, MaxWays+1); err == nil {
+		t.Errorf("NewProfiler accepted %d ways", MaxWays+1)
+	}
+	if _, err := NewProfile(32, []Geom{{Sets: 8, Ways: MaxWays + 1}}); err == nil {
+		t.Errorf("NewProfile accepted a %d-way geometry", MaxWays+1)
 	}
 }
 
-// TestShallowVsDeepEngines runs the move-to-front array engine against
-// the map+Fenwick engine on identical streams: every miss count at every
-// associativity must agree (the shallow engine merges cold into over,
-// which Misses sums anyway), and so must each set's most recent block
-// before every access, which the victim levels read.
-func TestShallowVsDeepEngines(t *testing.T) {
-	for _, seed := range []uint64{1, 2, 3} {
-		blocks := randomBlocks(30000, seed)
-		for _, sets := range []int{1, 4, 32} {
-			shallow, err := newProfiler(sets, 64, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			deep, err := newProfiler(sets, 64, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if shallow.stk == nil || deep.stk != nil {
-				t.Fatal("engine selection broken")
-			}
-			for i, b := range blocks {
-				// The victim levels read each set's most recent block.
-				sb, sok := shallow.recent(b)
-				db, dok := deep.recent(b)
-				if sb != db || sok != dok {
-					t.Fatalf("seed=%d sets=%d access %d: recent shallow (%d, %v) != deep (%d, %v)", seed, sets, i, sb, sok, db, dok)
-				}
-				shallow.Access(b)
-				deep.Access(b)
-			}
-			for ways := 1; ways <= 64; ways *= 2 {
-				s, err1 := shallow.Misses(ways)
-				d, err2 := deep.Misses(ways)
-				if err1 != nil || err2 != nil {
-					t.Fatal(err1, err2)
-				}
-				if s != d {
-					t.Errorf("seed=%d sets=%d ways=%d: shallow %d != deep %d", seed, sets, ways, s, d)
-				}
-			}
+// FuzzProfilerVsNaive: for any block stream and any set count from 1
+// to 64, the profiler's miss count at every ways in 1..MaxWays equals
+// the textbook stack replay's. Blocks are bytes, so one set holds up to
+// 256 distinct blocks, deeper than MaxWays.
+func FuzzProfilerVsNaive(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5}, uint8(0), uint8(0))
+	f.Add([]byte{0, 0, 0}, uint8(3), uint8(2))
+	f.Add([]byte{7, 7, 9, 200, 7, 9}, uint8(6), uint8(1))
+	f.Fuzz(func(t *testing.T, raw []byte, setBits, salt uint8) {
+		if len(raw) == 0 || len(raw) > 4096 {
+			return
 		}
-	}
-}
-
-// TestProfilerCompaction drives one set far past any initial axis
-// capacity with heavy re-access (live count stays small while time slots
-// burn fast), forcing many compactions, and checks exactness survives.
-// The deep engine is forced: 32 tracked ways would otherwise select the
-// shallow engine, which has no axis to compact.
-func TestProfilerCompaction(t *testing.T) {
-	src := rng.New(11)
-	blocks := make([]addr.Addr, 50000)
-	for i := range blocks {
-		blocks[i] = addr.Addr(src.Intn(24)) // ≤24 live blocks, one set
-	}
-	p, err := newProfiler(1, 32, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range blocks {
-		p.Access(b)
-	}
-	for _, ways := range []int{1, 4, 16, 24, 32} {
-		got, err := p.Misses(ways)
-		if err != nil {
-			t.Fatal(err)
+		blocks := make([]addr.Addr, len(raw))
+		for i, b := range raw {
+			blocks[i] = addr.Addr(b) ^ addr.Addr(salt)<<3
 		}
-		if want := naiveMisses(blocks, 1, ways); got != want {
-			t.Errorf("ways=%d: misses = %d, want %d", ways, got, want)
-		}
-	}
+		sets := 1 << (setBits % 7)
+		checkMisses(t, profileBlocks(t, blocks, sets), naiveMisses(blocks, sets, MaxWays))
+	})
 }
 
 // TestProfileInclusionMonotone: at a fixed set count, misses must be
 // non-increasing in associativity (LRU inclusion property).
 func TestProfileInclusionMonotone(t *testing.T) {
-	p, err := NewProfile(32, []Geom{{Sets: 16, Ways: 128}})
+	p, err := NewProfile(32, []Geom{{Sets: 16, Ways: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +133,7 @@ func TestProfileInclusionMonotone(t *testing.T) {
 		p.Access(addr.Addr(src.Intn(1 << 20)))
 	}
 	prev := p.Accesses() + 1
-	for ways := 1; ways <= 128; ways *= 2 {
+	for ways := 1; ways <= 64; ways *= 2 {
 		m, err := p.Misses(16, ways)
 		if err != nil {
 			t.Fatal(err)
