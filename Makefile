@@ -130,7 +130,10 @@ ci: fmt-check vet lint build bench-test race-robust race chaos reproduce
 # lines for any stream and buffer of 1 to 64 lines), 10 s of fuzzing the
 # stack-distance profiler against the textbook stack replay
 # (FuzzProfilerVsNaive: same misses at every ways up to 64 for any
-# stream and 1 to 64 sets), and the CLI test that a -workers-procs run prints the in-process CSV byte for
+# stream and 1 to 64 sets), 10 s of fuzzing the 3C classification of
+# replay miss events against the classifier with the cache inside it
+# (FuzzClassifyVsAccess: same counts after every chunk for any stream,
+# chunk split and cache of five kinds), and the CLI test that a -workers-procs run prints the in-process CSV byte for
 # byte, with and without losing every worker.
 # The fuzz lines pass -fuzzminimizetime 0: by default the fuzzer spends
 # up to 60 s minimizing each new input it finds, so after the first one
@@ -149,6 +152,7 @@ chaos:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 0 ./internal/cachespec
 	$(GO) test -run '^$$' -fuzz FuzzBufferMatchesLinear -fuzztime 10s -fuzzminimizetime 0 ./internal/victim
 	$(GO) test -run '^$$' -fuzz FuzzProfilerVsNaive -fuzztime 10s -fuzzminimizetime 0 ./internal/stackdist
+	$(GO) test -run '^$$' -fuzz FuzzClassifyVsAccess -fuzztime 10s -fuzzminimizetime 0 ./internal/threec
 	$(GO) test -race -count=1 -run TestWorkersProcsMatchesInProcess ./cmd/experiments
 
 # reproduce is the output drift gate: it regenerates every table at

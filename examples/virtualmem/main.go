@@ -19,7 +19,6 @@ import (
 	"log"
 	"os"
 
-	"bcache/internal/addr"
 	"bcache/internal/cache"
 	"bcache/internal/core"
 	"bcache/internal/trace"
@@ -34,11 +33,6 @@ const (
 	instrs    = 1_500_000
 )
 
-type access struct {
-	va    addr.Addr
-	write bool
-}
-
 func main() {
 	bench := "equake"
 	if len(os.Args) > 1 {
@@ -52,11 +46,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var accs []access
+	var accs []cache.MemAccess
 	for i := 0; i < instrs; i++ {
 		rec, _ := g.Next()
 		if rec.Kind.IsMem() {
-			accs = append(accs, access{rec.Mem, rec.Kind == trace.Store})
+			accs = append(accs, cache.NewMemAccess(rec.Mem, rec.Kind == trace.Store))
 		}
 	}
 	fmt.Printf("%s: %d data accesses, %d-byte pages\n\n", bench, len(accs), pageBytes)
@@ -83,21 +77,17 @@ func main() {
 		return bc
 	}
 	pipt := mkBC()
-	for _, a := range accs {
-		pipt.Access(colored.Translate(a.va), a.write)
-	}
+	cache.Replay(pipt, colored.TranslateStream(nil, accs), nil)
 	tlb, err := vm.NewTLB(64)
 	if err != nil {
 		log.Fatal(err)
 	}
-	viptBC := mkBC()
-	vipt, err := vm.NewVIPT(viptBC, colored, tlb, indexBits)
+	vipt, err := vm.NewVIPT(colored, tlb, indexBits)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, a := range accs {
-		vipt.Access(a.va, a.write)
-	}
+	viptBC := mkBC()
+	cache.Replay(viptBC, vipt.Translate(nil, accs), nil)
 	fmt.Println("§6.8 — virtually-indexed, physically-tagged B-Cache:")
 	fmt.Printf("  physically indexed : %6.2f%% miss\n", 100*pipt.Stats().MissRate())
 	fmt.Printf("  VIPT + coloring    : %6.2f%% miss  (TLB miss %.2f%%)\n",
@@ -125,11 +115,11 @@ func main() {
 			}
 		}
 		for _, a := range accs {
-			pa := as.Translate(a.va)
+			pa := as.Translate(a.Addr())
 			if rc != nil {
-				rc.Note(a.va, pa)
+				rc.Note(a.Addr(), pa)
 			}
-			if !dm.Access(pa, a.write).Hit && rc != nil {
+			if !dm.Access(pa, a.Write()).Hit && rc != nil {
 				rc.OnMiss(pa)
 			}
 		}
@@ -145,11 +135,9 @@ func main() {
 	w2, _ := cache.NewSetAssoc(l1Size, l1Line, 2, cache.LRU, nil)
 	bc := mkBC()
 	as, _ := vm.NewAddressSpace(vm.Config{PageBytes: pageBytes, Policy: vm.Arbitrary, Seed: 2})
-	for _, a := range accs {
-		pa := as.Translate(a.va)
-		w2.Access(pa, a.write)
-		bc.Access(pa, a.write)
-	}
+	phys := as.TranslateStream(nil, accs)
+	cache.Replay(w2, phys, nil)
+	cache.Replay(bc, phys, nil)
 
 	fmt.Println("\n§7.1 — software recoloring vs hardware balancing:")
 	fmt.Printf("  direct-mapped          : %6.2f%% miss\n", 100*plain)

@@ -61,13 +61,20 @@ type Replayer interface {
 }
 
 // Replay runs stream through c: one Replay call when c is a Replayer,
-// one Access per element otherwise, each event derived from its Result.
-// ev is as for Replayer; indices count from the start of stream.
+// ReplayEach otherwise. ev is as for Replayer; indices count from the
+// start of stream.
 func Replay(c Cache, stream []MemAccess, ev *[]Event) {
 	if r, ok := c.(Replayer); ok {
 		r.Replay(stream, ev)
 		return
 	}
+	ReplayEach(c, stream, ev)
+}
+
+// ReplayEach runs stream through c one Access per element, each event
+// derived from its Result: the Replay of a cache without a batch path,
+// and a Replayer's fallback for the caches its batch path leaves out.
+func ReplayEach(c Cache, stream []MemAccess, ev *[]Event) {
 	for i, m := range stream {
 		if r := c.Access(m.Addr(), m.Write()); ev != nil {
 			AppendEvent(ev, i, r)

@@ -287,11 +287,7 @@ var _ Replayer = (*SetAssoc)(nil)
 // and Random caches are not where the timed model spends its time.
 func (c *SetAssoc) Replay(stream []MemAccess, ev *[]Event) {
 	if c.probe != nil || c.policies != nil || c.maskWords != 1 {
-		for i, m := range stream {
-			if r := c.Access(m.Addr(), m.Write()); ev != nil {
-				AppendEvent(ev, i, r)
-			}
-		}
+		ReplayEach(c, stream, ev)
 		return
 	}
 	c.replayLRU(stream, ev)

@@ -16,11 +16,7 @@ import (
 // paths are not where the sweeps spend their time.
 func (c *BCache) Replay(stream []cache.MemAccess, ev *[]cache.Event) {
 	if c.probe != nil || c.degraded || !c.swar || c.policies != nil {
-		for i, m := range stream {
-			if r := c.Access(m.Addr(), m.Write()); ev != nil {
-				cache.AppendEvent(ev, i, r)
-			}
-		}
+		cache.ReplayEach(c, stream, ev)
 		return
 	}
 	c.replaySWAR(stream, ev)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"bcache/internal/stats"
 	"bcache/internal/workload"
 )
 
@@ -434,4 +435,25 @@ func missRates(sw sweep) (missResults, error) {
 		err = rerr
 	}
 	return out, err
+}
+
+// TestTable7VerdictAtPrintedPrecision: table7-balance passes only on a
+// drop its line shows, one printed tenth or more in both columns.
+func TestTable7VerdictAtPrintedPrecision(t *testing.T) {
+	dm := stats.Balance{HitsInFreqSets: 0.3124, LessAccessedSets: 0.2}
+	for _, tc := range []struct {
+		ch, las float64
+		want    bool
+		msg     string
+	}{
+		{0.3110, 0.1, true, "hit concentration 31.2%→31.1%, idle sets 20.0%→10.0%"},
+		{0.3120, 0.1, false, "hit concentration 31.2%→31.2%, idle sets 20.0%→10.0%"},
+		{0.3110, 0.1996, false, "hit concentration 31.2%→31.1%, idle sets 20.0%→20.0%"},
+	} {
+		bc := stats.Balance{HitsInFreqSets: tc.ch, LessAccessedSets: tc.las}
+		msg, ok := table7Verdict([2]stats.Balance{dm, bc})
+		if ok != tc.want || msg != tc.msg {
+			t.Errorf("bc %+v: %q %v, want %q %v", bc, msg, ok, tc.msg, tc.want)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"strings"
 
 	"bcache/internal/cache"
 	"bcache/internal/cpu"
@@ -127,8 +128,6 @@ func xVIPTGrid(opts Opts) grid[[]UnitResult] {
 			if err != nil {
 				return engine[[]UnitResult]{}, err
 			}
-			// The PIPT run translates each access first, so the colored
-			// space maps a page before a VIPT run translates through it.
 			var bcs [2]cache.Cache
 			var tlbs [2]*vm.TLB
 			var vipts [2]*vm.VIPT
@@ -139,18 +138,19 @@ func xVIPTGrid(opts Opts) grid[[]UnitResult] {
 				if tlbs[i], err = vm.NewTLB(64); err != nil {
 					return engine[[]UnitResult]{}, err
 				}
-				if vipts[i], err = vm.NewVIPT(bcs[i], as, tlbs[i], 17); err != nil {
+				if vipts[i], err = vm.NewVIPT(as, tlbs[i], 17); err != nil {
 					return engine[[]UnitResult]{}, err
 				}
 			}
+			// The PIPT pass translates the chunk first, so the colored
+			// space maps a page before the VIPT pass translates through it.
+			var buf []memAcc
 			return engine[[]UnitResult]{feed: func(ch *chunk) {
-				for _, m := range ch.data {
-					pipt.Access(colored.Translate(m.Addr()), m.Write())
-				}
-				for _, vipt := range vipts {
-					for _, m := range ch.data {
-						vipt.Access(m.Addr(), m.Write())
-					}
+				buf = colored.TranslateStream(buf[:0], ch.data)
+				cache.Replay(pipt, buf, nil)
+				for i, vipt := range vipts {
+					buf = vipt.Translate(buf[:0], ch.data)
+					cache.Replay(bcs[i], buf, nil)
 				}
 			}, results: func() ([]UnitResult, error) {
 				return []UnitResult{cacheCounters(pipt), cacheCounters(bcs[0]), cacheCounters(bcs[1]),
@@ -185,7 +185,9 @@ type recolorRun struct {
 // xRecolorGrid translates both configs through an identically-seeded
 // arbitrary allocator, so initial placements match. Config 0 ("phys")
 // runs the plain DM, 2-way and B-Cache on one shared address space;
-// config 1 ("recolor") runs DM plus the recoloring policy on its own.
+// config 1 ("recolor") runs DM plus the recoloring policy on its own,
+// one access at a time: a miss can remap a page, which changes the next
+// access's translation.
 func xRecolorGrid(opts Opts) grid[recolorRun] {
 	const pageBytes = 4096
 	specs := []Spec{baselineSpec(), setAssocSpec(2, 0), bcacheSpec(8, 8)}
@@ -203,12 +205,11 @@ func xRecolorGrid(opts Opts) grid[recolorRun] {
 						return engine[recolorRun]{}, err
 					}
 				}
+				var phys []memAcc
 				return engine[recolorRun]{feed: func(ch *chunk) {
-					for _, m := range ch.data {
-						pa := as.Translate(m.Addr())
-						for _, cc := range caches {
-							cc.Access(pa, m.Write())
-						}
+					phys = as.TranslateStream(phys[:0], ch.data)
+					for _, cc := range caches {
+						cache.Replay(cc, phys, nil)
 					}
 				}, results: func() (recolorRun, error) {
 					var r recolorRun
@@ -309,29 +310,42 @@ func init() {
 }
 
 // x3CGrid classifies every data-stream miss of six benchmarks on the
-// baseline and the B-Cache.
-func x3CGrid(opts Opts) grid[threec.Counts] {
+// baseline and the B-Cache. A benchmark is one unit: its stream is
+// classified once, and each chunk is replayed through both caches, each
+// replay's misses tallied by their access's class. Its result holds the
+// baseline's counts, then the B-Cache's.
+func x3CGrid(opts Opts) grid[[]threec.Counts] {
 	specs := dmBCSpecs()
-	return grid[threec.Counts]{id: "x3c", opts: opts,
-		profiles: mustProfiles("equake", "crafty", "gcc", "art", "mcf", "wupwise"), configs: specNames(specs),
-		run: func(_ *workload.Profile, c int) (engine[threec.Counts], error) {
-			under, err := specs[c].New(opts.L1Size, opts.LineBytes)
-			if err != nil {
-				return engine[threec.Counts]{}, err
-			}
-			cl, err := threec.New(under)
-			if err != nil {
-				return engine[threec.Counts]{}, err
-			}
-			return engine[threec.Counts]{feed: func(ch *chunk) {
-				for _, m := range ch.data {
-					cl.Access(m.Addr(), m.Write())
+	return grid[[]threec.Counts]{id: "x3c", opts: opts,
+		profiles: mustProfiles("equake", "crafty", "gcc", "art", "mcf", "wupwise"),
+		configs:  []string{strings.Join(specNames(specs), "+")},
+		run: func(*workload.Profile, int) (engine[[]threec.Counts], error) {
+			caches := make([]cache.Cache, len(specs))
+			for i, s := range specs {
+				var err error
+				if caches[i], err = s.New(opts.L1Size, opts.LineBytes); err != nil {
+					return engine[[]threec.Counts]{}, err
 				}
-			}, results: func() (threec.Counts, error) { return cl.Counts(), nil }}, nil
+			}
+			g := caches[0].Geometry()
+			cl, err := threec.New(g.Frames, g.LineBytes)
+			if err != nil {
+				return engine[[]threec.Counts]{}, err
+			}
+			counts := make([]threec.Counts, len(caches))
+			var classes []threec.Class
+			return engine[[]threec.Counts]{feed: func(ch *chunk) {
+				classes = cl.Classify(classes[:0], ch.data)
+				for i, c := range caches {
+					ch.events = ch.events[:0]
+					cache.Replay(c, ch.data, &ch.events)
+					counts[i].Tally(classes, ch.events)
+				}
+			}, results: func() ([]threec.Counts, error) { return counts, nil }}, nil
 		}}
 }
 
-func renderX3C(_ Opts, g grid[threec.Counts], runs [][]threec.Counts) []*Table {
+func renderX3C(_ Opts, g grid[[]threec.Counts], runs [][][]threec.Counts) []*Table {
 	t := &Table{
 		ID:    "x3c",
 		Title: "Compulsory/capacity/conflict decomposition of D$ misses (% of accesses)",
@@ -342,7 +356,7 @@ func renderX3C(_ Opts, g grid[threec.Counts], runs [][]threec.Counts) []*Table {
 	}
 	for pi, p := range g.profiles {
 		for c, cfg := range []string{"dm", "bc"} {
-			counts := runs[pi][c]
+			counts := runs[pi][0][c]
 			name := p.Name
 			if c > 0 {
 				name = "" // only label the first row of the pair

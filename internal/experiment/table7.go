@@ -37,7 +37,7 @@ func table7Grid(opts Opts) grid[stats.Balance] {
 		}}
 }
 
-func renderTable7(_ Opts, _ grid[stats.Balance], runs [][]stats.Balance) []*Table {
+func renderTable7(_ Opts, g grid[stats.Balance], runs [][]stats.Balance) []*Table {
 	t := &Table{
 		ID:    "table7",
 		Title: "Set balance: fhs/ch, fms/cm, las/tca per benchmark (dm = baseline, bc = B-Cache MF8/BAS8)",
@@ -46,45 +46,44 @@ func renderTable7(_ Opts, _ grid[stats.Balance], runs [][]stats.Balance) []*Tabl
 			"benchmark", "cfg", "fhs", "ch", "fms", "cm", "las", "tca",
 		},
 	}
-	row := func(name, cfg string, b stats.Balance) {
-		t.AddRow(name, cfg, pct(b.FreqHitSets), pct(b.HitsInFreqSets),
-			pct(b.FreqMissSets), pct(b.MissesInFreqSets),
-			pct(b.LessAccessedSets), pct(b.AccessesInLessSets))
-	}
-	all := workload.All()
-	cfgs := []string{"dm", "bc"}
-	sums := make([]stats.Balance, len(cfgs))
-	for pi, p := range all {
-		name := p.Name
-		for c, cfg := range cfgs {
-			addBalance(&sums[c], runs[pi][c])
-			row(name, cfg, runs[pi][c])
+	rows := func(name string, pair []stats.Balance) {
+		for c, cfg := range []string{"dm", "bc"} {
+			cells := []string{name, cfg}
+			for _, f := range balanceColumns(&pair[c]) {
+				cells = append(cells, pct(*f))
+			}
+			t.AddRow(cells...)
 			name = "" // only label the first row of the pair
 		}
 	}
-	name := "Ave"
-	for c, cfg := range cfgs {
-		scaleBalance(&sums[c], 1/float64(len(all)))
-		row(name, cfg, sums[c])
-		name = ""
+	for pi, p := range g.profiles {
+		rows(p.Name, runs[pi])
 	}
+	avg := table7Averages(runs)
+	rows("Ave", avg[:])
 	return []*Table{t}
 }
 
-func addBalance(dst *stats.Balance, s stats.Balance) {
-	dst.FreqHitSets += s.FreqHitSets
-	dst.HitsInFreqSets += s.HitsInFreqSets
-	dst.FreqMissSets += s.FreqMissSets
-	dst.MissesInFreqSets += s.MissesInFreqSets
-	dst.LessAccessedSets += s.LessAccessedSets
-	dst.AccessesInLessSets += s.AccessesInLessSets
+// balanceColumns returns b's fields in Table 7's column order.
+func balanceColumns(b *stats.Balance) []*float64 {
+	return []*float64{&b.FreqHitSets, &b.HitsInFreqSets, &b.FreqMissSets,
+		&b.MissesInFreqSets, &b.LessAccessedSets, &b.AccessesInLessSets}
 }
 
-func scaleBalance(dst *stats.Balance, f float64) {
-	dst.FreqHitSets *= f
-	dst.HitsInFreqSets *= f
-	dst.FreqMissSets *= f
-	dst.MissesInFreqSets *= f
-	dst.LessAccessedSets *= f
-	dst.AccessesInLessSets *= f
+// table7Averages returns the baseline's and the B-Cache's Balance, each
+// field averaged over the benchmarks: Table 7's Ave rows.
+func table7Averages(runs [][]stats.Balance) [2]stats.Balance {
+	var avg [2]stats.Balance
+	for c := range avg {
+		sums := balanceColumns(&avg[c])
+		for _, pair := range runs {
+			for i, f := range balanceColumns(&pair[c]) {
+				*sums[i] += *f
+			}
+		}
+		for _, sum := range sums {
+			*sum *= 1 / float64(len(runs))
+		}
+	}
+	return avg
 }

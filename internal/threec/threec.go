@@ -6,8 +6,8 @@
 // The paper's entire contribution targets the conflict component: the
 // B-Cache removes conflict misses while leaving compulsory and capacity
 // misses untouched. This package makes that claim directly measurable:
-// run the same reference stream through the cache under test and through
-// the classifier, and compare the conflict share before and after.
+// classify a reference stream once, replay it through each cache under
+// test, and tally each cache's misses by their access's class.
 package threec
 
 import (
@@ -19,30 +19,14 @@ import (
 )
 
 // Class is a miss category.
-type Class int
+type Class uint8
 
-// Miss classes (and Hit).
+// Miss classes.
 const (
-	Hit Class = iota
-	Compulsory
+	Compulsory Class = iota
 	Capacity
 	Conflict
 )
-
-func (c Class) String() string {
-	switch c {
-	case Hit:
-		return "hit"
-	case Compulsory:
-		return "compulsory"
-	case Capacity:
-		return "capacity"
-	case Conflict:
-		return "conflict"
-	default:
-		return fmt.Sprintf("class(%d)", int(c))
-	}
-}
 
 // Counts accumulates per-class totals.
 type Counts struct {
@@ -58,71 +42,77 @@ func (c Counts) Misses() uint64 { return c.Compulsory + c.Capacity + c.Conflict 
 // Accesses returns the total access count.
 func (c Counts) Accesses() uint64 { return c.Hits + c.Misses() }
 
-// ConflictShare returns the fraction of misses that are conflicts.
-func (c Counts) ConflictShare() float64 {
-	if m := c.Misses(); m > 0 {
-		return float64(c.Conflict) / float64(m)
+// Tally adds one replay of a stream to c: classes holds one class per
+// access of the stream (Classify's), and events is the replay's event
+// list (cache.Replay's). Each miss event counts under its access's
+// class, and every access without one is a hit.
+func (c *Counts) Tally(classes []Class, events []cache.Event) {
+	var misses uint64
+	for _, e := range events {
+		if !e.Miss {
+			continue
+		}
+		misses++
+		switch classes[e.Index] {
+		case Compulsory:
+			c.Compulsory++
+		case Capacity:
+			c.Capacity++
+		default:
+			c.Conflict++
+		}
 	}
-	return 0
+	c.Hits += uint64(len(classes)) - misses
 }
 
-// Classifier runs a cache under test alongside a fully-associative LRU
-// reference of the same capacity and a first-touch set. The reference
-// is an LRU stack of line numbers (stackdist.Index) holding at most as
-// many lines as the cache has frames: a line hits in it iff it is
-// resident, so no tags or ways are simulated.
+// Classifier is the 3C reference of one stream: a first-touch set and a
+// fully-associative LRU cache of a given number of frames. The latter
+// is an LRU stack of line numbers (stackdist.Index) holding at most
+// that many lines: a line hits in it iff it is resident, so no tags or
+// ways are simulated. It holds no cache under test, so one classifier
+// serves every cache of a stream's geometry.
 type Classifier struct {
-	under cache.Cache
-	fa    *stackdist.Index
-	lines int // the reference's capacity, in lines
-	// blockShift turns an address into its line number.
-	blockShift uint
+	fa         *stackdist.Index
+	lines      int  // the reference's capacity, in lines
+	blockShift uint // turns an address into its line number
 	seen       map[addr.Addr]struct{}
-	counts     Counts
 }
 
-// New builds a classifier around the cache under test. The reference
-// holds as many lines as the cache has frames.
-func New(under cache.Cache) (*Classifier, error) {
-	if under == nil {
-		return nil, fmt.Errorf("threec: nil cache")
+// New builds the reference of a cache of frames lines of lineBytes
+// bytes.
+func New(frames, lineBytes int) (*Classifier, error) {
+	if frames <= 0 || lineBytes <= 0 || !addr.IsPow2(uint64(lineBytes)) {
+		return nil, fmt.Errorf("threec: %d frames of %d bytes is not a cache", frames, lineBytes)
 	}
-	g := under.Geometry()
 	return &Classifier{
-		under:      under,
-		fa:         stackdist.NewIndex(g.Frames),
-		lines:      g.Frames,
-		blockShift: g.OffsetBits(),
+		fa:         stackdist.NewIndex(frames),
+		lines:      frames,
+		blockShift: addr.Log2(uint64(lineBytes)),
 		seen:       make(map[addr.Addr]struct{}),
 	}, nil
 }
 
-// Access performs one access on both caches and classifies the outcome
-// of the cache under test.
-func (c *Classifier) Access(a addr.Addr, write bool) Class {
-	block := a >> c.blockShift
-	_, touched := c.seen[block]
-	if !touched {
-		c.seen[block] = struct{}{}
+// Classify runs stream through the reference and appends to dst, per
+// access, the class a miss of that access gets: Compulsory on the
+// line's first touch, Capacity when the fully-associative reference
+// misses too, Conflict otherwise.
+func (c *Classifier) Classify(dst []Class, stream []cache.MemAccess) []Class {
+	for _, m := range stream {
+		block := m.Addr() >> c.blockShift
+		_, touched := c.seen[block]
+		if !touched {
+			c.seen[block] = struct{}{}
+		}
+		switch faHit := c.reference(block); {
+		case !touched:
+			dst = append(dst, Compulsory)
+		case !faHit:
+			dst = append(dst, Capacity)
+		default:
+			dst = append(dst, Conflict)
+		}
 	}
-
-	faHit := c.reference(block)
-	hit := c.under.Access(a, write).Hit
-
-	switch {
-	case hit:
-		c.counts.Hits++
-		return Hit
-	case !touched:
-		c.counts.Compulsory++
-		return Compulsory
-	case !faHit:
-		c.counts.Capacity++
-		return Capacity
-	default:
-		c.counts.Conflict++
-		return Conflict
-	}
+	return dst
 }
 
 // reference accesses block in the fully-associative LRU reference and
@@ -139,9 +129,3 @@ func (c *Classifier) reference(block addr.Addr) bool {
 	c.fa.Insert(block, 0)
 	return false
 }
-
-// Counts returns the accumulated classification.
-func (c *Classifier) Counts() Counts { return c.counts }
-
-// Under returns the cache under test.
-func (c *Classifier) Under() cache.Cache { return c.under }

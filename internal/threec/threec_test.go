@@ -1,47 +1,130 @@
 package threec
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"bcache/internal/addr"
 	"bcache/internal/cache"
-	"bcache/internal/core"
+	"bcache/internal/cachespec"
 	"bcache/internal/rng"
 )
 
-func newDM(t testing.TB, size int) *Classifier {
+// jointOracle is the classifier with the cache under test inside it:
+// per access it steps the first-touch set and the reference, accesses
+// the cache, and counts the access under the cache's verdict. It is the
+// oracle Classify plus a replay's Tally must match.
+type jointOracle struct {
+	under  cache.Cache
+	ref    *Classifier
+	counts Counts
+}
+
+// referenceOf builds the classifier of c's geometry.
+func referenceOf(t testing.TB, c cache.Cache) *Classifier {
+	t.Helper()
+	g := c.Geometry()
+	ref, err := New(g.Frames, g.LineBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+func newJointOracle(t testing.TB, under cache.Cache) *jointOracle {
+	t.Helper()
+	return &jointOracle{under: under, ref: referenceOf(t, under)}
+}
+
+func (o *jointOracle) access(a addr.Addr, write bool) {
+	block := a >> o.ref.blockShift
+	_, touched := o.ref.seen[block]
+	if !touched {
+		o.ref.seen[block] = struct{}{}
+	}
+	faHit := o.ref.reference(block)
+	switch hit := o.under.Access(a, write).Hit; {
+	case hit:
+		o.counts.Hits++
+	case !touched:
+		o.counts.Compulsory++
+	case !faHit:
+		o.counts.Capacity++
+	default:
+		o.counts.Conflict++
+	}
+}
+
+// classified is the fast path over one cache: its classifier, and the
+// scratch of one chunk's classes and events.
+type classified struct {
+	under   cache.Cache
+	ref     *Classifier
+	classes []Class
+	events  []cache.Event
+	counts  Counts
+}
+
+// newClassified and newJointOracle build the two halves that the
+// threec-events-vs-access pair's tests must drive (oraclepairs.json).
+func newClassified(t testing.TB, under cache.Cache) *classified {
+	t.Helper()
+	return &classified{under: under, ref: referenceOf(t, under)}
+}
+
+// feed classifies chunk, replays it through the cache and tallies it.
+func (c *classified) feed(chunk []cache.MemAccess) {
+	c.classes = c.ref.Classify(c.classes[:0], chunk)
+	c.events = c.events[:0]
+	cache.Replay(c.under, chunk, &c.events)
+	c.counts.Tally(c.classes, c.events)
+}
+
+func newDM(t testing.TB, size int) cache.Cache {
 	t.Helper()
 	dm, err := cache.NewDirectMapped(size, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(dm)
-	if err != nil {
-		t.Fatal(err)
+	return dm
+}
+
+// countsOf classifies stream on a direct-mapped cache of size bytes.
+func countsOf(t *testing.T, size int, stream []cache.MemAccess) Counts {
+	t.Helper()
+	c := newClassified(t, newDM(t, size))
+	c.feed(stream)
+	return c.counts
+}
+
+func reads(as ...addr.Addr) []cache.MemAccess {
+	s := make([]cache.MemAccess, len(as))
+	for i, a := range as {
+		s[i] = cache.NewMemAccess(a, false)
 	}
-	return c
+	return s
 }
 
 func TestFirstTouchIsCompulsory(t *testing.T) {
-	c := newDM(t, 1024)
-	if got := c.Access(0, false); got != Compulsory {
-		t.Fatalf("first touch classified %v", got)
+	c := newClassified(t, newDM(t, 1024))
+	c.feed(reads(0))
+	if got := c.counts; got.Compulsory != 1 || got.Misses() != 1 {
+		t.Fatalf("first touch classified %+v", got)
 	}
-	if got := c.Access(0, false); got != Hit {
-		t.Fatalf("second touch classified %v", got)
+	c.feed(reads(0))
+	if got := c.counts; got.Hits != 1 || got.Misses() != 1 {
+		t.Fatalf("second touch classified %+v, want a hit", got)
 	}
 }
 
 func TestPureConflict(t *testing.T) {
 	// Two lines aliasing in a DM cache but far under its capacity:
 	// after warm-up, every miss is a conflict.
-	c := newDM(t, 1024)
-	c.Access(0, false)
-	c.Access(1024, false)
+	stream := []addr.Addr{0, 1024}
 	for i := 0; i < 20; i++ {
-		c.Access(addr.Addr((i%2)*1024), false)
+		stream = append(stream, addr.Addr((i%2)*1024))
 	}
-	got := c.Counts()
+	got := countsOf(t, 1024, reads(stream...))
 	if got.Compulsory != 2 {
 		t.Fatalf("compulsory = %d, want 2", got.Compulsory)
 	}
@@ -58,14 +141,14 @@ func TestPureCapacity(t *testing.T) {
 	// fully-associative reference misses everything (LRU worst case), so
 	// the misses are capacity, not conflict.
 	const size = 1024
-	c := newDM(t, size)
 	lines := 2 * size / 32
+	var stream []addr.Addr
 	for round := 0; round < 4; round++ {
 		for i := 0; i < lines; i++ {
-			c.Access(addr.Addr(i*32), false)
+			stream = append(stream, addr.Addr(i*32))
 		}
 	}
-	got := c.Counts()
+	got := countsOf(t, size, reads(stream...))
 	if got.Conflict != 0 {
 		t.Fatalf("conflict = %d on a pure streaming loop, want 0", got.Conflict)
 	}
@@ -79,13 +162,13 @@ func TestPureCapacity(t *testing.T) {
 
 func TestClassPartition(t *testing.T) {
 	// Classes partition the accesses for an arbitrary stream.
-	c := newDM(t, 2048)
 	src := rng.New(3)
 	const n = 50000
-	for i := 0; i < n; i++ {
-		c.Access(addr.Addr(src.Intn(1<<14)), src.Intn(4) == 0)
+	stream := make([]cache.MemAccess, n)
+	for i := range stream {
+		stream[i] = cache.NewMemAccess(addr.Addr(src.Intn(1<<14)), src.Intn(4) == 0)
 	}
-	got := c.Counts()
+	got := countsOf(t, 2048, stream)
 	if got.Accesses() != n {
 		t.Fatalf("accesses = %d, want %d", got.Accesses(), n)
 	}
@@ -96,41 +179,45 @@ func TestClassPartition(t *testing.T) {
 
 // TestBCacheRemovesOnlyConflicts: the core claim in 3C terms — moving
 // from the DM baseline to the B-Cache cuts conflict misses while
-// compulsory stays identical.
+// compulsory stays identical. One classification serves both caches.
 func TestBCacheRemovesOnlyConflicts(t *testing.T) {
 	const size = 16384
-	stream := func(c *Classifier) Counts {
-		src := rng.New(7)
-		for i := 0; i < 300000; i++ {
-			var a addr.Addr
-			if src.Intn(3) == 0 {
-				a = addr.Addr(src.Intn(6) * 13 * 32768) // conflicting blocks
-			} else {
-				a = addr.Addr(0x100000 + src.Intn(8192)) // hot lines
-			}
-			c.Access(a, false)
+	src := rng.New(7)
+	stream := make([]cache.MemAccess, 300000)
+	for i := range stream {
+		var a addr.Addr
+		if src.Intn(3) == 0 {
+			a = addr.Addr(src.Intn(6) * 13 * 32768) // conflicting blocks
+		} else {
+			a = addr.Addr(0x100000 + src.Intn(8192)) // hot lines
 		}
-		return c.Counts()
+		stream[i] = cache.NewMemAccess(a, false)
 	}
-	dm := newDM(t, size)
-	bcU, err := core.New(core.Config{SizeBytes: size, LineBytes: 32, MF: 8, BAS: 8, Policy: cache.LRU})
+	ref, err := New(size/32, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bc, err := New(bcU)
-	if err != nil {
-		t.Fatal(err)
+	classes := ref.Classify(nil, stream)
+	counts := func(key string) Counts {
+		c, err := cachespec.MustParse(key).New(size, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var events []cache.Event
+		cache.Replay(c, stream, &events)
+		var n Counts
+		n.Tally(classes, events)
+		return n
 	}
-	cDM := stream(dm)
-	cBC := stream(bc)
+	cDM, cBC := counts("dm"), counts("bc:mf8:bas8:pol0")
 	if cBC.Compulsory != cDM.Compulsory {
 		t.Fatalf("compulsory changed: %d vs %d", cBC.Compulsory, cDM.Compulsory)
 	}
 	if cBC.Conflict*2 > cDM.Conflict {
 		t.Fatalf("B-Cache removed under half the conflicts: %d vs %d", cBC.Conflict, cDM.Conflict)
 	}
-	if cDM.ConflictShare() < 0.5 {
-		t.Fatalf("stream not conflict-dominated: share %.2f", cDM.ConflictShare())
+	if share := float64(cDM.Conflict) / float64(cDM.Misses()); share < 0.5 {
+		t.Fatalf("stream not conflict-dominated: share %.2f", share)
 	}
 }
 
@@ -140,7 +227,10 @@ func TestBCacheRemovesOnlyConflicts(t *testing.T) {
 // either holds.
 func TestReferenceMatchesFullyAssoc(t *testing.T) {
 	const size, line = 2048, 32
-	c := newDM(t, size)
+	c, err := New(size/line, line)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fa, err := cache.NewFullyAssoc(size, line, cache.LRU, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -168,8 +258,115 @@ func TestReferenceMatchesFullyAssoc(t *testing.T) {
 	}
 }
 
-func TestNilCacheRejected(t *testing.T) {
-	if _, err := New(nil); err == nil {
-		t.Fatal("nil cache accepted")
+func TestNewRejectsBadGeometry(t *testing.T) {
+	for _, g := range [][2]int{{0, 32}, {512, 0}, {512, 48}} {
+		if _, err := New(g[0], g[1]); err == nil {
+			t.Errorf("New(%d, %d) accepted", g[0], g[1])
+		}
 	}
+}
+
+// classifyKeys are the caches the fast path is held to the oracle on:
+// both of x3c's, a replaying and an Access-looping set-associative
+// cache, and a cache whose hits can be events.
+var classifyKeys = []string{"dm", "sa:2way:lru", "sa:8way:random", "bc:mf8:bas8:pol0", "victim:16"}
+
+// twoCaches builds key's cache of size bytes twice.
+func twoCaches(t *testing.T, key string, size int) (a, b cache.Cache) {
+	t.Helper()
+	d := cachespec.MustParse(key)
+	var err error
+	if a, err = d.New(size, 32); err != nil {
+		t.Fatal(err)
+	}
+	if b, err = d.New(size, 32); err != nil {
+		t.Fatal(err)
+	}
+	return a, b
+}
+
+// matchOracle runs chunks through key's cache on the fast path and on
+// the oracle, and compares their counts after every chunk.
+func matchOracle(t *testing.T, key string, oracle *jointOracle, fast *classified, chunks [][]cache.MemAccess) Counts {
+	t.Helper()
+	done := 0
+	for _, chunk := range chunks {
+		for _, m := range chunk {
+			oracle.access(m.Addr(), m.Write())
+		}
+		fast.feed(chunk)
+		done += len(chunk)
+		if fast.counts != oracle.counts {
+			t.Fatalf("%s after %d accesses: Classify+Tally %+v, joint Access %+v", key, done, fast.counts, oracle.counts)
+		}
+	}
+	return fast.counts
+}
+
+// TestClassifyMatchesAccess holds Classify plus a replay's Tally to the
+// joint per-access oracle on every classifyKeys cache, over chunks of
+// 0, 1, a few and a full pass's accesses.
+func TestClassifyMatchesAccess(t *testing.T) {
+	const size = 4096
+	src := rng.New(13)
+	stream := make([]cache.MemAccess, 40000)
+	for i := range stream {
+		var a addr.Addr
+		switch src.Intn(4) {
+		case 0:
+			a = addr.Addr(src.Intn(8) * size) // aliasing lines
+		case 1:
+			a = addr.Addr(0x40000 + src.Intn(64*size)) // far over capacity
+		default:
+			a = addr.Addr(0x10000 + src.Intn(size/2)) // hot lines
+		}
+		stream[i] = cache.NewMemAccess(a, src.Intn(4) == 0)
+	}
+	var chunks [][]cache.MemAccess
+	for i, rest := 0, stream; len(rest) > 0; i++ {
+		n := min([]int{0, 1, 7, 4096, 13}[i%5], len(rest))
+		chunks = append(chunks, rest[:n])
+		rest = rest[n:]
+	}
+	for _, key := range classifyKeys {
+		a, b := twoCaches(t, key, size)
+		oracle := newJointOracle(t, a)
+		fast := newClassified(t, b)
+		got := matchOracle(t, key, oracle, fast, chunks)
+		if got.Hits == 0 || got.Compulsory == 0 || got.Capacity == 0 || got.Conflict == 0 {
+			t.Errorf("%s: counts %+v leave a class empty", key, got)
+		}
+	}
+}
+
+// FuzzClassifyVsAccess: for any stream and chunk split, Classify plus a
+// replay's Tally counts what the joint per-access oracle counts, on
+// every classifyKeys cache. The first byte picks the cache; each
+// following 4-byte word is one access (address in its low 14 bits,
+// write in bit 23), and a top byte ≥ 0xF0 ends a chunk before it.
+func FuzzClassifyVsAccess(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10, 0x00, 0xF0, 0x00, 0x00, 0x00, 0x00})
+	f.Add([]byte{3, 0x20, 0x00, 0x80, 0x00, 0x20, 0x10, 0x00, 0xF8, 0x20, 0x20, 0x00, 0x00})
+	f.Add([]byte("classify the stream, tally the replay"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		key := classifyKeys[int(data[0])%len(classifyKeys)]
+		var chunks [][]cache.MemAccess
+		var chunk []cache.MemAccess
+		for rest := data[1:]; len(rest) >= 4; rest = rest[4:] {
+			w := binary.LittleEndian.Uint32(rest)
+			if rest[3] >= 0xF0 {
+				chunks = append(chunks, chunk)
+				chunk = nil
+			}
+			chunk = append(chunk, cache.NewMemAccess(addr.Addr(w&(1<<14-1)), w>>23&1 != 0))
+		}
+		a, b := twoCaches(t, key, 1024)
+		oracle := newJointOracle(t, a)
+		fast := newClassified(t, b)
+		matchOracle(t, key, oracle, fast, append(chunks, chunk))
+	})
 }

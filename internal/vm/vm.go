@@ -11,8 +11,9 @@
 //
 // This package provides the pieces to demonstrate that: an address space
 // with pluggable page-allocation policies (coloring vs. arbitrary), a
-// small fully-associative TLB, and a VIPT wrapper that indexes an
-// underlying cache with virtual bits while tagging with physical ones.
+// small fully-associative TLB, and a VIPT translation that keeps an
+// access's low, indexing bits virtual and takes the bits above from its
+// physical address.
 package vm
 
 import (
@@ -92,6 +93,15 @@ func (as *AddressSpace) Translate(va addr.Addr) addr.Addr {
 	return pfn<<as.pageBits | addr.Field(va, 0, as.pageBits)
 }
 
+// TranslateStream appends to dst each access of src with its address
+// translated, in stream order, and returns the extended slice.
+func (as *AddressSpace) TranslateStream(dst, src []cache.MemAccess) []cache.MemAccess {
+	for _, m := range src {
+		dst = append(dst, cache.NewMemAccess(as.Translate(m.Addr()), m.Write()))
+	}
+	return dst
+}
+
 // allocate picks a free frame for vpn under the configured policy.
 func (as *AddressSpace) allocate(vpn addr.Addr) addr.Addr {
 	frameSpace := addr.Addr(1) << (addr.Bits - as.pageBits)
@@ -164,35 +174,38 @@ func (t *TLB) Lookup(as *AddressSpace, va addr.Addr) (pa addr.Addr, hit bool) {
 	return pa, false
 }
 
-// VIPT wraps an underlying physically-tagged cache so that its low
-// indexBits of addressing come from the virtual address while everything
-// above comes from the physical address — the §6.8 configuration. For a
+// VIPT is the address a virtually-indexed, physically-tagged cache
+// sees — the §6.8 configuration: its low indexBits come from the
+// virtual address, everything above from the physical address. For a
 // B-Cache, indexBits should cover offset+index+log2(MF) bits: the bits
 // the decoders (including the PD's borrowed tag bits) consume.
 type VIPT struct {
-	L1        cache.Cache
 	AS        *AddressSpace
 	TLB       *TLB
 	indexBits uint
 }
 
-// NewVIPT builds the wrapper. indexBits is the number of low address
-// bits taken from the virtual address.
-func NewVIPT(l1 cache.Cache, as *AddressSpace, tlb *TLB, indexBits uint) (*VIPT, error) {
-	if l1 == nil || as == nil || tlb == nil {
+// NewVIPT builds the translation. indexBits is the number of low
+// address bits taken from the virtual address.
+func NewVIPT(as *AddressSpace, tlb *TLB, indexBits uint) (*VIPT, error) {
+	if as == nil || tlb == nil {
 		return nil, fmt.Errorf("vm: nil component")
 	}
 	if indexBits >= addr.Bits {
 		return nil, fmt.Errorf("vm: %d index bits exceed the address width", indexBits)
 	}
-	return &VIPT{L1: l1, AS: as, TLB: tlb, indexBits: indexBits}, nil
+	return &VIPT{AS: as, TLB: tlb, indexBits: indexBits}, nil
 }
 
-// Access translates va and accesses the cache with the hybrid
-// virtual-index/physical-tag address.
-func (v *VIPT) Access(va addr.Addr, write bool) cache.Result {
-	pa, _ := v.TLB.Lookup(v.AS, va)
+// Translate appends to dst each access of src at its hybrid
+// virtual-index/physical-tag address, looking each one up in the TLB
+// in stream order, and returns the extended slice.
+func (v *VIPT) Translate(dst, src []cache.MemAccess) []cache.MemAccess {
 	mask := addr.Addr(1)<<v.indexBits - 1
-	hybrid := pa&^mask | va&mask
-	return v.L1.Access(hybrid, write)
+	for _, m := range src {
+		va := m.Addr()
+		pa, _ := v.TLB.Lookup(v.AS, va)
+		dst = append(dst, cache.NewMemAccess(pa&^mask|va&mask, m.Write()))
+	}
+	return dst
 }

@@ -113,6 +113,76 @@ func TestTLBMatchesDirectTranslation(t *testing.T) {
 	}
 }
 
+// TestTranslateStreamsMatchPerAccess: TranslateStream is one
+// Translate per access, and VIPT.Translate one TLB lookup per access in
+// stream order with the low indexBits kept virtual; both append to dst
+// and keep each access's direction.
+func TestTranslateStreamsMatchPerAccess(t *testing.T) {
+	const indexBits = 17
+	src := rng.New(7)
+	stream := make([]cache.MemAccess, 20000)
+	for i := range stream {
+		stream[i] = cache.NewMemAccess(addr.Addr(src.Intn(1<<24)), src.Intn(4) == 0)
+	}
+	prefix := []cache.MemAccess{cache.NewMemAccess(0x40, true)}
+
+	as, ref := newAS(t, Arbitrary, 0), newAS(t, Arbitrary, 0)
+	phys := as.TranslateStream(append([]cache.MemAccess(nil), prefix...), stream)
+	if len(phys) != 1+len(stream) || phys[0] != prefix[0] {
+		t.Fatalf("TranslateStream returned %d accesses, want the prefix and %d more", len(phys), len(stream))
+	}
+	for i, m := range stream {
+		if want := cache.NewMemAccess(ref.Translate(m.Addr()), m.Write()); phys[1+i] != want {
+			t.Fatalf("access %d (%#x): TranslateStream %#x, Translate %#x", i, m.Addr(), phys[1+i].Addr(), want.Addr())
+		}
+	}
+
+	as, ref = newAS(t, Arbitrary, 0), newAS(t, Arbitrary, 0)
+	tlb, _ := NewTLB(64)
+	refTLB, _ := NewTLB(64)
+	vipt, err := NewVIPT(as, tlb, indexBits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hybrid := vipt.Translate(append([]cache.MemAccess(nil), prefix...), stream)
+	if len(hybrid) != 1+len(stream) || hybrid[0] != prefix[0] {
+		t.Fatalf("VIPT.Translate returned %d accesses, want the prefix and %d more", len(hybrid), len(stream))
+	}
+	differs := 0
+	for i, m := range stream {
+		va := m.Addr()
+		pa, _ := refTLB.Lookup(ref, va)
+		want := cache.NewMemAccess(pa>>indexBits<<indexBits|addr.Field(va, 0, indexBits), m.Write())
+		if hybrid[1+i] != want {
+			t.Fatalf("access %d (%#x): VIPT.Translate %#x, want %#x", i, va, hybrid[1+i].Addr(), want.Addr())
+		}
+		if want.Addr() != pa {
+			differs++
+		}
+	}
+	if tlb.Hits != refTLB.Hits || tlb.Misses != refTLB.Misses {
+		t.Fatalf("TLB hits/misses %d/%d, per-access lookups %d/%d", tlb.Hits, tlb.Misses, refTLB.Hits, refTLB.Misses)
+	}
+	if tlb.Hits == 0 || tlb.Misses == 0 || differs == 0 {
+		t.Fatalf("TLB hits %d, misses %d, hybrid≠physical %d times: the stream must exercise all three",
+			tlb.Hits, tlb.Misses, differs)
+	}
+}
+
+// missIndices replays stream through c and returns the stream indices
+// of its misses.
+func missIndices(c cache.Cache, stream []cache.MemAccess) []uint32 {
+	var events []cache.Event
+	cache.Replay(c, stream, &events)
+	var misses []uint32
+	for _, e := range events {
+		if e.Miss {
+			misses = append(misses, e.Index)
+		}
+	}
+	return misses
+}
+
 // TestVIPTBCacheWithColoring is the §6.8 result: with page coloring that
 // preserves the PD's three borrowed bits, a virtually-indexed,
 // physically-tagged B-Cache behaves access-for-access like a physically-
@@ -128,23 +198,28 @@ func TestVIPTBCacheWithColoring(t *testing.T) {
 	}
 	as := newAS(t, Colored, 4)
 	tlb, _ := NewTLB(64)
-	vipt, err := NewVIPT(mkBC(), as, tlb, 17) // offset(5)+index(9)+log2(MF)(3)
+	vipt, err := NewVIPT(as, tlb, 17) // offset(5)+index(9)+log2(MF)(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipt := mkBC()
+	viptBC, pipt := mkBC(), mkBC()
 
 	src := rng.New(9)
-	for i := 0; i < 100000; i++ {
-		va := addr.Addr(src.Intn(1 << 22))
-		write := src.Intn(4) == 0
-		rv := vipt.Access(va, write)
-		rp := pipt.Access(as.Translate(va), write)
-		if rv.Hit != rp.Hit {
-			t.Fatalf("access %d (%#x): VIPT hit=%v, PIPT hit=%v", i, va, rv.Hit, rp.Hit)
+	stream := make([]cache.MemAccess, 100000)
+	for i := range stream {
+		stream[i] = cache.NewMemAccess(addr.Addr(src.Intn(1<<22)), src.Intn(4) == 0)
+	}
+	mv := missIndices(viptBC, vipt.Translate(nil, stream))
+	mp := missIndices(pipt, as.TranslateStream(nil, stream))
+	for i := range min(len(mv), len(mp)) {
+		if mv[i] != mp[i] {
+			t.Fatalf("miss %d: VIPT at access %d, PIPT at access %d", i, mv[i], mp[i])
 		}
 	}
-	if err := vipt.L1.(*core.BCache).CheckInvariants(); err != nil {
+	if len(mv) != len(mp) {
+		t.Fatalf("VIPT missed %d times, PIPT %d", len(mv), len(mp))
+	}
+	if err := viptBC.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -159,16 +234,19 @@ func TestVIPTArbitraryStillSound(t *testing.T) {
 	}
 	as := newAS(t, Arbitrary, 0)
 	tlb, _ := NewTLB(64)
-	vipt, err := NewVIPT(bc, as, tlb, 17)
+	vipt, err := NewVIPT(as, tlb, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := rng.New(11)
-	for i := 0; i < 50000; i++ {
-		va := addr.Addr(src.Intn(1 << 22))
-		vipt.Access(va, false)
-		if !vipt.Access(va, false).Hit {
-			t.Fatalf("address %#x missed immediately after fill", va)
+	stream := make([]cache.MemAccess, 0, 100000)
+	for len(stream) < cap(stream) {
+		m := cache.NewMemAccess(addr.Addr(src.Intn(1<<22)), false)
+		stream = append(stream, m, m)
+	}
+	for _, i := range missIndices(bc, vipt.Translate(nil, stream)) {
+		if i%2 != 0 {
+			t.Fatalf("address %#x missed immediately after fill", stream[i].Addr())
 		}
 	}
 	if err := bc.CheckInvariants(); err != nil {
@@ -179,11 +257,13 @@ func TestVIPTArbitraryStillSound(t *testing.T) {
 func TestVIPTValidation(t *testing.T) {
 	as := newAS(t, Arbitrary, 0)
 	tlb, _ := NewTLB(4)
-	if _, err := NewVIPT(nil, as, tlb, 14); err == nil {
-		t.Fatal("nil cache accepted")
+	if _, err := NewVIPT(nil, tlb, 14); err == nil {
+		t.Fatal("nil address space accepted")
 	}
-	dm, _ := cache.NewDirectMapped(1024, 32)
-	if _, err := NewVIPT(dm, as, tlb, 64); err == nil {
+	if _, err := NewVIPT(as, nil, 14); err == nil {
+		t.Fatal("nil TLB accepted")
+	}
+	if _, err := NewVIPT(as, tlb, 64); err == nil {
 		t.Fatal("oversized index bits accepted")
 	}
 }
