@@ -128,7 +128,10 @@ ci: fmt-check vet lint build bench-test race-robust race chaos reproduce
 # of fuzzing the victim cache against its stamp-scan reference
 # (FuzzBufferMatchesLinear: same Results, Stats, buffer hits and resident
 # lines for any stream and buffer of 1 to 64 lines), 10 s of fuzzing the
-# stack-distance profiler against the textbook stack replay
+# victim cache's chunk replay against one Access per element
+# (FuzzVictimReplay: same array, buffer, Stats, buffer hits and events
+# after every chunk for any stream, chunk split and shape), 10 s of
+# fuzzing the stack-distance profiler against the textbook stack replay
 # (FuzzProfilerVsNaive: same misses at every ways up to 64 for any
 # stream and 1 to 64 sets), 10 s of fuzzing the 3C classification of
 # replay miss events against the classifier with the cache inside it
@@ -151,6 +154,7 @@ chaos:
 	$(GO) test -run '^$$' -fuzz FuzzStepFrame -fuzztime 10s -fuzzminimizetime 0 ./internal/cpu
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 0 ./internal/cachespec
 	$(GO) test -run '^$$' -fuzz FuzzBufferMatchesLinear -fuzztime 10s -fuzzminimizetime 0 ./internal/victim
+	$(GO) test -run '^$$' -fuzz FuzzVictimReplay -fuzztime 10s -fuzzminimizetime 0 ./internal/victim
 	$(GO) test -run '^$$' -fuzz FuzzProfilerVsNaive -fuzztime 10s -fuzzminimizetime 0 ./internal/stackdist
 	$(GO) test -run '^$$' -fuzz FuzzClassifyVsAccess -fuzztime 10s -fuzzminimizetime 0 ./internal/threec
 	$(GO) test -race -count=1 -run TestWorkersProcsMatchesInProcess ./cmd/experiments
@@ -222,13 +226,13 @@ bench-compare:
 # MEM_CEILING_<workload> is the process peak RSS, in MiB, that one
 # benchmark run of the workload may reach: about 25% above its median
 # over a 10-round run (bench/run.sh --workload all --rounds 10
-# --trace 0) on 2 vCPUs with go1.24.0 (suite 23.8 MiB, missrate-spill
-# 14.0 MiB, timed 14.6 MiB, sweep 21.5 MiB; suite and timed were
-# measured again once the engines stopped keeping per-frame counters).
+# --trace 0) on 2 vCPUs with go1.24.0 (suite 22.6 MiB, missrate-spill
+# 14.1 MiB, timed 14.6 MiB, sweep 17.7 MiB, all measured again once
+# the victim buffer and FIFO sets replayed in chunks).
 MEM_CEILING_suite = 29
 MEM_CEILING_missrate-spill = 18
 MEM_CEILING_timed = 18
-MEM_CEILING_sweep = 27
+MEM_CEILING_sweep = 22
 
 # mem-ceiling runs the four benchmark workloads once each (bench/run.sh,
 # about 10 s apiece) and fails when a run's output does not match its

@@ -23,8 +23,10 @@ type AGAC struct {
 	refBits  []bool
 	epochLen uint64
 	tick     uint64
-	clock    uint64
-	stats    *cache.Stats
+	// nextEpoch is the tick at which the reference bits clear next.
+	nextEpoch uint64
+	clock     uint64
+	stats     *cache.Stats
 
 	// RelocatedHits counts hits served out of position (3 cycles).
 	RelocatedHits uint64
@@ -65,12 +67,13 @@ func NewAGAC(size, lineBytes, dirEntries int, epochLen uint64) (*AGAC, error) {
 		return nil, fmt.Errorf("altcache: AGAC needs a positive epoch length")
 	}
 	return &AGAC{
-		geom:     geom,
-		lines:    make([]agacLine, geom.Frames),
-		dir:      make([]dirEntry, dirEntries),
-		refBits:  make([]bool, geom.Sets),
-		epochLen: epochLen,
-		stats:    cache.NewStats(),
+		geom:      geom,
+		lines:     make([]agacLine, geom.Frames),
+		dir:       make([]dirEntry, dirEntries),
+		refBits:   make([]bool, geom.Sets),
+		epochLen:  epochLen,
+		nextEpoch: epochLen,
+		stats:     cache.NewStats(),
 	}, nil
 }
 
@@ -184,12 +187,13 @@ func (c *AGAC) findDir(block addr.Addr) int {
 }
 
 // findHole returns an unreferenced set other than s, or -1. The scan
-// starts from a rotating position so holes spread across the cache.
+// starts from a rotating position so holes spread across the cache; the
+// set count is a power of two, so the position wraps with a mask.
 func (c *AGAC) findHole(s int) int {
-	n := c.geom.Sets
-	start := int(c.tick) % n
-	for i := 0; i < n; i++ {
-		h := (start + i) % n
+	mask := c.geom.Sets - 1
+	start := int(c.tick) & mask
+	for i := range c.refBits {
+		h := (start + i) & mask
 		if h != s && !c.refBits[h] {
 			return h
 		}
@@ -201,10 +205,9 @@ func (c *AGAC) findHole(s int) int {
 // reflect recent (not all-time) usage.
 func (c *AGAC) tickEpoch() {
 	c.tick++
-	if c.tick%c.epochLen == 0 {
-		for i := range c.refBits {
-			c.refBits[i] = false
-		}
+	if c.tick == c.nextEpoch {
+		clear(c.refBits)
+		c.nextEpoch += c.epochLen
 	}
 }
 
@@ -243,7 +246,7 @@ func (c *AGAC) Reset() {
 	for i := range c.refBits {
 		c.refBits[i] = false
 	}
-	c.tick, c.clock = 0, 0
+	c.tick, c.nextEpoch, c.clock = 0, c.epochLen, 0
 	c.RelocatedHits, c.Relocations = 0, 0
 	c.stats.Reset()
 }

@@ -17,7 +17,7 @@ type PAM struct {
 	geom     cache.Geometry
 	partBits uint
 	lines    []pamLine
-	policies []cache.Policy
+	lru      cache.Stamps // every set's LRU recency in one slab
 	stats    *cache.Stats
 
 	// FastHits are hits whose partial match was unique and verified
@@ -51,11 +51,8 @@ func NewPAM(size, lineBytes, ways int, partBits uint) (*PAM, error) {
 		geom:     geom,
 		partBits: partBits,
 		lines:    make([]pamLine, geom.Frames),
-		policies: make([]cache.Policy, geom.Sets),
+		lru:      cache.NewStamps(geom.Sets, ways),
 		stats:    cache.NewStats(),
-	}
-	for i := range c.policies {
-		c.policies[i] = cache.NewPolicy(cache.LRU, ways, nil)
 	}
 	return c, nil
 }
@@ -71,7 +68,6 @@ func (c *PAM) Access(a addr.Addr, write bool) cache.Result {
 	tag := c.geom.Tag(a)
 	part := c.partial(tag)
 	base := set * c.geom.Ways
-	pol := c.policies[set]
 
 	// PAD comparison: which ways match the partial tag?
 	padMatches := 0
@@ -98,7 +94,7 @@ func (c *PAM) Access(a addr.Addr, write bool) cache.Result {
 		} else {
 			c.FastHits++
 		}
-		pol.Touch(hitWay)
+		c.lru.Touch(set, hitWay)
 		if write {
 			c.lines[base+hitWay].dirty = true
 		}
@@ -116,7 +112,7 @@ func (c *PAM) Access(a addr.Addr, write bool) cache.Result {
 	}
 	var res cache.Result
 	if way < 0 {
-		way = pol.Victim()
+		way = c.lru.Victim(set)
 		old := &c.lines[base+way]
 		res.Evicted = true
 		res.EvictedAddr = old.tag<<(c.geom.OffsetBits()+c.geom.IndexBits()) |
@@ -125,7 +121,7 @@ func (c *PAM) Access(a addr.Addr, write bool) cache.Result {
 		c.stats.RecordEviction(old.dirty)
 	}
 	c.lines[base+way] = pamLine{valid: true, dirty: write, tag: tag}
-	pol.Touch(way)
+	c.lru.Touch(set, way)
 	res.Frame = base + way
 	c.stats.Record(false, write)
 	return res
@@ -170,9 +166,7 @@ func (c *PAM) Reset() {
 	for i := range c.lines {
 		c.lines[i] = pamLine{}
 	}
-	for _, p := range c.policies {
-		p.Reset()
-	}
+	c.lru.Reset()
 	c.FastHits, c.SlowHits = 0, 0
 	c.stats.Reset()
 }

@@ -99,6 +99,51 @@ func TestAGACValidation(t *testing.T) {
 	}
 }
 
+// TestAGACHoleScanMatchesModulo: the hole scan and the epoch tick, which
+// wrap with a mask and count down to a deadline, pick the same hole and
+// clear the reference bits at the same accesses as the modulo forms
+// they replace: the first unreferenced set other than s from tick mod
+// sets onwards, and a clear whenever tick is a multiple of the epoch,
+// before and after Reset.
+func TestAGACHoleScanMatchesModulo(t *testing.T) {
+	c, err := NewAGAC(1024, 32, 8, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(1)
+	n := c.geom.Sets
+	for round := 0; round < 2; round++ {
+		for step := 1; step <= 100; step++ {
+			for i := range c.refBits {
+				c.refBits[i] = src.Intn(4) != 0
+			}
+			c.tickEpoch()
+			cleared := true
+			for _, r := range c.refBits {
+				cleared = cleared && !r
+			}
+			if want := c.tick%7 == 0; cleared != want {
+				t.Fatalf("round %d tick %d: reference bits cleared %v, want %v", round, c.tick, cleared, want)
+			}
+			for i := range c.refBits {
+				c.refBits[i] = src.Intn(4) != 0
+			}
+			s := src.Intn(n)
+			want := -1
+			for i := 0; i < n; i++ {
+				if h := (int(c.tick) + i) % n; h != s && !c.refBits[h] {
+					want = h
+					break
+				}
+			}
+			if got := c.findHole(s); got != want {
+				t.Fatalf("round %d tick %d set %d: findHole %d, modulo scan %d", round, c.tick, s, got, want)
+			}
+		}
+		c.Reset()
+	}
+}
+
 func TestAGACReset(t *testing.T) {
 	c := newAGAC(t, 4096)
 	c.Access(0, false)

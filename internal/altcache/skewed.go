@@ -42,7 +42,7 @@ func NewSkewed(size, lineBytes int, src *rng.Source) (*Skewed, error) {
 // bits XORed with a bank-specific mix of the next-higher address bits
 // (Seznec's inter-bank dispersion).
 func (s *Skewed) bankIndex(bank int, block addr.Addr) int {
-	n := addr.Log2(uint64(s.bankSets))
+	n := s.geom.IndexBits()
 	lo := addr.Field(block, 0, n)
 	hi := addr.Field(block, n, n)
 	switch bank {

@@ -22,7 +22,7 @@ type WayHalt struct {
 	geom     cache.Geometry
 	haltBits uint
 	lines    []pamLine
-	policies []cache.Policy
+	lru      cache.Stamps // every set's LRU recency in one slab
 	stats    *cache.Stats
 
 	// WayActivations counts data/tag ways actually powered across all
@@ -49,11 +49,8 @@ func NewWayHalt(size, lineBytes, ways int, haltBits uint) (*WayHalt, error) {
 		geom:     geom,
 		haltBits: haltBits,
 		lines:    make([]pamLine, geom.Frames),
-		policies: make([]cache.Policy, geom.Sets),
+		lru:      cache.NewStamps(geom.Sets, ways),
 		stats:    cache.NewStats(),
-	}
-	for i := range c.policies {
-		c.policies[i] = cache.NewPolicy(cache.LRU, ways, nil)
 	}
 	return c, nil
 }
@@ -66,7 +63,6 @@ func (c *WayHalt) Access(a addr.Addr, write bool) cache.Result {
 	tag := c.geom.Tag(a)
 	ht := c.halt(tag)
 	base := set * c.geom.Ways
-	pol := c.policies[set]
 
 	hitWay := -1
 	for w := 0; w < c.geom.Ways; w++ {
@@ -84,7 +80,7 @@ func (c *WayHalt) Access(a addr.Addr, write bool) cache.Result {
 	}
 
 	if hitWay >= 0 {
-		pol.Touch(hitWay)
+		c.lru.Touch(set, hitWay)
 		if write {
 			c.lines[base+hitWay].dirty = true
 		}
@@ -102,7 +98,7 @@ func (c *WayHalt) Access(a addr.Addr, write bool) cache.Result {
 	}
 	var res cache.Result
 	if way < 0 {
-		way = pol.Victim()
+		way = c.lru.Victim(set)
 		old := &c.lines[base+way]
 		res.Evicted = true
 		res.EvictedAddr = old.tag<<(c.geom.OffsetBits()+c.geom.IndexBits()) |
@@ -111,7 +107,7 @@ func (c *WayHalt) Access(a addr.Addr, write bool) cache.Result {
 		c.stats.RecordEviction(old.dirty)
 	}
 	c.lines[base+way] = pamLine{valid: true, dirty: write, tag: tag}
-	pol.Touch(way)
+	c.lru.Touch(set, way)
 	res.Frame = base + way
 	c.stats.Record(false, write)
 	return res
@@ -156,9 +152,7 @@ func (c *WayHalt) Reset() {
 	for i := range c.lines {
 		c.lines[i] = pamLine{}
 	}
-	for _, p := range c.policies {
-		p.Reset()
-	}
+	c.lru.Reset()
 	c.WayActivations = 0
 	c.stats.Reset()
 }

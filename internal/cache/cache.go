@@ -11,6 +11,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"bcache/internal/addr"
 )
@@ -75,11 +76,13 @@ func NewGeometry(size, line, ways int) (Geometry, error) {
 	}, nil
 }
 
-// OffsetBits returns log2(line size).
-func (g Geometry) OffsetBits() uint { return addr.Log2(uint64(g.LineBytes)) }
+// OffsetBits returns log2(line size). NewGeometry has checked that the
+// sizes are powers of two, so the field helpers count trailing zeros
+// instead of validating again on every access.
+func (g Geometry) OffsetBits() uint { return uint(bits.TrailingZeros(uint(g.LineBytes))) }
 
 // IndexBits returns log2(sets).
-func (g Geometry) IndexBits() uint { return addr.Log2(uint64(g.Sets)) }
+func (g Geometry) IndexBits() uint { return uint(bits.TrailingZeros(uint(g.Sets))) }
 
 // TagBits returns the number of address bits above offset and index.
 func (g Geometry) TagBits() uint { return addr.Bits - g.OffsetBits() - g.IndexBits() }

@@ -110,12 +110,11 @@ func (s *Stamps) Reset() {
 	s.clock = 0
 }
 
-// lruPolicy tracks recency with a timestamp per way, for caches that
-// hold one Policy per set (altcache's PAM and WayHalt, core.Reference).
-// It scans its stamps as Stamps does, kept apart as the per-set form
-// the differential oracle (core.Reference) runs. The linear victim scan
-// is intentional: the sets it serves are narrow, where a scan beats
-// maintaining a recency list.
+// lruPolicy tracks recency with a timestamp per way, for a cache that
+// holds one Policy per set: core.Reference, the differential oracle. It
+// scans its stamps as Stamps does, kept apart as the per-set form the
+// oracle runs. The linear victim scan is intentional: the sets it
+// serves are narrow, where a scan beats maintaining a recency list.
 type lruPolicy struct {
 	stamp []uint64
 	clock uint64

@@ -32,7 +32,8 @@ func (s replayShape) build(t testing.TB) *SetAssoc {
 
 // replayShapes: the kernel's direct-mapped, 2-, 4- and 8-way and 64-way
 // LRU caches (16 kB and a 1 kB one whose sets fill and evict
-// constantly), and the Access loop's FIFO, Random and 512-way caches.
+// constantly), its 4-way and 32-way (HAC's) FIFO caches, and the Access
+// loop's Random and 512-way caches.
 func replayShapes() []replayShape {
 	var out []replayShape
 	for _, size := range []int{16 << 10, 1 << 10} {
@@ -43,6 +44,7 @@ func replayShapes() []replayShape {
 	return append(out,
 		replayShape{size: 16 << 10, ways: 64, kind: LRU},
 		replayShape{size: 16 << 10, ways: 4, kind: FIFO},
+		replayShape{size: 16 << 10, ways: 32, kind: FIFO},
 		replayShape{size: 16 << 10, ways: 4, kind: Random},
 		replayShape{size: 16 << 10, ways: 512, kind: LRU})
 }

@@ -43,10 +43,12 @@ type SetAssoc struct {
 
 	// lru is the LRU recency of every set in one slab (Stamps). A
 	// direct-mapped LRU cache leaves it empty: its one way is always the
-	// victim. FIFO and Random keep one Policy per set (policies, nil
-	// under LRU), even at one way, where the Random draw is still part
-	// of the stream.
+	// victim. fifo is FIFO's slab, one insertion pointer per set: the
+	// way the full set evicts next. Random keeps one Policy per set
+	// (policies, nil under LRU and FIFO), even at one way, where the
+	// Random draw is still part of the stream.
 	lru      Stamps
+	fifo     []uint32
 	policies []Policy
 	stats    *Stats
 	probe    Probe // nil unless observability is attached
@@ -81,11 +83,14 @@ func NewSetAssoc(size, lineBytes, ways int, kind PolicyKind, src *rng.Source) (*
 		stats:     NewStats(),
 		name:      fmt.Sprintf("%dkB-%dway-%s", size/1024, ways, kind),
 	}
-	if kind == LRU {
+	switch kind {
+	case LRU:
 		if ways > 1 {
 			c.lru = NewStamps(geom.Sets, ways)
 		}
-	} else {
+	case FIFO:
+		c.fifo = make([]uint32, geom.Sets)
+	default:
 		c.policies = make([]Policy, geom.Sets)
 		for s := range c.policies {
 			ps := src
@@ -122,24 +127,28 @@ func NewFullyAssoc(size, lineBytes int, kind PolicyKind, src *rng.Source) (*SetA
 	return c, nil
 }
 
-// touch records a use of way in set with the replacement policy.
+// touch records a use of way in set with the replacement policy. Only
+// LRU keeps recency: FIFO and Random ignore hits.
 func (c *SetAssoc) touch(set, way int) {
-	if c.policies == nil {
+	if c.kind == LRU {
 		c.lru.Touch(set, way)
-		return
 	}
-	c.policies[set].Touch(way)
 }
 
 // victim returns the way the replacement policy evicts from a full set.
+// FIFO's pointer wraps with a mask: the way count is a power of two.
 func (c *SetAssoc) victim(set int) int {
-	if c.policies == nil {
-		if c.geom.Ways == 1 {
-			return 0
-		}
-		return c.lru.Victim(set)
+	switch {
+	case c.fifo != nil:
+		v := c.fifo[set]
+		c.fifo[set] = (v + 1) & uint32(c.geom.Ways-1)
+		return int(v)
+	case c.policies != nil:
+		return c.policies[set].Victim()
+	case c.geom.Ways == 1:
+		return 0
 	}
-	return c.policies[set].Victim()
+	return c.lru.Victim(set)
 }
 
 // wordMask returns the in-range way bits of the set's wi-th mask word.
@@ -254,6 +263,15 @@ func (c *SetAssoc) lineAddr(tag addr.Addr, set int) addr.Addr {
 	return tag<<(c.offBits+c.idxBits) | addr.Addr(set)<<c.offBits
 }
 
+// Slab returns the cache's arrays — tags[set*Ways+way], and the valid
+// and dirty masks, maskWords words per set — for a replay kernel
+// outside the package that keeps them in locals across a chunk, as
+// Stamps.Slab does the LRU stamps. The kernel changes them exactly as
+// Access would, and books the counters into Stats itself.
+func (c *SetAssoc) Slab() (tags []addr.Addr, valid, dirty []uint64) {
+	return c.tags, c.valid, c.dirty
+}
+
 // Stats implements Cache.
 func (c *SetAssoc) Stats() *Stats { return c.stats }
 
@@ -272,6 +290,7 @@ func (c *SetAssoc) Reset() {
 	clear(c.valid)
 	clear(c.dirty)
 	c.lru.Reset()
+	clear(c.fifo)
 	for _, p := range c.policies {
 		p.Reset()
 	}
@@ -280,39 +299,41 @@ func (c *SetAssoc) Reset() {
 
 var _ Replayer = (*SetAssoc)(nil)
 
-// Replay implements Replayer. An unprobed LRU cache of at most 64 ways
-// — direct-mapped, 2-, 4- and 8-way, the timed model's L1s — runs the
-// whole stream in one loop (replayLRU); any other cache loops over
-// Access, since a probe needs its per-access events and the wider, FIFO
-// and Random caches are not where the timed model spends its time.
+// Replay implements Replayer. An unprobed LRU or FIFO cache of at most
+// 64 ways — direct-mapped, 2-, 4- and 8-way LRU, the timed model's L1s,
+// and the 32-way FIFO HAC — runs the whole stream in one loop
+// (replayScan); a probed cache loops over Access, since a probe needs
+// its per-access events, and so do Random caches and wider ones, which
+// no experiment replays.
 func (c *SetAssoc) Replay(stream []MemAccess, ev *[]Event) {
 	if c.probe != nil || c.policies != nil || c.maskWords != 1 {
 		ReplayEach(c, stream, ev)
 		return
 	}
-	c.replayLRU(stream, ev)
+	c.replayScan(stream, ev)
 }
 
-// replayLRU is Access's scan path for a narrow LRU cache over a whole
-// stream, with the geometry, the arrays, the stamp clock and the
-// counters in locals. A set's valid and dirty masks are one word, so
-// the set indexes them directly. Stats and the clock are written back
-// once, at the end.
-func (c *SetAssoc) replayLRU(stream []MemAccess, ev *[]Event) {
+// replayScan is Access's scan path for a narrow LRU or FIFO cache over
+// a whole stream, with the geometry, the arrays, the stamp clock and
+// the counters in locals. A set's valid and dirty masks are one word,
+// so the set indexes them directly. The write flag enters the dirty
+// mask and the write count as a 0 or 1, not a branch. Stats and the
+// clock are written back once, at the end.
+func (c *SetAssoc) replayScan(stream []MemAccess, ev *[]Event) {
 	offBits, idxMask, tagShift := c.offBits, c.idxMask, c.offBits+c.idxBits
 	ways, full := c.geom.Ways, c.tailMask
 	tags, valid, dirty := c.tags, c.valid, c.dirty
 	stamp, clock := c.lru.Slab()
+	fifo, wayMask := c.fifo, uint32(ways-1)
+	touch := c.kind == LRU && ways > 1 // a direct-mapped set's one way needs no recency
 	if ev != nil && uint64(len(stream)) > 1<<32 {
 		panic("cache: stream too long for Event indices")
 	}
 	var writes, hits, evictions, writebacks uint64
 	for i, m := range stream {
 		a := addr.Addr(m >> 1)
-		write := m&1 != 0
-		if write {
-			writes++
-		}
+		wr := uint64(m & 1)
+		writes += wr
 		set := int(a >> offBits & idxMask)
 		tag := a >> tagShift
 		base := set * ways
@@ -331,25 +352,29 @@ func (c *SetAssoc) replayLRU(stream []MemAccess, ev *[]Event) {
 			}
 		}
 		if way >= 0 {
-			if ways > 1 {
+			if touch {
 				clock++
 				stamp[base+way] = clock
 			}
-			if write {
-				dirty[set] |= 1 << uint(way)
-			}
+			dirty[set] |= wr << uint(way)
 			hits++
 			continue
 		}
-		// Miss: the lowest invalid way, else Stamps.Victim's lowest way
-		// with the oldest stamp.
+		// Miss: the lowest invalid way, else FIFO's pointer, else
+		// Stamps.Victim's lowest way with the oldest stamp.
 		if free := ^v & full; free != 0 {
 			way = bits.TrailingZeros64(free)
 		} else {
-			way = 0
-			if ways > 1 {
+			switch {
+			case fifo != nil:
+				way = int(fifo[set])
+				fifo[set] = uint32(way+1) & wayMask
+			case ways == 1:
+				way = 0
+			default:
 				st := stamp[base : base+ways]
 				best := st[0]
+				way = 0
 				for w, s := range st[1:] {
 					if s < best {
 						way, best = w+1, s
@@ -357,9 +382,7 @@ func (c *SetAssoc) replayLRU(stream []MemAccess, ev *[]Event) {
 				}
 			}
 			evictions++
-			if dirty[set]>>uint(way)&1 != 0 {
-				writebacks++
-			}
+			writebacks += dirty[set] >> uint(way) & 1
 		}
 		bit := uint64(1) << uint(way)
 		if ev != nil {
@@ -372,12 +395,8 @@ func (c *SetAssoc) replayLRU(stream []MemAccess, ev *[]Event) {
 		}
 		tags[base+way] = tag
 		valid[set] |= bit
-		if write {
-			dirty[set] |= bit
-		} else {
-			dirty[set] &^= bit
-		}
-		if ways > 1 {
+		dirty[set] = dirty[set]&^bit | wr<<uint(way)
+		if touch {
 			clock++
 			stamp[base+way] = clock
 		}

@@ -25,8 +25,9 @@ func (c *BCache) Replay(stream []cache.MemAccess, ev *[]cache.Event) {
 // replaySWAR is Access's SWAR/LRU path over a whole chunk, with the
 // geometry, the arrays, the LRU clock and the counters in locals. With
 // BAS ≤ 8 a row's masks are one word, so the row indexes them directly.
-// Stats and PDStats are written back once, at the end. Every B-Cache hit
-// is a one-cycle hit, so its events are its misses.
+// The write flag enters the dirty mask and the write count as a 0 or 1,
+// not a branch. Stats and PDStats are written back once, at the end.
+// Every B-Cache hit is a one-cycle hit, so its events are its misses.
 func (c *BCache) replaySWAR(stream []cache.MemAccess, ev *[]cache.Event) {
 	rowShift, rowMask := c.rowShift, c.rowMask
 	piShift, piMask, tagShift := c.piShift, c.piMask, c.tagShift
@@ -43,10 +44,8 @@ func (c *BCache) replaySWAR(stream []cache.MemAccess, ev *[]cache.Event) {
 	}
 	for i, m := range stream {
 		a := addr.Addr(m >> 1)
-		write := m&1 != 0
-		if write {
-			writes++
-		}
+		wr := uint64(m & 1)
+		writes += wr
 		row := int(a >> rowShift & rowMask)
 		pi := uint64(a >> piShift & piMask)
 		tag := a >> tagShift
@@ -56,9 +55,7 @@ func (c *BCache) replaySWAR(stream []cache.MemAccess, ev *[]cache.Event) {
 			if valid[row]>>uint(cl)&1 != 0 && tags[cl*rows+row] == tag {
 				clock++
 				stamp[row*bas+cl] = clock
-				if write {
-					dirty[row] |= 1 << uint(cl)
-				}
+				dirty[row] |= wr << uint(cl)
 				hits++
 				continue
 			}
@@ -99,11 +96,7 @@ func (c *BCache) replaySWAR(stream []cache.MemAccess, ev *[]cache.Event) {
 		pdValid[row] |= bit
 		tags[cl*rows+row] = tag
 		valid[row] |= bit
-		if write {
-			dirty[row] |= bit
-		} else {
-			dirty[row] &^= bit
-		}
+		dirty[row] = dirty[row]&^bit | wr<<uint(cl)
 		clock++
 		stamp[row*bas+cl] = clock
 	}

@@ -52,22 +52,23 @@ type Outcome struct {
 	Err    error
 }
 
-// RunAll validates opts, runs the units of every experiment in exps as
-// one trace-major campaign (campaignUnits) in one scheduler call, and
-// renders each experiment from the campaign's results, in the order
+// RunAll plans the units of every experiment in exps as one
+// trace-major campaign (planUnits), runs them in one scheduler call,
+// and renders each experiment from the campaign's results, in the order
 // given. An experiment whose units did not all complete — a unit
 // failed, or a stop request cut the campaign short — gets the
 // campaign's error, alongside the tables Render can still build (they
 // carry a [partial] note) or none when it cannot.
 func RunAll(opts Opts, exps []Experiment) []Outcome {
 	out := make([]Outcome, len(exps))
-	if err := opts.validate(); err != nil {
+	us, err := planUnits(opts, exps)
+	if err != nil {
 		for i := range out {
 			out[i].Err = err
 		}
 		return out
 	}
-	res, err := runUnits(opts, campaignUnits(opts, exps))
+	res, err := runUnits(opts, us)
 	for i, e := range exps {
 		var eerr error
 		if err != nil && e.Units != nil && !res.complete(e.Units(opts)) {
@@ -140,6 +141,38 @@ func campaignUnits(opts Opts, exps []Experiment) []unit {
 		us = append(us, byTrace[k]...)
 	}
 	return us
+}
+
+// planUnits is campaignUnits behind the checks that need no trace:
+// opts.validate, and that every spec a unit declares builds at the
+// unit's L1 and line size. Each distinct (spec, size, line) is built
+// once, so a spec the cache cannot hold — 4-way at a 64-byte L1 of two
+// frames — fails the campaign with one error before any unit starts,
+// instead of failing every unit that runs it.
+func planUnits(opts Opts, exps []Experiment) ([]unit, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
+	us := campaignUnits(opts, exps)
+	type build struct {
+		key        string
+		size, line int
+	}
+	built := map[build]bool{}
+	for _, u := range us {
+		for _, sp := range u.specs {
+			b := build{sp.Key, u.opts.L1Size, u.opts.LineBytes}
+			if built[b] {
+				continue
+			}
+			built[b] = true
+			if _, err := sp.New(b.size, b.line); err != nil {
+				return nil, fmt.Errorf("experiment: spec %s of %s does not fit a %d-byte L1 of %d-byte lines: %w",
+					sp.Name, u.owner, b.size, b.line, err)
+			}
+		}
+	}
+	return us, nil
 }
 
 // mergeProfiles replaces the stack-distance units of us, in place, on
@@ -259,6 +292,10 @@ type unit struct {
 	// lru is a stack-distance unit's shape (profileUnit), which
 	// mergeProfiles widens; nil on every other unit.
 	lru *lruShape
+	// specs are the cache designs the unit builds at its opts' L1 and
+	// line size (a grid's units carry all of the grid's), which
+	// planUnits checks before any unit starts.
+	specs []Spec
 }
 
 // An engine is one unit's consumer in a pass: feed takes the stream the
@@ -335,6 +372,9 @@ type grid[R any] struct {
 	// c also answers spec l1[c]'s dSide and iSide miss-rate keys at
 	// seed 0 (l1Keys), from its engine's l1 counters.
 	l1 []Spec
+	// specs are the designs the grid's engines build at its L1 size,
+	// which planUnits checks before any unit starts.
+	specs []Spec
 }
 
 // key is the checkpoint key of p's result on config c. id names the
@@ -371,6 +411,7 @@ func (g grid[R]) units() []unit {
 						return []any{r, l1[0], l1[1]}, nil
 					}}, nil
 				})
+			u.specs = g.specs
 			u.decode = func(x int, raw json.RawMessage) (any, error) {
 				if x > 0 {
 					return decodeAs[UnitResult](raw)

@@ -91,6 +91,40 @@ func TestOptsValidate(t *testing.T) {
 	}
 }
 
+// TestPlanRejectsSpecsTooWide: a 64-byte L1 has two 32-byte frames,
+// too few for Figure 4's 4-way and wider caches, its HAC and its
+// 16-line victim buffer, and for table7's B-Cache of 8-way rows.
+// Planning fails with one error naming a spec, and RunAll returns it
+// before any unit starts: no trace is generated. Both experiments plan
+// at a 1 kB L1 of 32 frames.
+func TestPlanRejectsSpecsTooWide(t *testing.T) {
+	const want = "does not fit a 64-byte L1 of 32-byte lines"
+	defer ResetTraceCache()
+	for _, id := range []string{"fig4", "table7"} {
+		opts := tinyOpts()
+		opts.L1Size = 64
+		if _, err := PlanCampaign(opts, []string{id}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: PlanCampaign at a 64-byte L1: error %v, want one containing %q", id, err, want)
+		}
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ResetTraceCache()
+		out := RunAll(opts, []Experiment{e})
+		if err := out[0].Err; err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: RunAll at a 64-byte L1: error %v, want one containing %q", id, err, want)
+		}
+		if g := TraceCacheStats().Generations; g != 0 {
+			t.Fatalf("%s: RunAll generated %d traces for a campaign it rejects", id, g)
+		}
+		opts.L1Size = 1 << 10
+		if _, err := PlanCampaign(opts, []string{id}); err != nil {
+			t.Fatalf("%s: PlanCampaign at a 1 kB L1: %v", id, err)
+		}
+	}
+}
+
 func TestAnalyticExperiments(t *testing.T) {
 	for _, id := range []string{"table1", "table2", "table3", "table4"} {
 		e, err := ByID(id)

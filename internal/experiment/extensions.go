@@ -114,7 +114,7 @@ func xVIPTGrid(opts Opts) grid[[]UnitResult] {
 	const pageBytes = 8192
 	bcSpec := bcacheSpec(8, 8)
 	return grid[[]UnitResult]{id: "xvipt", opts: opts, profiles: mustProfiles("equake", "crafty", "gcc", "mcf"),
-		configs: []string{bcSpec.Name},
+		configs: []string{bcSpec.Name}, specs: []Spec{bcSpec},
 		run: func(*workload.Profile, int) (engine[[]UnitResult], error) {
 			colored, err := vm.NewAddressSpace(vm.Config{PageBytes: pageBytes, ColorBits: 4, Policy: vm.Colored, Seed: 1})
 			if err != nil {
@@ -192,7 +192,7 @@ func xRecolorGrid(opts Opts) grid[recolorRun] {
 	const pageBytes = 4096
 	specs := []Spec{baselineSpec(), setAssocSpec(2, 0), bcacheSpec(8, 8)}
 	return grid[recolorRun]{id: "xrecolor", opts: opts, profiles: mustProfiles("equake", "crafty", "twolf", "gcc"),
-		configs: []string{"phys", "recolor"},
+		configs: []string{"phys", "recolor"}, specs: specs,
 		run: func(_ *workload.Profile, c int) (engine[recolorRun], error) {
 			as, err := vm.NewAddressSpace(vm.Config{PageBytes: pageBytes, Policy: vm.Arbitrary, Seed: 2})
 			if err != nil {
@@ -268,7 +268,7 @@ func xDrowsyGrid(opts Opts) grid[float64] {
 	const window = 2048
 	specs := dmBCSpecs()
 	return grid[float64]{id: "xdrowsy", opts: opts, profiles: mustProfiles("equake", "crafty", "art", "mcf", "gcc"),
-		configs: specNames(specs),
+		configs: specNames(specs), specs: specs,
 		run: func(_ *workload.Profile, c int) (engine[float64], error) {
 			cc, err := specs[c].New(opts.L1Size, opts.LineBytes)
 			if err != nil {
@@ -318,7 +318,7 @@ func x3CGrid(opts Opts) grid[[]threec.Counts] {
 	specs := dmBCSpecs()
 	return grid[[]threec.Counts]{id: "x3c", opts: opts,
 		profiles: mustProfiles("equake", "crafty", "gcc", "art", "mcf", "wupwise"),
-		configs:  []string{strings.Join(specNames(specs), "+")},
+		configs:  []string{strings.Join(specNames(specs), "+")}, specs: specs,
 		run: func(*workload.Profile, int) (engine[[]threec.Counts], error) {
 			caches := make([]cache.Cache, len(specs))
 			for i, s := range specs {
@@ -421,7 +421,7 @@ type prefetchRun struct {
 func xPrefetchGrid(opts Opts) grid[prefetchRun] {
 	return grid[prefetchRun]{id: "xprefetch", opts: opts,
 		profiles: mustProfiles("art", "swim", "equake", "crafty", "mcf"),
-		configs:  []string{"dm+sb", "bc+sb"},
+		configs:  []string{"dm+sb", "bc+sb"}, specs: dmBCSpecs(),
 		run: func(_ *workload.Profile, c int) (engine[prefetchRun], error) {
 			cfg := hier.Defaults()
 			cfg.StreamBuffer = 8
@@ -498,7 +498,7 @@ func xL2Grid(opts Opts) grid[UnitResult] {
 	cfg := hier.Defaults()
 	l1, l2s := baselineSpec(), []Spec{baselineSpec(), bcacheSpec(8, 8), setAssocSpec(cfg.L2Ways, 0)}
 	return grid[UnitResult]{id: "xl2", opts: opts, profiles: mustProfiles("mcf", "gcc", "equake", "ammp"),
-		configs: []string{"dm-l2", "bcache-l2", "4way-l2"},
+		configs: []string{"dm-l2", "bcache-l2", "4way-l2"}, specs: []Spec{l1},
 		run: func(_ *workload.Profile, c int) (engine[UnitResult], error) {
 			ic, err := l1.New(opts.L1Size, opts.LineBytes)
 			if err != nil {
@@ -613,7 +613,7 @@ func xWindowGrid(opts Opts) grid[cpu.Result] {
 			windows = append(windows, w)
 		}
 	}
-	return grid[cpu.Result]{id: "xwindow", opts: opts, profiles: mustProfiles("equake"), configs: configs,
+	return grid[cpu.Result]{id: "xwindow", opts: opts, profiles: mustProfiles("equake"), configs: configs, specs: dmBCSpecs(),
 		run: func(_ *workload.Profile, c int) (engine[cpu.Result], error) {
 			h, err := newHierarchy(opts, dmBCSpecs()[c%2], hier.Defaults())
 			if err != nil {

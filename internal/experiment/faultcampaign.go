@@ -89,10 +89,12 @@ type faultCell struct {
 func faultGrid(opts Opts) grid[faultCell] {
 	profiles, rows := faultProfiles(), faultRows()
 	var configs []string
+	var specs []Spec
 	for _, r := range rows {
 		configs = append(configs, fmt.Sprintf("MF%d-BAS%d-r%g-%s", r.mf, r.bas, r.rate, r.prot))
+		specs = append(specs, bcacheSpec(r.mf, r.bas))
 	}
-	return grid[faultCell]{id: "fault", opts: opts, profiles: profiles, configs: configs,
+	return grid[faultCell]{id: "fault", opts: opts, profiles: profiles, configs: configs, specs: specs,
 		run: func(p *workload.Profile, ri int) (engine[faultCell], error) {
 			return faultEngine(opts, rows[ri], campaignSeed(ri, slices.Index(profiles, p)))
 		}}

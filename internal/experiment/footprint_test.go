@@ -7,11 +7,11 @@ import (
 
 // engineFootprintCeiling bounds the live heap, in bytes, that starting
 // every engine of the suite's widest trace group holds at DefaultOpts:
-// the 138 engines of equake's group measured 2.78 MiB on go1.24.0
+// the 119 engines of equake's group measured 2.52 MiB on go1.24.0
 // (linux/amd64), plus 10 %. Two such groups run at once in a suite run,
 // and the GC keeps about twice the live heap, so this figure drives the
 // suite's peak RSS; a test failure here names the engine layer.
-const engineFootprintCeiling = 3.06 * (1 << 20) // bytes
+const engineFootprintCeiling = 2.77 * (1 << 20) // bytes
 
 // TestEngineFootprint starts every engine of the suite's widest group,
 // as one pass would, and measures the live heap they hold after a GC.

@@ -108,12 +108,9 @@ func (p *Plan) Done(i int, cp *Checkpoint) bool {
 // PlanCampaign enumerates the units of every experiment named by ids
 // (nil or empty = all registered experiments) as campaignUnits does for
 // RunAll — each (configuration, stream) simulated once, ordered
-// trace-major — and groups them by trace. The analytic tables have no
-// units and contribute nothing.
+// trace-major — and groups them by trace, after the checks of
+// planUnits. The analytic tables have no units and contribute nothing.
 func PlanCampaign(opts Opts, ids []string) (*Plan, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
 	var exps []Experiment
 	if len(ids) == 0 {
 		exps = All()
@@ -126,6 +123,9 @@ func PlanCampaign(opts Opts, ids []string) (*Plan, error) {
 			exps = append(exps, e)
 		}
 	}
-	us := campaignUnits(opts, exps)
+	us, err := planUnits(opts, exps)
+	if err != nil {
+		return nil, err
+	}
 	return &Plan{units: us, starts: append(groupStarts(us), len(us))}, nil
 }

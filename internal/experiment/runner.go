@@ -660,7 +660,9 @@ func (sw sweep) units() []unit {
 	lru, replayed := lruSpecIndices(sw.opts, all)
 	frames := sw.opts.L1Size / sw.opts.LineBytes
 	shape := lruShape{side: sw.side, line: sw.opts.LineBytes, geoms: make([]stackdist.Geom, len(lru))}
+	lruSpecs := make([]Spec, len(lru))
 	for x, si := range lru {
+		lruSpecs[x] = all[si]
 		if v := all[si].Victim; v > 0 {
 			shape.geoms[x] = stackdist.Geom{Sets: frames, Ways: 1, Victim: v}
 			continue
@@ -680,12 +682,15 @@ func (sw sweep) units() []unit {
 			}
 			label := func(name string) string { return fmt.Sprintf("%s/%s/seed%d", p.Name, name, k) }
 			if len(lru) > 0 {
-				us = append(us, profileUnit(sw.opts, withSeed(p, k), label(profileSpecName), keys(lru...), shape))
+				u := profileUnit(sw.opts, withSeed(p, k), label(profileSpecName), keys(lru...), shape)
+				u.specs = lruSpecs
+				us = append(us, u)
 			}
 			for _, si := range replayed {
 				u := newUnit(sw.opts, withSeed(p, k), label(all[si].Name), keys(si), sw.side.stream(sw.opts.LineBytes),
 					func() (engine[[]UnitResult], error) { return replayEngine(sw.opts, sw.side, all[si]) })
 				u.replays = true
+				u.specs = all[si : si+1]
 				us = append(us, u)
 			}
 		}

@@ -22,7 +22,7 @@ func init() {
 // Result.Frame.
 func table7Grid(opts Opts) grid[stats.Balance] {
 	specs := dmBCSpecs()
-	return grid[stats.Balance]{id: "table7", opts: opts, profiles: workload.All(), configs: specNames(specs),
+	return grid[stats.Balance]{id: "table7", opts: opts, profiles: workload.All(), configs: specNames(specs), specs: specs,
 		run: func(_ *workload.Profile, c int) (engine[stats.Balance], error) {
 			cc, err := specs[c].New(opts.L1Size, opts.LineBytes)
 			if err != nil {

@@ -132,7 +132,7 @@ func timedGrid(opts Opts) grid[timedRun] {
 func timedPart(opts Opts, profiles []*workload.Profile, specs []Spec) grid[timedRun] {
 	return grid[timedRun]{id: "timed", opts: opts, profiles: profiles, configs: specNames(specs),
 		run:   func(_ *workload.Profile, c int) (engine[timedRun], error) { return timedEngine(specs[c], opts) },
-		reads: frameStream(opts.LineBytes), l1: specs}
+		reads: frameStream(opts.LineBytes), l1: specs, specs: specs}
 }
 
 // timedDMBC is the timed sweep's part over profiles on the baseline and

@@ -117,15 +117,16 @@ func Checks() []Check {
 // one trace-major campaign in one scheduler call, so each trace is built
 // once for every check that reads it; err is that campaign's error.
 func Verify(opts Opts, w io.Writer) (passed, failed int, err error) {
-	if err := opts.validate(); err != nil {
-		return 0, 0, err
-	}
 	checks := Checks()
 	exps := make([]Experiment, len(checks))
 	for i, c := range checks {
 		exps[i] = Experiment{ID: c.ID, Units: c.Units}
 	}
-	res, err := runUnits(opts, campaignUnits(opts, exps))
+	us, err := planUnits(opts, exps)
+	if err != nil {
+		return 0, 0, err
+	}
+	res, err := runUnits(opts, us)
 	for _, c := range checks {
 		measured, ok, cerr := c.Eval(opts, res)
 		switch {

@@ -156,6 +156,114 @@ func (c *Cache) insert(line addr.Addr, dirty bool) (evLine addr.Addr, evDirty, e
 	return evLine, evDirty, evicted
 }
 
+var _ cache.Replayer = (*Cache)(nil)
+
+// Replay implements cache.Replayer. An unprobed cache runs the whole
+// stream in one loop with the main array's tags, valid and dirty masks
+// and every counter in locals: one direct-mapped lookup per access, and
+// the buffer only on a main miss. Stats, the main array's Stats and
+// BufferHits are written back once, at the end. A probed cache loops
+// over Access, since its probe needs the per-access events.
+//
+// The events are the ones Access's Results give: a buffer hit is a hit
+// with Extra 1, and a miss in both carries the buffer's dirty victim.
+func (c *Cache) Replay(stream []cache.MemAccess, ev *[]cache.Event) {
+	if c.probe != nil {
+		cache.ReplayEach(c, stream, ev)
+		return
+	}
+	if ev != nil && uint64(len(stream)) > 1<<32 {
+		panic("victim: stream too long for Event indices")
+	}
+	g := c.main.Geometry()
+	offBits, tagShift := g.OffsetBits(), g.OffsetBits()+g.IndexBits()
+	idxMask := addr.Addr(g.Sets - 1)
+	tags, valid, dirty := c.main.Slab()
+	buf, lineMask, entries := c.buf, c.lineMask, c.entries
+	// mainHits and refills count the main array's hits; a refill is the
+	// write-hit that carries a buffered line's dirty bit into it.
+	var writes, mainHits, refills, mainEvictions, mainWritebacks uint64
+	var bufHits, evictions, writebacks uint64
+	var evs []cache.Event // *ev in a local, stored back at the end
+	if ev != nil {
+		evs = *ev
+	}
+	for i, m := range stream {
+		a := addr.Addr(m >> 1)
+		wr := uint64(m & 1)
+		writes += wr
+		set := int(a >> offBits & idxMask)
+		tag := a >> tagShift
+		if valid[set]&1 != 0 && tags[set] == tag {
+			dirty[set] |= wr
+			mainHits++
+			continue
+		}
+		// Main miss: the array takes the line and displaces its occupant.
+		oldValid, oldDirty := valid[set]&1, dirty[set]&1
+		old := tags[set]<<tagShift | addr.Addr(set)<<offBits
+		tags[set] = tag
+		valid[set] |= 1
+		dirty[set] = dirty[set]&^1 | wr
+		mainEvictions += oldValid
+		mainWritebacks += oldValid & oldDirty
+		if n := buf.Get(a & lineMask); n != nil {
+			// Swap: the buffered line moves in, taking its dirty bit.
+			bufHits++
+			if n.Val != 0 && wr == 0 {
+				dirty[set] |= 1
+				refills++
+			}
+			buf.Remove(n)
+			if oldValid != 0 {
+				buf.Insert(old, oldDirty) // the removal left room
+			}
+			if ev != nil {
+				evs = append(evs, cache.Event{Index: uint32(i), Extra: 1})
+			}
+			continue
+		}
+		e := cache.Event{Index: uint32(i), Miss: true}
+		if oldValid != 0 {
+			if buf.Len() == entries {
+				// The buffer's oldest line leaves the level.
+				o := buf.LRU()
+				evictions++
+				if o.Val != 0 {
+					writebacks++
+					e.Dirty, e.Victim = true, o.Key
+				}
+				buf.Remove(o)
+			}
+			buf.Insert(old, oldDirty)
+		}
+		if ev != nil {
+			evs = append(evs, e)
+		}
+	}
+	if ev != nil {
+		*ev = evs
+	}
+	n := uint64(len(stream))
+	ms := c.main.Stats()
+	ms.Accesses += n + refills
+	ms.Hits += mainHits + refills
+	ms.Misses += n - mainHits
+	ms.Writes += writes + refills
+	ms.Reads += n - writes
+	ms.Evictions += mainEvictions
+	ms.Writebacks += mainWritebacks
+	st := c.stats
+	st.Accesses += n
+	st.Hits += mainHits + bufHits
+	st.Misses += n - mainHits - bufHits
+	st.Writes += writes
+	st.Reads += n - writes
+	st.Evictions += evictions
+	st.Writebacks += writebacks
+	c.BufferHits += bufHits
+}
+
 // Contains implements cache.Cache (main cache or buffer).
 func (c *Cache) Contains(a addr.Addr) bool {
 	if c.main.Contains(a) {
