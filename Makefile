@@ -98,8 +98,8 @@ fmt-check:
 #
 # bench-compare and mem-ceiling run last as non-fatal reports, each
 # surfacing a labeled warning on failure so a scan of the CI log finds
-# them: three benchmark rounds or one peak RSS on a shared box are too
-# noisy to hard-gate. Promotion path to fatal: once each has a clean
+# them: one-round benchmark pairs or one peak RSS on a shared box are
+# too noisy to hard-gate. Promotion path to fatal: once each has a clean
 # week in CI logs, drop its `|| echo` fallback so the recipe's exit
 # status gates the build.
 ci: fmt-check vet lint build bench-test race-robust race chaos reproduce
@@ -133,7 +133,10 @@ ci: fmt-check vet lint build bench-test race-robust race chaos reproduce
 # after every chunk for any stream, chunk split and shape), 10 s of
 # fuzzing the stack-distance profiler against the textbook stack replay
 # (FuzzProfilerVsNaive: same misses at every ways up to 64 for any
-# stream and 1 to 64 sets), 10 s of fuzzing the 3C classification of
+# stream and 1 to 64 sets), 10 s of fuzzing the profile's B-Cache level
+# against its group model (FuzzBCacheProfileVsGroupModel: same misses,
+# PD hits and PD misses at every MF and BAS on 8 frames for any stream
+# and chunk split), 10 s of fuzzing the 3C classification of
 # replay miss events against the classifier with the cache inside it
 # (FuzzClassifyVsAccess: same counts after every chunk for any stream,
 # chunk split and cache of five kinds), and the CLI test that a -workers-procs run prints the in-process CSV byte for
@@ -156,6 +159,7 @@ chaos:
 	$(GO) test -run '^$$' -fuzz FuzzBufferMatchesLinear -fuzztime 10s -fuzzminimizetime 0 ./internal/victim
 	$(GO) test -run '^$$' -fuzz FuzzVictimReplay -fuzztime 10s -fuzzminimizetime 0 ./internal/victim
 	$(GO) test -run '^$$' -fuzz FuzzProfilerVsNaive -fuzztime 10s -fuzzminimizetime 0 ./internal/stackdist
+	$(GO) test -run '^$$' -fuzz FuzzBCacheProfileVsGroupModel -fuzztime 10s -fuzzminimizetime 0 ./internal/stackdist
 	$(GO) test -run '^$$' -fuzz FuzzClassifyVsAccess -fuzztime 10s -fuzzminimizetime 0 ./internal/threec
 	$(GO) test -race -count=1 -run TestWorkersProcsMatchesInProcess ./cmd/experiments
 
@@ -197,31 +201,51 @@ BENCH_RUN = bench_run() { \
 	esac; \
 }
 
-# bench-compare runs every benchmark workload for three rounds on BASE
-# (extracted with git archive into .bench_build/base) and then on the
-# working tree, one after the other so the two never share the CPUs,
-# and prints bench/run.sh -compare's verdict per workload and
-# end-to-end metric. It fails when either run fails or reports wrong
-# output, or when any verdict reads regressed. The base tree sits inside
-# this checkout, so it is built with -buildvcs=false: otherwise go would
-# stamp it with the checkout's commit, and its result would name the
-# wrong one.
+# PAIRS is how many alternated run pairs bench-compare makes.
+PAIRS ?= 10
+
+# bench-compare measures the working tree against BASE (extracted with
+# git archive into .bench_build/base) in PAIRS pairs of one-round runs
+# of every benchmark workload (bench/run.sh --workload all --rounds 1
+# --trace 0), BASE first in odd pairs and the working tree first in
+# even ones, so a drift of the host over the session falls on both
+# sides alike; the two never share the CPUs. It prints each pair's
+# bench/run.sh -compare and then, per workload and end-to-end metric,
+# how many pairs the tree won (a lower median: every end-to-end metric
+# is lower-better) and how many read regressed. It fails when a run
+# fails or reports wrong output, or when a metric reads regressed in
+# more than half of the pairs: its median pair is worse than the bound.
+# The base tree sits inside this checkout, so it is built with
+# -buildvcs=false: otherwise go would stamp it with the checkout's
+# commit, and its result would name the wrong one.
 bench-compare:
 	@b=$(CURDIR)/.bench_build; $(BENCH_RUN); \
-	rm -rf "$$b/base" && mkdir -p "$$b/base" && \
+	rm -rf "$$b/base" "$$b/pairs" && mkdir -p "$$b/base" "$$b/pairs" && \
 	git archive -o "$$b/base.tar" $(BASE) && tar -x -f "$$b/base.tar" -C "$$b/base" || exit 1; \
-	echo "bench-compare: running $(BASE)"; \
-	(export GOFLAGS="$$GOFLAGS -buildvcs=false"; bench_run "$$b/base" "$$b/bench-compare-base.out" \
-		--workload all --rounds 3 --trace 0 -o "$$b/bench-compare-base.json") || exit 1; \
-	echo "bench-compare: running the working tree"; \
-	bench_run . "$$b/bench-compare-change.out" \
-		--workload all --rounds 3 --trace 0 -o "$$b/bench-compare-change.json" || exit 1; \
-	bash bench/run.sh -compare "$$b/bench-compare-base.json" "$$b/bench-compare-change.json" >"$$b/bench-compare.txt" || { \
-		echo "bench-compare: bench/run.sh -compare failed"; exit 1; }; \
+	side() { \
+		if [ "$$1" = base ]; then \
+			(export GOFLAGS="$$GOFLAGS -buildvcs=false"; bench_run "$$b/base" "$$b/pairs/base-$$2.out" \
+				--workload all --rounds 1 --trace 0 -o "$$b/pairs/base-$$2.json"); \
+		else \
+			bench_run . "$$b/pairs/change-$$2.out" --workload all --rounds 1 --trace 0 -o "$$b/pairs/change-$$2.json"; \
+		fi; \
+	}; \
+	for p in $$(seq 1 $(PAIRS)); do \
+		if [ $$((p % 2)) = 1 ]; then order="base change"; else order="change base"; fi; \
+		for s in $$order; do echo "bench-compare: pair $$p: running $$s"; side $$s $$p || exit 1; done; \
+		bash bench/run.sh -compare "$$b/pairs/base-$$p.json" "$$b/pairs/change-$$p.json" >"$$b/pairs/compare-$$p.txt" || { \
+			echo "bench-compare: bench/run.sh -compare failed on pair $$p"; exit 1; }; \
+		echo "bench-compare: pair $$p"; cat "$$b/pairs/compare-$$p.txt"; \
+	done; \
+	cat "$$b"/pairs/compare-*.txt | awk -v pairs=$(PAIRS) ' \
+		$$NF ~ /^(improved|regressed|unchanged|unresolved)$$/ { k = $$1 " " $$2; if (!(k in n)) order[++m] = k; n[k]++; \
+			if ($$7 + 0 < $$3 + 0) won[k]++; if ($$NF == "regressed") reg[k]++ } \
+		END { printf "%-15s %-12s %5s %9s\n", "workload", "metric", "won", "regressed"; \
+			for (i = 1; i <= m; i++) { k = order[i]; split(k, f, " "); \
+				printf "%-15s %-12s %2d/%-2d %9d\n", f[1], f[2], won[k], n[k], reg[k]; if (2 * reg[k] > n[k]) bad = 1 } \
+			exit bad }' >"$$b/bench-compare.txt"; status=$$?; \
 	cat "$$b/bench-compare.txt"; \
-	if awk '$$NF == "regressed" { r = 1 } END { exit !r }' "$$b/bench-compare.txt"; then \
-		echo "bench-compare: an end-to-end metric regressed against $(BASE)"; exit 1; \
-	fi
+	if [ $$status != 0 ]; then echo "bench-compare: an end-to-end metric regressed against $(BASE) in most pairs"; exit 1; fi
 
 # MEM_CEILING_<workload> is the process peak RSS, in MiB, that one
 # benchmark run of the workload may reach: about 25% above its median

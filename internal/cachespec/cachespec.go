@@ -30,6 +30,10 @@ type Design struct {
 	// Victim, when positive, marks a direct-mapped cache behind a victim
 	// buffer of that many lines, which the same profile answers.
 	Victim int
+	// MF and BAS, when positive, mark an LRU B-Cache of that mapping
+	// factor and associativity, which the same profile answers when
+	// stackdist.BCacheProfiled(MF, BAS).
+	MF, BAS int
 	// Twin names the internal/lint/oraclepairs.json pair whose fast
 	// type, or fast method's receiver type, the design builds, or is
 	// empty.
@@ -75,9 +79,13 @@ var table = []entry{
 	{grammar: "bc:mf<M>:bas<B>:pol<0|1>", example: "bc:mf8:bas8:pol0", twin: "swar-vs-reference", parse: func(key string) (Design, bool) {
 		var mf, bas, pol int
 		ok := scan(key, "bc:mf%d:bas%d:pol%d", &mf, &bas, &pol) && pol <= int(cache.Random) // pol0 LRU, pol1 random
-		return Design{New: func(s, l int) (cache.Cache, error) {
+		d := Design{New: func(s, l int) (cache.Cache, error) {
 			return core.New(core.Config{SizeBytes: s, LineBytes: l, MF: mf, BAS: bas, Policy: cache.PolicyKind(pol)})
-		}}, ok
+		}}
+		if cache.PolicyKind(pol) == cache.LRU {
+			d.MF, d.BAS = mf, bas
+		}
+		return d, ok
 	}},
 	{grammar: "hac:32", design: Design{New: func(s, l int) (cache.Cache, error) { return altcache.NewHAC(s, l) }}},
 	{grammar: "column", design: Design{New: func(s, l int) (cache.Cache, error) { return altcache.NewColumn(s, l) }}},

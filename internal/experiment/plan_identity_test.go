@@ -173,8 +173,12 @@ func TestPlanCampaignKeepsNarrowerSweeps(t *testing.T) {
 // units answer every victim16 key, so fig12's victim16 replays are not
 // planned, and the 16 kB seed-0 victim16 keys are committed twice: by
 // the profile and by the timed victim16 unit (checkCommits compares
-// them). Figure 3's MF ≤ 16 points are Figure 4's wupwise keys, each
-// simulated by one unit.
+// them). The profile units also answer every LRU B-Cache key of at most
+// 8 clusters and 128 PD groups per row, so no such key is replayed: the
+// plan fell from 1573 units to 638 when they joined it, and the 16 kB
+// seed-0 MF8 keys are committed twice, by the profile and by the timed
+// B-Cache unit. Figure 3's MF ≤ 16 points are Figure 4's wupwise keys,
+// each simulated by the profile alone but for MF8.
 func TestPlanCampaignPinned(t *testing.T) {
 	opts := tinyPlanOpts()
 	opts.Checkpoint = nil
@@ -186,12 +190,12 @@ func TestPlanCampaignPinned(t *testing.T) {
 	for i := 0; i < plan.Len(); i++ {
 		keys += len(plan.UnitKeys(i))
 	}
-	if plan.Len() != 26 || len(plan.units) != 1573 || keys != 2604 {
-		t.Errorf("plan has %d groups of %d units committing %d keys, want 26, 1573 and 2604",
+	if plan.Len() != 26 || len(plan.units) != 638 || keys != 2645 {
+		t.Errorf("plan has %d groups of %d units committing %d keys, want 26, 638 and 2645",
 			plan.Len(), len(plan.units), keys)
 	}
-	if fp := plan.Fingerprint(); fp != 0x57ebba678328f1e6 {
-		t.Errorf("plan fingerprint %#x, want 0x57ebba678328f1e6", fp)
+	if fp := plan.Fingerprint(); fp != 0x9c42963879f2bc9e {
+		t.Errorf("plan fingerprint %#x, want 0x9c42963879f2bc9e", fp)
 	}
 	committers := func(key string) []string {
 		var by []string
@@ -208,8 +212,12 @@ func TestPlanCampaignPinned(t *testing.T) {
 	}
 	for _, mf := range []int{2, 4, 8, 16} {
 		key := fig4Sweep(opts).key(bcacheSpec(mf, 8), 0, "wupwise")
-		if by := committers(key); len(by) != 1 {
-			t.Errorf("%s is committed by %q, want one unit", key, by)
+		want := []string{"wupwise/lru-profile/seed0"}
+		if mf == 8 {
+			want = append(want, "timed/wupwise/B-Cache")
+		}
+		if by := committers(key); !slices.Equal(by, want) {
+			t.Errorf("%s is committed by %q, want %q", key, by, want)
 		}
 	}
 	for _, u := range plan.units {
@@ -241,10 +249,10 @@ func TestPlanCampaignPinned(t *testing.T) {
 // the experiment's own plan, and which units the cover rule keeps does
 // not depend on the order the experiments are declared in. In the full
 // plan each (trace, side, line) has one stack-distance unit, answering
-// every L1 size. Alone, fig4 still plans its MF8 replays and xrelated
-// its own profile and MF8 units; the profile answers victim16, so
-// neither replays it. Under DisableStackDist fig4 replays every LRU
-// and victim spec, the profiler's oracle.
+// every L1 size. Alone, fig4 and xrelated each plan their own profile;
+// it answers victim16 and MF8, so neither replays them. Under
+// DisableStackDist fig4 replays every LRU, victim and B-Cache spec, the
+// profiler's oracle.
 func TestPlanCommitsEveryKey(t *testing.T) {
 	opts := tinyPlanOpts()
 	opts.Checkpoint = nil
@@ -329,14 +337,13 @@ func TestPlanCommitsEveryKey(t *testing.T) {
 	replay.DisableStackDist = true
 	oracle := labels(replay, "fig4")
 	for _, p := range workload.All() {
-		for _, spec := range []string{profileSpecName, "MF8"} {
-			l := p.Name + "/" + spec + "/seed0"
-			if !fig4[l] || !xrelated[l] {
-				t.Errorf("%s: planned by fig4 alone %v, by xrelated alone %v", l, fig4[l], xrelated[l])
-			}
+		if l := p.Name + "/" + profileSpecName + "/seed0"; !fig4[l] || !xrelated[l] {
+			t.Errorf("%s: planned by fig4 alone %v, by xrelated alone %v", l, fig4[l], xrelated[l])
 		}
-		if l := p.Name + "/victim16/seed0"; fig4[l] || xrelated[l] {
-			t.Errorf("%s: replayed by fig4 alone %v, by xrelated alone %v", l, fig4[l], xrelated[l])
+		for _, spec := range []string{"victim16", "MF8"} {
+			if l := p.Name + "/" + spec + "/seed0"; fig4[l] || xrelated[l] {
+				t.Errorf("%s: replayed by fig4 alone %v, by xrelated alone %v", l, fig4[l], xrelated[l])
+			}
 		}
 		if oracle[p.Name+"/"+profileSpecName+"/seed0"] {
 			t.Errorf("%s: fig4 profiles under DisableStackDist", p.Name)

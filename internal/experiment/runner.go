@@ -538,8 +538,8 @@ func cacheCounters(c cache.Cache) UnitResult {
 
 // lruShape is what a stack-distance unit profiles: one side's stream at
 // one line size, against the geometry behind each of the unit's keys:
-// an LRU (sets, ways) shape, or a direct-mapped array and the depth of
-// the victim buffer behind it.
+// an LRU (sets, ways) shape, a direct-mapped array and the depth of
+// the victim buffer behind it, or an LRU B-Cache.
 type lruShape struct {
 	side  side
 	line  int
@@ -548,32 +548,40 @@ type lruShape struct {
 
 // profileEngine answers every geometry of sh with a single Mattson
 // stack-distance pass: under LRU's inclusion property an access hits a
-// (sets, ways) cache iff its per-set reuse distance is below ways, and
-// a victim buffer of V lines hits iff the line is among the V most
-// recent direct-mapped evictions not back in the array, so one profile
-// yields the same counters a per-spec replay would (cacheCounters) —
-// bit-identically — at a fraction of the work. It is the
-// stack-distance counterpart of replayEngine.
+// (sets, ways) cache iff its per-set reuse distance is below ways, a
+// victim buffer of V lines hits iff the line is among the V most
+// recent direct-mapped evictions not back in the array, and an LRU
+// B-Cache hits iff a direct-mapped cache of frames·MF lines hits and
+// the line's PD group is among its row's BAS most recent, so one
+// profile yields the same counters a per-spec replay would
+// (cacheCounters) — bit-identically — at a fraction of the work. It is
+// the stack-distance counterpart of replayEngine.
 func profileEngine(sh lruShape) (engine[[]UnitResult], error) {
 	prof, err := stackdist.NewProfile(sh.line, sh.geoms)
 	if err != nil {
 		return engine[[]UnitResult]{}, err
 	}
 	st := sh.side.stream(sh.line)
+	var as []addr.Addr
 	feed := func(ch *chunk) {
+		as = as[:0]
 		for _, m := range ch.accesses(st) {
-			prof.Access(m.Addr())
+			as = append(as, m.Addr())
 		}
+		prof.Replay(as)
 	}
 	return engine[[]UnitResult]{feed: feed, results: func() ([]UnitResult, error) {
 		out := make([]UnitResult, len(sh.geoms))
 		for x, g := range sh.geoms {
 			u := UnitResult{Accesses: prof.Accesses()}
 			var err error
-			if g.Victim > 0 {
+			switch {
+			case g.MF > 0:
+				u.Misses, u.PDHit, u.PDMiss, err = prof.BCacheMisses(g.Sets, g.MF, g.BAS)
+			case g.Victim > 0:
 				// A buffer hit is the victim cache's one extra cycle.
 				u.Misses, u.Extra, err = prof.VictimMisses(g.Sets, g.Victim)
-			} else {
+			default:
 				u.Misses, err = prof.Misses(g.Sets, g.Ways)
 			}
 			if err != nil {
@@ -607,12 +615,14 @@ func (s side) stream(lineBytes int) stream {
 
 // lruSpecIndices partitions all into stack-distance-profileable specs
 // (pure LRU set-associative shapes valid at the run's geometry and at
-// most stackdist.MaxWays wide, and victim buffers behind its
-// direct-mapped array) and the rest, which replay individually.
+// most stackdist.MaxWays wide, victim buffers behind its direct-mapped
+// array, and LRU B-Caches of at most stackdist.MaxBAS clusters and 128
+// PD groups per row) and the rest, which replay individually.
 func lruSpecIndices(opts Opts, all []Spec) (lru, replayed []int) {
 	maxWays := min(opts.L1Size/opts.LineBytes, stackdist.MaxWays)
 	for si, sp := range all {
-		if !opts.DisableStackDist && (sp.LRUWays > 0 && sp.LRUWays <= maxWays || sp.Victim > 0) {
+		if !opts.DisableStackDist && (sp.LRUWays > 0 && sp.LRUWays <= maxWays || sp.Victim > 0 ||
+			sp.MF > 0 && stackdist.BCacheProfiled(sp.MF, sp.BAS)) {
 			lru = append(lru, si)
 		} else {
 			replayed = append(replayed, si)
@@ -663,12 +673,14 @@ func (sw sweep) units() []unit {
 	lruSpecs := make([]Spec, len(lru))
 	for x, si := range lru {
 		lruSpecs[x] = all[si]
-		if v := all[si].Victim; v > 0 {
-			shape.geoms[x] = stackdist.Geom{Sets: frames, Ways: 1, Victim: v}
-			continue
+		switch sp := all[si]; {
+		case sp.MF > 0:
+			shape.geoms[x] = stackdist.Geom{Sets: frames, Ways: 1, MF: sp.MF, BAS: sp.BAS}
+		case sp.Victim > 0:
+			shape.geoms[x] = stackdist.Geom{Sets: frames, Ways: 1, Victim: sp.Victim}
+		default:
+			shape.geoms[x] = stackdist.Geom{Sets: frames / sp.LRUWays, Ways: sp.LRUWays}
 		}
-		w := all[si].LRUWays
-		shape.geoms[x] = stackdist.Geom{Sets: frames / w, Ways: w}
 	}
 	var us []unit
 	for _, p := range sw.profiles {

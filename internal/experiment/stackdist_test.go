@@ -27,9 +27,9 @@ func gridProfiles(t *testing.T) []*workload.Profile {
 
 // TestStackDistMatchesReplay is the end-to-end differential: miss-rate
 // results derived from the one-pass stack-distance profile must be
-// bit-identical (hit and miss counts, and a victim buffer's hits) to the
-// per-spec replay oracle across a capacity × associativity × profile ×
-// side grid.
+// bit-identical (hit and miss counts, a victim buffer's hits and a
+// B-Cache's PD outcomes during misses) to the per-spec replay oracle
+// across a capacity × associativity × profile × side grid.
 func TestStackDistMatchesReplay(t *testing.T) {
 	profiles := gridProfiles(t)
 	specs := []Spec{
@@ -37,6 +37,11 @@ func TestStackDistMatchesReplay(t *testing.T) {
 		setAssocSpec(8, energy.Way8),
 		setAssocSpec(32, energy.Way32),
 		victimSpec(4), // profiled behind the direct-mapped array, replayed under DisableStackDist
+		bcacheSpec(1, 1),
+		bcacheSpec(2, 4),
+		bcacheSpec(8, 8),
+		bcacheSpec(16, 8),
+		bcacheSpec(64, 2),
 	}
 	for _, size := range []int{8 * 1024, 16 * 1024} {
 		for _, s := range []side{dSide, iSide} {
@@ -54,11 +59,10 @@ func TestStackDistMatchesReplay(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, p := range profiles {
-					for _, name := range []string{"baseline", "2way", "8way", "32way", "victim4"} {
-						f, o := fast[p.Name][name], oracle[p.Name][name]
-						if f.misses != o.misses || f.accesses != o.accesses || f.extra != o.extra {
-							t.Errorf("%s/%s: profile (m=%d a=%d x=%d) != replay (m=%d a=%d x=%d)",
-								p.Name, name, f.misses, f.accesses, f.extra, o.misses, o.accesses, o.extra)
+					for _, sp := range append([]Spec{baselineSpec()}, specs...) {
+						f, o := fast[p.Name][sp.Name], oracle[p.Name][sp.Name]
+						if f != o {
+							t.Errorf("%s/%s: profile %+v != replay %+v", p.Name, sp.Name, f, o)
 						}
 					}
 				}

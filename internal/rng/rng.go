@@ -7,7 +7,10 @@
 // seeding and xoshiro256** for the stream, per Blackman & Vigna.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a deterministic xoshiro256** generator.
 // The zero value is not valid; use New.
@@ -209,5 +212,188 @@ func (r *Source) Cycle(out []int) {
 	for i := len(out) - 1; i > 0; i-- {
 		j := r.Intn(i) // note: i, not i+1 — Sattolo, not Fisher–Yates
 		out[i], out[j] = out[j], out[i]
+	}
+}
+
+// blockLen is how many outputs a Block holds: a multiple of 64, so its
+// pass bitmap has whole words.
+const blockLen = 2048
+
+// ReserveLen is how many unread outputs Reserve leaves in a Block.
+const ReserveLen = 512
+
+// Block draws a Source's stream from a buffer of its next outputs,
+// drawn 64 at a time with the generator state in locals. The same loop
+// marks, in a bitmap, which outputs pass Below for one threshold fixed
+// at construction, so GeometricPass finds its sample with one
+// trailing-zero count per 64 draws. Every method draws what the Source
+// method of the same name draws: a Block in place of its Source gives
+// the same values, in the same order. The Source runs up to blockLen
+// outputs ahead of the Block, so once wrapped it must not be drawn from
+// directly.
+//
+// Uint64, Below, Intn and Float64 draw one buffered output each and do
+// not refill, so they stay small enough to inline: Reserve first. After
+// Reserve, draws may take up to ReserveLen outputs, a GeometricPass or
+// GeometricT sample counting as 64, before the next Reserve; drawing
+// past the buffer panics. GeometricPass and GeometricT refill as they
+// need, so they never run dry themselves.
+type Block struct {
+	src *Source
+	buf [blockLen]uint64
+	// pass has bit j of word w set when buf[64w+j] passes the block's
+	// threshold. Its last word stays 0, so a scan at the buffer's end
+	// finds nothing and refills.
+	pass [blockLen/64 + 1]uint64
+	i, n uint   // the next unread output, and the buffered outputs: whole words
+	t    uint64 // the GeometricPass threshold
+	// drawn counts the outputs drawn into the buffer so far.
+	drawn uint64
+}
+
+// NewBlock returns a Block over src whose GeometricPass is
+// GeometricT(t). It draws nothing until its first Reserve or geometric
+// sample.
+func NewBlock(src *Source, t uint64) *Block {
+	return &Block{src: src, t: t}
+}
+
+// passMask returns the threshold the pass bits compare against: for
+// x < 2^53, x < t exactly when x < min(t, 2^53), and a difference of
+// two values at most 2^53 has its sign in bit 63. geometricOne draws
+// nothing, so no output passes it.
+func passMask(t uint64) uint64 {
+	if t == geometricOne {
+		return 0
+	}
+	return min(t, 1<<53)
+}
+
+// Reserve makes at least ReserveLen outputs unread.
+func (b *Block) Reserve() {
+	if b.n-b.i < ReserveLen {
+		b.topUp()
+	}
+}
+
+// topUp moves the words holding unread outputs to the front of the
+// buffer and draws whole words behind them until it is full.
+func (b *Block) topUp() {
+	first, end := b.i/64, b.n/64
+	keep := end - first
+	copy(b.buf[:keep*64], b.buf[first*64:b.n])
+	copy(b.pass[:keep], b.pass[first:end])
+	b.i -= first * 64
+	s0, s1, s2, s3 := b.src.s[0], b.src.s[1], b.src.s[2], b.src.s[3]
+	t := passMask(b.t)
+	for w := keep; w < blockLen/64; w++ {
+		var m uint64
+		buf := b.buf[w*64 : w*64+64]
+		for j := range buf {
+			// One Uint64 step, inlined.
+			result := rotl(s1*5, 7) * 9
+			u := s1 << 17
+			s2 ^= s0
+			s3 ^= s1
+			s1 ^= s2
+			s0 ^= s3
+			s2 ^= u
+			s3 = rotl(s3, 45)
+			buf[j] = result
+			m |= (result>>11 - t) >> 63 << (j & 63)
+		}
+		b.pass[w] = m
+	}
+	b.src.s = [4]uint64{s0, s1, s2, s3}
+	b.drawn += uint64(blockLen - keep*64)
+	b.n = blockLen
+}
+
+// Draws returns how many outputs the Block's draws have taken.
+func (b *Block) Draws() uint64 { return b.drawn - uint64(b.n-b.i) }
+
+// Uint64 returns the next value in the stream.
+func (b *Block) Uint64() uint64 {
+	i := b.i
+	if i >= b.n {
+		panic("rng: Block drawn past its buffer without Reserve")
+	}
+	b.i = i + 1
+	return b.buf[i]
+}
+
+// Intn returns a uniform value in [0, n), as Source.Intn does. It
+// panics if n <= 0.
+func (b *Block) Intn(n int) int {
+	if n <= 0 {
+		panic("rng: Intn with non-positive n")
+	}
+	return int((b.Uint64() >> 32 * uint64(n)) >> 32)
+}
+
+// Float64 returns a uniform value in [0, 1).
+func (b *Block) Float64() float64 {
+	return float64(b.Uint64()>>11) / (1 << 53)
+}
+
+// Below draws one value and reports whether it falls under the
+// threshold t.
+func (b *Block) Below(t uint64) bool { return b.Uint64()>>11 < t }
+
+// GeometricPass is GeometricT at the threshold the block was built
+// with: the index of the first passing draw, read off the pass bitmap.
+func (b *Block) GeometricPass() int {
+	if w := b.pass[b.i/64] >> (b.i % 64); w != 0 {
+		d := bits.TrailingZeros64(w) + 1
+		b.i += uint(d)
+		return d
+	}
+	return b.geometric(b.t, true)
+}
+
+// GeometricT returns a geometric sample at threshold t, capped at 2^20,
+// as Source.GeometricT does: the draws are compared eight at a time,
+// each to a mask bit without a branch.
+func (b *Block) GeometricT(t uint64) int { return b.geometric(t, false) }
+
+// geometric draws up to geometricCap values until one passes t, from
+// the pass bitmap when bitmap is set (t is then the block's threshold)
+// and eight draws at a time otherwise. It leaves at least ReserveLen
+// outputs unread.
+func (b *Block) geometric(t uint64, bitmap bool) int {
+	if t == geometricOne {
+		return 1
+	}
+	mt := passMask(t)
+	n := uint(0)
+	for {
+		if b.i == b.n {
+			b.topUp()
+		}
+		// m marks the passing draws of the next k.
+		var m uint64
+		var k uint
+		if bitmap {
+			m, k = b.pass[b.i/64]>>(b.i%64), 64-b.i%64
+		} else {
+			win := b.buf[b.i:min(b.i+8, b.n)]
+			for j, v := range win {
+				m |= (v>>11 - mt) >> 63 << j
+			}
+			k = uint(len(win))
+		}
+		if m != 0 {
+			k = uint(bits.TrailingZeros64(m)) + 1
+		}
+		if n+k >= geometricCap {
+			k = geometricCap - n
+			m = 1
+		}
+		b.i += k
+		n += k
+		if m != 0 {
+			b.Reserve()
+			return int(n)
+		}
 	}
 }

@@ -355,3 +355,171 @@ func TestUntilMatchesBelowLoop(t *testing.T) {
 		t.Fatalf("t = 2^53: (%d, %v), want a pass on the first draw", n, hit)
 	}
 }
+
+// blockOps draws one op from b and from s for each byte of ops and
+// fails at the first value they disagree on: op%6 picks Uint64, Below,
+// Intn, Float64, GeometricT or GeometricPass, and op/6 indexes ts for
+// the thresholds and Intn's bound. The block reserves before each op
+// whose index in ops is a multiple of 7, as its contract asks: seven
+// ops take at most 7·64 outputs. The next draw must then agree too.
+func blockOps(t *testing.T, seed uint64, b *Block, s *Source, pass uint64, ts []uint64, ops []byte) {
+	t.Helper()
+	for k, op := range ops {
+		if k%7 == 0 {
+			b.Reserve()
+		}
+		th := ts[int(op/6)%len(ts)]
+		var got, want uint64
+		switch op % 6 {
+		case 0:
+			got, want = b.Uint64(), s.Uint64()
+		case 1:
+			got, want = boolBit(b.Below(th)), boolBit(s.Below(th))
+		case 2:
+			n := int(th%1000) + 1
+			got, want = uint64(b.Intn(n)), uint64(s.Intn(n))
+		case 3:
+			got, want = math.Float64bits(b.Float64()), math.Float64bits(s.Float64())
+		case 4:
+			got, want = uint64(b.GeometricT(th)), uint64(s.GeometricT(th))
+		case 5:
+			got, want = uint64(b.GeometricPass()), uint64(s.GeometricT(pass))
+		}
+		if got != want {
+			t.Fatalf("op %d (%d, threshold %#x): block %#x, source %#x", k, op%6, th, got, want)
+		}
+	}
+	b.Reserve()
+	if got, want := b.Uint64(), s.Uint64(); got != want {
+		t.Fatalf("after %d ops: next draw %#x from the block, %#x from the source", len(ops), got, want)
+	}
+	if got, want := b.Draws(), sourceDraws(s, seed); got != want {
+		t.Fatalf("after %d ops: the block counts %d draws, the source made %d", len(ops), got, want)
+	}
+}
+
+// sourceDraws counts the outputs s has made since New(seed).
+func sourceDraws(s *Source, seed uint64) uint64 {
+	r := New(seed)
+	n := uint64(0)
+	for r.s != s.s {
+		r.Uint64()
+		n++
+	}
+	return n
+}
+
+func boolBit(v bool) uint64 {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+// blockThresholds are the edge thresholds of a draw: always passing
+// (2^53), geometricOne (no draw at all), and typical ones.
+var blockThresholds = []uint64{1 << 53, geometricOne, Threshold(0.5), GeometricThreshold(2.5), GeometricThreshold(40), Threshold(0.99)}
+
+// capThresholds never pass (0) or almost never (1): a geometric sample
+// at either reaches the 2^20 cap.
+var capThresholds = []uint64{0, 1}
+
+// TestBlockMatchesSource: every interleaving of a Block's draws gives
+// the values a Source's same draws give, across block refills, at
+// every edge threshold of GeometricT and of the pass bitmap, the cap
+// included, and leaves the same next draw.
+func TestBlockMatchesSource(t *testing.T) {
+	for _, pass := range append(blockThresholds, capThresholds...) {
+		for seed := uint64(0); seed < 4; seed++ {
+			ops := make([]byte, 5000)
+			r := New(seed + 100)
+			for i := range ops {
+				ops[i] = byte(r.Intn(6 * len(blockThresholds)))
+			}
+			if pass < 2 {
+				// Each GeometricPass makes 2^20 draws: a few suffice.
+				ops = ops[:64]
+			}
+			blockOps(t, seed, NewBlock(New(seed), pass), New(seed), pass, blockThresholds, ops)
+		}
+	}
+	// GeometricT at the cap, from a block's start and from mid-block.
+	for _, skip := range []int{0, 100} {
+		b, s := NewBlock(New(5), Threshold(0.5)), New(5)
+		b.Reserve()
+		for i := 0; i < skip; i++ {
+			b.Uint64()
+			s.Uint64()
+		}
+		blockOps(t, 5, b, s, Threshold(0.5), capThresholds, []byte{4, 0, 10, 5, 4})
+	}
+	// A block drawn to just short of its end, then across it.
+	for _, n := range []int{blockLen - 1, blockLen, blockLen + 1} {
+		b, s := NewBlock(New(9), Threshold(0.5)), New(9)
+		for i := 0; i < n; i++ {
+			if i%ReserveLen == 0 {
+				b.Reserve()
+			}
+			b.Uint64()
+			s.Uint64()
+		}
+		blockOps(t, 9, b, s, Threshold(0.5), blockThresholds[2:], []byte{5, 4, 5, 10, 11, 5})
+	}
+}
+
+// TestBlockDrawsOnlyReserved: Uint64 panics on an empty block and
+// past what Reserve buffered, rather than draw a stale value.
+func TestBlockDrawsOnlyReserved(t *testing.T) {
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	b := NewBlock(New(1), 0)
+	if !panics(func() { b.Uint64() }) {
+		t.Error("an empty block drew")
+	}
+	b.Reserve()
+	if !panics(func() {
+		for range blockLen + 1 {
+			b.Uint64()
+		}
+	}) {
+		t.Error("a block drew past its buffer")
+	}
+}
+
+// FuzzBlockVsSource: any op sequence, under any seed and pass
+// threshold, draws the same from a Block as from its Source. The cap
+// thresholds are left to TestBlockMatchesSource: each draw there costs
+// 2^20 outputs.
+func FuzzBlockVsSource(f *testing.F) {
+	f.Add(uint64(1), uint64(1)<<52, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+	f.Add(uint64(7), uint64(geometricOne), []byte{5, 5, 5, 4, 4, 10})
+	f.Add(uint64(3), uint64(1)<<53, []byte{5, 11, 17, 23, 29, 35})
+	f.Fuzz(func(t *testing.T, seed, pass uint64, ops []byte) {
+		if pass < 1<<40 {
+			pass += 1 << 40
+		}
+		ts := []uint64{1 << 53, geometricOne, pass, Threshold(0.3), 1<<52 + seed%(1<<52)}
+		blockOps(t, seed, NewBlock(New(seed), pass), New(seed), pass, ts, ops)
+	})
+}
+
+// BenchmarkBlockGeometric times GeometricPass against Source.GeometricT
+// at the mean-2.5 threshold of a register-dependence distance.
+func BenchmarkBlockGeometric(b *testing.B) {
+	t := GeometricThreshold(2.5)
+	b.Run("source", func(b *testing.B) {
+		r := New(1)
+		for i := 0; i < b.N; i++ {
+			r.GeometricT(t)
+		}
+	})
+	b.Run("block", func(b *testing.B) {
+		r := NewBlock(New(1), t)
+		for i := 0; i < b.N; i++ {
+			r.GeometricPass()
+		}
+	})
+}

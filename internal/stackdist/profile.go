@@ -9,11 +9,15 @@ import (
 // Geom names one cache shape a Profile must answer: a power-of-two set
 // count and an associativity, LRU throughout. Capacity is Sets*Ways
 // lines. A positive Victim puts a Victim-line victim buffer behind a
-// direct-mapped (Ways 1) array of Sets lines.
+// direct-mapped (Ways 1) array of Sets lines. A positive MF and BAS
+// make the geometry instead an LRU B-Cache of Sets frames (Ways 1) with
+// that mapping factor and associativity (BCacheProfiled).
 type Geom struct {
 	Sets   int
 	Ways   int
 	Victim int
+	MF     int
+	BAS    int
 }
 
 // Profile profiles one address stream at several set-index
@@ -24,13 +28,15 @@ type Geom struct {
 // one victim level, which answers every buffer depth up to the largest
 // requested and reads its direct-mapped array off the Profiler at that
 // set count; a set count only victim geometries ask for gets a one-way
-// Profiler that Misses does not answer.
+// Profiler that Misses does not answer. B-Cache geometries need no
+// Profiler: those sharing a frames·MF product share one bcacheClass.
 type Profile struct {
 	lineShift uint
 	profs     []*Profiler // ascending by set count
 	// bySets holds the profilers of the LRU geometries, by set count.
 	bySets  map[int]*Profiler
 	victims []*victimLevel // ascending by set count
+	bcaches []*bcacheClass // ascending by frames·MF
 	total   uint64
 }
 
@@ -50,6 +56,10 @@ func NewProfile(lineBytes int, geoms []Geom) (*Profile, error) {
 			return nil, fmt.Errorf("stackdist: non-positive ways %d", g.Ways)
 		}
 		switch {
+		case g.MF != 0 || g.BAS != 0:
+			if err := checkBCacheGeom(g); err != nil {
+				return nil, err
+			}
 		case g.Victim < 0:
 			return nil, fmt.Errorf("stackdist: negative victim buffer size %d", g.Victim)
 		case g.Victim > 0 && g.Ways != 1:
@@ -65,6 +75,7 @@ func NewProfile(lineBytes int, geoms []Geom) (*Profile, error) {
 	p := &Profile{
 		lineShift: addr.Log2(uint64(lineBytes)),
 		bySets:    make(map[int]*Profiler, len(maxWays)),
+		bcaches:   bcacheClasses(geoms),
 	}
 	all := make(map[int]*Profiler, len(maxWays)+len(maxVictim))
 	for sets, ways := range maxWays {
@@ -94,18 +105,34 @@ func NewProfile(lineBytes int, geoms []Geom) (*Profile, error) {
 	return p, nil
 }
 
-// Access records one byte-address access with every victim level and
-// every profiler. The victim levels go first: each reads its array's
-// occupant off a profiler before the profiler moves block to the top.
+// Access records one byte-address access: Replay of a one-access
+// stream.
 func (p *Profile) Access(a addr.Addr) {
-	block := a >> p.lineShift
-	p.total++
-	for _, v := range p.victims {
-		v.access(block)
+	one := [1]addr.Addr{a}
+	p.Replay(one[:])
+}
+
+// Replay records the accesses of as, in order, with every victim level,
+// every profiler and every B-Cache class. Per access, the victim levels
+// go first: each reads its array's occupant off a profiler before the
+// profiler moves block to the top. Each B-Cache class runs over the
+// whole slice at once, since no other level reads its state.
+func (p *Profile) Replay(as []addr.Addr) {
+	if len(p.profs) > 0 {
+		for _, a := range as {
+			block := a >> p.lineShift
+			for _, v := range p.victims {
+				v.access(block)
+			}
+			for _, pr := range p.profs {
+				pr.Access(block)
+			}
+		}
 	}
-	for _, pr := range p.profs {
-		pr.Access(block)
+	for _, c := range p.bcaches {
+		c.replay(as, p.lineShift)
 	}
+	p.total += uint64(len(as))
 }
 
 // Accesses returns the number of recorded accesses.
@@ -134,4 +161,28 @@ func (p *Profile) VictimMisses(sets, entries int) (misses, bufferHits uint64, er
 		}
 	}
 	return 0, 0, fmt.Errorf("stackdist: no victim buffer was profiled at set count %d", sets)
+}
+
+// BCacheMisses returns the misses, and the PD hits and PD misses among
+// them, an LRU B-Cache of sets frames with mapping factor mf and
+// associativity bas would record over the profiled stream. That
+// geometry must have been requested. A class whose lines outgrew its
+// 32-bit tags answers with an error.
+func (p *Profile) BCacheMisses(sets, mf, bas int) (misses, pdHit, pdMiss uint64, err error) {
+	for _, c := range p.bcaches {
+		if !BCacheProfiled(mf, bas) || c.p != sets*mf {
+			continue
+		}
+		if c.wide>>(32+c.pShift) != 0 {
+			return 0, 0, 0, fmt.Errorf("stackdist: a line above 2^%d aliases the %d-group B-Cache tags", 32+c.pShift, c.p)
+		}
+		for _, r := range c.rows {
+			if r.r == sets/bas {
+				hits, pdHit := r.result(bas)
+				misses = p.total - hits
+				return misses, pdHit, misses - pdHit, nil
+			}
+		}
+	}
+	return 0, 0, 0, fmt.Errorf("stackdist: no B-Cache of %d frames, MF %d, BAS %d was profiled", sets, mf, bas)
 }

@@ -33,8 +33,10 @@ const (
 // float comparisons would give, draw for draw (see referenceGenerator
 // in the tests).
 type Generator struct {
-	p   *Profile
-	src *rng.Source
+	p *Profile
+	// blk draws the stream; its pass bitmap is DepDist's threshold, so
+	// a source operand's distance is one bitmap scan.
+	blk *rng.Block
 
 	// thresholds precomputed from p
 	segLenT   uint64 // Code.SegLen (geometric)
@@ -88,9 +90,9 @@ func New(p *Profile) (*Generator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	src := rng.New(p.Seed)
 	g := &Generator{
 		p:         p,
-		src:       rng.New(p.Seed),
 		segLenT:   rng.GeometricThreshold(p.Code.SegLen),
 		depT:      rng.GeometricThreshold(p.DepDist),
 		fallT:     rng.Threshold(p.Code.FallThrough),
@@ -120,7 +122,7 @@ func New(p *Profile) (*Generator, error) {
 			p.Name, p.Code.Segments, p.Code.Footprint)
 	}
 	slots := make([]int, p.Code.Footprint/lineBytes)
-	g.src.Perm(slots)
+	src.Perm(slots)
 	g.segBase = make([]addr.Addr, p.Code.Segments)
 	for i := range g.segBase {
 		g.segBase[i] = CodeBase + addr.Addr(slots[i]*lineBytes)
@@ -131,7 +133,7 @@ func New(p *Profile) (*Generator, error) {
 	var sum float64
 	for i := range p.Regions {
 		r := &p.Regions[i]
-		w, err := newRegionWalker(r, g.src)
+		w, err := newRegionWalker(r, src)
 		if err != nil {
 			return nil, fmt.Errorf("workload %s: region %d: %w", p.Name, i, err)
 		}
@@ -148,8 +150,11 @@ func New(p *Profile) (*Generator, error) {
 		g.cumT[i] = rng.Threshold(cum[i] / sum)
 	}
 
-	g.blkLeft = g.src.GeometricT(g.segLenT)
-	g.runLeft = g.src.GeometricT(g.regions[0].runT)
+	// The layout draws above come straight from src; the stream's draws
+	// come from the block, which src feeds from here on.
+	g.blk = rng.NewBlock(src, g.depT)
+	g.blkLeft = g.blk.GeometricT(g.segLenT)
+	g.runLeft = g.blk.GeometricT(g.regions[0].runT)
 	return g, nil
 }
 
@@ -158,7 +163,7 @@ func (g *Generator) Profile() *Profile { return g.p }
 
 // pickRegion draws a region index by weight.
 func (g *Generator) pickRegion() int {
-	x := g.src.Uint64() >> 11
+	x := g.blk.Uint64() >> 11
 	for i, t := range g.cumT {
 		if x < t {
 			return i
@@ -181,27 +186,27 @@ func (g *Generator) nextPC() (pc addr.Addr, isBranch bool) {
 	// another segment — hot subset with probability HotFrac, anywhere
 	// otherwise — entering at a random line of its body (functions have
 	// many branch targets, not just their entry).
-	if g.src.Below(g.fallT) {
+	if g.blk.Below(g.fallT) {
 		g.segOff++
-		g.blkLeft = g.src.GeometricT(g.segLenT)
+		g.blkLeft = g.blk.GeometricT(g.segLenT)
 		return pc, true
 	}
 	c := &g.p.Code
-	if c.HotSegs > 0 && g.src.Below(g.hotT) {
-		g.curSeg = g.src.Intn(c.HotSegs)
+	if c.HotSegs > 0 && g.blk.Below(g.hotT) {
+		g.curSeg = g.blk.Intn(c.HotSegs)
 	} else {
-		g.curSeg = g.src.Intn(c.Segments)
+		g.curSeg = g.blk.Intn(c.Segments)
 	}
 	// Branch targets concentrate near the segment entry (loop heads and
 	// call sites early in a function); deep-body lines are reached
 	// rarely, giving the footprint a long cold tail.
-	entry := g.src.GeometricT(entryThreshold) - 1
+	entry := g.blk.GeometricT(entryThreshold) - 1
 	if entry >= g.bodyLines {
 		entry = g.bodyLines - 1
 	}
 	const instrPerLine = 32 / instrBytes
 	g.segOff = entry * instrPerLine
-	g.blkLeft = g.src.GeometricT(g.segLenT)
+	g.blkLeft = g.blk.GeometricT(g.segLenT)
 	return pc, true
 }
 
@@ -214,13 +219,25 @@ func (g *Generator) source() uint8 {
 	if g.histLen == 0 {
 		return 0
 	}
-	d := g.src.GeometricT(g.depT)
+	d := g.blk.GeometricPass()
 	if d > g.histLen {
 		d = g.histLen
 	}
-	const period = trace.NumRegs - 1
-	return uint8((int(g.nextDst)-d+3*period)%period + 1)
+	return stepBack[int(g.nextDst)-d+histDepth]
 }
+
+// period is the length of the destination cycle 1..NumRegs-1.
+const period = trace.NumRegs - 1
+
+// stepBack[x+histDepth] is (x mod period) + 1 for x from -histDepth up
+// to NumRegs-1: for x = nextDst-d, the d-th most recent destination,
+// without a division.
+var stepBack = func() (t [histDepth + trace.NumRegs]uint8) {
+	for i := range t {
+		t[i] = uint8((i-histDepth+3*period)%period + 1)
+	}
+	return t
+}()
 
 func (g *Generator) destination() uint8 {
 	g.nextDst++
@@ -236,6 +253,7 @@ func (g *Generator) destination() uint8 {
 // Next implements trace.Stream; the stream is infinite.
 func (g *Generator) Next() (trace.Record, bool) {
 	var rec trace.Record
+	g.blk.Reserve()
 	g.step(&rec)
 	return rec, true
 }
@@ -244,11 +262,13 @@ func (g *Generator) Next() (trace.Record, bool) {
 // records len(dst) calls to Next would return — overwriting every field.
 func (g *Generator) Fill(dst []trace.Record) {
 	for i := range dst {
+		g.blk.Reserve()
 		g.step(&dst[i])
 	}
 }
 
-// step generates one record into rec.
+// step generates one record into rec. A record takes at most seven
+// single draws and six geometric samples, well within one Reserve.
 func (g *Generator) step(rec *trace.Record) {
 	pc, isBranch := g.nextPC()
 	r := trace.Record{PC: pc, Lat: 1}
@@ -257,17 +277,17 @@ func (g *Generator) step(rec *trace.Record) {
 	case isBranch:
 		r.Kind = trace.Branch
 		r.Src1 = g.source()
-	case g.src.Below(g.memT):
+	case g.blk.Below(g.memT):
 		if g.runLeft <= 0 {
 			g.curRegion = g.pickRegion()
-			g.runLeft = g.src.GeometricT(g.regions[g.curRegion].runT)
+			g.runLeft = g.blk.GeometricT(g.regions[g.curRegion].runT)
 		}
 		g.runLeft--
 		reg := &g.regions[g.curRegion]
-		r.Mem = reg.walker.next(g.src)
+		r.Mem = reg.walker.next(g.blk)
 		// The store draw precedes the operand draws: the draw order is
 		// part of the stream (DESIGN §5).
-		write := reg.writeT != 0 && g.src.Below(reg.writeT)
+		write := reg.writeT != 0 && g.blk.Below(reg.writeT)
 		r.Src1 = g.source() // address base register
 		if write {
 			r.Kind = trace.Store
@@ -276,7 +296,7 @@ func (g *Generator) step(rec *trace.Record) {
 			r.Kind = trace.Load
 			r.Dst = g.destination()
 		}
-	case g.src.Below(g.fpT):
+	case g.blk.Below(g.fpT):
 		r.Kind = trace.FP
 		r.Lat = g.fpLat
 		r.Src1 = g.source()
@@ -293,7 +313,7 @@ func (g *Generator) step(rec *trace.Record) {
 
 // regionWalker produces the address stream of one data region.
 type regionWalker interface {
-	next(src *rng.Source) addr.Addr
+	next(src *rng.Block) addr.Addr
 }
 
 func newRegionWalker(r *Region, src *rng.Source) (regionWalker, error) {
@@ -341,7 +361,7 @@ type seqWalker struct {
 	pos int
 }
 
-func (w *seqWalker) next(src *rng.Source) addr.Addr {
+func (w *seqWalker) next(src *rng.Block) addr.Addr {
 	a := w.r.Base + addr.Addr(w.pos)
 	w.pos += streamGrain
 	if w.pos >= w.r.Size {
@@ -355,7 +375,7 @@ type strideWalker struct {
 	pos int
 }
 
-func (w *strideWalker) next(src *rng.Source) addr.Addr {
+func (w *strideWalker) next(src *rng.Block) addr.Addr {
 	a := w.r.Base + addr.Addr(w.pos)
 	w.pos += w.r.Stride
 	if w.pos >= w.r.Size {
@@ -370,7 +390,7 @@ type chaseWalker struct {
 	cur  int
 }
 
-func (w *chaseWalker) next(src *rng.Source) addr.Addr {
+func (w *chaseWalker) next(src *rng.Block) addr.Addr {
 	w.cur = w.perm[w.cur]
 	return w.r.Base + addr.Addr(w.cur*chaseGrain)
 }
@@ -379,7 +399,7 @@ type hotWalker struct {
 	r *Region
 }
 
-func (w *hotWalker) next(src *rng.Source) addr.Addr {
+func (w *hotWalker) next(src *rng.Block) addr.Addr {
 	// Quadratic skew: line i is drawn with density ∝ 1/sqrt(i), giving a
 	// stack-frame-like concentration on the lowest lines.
 	x := src.Float64()
@@ -398,7 +418,7 @@ type aliasWalker struct {
 	line  int
 }
 
-func (w *aliasWalker) next(src *rng.Source) addr.Addr {
+func (w *aliasWalker) next(src *rng.Block) addr.Addr {
 	slot := w.block
 	if w.slots != nil {
 		slot = w.slots[w.block]

@@ -226,7 +226,7 @@ func TestWalkerPatterns(t *testing.T) {
 		}
 		var got []addr.Addr
 		for i := 0; i < 10; i++ {
-			a := w.next(newTestSrc())
+			a := w.next(newTestBlock())
 			got = append(got, a)
 		}
 		// 64-byte region, 8-byte grain: wraps after 8 accesses.
@@ -237,9 +237,9 @@ func TestWalkerPatterns(t *testing.T) {
 	t.Run("strided", func(t *testing.T) {
 		r := &Region{Kind: Strided, Base: 0x2000, Size: 300, Stride: 100, Weight: 1}
 		w, _ := newRegionWalker(r, newTestSrc())
-		a0 := w.next(newTestSrc())
-		a1 := w.next(newTestSrc())
-		a3 := func() addr.Addr { w.next(newTestSrc()); return w.next(newTestSrc()) }()
+		a0 := w.next(newTestBlock())
+		a1 := w.next(newTestBlock())
+		a3 := func() addr.Addr { w.next(newTestBlock()); return w.next(newTestBlock()) }()
 		if a0 != 0x2000 || a1 != 0x2064 || a3 != 0x2000 {
 			t.Fatalf("strided walk = %#x %#x %#x", a0, a1, a3)
 		}
@@ -249,7 +249,7 @@ func TestWalkerPatterns(t *testing.T) {
 		w, _ := newRegionWalker(r, newTestSrc())
 		seen := map[addr.Addr]bool{}
 		for i := 0; i < 16*4; i++ {
-			a := w.next(newTestSrc())
+			a := w.next(newTestBlock())
 			seen[a] = true
 		}
 		// A permutation cycle visits many distinct lines.
@@ -261,9 +261,9 @@ func TestWalkerPatterns(t *testing.T) {
 		r := &Region{Kind: ConflictAlias, Base: 0x100000, AliasStride: 32 * kB, Degree: 4, Weight: 1}
 		w, _ := newRegionWalker(r, newTestSrc())
 		const setMask = (16*kB - 1) &^ 31
-		first := w.next(newTestSrc())
+		first := w.next(newTestBlock())
 		for i := 1; i < 8; i++ {
-			a := w.next(newTestSrc())
+			a := w.next(newTestBlock())
 			if a&setMask != first&setMask {
 				t.Fatalf("alias blocks land in different 16kB sets: %#x vs %#x", a, first)
 			}
@@ -272,8 +272,9 @@ func TestWalkerPatterns(t *testing.T) {
 	t.Run("hot-bounded", func(t *testing.T) {
 		r := &Region{Kind: HotSpot, Base: 0x4000, Hot: 10, Weight: 1}
 		w, _ := newRegionWalker(r, newTestSrc())
-		src := newTestSrc()
+		src := newTestBlock()
 		for i := 0; i < 1000; i++ {
+			src.Reserve()
 			a := w.next(src)
 			if a < 0x4000 || a >= 0x4000+10*hotGrain {
 				t.Fatalf("hot access %#x out of range", a)
@@ -304,7 +305,8 @@ func TestScatterBlocksDistinct(t *testing.T) {
 
 // BenchmarkGenerator times one generated record (ns/op = ns per
 // instruction) on the bench probe's profiles, through Next and through
-// Fill into a reused chunk.
+// Fill into a reused chunk, and reports the random draws each record
+// takes (draws/record).
 func BenchmarkGenerator(b *testing.B) {
 	for _, name := range []string{"gcc", "equake"} {
 		b.Run(name+"/next", func(b *testing.B) {
@@ -327,9 +329,18 @@ func BenchmarkGenerator(b *testing.B) {
 			for i := 0; i < b.N; i += len(buf) {
 				g.Fill(buf[:min(len(buf), b.N-i)])
 			}
+			b.ReportMetric(float64(g.blk.Draws())/float64(b.N), "draws/record")
 		})
 	}
 }
 
 // newTestSrc returns a fresh deterministic source for walker tests.
 func newTestSrc() *rng.Source { return rng.New(77) }
+
+// newTestBlock returns a block over a fresh newTestSrc, from which
+// walkers draw, with its first ReserveLen draws reserved.
+func newTestBlock() *rng.Block {
+	b := rng.NewBlock(newTestSrc(), 0)
+	b.Reserve()
+	return b
+}
